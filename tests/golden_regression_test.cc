@@ -9,7 +9,10 @@
 
 #include "apps/walk_app.h"
 #include "graph/builder.h"
+#include "graph/generators.h"
+#include "lightrw/cycle_engine.h"
 #include "lightrw/functional_engine.h"
+#include "lightrw/uniform_engine.h"
 #include "rng/rng.h"
 #include "sampling/parallel_wrs.h"
 
@@ -97,6 +100,144 @@ TEST(GoldenTest, ParallelWrsSelectionIsStable) {
     ASSERT_LT(s, weights.size());
     ASSERT_GT(weights[s], 0u);
   }
+}
+
+// Exact simulated outputs of the accelerator cycle models. Every field
+// below is a pure function of the graph, queries and config, so any
+// change to the per-step timing model, the instance loop or the RNG
+// stream discipline moves at least one literal.
+struct AccelPins {
+  uint64_t cycles;
+  uint64_t steps;
+  uint64_t edges_examined;
+  uint64_t dram_requests;
+  uint64_t dram_bytes;
+  uint64_t dram_busy_cycles;
+  uint64_t cache_hits;
+  uint64_t cache_misses;
+  uint64_t long_bursts;
+  uint64_t short_bursts;
+  uint64_t loaded_bytes;
+  uint64_t info_cycles;
+  uint64_t fetch_cycles;
+  uint64_t sampler_cycles;
+  uint64_t pipeline_cycles;
+  uint64_t prev_refetches;
+  uint64_t path_hash;
+};
+
+// FNV-1a over every path (length, then vertices) in output order.
+uint64_t PathHash(const baseline::WalkOutput& output) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  for (size_t i = 0; i < output.num_paths(); ++i) {
+    const auto path = output.Path(i);
+    mix(path.size());
+    for (const graph::VertexId v : path) {
+      mix(v);
+    }
+  }
+  return h;
+}
+
+void ExpectPins(const core::AccelRunStats& s,
+                const baseline::WalkOutput& output, const AccelPins& want) {
+  EXPECT_EQ(s.cycles, want.cycles);
+  EXPECT_EQ(s.steps, want.steps);
+  EXPECT_EQ(s.edges_examined, want.edges_examined);
+  EXPECT_EQ(s.dram.requests, want.dram_requests);
+  EXPECT_EQ(s.dram.bytes, want.dram_bytes);
+  EXPECT_EQ(s.dram.busy_cycles, want.dram_busy_cycles);
+  EXPECT_EQ(s.cache.hits, want.cache_hits);
+  EXPECT_EQ(s.cache.misses, want.cache_misses);
+  EXPECT_EQ(s.burst.long_bursts, want.long_bursts);
+  EXPECT_EQ(s.burst.short_bursts, want.short_bursts);
+  EXPECT_EQ(s.burst.loaded_bytes, want.loaded_bytes);
+  EXPECT_EQ(s.stage.info_cycles, want.info_cycles);
+  EXPECT_EQ(s.stage.fetch_cycles, want.fetch_cycles);
+  EXPECT_EQ(s.stage.sampler_cycles, want.sampler_cycles);
+  EXPECT_EQ(s.stage.pipeline_cycles, want.pipeline_cycles);
+  EXPECT_EQ(s.prev_refetches, want.prev_refetches);
+  EXPECT_EQ(PathHash(output), want.path_hash);
+}
+
+const graph::CsrGraph& PinGraph() {
+  static const graph::CsrGraph* g = new graph::CsrGraph(
+      graph::MakeDatasetStandIn(graph::Dataset::kOrkut, /*scale_shift=*/10,
+                                /*seed=*/5));
+  return *g;
+}
+
+std::vector<apps::WalkQuery> PinQueries() {
+  return apps::MakeVertexQueries(PinGraph(), /*length=*/8, /*seed=*/3,
+                                 /*max_queries=*/400);
+}
+
+// DAC (degree-aware cache), b1+b32, 4 instances: the default design.
+core::AcceleratorConfig PinConfig() {
+  core::AcceleratorConfig config;
+  config.cache_kind = core::CacheKind::kDegreeAware;
+  config.cache_entries = 256;
+  config.burst = core::BurstStrategy{1, 32};
+  config.num_instances = 4;
+  config.seed = 2023;
+  return config;
+}
+
+TEST(GoldenTest, CycleEngineMetaPathPins) {
+  const apps::MetaPathApp app(
+      apps::MakeRandomRelationPath(PinGraph(), 8, /*seed=*/9));
+  baseline::WalkOutput output;
+  const auto stats = core::CycleEngine(&PinGraph(), &app, PinConfig())
+                         .Run(PinQueries(), &output);
+  ExpectPins(stats, output,
+             {23170, 2452, 340821, 21690, 2943616, 69252, 328, 2230,
+              784, 18676, 2800896, 2061844, 2545927, 0, 61392, 0,
+              0x44616607e4a2122aULL});
+}
+
+TEST(GoldenTest, CycleEngineNode2VecRefetchPins) {
+  const apps::Node2VecApp app(2.0, 0.5);
+  core::AcceleratorConfig config = PinConfig();
+  config.prev_neighbor_buffer_edges = 4;
+  // Four lanes fall behind the 8-edge beats, so the shared sampler
+  // clock (not just memory) decides step completion.
+  config.sampler_parallelism = 4;
+  baseline::WalkOutput output;
+  const auto stats =
+      core::CycleEngine(&PinGraph(), &app, config).Run(PinQueries(), &output);
+  ExpectPins(stats, output,
+             {156455, 3200, 420234, 50447, 6658944, 157951, 1917, 4083,
+              1729, 44635, 6397632, 14900888, 17388793, 7247, 76800,
+              2626, 0x233293e1cb60b3a1ULL});
+}
+
+TEST(GoldenTest, CycleEngineStagedNoCacheShortBurstPins) {
+  const apps::StaticWalkApp app;
+  core::AcceleratorConfig config = PinConfig();
+  config.enable_wrs_pipeline = false;
+  config.cache_kind = core::CacheKind::kNone;
+  config.burst = core::BurstStrategy{1, 0};
+  baseline::WalkOutput output;
+  const auto stats =
+      core::CycleEngine(&PinGraph(), &app, config).Run(PinQueries(), &output);
+  ExpectPins(stats, output,
+             {96900, 3200, 450152, 91367, 12720064, 297028, 0, 0, 0,
+              57652, 3689728, 6851191, 7152187, 5807617, 76800, 0,
+              0x0da06b88f95ccbeaULL});
+}
+
+TEST(GoldenTest, UniformCycleEnginePins) {
+  baseline::WalkOutput output;
+  const auto stats = core::UniformCycleEngine(&PinGraph(), PinConfig())
+                         .Run(PinQueries(), &output);
+  ExpectPins(stats, output,
+             {6814, 3200, 3200, 5907, 378048, 11814, 493, 2707, 0, 0,
+              0, 595161, 703751, 0, 76800, 0, 0x8069cf099f633d62ULL});
 }
 
 }  // namespace
