@@ -16,11 +16,25 @@ namespace {
 
 struct Row {
   std::string dataset;
-  double uniform_msteps = 0.0;
-  double lightrw_msteps = 0.0;
-  double uniform_bytes_per_step = 0.0;
-  double lightrw_bytes_per_step = 0.0;
+  core::AccelRunStats uniform;
+  core::AccelRunStats lightrw;
 };
+
+double MSteps(const core::AccelRunStats& stats) {
+  return stats.StepsPerSecond() / 1e6;
+}
+
+double BytesPerStep(const core::AccelRunStats& stats) {
+  return static_cast<double>(stats.dram.bytes) / stats.steps;
+}
+
+obs::Json EngineJson(const core::AccelRunStats& stats) {
+  obs::Json j = obs::Json::MakeObject();
+  j.Set("cycles", stats.cycles);
+  j.Set("steps", stats.steps);
+  j.Set("dram_bytes", stats.dram.bytes);
+  return j;
+}
 
 std::vector<Row>& Rows() {
   static auto* rows = new std::vector<Row>();
@@ -36,20 +50,11 @@ void UniformBench(benchmark::State& state, graph::Dataset dataset) {
   Row row;
   row.dataset = graph::GetDatasetInfo(dataset).name;
   for (auto _ : state) {
-    core::UniformCycleEngine uniform(&g, config);
-    const auto uniform_stats = uniform.Run(queries);
-    row.uniform_msteps = uniform_stats.StepsPerSecond() / 1e6;
-    row.uniform_bytes_per_step =
-        static_cast<double>(uniform_stats.dram.bytes) / uniform_stats.steps;
-
-    core::CycleEngine lightrw(&g, &app, config);
-    const auto lightrw_stats = lightrw.Run(queries);
-    row.lightrw_msteps = lightrw_stats.StepsPerSecond() / 1e6;
-    row.lightrw_bytes_per_step =
-        static_cast<double>(lightrw_stats.dram.bytes) / lightrw_stats.steps;
+    row.uniform = core::UniformCycleEngine(&g, config).Run(queries);
+    row.lightrw = core::CycleEngine(&g, &app, config).Run(queries);
   }
-  state.counters["uniform_Msteps"] = row.uniform_msteps;
-  state.counters["lightrw_Msteps"] = row.lightrw_msteps;
+  state.counters["uniform_Msteps"] = MSteps(row.uniform);
+  state.counters["lightrw_Msteps"] = MSteps(row.lightrw);
   Rows().push_back(row);
 }
 
@@ -73,12 +78,22 @@ void PrintSummary() {
             "lrw B/step"},
            widths);
   for (const Row& row : Rows()) {
-    PrintRow({row.dataset, FormatDouble(row.uniform_msteps),
-              FormatDouble(row.lightrw_msteps),
-              FormatDouble(row.uniform_bytes_per_step, 0),
-              FormatDouble(row.lightrw_bytes_per_step, 0)},
+    PrintRow({row.dataset, FormatDouble(MSteps(row.uniform)),
+              FormatDouble(MSteps(row.lightrw)),
+              FormatDouble(BytesPerStep(row.uniform), 0),
+              FormatDouble(BytesPerStep(row.lightrw), 0)},
              widths);
   }
+
+  obs::Json rows = obs::Json::MakeArray();
+  for (const Row& row : Rows()) {
+    obs::Json r = obs::Json::MakeObject();
+    r.Set("dataset", row.dataset);
+    r.Set("uniform", EngineJson(row.uniform));
+    r.Set("lightrw", EngineJson(row.lightrw));
+    rows.Append(std::move(r));
+  }
+  WriteBenchJson("ext_uniform_baseline", std::move(rows));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "reliability/ckpt_store.h"
@@ -31,20 +30,14 @@ enum class Phase { kInfo, kFetch };
 
 }  // namespace
 
-// Per-board datapath: one LightRW accelerator channel plus an egress link.
+// Per-board datapath: one accelerator step model plus an egress link.
 struct ClusterSim::Board {
-  Board(const core::AcceleratorConfig& config,
-        const hwsim::LinkConfig& link_config)
-      : channel(config.dram),
-        burst(&channel, config.burst),
-        cache(core::MakeVertexCache(config.cache_kind, config.cache_entries)),
-        link(link_config) {}
+  Board(const graph::CsrGraph* graph, const core::AcceleratorConfig& config,
+        const hwsim::LinkConfig& link_config, bool needs_prev_neighbors)
+      : model(graph, config, needs_prev_neighbors), link(link_config) {}
 
-  hwsim::DramChannel channel;
-  core::DynamicBurstEngine burst;
-  std::unique_ptr<core::VertexCache> cache;
+  core::BoardStepModel model;
   hwsim::NetworkLink link;
-  hwsim::Cycle sampler_busy = 0;  // the k-wide sampler unit is shared
   uint64_t steps_served = 0;      // steps executed on this board
   uint64_t migrations_out = 0;    // walkers shipped off this board
   hwsim::Cycle last_activity = 0; // latest step completion on this board
@@ -97,10 +90,7 @@ struct ClusterSim::Walker {
 // component definitions.
 struct ClusterSim::WalkerAttrib {
   uint64_t span = 0;
-  uint64_t info_cycles = 0;      // row-index lookups (cache miss -> DRAM)
-  uint64_t fetch_cycles = 0;     // adjacency streaming via the burst engine
-  uint64_t sampler_cycles = 0;   // WRS consume tail past the last data beat
-  uint64_t pipeline_cycles = 0;  // fixed module-pipeline traversal
+  core::StageCycleStats stage;   // the accelerator datapath's share
   uint64_t network_cycles = 0;   // migration transfer + retransmissions
   uint64_t recovery_cycles = 0;  // fault detection / failover delay
 };
@@ -121,11 +111,7 @@ void DistributedRunStats::Accumulate(const DistributedRunStats& part) {
   queries += part.queries;
   steps += part.steps;
   migrations += part.migrations;
-  dram.requests += part.dram.requests;
-  dram.beats += part.dram.beats;
-  dram.bytes += part.dram.bytes;
-  dram.busy_cycles += part.dram.busy_cycles;
-  dram.useful_bytes += part.dram.useful_bytes;
+  dram += part.dram;
   network.messages += part.network.messages;
   network.payload_bytes += part.network.payload_bytes;
   network.busy_cycles += part.network.busy_cycles;
@@ -243,7 +229,8 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
   obs::TraceRecorder* trace = config_.board.trace;
   boards_.reserve(total);
   for (BoardId b = 0; b < total; ++b) {
-    boards_.emplace_back(config_.board, config_.link);
+    boards_.emplace_back(graph_, config_.board, config_.link,
+                         needs_prev_neighbors_);
   }
   for (BoardId b = 0; b < total; ++b) {
     Board& board = boards_[b];
@@ -252,7 +239,7 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
       board.dram_faults = reliability::FaultStream(faults, global);
       board.link_faults =
           reliability::FaultStream(faults, 0x10000ULL + global);
-      board.channel.AttachFaults(&board.dram_faults, &board.rel);
+      board.model.channel().AttachFaults(&board.dram_faults, &board.rel);
       board.link.AttachFaults(&board.link_faults, &board.rel);
     }
     if (trace != nullptr) {
@@ -262,7 +249,7 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
                                            " (spare)");
       trace->NameTrack(global, kBoardDramTrack, "dram channel");
       trace->NameTrack(global, kBoardNetTrack, "network / faults");
-      board.channel.AttachTrace(trace, global, kBoardDramTrack);
+      board.model.channel().AttachTrace(trace, global, kBoardDramTrack);
     }
   }
 
@@ -682,20 +669,6 @@ void ClusterSim::WriteStoreCheckpoint(size_t slot, Cycle at) {
   }
 }
 
-Cycle ClusterSim::LookupInfo(Board& board, Cycle t, VertexId v) {
-  // Row lookup through the board's cache (same policy as the
-  // single-board engine's LookupNeighborInfo).
-  if (board.cache != nullptr && board.cache->Probe(v)) {
-    return t + 1;
-  }
-  const Cycle done = board.channel.Access(t, 1);
-  board.channel.ReportUseful(graph::kBytesPerRowRecord);
-  if (board.cache != nullptr) {
-    board.cache->Install(v, graph_->Degree(v));
-  }
-  return done;
-}
-
 // Attaches the attempt's cycle-stage attribution to its "walk" span and
 // closes it. Attr keys and order are fixed (critical_path.cc keys on
 // them, and a fixed order keeps the export byte-stable).
@@ -706,10 +679,10 @@ void ClusterSim::EndWalkSpan(size_t slot, Cycle at) {
     return;
   }
   const Walker& w = walkers_[slot];
-  spans->Attr(w.ticket, a.span, "dram_info", a.info_cycles);
-  spans->Attr(w.ticket, a.span, "dram_fetch", a.fetch_cycles);
-  spans->Attr(w.ticket, a.span, "sampler", a.sampler_cycles);
-  spans->Attr(w.ticket, a.span, "pipeline", a.pipeline_cycles);
+  spans->Attr(w.ticket, a.span, "dram_info", a.stage.info_cycles);
+  spans->Attr(w.ticket, a.span, "dram_fetch", a.stage.fetch_cycles);
+  spans->Attr(w.ticket, a.span, "sampler", a.stage.sampler_cycles);
+  spans->Attr(w.ticket, a.span, "pipeline", a.stage.pipeline_cycles);
   spans->Attr(w.ticket, a.span, "network", a.network_cycles);
   spans->Attr(w.ticket, a.span, "recovery", a.recovery_cycles);
   spans->Attr(w.ticket, a.span, "steps", w.state.step);
@@ -914,8 +887,10 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     return;
   }
   Board& board = boards_[w.board];
-  const bool wants_prev = needs_prev_neighbors_ && !w.opts.uniform_step &&
-                          w.state.prev != graph::kInvalidVertex;
+  // A degraded uniform step keeps its cost whatever the WRS setting.
+  const core::FetchPolicy policy = w.opts.uniform_step
+                                       ? core::FetchPolicy::kUniformPick
+                                       : core::WeightedPolicy(config_.board);
 
   if (w.phase == Phase::kInfo) {
     if (w.state.step >= w.remaining) {
@@ -923,16 +898,12 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     const uint64_t corrected_before = board.rel.dram_correctable;
-    Cycle t_info = LookupInfo(board, now, w.state.curr);
-    if (wants_prev) {
-      t_info = std::max(t_info, LookupInfo(board, now, w.state.prev));
-    }
-    a.info_cycles += t_info - now;
+    const Cycle t_info = board.model.Info(now, w.state, policy, &a.stage);
     if (spans != nullptr &&
         board.rel.dram_correctable > corrected_before) {
       spans->Event(w.ticket, a.span, "dram_retry", t_info);
     }
-    if (board.channel.TakeAccessFailure()) {
+    if (board.model.channel().TakeAccessFailure()) {
       // Uncorrectable ECC error on the row lookup: the walk cannot
       // continue from corrupt state.
       if (spans != nullptr) {
@@ -947,7 +918,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     if (graph_->Degree(w.state.curr) == 0) {
-      a.pipeline_cycles += config_.board.pipeline_depth_cycles;
+      a.stage.pipeline_cycles += config_.board.pipeline_depth_cycles;
       Retire(slot, t_info + config_.board.pipeline_depth_cycles);
       return;
     }
@@ -957,47 +928,23 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   }
 
   // Phase::kFetch: adjacency stream + sampling on the owner board.
-  const uint32_t degree = graph_->Degree(w.state.curr);
   const uint64_t corrected_before = board.rel.dram_correctable;
-  Cycle t_fetch = now;
-  if (wants_prev) {
-    const uint32_t prev_degree = graph_->Degree(w.state.prev);
-    if (prev_degree > config_.board.prev_neighbor_buffer_edges) {
-      t_fetch = board.burst.Fetch(
-          t_fetch, static_cast<uint64_t>(prev_degree) *
-                       graph::kBytesPerEdgeRecord);
-    }
-  }
-  const Cycle last_data = board.burst.Fetch(
-      t_fetch, static_cast<uint64_t>(degree) * graph::kBytesPerEdgeRecord);
-  const Cycle first_data =
-      t_fetch + config_.board.dram.access_latency_cycles;
-  const Cycle consume_start = std::max(first_data, board.sampler_busy);
-  // A degraded uniform pick consumes one sampler cycle; the weighted
-  // PWRS path streams the whole adjacency through the k lanes.
-  board.sampler_busy =
-      consume_start +
-      (w.opts.uniform_step
-           ? 1
-           : CeilDiv(degree, config_.board.sampler_parallelism));
-  const Cycle step_end = std::max(last_data, board.sampler_busy) +
-                         config_.board.pipeline_depth_cycles;
-  a.fetch_cycles += last_data - now;
-  a.sampler_cycles +=
-      board.sampler_busy > last_data ? board.sampler_busy - last_data : 0;
-  a.pipeline_cycles += config_.board.pipeline_depth_cycles;
+  const core::BoardStepModel::FetchTiming fetch =
+      board.model.Fetch(now, w.state, policy, &a.stage);
+  const Cycle step_end = fetch.done;
   if (spans != nullptr && board.rel.dram_correctable > corrected_before) {
-    spans->Event(w.ticket, a.span, "dram_retry", last_data);
+    spans->Event(w.ticket, a.span, "dram_retry", fetch.last_data);
   }
 
   VertexId next;
   if (w.opts.uniform_step) {
+    const uint32_t degree = graph_->Degree(w.state.curr);
     next = graph_->Neighbors(w.state.curr)[w.aux.NextBounded(degree)];
   } else {
     next = w.sampler->SampleNext(*graph_, *app_, w.state);
   }
   w.phase = Phase::kInfo;
-  if (board.channel.TakeAccessFailure()) {
+  if (board.model.channel().TakeAccessFailure()) {
     // Uncorrectable ECC error in the adjacency stream: the sampled step
     // is based on corrupt data, so the walk fails here.
     if (spans != nullptr) {
@@ -1115,11 +1062,7 @@ void ClusterSim::Finalize(DistributedRunStats* stats) {
                            transitions_.end());
   for (BoardId b = 0; b < total_boards(); ++b) {
     const Board& board = boards_[b];
-    stats->dram.requests += board.channel.stats().requests;
-    stats->dram.beats += board.channel.stats().beats;
-    stats->dram.bytes += board.channel.stats().bytes;
-    stats->dram.busy_cycles += board.channel.stats().busy_cycles;
-    stats->dram.useful_bytes += board.channel.stats().useful_bytes;
+    stats->dram += board.model.channel().stats();
     stats->network.messages += board.link.stats().messages;
     stats->network.payload_bytes += board.link.stats().payload_bytes;
     stats->network.busy_cycles += board.link.stats().busy_cycles;
@@ -1132,7 +1075,7 @@ void ClusterSim::Finalize(DistributedRunStats* stats) {
       metrics->GetCounter("dist.board.migrations_out", labels)
           ->Increment(board.migrations_out);
       metrics->GetCounter("dist.board.dram_bytes", labels)
-          ->Increment(board.channel.stats().bytes);
+          ->Increment(board.model.channel().stats().bytes);
       metrics->GetCounter("dist.board.link_messages", labels)
           ->Increment(board.link.stats().messages);
       metrics->GetCounter("dist.board.link_bytes", labels)

@@ -1,9 +1,11 @@
 // Event-driven execution core of the distributed LightRW simulation.
 //
-// ClusterSim owns the per-board datapaths (DRAM channel, degree-aware
-// cache, dynamic burst engine, k-lane WRS timing, egress link, fault
-// streams) and the global discrete-event loop that interleaves walkers
-// across boards in simulated-cycle order. Two drivers sit on top of it:
+// ClusterSim owns the per-board datapaths and the global discrete-event
+// loop that interleaves walkers across boards in simulated-cycle order.
+// Each board is one accelerator instance on one DRAM channel: the
+// core::BoardStepModel that CycleEngine instances also drive (row cache,
+// dynamic burst engine, k-lane WRS timing), plus an egress link and
+// fault streams. Two drivers sit on top of it:
 //
 //   DistributedEngine::Run  the closed batch workload (load a query set,
 //                           keep every walker slot busy until done)
@@ -40,10 +42,9 @@
 #include "distributed/partition.h"
 #include "graph/csr.h"
 #include "hwsim/link.h"
-#include "lightrw/burst_engine.h"
 #include "lightrw/config.h"
+#include "lightrw/step_model.h"
 #include "lightrw/step_sampler.h"
-#include "lightrw/vertex_cache.h"
 #include "reliability/fault_injector.h"
 #include "reliability/membership.h"
 #include "rng/rng.h"
@@ -61,7 +62,8 @@ class Histogram;
 namespace lightrw::distributed {
 
 struct DistributedConfig {
-  // Per-board accelerator configuration. num_instances applies per board.
+  // Per-board accelerator configuration. Each board models a single
+  // instance on one DRAM channel, so board.num_instances is not read.
   core::AcceleratorConfig board;
   hwsim::LinkConfig link;
   // Bytes of one walker-migration message (query id, current/previous
@@ -308,7 +310,6 @@ class ClusterSim {
   void FailWalker(size_t slot, hwsim::Cycle at, bool board_lost);
   void Recover(size_t slot, hwsim::Cycle at);
   void TakeCheckpoint(size_t slot, Board& board, hwsim::Cycle at);
-  hwsim::Cycle LookupInfo(Board& board, hwsim::Cycle t, graph::VertexId v);
   // Membership machinery (see DESIGN.md "Membership, spares & partition
   // rebuild"). Transition() bumps the epoch and logs/traces the change;
   // the others drive the state machine off kind-2 events.

@@ -61,6 +61,15 @@ struct DramStats {
   uint64_t bytes = 0;           // beats * bus_bytes
   Cycle busy_cycles = 0;        // cycles the channel was occupied
   uint64_t useful_bytes = 0;    // reported by the caller via ReportUseful
+
+  DramStats& operator+=(const DramStats& o) {
+    requests += o.requests;
+    beats += o.beats;
+    bytes += o.bytes;
+    busy_cycles += o.busy_cycles;
+    useful_bytes += o.useful_bytes;
+    return *this;
+  }
 };
 
 // One DRAM channel with banked command issue and a shared data bus.

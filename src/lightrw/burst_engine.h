@@ -39,6 +39,15 @@ struct BurstStats {
   uint64_t requested_bytes = 0;
   uint64_t loaded_bytes = 0;
 
+  BurstStats& operator+=(const BurstStats& o) {
+    requests += o.requests;
+    long_bursts += o.long_bursts;
+    short_bursts += o.short_bursts;
+    requested_bytes += o.requested_bytes;
+    loaded_bytes += o.loaded_bytes;
+    return *this;
+  }
+
   // Paper's "ratio of valid data": requested / loaded.
   double ValidDataRatio() const {
     return loaded_bytes == 0

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
 #include "lightrw/step_sampler.h"
@@ -22,16 +21,6 @@ namespace {
 using apps::WalkState;
 using graph::VertexId;
 using hwsim::Cycle;
-
-// Trace track (tid) layout within one instance's pid: one lane per
-// pipeline stage, mirroring the module chain of paper Fig. 3.
-enum TraceTrack : uint32_t {
-  kInfoTrack = 0,    // Neighbor Info Loader (row-index lookups)
-  kFetchTrack = 1,   // Dynamic Burst Engine (adjacency streams)
-  kWrsTrack = 2,     // Weight Updater + WRS Sampler lanes
-  kRetireTrack = 3,  // query retirement
-  kDramTrack = 4,    // DRAM channel data-bus service windows
-};
 
 void NameInstanceTracks(obs::TraceRecorder* trace, uint32_t pid,
                         const std::string& process_name) {
@@ -50,29 +39,32 @@ class Instance {
   // instance a private shard recorder (merged in instance order after
   // the barrier) instead of contending on one shared recorder.
   Instance(const graph::CsrGraph* graph, const apps::WalkApp* app,
-           const AcceleratorConfig& config, uint32_t instance_id,
-           uint64_t seed, obs::TraceRecorder* trace,
+           const AcceleratorConfig& config, FetchPolicy policy,
+           uint32_t instance_id, obs::TraceRecorder* trace,
            obs::TimeSeriesRecorder* ts)
       : graph_(graph),
         app_(app),
         config_(config),
+        policy_(policy),
         instance_id_(instance_id),
         trace_(trace),
         ts_(ts),
-        channel_(config.dram),
-        burst_(&channel_, config.burst),
-        cache_(MakeVertexCache(config.cache_kind, config.cache_entries)),
-        rng_(config.sampler_parallelism, seed),
+        model_(graph, config, app->needs_prev_neighbors()),
+        rng_(config.sampler_parallelism, Seed()),
         sampler_(config.sampler_parallelism, &rng_),
-        stop_gen_(seed ^ 0x5709ULL) {
+        // Uniform picks keep the Su et al. engine's own per-instance
+        // stream; weighted walks draw only their stop coins from it.
+        aux_(IsUniform(policy) ? config.seed + 0x7001ULL * (instance_id + 1)
+                               : Seed() ^ 0x5709ULL) {
     if (config.faults.enabled) {
       faults_ = reliability::FaultStream(config.faults, instance_id_);
-      channel_.AttachFaults(&faults_, &rel_);
+      model_.channel().AttachFaults(&faults_, &rel_);
     }
     if (trace_ != nullptr) {
       NameInstanceTracks(trace_, instance_id_,
                          "accel instance " + std::to_string(instance_id_));
-      channel_.AttachTrace(trace_, instance_id_, kDramTrack);
+      model_.channel().AttachTrace(trace_, instance_id_, kDramTrack);
+      model_.AttachTrace(trace_, instance_id_);
     }
     if (ts_ != nullptr) {
       // Live scraped series, handles cached up front so the series set
@@ -117,13 +109,15 @@ class Instance {
     bool active = false;
   };
 
-  // Timing of the row_index lookup through the configured cache.
-  Cycle LookupNeighborInfo(Cycle t, VertexId v);
-
-  // The two step phases; see Phase.
-  Cycle InfoPhase(Slot* slot, Cycle t);
-  Cycle FetchPhase(Slot* slot, Cycle t, VertexId* next,
-                   AccelRunStats* stats);
+  uint64_t Seed() const { return config_.seed + 0x1000003ULL * instance_id_; }
+  // Functional sampling (identical distribution to the hardware).
+  VertexId SampleNext(const WalkState& state) {
+    if (IsUniform(policy_)) {
+      const uint32_t degree = graph_->Degree(state.curr);
+      return graph_->Neighbors(state.curr)[aux_.NextBounded(degree)];
+    }
+    return sampler_.SampleNext(*graph_, *app_, state);
+  }
 
   bool tracing() const { return trace_ != nullptr && trace_->accepting(); }
 
@@ -134,6 +128,7 @@ class Instance {
   const graph::CsrGraph* graph_;
   const apps::WalkApp* app_;
   const AcceleratorConfig& config_;
+  const FetchPolicy policy_;
   const uint32_t instance_id_;
   obs::TraceRecorder* trace_;
   // Simulated-time telemetry shard for this instance (may be null). The
@@ -143,162 +138,15 @@ class Instance {
   obs::Counter* ts_retired_ = nullptr;
   obs::Histogram* ts_latency_ = nullptr;
   StageCycleStats stage_;
-  hwsim::DramChannel channel_;
-  DynamicBurstEngine burst_;
-  std::unique_ptr<VertexCache> cache_;
+  BoardStepModel model_;
   rng::ThunderingRng rng_;
   StepSampler sampler_;
-  rng::Xoshiro256StarStar stop_gen_;
+  rng::Xoshiro256StarStar aux_;
   // Deterministic DRAM ECC fault schedule (disabled unless
   // config.faults.enabled) and the counters its events land in.
   reliability::FaultStream faults_;
   reliability::ReliabilityStats rel_;
-  // The weight-updater/WRS pipeline is a single k-wide unit per instance:
-  // concurrent steps serialize through it.
-  Cycle sampler_busy_ = 0;
 };
-
-Cycle Instance::LookupNeighborInfo(Cycle t, VertexId v) {
-  if (cache_ != nullptr) {
-    if (cache_->Probe(v)) {
-      if (tracing()) {
-        trace_->Instant("cache_hit", "cache", instance_id_, kInfoTrack, t);
-      }
-      return t + 1;  // on-chip hit: single-cycle response (Fig. 5 step c)
-    }
-    if (tracing()) {
-      trace_->Instant("cache_miss", "cache", instance_id_, kInfoTrack, t);
-    }
-    const Cycle done = channel_.Access(t, /*burst_beats=*/1);
-    channel_.ReportUseful(graph::kBytesPerRowRecord);
-    cache_->Install(v, graph_->Degree(v));
-    return done;
-  }
-  const Cycle done = channel_.Access(t, /*burst_beats=*/1);
-  channel_.ReportUseful(graph::kBytesPerRowRecord);
-  return done;
-}
-
-// Phase kInfo: issues the row_index lookup(s) at time `t`; returns when
-// the {address, degree} data is available.
-Cycle Instance::InfoPhase(Slot* slot, Cycle t) {
-  const WalkState& state = slot->state;
-  // Neighbor Info Loader: row_index lookup (possibly cached). Node2Vec-
-  // style apps also look up the previous vertex's row entry for the
-  // membership structure (the paper's "Node2Vec has more memory accesses
-  // on the row_index array"); the two loaders issue concurrently.
-  Cycle t_info = LookupNeighborInfo(t, state.curr);
-  if (app_->needs_prev_neighbors() &&
-      state.prev != graph::kInvalidVertex) {
-    t_info = std::max(t_info, LookupNeighborInfo(t, state.prev));
-  }
-  stage_.info_cycles += t_info - t;
-  if (tracing()) {
-    trace_->Complete("row_lookup", "info", instance_id_, kInfoTrack, t,
-                     t_info);
-  }
-  return t_info;
-}
-
-// Phase kFetch: streams the adjacency through the burst engine, weight
-// updater, and sampler starting at `t`; returns the step-complete cycle
-// and the sampled vertex in *next.
-Cycle Instance::FetchPhase(Slot* slot, Cycle t, VertexId* next,
-                           AccelRunStats* stats) {
-  const WalkState& state = slot->state;
-  const uint32_t degree = graph_->Degree(state.curr);
-  const uint32_t k = config_.sampler_parallelism;
-
-  // Re-fetch N(prev) when it exceeded the on-chip membership buffer.
-  Cycle t_fetch = t;
-  if (app_->needs_prev_neighbors() &&
-      state.prev != graph::kInvalidVertex) {
-    const uint32_t prev_degree = graph_->Degree(state.prev);
-    if (prev_degree > config_.prev_neighbor_buffer_edges) {
-      t_fetch = burst_.Fetch(
-          t_fetch, static_cast<uint64_t>(prev_degree) *
-                       graph::kBytesPerEdgeRecord);
-      ++stats->prev_refetches;
-    }
-  }
-
-  // Dynamic burst engine streams the adjacency list.
-  const uint64_t bytes =
-      static_cast<uint64_t>(degree) * graph::kBytesPerEdgeRecord;
-  const Cycle last_data = burst_.Fetch(t_fetch, bytes);
-  stats->edges_examined += degree;
-
-  // Weight Updater + WRS Sampler.
-  Cycle step_end;
-  if (config_.enable_wrs_pipeline) {
-    // Fine-grained pipeline: the sampler consumes k edges per cycle as
-    // data streams in. It is one shared k-wide unit, so concurrent steps
-    // queue for it; the step completes when the slower of memory and
-    // sampler is done.
-    const Cycle first_data = t_fetch + config_.dram.access_latency_cycles;
-    const Cycle consume_start = std::max(first_data, sampler_busy_);
-    sampler_busy_ = consume_start + CeilDiv(degree, k);
-    step_end = std::max(last_data, sampler_busy_);
-    if (tracing()) {
-      trace_->Complete("wrs_consume", "sampler", instance_id_, kWrsTrack,
-                       consume_start, sampler_busy_);
-    }
-  } else {
-    // Staged ThunderRW-style flow on chip (the WRS-disabled ablation):
-    // each stage runs to completion and the intermediate weight buffer
-    // and sampling table round-trip through DRAM (Inefficiency 1).
-    //
-    // The stage chain is serial *within* the step, but other in-flight
-    // walks still overlap with it, so the extra channel occupancy is
-    // booked at the step's start (for contention) while the stages'
-    // serial latency accumulates analytically.
-    const uint32_t bus = config_.dram.bus_bytes;
-    const uint64_t weight_bytes = static_cast<uint64_t>(degree) * 4;
-    const uint64_t table_bytes = static_cast<uint64_t>(degree) * 8;
-    const uint32_t weight_beats =
-        static_cast<uint32_t>(CeilDiv(weight_bytes, bus));
-    const uint32_t table_beats =
-        static_cast<uint32_t>(CeilDiv(table_bytes, bus));
-    const uint32_t probes = CeilLog2(static_cast<uint64_t>(degree) + 1);
-
-    Cycle booked = t_fetch;
-    booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
-    booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
-    booked = std::max(booked, channel_.Access(t_fetch, table_beats));
-    for (uint32_t i = 0; i < probes; ++i) {
-      booked = std::max(booked, channel_.Access(t_fetch, 1));
-    }
-
-    const auto transfer_latency = [&](uint32_t beats) {
-      return channel_.RequestOccupancy(beats) +
-             config_.dram.access_latency_cycles;
-    };
-    // weight compute + buffer write/read + table build + table write +
-    // binary-search probes, end to end.
-    const Cycle serial = last_data + degree +
-                         transfer_latency(weight_beats) +
-                         transfer_latency(weight_beats) + degree +
-                         transfer_latency(table_beats) +
-                         static_cast<Cycle>(probes) * transfer_latency(1);
-    step_end = std::max(serial, booked);
-  }
-
-  // Attribution: memory wait up to the last adjacency beat counts as
-  // fetch; whatever extends past it (WRS queueing or the staged
-  // weight/table round-trips) counts as sampler time.
-  stage_.fetch_cycles += last_data > t ? last_data - t : 0;
-  stage_.sampler_cycles += step_end > last_data ? step_end - last_data : 0;
-  stage_.pipeline_cycles += config_.pipeline_depth_cycles;
-  if (tracing()) {
-    trace_->Complete("adjacency_fetch", "burst", instance_id_, kFetchTrack,
-                     t_fetch, last_data);
-  }
-  step_end += config_.pipeline_depth_cycles;
-
-  // Functional sampling (identical distribution to the hardware).
-  *next = sampler_.SampleNext(*graph_, *app_, state);
-  return step_end;
-}
 
 Cycle Instance::Run(std::span<const WalkQuery> queries,
                     std::span<const size_t> global_indices,
@@ -379,8 +227,8 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
         retire(slot_index, now);
         continue;
       }
-      const Cycle t_info = InfoPhase(&slot, now);
-      if (channel_.TakeAccessFailure()) {
+      const Cycle t_info = model_.Info(now, slot.state, policy_, &stage_);
+      if (model_.channel().TakeAccessFailure()) {
         // Uncorrectable ECC error past the retry budget on the row
         // lookup: the walk cannot continue from corrupt state.
         ++rel_.walks_failed;
@@ -397,10 +245,10 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     }
 
     // Phase::kFetch.
-    VertexId next = graph::kInvalidVertex;
-    const Cycle done = FetchPhase(&slot, now, &next, stats);
+    const Cycle done = model_.Fetch(now, slot.state, policy_, &stage_).done;
+    const VertexId next = SampleNext(slot.state);
     slot.phase = Phase::kInfo;
-    if (channel_.TakeAccessFailure()) {
+    if (model_.channel().TakeAccessFailure()) {
       // Uncorrectable ECC error in the adjacency stream: the sampled
       // step is based on corrupt data, so the walk fails here.
       ++rel_.walks_failed;
@@ -421,7 +269,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     slot.path.push_back(next);
     const double stop_probability = app_->stop_probability();
     const bool stopped =
-        stop_probability > 0.0 && stop_gen_.NextUnit() < stop_probability;
+        stop_probability > 0.0 && aux_.NextUnit() < stop_probability;
     if (stopped || slot.state.step >= slot.remaining) {
       retire(slot_index, done);
     } else {
@@ -430,24 +278,12 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
   }
 
   // Fold in this instance's module statistics.
-  stats->dram.requests += channel_.stats().requests;
-  stats->dram.beats += channel_.stats().beats;
-  stats->dram.bytes += channel_.stats().bytes;
-  stats->dram.busy_cycles += channel_.stats().busy_cycles;
-  stats->dram.useful_bytes += channel_.stats().useful_bytes;
-  if (cache_ != nullptr) {
-    stats->cache.hits += cache_->stats().hits;
-    stats->cache.misses += cache_->stats().misses;
-  }
-  stats->burst.requests += burst_.stats().requests;
-  stats->burst.long_bursts += burst_.stats().long_bursts;
-  stats->burst.short_bursts += burst_.stats().short_bursts;
-  stats->burst.requested_bytes += burst_.stats().requested_bytes;
-  stats->burst.loaded_bytes += burst_.stats().loaded_bytes;
-  stats->stage.info_cycles += stage_.info_cycles;
-  stats->stage.fetch_cycles += stage_.fetch_cycles;
-  stats->stage.sampler_cycles += stage_.sampler_cycles;
-  stats->stage.pipeline_cycles += stage_.pipeline_cycles;
+  stats->edges_examined += model_.edges_examined();
+  stats->prev_refetches += model_.prev_refetches();
+  stats->dram += model_.channel().stats();
+  stats->cache += model_.cache_stats();
+  stats->burst += model_.burst_stats();
+  stats->stage += stage_;
   stats->reliability.Accumulate(rel_);
   if (ts_ != nullptr) {
     ts_->Finish(makespan);
@@ -468,26 +304,27 @@ void Instance::PublishMetrics(Cycle makespan, uint64_t queries,
   metrics->GetCounter("accel.instance.steps", instance)->Increment(steps);
   metrics->GetGauge("accel.instance.cycles", instance)
       ->Set(static_cast<double>(makespan));
-  if (cache_ != nullptr) {
+  if (model_.has_cache()) {
     metrics->GetCounter("accel.cache.hits", instance)
-        ->Increment(cache_->stats().hits);
+        ->Increment(model_.cache_stats().hits);
     metrics->GetCounter("accel.cache.misses", instance)
-        ->Increment(cache_->stats().misses);
+        ->Increment(model_.cache_stats().misses);
   }
+  const BurstStats& burst = model_.burst_stats();
   metrics->GetCounter("accel.burst.requests", instance)
-      ->Increment(burst_.stats().requests);
+      ->Increment(burst.requests);
   metrics->GetCounter("accel.burst.long_bursts", instance)
-      ->Increment(burst_.stats().long_bursts);
+      ->Increment(burst.long_bursts);
   metrics->GetCounter("accel.burst.short_bursts", instance)
-      ->Increment(burst_.stats().short_bursts);
+      ->Increment(burst.short_bursts);
   metrics->GetCounter("accel.burst.loaded_bytes", instance)
-      ->Increment(burst_.stats().loaded_bytes);
+      ->Increment(burst.loaded_bytes);
+  const hwsim::DramStats& dram = model_.channel().stats();
   metrics->GetCounter("accel.dram.requests", instance)
-      ->Increment(channel_.stats().requests);
-  metrics->GetCounter("accel.dram.bytes", instance)
-      ->Increment(channel_.stats().bytes);
+      ->Increment(dram.requests);
+  metrics->GetCounter("accel.dram.bytes", instance)->Increment(dram.bytes);
   metrics->GetCounter("accel.dram.busy_cycles", instance)
-      ->Increment(channel_.stats().busy_cycles);
+      ->Increment(dram.busy_cycles);
   const struct {
     const char* stage;
     uint64_t cycles;
@@ -507,20 +344,6 @@ void Instance::PublishMetrics(Cycle makespan, uint64_t queries,
   }
 }
 
-}  // namespace
-
-CycleEngine::CycleEngine(const graph::CsrGraph* graph,
-                         const apps::WalkApp* app,
-                         const AcceleratorConfig& config)
-    : graph_(graph), app_(app), config_(config) {
-  LIGHTRW_CHECK(graph != nullptr);
-  LIGHTRW_CHECK(app != nullptr);
-  LIGHTRW_CHECK(config.sampler_parallelism >= 1);
-  LIGHTRW_CHECK(config.num_instances >= 1);
-}
-
-namespace {
-
 // Folds one instance's counters into the run total. Called in instance
 // order after the parallel barrier so the merged result (including the
 // floating-point latency samples) is independent of thread count.
@@ -528,22 +351,10 @@ void AccumulateStats(const AccelRunStats& part, AccelRunStats* total) {
   total->queries += part.queries;
   total->steps += part.steps;
   total->edges_examined += part.edges_examined;
-  total->dram.requests += part.dram.requests;
-  total->dram.beats += part.dram.beats;
-  total->dram.bytes += part.dram.bytes;
-  total->dram.busy_cycles += part.dram.busy_cycles;
-  total->dram.useful_bytes += part.dram.useful_bytes;
-  total->cache.hits += part.cache.hits;
-  total->cache.misses += part.cache.misses;
-  total->burst.requests += part.burst.requests;
-  total->burst.long_bursts += part.burst.long_bursts;
-  total->burst.short_bursts += part.burst.short_bursts;
-  total->burst.requested_bytes += part.burst.requested_bytes;
-  total->burst.loaded_bytes += part.burst.loaded_bytes;
-  total->stage.info_cycles += part.stage.info_cycles;
-  total->stage.fetch_cycles += part.stage.fetch_cycles;
-  total->stage.sampler_cycles += part.stage.sampler_cycles;
-  total->stage.pipeline_cycles += part.stage.pipeline_cycles;
+  total->dram += part.dram;
+  total->cache += part.cache;
+  total->burst += part.burst;
+  total->stage += part.stage;
   total->prev_refetches += part.prev_refetches;
   total->reliability.Accumulate(part.reliability);
   total->query_latency_cycles.Merge(part.query_latency_cycles);
@@ -551,10 +362,14 @@ void AccumulateStats(const AccelRunStats& part, AccelRunStats* total) {
 
 }  // namespace
 
-AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
-                               WalkOutput* output) {
+AccelRunStats RunAcceleratorInstances(const graph::CsrGraph& graph,
+                                      const apps::WalkApp& app,
+                                      const AcceleratorConfig& config,
+                                      FetchPolicy policy,
+                                      std::span<const WalkQuery> queries,
+                                      WalkOutput* output) {
   AccelRunStats stats;
-  const uint32_t n = config_.num_instances;
+  const uint32_t n = config.num_instances;
 
   // Round-robin query distribution across instances (paper §6.1.5:
   // "we evenly distribute random walk queries to all instances").
@@ -575,19 +390,19 @@ AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
   // private trace shard. Workers write only their own slots, so the run
   // is bit-identical for every thread count; the metrics registry is
   // shared but its counters commute and its exposition is key-sorted.
-  const uint32_t threads = SimThreadPool::ResolveThreads(config_.num_threads);
+  const uint32_t threads = SimThreadPool::ResolveThreads(config.num_threads);
   std::vector<AccelRunStats> instance_stats(n);
   std::vector<Cycle> instance_makespan(n, 0);
   std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards(n);
   std::vector<std::unique_ptr<obs::TimeSeriesRecorder>> ts_shards(n);
   SimThreadPool::ParallelFor(threads, n, [&](size_t i) {
-    obs::TraceRecorder* trace = config_.trace;
+    obs::TraceRecorder* trace = config.trace;
     if (trace != nullptr && n > 1) {
       trace_shards[i] =
           std::make_unique<obs::TraceRecorder>(trace->config());
       trace = trace_shards[i].get();
     }
-    obs::TimeSeriesRecorder* ts = config_.timeseries;
+    obs::TimeSeriesRecorder* ts = config.timeseries;
     if (ts != nullptr && n > 1) {
       // Per-instance recorder shards on the shared scrape clock, merged
       // per window index in instance order after the barrier.
@@ -595,8 +410,8 @@ AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
           std::make_unique<obs::TimeSeriesRecorder>(ts->config());
       ts = ts_shards[i].get();
     }
-    Instance instance(graph_, app_, config_, static_cast<uint32_t>(i),
-                      config_.seed + 0x1000003ULL * i, trace, ts);
+    Instance instance(&graph, &app, config, policy,
+                      static_cast<uint32_t>(i), trace, ts);
     instance_makespan[i] =
         instance.Run(shares[i], share_indices[i],
                      output != nullptr ? &finished : nullptr,
@@ -608,10 +423,10 @@ AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
     AccumulateStats(instance_stats[i], &stats);
     makespan = std::max(makespan, instance_makespan[i]);
     if (trace_shards[i] != nullptr) {
-      config_.trace->MergeFrom(trace_shards[i].get());
+      config.trace->MergeFrom(trace_shards[i].get());
     }
     if (ts_shards[i] != nullptr) {
-      config_.timeseries->MergeFrom(ts_shards[i].get());
+      config.timeseries->MergeFrom(ts_shards[i].get());
     }
   }
   if (output != nullptr) {
@@ -623,8 +438,24 @@ AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
     }
   }
   stats.cycles = makespan;
-  stats.seconds = static_cast<double>(makespan) / config_.dram.clock_hz;
+  stats.seconds = static_cast<double>(makespan) / config.dram.clock_hz;
   return stats;
+}
+
+CycleEngine::CycleEngine(const graph::CsrGraph* graph,
+                         const apps::WalkApp* app,
+                         const AcceleratorConfig& config)
+    : graph_(graph), app_(app), config_(config) {
+  LIGHTRW_CHECK(graph != nullptr);
+  LIGHTRW_CHECK(app != nullptr);
+  LIGHTRW_CHECK(config.sampler_parallelism >= 1);
+  LIGHTRW_CHECK(config.num_instances >= 1);
+}
+
+AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
+                               WalkOutput* output) {
+  return RunAcceleratorInstances(*graph_, *app_, config_,
+                                 WeightedPolicy(config_), queries, output);
 }
 
 }  // namespace lightrw::core

@@ -2,11 +2,11 @@
 //
 // This is the stand-in for the Alveo U250 hardware: a deterministic
 // event-driven simulation of the accelerator of paper Fig. 3. Each
-// instance owns one DRAM channel (hwsim::DramChannel), a row-index cache
-// (vertex_cache.h), a dynamic burst engine (burst_engine.h), and a k-lane
-// WRS sampling pipeline. Queries are kept in flight `inflight_queries` at
-// a time so DRAM latency of one walk overlaps with the compute of others,
-// and every DRAM byte, cache probe, and burst command is counted.
+// instance drives one BoardStepModel (step_model.h: a DRAM channel, a
+// row-index cache, a dynamic burst engine and a k-lane WRS sampling
+// pipeline). Queries are kept in flight `inflight_queries` at a time so
+// DRAM latency of one walk overlaps with the compute of others, and
+// every DRAM byte, cache probe, and burst command is counted.
 //
 // The engine simultaneously produces real walks (same sampling semantics
 // as FunctionalEngine) and the simulated kernel time in cycles; simulated
@@ -23,34 +23,13 @@
 #include "common/histogram.h"
 #include "graph/csr.h"
 #include "hwsim/dram.h"
-#include "lightrw/burst_engine.h"
 #include "lightrw/config.h"
-#include "lightrw/vertex_cache.h"
+#include "lightrw/step_model.h"
 
 namespace lightrw::core {
 
 using apps::WalkQuery;
 using baseline::WalkOutput;
-
-// Cycle attribution for one engine run: where each in-flight step's
-// simulated time went, summed over all slots and instances. These are
-// slot-cycles (many walks are in flight at once), so the total can far
-// exceed the makespan; the *shares* say which stage dominates.
-struct StageCycleStats {
-  uint64_t info_cycles = 0;      // row-index lookup: cache probe + DRAM
-  uint64_t fetch_cycles = 0;     // adjacency stream through the burst engine
-  uint64_t sampler_cycles = 0;   // sampling tail after the last data beat
-  uint64_t pipeline_cycles = 0;  // fixed module-pipeline traversal latency
-
-  uint64_t Total() const {
-    return info_cycles + fetch_cycles + sampler_cycles + pipeline_cycles;
-  }
-  double Share(uint64_t part) const {
-    const uint64_t total = Total();
-    return total == 0 ? 0.0
-                      : static_cast<double>(part) / static_cast<double>(total);
-  }
-};
 
 struct AccelRunStats {
   // Simulated kernel makespan: max over instances, in kernel cycles and
@@ -96,8 +75,8 @@ class CycleEngine {
 
   const AcceleratorConfig& config() const { return config_; }
 
-  // Simulates all queries. If `output` is non-null, paths are appended in
-  // per-instance retirement order (not input order).
+  // Simulates all queries. If `output` is non-null, one path per query
+  // is appended in input order (path i starts at queries[i].start).
   AccelRunStats Run(std::span<const WalkQuery> queries,
                     WalkOutput* output = nullptr);
 
@@ -106,6 +85,18 @@ class CycleEngine {
   const apps::WalkApp* app_;
   AcceleratorConfig config_;
 };
+
+// The instance loop and multi-instance driver behind CycleEngine::Run,
+// with every step fetched under `policy`. Weighted policies sample with
+// the k-lane PWRS; the uniform ones pick a uniform neighbor from a
+// per-instance stream. UniformCycleEngine runs this with
+// FetchPolicy::kUniformRecord.
+AccelRunStats RunAcceleratorInstances(const graph::CsrGraph& graph,
+                                      const apps::WalkApp& app,
+                                      const AcceleratorConfig& config,
+                                      FetchPolicy policy,
+                                      std::span<const WalkQuery> queries,
+                                      WalkOutput* output);
 
 }  // namespace lightrw::core
 

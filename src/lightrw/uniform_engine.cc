@@ -1,263 +1,8 @@
 #include "lightrw/uniform_engine.h"
 
-#include <algorithm>
-#include <queue>
-#include <utility>
-#include <vector>
-
 #include "common/check.h"
-#include "hwsim/dram.h"
-#include "lightrw/vertex_cache.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "rng/rng.h"
 
 namespace lightrw::core {
-
-namespace {
-
-using graph::VertexId;
-using hwsim::Cycle;
-
-// Trace track layout (tids within one instance's pid); the uniform
-// engine has no sampler stage, so its lanes are a subset of the
-// CycleEngine layout with the same meanings.
-enum UniformTrack : uint32_t {
-  kInfoTrack = 0,
-  kFetchTrack = 1,
-  kRetireTrack = 3,
-  kDramTrack = 4,
-};
-
-// One uniform-walk instance on one DRAM channel.
-class UniformInstance {
- public:
-  UniformInstance(const graph::CsrGraph* graph,
-                  const AcceleratorConfig& config, uint32_t instance_id,
-                  uint64_t seed)
-      : graph_(graph),
-        config_(config),
-        instance_id_(instance_id),
-        trace_(config.trace),
-        channel_(config.dram),
-        cache_(MakeVertexCache(config.cache_kind, config.cache_entries)),
-        gen_(seed) {
-    if (trace_ != nullptr) {
-      trace_->NameProcess(instance_id_,
-                          "uniform instance " + std::to_string(instance_id_));
-      trace_->NameTrack(instance_id_, kInfoTrack, "info loader");
-      trace_->NameTrack(instance_id_, kFetchTrack, "neighbor fetch");
-      trace_->NameTrack(instance_id_, kRetireTrack, "retire");
-      trace_->NameTrack(instance_id_, kDramTrack, "dram channel");
-      channel_.AttachTrace(trace_, instance_id_, kDramTrack);
-    }
-  }
-
-  Cycle Run(std::span<const apps::WalkQuery> queries,
-            std::span<const size_t> global_indices,
-            std::vector<std::vector<VertexId>>* finished,
-            AccelRunStats* stats);
-
- private:
-  enum class Phase { kInfo, kFetch };
-
-  struct Slot {
-    VertexId curr = 0;
-    uint32_t step = 0;
-    uint32_t remaining = 0;
-    size_t query_seq = 0;
-    Phase phase = Phase::kInfo;
-    std::vector<VertexId> path;
-  };
-
-  bool tracing() const { return trace_ != nullptr && trace_->accepting(); }
-
-  Cycle LookupInfo(Cycle t, VertexId v) {
-    if (cache_ != nullptr && cache_->Probe(v)) {
-      if (tracing()) {
-        trace_->Instant("cache_hit", "cache", instance_id_, kInfoTrack, t);
-      }
-      return t + 1;
-    }
-    if (cache_ != nullptr && tracing()) {
-      trace_->Instant("cache_miss", "cache", instance_id_, kInfoTrack, t);
-    }
-    const Cycle done = channel_.Access(t, 1);
-    channel_.ReportUseful(graph::kBytesPerRowRecord);
-    if (cache_ != nullptr) {
-      cache_->Install(v, graph_->Degree(v));
-    }
-    return done;
-  }
-
-  void PublishMetrics(Cycle makespan, uint64_t queries, uint64_t steps);
-
-  const graph::CsrGraph* graph_;
-  const AcceleratorConfig& config_;
-  const uint32_t instance_id_;
-  obs::TraceRecorder* trace_;
-  StageCycleStats stage_;
-  hwsim::DramChannel channel_;
-  std::unique_ptr<VertexCache> cache_;
-  rng::Xoshiro256StarStar gen_;
-};
-
-Cycle UniformInstance::Run(std::span<const apps::WalkQuery> queries,
-                           std::span<const size_t> global_indices,
-                           std::vector<std::vector<VertexId>>* finished,
-                           AccelRunStats* stats) {
-  if (queries.empty()) {
-    return 0;
-  }
-  const uint64_t queries_before = stats->queries;
-  const uint64_t steps_before = stats->steps;
-  const size_t num_slots =
-      std::min<size_t>(std::max<uint32_t>(config_.inflight_queries, 1),
-                       queries.size());
-  std::vector<Slot> slots(num_slots);
-  size_t next_query = 0;
-  Cycle makespan = 0;
-
-  using HeapItem = std::pair<Cycle, size_t>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-
-  auto load = [&](size_t slot_index, Cycle at) {
-    if (next_query >= queries.size()) {
-      return;
-    }
-    Slot& slot = slots[slot_index];
-    const apps::WalkQuery& q = queries[next_query];
-    slot.query_seq = next_query++;
-    slot.curr = q.start;
-    slot.step = 0;
-    slot.remaining = q.length;
-    slot.phase = Phase::kInfo;
-    slot.path.clear();
-    slot.path.push_back(q.start);
-    heap.emplace(at, slot_index);
-  };
-
-  auto retire = [&](size_t slot_index, Cycle at) {
-    Slot& slot = slots[slot_index];
-    if (finished != nullptr) {
-      (*finished)[global_indices[slot.query_seq]] = std::move(slot.path);
-    }
-    if (tracing()) {
-      trace_->Instant("query_retire", "query", instance_id_, kRetireTrack,
-                      at);
-    }
-    ++stats->queries;
-    makespan = std::max(makespan, at);
-    load(slot_index, at);
-  };
-
-  for (size_t i = 0; i < num_slots; ++i) {
-    load(i, 0);
-  }
-
-  while (!heap.empty()) {
-    const auto [now, slot_index] = heap.top();
-    heap.pop();
-    Slot& slot = slots[slot_index];
-
-    if (slot.phase == Phase::kInfo) {
-      if (slot.step >= slot.remaining) {
-        retire(slot_index, now);
-        continue;
-      }
-      const Cycle t_info = LookupInfo(now, slot.curr);
-      stage_.info_cycles += t_info - now;
-      if (graph_->Degree(slot.curr) == 0) {
-        retire(slot_index, t_info + config_.pipeline_depth_cycles);
-        continue;
-      }
-      slot.phase = Phase::kFetch;
-      heap.emplace(t_info, slot_index);
-      continue;
-    }
-
-    // Phase::kFetch. Uniform draw: one random index, one 8-byte fetch.
-    const uint32_t degree = graph_->Degree(slot.curr);
-    const size_t pick = static_cast<size_t>(gen_.NextBounded(degree));
-    const Cycle done = channel_.Access(now, 1);
-    channel_.ReportUseful(graph::kBytesPerEdgeRecord);
-    ++stats->edges_examined;  // only the sampled record is touched
-    stage_.fetch_cycles += done - now;
-    stage_.pipeline_cycles += config_.pipeline_depth_cycles;
-    if (tracing()) {
-      trace_->Complete("neighbor_fetch", "fetch", instance_id_, kFetchTrack,
-                       now, done);
-    }
-
-    slot.curr = graph_->Neighbors(slot.curr)[pick];
-    ++slot.step;
-    ++stats->steps;
-    slot.path.push_back(slot.curr);
-    slot.phase = Phase::kInfo;
-    const Cycle step_end = done + config_.pipeline_depth_cycles;
-    if (slot.step >= slot.remaining) {
-      retire(slot_index, step_end);
-    } else {
-      heap.emplace(step_end, slot_index);
-    }
-  }
-
-  stats->dram.requests += channel_.stats().requests;
-  stats->dram.beats += channel_.stats().beats;
-  stats->dram.bytes += channel_.stats().bytes;
-  stats->dram.busy_cycles += channel_.stats().busy_cycles;
-  stats->dram.useful_bytes += channel_.stats().useful_bytes;
-  if (cache_ != nullptr) {
-    stats->cache.hits += cache_->stats().hits;
-    stats->cache.misses += cache_->stats().misses;
-  }
-  stats->stage.info_cycles += stage_.info_cycles;
-  stats->stage.fetch_cycles += stage_.fetch_cycles;
-  stats->stage.pipeline_cycles += stage_.pipeline_cycles;
-  PublishMetrics(makespan, stats->queries - queries_before,
-                 stats->steps - steps_before);
-  return makespan;
-}
-
-void UniformInstance::PublishMetrics(Cycle makespan, uint64_t queries,
-                                     uint64_t steps) {
-  obs::MetricsRegistry* metrics = config_.metrics;
-  if (metrics == nullptr) {
-    return;
-  }
-  const obs::Labels instance = {{"instance", std::to_string(instance_id_)}};
-  metrics->GetCounter("accel.instance.queries", instance)->Increment(queries);
-  metrics->GetCounter("accel.instance.steps", instance)->Increment(steps);
-  metrics->GetGauge("accel.instance.cycles", instance)
-      ->Set(static_cast<double>(makespan));
-  if (cache_ != nullptr) {
-    metrics->GetCounter("accel.cache.hits", instance)
-        ->Increment(cache_->stats().hits);
-    metrics->GetCounter("accel.cache.misses", instance)
-        ->Increment(cache_->stats().misses);
-  }
-  metrics->GetCounter("accel.dram.requests", instance)
-      ->Increment(channel_.stats().requests);
-  metrics->GetCounter("accel.dram.bytes", instance)
-      ->Increment(channel_.stats().bytes);
-  metrics->GetCounter("accel.dram.busy_cycles", instance)
-      ->Increment(channel_.stats().busy_cycles);
-  const struct {
-    const char* stage;
-    uint64_t cycles;
-  } stages[] = {{"info", stage_.info_cycles},
-                {"fetch", stage_.fetch_cycles},
-                {"pipeline", stage_.pipeline_cycles}};
-  for (const auto& [stage, cycles] : stages) {
-    metrics
-        ->GetCounter("accel.stage.cycles",
-                     {{"instance", std::to_string(instance_id_)},
-                      {"stage", stage}})
-        ->Increment(cycles);
-  }
-}
-
-}  // namespace
 
 UniformCycleEngine::UniformCycleEngine(const graph::CsrGraph* graph,
                                        const AcceleratorConfig& config)
@@ -269,38 +14,12 @@ UniformCycleEngine::UniformCycleEngine(const graph::CsrGraph* graph,
 AccelRunStats UniformCycleEngine::Run(
     std::span<const apps::WalkQuery> queries,
     baseline::WalkOutput* output) {
-  AccelRunStats stats;
-  const uint32_t n = config_.num_instances;
-  std::vector<std::vector<apps::WalkQuery>> shares(n);
-  std::vector<std::vector<size_t>> share_indices(n);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    shares[i % n].push_back(queries[i]);
-    share_indices[i % n].push_back(i);
-  }
-  std::vector<std::vector<VertexId>> finished;
-  if (output != nullptr) {
-    finished.resize(queries.size());
-  }
-  Cycle makespan = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    UniformInstance instance(graph_, config_, i,
-                             config_.seed + 0x7001ULL * (i + 1));
-    makespan = std::max(
-        makespan, instance.Run(shares[i], share_indices[i],
-                               output != nullptr ? &finished : nullptr,
-                               &stats));
-  }
-  stats.cycles = makespan;
-  stats.seconds = static_cast<double>(makespan) / config_.dram.clock_hz;
-  if (output != nullptr) {
-    for (auto& path : finished) {
-      output->vertices.insert(output->vertices.end(), path.begin(),
-                              path.end());
-      output->offsets.push_back(
-          static_cast<uint32_t>(output->vertices.size()));
-    }
-  }
-  return stats;
+  // A first-order walk: no prev lookups and no stop coins. Its weights
+  // are never read, since the single-record policy picks uniformly.
+  const apps::StaticWalkApp walk;
+  return RunAcceleratorInstances(*graph_, walk, config_,
+                                 FetchPolicy::kUniformRecord, queries,
+                                 output);
 }
 
 }  // namespace lightrw::core

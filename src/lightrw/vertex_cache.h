@@ -23,6 +23,11 @@ using graph::VertexId;
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
+  CacheStats& operator+=(const CacheStats& o) {
+    hits += o.hits;
+    misses += o.misses;
+    return *this;
+  }
   uint64_t accesses() const { return hits + misses; }
   double MissRatio() const {
     return accesses() == 0 ? 0.0

@@ -44,15 +44,21 @@ TEST(CycleEngineTest, RunsAllQueriesAndCountsCycles) {
 TEST(CycleEngineTest, WalksAreValid) {
   const CsrGraph g = TestGraph(11);
   StaticWalkApp app;
-  CycleEngine engine(&g, &app, TestConfig());
   const auto queries = apps::MakeVertexQueries(g, 6, 3, 150);
-  baseline::WalkOutput output;
-  engine.Run(queries, &output);
-  ASSERT_EQ(output.num_paths(), queries.size());
-  for (size_t i = 0; i < output.num_paths(); ++i) {
-    const auto path = output.Path(i);
-    for (size_t s = 1; s < path.size(); ++s) {
-      EXPECT_TRUE(g.HasEdge(path[s - 1], path[s]));
+  for (const uint32_t instances : {1u, 4u}) {
+    AcceleratorConfig config = TestConfig();
+    config.num_instances = instances;
+    CycleEngine engine(&g, &app, config);
+    baseline::WalkOutput output;
+    engine.Run(queries, &output);
+    ASSERT_EQ(output.num_paths(), queries.size());
+    for (size_t i = 0; i < output.num_paths(); ++i) {
+      const auto path = output.Path(i);
+      // Paths come back in input order, whatever instance ran them.
+      EXPECT_EQ(path[0], queries[i].start) << instances;
+      for (size_t s = 1; s < path.size(); ++s) {
+        EXPECT_TRUE(g.HasEdge(path[s - 1], path[s]));
+      }
     }
   }
 }

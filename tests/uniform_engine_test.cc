@@ -92,14 +92,33 @@ TEST(UniformCycleEngineTest, FasterThanGeneralEngineOnUniformWalks) {
   EXPECT_LT(uniform_stats.cycles, general_stats.cycles);
 }
 
+// Instances run on the shared SimThreadPool driver: the result must not
+// depend on the host thread count.
 TEST(UniformCycleEngineTest, Deterministic) {
   const CsrGraph g = graph::MakeDatasetStandIn(graph::Dataset::kYoutube,
                                                /*scale_shift=*/12, 5);
   const auto queries = apps::MakeVertexQueries(g, 5, 3, 100);
-  const auto a = UniformCycleEngine(&g, TestConfig()).Run(queries);
-  const auto b = UniformCycleEngine(&g, TestConfig()).Run(queries);
+  AcceleratorConfig config = TestConfig();
+  config.num_instances = 4;
+  config.num_threads = 1;
+  baseline::WalkOutput out_a;
+  const auto a = UniformCycleEngine(&g, config).Run(queries, &out_a);
+  config.num_threads = 4;
+  baseline::WalkOutput out_b;
+  const auto b = UniformCycleEngine(&g, config).Run(queries, &out_b);
+  EXPECT_EQ(out_a.offsets, out_b.offsets);
+  EXPECT_EQ(out_a.vertices, out_b.vertices);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.edges_examined, b.edges_examined);
+  EXPECT_EQ(a.dram.requests, b.dram.requests);
+  EXPECT_EQ(a.dram.bytes, b.dram.bytes);
+  EXPECT_EQ(a.dram.busy_cycles, b.dram.busy_cycles);
+  EXPECT_EQ(a.cache.hits, b.cache.hits);
+  EXPECT_EQ(a.cache.misses, b.cache.misses);
+  EXPECT_EQ(a.stage.info_cycles, b.stage.info_cycles);
+  EXPECT_EQ(a.stage.fetch_cycles, b.stage.fetch_cycles);
+  EXPECT_EQ(a.stage.pipeline_cycles, b.stage.pipeline_cycles);
 }
 
 }  // namespace
