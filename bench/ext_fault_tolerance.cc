@@ -82,8 +82,7 @@ void FaultToleranceBench(benchmark::State& state, double link_rate,
   config.board.faults.seed = kBenchSeed;
   config.board.faults.link_drop_rate = link_rate / 2;
   config.board.faults.link_corrupt_rate = link_rate / 2;
-  config.board.faults.fail_board = 1;
-  config.board.faults.fail_cycle = BaselineCycles() / 2;
+  config.board.faults.board_deaths = {{BaselineCycles() / 2, /*board=*/1}};
   config.board.faults.checkpoint_interval_cycles = checkpoint_interval;
   // The interval-0 rows measure the no-checkpoint loss mode on purpose.
   config.board.faults.allow_walker_loss = true;

@@ -147,8 +147,7 @@ void TelemetryChaosBench(benchmark::State& state) {
   config.board.faults.enabled = true;
   config.board.faults.seed = 3;
   config.board.faults.checkpoint_interval_cycles = 1 << 12;
-  config.board.faults.fail_cycle = 1 << 14;
-  config.board.faults.fail_board = 1;
+  config.board.faults.board_deaths = {{1 << 14, /*board=*/1}};
 
   const auto queries = StandardQueries(g, kWalkLength, kNumQueries);
   Row row;

@@ -116,9 +116,10 @@ bool ParseUintList(const std::string& flag, const std::string& text,
   return true;
 }
 
-// Fault schedule from the --fault-* flags. Any non-default fault flag
-// enables the subsystem; otherwise it stays fully disabled and the run
-// is bit-identical to one without it. False on malformed death lists.
+// Fault schedule from the --fault-* and --ckpt-* flags. A nonzero fault
+// rate, a death schedule or --ckpt-store enables the subsystem;
+// otherwise it stays fully disabled and the run is bit-identical to one
+// without it. False on malformed death lists.
 bool FaultsFromFlags(const FlagParser& flags,
                      reliability::FaultConfig* faults) {
   faults->seed = static_cast<uint64_t>(flags.GetInt("fault-seed"));
@@ -127,10 +128,6 @@ bool FaultsFromFlags(const FlagParser& flags,
       flags.GetDouble("fault-dram-uncorrectable");
   faults->link_drop_rate = flags.GetDouble("fault-link-drop");
   faults->link_corrupt_rate = flags.GetDouble("fault-link-corrupt");
-  faults->fail_cycle =
-      static_cast<uint64_t>(flags.GetInt("fault-fail-cycle"));
-  faults->fail_board =
-      static_cast<uint32_t>(flags.GetInt("fault-fail-board"));
   faults->checkpoint_interval_cycles =
       static_cast<uint64_t>(flags.GetInt("fault-checkpoint-interval"));
   faults->allow_walker_loss = flags.GetBool("fault-allow-walker-loss");
@@ -171,12 +168,21 @@ bool FaultsFromFlags(const FlagParser& flags,
       static_cast<uint64_t>(flags.GetInt("ckpt-scrub-interval"));
   store.scrub_bytes_per_cycle = flags.GetDouble("ckpt-scrub-bytes");
   faults->enabled =
-      flags.GetBool("faults") || faults->dram_correctable_rate != 0.0 ||
+      faults->dram_correctable_rate != 0.0 ||
       faults->dram_uncorrectable_rate != 0.0 ||
       faults->link_drop_rate != 0.0 || faults->link_corrupt_rate != 0.0 ||
-      faults->fail_cycle > 0 || !faults->board_deaths.empty() ||
-      store.enabled;
+      !faults->board_deaths.empty() || store.enabled;
   return true;
+}
+
+// The one error path of every output file the tool writes: false, with
+// a one-line stderr reason, when `written` failed.
+bool Wrote(const char* what, const Status& written) {
+  if (!written.ok()) {
+    std::fprintf(stderr, "failed to write %s: %s\n", what,
+                 written.ToString().c_str());
+  }
+  return written.ok();
 }
 
 void PrintReliabilitySummary(const reliability::ReliabilityStats& rel) {
@@ -269,10 +275,6 @@ int main(int argc, char** argv) {
                "");
   flags.DefineInt("trace-limit", "max trace events kept (0 = disable)",
                   1048576);
-  flags.Define("metrics-format",
-               "metrics snapshot format: json|prometheus (default: by "
-               "--metrics-out suffix, .prom = prometheus)",
-               "");
   flags.Define("perf-out",
                "write a wall-clock perf report for this run (PERF JSON "
                "schema, single repeat; see src/perf/perf_harness.h)",
@@ -383,7 +385,6 @@ int main(int argc, char** argv) {
                      "exit 2 if the deadline violation rate exceeds this "
                      "fraction (engine=service)",
                      1.0);
-  flags.DefineBool("faults", "enable the fault-injection subsystem", false);
   flags.DefineInt("fault-seed", "fault schedule seed", 1);
   flags.DefineDouble("fault-dram-correctable",
                      "correctable ECC error probability per DRAM access",
@@ -395,9 +396,6 @@ int main(int argc, char** argv) {
                      "message drop probability per link send", 0.0);
   flags.DefineDouble("fault-link-corrupt",
                      "message corruption probability per link send", 0.0);
-  flags.DefineInt("fault-fail-cycle",
-                  "kill one board at this simulated cycle (0 = never)", 0);
-  flags.DefineInt("fault-fail-board", "which board to kill", 0);
   flags.DefineInt("fault-checkpoint-interval",
                   "walker checkpoint cadence in cycles (0 = no "
                   "checkpoints: recovering walkers lose their walk)",
@@ -575,22 +573,18 @@ int main(int argc, char** argv) {
                 campaign->scenarios.size());
     const std::string chaos_out = flags.GetString("chaos-out");
     if (!chaos_out.empty()) {
-      const Status written =
-          obs::WriteTextFile(campaign->ToJson().Dump(2) + "\n", chaos_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write chaos report: %s\n",
-                     written.ToString().c_str());
+      if (!Wrote("chaos report",
+                 obs::WriteTextFile(campaign->ToJson().Dump(2) + "\n",
+                                    chaos_out))) {
         return 1;
       }
       std::printf("wrote chaos report to %s\n", chaos_out.c_str());
     }
     const std::string chaos_spans_out = flags.GetString("chaos-spans-out");
     if (!chaos_spans_out.empty()) {
-      const Status written = obs::WriteTextFile(
-          campaign->sampled_span_json + "\n", chaos_spans_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write chaos spans: %s\n",
-                     written.ToString().c_str());
+      if (!Wrote("chaos spans",
+                 obs::WriteTextFile(campaign->sampled_span_json + "\n",
+                                    chaos_spans_out))) {
         return 1;
       }
       std::printf("wrote chaos spans to %s\n", chaos_spans_out.c_str());
@@ -619,14 +613,6 @@ int main(int argc, char** argv) {
   obs::TraceRecorder trace(trace_config);
   const std::string metrics_out = flags.GetString("metrics-out");
   const std::string trace_out = flags.GetString("trace-out");
-  const std::string metrics_format = flags.GetString("metrics-format");
-  if (metrics_format != "" && metrics_format != "json" &&
-      metrics_format != "prometheus") {
-    std::fprintf(stderr,
-                 "unknown metrics format '%s' (expected json|prometheus)\n",
-                 metrics_format.c_str());
-    return 1;
-  }
 
   // Per-query span tracing (engine=distributed|service): spans drive the
   // critical-path analyzer and SLO burn-rate monitor after the run.
@@ -696,6 +682,17 @@ int main(int argc, char** argv) {
                  static_cast<long long>(raw_spares));
     return 1;
   }
+  // The accelerator configuration every simulated engine starts from,
+  // with the requested sinks attached. Engines ignore the sinks they
+  // cannot fill (only the cluster engines record spans).
+  core::AcceleratorConfig accel_config;
+  accel_config.seed = flags.GetInt("seed");
+  accel_config.faults = faults;
+  accel_config.num_threads = threads;
+  accel_config.metrics = metrics_out.empty() ? nullptr : &metrics;
+  accel_config.trace = trace_out.empty() ? nullptr : &trace;
+  accel_config.spans = spans_out.empty() ? nullptr : &spans;
+  accel_config.timeseries = want_timeseries ? &timeseries : nullptr;
 
   baseline::WalkOutput corpus;
   // Membership transitions of the run (distributed/service engines);
@@ -715,27 +712,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.steps), stats.seconds,
                 stats.StepsPerSecond() / 1e6);
   } else if (engine == "lightrw-sim") {
-    core::AcceleratorConfig config;
-    config.seed = flags.GetInt("seed");
-    config.faults = faults;
-    config.num_threads = threads;
-    if (!metrics_out.empty()) {
-      config.metrics = &metrics;
-    }
-    if (!trace_out.empty()) {
-      config.trace = &trace;
-    }
-    if (want_timeseries) {
-      config.timeseries = &timeseries;
-    }
     const Status valid =
-        core::ValidateConfig(config, app->needs_prev_neighbors());
+        core::ValidateConfig(accel_config, app->needs_prev_neighbors());
     if (!valid.ok()) {
       std::fprintf(stderr, "invalid configuration: %s\n",
                    valid.ToString().c_str());
       return 1;
     }
-    core::CycleEngine accel(&g, app.get(), config);
+    core::CycleEngine accel(&g, app.get(), accel_config);
     const auto stats = accel.Run(queries, &corpus);
     std::printf(
         "lightrw cycle model: %llu steps, %llu cycles = %.4fs simulated "
@@ -748,7 +732,7 @@ int main(int argc, char** argv) {
     if (flags.GetBool("report")) {
       core::RunReportInputs report;
       report.graph = &g;
-      report.config = &config;
+      report.config = &accel_config;
       report.stats = &stats;
       report.app_name = app->name();
       report.needs_prev_neighbors = app->needs_prev_neighbors();
@@ -777,26 +761,13 @@ int main(int argc, char** argv) {
     const distributed::Partition partition = distributed::MakePartition(
         g, static_cast<distributed::BoardId>(boards), strategy);
     distributed::DistributedConfig config;
+    config.board = accel_config;
     config.board.num_instances = 1;
-    config.board.seed = flags.GetInt("seed");
-    config.board.faults = faults;
     config.replicate_graph = flags.GetBool("replicate");
     config.num_spare_boards = static_cast<uint32_t>(raw_spares);
     config.rebuild_bytes_per_cycle =
         flags.GetDouble("rebuild-bytes-per-cycle");
     config.num_threads = threads;
-    if (!metrics_out.empty()) {
-      config.board.metrics = &metrics;
-    }
-    if (!trace_out.empty()) {
-      config.board.trace = &trace;
-    }
-    if (!spans_out.empty()) {
-      config.board.spans = &spans;
-    }
-    if (want_timeseries) {
-      config.board.timeseries = &timeseries;
-    }
     distributed::DistributedEngine accel(&g, app.get(), &partition, config);
     const auto result = accel.Run(queries, &corpus);
     if (!result.ok()) {
@@ -833,9 +804,8 @@ int main(int argc, char** argv) {
     const distributed::Partition partition = distributed::MakePartition(
         g, static_cast<distributed::BoardId>(boards), strategy);
     service::ServiceConfig config;
+    config.cluster.board = accel_config;
     config.cluster.board.num_instances = 1;
-    config.cluster.board.seed = flags.GetInt("seed");
-    config.cluster.board.faults = faults;
     config.cluster.replicate_graph = flags.GetBool("replicate");
     config.cluster.num_spare_boards = static_cast<uint32_t>(raw_spares);
     config.cluster.rebuild_bytes_per_cycle =
@@ -843,18 +813,6 @@ int main(int argc, char** argv) {
     config.cluster.num_threads = threads;
     config.admission_shards =
         static_cast<uint32_t>(flags.GetInt("service-shards"));
-    if (!metrics_out.empty()) {
-      config.cluster.board.metrics = &metrics;
-    }
-    if (!trace_out.empty()) {
-      config.cluster.board.trace = &trace;
-    }
-    if (!spans_out.empty()) {
-      config.cluster.board.spans = &spans;
-    }
-    if (want_timeseries) {
-      config.cluster.board.timeseries = &timeseries;
-    }
     config.arrivals.seed = static_cast<uint64_t>(flags.GetInt("seed"));
     config.arrivals.num_queries =
         raw_queries > 0 ? static_cast<uint64_t>(raw_queries) : 1024;
@@ -916,9 +874,7 @@ int main(int argc, char** argv) {
       exit_code = 2;
     }
   } else if (engine == "lightrw") {
-    core::AcceleratorConfig config;
-    config.seed = flags.GetInt("seed");
-    core::FunctionalEngine accel(&g, app.get(), config);
+    core::FunctionalEngine accel(&g, app.get(), accel_config);
     const auto stats = accel.Run(queries, &corpus);
     std::printf("lightrw functional: %llu steps in %.3fs wall\n",
                 static_cast<unsigned long long>(stats.steps),
@@ -963,10 +919,7 @@ int main(int argc, char** argv) {
     doc.Set("attribution", attribution.ToJson());
     doc.Set("burn_alerts", obs::BurnAlertsToJson(alerts));
     doc.Set("membership", reliability::MembershipToJson(membership));
-    const Status written = obs::WriteTextFile(doc.Dump(2) + "\n", spans_out);
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write spans: %s\n",
-                   written.ToString().c_str());
+    if (!Wrote("spans", obs::WriteTextFile(doc.Dump(2) + "\n", spans_out))) {
       return 1;
     }
     std::printf("wrote %llu closed trace(s) to %s\n",
@@ -976,11 +929,8 @@ int main(int argc, char** argv) {
   if (want_timeseries) {
     const size_t incidents = timeseries.DetectIncidents().size();
     if (!timeseries_out.empty()) {
-      const Status written =
-          obs::WriteTextFile(timeseries.ToJsonString(2), timeseries_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write timeseries: %s\n",
-                     written.ToString().c_str());
+      if (!Wrote("timeseries", obs::WriteTextFile(timeseries.ToJsonString(2),
+                                                  timeseries_out))) {
         return 1;
       }
       std::printf(
@@ -989,11 +939,9 @@ int main(int argc, char** argv) {
           incidents, timeseries_out.c_str());
     }
     if (!openmetrics_out.empty()) {
-      const Status written = obs::WriteTextFile(
-          timeseries.ToOpenMetricsText(), openmetrics_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write openmetrics: %s\n",
-                     written.ToString().c_str());
+      if (!Wrote("openmetrics", obs::WriteTextFile(
+                                    timeseries.ToOpenMetricsText(),
+                                    openmetrics_out))) {
         return 1;
       }
       std::printf("wrote openmetrics exposition to %s\n",
@@ -1002,25 +950,17 @@ int main(int argc, char** argv) {
   }
   if (!metrics_out.empty()) {
     const bool prometheus =
-        metrics_format.empty()
-            ? metrics_out.size() > 5 &&
-                  metrics_out.rfind(".prom") == metrics_out.size() - 5
-            : metrics_format == "prometheus";
-    const Status written = obs::WriteTextFile(
-        prometheus ? metrics.ToPrometheusText() : metrics.ToJsonString(),
-        metrics_out);
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write metrics: %s\n",
-                   written.ToString().c_str());
+        metrics_out.size() > 5 && metrics_out.ends_with(".prom");
+    if (!Wrote("metrics",
+               obs::WriteTextFile(prometheus ? metrics.ToPrometheusText()
+                                             : metrics.ToJsonString(),
+                                  metrics_out))) {
       return 1;
     }
     std::printf("wrote metrics snapshot to %s\n", metrics_out.c_str());
   }
   if (!trace_out.empty()) {
-    const Status written = trace.WriteChromeTrace(trace_out);
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write trace: %s\n",
-                   written.ToString().c_str());
+    if (!Wrote("trace", trace.WriteChromeTrace(trace_out))) {
       return 1;
     }
     std::printf("wrote %zu trace events to %s (%zu dropped)\n",
@@ -1029,11 +969,8 @@ int main(int argc, char** argv) {
   }
 
   if (!flags.GetString("out").empty()) {
-    const Status written =
-        analytics::WriteCorpusText(corpus, flags.GetString("out"));
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write corpus: %s\n",
-                   written.ToString().c_str());
+    if (!Wrote("corpus",
+               analytics::WriteCorpusText(corpus, flags.GetString("out")))) {
       return 1;
     }
     std::printf("wrote %zu walks to %s\n", corpus.num_paths(),
@@ -1060,8 +997,10 @@ int main(int argc, char** argv) {
     repeat_config.repeats = 1;
     const perf::WorkloadResult measured = perf::MeasureWorkload(
         engine, repeat_config, &clock, [&counters]() { return counters; });
-    if (!perf::WritePerfReportFile(
-            perf_out, perf::PerfReport("walk_tool", {measured}))) {
+    if (!Wrote("perf report",
+               obs::WriteTextFile(
+                   perf::PerfReport("walk_tool", {measured}).Dump(2) + "\n",
+                   perf_out))) {
       return 1;
     }
     std::printf("wrote perf report to %s\n", perf_out.c_str());

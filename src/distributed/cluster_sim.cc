@@ -372,15 +372,12 @@ void ClusterSim::Transition(BoardId b, reliability::BoardState to,
   state_[b] = to;
   ++epoch_;
   transitions_.push_back({epoch_, at, GlobalBoard(b), from, to});
-  obs::TraceRecorder* trace = config_.board.trace;
-  if (trace != nullptr && trace->accepting()) {
-    const char* name = to == reliability::BoardState::kDead
-                           ? "board_failure"
-                           : to == reliability::BoardState::kRebuilding
-                                 ? "spare_activated"
-                                 : "partition_rebuilt";
-    trace->Instant(name, "fault", GlobalBoard(b), kBoardNetTrack, at);
-  }
+  const char* name = to == reliability::BoardState::kDead
+                         ? "board_failure"
+                         : to == reliability::BoardState::kRebuilding
+                               ? "spare_activated"
+                               : "partition_rebuilt";
+  BoardInstant(b, name, at);
   if (ts_ != nullptr) {
     const char* kind = to == reliability::BoardState::kDead
                            ? "board_death"
@@ -438,11 +435,7 @@ void ClusterSim::TryActivateSpare(BoardId share, Cycle at) {
     if (store_ != nullptr && survivors_.empty()) {
       // No live owner to copy from: the spare re-materializes the
       // share from the durable checkpoint store instead.
-      obs::TraceRecorder* trace = config_.board.trace;
-      if (trace != nullptr && trace->accepting()) {
-        trace->Instant("rebuild_from_store", "fault", GlobalBoard(s),
-                       kBoardNetTrack, at);
-      }
+      BoardInstant(s, "rebuild_from_store", at);
     }
     const uint64_t bytes = share_bytes_.empty() ? 0 : share_bytes_[share];
     const Cycle copy_cycles = static_cast<Cycle>(
@@ -454,11 +447,7 @@ void ClusterSim::TryActivateSpare(BoardId share, Cycle at) {
     return;
   }
   ++recovery_rel_.spare_exhaustions;
-  obs::TraceRecorder* trace = config_.board.trace;
-  if (trace != nullptr && trace->accepting()) {
-    trace->Instant("spare_exhausted", "fault", GlobalBoard(share),
-                   kBoardNetTrack, at);
-  }
+  BoardInstant(share, "spare_exhausted", at);
 }
 
 // Kind-2 rebuild-completion event: ownership of the share transfers to
@@ -487,8 +476,6 @@ void ClusterSim::FlushParked(Cycle now) {
   if (parked_.empty()) {
     return;
   }
-  obs::TraceRecorder* trace = config_.board.trace;
-  obs::SpanRecorder* spans = config_.board.spans;
   const reliability::FaultConfig& faults = config_.board.faults;
   for (const auto& [slot, parked_at] : parked_) {
     Walker& w = walkers_[slot];
@@ -498,14 +485,7 @@ void ClusterSim::FlushParked(Cycle now) {
     recovery_rel_.recovery_cycles += resume - parked_at;
     attribs_[slot].recovery_cycles += resume - parked_at;
     ++recovery_rel_.walkers_recovered;
-    if (trace != nullptr && trace->accepting()) {
-      trace->Instant("walker_recovered", "fault", GlobalBoard(w.board),
-                     kBoardNetTrack, resume);
-    }
-    if (spans != nullptr) {
-      spans->Event(w.ticket, attribs_[slot].span, "walker_recovered",
-                   resume);
-    }
+    WalkerFault(slot, "walker_recovered", resume);
     events_.emplace(resume, 0, slot);
   }
   parked_.clear();
@@ -522,11 +502,8 @@ void ClusterSim::ProcessScrub(Cycle now) {
   const uint64_t budget = static_cast<uint64_t>(
       sc.scrub_bytes_per_cycle *
       static_cast<double>(sc.scrub_interval_cycles));
-  const reliability::CkptStore::ScrubResult result = store_->Scrub(budget);
-  obs::TraceRecorder* trace = config_.board.trace;
-  if (result.repairs > 0 && trace != nullptr && trace->accepting()) {
-    trace->Instant("ckpt_scrub_repair", "fault", GlobalBoard(0),
-                   kBoardNetTrack, now);
+  if (store_->Scrub(budget).repairs > 0) {
+    BoardInstant(0, "ckpt_scrub_repair", now);
   }
   if (free_slots_.size() < walkers_.size()) {
     events_.emplace(now + sc.scrub_interval_cycles, 3, 0);
@@ -664,9 +641,25 @@ void ClusterSim::WriteStoreCheckpoint(size_t slot, Cycle at) {
          c.store_snaps.front().first < wr.oldest_generation) {
     c.store_snaps.erase(c.store_snaps.begin());
   }
+  SpanEvent(slot, "ckpt_write", at);
+}
+
+void ClusterSim::SpanEvent(size_t slot, const char* name, Cycle at) {
   if (obs::SpanRecorder* spans = config_.board.spans) {
-    spans->Event(w.ticket, attribs_[slot].span, "ckpt_write", at);
+    spans->Event(walkers_[slot].ticket, attribs_[slot].span, name, at);
   }
+}
+
+void ClusterSim::BoardInstant(BoardId b, const char* name, Cycle at) {
+  obs::TraceRecorder* trace = config_.board.trace;
+  if (trace != nullptr && trace->accepting()) {
+    trace->Instant(name, "fault", GlobalBoard(b), kBoardNetTrack, at);
+  }
+}
+
+void ClusterSim::WalkerFault(size_t slot, const char* name, Cycle at) {
+  BoardInstant(walkers_[slot].board, name, at);
+  SpanEvent(slot, name, at);
 }
 
 // Attaches the attempt's cycle-stage attribution to its "walk" span and
@@ -690,14 +683,18 @@ void ClusterSim::EndWalkSpan(size_t slot, Cycle at) {
   a.span = 0;
 }
 
-void ClusterSim::Retire(size_t slot, Cycle at) {
+void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
   Walker& w = walkers_[slot];
-  if (ts_latency_ != nullptr) {
-    // Exemplar ids before EndWalkSpan clears the span handle: the
-    // window's worst sample must resolve into the span export.
-    ts_latency_->ObserveExemplar(static_cast<double>(at - w.launched),
-                                 w.ticket, attribs_[slot].span);
-    ts_retired_->Increment();
+  if (ts_ != nullptr) {
+    if (outcome == Outcome::kDone) {
+      // Exemplar ids before EndWalkSpan clears the span handle: the
+      // window's worst sample must resolve into the span export.
+      ts_latency_->ObserveExemplar(static_cast<double>(at - w.launched),
+                                   w.ticket, attribs_[slot].span);
+      ts_retired_->Increment();
+    } else {
+      ts_failed_->Increment();
+    }
     ts_inflight_->Add(-1.0);
   }
   EndWalkSpan(slot, at);
@@ -710,34 +707,8 @@ void ClusterSim::Retire(size_t slot, Cycle at) {
   end.at = at;
   end.steps = w.state.step;
   end.board = w.launch_board;
-  makespan_ = std::max(makespan_, at);
-  --inflight_[w.launch_board];
-  free_slots_.push(slot);
-  std::vector<VertexId> path = std::move(w.path);
-  w.path.clear();
-  if (on_retire_) {
-    on_retire_(end, std::move(path));
-  }
-}
-
-void ClusterSim::FailWalker(size_t slot, Cycle at, bool board_lost) {
-  Walker& w = walkers_[slot];
-  if (ts_failed_ != nullptr) {
-    ts_failed_->Increment();
-    ts_inflight_->Add(-1.0);
-  }
-  EndWalkSpan(slot, at);
-  if (store_ != nullptr) {
-    store_->Drop(w.ticket);
-    cold_[slot].store_snaps.clear();
-  }
-  WalkerEnd end;
-  end.ticket = w.ticket;
-  end.at = at;
-  end.steps = w.state.step;
-  end.board = w.launch_board;
-  end.board_lost = board_lost;
-  end.data_fault = !board_lost;
+  end.board_lost = outcome == Outcome::kBoardLost;
+  end.data_fault = outcome == Outcome::kDataFault;
   makespan_ = std::max(makespan_, at);
   --inflight_[w.launch_board];
   free_slots_.push(slot);
@@ -755,20 +726,11 @@ void ClusterSim::FailWalker(size_t slot, Cycle at, bool board_lost) {
 // layer gets the failure surfaced instead and owns the retry.
 void ClusterSim::Recover(size_t slot, Cycle at) {
   Walker& w = walkers_[slot];
-  WalkerAttrib& a = attribs_[slot];
-  obs::TraceRecorder* trace = config_.board.trace;
-  obs::SpanRecorder* spans = config_.board.spans;
   const reliability::FaultConfig& faults = config_.board.faults;
   if (!checkpointing_ && store_ == nullptr) {
     ++recovery_rel_.walkers_lost;
     ++recovery_rel_.walks_failed;
-    if (trace != nullptr && trace->accepting()) {
-      trace->Instant("walker_lost", "fault", GlobalBoard(w.board),
-                     kBoardNetTrack, at);
-    }
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "walker_lost", at);
-    }
+    WalkerFault(slot, "walker_lost", at);
     Retire(slot, at);
     return;
   }
@@ -779,35 +741,21 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
     // falling back through the generation chain.
     const reliability::CkptStore::ReadResult rr = store_->Read(w.ticket);
     read_latency = rr.latency_cycles;
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "ckpt_read", at);
-    }
+    SpanEvent(slot, "ckpt_read", at);
     if (rr.crc_failures > 0) {
-      if (trace != nullptr && trace->accepting()) {
-        trace->Instant("ckpt_crc_fail", "fault", GlobalBoard(w.board),
-                       kBoardNetTrack, at);
-      }
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "ckpt_crc_fail", at);
-      }
+      WalkerFault(slot, "ckpt_crc_fail", at);
     }
     if (!rr.found) {
       // Every generation failed validation: the walk is unrecoverable
       // and retires truncated (the store counted ckpt_unrecoverable).
       ++recovery_rel_.walkers_lost;
       ++recovery_rel_.walks_failed;
-      if (trace != nullptr && trace->accepting()) {
-        trace->Instant("walker_lost", "fault", GlobalBoard(w.board),
-                       kBoardNetTrack, at);
-      }
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "walker_lost", at);
-      }
+      WalkerFault(slot, "walker_lost", at);
       Retire(slot, at + read_latency);
       return;
     }
-    if (rr.fell_back && spans != nullptr) {
-      spans->Event(w.ticket, a.span, "ckpt_fallback", at);
+    if (rr.fell_back) {
+      SpanEvent(slot, "ckpt_fallback", at);
     }
     // Restore from the generation-aligned snapshot (the validated
     // record cross-checks it; the snapshot supplies the RNG streams).
@@ -839,13 +787,7 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
     // walker parks until a spare's rebuild-from-store completes
     // (CheckFailoverSatisfiable guarantees one will).
     parked_.emplace_back(slot, at);
-    if (trace != nullptr && trace->accepting()) {
-      trace->Instant("walker_parked", "fault", GlobalBoard(w.board),
-                     kBoardNetTrack, at);
-    }
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "walker_parked", at);
-    }
+    WalkerFault(slot, "walker_parked", at);
     return;
   }
   w.board = config_.replicate_graph ? SurvivorOf(w.ticket)
@@ -853,34 +795,25 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
   const Cycle resume = at + faults.detection_latency_cycles +
                        faults.recovery_cycles_per_walker + read_latency;
   recovery_rel_.recovery_cycles += resume - at;
-  a.recovery_cycles += resume - at;
+  attribs_[slot].recovery_cycles += resume - at;
   ++recovery_rel_.walkers_recovered;
-  if (trace != nullptr && trace->accepting()) {
-    trace->Instant("walker_recovered", "fault", GlobalBoard(w.board),
-                   kBoardNetTrack, resume);
-  }
-  if (spans != nullptr) {
-    spans->Event(w.ticket, a.span, "walker_recovered", resume);
-  }
+  WalkerFault(slot, "walker_recovered", resume);
   events_.emplace(resume, 0, slot);
 }
 
 void ClusterSim::Step(size_t slot, Cycle now) {
   Walker& w = walkers_[slot];
   WalkerAttrib& a = attribs_[slot];
-  obs::SpanRecorder* spans = config_.board.spans;
   const reliability::FaultConfig& faults = config_.board.faults;
 
   // Board failure: any event landing on a dead board after its death
   // cycle finds the walker's resident state gone.
   if (state_[w.board] == reliability::BoardState::kDead) {
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "board_failure", now);
-    }
+    SpanEvent(slot, "board_failure", now);
     if (surface_failures_) {
       a.recovery_cycles += faults.detection_latency_cycles;
-      FailWalker(slot, now + faults.detection_latency_cycles,
-                 /*board_lost=*/true);
+      Retire(slot, now + faults.detection_latency_cycles,
+             Outcome::kBoardLost);
     } else {
       Recover(slot, now);
     }
@@ -899,18 +832,15 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     }
     const uint64_t corrected_before = board.rel.dram_correctable;
     const Cycle t_info = board.model.Info(now, w.state, policy, &a.stage);
-    if (spans != nullptr &&
-        board.rel.dram_correctable > corrected_before) {
-      spans->Event(w.ticket, a.span, "dram_retry", t_info);
+    if (board.rel.dram_correctable > corrected_before) {
+      SpanEvent(slot, "dram_retry", t_info);
     }
     if (board.model.channel().TakeAccessFailure()) {
       // Uncorrectable ECC error on the row lookup: the walk cannot
       // continue from corrupt state.
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "dram_uncorrectable", t_info);
-      }
+      SpanEvent(slot, "dram_uncorrectable", t_info);
       if (surface_failures_) {
-        FailWalker(slot, t_info, /*board_lost=*/false);
+        Retire(slot, t_info, Outcome::kDataFault);
       } else {
         ++board.rel.walks_failed;
         Retire(slot, t_info);
@@ -932,8 +862,8 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   const core::BoardStepModel::FetchTiming fetch =
       board.model.Fetch(now, w.state, policy, &a.stage);
   const Cycle step_end = fetch.done;
-  if (spans != nullptr && board.rel.dram_correctable > corrected_before) {
-    spans->Event(w.ticket, a.span, "dram_retry", fetch.last_data);
+  if (board.rel.dram_correctable > corrected_before) {
+    SpanEvent(slot, "dram_retry", fetch.last_data);
   }
 
   VertexId next;
@@ -947,11 +877,9 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   if (board.model.channel().TakeAccessFailure()) {
     // Uncorrectable ECC error in the adjacency stream: the sampled step
     // is based on corrupt data, so the walk fails here.
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "dram_uncorrectable", step_end);
-    }
+    SpanEvent(slot, "dram_uncorrectable", step_end);
     if (surface_failures_) {
-      FailWalker(slot, step_end, /*board_lost=*/false);
+      Retire(slot, step_end, Outcome::kDataFault);
     } else {
       ++board.rel.walks_failed;
       Retire(slot, step_end);
@@ -993,15 +921,13 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     ++total_migrations_;
     ++board.migrations_out;
     a.network_cycles += delivery.arrival - step_end;
-    if (spans != nullptr && delivery.attempts > 1) {
-      spans->Event(w.ticket, a.span, "link_retransmit", step_end);
+    if (delivery.attempts > 1) {
+      SpanEvent(slot, "link_retransmit", step_end);
     }
     if (!delivery.delivered) {
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "link_loss", delivery.arrival);
-      }
+      SpanEvent(slot, "link_loss", delivery.arrival);
       if (surface_failures_) {
-        FailWalker(slot, delivery.arrival, /*board_lost=*/true);
+        Retire(slot, delivery.arrival, Outcome::kBoardLost);
       } else {
         Recover(slot, delivery.arrival);
       }

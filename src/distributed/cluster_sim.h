@@ -92,8 +92,8 @@ struct DistributedConfig {
   double rebuild_bytes_per_cycle = 32.0;
 
   // Host worker threads for drivers that decompose the cluster into
-  // independent board shards (DistributedEngine in replicated mode
-  // without faults, WalkService admission shards). The decomposition is
+  // independent board shards (DistributedEngine in replicated mode when
+  // no fault can fire, WalkService admission shards). The decomposition is
   // fixed by the configuration, never by the thread count, so results
   // are bit-identical for every value. 0 = SimThreadPool default.
   uint32_t num_threads = 0;
@@ -304,11 +304,20 @@ class ClusterSim {
   // Sentinel for "share has no serving board" / "board serves no share".
   static constexpr BoardId kNoBoard = static_cast<BoardId>(~0u);
 
+  // How a walker attempt ends: done (walk complete, truncated or lost
+  // in batch mode), or a failure surfaced to the retire callback.
+  enum class Outcome : uint8_t { kDone, kBoardLost, kDataFault };
+
   void Step(size_t slot, hwsim::Cycle now);
   void EndWalkSpan(size_t slot, hwsim::Cycle at);
-  void Retire(size_t slot, hwsim::Cycle at);
-  void FailWalker(size_t slot, hwsim::Cycle at, bool board_lost);
+  void Retire(size_t slot, hwsim::Cycle at, Outcome outcome = Outcome::kDone);
   void Recover(size_t slot, hwsim::Cycle at);
+  // The only writers of walk-span events and board trace instants: each
+  // owns its sink's null (and trace cap) guard. WalkerFault records the
+  // event on both, the instant on the walker's current board.
+  void SpanEvent(size_t slot, const char* name, hwsim::Cycle at);
+  void BoardInstant(BoardId b, const char* name, hwsim::Cycle at);
+  void WalkerFault(size_t slot, const char* name, hwsim::Cycle at);
   void TakeCheckpoint(size_t slot, Board& board, hwsim::Cycle at);
   // Membership machinery (see DESIGN.md "Membership, spares & partition
   // rebuild"). Transition() bumps the epoch and logs/traces the change;
@@ -349,8 +358,8 @@ class ClusterSim {
   RetireFn on_retire_;
   WakeFn on_wake_;
 
-  // Effective death schedule (legacy fail_cycle folded in, sorted,
-  // deduplicated per board); empty means fault-free membership.
+  // Effective death schedule (sorted, deduplicated per board); empty
+  // means fault-free membership.
   std::vector<reliability::BoardDeath> deaths_;
   bool checkpointing_ = false;
   uint64_t ckpt_interval_ = 0;

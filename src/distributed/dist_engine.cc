@@ -1,16 +1,13 @@
 #include "distributed/dist_engine.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
 #include "distributed/config_validation.h"
-#include "obs/span.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
+#include "lightrw/sink_shards.h"
 
 namespace lightrw::distributed {
 
@@ -41,11 +38,12 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
   // Replicated boards never exchange walkers, so each board is an
   // independent shard: its own ClusterSim, driven closed-loop from its
   // own round-robin slice of the query set, refilled by its own retires.
-  // Fault injection couples boards (failover recovers walkers onto
-  // survivors), so any enabled fault schedule falls back to the single
+  // Faults couple boards (failover recovers walkers onto survivors), so
+  // a schedule that can inject anything falls back to the single
   // coupled event loop below.
   const bool sharded = config_.replicate_graph &&
-                       !config_.board.faults.enabled && num_boards > 1;
+                       !config_.board.faults.AnyFaultsPossible() &&
+                       num_boards > 1;
   if (sharded) {
     // All vertices on local board 0 of every shard (replication makes
     // ownership irrelevant; the partition only sizes the sim).
@@ -58,40 +56,15 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
       shard_tickets[i % num_boards].push_back(i);
     }
 
-    obs::TraceRecorder* shared_trace = config_.board.trace;
-    obs::SpanRecorder* shared_spans = config_.board.spans;
-    obs::TimeSeriesRecorder* shared_ts = config_.board.timeseries;
     std::vector<DistributedRunStats> shard_stats(num_boards);
-    std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards(
-        num_boards);
-    std::vector<std::unique_ptr<obs::SpanRecorder>> span_shards(
-        num_boards);
-    std::vector<std::unique_ptr<obs::TimeSeriesRecorder>> ts_shards(
-        num_boards);
+    // Tickets (= span trace ids) are disjoint across shards.
+    core::SinkShards sinks(config_.board, num_boards);
     const uint32_t threads =
         SimThreadPool::ResolveThreads(config_.num_threads);
     SimThreadPool::ParallelFor(threads, num_boards, [&](size_t b) {
       DistributedConfig shard_config = config_;
       shard_config.first_board = static_cast<BoardId>(b);
-      if (shared_trace != nullptr) {
-        trace_shards[b] =
-            std::make_unique<obs::TraceRecorder>(shared_trace->config());
-        shard_config.board.trace = trace_shards[b].get();
-      }
-      if (shared_spans != nullptr) {
-        // Tickets (= trace ids) are disjoint across shards, so each shard
-        // records privately and merges in shard order below.
-        span_shards[b] =
-            std::make_unique<obs::SpanRecorder>(shared_spans->config());
-        shard_config.board.spans = span_shards[b].get();
-      }
-      if (shared_ts != nullptr) {
-        // Same discipline for time series: per-shard recorders on the
-        // shared scrape clock, merged per window index in shard order.
-        ts_shards[b] =
-            std::make_unique<obs::TimeSeriesRecorder>(shared_ts->config());
-        shard_config.board.timeseries = ts_shards[b].get();
-      }
+      shard_config.board = sinks.Shard(b);
       const std::vector<apps::WalkQuery>& share = shard_queries[b];
       const std::vector<size_t>& tickets = shard_tickets[b];
       const size_t num_walkers = std::min<size_t>(
@@ -121,17 +94,9 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
       sim.Drain();
       sim.Finalize(&shard_stats[b]);
     });
+    sinks.Merge();
     for (BoardId b = 0; b < num_boards; ++b) {
       stats.Accumulate(shard_stats[b]);
-      if (trace_shards[b] != nullptr) {
-        shared_trace->MergeFrom(trace_shards[b].get());
-      }
-      if (span_shards[b] != nullptr) {
-        shared_spans->MergeFrom(span_shards[b].get());
-      }
-      if (ts_shards[b] != nullptr) {
-        shared_ts->MergeFrom(ts_shards[b].get());
-      }
     }
     stats.seconds = static_cast<double>(stats.cycles) /
                     config_.board.dram.clock_hz;

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
+#include "lightrw/sink_shards.h"
 #include "lightrw/step_sampler.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -35,20 +36,17 @@ void NameInstanceTracks(obs::TraceRecorder* trace, uint32_t pid,
 // One LightRW instance bound to one DRAM channel (paper Fig. 9).
 class Instance {
  public:
-  // `trace` overrides config.trace so a parallel run can hand each
-  // instance a private shard recorder (merged in instance order after
-  // the barrier) instead of contending on one shared recorder.
+  // `config` carries this instance's sink shards (see SinkShards).
   Instance(const graph::CsrGraph* graph, const apps::WalkApp* app,
            const AcceleratorConfig& config, FetchPolicy policy,
-           uint32_t instance_id, obs::TraceRecorder* trace,
-           obs::TimeSeriesRecorder* ts)
+           uint32_t instance_id)
       : graph_(graph),
         app_(app),
         config_(config),
         policy_(policy),
         instance_id_(instance_id),
-        trace_(trace),
-        ts_(ts),
+        trace_(config.trace),
+        ts_(config.timeseries),
         model_(graph, config, app->needs_prev_neighbors()),
         rng_(config.sampler_parallelism, Seed()),
         sampler_(config.sampler_parallelism, &rng_),
@@ -386,48 +384,28 @@ AccelRunStats RunAcceleratorInstances(const graph::CsrGraph& graph,
   }
 
   // Each instance is an independent shard: private datapath models,
-  // private RNG streams, a private stats slot, and (when tracing) a
-  // private trace shard. Workers write only their own slots, so the run
-  // is bit-identical for every thread count; the metrics registry is
-  // shared but its counters commute and its exposition is key-sorted.
+  // private RNG streams, a private stats slot and private sink shards.
+  // Workers write only their own slots, so the run is bit-identical for
+  // every thread count; the metrics registry is shared but its counters
+  // commute and its exposition is key-sorted.
   const uint32_t threads = SimThreadPool::ResolveThreads(config.num_threads);
   std::vector<AccelRunStats> instance_stats(n);
   std::vector<Cycle> instance_makespan(n, 0);
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards(n);
-  std::vector<std::unique_ptr<obs::TimeSeriesRecorder>> ts_shards(n);
+  SinkShards sinks(config, n);
   SimThreadPool::ParallelFor(threads, n, [&](size_t i) {
-    obs::TraceRecorder* trace = config.trace;
-    if (trace != nullptr && n > 1) {
-      trace_shards[i] =
-          std::make_unique<obs::TraceRecorder>(trace->config());
-      trace = trace_shards[i].get();
-    }
-    obs::TimeSeriesRecorder* ts = config.timeseries;
-    if (ts != nullptr && n > 1) {
-      // Per-instance recorder shards on the shared scrape clock, merged
-      // per window index in instance order after the barrier.
-      ts_shards[i] =
-          std::make_unique<obs::TimeSeriesRecorder>(ts->config());
-      ts = ts_shards[i].get();
-    }
-    Instance instance(&graph, &app, config, policy,
-                      static_cast<uint32_t>(i), trace, ts);
+    const AcceleratorConfig shard = sinks.Shard(i);
+    Instance instance(&graph, &app, shard, policy, static_cast<uint32_t>(i));
     instance_makespan[i] =
         instance.Run(shares[i], share_indices[i],
                      output != nullptr ? &finished : nullptr,
                      &instance_stats[i]);
   });
+  sinks.Merge();
 
   Cycle makespan = 0;
   for (uint32_t i = 0; i < n; ++i) {
     AccumulateStats(instance_stats[i], &stats);
     makespan = std::max(makespan, instance_makespan[i]);
-    if (trace_shards[i] != nullptr) {
-      config.trace->MergeFrom(trace_shards[i].get());
-    }
-    if (ts_shards[i] != nullptr) {
-      config.timeseries->MergeFrom(ts_shards[i].get());
-    }
   }
   if (output != nullptr) {
     for (auto& path : finished) {

@@ -11,6 +11,12 @@ namespace lightrw::obs {
 
 namespace {
 
+// Incident detector constants: an open incident closes after this many
+// consecutive calm windows, and the MAD is taken over this many
+// trailing residuals.
+constexpr uint32_t kIncidentCloseAfter = 2;
+constexpr size_t kMadWindow = 16;
+
 // Residual scale floor: keeps flat series (MAD == 0) from dividing by
 // zero while still letting a burst register as a large finite z.
 double RobustScale(double mad, double level) {
@@ -71,7 +77,7 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
       current.severity = std::max(current.severity, std::abs(z));
       if (std::abs(z) < config.anomaly_z_close) {
         ++calm;
-        if (calm >= config.anomaly_close_after) {
+        if (calm >= kIncidentCloseAfter) {
           current.close_window = w;
           current.closed = true;
           incidents.push_back(current);
@@ -83,7 +89,7 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
     }
     level += config.anomaly_alpha * (x - level);
     residuals.push_back(residual);
-    while (residuals.size() > config.anomaly_mad_window) {
+    while (residuals.size() > kMadWindow) {
       residuals.pop_front();
     }
   }

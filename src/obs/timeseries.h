@@ -63,8 +63,6 @@ struct TimeSeriesConfig {
   double anomaly_z_open = 6.0;     // |z| at or above this opens an incident
   double anomaly_z_close = 3.0;    // |z| below this counts as a calm window
   uint32_t anomaly_warmup = 4;     // windows before detection is armed
-  uint32_t anomaly_close_after = 2;  // consecutive calm windows to close
-  uint64_t anomaly_mad_window = 16;  // trailing residuals kept for the MAD
 };
 
 // One fault/membership/slo_burn event reported by an engine (or the
@@ -90,9 +88,9 @@ struct Incident {
 // floor keeps quiet series (fault counters that sit at zero) from
 // dividing by zero while still letting a burst register as a large,
 // finite z. Values at window w are judged against the state built from
-// windows < w, then folded in; detection is armed after `warmup`
-// windows and an incident closes after `close_after` consecutive calm
-// windows.
+// windows < w (the MAD over the last 16 residuals), then folded in;
+// detection is armed after `warmup` windows and an incident closes
+// after 2 consecutive calm windows.
 std::vector<Incident> DetectSeriesIncidents(const std::string& series,
                                             const std::vector<double>& values,
                                             const TimeSeriesConfig& config);

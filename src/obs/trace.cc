@@ -147,20 +147,10 @@ Json TraceRecorder::ToJson() const {
     out.Set("ph", std::string(1, event->phase));
     out.Set("pid", static_cast<uint64_t>(event->pid));
     out.Set("tid", static_cast<uint64_t>(event->tid));
-    // The default 1:1 cycle scale emits exact integers.
-    const double ticks = config_.ticks_per_cycle;
-    if (ticks == 1.0) {
-      out.Set("ts", event->ts);
-    } else {
-      out.Set("ts", static_cast<double>(event->ts) * ticks);
-    }
+    out.Set("ts", event->ts);
     switch (event->phase) {
       case 'X':
-        if (ticks == 1.0) {
-          out.Set("dur", event->dur);
-        } else {
-          out.Set("dur", static_cast<double>(event->dur) * ticks);
-        }
+        out.Set("dur", event->dur);
         break;
       case 'i':
         out.Set("s", "t");  // instant scope: thread

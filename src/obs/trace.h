@@ -40,9 +40,6 @@ namespace lightrw::obs {
 struct TraceConfig {
   // Hard cap on recorded events; 0 disables recording entirely.
   size_t max_events = 1u << 20;
-  // Scale from simulated cycles to trace "ts" ticks. 1.0 keeps the axis
-  // in cycles, which is what every viewer label in this repo assumes.
-  double ticks_per_cycle = 1.0;
 };
 
 // One recorded trace event (pre-serialization form).

@@ -88,9 +88,6 @@ std::vector<BoardDeath> EffectiveBoardDeaths(const FaultConfig& config) {
   if (!config.enabled) {
     return deaths;
   }
-  if (config.fail_cycle > 0) {
-    deaths.push_back({config.fail_cycle, config.fail_board});
-  }
   for (const BoardDeath& d : config.board_deaths) {
     if (d.cycle > 0) {
       deaths.push_back(d);

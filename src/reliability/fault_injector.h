@@ -17,7 +17,7 @@
 //         uncorrectable ECC error  bounded re-issues, then the access fails
 //   Link  dropped message          ack timeout -> retransmission
 //         corrupted message        receiver NACK/CRC -> retransmission
-//   Board whole-board failure      scheduled (fail_cycle); in-flight
+//   Board whole-board failure      scheduled (board_deaths); in-flight
 //         walkers recover from their last checkpoint on surviving boards
 
 #ifndef LIGHTRW_RELIABILITY_FAULT_INJECTOR_H_
@@ -53,7 +53,7 @@ enum class LinkFault {
 
 // One scheduled permanent board death: local board `board` stops
 // serving at simulated cycle `cycle` (cycle 0 is rejected by
-// validation — it would mean "never", matching fail_cycle).
+// validation — it would mean "never").
 struct BoardDeath {
   uint64_t cycle = 0;
   uint32_t board = 0;
@@ -131,19 +131,13 @@ struct FaultConfig {
   uint32_t retransmit_timeout_cycles = 2048;
   uint32_t retransmit_backoff_shift = 1;
 
-  // Whole-board failure schedule: board `fail_board` stops serving at
-  // simulated cycle `fail_cycle` (0 disables). Walkers resident on (or
-  // migrating to) the dead board are recovered on surviving boards.
-  // Kept as the legacy single-death schedule; it folds into
-  // `board_deaths` (see EffectiveBoardDeaths).
-  uint64_t fail_cycle = 0;
-  uint32_t fail_board = 0;
-
-  // Generalized death schedule: each entry permanently kills one board
-  // at the given cycle. Boards are local ids covering partition owners
-  // and hot spares (ids >= the partition board count name spares), so a
-  // schedule can express cascades, death-during-rebuild, and spare
-  // exhaustion. Only the first death per board takes effect.
+  // Whole-board failure schedule: each entry permanently kills one
+  // board at the given cycle. Walkers resident on (or migrating to) a
+  // dead board are recovered on surviving boards. Boards are local ids
+  // covering partition owners and hot spares (ids >= the partition
+  // board count name spares), so a schedule can express cascades,
+  // death-during-rebuild, and spare exhaustion. Only the first death
+  // per board takes effect.
   std::vector<BoardDeath> board_deaths;
 
   // Opt-in for configurations that knowingly lose walks: a scheduled
@@ -175,7 +169,7 @@ struct FaultConfig {
     return enabled &&
            (dram_correctable_rate > 0.0 || dram_uncorrectable_rate > 0.0 ||
             link_drop_rate > 0.0 || link_corrupt_rate > 0.0 ||
-            fail_cycle > 0 || !board_deaths.empty());
+            !board_deaths.empty());
   }
 };
 
@@ -183,10 +177,9 @@ struct FaultConfig {
 // probabilities, protocol parameters are nonzero where required).
 Status ValidateFaultConfig(const FaultConfig& config);
 
-// The effective death schedule: the legacy fail_cycle/fail_board pair
-// (when set) merged with `board_deaths`, sorted by (cycle, board), with
-// duplicate boards dropped (only the first death of a board fires).
-// Empty when fault injection is disabled.
+// The effective death schedule: `board_deaths` sorted by (cycle,
+// board), with duplicate boards dropped (only the first death of a
+// board fires). Empty when fault injection is disabled.
 std::vector<BoardDeath> EffectiveBoardDeaths(const FaultConfig& config);
 
 // Every fault, retry, and recovery event, counted. Summed over

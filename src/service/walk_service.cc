@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
 #include "distributed/config_validation.h"
+#include "lightrw/sink_shards.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
@@ -100,7 +100,7 @@ Status ValidateServiceConfig(const ServiceConfig& config) {
           "service.admission_shards > 1 requires cluster.replicate_graph "
           "(a shard must be able to serve any vertex on its own boards)");
     }
-    if (config.cluster.board.faults.enabled) {
+    if (config.cluster.board.faults.AnyFaultsPossible()) {
       return InvalidArgumentError(
           "service.admission_shards > 1 is incompatible with fault "
           "injection (failover recovery couples boards across shards)");
@@ -193,12 +193,9 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   std::vector<ShardStats> shard_stats(num_shards);
 
   obs::MetricsRegistry* metrics = config_.cluster.board.metrics;
-  obs::TraceRecorder* shared_trace = config_.cluster.board.trace;
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards(num_shards);
-  obs::SpanRecorder* shared_spans = config_.cluster.board.spans;
-  std::vector<std::unique_ptr<obs::SpanRecorder>> span_shards(num_shards);
-  obs::TimeSeriesRecorder* shared_ts = config_.cluster.board.timeseries;
-  std::vector<std::unique_ptr<obs::TimeSeriesRecorder>> ts_shards(num_shards);
+  // Shard s traces exactly the queries qi mod num_shards == s, so the
+  // shards' span traces are disjoint.
+  core::SinkShards sinks(config_.cluster.board, num_shards);
 
   // Sharding requires replicate_graph, where vertex ownership is never
   // resolved: the partition only sizes each shard's sim.
@@ -224,29 +221,9 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
 
     distributed::DistributedConfig cluster_config = config_.cluster;
     cluster_config.first_board = first;
-    if (shared_trace != nullptr && num_shards > 1) {
-      trace_shards[shard] =
-          std::make_unique<obs::TraceRecorder>(shared_trace->config());
-      cluster_config.board.trace = trace_shards[shard].get();
-    }
+    cluster_config.board = sinks.Shard(shard);
     obs::TraceRecorder* trace = cluster_config.board.trace;
-    // Spans follow the trace-shard pattern: a private recorder per shard
-    // (traces are disjoint — shard s owns qi mod num_shards == s), merged
-    // in shard order after the barrier.
-    if (shared_spans != nullptr && num_shards > 1) {
-      span_shards[shard] =
-          std::make_unique<obs::SpanRecorder>(shared_spans->config());
-      cluster_config.board.spans = span_shards[shard].get();
-    }
     obs::SpanRecorder* spans = cluster_config.board.spans;
-    // Time series, likewise: a private recorder per shard on the shared
-    // scrape clock (the shard's ClusterSim drives window closes from its
-    // event loop), merged per window index in shard order.
-    if (shared_ts != nullptr && num_shards > 1) {
-      ts_shards[shard] =
-          std::make_unique<obs::TimeSeriesRecorder>(shared_ts->config());
-      cluster_config.board.timeseries = ts_shards[shard].get();
-    }
     obs::TimeSeriesRecorder* ts = cluster_config.board.timeseries;
 
     // Service-level live series, scraped alongside the cluster-level ones
@@ -698,9 +675,10 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   const uint32_t threads =
       SimThreadPool::ResolveThreads(config_.cluster.num_threads);
   SimThreadPool::ParallelFor(threads, num_shards, run_shard);
+  sinks.Merge();
 
-  // Merge in shard order: sums, sample appends, and trace interleaving
-  // are all fixed by the shard decomposition, never by thread timing.
+  // Merge in shard order: sums and sample appends are fixed by the shard
+  // decomposition, never by thread timing.
   for (uint32_t s = 0; s < num_shards; ++s) {
     ShardStats& ss = shard_stats[s];
     stats.retries += ss.retries;
@@ -709,15 +687,6 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
     stats.queue_delay_cycles.Merge(ss.queue_delay_cycles);
     stats.latency_cycles.Merge(ss.latency_cycles);
     stats.cluster.Accumulate(ss.cluster);
-    if (trace_shards[s] != nullptr) {
-      shared_trace->MergeFrom(trace_shards[s].get());
-    }
-    if (span_shards[s] != nullptr) {
-      shared_spans->MergeFrom(span_shards[s].get());
-    }
-    if (ts_shards[s] != nullptr) {
-      shared_ts->MergeFrom(ts_shards[s].get());
-    }
   }
   stats.cluster.seconds = static_cast<double>(stats.cluster.cycles) /
                           config_.cluster.board.dram.clock_hz;

@@ -71,7 +71,8 @@ struct ServiceConfig {
   // merge in shard order, so results are fixed by this value alone (the
   // thread count only schedules shards; see common/sim_thread_pool.h).
   // Values > 1 require replicate_graph (any shard can serve any vertex)
-  // and no fault injection (failover couples boards), and must divide
+  // and a fault config that can inject nothing (failover couples
+  // boards; see FaultConfig::AnyFaultsPossible), and must divide
   // the board count evenly. 1 = the single global event loop.
   uint32_t admission_shards = 1;
 };

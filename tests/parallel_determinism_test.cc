@@ -269,8 +269,7 @@ TEST(ParallelDistributedTest, FaultInjectionFallsBackDeterministically) {
   reliability::FaultConfig faults;
   faults.enabled = true;
   faults.seed = 3;
-  faults.fail_cycle = 1 << 14;
-  faults.fail_board = 1;
+  faults.board_deaths = {{1 << 14, /*board=*/1}};
   faults.checkpoint_interval_cycles = 1 << 12;
   const DistRun serial =
       RunDistributed(g, app, partition, 1, /*replicate=*/true, faults);
@@ -482,7 +481,11 @@ TEST(ParallelConfigTest, RejectsBadAdmissionShards) {
 
   config.cluster.replicate_graph = true;
   config.cluster.board.faults.enabled = true;
+  config.cluster.board.faults.board_deaths = {{1000, /*board=*/1}};
   EXPECT_FALSE(service::ValidateServiceConfig(config).ok());
+  // A fault config that can inject nothing does not couple shards.
+  config.cluster.board.faults.board_deaths.clear();
+  EXPECT_TRUE(service::ValidateServiceConfig(config).ok());
   config.cluster.board.faults.enabled = false;
   EXPECT_TRUE(service::ValidateServiceConfig(config).ok());
 }

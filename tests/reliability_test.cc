@@ -220,6 +220,33 @@ TEST(FaultDeterminismTest, EnabledZeroRatesBitIdenticalToDisabled) {
   EXPECT_EQ(a.stats.dram.requests, b.stats.dram.requests);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_FALSE(b.stats.reliability.Any());
+
+  // The same holds for a replicated 4-board cluster, which runs its
+  // boards as independent shards whenever nothing can fail.
+  const CsrGraph g = TestGraph();
+  StaticWalkApp app;
+  const auto p =
+      distributed::MakePartition(g, 4, distributed::PartitionStrategy::kHash);
+  const auto queries = apps::MakeVertexQueries(g, 12, 3, 400);
+  auto run_cluster = [&](const FaultConfig& faults,
+                         baseline::WalkOutput* output) {
+    distributed::DistributedConfig config;
+    config.board.num_instances = 1;
+    config.board.seed = 9;
+    config.board.faults = faults;
+    config.replicate_graph = true;
+    return distributed::DistributedEngine(&g, &app, &p, config)
+        .Run(queries, output)
+        .value();
+  };
+  baseline::WalkOutput off_paths, on_paths;
+  const auto cluster_off = run_cluster(FaultConfig{}, &off_paths);
+  const auto cluster_on = run_cluster(EnabledConfig(), &on_paths);
+  EXPECT_EQ(off_paths.vertices, on_paths.vertices);
+  EXPECT_EQ(cluster_off.cycles, cluster_on.cycles);
+  EXPECT_EQ(cluster_off.steps, cluster_on.steps);
+  EXPECT_EQ(cluster_off.dram.requests, cluster_on.dram.requests);
+  EXPECT_FALSE(cluster_on.reliability.Any());
 }
 
 TEST(FaultDeterminismTest, SameFaultSeedBitIdenticalRuns) {
@@ -309,14 +336,13 @@ TEST(DistributedFaultTest, RunRejectsUnsatisfiableFailover) {
   const auto queries = apps::MakeVertexQueries(g, 8, 3, 50);
   auto config = DistConfig();
   config.board.faults = EnabledConfig();
-  config.board.faults.fail_cycle = 1000;
-  config.board.faults.fail_board = 7;  // out of range for 4 boards
+  config.board.faults.board_deaths = {{1000, 7}};  // 7: out of range
   const auto four =
       distributed::MakePartition(g, 4, distributed::PartitionStrategy::kHash);
   EXPECT_FALSE(distributed::DistributedEngine(&g, &app, &four, config)
                    .Run(queries)
                    .ok());
-  config.board.faults.fail_board = 0;  // no survivor on 1 board
+  config.board.faults.board_deaths = {{1000, 0}};  // no survivor on 1 board
   const auto one =
       distributed::MakePartition(g, 1, distributed::PartitionStrategy::kHash);
   EXPECT_FALSE(distributed::DistributedEngine(&g, &app, &one, config)
@@ -335,8 +361,7 @@ TEST(DistributedFaultTest, BoardFailureRecoversAllWalksWhenReplicated) {
   auto config = DistConfig();
   config.replicate_graph = true;
   config.board.faults = EnabledConfig();
-  config.board.faults.fail_cycle = 30000;
-  config.board.faults.fail_board = 1;
+  config.board.faults.board_deaths = {{30000, /*board=*/1}};
   config.board.faults.checkpoint_interval_cycles = 4096;
   distributed::DistributedEngine engine(&g, &app, &p, config);
   const auto queries = apps::MakeVertexQueries(g, 20, 3, 800);
@@ -369,8 +394,7 @@ TEST(DistributedFaultTest, BoardFailureRecoversInPartitionedMode) {
       distributed::MakePartition(g, 4, distributed::PartitionStrategy::kHash);
   auto config = DistConfig();
   config.board.faults = EnabledConfig();
-  config.board.faults.fail_cycle = 30000;
-  config.board.faults.fail_board = 2;
+  config.board.faults.board_deaths = {{30000, /*board=*/2}};
   config.board.faults.checkpoint_interval_cycles = 4096;
   distributed::DistributedEngine engine(&g, &app, &p, config);
   const auto queries = apps::MakeVertexQueries(g, 20, 3, 800);
@@ -397,8 +421,7 @@ TEST(DistributedFaultTest, NoCheckpointsLosesWalks) {
   auto config = DistConfig();
   config.replicate_graph = true;
   config.board.faults = EnabledConfig();
-  config.board.faults.fail_cycle = 30000;
-  config.board.faults.fail_board = 1;
+  config.board.faults.board_deaths = {{30000, /*board=*/1}};
   config.board.faults.checkpoint_interval_cycles = 0;  // no checkpoints
   config.board.faults.allow_walker_loss = true;        // explicit opt-in
   distributed::DistributedEngine engine(&g, &app, &p, config);
@@ -492,9 +515,7 @@ TEST(MembershipLogTest, RejectsEpochGapsCycleRegressionsAndIllegalEdges) {
 
 TEST(FaultConfigTest, EffectiveBoardDeathsFoldsSortsAndDedups) {
   FaultConfig faults = EnabledConfig();
-  faults.fail_cycle = 5000;  // legacy single-death fields fold in
-  faults.fail_board = 2;
-  faults.board_deaths = {{3000, 1}, {3000, 0}, {7000, 1}};  // dup board 1
+  faults.board_deaths = {{5000, 2}, {3000, 1}, {3000, 0}, {7000, 1}};
   const auto deaths = reliability::EffectiveBoardDeaths(faults);
   ASSERT_EQ(deaths.size(), 3u);
   EXPECT_EQ(deaths[0].cycle, 3000u);

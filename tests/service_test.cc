@@ -385,8 +385,7 @@ TEST(WalkServiceTest, BoardDeathTripsBreakerAndReroutes) {
   config.arrivals.rate_per_kcycle = 2.0;
   config.retry_budget = 3;
   config.cluster.board.faults.enabled = true;
-  config.cluster.board.faults.fail_board = 1;
-  config.cluster.board.faults.fail_cycle = 1 << 14;
+  config.cluster.board.faults.board_deaths = {{1 << 14, /*board=*/1}};
   WalkService service(&g, &app, &p, config);
   const auto stats = service.Run().value();
   EXPECT_EQ(stats.cluster.reliability.board_failures, 1u);
@@ -410,8 +409,7 @@ TEST(WalkServiceTest, FailoverUnsatisfiableOnSingleBoard) {
   const Partition p = MakePartition(g, 1, PartitionStrategy::kHash);
   ServiceConfig config = BaseConfig();
   config.cluster.board.faults.enabled = true;
-  config.cluster.board.faults.fail_board = 0;
-  config.cluster.board.faults.fail_cycle = 1000;
+  config.cluster.board.faults.board_deaths = {{1000, /*board=*/0}};
   WalkService service(&g, &app, &p, config);
   EXPECT_FALSE(service.Run().ok());
 }

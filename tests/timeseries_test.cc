@@ -431,8 +431,7 @@ TEST(TimeSeriesIncidentTest, BoardDeathOpensClosesAndExemplarsResolve) {
   config.board.faults.enabled = true;
   config.board.faults.seed = 3;
   config.board.faults.checkpoint_interval_cycles = 1 << 12;
-  config.board.faults.fail_cycle = 20000;
-  config.board.faults.fail_board = 1;
+  config.board.faults.board_deaths = {{20000, /*board=*/1}};
 
   TimeSeriesConfig ts_config;
   ts_config.scrape_interval = 1024;
@@ -446,7 +445,7 @@ TEST(TimeSeriesIncidentTest, BoardDeathOpensClosesAndExemplarsResolve) {
   distributed::DistributedEngine engine(&g, &app, &partition, config);
   ASSERT_TRUE(engine.Run(queries).ok());
 
-  const uint64_t death = config.board.faults.fail_cycle;
+  const uint64_t death = config.board.faults.board_deaths[0].cycle;
   const uint64_t interval = ts_config.scrape_interval;
   bool found = false;
   for (const Incident& incident : ts.DetectIncidents()) {

@@ -57,51 +57,49 @@ expect "unwritable metrics path" 1 "$TOOL" --engine cpu $BASE \
 # the caller explicitly opts into walker loss...
 expect "checkpoint-free death rejected" 1 "$TOOL" --engine distributed \
   --boards 2 --partition hash --rmat_scale 8 --app deepwalk --length 16 \
-  --queries 128 --seed 42 --faults --fault-fail-cycle 2000 \
-  --fault-fail-board 1 --fault-checkpoint-interval 0
+  --queries 128 --seed 42 --fault-fail-cycles 2000 \
+  --fault-fail-boards 1 --fault-checkpoint-interval 0
 # ...and with the opt-in, the run completes but reports partial data.
 expect "fault run losing walk data" 3 "$TOOL" --engine distributed \
   --boards 2 --partition hash --rmat_scale 8 --app deepwalk --length 16 \
-  --queries 128 --seed 42 --faults --fault-fail-cycle 2000 \
-  --fault-fail-board 1 --fault-checkpoint-interval 0 \
+  --queries 128 --seed 42 --fault-fail-cycles 2000 \
+  --fault-fail-boards 1 --fault-checkpoint-interval 0 \
   --fault-allow-walker-loss
 expect "mismatched death schedule lists" 1 "$TOOL" --engine distributed \
-  --boards 4 --partition hash $BASE --faults \
+  --boards 4 --partition hash $BASE \
   --fault-fail-cycles 2000,4000 --fault-fail-boards 1
 expect "death schedule killing every owner" 1 "$TOOL" --engine distributed \
-  --boards 2 --partition hash $BASE --faults \
+  --boards 2 --partition hash $BASE \
   --fault-fail-cycles 2000,4000 --fault-fail-boards 0,1 \
   --fault-checkpoint-interval 4096
 # The durable checkpoint store lifts that restriction: with a spare to
 # rebuild onto, killing every owner still completes every walk.
 expect "all-owner death survives with store" 0 "$TOOL" \
   --engine distributed --boards 2 --partition hash --rmat_scale 8 \
-  --app deepwalk --length 16 --queries 128 --seed 42 --faults \
+  --app deepwalk --length 16 --queries 128 --seed 42 \
   --fault-fail-cycles 2000,4000 --fault-fail-boards 0,1 \
   --fault-checkpoint-interval 4096 --spare-boards 1 --ckpt-store
 # ...but only with a spare: no spare means no live end state.
 expect "all-owner death with store but no spare" 1 "$TOOL" \
-  --engine distributed --boards 2 --partition hash $BASE --faults \
+  --engine distributed --boards 2 --partition hash $BASE \
   --fault-fail-cycles 2000,4000 --fault-fail-boards 0,1 \
   --fault-checkpoint-interval 4096 --ckpt-store
 # A store whose every write is torn cannot recover anything: the run
 # completes but reports partial data.
 expect "torn store loses walk data" 3 "$TOOL" --engine distributed \
-  --boards 2 --partition hash $BASE --faults \
-  --fault-fail-cycle 2000 --fault-fail-board 1 \
+  --boards 2 --partition hash $BASE \
+  --fault-fail-cycles 2000 --fault-fail-boards 1 \
   --fault-checkpoint-interval 0 --ckpt-store --ckpt-torn-rate 1.0
 expect "bad ckpt replica count" 1 "$TOOL" --engine distributed \
-  --boards 2 --partition hash $BASE --faults --ckpt-store \
+  --boards 2 --partition hash $BASE --ckpt-store \
   --ckpt-replicas 0
 expect "cascade with spare survives" 0 "$TOOL" --engine distributed \
   --boards 4 --partition hash --rmat_scale 8 --app deepwalk --length 16 \
-  --queries 128 --seed 42 --faults --fault-fail-cycles 2000,6000 \
+  --queries 128 --seed 42 --fault-fail-cycles 2000,6000 \
   --fault-fail-boards 1,2 --fault-checkpoint-interval 4096 \
   --spare-boards 1
 expect "bad span mode" 1 "$TOOL" --engine service $BASE \
   --spans-out /tmp/walk_tool_spans_$$.json --span-mode bogus
-expect "bad metrics format" 1 "$TOOL" --engine cpu $BASE \
-  --metrics-out /tmp/walk_tool_metrics_$$.json --metrics-format bogus
 expect "bad burn-alert budget" 1 "$TOOL" --engine service $BASE \
   --spans-out /tmp/walk_tool_spans_$$.json --burn-alert-budget 0
 expect "bad burn-alert windows" 1 "$TOOL" --engine service $BASE \
@@ -174,15 +172,15 @@ else
 fi
 rm -f "$SPANS"
 
-# Metrics format: --metrics-format overrides the extension heuristic.
-PROM="/tmp/walk_tool_metrics_$$.json"
-expect "prometheus metrics format" 0 "$TOOL" --engine cpu $BASE \
-  --metrics-out "$PROM" --metrics-format prometheus
+# Metrics format: a .prom suffix selects Prometheus exposition text.
+PROM="/tmp/walk_tool_metrics_$$.prom"
+expect "prometheus metrics by .prom suffix" 0 "$TOOL" --engine cpu $BASE \
+  --metrics-out "$PROM"
 if ! grep -q '^# TYPE' "$PROM"; then
-  echo "FAIL: --metrics-format prometheus did not write exposition text" >&2
+  echo "FAIL: --metrics-out *.prom did not write exposition text" >&2
   fails=$((fails + 1))
 else
-  echo "ok: prometheus metrics format honored"
+  echo "ok: .prom suffix selects prometheus format"
 fi
 rm -f "$PROM"
 
