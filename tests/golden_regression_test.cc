@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/walk_app.h"
+#include "distributed/dist_engine.h"
+#include "distributed/partition.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "lightrw/cycle_engine.h"
@@ -214,6 +216,37 @@ TEST(GoldenTest, CycleEngineNode2VecRefetchPins) {
              {156455, 3200, 420234, 50447, 6658944, 157951, 1917, 4083,
               1729, 44635, 6397632, 14900888, 17388793, 7247, 76800,
               2626, 0x233293e1cb60b3a1ULL});
+}
+
+// The two other StepSampler drivers on the Node2Vec weight path: a
+// partitioned cluster (per-walker samplers, migrations between boards)
+// and the untimed functional engine.
+TEST(GoldenTest, DistributedEngineNode2VecPartitionedPins) {
+  const apps::Node2VecApp app(2.0, 0.5);
+  const distributed::Partition partition = distributed::MakePartition(
+      PinGraph(), 4, distributed::PartitionStrategy::kHash);
+  distributed::DistributedConfig config;
+  config.board = PinConfig();
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats =
+      distributed::DistributedEngine(&PinGraph(), &app, &partition, config)
+          .Run(PinQueries(), &output)
+          .value();
+  EXPECT_EQ(stats.cycles, 32766u);
+  EXPECT_EQ(stats.steps, 3200u);
+  EXPECT_EQ(stats.migrations, 2087u);
+  EXPECT_EQ(PathHash(output), 0xc44dc24cc5912eb8ULL);
+}
+
+TEST(GoldenTest, FunctionalEngineNode2VecPins) {
+  const apps::Node2VecApp app(2.0, 0.5);
+  baseline::WalkOutput output;
+  const core::FunctionalRunStats stats =
+      core::FunctionalEngine(&PinGraph(), &app, PinConfig())
+          .Run(PinQueries(), &output);
+  EXPECT_EQ(stats.steps, 3200u);
+  EXPECT_EQ(stats.edges_examined, 422092u);
+  EXPECT_EQ(PathHash(output), 0x01fdc4838ef70d3cULL);
 }
 
 TEST(GoldenTest, CycleEngineStagedNoCacheShortBurstPins) {
