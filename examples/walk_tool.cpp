@@ -51,12 +51,20 @@ namespace {
 
 using namespace lightrw;
 
+// Builds the --app named `name` on `g`; nullptr (with a one-line stderr
+// reason) for an unknown name or parameters the app cannot take.
 std::unique_ptr<apps::WalkApp> MakeApp(const std::string& name,
                                        const graph::CsrGraph& g,
                                        const FlagParser& flags) {
   if (name == "node2vec") {
-    return std::make_unique<apps::Node2VecApp>(flags.GetDouble("p"),
-                                               flags.GetDouble("q"));
+    const double p = flags.GetDouble("p");
+    const double q = flags.GetDouble("q");
+    const Status valid = apps::Node2VecApp::Validate(p, q, g);
+    if (!valid.ok()) {
+      std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+      return nullptr;
+    }
+    return std::make_unique<apps::Node2VecApp>(p, q);
   }
   if (name == "metapath") {
     return std::make_unique<apps::MetaPathApp>(apps::MakeRandomRelationPath(
@@ -64,11 +72,19 @@ std::unique_ptr<apps::WalkApp> MakeApp(const std::string& name,
         flags.GetInt("seed")));
   }
   if (name == "ppr") {
-    return std::make_unique<apps::PprApp>(flags.GetDouble("alpha"));
+    const double alpha = flags.GetDouble("alpha");
+    if (!(alpha > 0.0 && alpha < 1.0)) {
+      std::fprintf(stderr, "--alpha must be in (0, 1), got %g\n", alpha);
+      return nullptr;
+    }
+    return std::make_unique<apps::PprApp>(alpha);
   }
   if (name == "deepwalk") {
     return std::make_unique<apps::StaticWalkApp>();
   }
+  std::fprintf(stderr,
+               "unknown app '%s' (expected deepwalk|node2vec|metapath|ppr)\n",
+               name.c_str());
   return nullptr;
 }
 
@@ -515,9 +531,6 @@ int main(int argc, char** argv) {
 
   const auto app = MakeApp(flags.GetString("app"), g, flags);
   if (app == nullptr) {
-    std::fprintf(stderr, "unknown app '%s' (expected "
-                 "deepwalk|node2vec|metapath|ppr)\n",
-                 flags.GetString("app").c_str());
     return 1;
   }
 

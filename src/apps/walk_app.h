@@ -7,9 +7,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "graph/csr.h"
 #include "graph/types.h"
 
@@ -50,6 +52,15 @@ class WalkApp {
                                VertexId dst, Weight static_weight,
                                Relation relation) const = 0;
 
+  // Writes the dynamic weights of out-edges [first, first + out.size()) of
+  // state.curr to `out`, in adjacency order. Each must equal DynamicWeight
+  // of that edge; the default calls it once per edge. An app overrides
+  // this when a run of edges can share work (Node2Vec merges the run
+  // against the previous vertex's adjacency instead of searching it once
+  // per edge).
+  virtual void DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                              uint32_t first, std::span<Weight> out) const;
+
   // True if the weight function reads the previous vertex's adjacency list
   // (Node2Vec does). The memory models charge the extra traffic and the
   // engines provide the membership structure.
@@ -62,11 +73,11 @@ class WalkApp {
 
   // True iff DynamicWeight(g, s, dst, w, r) == w for every input: the
   // dynamic weight *is* the static edge weight. Samplers then feed the
-  // CSR weight array to the WRS lanes directly instead of calling
-  // DynamicWeight once per neighbor — the sampled distribution (and the
-  // per-stream random draw sequence) is identical by construction. An
-  // app may only return true if its weight function is exactly the
-  // identity on the static weight.
+  // CSR weight array to the WRS lanes directly and never call
+  // DynamicWeights — the sampled distribution (and the per-stream random
+  // draw sequence) is identical by construction. An app may only return
+  // true if its weight function is exactly the identity on the static
+  // weight.
   virtual bool has_static_weights() const { return false; }
 };
 
@@ -100,6 +111,13 @@ class Node2VecApp : public WalkApp {
   // Fixed-point scale applied to all Node2Vec weights.
   static constexpr Weight kWeightScale = 256;
 
+  // OK iff Node2VecApp(p, q) can walk `graph`: p and q are positive with
+  // round(kWeightScale / p) and round(kWeightScale / q) nonzero 32-bit
+  // weights (so p, q <= 512), and no edge weight times the largest of
+  // the three scales overflows Weight, so Eq. 2 never wraps.
+  static Status Validate(double p, double q, const CsrGraph& graph);
+
+  // Requires that 256/p and 256/q round to nonzero 32-bit weights.
   Node2VecApp(double p, double q);
 
   std::string name() const override { return "Node2Vec"; }
@@ -107,6 +125,12 @@ class Node2VecApp : public WalkApp {
   Weight DynamicWeight(const CsrGraph& graph, const WalkState& state,
                        VertexId dst, Weight static_weight,
                        Relation relation) const override;
+
+  // One binary search into N(prev) at the run's first neighbor, then a
+  // cursor that only moves forward: a linear merge while the rest of
+  // N(prev) is short against the run, galloping search otherwise.
+  void DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                      uint32_t first, std::span<Weight> out) const override;
 
   bool needs_prev_neighbors() const override { return true; }
 

@@ -23,6 +23,13 @@ using graph::VertexId;
 using graph::Weight;
 
 // Reusable per-engine sampling unit. Not thread-safe.
+//
+// Dynamic weights are evaluated one chunk of whole k-lane batches at a
+// time (WalkApp::DynamicWeights), then offered to the WRS lanes batch by
+// batch at the same stream offsets as one batch at a time would: the
+// draws and the selection do not depend on the chunk size. The chunk is
+// a constant, not the degree, so a sampler's buffer stays small however
+// large the graph's hubs are (ClusterSim holds one per walker slot).
 class StepSampler {
  public:
   // Lane j of the PWRS draws from rng stream j; `rng` must expose at least
@@ -39,7 +46,7 @@ class StepSampler {
 
  private:
   sampling::ParallelWrsSampler pwrs_;
-  std::vector<Weight> batch_;
+  std::vector<Weight> chunk_;  // whole k-lane batches, about 256 edges
 };
 
 }  // namespace lightrw::core

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "apps/ppr.h"
 #include "apps/walk_app.h"
+#include "apps/weighted_metapath.h"
 #include "graph/builder.h"
+#include "graph/generators.h"
 
 namespace lightrw::apps {
 namespace {
@@ -93,6 +101,141 @@ TEST(Node2VecAppTest, FractionalScalesRound) {
   state.prev = 1;
   // 1/p = 85.33/256, rounds to 85.
   EXPECT_EQ(app.DynamicWeight(g, state, 1, 1, 0), 85u);
+}
+
+TEST(Node2VecAppTest, ValidateRejectsUnusableParams) {
+  const CsrGraph g = MakeLabeledTriangle();
+  EXPECT_TRUE(Node2VecApp::Validate(2.0, 0.5, g).ok());
+  EXPECT_TRUE(Node2VecApp::Validate(512.0, 512.0, g).ok());  // scale 1
+  for (const auto& [p, q] : {std::pair{1000.0, 1.0}, std::pair{1.0, 0.0},
+                             std::pair{-1.0, 1.0}, std::pair{1.0, 1e-12}}) {
+    const Status status = Node2VecApp::Validate(p, q, g);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << p << " " << q;
+  }
+}
+
+TEST(Node2VecAppTest, ValidateRejectsWrappingWeights) {
+  // 2^23 * 512 (q = 0.5) is 2^32: Eq. 2c would wrap 0 -> 2 to weight 0.
+  GraphBuilder builder(3, false);
+  builder.AddEdge(1, 0, 1);
+  builder.AddEdge(0, 1, 1);
+  builder.AddEdge(0, 2, 1u << 23);
+  builder.AddEdge(2, 0, 1);
+  const CsrGraph g = std::move(builder).Build();
+  const Status status = Node2VecApp::Validate(2.0, 0.5, g);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(status.message().find("overflow"), std::string::npos);
+  // With q = 1 the largest scale is 256 and 2^23 * 256 fits.
+  EXPECT_TRUE(Node2VecApp::Validate(2.0, 1.0, g).ok());
+}
+
+// Weights of out-edges [first, first + n) of state.curr, one DynamicWeight
+// call per edge: the reference every DynamicWeights must reproduce.
+std::vector<Weight> PerEdgeWeights(const WalkApp& app, const CsrGraph& g,
+                                   const WalkState& state) {
+  const auto dsts = g.Neighbors(state.curr);
+  const auto weights = g.NeighborWeights(state.curr);
+  const auto relations = g.NeighborRelations(state.curr);
+  std::vector<Weight> out(dsts.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = app.DynamicWeight(g, state, dsts[i], weights[i], relations[i]);
+  }
+  return out;
+}
+
+// For every curr, every prev (none, then each vertex) and runs of 1, 16
+// (a common k), 256 (a sampler chunk) and the whole degree, the runs of
+// DynamicWeights must equal the per-edge weights; empty runs are no-ops.
+void ExpectRunsMatchPerEdge(const WalkApp& app, const CsrGraph& g) {
+  SCOPED_TRACE(app.name());
+  const VertexId n = g.num_vertices();
+  std::vector<Weight> got;
+  for (VertexId curr = 0; curr < n; ++curr) {
+    const uint32_t degree = g.Degree(curr);
+    for (VertexId p = 0; p <= n; ++p) {
+      WalkState state;
+      state.curr = curr;
+      state.prev = p == n ? graph::kInvalidVertex : p;
+      state.step = (curr + p) % 3;  // within and past a 2-step path
+      const std::vector<Weight> want = PerEdgeWeights(app, g, state);
+      for (const uint32_t run : {1u, 16u, 256u, std::max(degree, 1u)}) {
+        got.assign(degree, 0);
+        for (uint32_t first = 0; first < degree; first += run) {
+          const uint32_t len = std::min(run, degree - first);
+          app.DynamicWeights(g, state, first, {got.data() + first, len});
+        }
+        ASSERT_EQ(got, want) << "curr " << curr << " prev " << p
+                             << " run " << run;
+      }
+      app.DynamicWeights(g, state, 0, {});
+      app.DynamicWeights(g, state, degree, {});
+    }
+  }
+}
+
+// Runs ExpectRunsMatchPerEdge for every app on `g`.
+void ExpectAllAppsMatchPerEdge(const CsrGraph& g) {
+  std::vector<std::unique_ptr<WalkApp>> apps;
+  for (const auto& [p, q] : {std::pair{2.0, 0.5}, std::pair{1.0, 1.0},
+                             std::pair{0.25, 4.0}, std::pair{512.0, 0.01}}) {
+    apps.push_back(std::make_unique<Node2VecApp>(p, q));
+  }
+  apps.push_back(std::make_unique<MetaPathApp>(MakeRandomRelationPath(g, 2,
+                                                                      7)));
+  WeightedMetaPathApp::RelationTable table;
+  for (size_t r = 0; r < table.size(); ++r) {
+    table[r] = static_cast<Weight>(r % 3);
+  }
+  apps.push_back(std::make_unique<WeightedMetaPathApp>(
+      std::vector<WeightedMetaPathApp::RelationTable>{table, table}));
+  apps.push_back(std::make_unique<PprApp>(0.15));
+  apps.push_back(std::make_unique<StaticWalkApp>());
+  for (const auto& app : apps) {
+    ExpectRunsMatchPerEdge(*app, g);
+  }
+}
+
+// The RMAT edges of `options`, plus a self-loop on every third vertex.
+// GraphBuilder keeps one edge per (u, v), so a CSR row holds no
+// multi-edges; the repeated AddEdge calls below check that too.
+CsrGraph RmatWithSelfLoops(const graph::RmatOptions& options) {
+  const CsrGraph rmat = graph::GenerateRmat(options);
+  GraphBuilder builder(rmat.num_vertices(), /*undirected=*/false);
+  for (VertexId u = 0; u < rmat.num_vertices(); ++u) {
+    const auto dsts = rmat.Neighbors(u);
+    const auto weights = rmat.NeighborWeights(u);
+    const auto relations = rmat.NeighborRelations(u);
+    for (size_t i = 0; i < dsts.size(); ++i) {
+      builder.AddEdge(u, dsts[i], weights[i], relations[i]);
+      builder.AddEdge(u, dsts[i], weights[i] + 1, relations[i]);
+    }
+    if (u % 3 == 0) {
+      builder.AddEdge(u, u, 1 + u % 7, static_cast<Relation>(u % 4));
+    }
+  }
+  CsrGraph g = std::move(builder).Build();
+  EXPECT_EQ(g.num_edges(),
+            rmat.num_edges() + (rmat.num_vertices() + 2) / 3);
+  return g;
+}
+
+TEST(DynamicWeightsTest, UndirectedRmatWithHubsAndSelfLoops) {
+  graph::RmatOptions options;
+  options.scale = 8;
+  options.edge_factor = 16;
+  options.undirected = true;
+  options.seed = 11;
+  const CsrGraph g = RmatWithSelfLoops(options);
+  // A hub's N(prev) is over 8x a 16-edge run, so Node2Vec gallops.
+  ASSERT_GT(g.max_degree(), 8u * 16);
+  ExpectAllAppsMatchPerEdge(g);
+}
+
+TEST(DynamicWeightsTest, DirectedRmatWithSelfLoops) {
+  graph::RmatOptions options;
+  options.scale = 8;
+  options.seed = 12;
+  ExpectAllAppsMatchPerEdge(RmatWithSelfLoops(options));
 }
 
 TEST(StaticWalkAppTest, PassesWeightThrough) {

@@ -40,6 +40,21 @@ expect "unknown flag" 1 "$TOOL" --bogus-flag
 expect "malformed flag value" 1 "$TOOL" --length abc
 expect "unknown engine" 1 "$TOOL" --engine bogus $BASE
 expect "unknown app" 1 "$TOOL" --app bogus --rmat_scale 8
+# App parameters outside what the weight functions take are rejected
+# before the app is built: 256/p must round to a nonzero scale.
+expect "node2vec p too large" 1 "$TOOL" $BASE --app node2vec --p 1000
+expect "node2vec zero q" 1 "$TOOL" $BASE --app node2vec --q 0
+expect "ppr zero alpha" 1 "$TOOL" $BASE --app ppr --alpha 0
+expect "ppr alpha of one" 1 "$TOOL" $BASE --app ppr --alpha 1
+# Node2Vec's fixed-point weights must fit 32 bits: 2^23 * 512 (q=0.5)
+# would wrap to 0 and make the likeliest edge unsampleable.
+GRAPH="/tmp/walk_tool_graph_$$.txt"
+printf '1 0 1\n0 1 1\n0 2 8388608\n2 0 1\n' > "$GRAPH"
+expect "node2vec weight overflow" 1 "$TOOL" --engine lightrw-sim \
+  --graph "$GRAPH" --app node2vec --length 2
+expect "deepwalk on the same weights" 0 "$TOOL" --engine lightrw-sim \
+  --graph "$GRAPH" --app deepwalk --length 2
+rm -f "$GRAPH"
 expect "bad walk length" 1 "$TOOL" --length 0 --rmat_scale 8
 expect "bad rmat scale" 1 "$TOOL" --rmat_scale 99
 expect "missing graph file" 1 "$TOOL" --graph /nonexistent/edges.txt
