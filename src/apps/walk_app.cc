@@ -12,7 +12,7 @@ namespace lightrw::apps {
 namespace {
 
 // round(Node2VecApp::kWeightScale / x) if x is positive and that is a
-// nonzero Weight; 0 otherwise (NaN fails both comparisons).
+// nonzero Weight; 0 otherwise (a NaN fails every comparison).
 Weight FixedPointScale(double x) {
   const double scale = std::round(Node2VecApp::kWeightScale / x);
   return x > 0.0 && scale >= 1.0 && scale <= UINT32_MAX

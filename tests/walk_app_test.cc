@@ -129,8 +129,8 @@ TEST(Node2VecAppTest, ValidateRejectsWrappingWeights) {
   EXPECT_TRUE(Node2VecApp::Validate(2.0, 1.0, g).ok());
 }
 
-// Weights of out-edges [first, first + n) of state.curr, one DynamicWeight
-// call per edge: the reference every DynamicWeights must reproduce.
+// Weights of every out-edge of state.curr, one DynamicWeight call per
+// edge: the reference every DynamicWeights must reproduce.
 std::vector<Weight> PerEdgeWeights(const WalkApp& app, const CsrGraph& g,
                                    const WalkState& state) {
   const auto dsts = g.Neighbors(state.curr);
