@@ -218,8 +218,8 @@ TEST(GoldenTest, CycleEngineNode2VecRefetchPins) {
               2626, 0x233293e1cb60b3a1ULL});
 }
 
-// The two other StepSampler drivers on the Node2Vec weight path: a
-// partitioned cluster (per-walker samplers, migrations between boards)
+// The two other engines that sample Node2Vec steps through StepSampler:
+// a partitioned cluster (per-walker samplers, migrations between boards)
 // and the untimed functional engine.
 TEST(GoldenTest, DistributedEngineNode2VecPartitionedPins) {
   const apps::Node2VecApp app(2.0, 0.5);
