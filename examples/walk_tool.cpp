@@ -1,10 +1,25 @@
 // Command-line walk driver: load or generate a graph, run any of the
-// supported walk applications on the chosen engine, and optionally save
-// the walk corpus.
+// supported walk applications on the chosen engine, and write the
+// selected exports.
 //
 //   ./examples/walk_tool --help
 //   ./examples/walk_tool --graph edges.txt --app node2vec --length 40
-//       --queries 10000 --engine lightrw --out corpus.txt  (one line)
+//       --queries 10000 --engine lightrw --exports corpus  (one line)
+//
+// --exports is a comma list of the files to write, each under a fixed
+// name in --out-dir (default: the working directory; it must exist):
+//   corpus      corpus.txt       the walks, one per line
+//   metrics     metrics.json     metrics snapshot, also as Prometheus
+//               metrics.prom     text
+//   trace       trace.json       Chrome trace of the simulated pipeline
+//   spans       spans.json       per-query spans, critical-path
+//                                attribution, burn-rate alerts and the
+//                                membership log
+//   timeseries  timeseries.json  windowed series, exemplars and
+//               timeseries.om    incidents, also as OpenMetrics text
+//   perf        perf.json        wall-clock PERF report of the run
+// A chaos campaign writes `chaos` (chaos.json, the campaign report) and
+// `spans` (spans.json, scenario 0's span document) instead.
 //
 // Fault injection (--fault-*) drives the reliability subsystem: DRAM ECC
 // errors on any simulated engine, plus link faults and board deaths
@@ -16,8 +31,14 @@
 // chaos scenario); 2 SLO breach (engine=service); 3 partial data (the
 // run completed but lost walks to injected faults).
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,18 +129,27 @@ bool ParseStrategy(const std::string& name,
   return true;
 }
 
-// Parses a comma-separated list of non-negative integers ("" = empty).
-// False (with a one-line stderr reason) on malformed input.
-bool ParseUintList(const std::string& flag, const std::string& text,
-                   std::vector<uint64_t>* out) {
-  out->clear();
+// The items of a comma-separated list ("" = none).
+std::vector<std::string> SplitList(const std::string& text) {
+  std::vector<std::string> items;
   size_t pos = 0;
   while (pos < text.size()) {
     size_t end = text.find(',', pos);
     if (end == std::string::npos) {
       end = text.size();
     }
-    const std::string item = text.substr(pos, end - pos);
+    items.push_back(text.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return items;
+}
+
+// Parses a comma-separated list of non-negative integers ("" = empty).
+// False (with a one-line stderr reason) on malformed input.
+bool ParseUintList(const std::string& flag, const std::string& text,
+                   std::vector<uint64_t>* out) {
+  out->clear();
+  for (const std::string& item : SplitList(text)) {
     if (item.empty() || item.find_first_not_of("0123456789") !=
                             std::string::npos) {
       std::fprintf(stderr, "--%s: '%s' is not a non-negative integer\n",
@@ -127,7 +157,66 @@ bool ParseUintList(const std::string& flag, const std::string& text,
       return false;
     }
     out->push_back(std::stoull(item));
-    pos = end + 1;
+  }
+  return true;
+}
+
+// The exports --exports can name in a single run and in a chaos campaign.
+constexpr const char* kRunExports =
+    "corpus,metrics,trace,spans,timeseries,perf";
+constexpr const char* kChaosExports = "chaos,spans";
+
+// Parses the --exports list; false (with a one-line stderr reason) for a
+// name that is not in the `offered` list.
+bool ParseExports(const std::string& text, const std::string& offered,
+                  std::set<std::string>* selected) {
+  const std::vector<std::string> names = SplitList(offered);
+  for (const std::string& name : SplitList(text)) {
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      std::fprintf(stderr, "--exports: '%s' is not one of %s\n", name.c_str(),
+                   offered.c_str());
+      return false;
+    }
+    selected->insert(name);
+  }
+  return true;
+}
+
+// One file an export writes: the export's name, the file's fixed name
+// under --out-dir, and how to write it to a path.
+struct ExportFile {
+  const char* export_name;
+  const char* file;
+  std::function<Status(const std::string& path)> write;
+};
+
+// Writes the text `render()` returns, rendered only when it is written.
+std::function<Status(const std::string&)> TextWriter(
+    std::function<std::string()> render) {
+  return [render = std::move(render)](const std::string& path) {
+    return obs::WriteTextFile(render(), path);
+  };
+}
+
+// The one write path of every output file: writes, in order, each of
+// `files` whose export is `selected`. False, with a one-line stderr
+// reason, at the first file that fails.
+bool WriteExports(const std::string& dir,
+                  const std::set<std::string>& selected,
+                  const std::vector<ExportFile>& files) {
+  for (const ExportFile& file : files) {
+    if (!selected.contains(file.export_name)) {
+      continue;
+    }
+    const std::string path =
+        (std::filesystem::path(dir) / file.file).string();
+    const Status written = file.write(path);
+    if (!written.ok()) {
+      std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
+                   written.ToString().c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
   }
   return true;
 }
@@ -191,16 +280,6 @@ bool FaultsFromFlags(const FlagParser& flags,
   return true;
 }
 
-// The one error path of every output file the tool writes: false, with
-// a one-line stderr reason, when `written` failed.
-bool Wrote(const char* what, const Status& written) {
-  if (!written.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", what,
-                 written.ToString().c_str());
-  }
-  return written.ok();
-}
-
 void PrintReliabilitySummary(const reliability::ReliabilityStats& rel) {
   if (!rel.Any()) {
     return;
@@ -260,104 +339,76 @@ int ReliabilityExitCode(const reliability::ReliabilityStats& rel) {
   return 0;
 }
 
+// One-repeat PERF report of a finished run: the body replays its
+// counters while the FakeClock replays the measured wall time, so the
+// report goes through the exact aggregation and schema path the CI perf
+// gate consumes.
+std::string PerfReportText(const std::string& engine,
+                           const perf::WorkCounters& counters,
+                           double elapsed_seconds) {
+  perf::FakeClock clock({0, static_cast<uint64_t>(elapsed_seconds * 1e9)});
+  perf::RepeatConfig repeat_config;
+  repeat_config.warmup = 0;
+  repeat_config.repeats = 1;
+  const perf::WorkloadResult measured = perf::MeasureWorkload(
+      engine, repeat_config, &clock, [&counters]() { return counters; });
+  return perf::PerfReport("walk_tool", {measured}).Dump(2) + "\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr int64_t kMaxU32 = UINT32_MAX;
   FlagParser flags;
   flags.Define("graph", "edge list file to load (empty: generate rmat)", "");
   flags.DefineBool("undirected", "treat the edge list as undirected", false);
-  flags.DefineInt("rmat_scale", "generated graph scale (2^scale vertices)",
-                  14);
+  flags.DefineInt("rmat_scale", "generated graph scale (2^scale vertices)", 14,
+                  1, 28);
   flags.Define("app", "walk app: deepwalk|node2vec|metapath|ppr",
                "node2vec");
   flags.Define("engine",
                "walk engine: cpu|lightrw|lightrw-sim|distributed|service",
                "lightrw");
-  flags.DefineInt("length", "walk length (steps)", 40);
-  flags.DefineInt("queries", "number of queries (0 = one per vertex)", 0);
+  flags.DefineInt("length", "walk length (steps)", 40, 1, kMaxU32);
+  flags.DefineInt("queries", "number of queries (0 = one per vertex)", 0, 0,
+                  kMaxU32);
   flags.DefineDouble("p", "node2vec return parameter", 2.0);
   flags.DefineDouble("q", "node2vec in-out parameter", 0.5);
   flags.DefineDouble("alpha", "ppr stop probability", 0.15);
-  flags.DefineInt("seed", "random seed", 42);
-  flags.Define("out", "write the walk corpus to this file (text)", "");
+  flags.DefineInt("seed", "random seed", 42, 0, INT64_MAX);
   flags.DefineBool("report", "print the full accelerator run report", false);
-  flags.Define("metrics-out",
-               "write a metrics snapshot (JSON; .prom suffix selects "
-               "Prometheus text) to this file",
-               "");
-  flags.Define("trace-out",
-               "write a Chrome trace_event JSON file (open in Perfetto) "
-               "of the simulated pipeline to this file",
-               "");
-  flags.DefineInt("trace-limit", "max trace events kept (0 = disable)",
-                  1048576);
-  flags.Define("perf-out",
-               "write a wall-clock perf report for this run (PERF JSON "
-               "schema, single repeat; see src/perf/perf_harness.h)",
-               "");
-  flags.Define("spans-out",
-               "write per-query spans, critical-path attribution, and "
-               "burn-rate alerts as JSON to this file "
-               "(engine=distributed|service)",
+  flags.Define("out-dir",
+               "existing directory the selected exports are written to", ".");
+  flags.Define("exports",
+               "comma list of files to write under --out-dir: "
+               "corpus,metrics,trace,spans,timeseries,perf (a chaos "
+               "campaign: chaos,spans); see the walk_tool header",
                "");
   flags.Define("span-mode",
                "span retention: all|breached (breached = flight recorder: "
                "keep spans only for deadline-missed/shed/failed queries)",
                "all");
-  flags.DefineDouble("burn-alert-budget",
-                     "SLO error budget: allowed breach fraction for "
-                     "burn-rate alerting",
-                     0.01);
-  flags.DefineDouble("burn-alert-threshold",
-                     "fire the SLO alert while breach_rate/budget exceeds "
-                     "this in both windows",
-                     2.0);
-  flags.DefineInt("burn-alert-fast-window",
-                  "fast burn-rate window in simulated cycles", 16384);
-  flags.DefineInt("burn-alert-slow-window",
-                  "slow burn-rate window in simulated cycles", 131072);
-  flags.Define("timeseries-out",
-               "write windowed time series, exemplars, and detected "
-               "incidents as JSON (schema timeseries.v1) to this file "
-               "(cycle-accurate engines only)",
-               "");
-  flags.Define("timeseries-openmetrics-out",
-               "write the windowed time series as OpenMetrics text with "
-               "exemplars to this file",
-               "");
   flags.DefineInt("scrape-interval",
-                  "simulated-cycle width of one telemetry scrape window",
-                  4096);
-  flags.DefineDouble("anomaly-alpha",
-                     "EWMA smoothing factor of the incident detector, in "
-                     "(0, 1]",
-                     0.3);
-  flags.DefineDouble("anomaly-z-open",
-                     "robust z-score at or above which an incident opens",
-                     6.0);
-  flags.DefineDouble("anomaly-z-close",
-                     "robust z-score below which a window counts as calm",
-                     3.0);
-  flags.DefineInt("anomaly-warmup",
-                  "windows observed per series before incidents may open",
-                  4);
-  flags.DefineInt("boards", "simulated boards (engine=distributed)", 4);
+                  "simulated-cycle width of one telemetry scrape window", 4096,
+                  1, INT64_MAX);
+  flags.DefineInt("boards", "simulated boards (engine=distributed|service)", 4,
+                  1, 1024);
   flags.DefineInt("threads",
                   "host worker threads for sharded simulation (0 = "
                   "LIGHTRW_SIM_THREADS env, else 1); results are "
                   "bit-identical for every value",
-                  0);
+                  0, 0, SimThreadPool::kMaxThreads);
   flags.DefineInt("service-shards",
                   "independent admission shards (engine=service; must "
                   "divide --boards evenly; > 1 requires --replicate)",
-                  1);
+                  1, 1, 1024);
   flags.Define("partition",
                "graph partitioning strategy: hash|range|greedy "
-               "(engine=distributed)",
+               "(engine=distributed|service)",
                "greedy");
   flags.DefineBool("replicate",
                    "replicate the full graph on every board "
-                   "(engine=distributed)",
+                   "(engine=distributed|service)",
                    false);
   flags.DefineDouble("service-rate",
                      "offered arrival rate in queries per 1024 simulated "
@@ -366,15 +417,15 @@ int main(int argc, char** argv) {
   flags.DefineInt("service-deadline",
                   "per-query deadline in simulated cycles after arrival "
                   "(0 = none; engine=service)",
-                  0);
+                  0, 0, INT64_MAX);
   flags.DefineInt("service-queue-cap",
                   "bounded admission queue capacity per board "
                   "(engine=service)",
-                  64);
+                  64, 0, 1 << 16);
   flags.DefineInt("service-retries",
                   "re-admissions allowed per bounced or failed query "
                   "(engine=service)",
-                  2);
+                  2, 0, kMaxU32);
   flags.DefineBool("service-degrade",
                    "degrade best-effort queries under congestion "
                    "(engine=service)",
@@ -390,9 +441,10 @@ int main(int argc, char** argv) {
   flags.DefineInt("service-burst-on",
                   "burst phase length in cycles (0 = steady arrivals; "
                   "engine=service)",
-                  0);
+                  0, 0, INT64_MAX);
   flags.DefineInt("service-burst-off",
-                  "inter-burst gap length in cycles (engine=service)", 0);
+                  "inter-burst gap length in cycles (engine=service)", 0, 0,
+                  INT64_MAX);
   flags.DefineDouble("slo-max-shed",
                      "exit 2 if the shed rate exceeds this fraction "
                      "(engine=service)",
@@ -401,7 +453,7 @@ int main(int argc, char** argv) {
                      "exit 2 if the deadline violation rate exceeds this "
                      "fraction (engine=service)",
                      1.0);
-  flags.DefineInt("fault-seed", "fault schedule seed", 1);
+  flags.DefineInt("fault-seed", "fault schedule seed", 1, 0, INT64_MAX);
   flags.DefineDouble("fault-dram-correctable",
                      "correctable ECC error probability per DRAM access",
                      0.0);
@@ -415,7 +467,7 @@ int main(int argc, char** argv) {
   flags.DefineInt("fault-checkpoint-interval",
                   "walker checkpoint cadence in cycles (0 = no "
                   "checkpoints: recovering walkers lose their walk)",
-                  65536);
+                  65536, 0, INT64_MAX);
   flags.Define("fault-fail-cycles",
                "comma-separated board-death cycles (paired with "
                "--fault-fail-boards) for cascading failures",
@@ -434,14 +486,15 @@ int main(int argc, char** argv) {
                    "all-owner-death restriction when spares exist)",
                    false);
   flags.DefineInt("ckpt-generations",
-                  "checkpoint generations retained per walker", 3);
-  flags.DefineInt("ckpt-replicas", "replicas per checkpoint record", 2);
-  flags.DefineInt("ckpt-write-latency",
-                  "modeled store write latency in cycles", 256);
+                  "checkpoint generations retained per walker", 3, 0, kMaxU32);
+  flags.DefineInt("ckpt-replicas", "replicas per checkpoint record", 2, 0,
+                  kMaxU32);
+  flags.DefineInt("ckpt-write-latency", "modeled store write latency in cycles",
+                  256, 0, kMaxU32);
   flags.DefineInt("ckpt-read-latency",
                   "modeled store read latency in cycles per record "
                   "examined",
-                  512);
+                  512, 0, kMaxU32);
   flags.DefineDouble("ckpt-torn-rate",
                      "torn-write probability per staged replica write",
                      0.0);
@@ -454,14 +507,14 @@ int main(int argc, char** argv) {
                      0.0);
   flags.DefineInt("ckpt-scrub-interval",
                   "background scrub cadence in cycles (0 = no scrubbing)",
-                  16384);
+                  16384, 0, INT64_MAX);
   flags.DefineDouble("ckpt-scrub-bytes",
                      "scrub bandwidth budget in bytes per cycle", 64.0);
   flags.DefineInt("spare-boards",
                   "hot spare boards that rebuild a dead board's "
                   "partition share and take over its identity "
                   "(engine=distributed|service)",
-                  0);
+                  0, 0, 256);
   flags.DefineDouble("rebuild-bytes-per-cycle",
                      "partition-rebuild bandwidth in bytes per simulated "
                      "cycle",
@@ -469,15 +522,10 @@ int main(int argc, char** argv) {
   flags.DefineInt("chaos-scenarios",
                   "run the seeded chaos campaign with this many "
                   "scenarios instead of a single workload (0 = off)",
-                  0);
-  flags.DefineInt("chaos-seed", "chaos campaign seed", 1);
+                  0, 0, 4096);
+  flags.DefineInt("chaos-seed", "chaos campaign seed", 1, 0, INT64_MAX);
   flags.DefineInt("chaos-spares",
-                  "max hot spares a chaos scenario may configure", 2);
-  flags.Define("chaos-out",
-               "write the chaos campaign report (JSON) to this file", "");
-  flags.Define("chaos-spans-out",
-               "write scenario 0's span + membership JSON to this file",
-               "");
+                  "max hot spares a chaos scenario may configure", 2, 0, 256);
   flags.DefineBool("help", "print usage", false);
 
   const Status parsed = flags.Parse(argc, argv);
@@ -491,15 +539,30 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int64_t raw_threads = flags.GetInt("threads");
-  if (raw_threads < 0 ||
-      raw_threads > static_cast<int64_t>(SimThreadPool::kMaxThreads)) {
-    std::fprintf(stderr, "--threads must be in [0, %u], got %lld\n",
-                 SimThreadPool::kMaxThreads,
-                 static_cast<long long>(raw_threads));
+  // Everything a run writes is chosen and checked before it starts.
+  const bool chaos_mode = flags.GetInt("chaos-scenarios") > 0;
+  std::set<std::string> exports;
+  if (!ParseExports(flags.GetString("exports"),
+                    chaos_mode ? kChaosExports : kRunExports, &exports)) {
     return 1;
   }
-  const uint32_t threads = static_cast<uint32_t>(raw_threads);
+  const std::string out_dir = flags.GetString("out-dir");
+  if (!std::filesystem::is_directory(out_dir)) {
+    std::fprintf(stderr, "--out-dir '%s' is not an existing directory\n",
+                 out_dir.c_str());
+    return 1;
+  }
+  obs::SpanConfig span_config;
+  const std::string span_mode = flags.GetString("span-mode");
+  if (span_mode == "breached") {
+    span_config.mode = obs::SpanMode::kBreached;
+  } else if (span_mode != "all") {
+    std::fprintf(stderr, "unknown span mode '%s' (expected all|breached)\n",
+                 span_mode.c_str());
+    return 1;
+  }
+
+  const auto threads = static_cast<uint32_t>(flags.GetInt("threads"));
   if (threads > 0) {
     SimThreadPool::SetDefaultThreads(threads);
   }
@@ -516,14 +579,8 @@ int main(int argc, char** argv) {
     }
     g = std::move(loaded).value();
   } else {
-    const int64_t scale = flags.GetInt("rmat_scale");
-    if (scale < 1 || scale > 28) {
-      std::fprintf(stderr, "--rmat_scale must be in [1, 28], got %lld\n",
-                   static_cast<long long>(scale));
-      return 1;
-    }
     graph::RmatOptions options;
-    options.scale = static_cast<uint32_t>(scale);
+    options.scale = static_cast<uint32_t>(flags.GetInt("rmat_scale"));
     options.seed = flags.GetInt("seed");
     g = graph::GenerateRmat(options);
   }
@@ -534,41 +591,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int64_t raw_length = flags.GetInt("length");
-  const int64_t raw_queries = flags.GetInt("queries");
-  if (raw_length < 1 || raw_queries < 0) {
-    std::fprintf(stderr,
-                 "--length must be >= 1 and --queries >= 0 (got %lld, "
-                 "%lld)\n",
-                 static_cast<long long>(raw_length),
-                 static_cast<long long>(raw_queries));
-    return 1;
-  }
-  const uint32_t length = static_cast<uint32_t>(raw_length);
+  const auto length = static_cast<uint32_t>(flags.GetInt("length"));
+  const auto num_queries = static_cast<uint32_t>(flags.GetInt("queries"));
+  const auto boards = static_cast<distributed::BoardId>(flags.GetInt("boards"));
 
   // Chaos campaign: N seeded failure scenarios with machine-checked
   // invariants, replacing the single-workload run entirely.
-  const int64_t chaos_scenarios = flags.GetInt("chaos-scenarios");
-  if (chaos_scenarios > 0) {
-    const int64_t chaos_boards = flags.GetInt("boards");
-    if (chaos_boards < 2 || chaos_boards > 1024) {
-      std::fprintf(stderr,
-                   "--boards must be in [2, 1024] for a chaos campaign, "
-                   "got %lld\n",
-                   static_cast<long long>(chaos_boards));
-      return 1;
-    }
+  if (chaos_mode) {
     reliability::ChaosConfig chaos;
     chaos.seed = static_cast<uint64_t>(flags.GetInt("chaos-seed"));
-    chaos.num_scenarios = static_cast<uint32_t>(chaos_scenarios);
-    chaos.num_boards = static_cast<distributed::BoardId>(chaos_boards);
+    chaos.num_scenarios =
+        static_cast<uint32_t>(flags.GetInt("chaos-scenarios"));
+    chaos.num_boards = boards;
     chaos.max_spare_boards =
         static_cast<uint32_t>(flags.GetInt("chaos-spares"));
-    chaos.num_queries =
-        raw_queries > 0 ? static_cast<uint32_t>(raw_queries) : 256;
+    chaos.num_queries = num_queries > 0 ? num_queries : 256;
     chaos.walk_length = length;
-    const auto campaign =
-        reliability::RunChaosCampaign(g, *app, chaos);
+    const auto campaign = reliability::RunChaosCampaign(g, *app, chaos);
     if (!campaign.ok()) {
       std::fprintf(stderr, "chaos campaign failed: %s\n",
                    campaign.status().ToString().c_str());
@@ -584,23 +623,14 @@ int main(int argc, char** argv) {
     std::printf("chaos campaign: %zu/%zu scenario(s) passed\n",
                 campaign->scenarios.size() - campaign->failures,
                 campaign->scenarios.size());
-    const std::string chaos_out = flags.GetString("chaos-out");
-    if (!chaos_out.empty()) {
-      if (!Wrote("chaos report",
-                 obs::WriteTextFile(campaign->ToJson().Dump(2) + "\n",
-                                    chaos_out))) {
-        return 1;
-      }
-      std::printf("wrote chaos report to %s\n", chaos_out.c_str());
-    }
-    const std::string chaos_spans_out = flags.GetString("chaos-spans-out");
-    if (!chaos_spans_out.empty()) {
-      if (!Wrote("chaos spans",
-                 obs::WriteTextFile(campaign->sampled_span_json + "\n",
-                                    chaos_spans_out))) {
-        return 1;
-      }
-      std::printf("wrote chaos spans to %s\n", chaos_spans_out.c_str());
+    const std::vector<ExportFile> files = {
+        {"chaos", "chaos.json",
+         TextWriter([&] { return campaign->ToJson().Dump(2) + "\n"; })},
+        {"spans", "spans.json",
+         TextWriter([&] { return campaign->sampled_span_json + "\n"; })},
+    };
+    if (!WriteExports(out_dir, exports, files)) {
+      return 1;
     }
     return campaign->Passed() ? 0 : 1;
   }
@@ -611,114 +641,73 @@ int main(int argc, char** argv) {
   std::vector<apps::WalkQuery> queries;
   if (engine != "service") {
     queries = apps::MakeVertexQueries(g, length, flags.GetInt("seed"),
-                                      static_cast<size_t>(raw_queries));
+                                      num_queries);
     std::printf("app %s, %zu queries of length %u, engine %s\n",
                 app->name().c_str(), queries.size(), length, engine.c_str());
   }
 
-  // Observability sinks, shared by every engine path. The trace only
-  // fills for the cycle-accurate engines (the CPU path has no simulated
-  // clock to stamp events with).
+  // Observability sinks, attached only when their export is selected.
+  // The trace only fills for the cycle-accurate engines (the CPU path has
+  // no simulated clock to stamp events with) and spans only for the
+  // cluster engines. Spans drive the critical-path analyzer and the SLO
+  // burn-rate monitor after the run; the engines scrape their live
+  // series every --scrape-interval cycles into the time-series recorder.
   obs::MetricsRegistry metrics;
-  obs::TraceConfig trace_config;
-  trace_config.max_events =
-      static_cast<size_t>(flags.GetInt("trace-limit"));
-  obs::TraceRecorder trace(trace_config);
-  const std::string metrics_out = flags.GetString("metrics-out");
-  const std::string trace_out = flags.GetString("trace-out");
-
-  // Per-query span tracing (engine=distributed|service): spans drive the
-  // critical-path analyzer and SLO burn-rate monitor after the run.
-  const std::string spans_out = flags.GetString("spans-out");
-  obs::SpanConfig span_config;
-  const std::string span_mode = flags.GetString("span-mode");
-  if (span_mode == "breached") {
-    span_config.mode = obs::SpanMode::kBreached;
-  } else if (span_mode != "all") {
-    std::fprintf(stderr, "unknown span mode '%s' (expected all|breached)\n",
-                 span_mode.c_str());
-    return 1;
-  }
+  obs::TraceRecorder trace;
   obs::SpanRecorder spans(span_config);
-  obs::BurnRateConfig burn_config;
-  burn_config.budget = flags.GetDouble("burn-alert-budget");
-  burn_config.threshold = flags.GetDouble("burn-alert-threshold");
-  burn_config.fast_window_cycles =
-      static_cast<uint64_t>(flags.GetInt("burn-alert-fast-window"));
-  burn_config.slow_window_cycles =
-      static_cast<uint64_t>(flags.GetInt("burn-alert-slow-window"));
-  const Status burn_valid = obs::ValidateBurnRateConfig(burn_config);
-  if (!burn_valid.ok()) {
-    std::fprintf(stderr, "invalid burn-alert configuration: %s\n",
-                 burn_valid.ToString().c_str());
-    return 1;
-  }
-
-  // Simulated-time telemetry (engine=lightrw-sim|distributed|service):
-  // the engines scrape their live series every --scrape-interval cycles
-  // into the recorder; incidents and exemplars ride the exports.
-  const std::string timeseries_out = flags.GetString("timeseries-out");
-  const std::string openmetrics_out =
-      flags.GetString("timeseries-openmetrics-out");
-  const bool want_timeseries =
-      !timeseries_out.empty() || !openmetrics_out.empty();
   obs::TimeSeriesConfig ts_config;
-  const int64_t raw_interval = flags.GetInt("scrape-interval");
-  if (raw_interval < 1) {
-    std::fprintf(stderr, "--scrape-interval must be >= 1, got %lld\n",
-                 static_cast<long long>(raw_interval));
-    return 1;
-  }
-  ts_config.scrape_interval = static_cast<uint64_t>(raw_interval);
-  ts_config.anomaly_alpha = flags.GetDouble("anomaly-alpha");
-  ts_config.anomaly_z_open = flags.GetDouble("anomaly-z-open");
-  ts_config.anomaly_z_close = flags.GetDouble("anomaly-z-close");
-  const int64_t raw_warmup = flags.GetInt("anomaly-warmup");
-  if (!(ts_config.anomaly_alpha > 0.0) || ts_config.anomaly_alpha > 1.0 ||
-      !(ts_config.anomaly_z_close > 0.0) ||
-      ts_config.anomaly_z_open < ts_config.anomaly_z_close ||
-      raw_warmup < 0) {
-    std::fprintf(stderr,
-                 "invalid anomaly configuration: need alpha in (0, 1], "
-                 "z-open >= z-close > 0, warmup >= 0\n");
-    return 1;
-  }
-  ts_config.anomaly_warmup = static_cast<uint32_t>(raw_warmup);
+  ts_config.scrape_interval =
+      static_cast<uint64_t>(flags.GetInt("scrape-interval"));
   obs::TimeSeriesRecorder timeseries(ts_config);
+  const bool want_timeseries = exports.contains("timeseries");
   reliability::FaultConfig faults;
   if (!FaultsFromFlags(flags, &faults)) {
     return 1;
   }
-  const int64_t raw_spares = flags.GetInt("spare-boards");
-  if (raw_spares < 0 || raw_spares > 256) {
-    std::fprintf(stderr, "--spare-boards must be in [0, 256], got %lld\n",
-                 static_cast<long long>(raw_spares));
-    return 1;
-  }
   // The accelerator configuration every simulated engine starts from,
   // with the requested sinks attached. Engines ignore the sinks they
-  // cannot fill (only the cluster engines record spans).
+  // cannot fill.
   core::AcceleratorConfig accel_config;
   accel_config.seed = flags.GetInt("seed");
   accel_config.faults = faults;
   accel_config.num_threads = threads;
-  accel_config.metrics = metrics_out.empty() ? nullptr : &metrics;
-  accel_config.trace = trace_out.empty() ? nullptr : &trace;
-  accel_config.spans = spans_out.empty() ? nullptr : &spans;
+  accel_config.metrics = exports.contains("metrics") ? &metrics : nullptr;
+  accel_config.trace = exports.contains("trace") ? &trace : nullptr;
+  accel_config.spans = exports.contains("spans") ? &spans : nullptr;
   accel_config.timeseries = want_timeseries ? &timeseries : nullptr;
+
+  WallTimer timer;
+  // The cluster both board-level engines (distributed, service) run on:
+  // one single-instance board per --boards, the graph split by
+  // --partition unless --replicate copies it to every board.
+  distributed::DistributedConfig cluster;
+  cluster.board = accel_config;
+  cluster.board.num_instances = 1;
+  cluster.replicate_graph = flags.GetBool("replicate");
+  cluster.num_spare_boards =
+      static_cast<uint32_t>(flags.GetInt("spare-boards"));
+  cluster.rebuild_bytes_per_cycle = flags.GetDouble("rebuild-bytes-per-cycle");
+  cluster.num_threads = threads;
+  std::optional<distributed::Partition> partition;
+  if (engine == "distributed" || engine == "service") {
+    distributed::PartitionStrategy strategy;
+    if (!ParseStrategy(flags.GetString("partition"), &strategy)) {
+      return 1;
+    }
+    partition.emplace(distributed::MakePartition(g, boards, strategy));
+  }
 
   baseline::WalkOutput corpus;
   // Membership transitions of the run (distributed/service engines);
   // exported in the spans document so dashboards can line epochs up
   // with per-query spans.
   std::vector<reliability::MembershipTransition> membership;
-  WallTimer timer;
   int exit_code = 0;
   uint64_t perf_sim_cycles = 0;  // simulated cycles, where the engine has them
   if (engine == "cpu") {
     baseline::BaselineConfig config;
     config.seed = flags.GetInt("seed");
-    config.metrics = metrics_out.empty() ? nullptr : &metrics;
+    config.metrics = accel_config.metrics;
     baseline::BaselineEngine cpu(&g, app.get(), config);
     const auto stats = cpu.Run(queries, &corpus);
     std::printf("cpu engine: %llu steps in %.3fs (%.2f Msteps/s)\n",
@@ -760,28 +749,7 @@ int main(int argc, char** argv) {
     }
     exit_code = ReliabilityExitCode(stats.reliability);
   } else if (engine == "distributed") {
-    const int64_t boards = flags.GetInt("boards");
-    if (boards < 1 || boards > 1024) {
-      std::fprintf(stderr, "--boards must be in [1, 1024], got %lld\n",
-                   static_cast<long long>(boards));
-      return 1;
-    }
-    const std::string strategy_name = flags.GetString("partition");
-    distributed::PartitionStrategy strategy;
-    if (!ParseStrategy(strategy_name, &strategy)) {
-      return 1;
-    }
-    const distributed::Partition partition = distributed::MakePartition(
-        g, static_cast<distributed::BoardId>(boards), strategy);
-    distributed::DistributedConfig config;
-    config.board = accel_config;
-    config.board.num_instances = 1;
-    config.replicate_graph = flags.GetBool("replicate");
-    config.num_spare_boards = static_cast<uint32_t>(raw_spares);
-    config.rebuild_bytes_per_cycle =
-        flags.GetDouble("rebuild-bytes-per-cycle");
-    config.num_threads = threads;
-    distributed::DistributedEngine accel(&g, app.get(), &partition, config);
+    distributed::DistributedEngine accel(&g, app.get(), &*partition, cluster);
     const auto result = accel.Run(queries, &corpus);
     if (!result.ok()) {
       std::fprintf(stderr, "distributed run failed: %s\n",
@@ -790,10 +758,11 @@ int main(int argc, char** argv) {
     }
     const auto& stats = *result;
     std::printf(
-        "distributed (%lld board(s), %s): %llu steps, %llu migrations "
+        "distributed (%u board(s), %s): %llu steps, %llu migrations "
         "(%.1f%%), %llu cycles = %.4fs simulated (%.2f Msteps/s)\n",
-        static_cast<long long>(boards),
-        config.replicate_graph ? "replicated" : strategy_name.c_str(),
+        static_cast<unsigned>(boards),
+        cluster.replicate_graph ? "replicated"
+                                : flags.GetString("partition").c_str(),
         static_cast<unsigned long long>(stats.steps),
         static_cast<unsigned long long>(stats.migrations),
         stats.MigrationRatio() * 100.0,
@@ -804,31 +773,12 @@ int main(int argc, char** argv) {
     membership = stats.membership;
     exit_code = ReliabilityExitCode(stats.reliability);
   } else if (engine == "service") {
-    const int64_t boards = flags.GetInt("boards");
-    if (boards < 1 || boards > 1024) {
-      std::fprintf(stderr, "--boards must be in [1, 1024], got %lld\n",
-                   static_cast<long long>(boards));
-      return 1;
-    }
-    distributed::PartitionStrategy strategy;
-    if (!ParseStrategy(flags.GetString("partition"), &strategy)) {
-      return 1;
-    }
-    const distributed::Partition partition = distributed::MakePartition(
-        g, static_cast<distributed::BoardId>(boards), strategy);
     service::ServiceConfig config;
-    config.cluster.board = accel_config;
-    config.cluster.board.num_instances = 1;
-    config.cluster.replicate_graph = flags.GetBool("replicate");
-    config.cluster.num_spare_boards = static_cast<uint32_t>(raw_spares);
-    config.cluster.rebuild_bytes_per_cycle =
-        flags.GetDouble("rebuild-bytes-per-cycle");
-    config.cluster.num_threads = threads;
+    config.cluster = cluster;
     config.admission_shards =
         static_cast<uint32_t>(flags.GetInt("service-shards"));
     config.arrivals.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    config.arrivals.num_queries =
-        raw_queries > 0 ? static_cast<uint64_t>(raw_queries) : 1024;
+    config.arrivals.num_queries = num_queries > 0 ? num_queries : 1024;
     config.arrivals.walk_length = length;
     config.arrivals.rate_per_kcycle = flags.GetDouble("service-rate");
     config.arrivals.deadline_cycles =
@@ -852,12 +802,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("app %s, %llu offered queries of length %u at %.3f/kcycle, "
-                "engine service (%lld board(s))\n",
+                "engine service (%u board(s))\n",
                 app->name().c_str(),
                 static_cast<unsigned long long>(config.arrivals.num_queries),
                 length, config.arrivals.rate_per_kcycle,
-                static_cast<long long>(boards));
-    service::WalkService service(&g, app.get(), &partition, config);
+                static_cast<unsigned>(boards));
+    service::WalkService service(&g, app.get(), &*partition, config);
     const auto result = service.Run(&corpus);
     if (!result.ok()) {
       std::fprintf(stderr, "service run failed: %s\n",
@@ -900,123 +850,57 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!spans_out.empty()) {
+  obs::Json spans_doc;
+  if (exports.contains("spans")) {
     // Post-run span analysis: per-query critical paths, the breach
     // report, and the multi-window SLO burn-rate monitor over the
     // closed-trace summaries (kept for every query in every span mode).
     const obs::AttributionReport attribution =
         obs::AnalyzeCriticalPaths(spans);
     const std::vector<obs::BurnAlert> alerts =
-        obs::ComputeBurnAlerts(spans.Summaries(), burn_config);
+        obs::ComputeBurnAlerts(spans.Summaries(), obs::BurnRateConfig{});
     std::fputs(
         obs::FormatLatencyAttributionSection(attribution, alerts).c_str(),
         stdout);
-    if (!trace_out.empty()) {
-      // Fire the alert instants into the Chrome trace so burn-rate
-      // transitions line up with the pipeline timeline in Perfetto.
-      for (const obs::BurnAlert& alert : alerts) {
-        trace.Instant(alert.firing ? "slo_burn_fire" : "slo_burn_clear",
-                      "slo", /*pid=*/0, /*tid=*/0, alert.cycle);
-      }
+    for (const obs::BurnAlert& alert : alerts) {
+      // Burn-rate transitions line up with the pipeline timeline in
+      // Perfetto, and annotate every incident whose window they overlap.
+      const char* kind = alert.firing ? "slo_burn_fire" : "slo_burn_clear";
+      trace.Instant(kind, "slo", /*pid=*/0, /*tid=*/0, alert.cycle);
+      timeseries.Annotate(kind, alert.cycle, "");
     }
-    if (want_timeseries) {
-      // Cross-annotate incidents against the burn-rate transitions: an
-      // incident whose window overlaps an alert cycle carries it.
-      for (const obs::BurnAlert& alert : alerts) {
-        timeseries.Annotate(
-            alert.firing ? "slo_burn_fire" : "slo_burn_clear", alert.cycle,
-            "");
-      }
-    }
-    obs::Json doc = spans.ToJson();
-    doc.Set("attribution", attribution.ToJson());
-    doc.Set("burn_alerts", obs::BurnAlertsToJson(alerts));
-    doc.Set("membership", reliability::MembershipToJson(membership));
-    if (!Wrote("spans", obs::WriteTextFile(doc.Dump(2) + "\n", spans_out))) {
-      return 1;
-    }
-    std::printf("wrote %llu closed trace(s) to %s\n",
-                static_cast<unsigned long long>(spans.traces_closed()),
-                spans_out.c_str());
+    spans_doc = spans.ToJson();
+    spans_doc.Set("attribution", attribution.ToJson());
+    spans_doc.Set("burn_alerts", obs::BurnAlertsToJson(alerts));
+    spans_doc.Set("membership", reliability::MembershipToJson(membership));
   }
-  if (want_timeseries) {
-    const size_t incidents = timeseries.DetectIncidents().size();
-    if (!timeseries_out.empty()) {
-      if (!Wrote("timeseries", obs::WriteTextFile(timeseries.ToJsonString(2),
-                                                  timeseries_out))) {
-        return 1;
-      }
-      std::printf(
-          "wrote %llu telemetry window(s), %zu incident(s) to %s\n",
-          static_cast<unsigned long long>(timeseries.num_windows()),
-          incidents, timeseries_out.c_str());
-    }
-    if (!openmetrics_out.empty()) {
-      if (!Wrote("openmetrics", obs::WriteTextFile(
-                                    timeseries.ToOpenMetricsText(),
-                                    openmetrics_out))) {
-        return 1;
-      }
-      std::printf("wrote openmetrics exposition to %s\n",
-                  openmetrics_out.c_str());
-    }
-  }
-  if (!metrics_out.empty()) {
-    const bool prometheus =
-        metrics_out.size() > 5 && metrics_out.ends_with(".prom");
-    if (!Wrote("metrics",
-               obs::WriteTextFile(prometheus ? metrics.ToPrometheusText()
-                                             : metrics.ToJsonString(),
-                                  metrics_out))) {
-      return 1;
-    }
-    std::printf("wrote metrics snapshot to %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    if (!Wrote("trace", trace.WriteChromeTrace(trace_out))) {
-      return 1;
-    }
-    std::printf("wrote %zu trace events to %s (%zu dropped)\n",
-                trace.num_events(), trace_out.c_str(),
-                trace.dropped_events());
-  }
-
-  if (!flags.GetString("out").empty()) {
-    if (!Wrote("corpus",
-               analytics::WriteCorpusText(corpus, flags.GetString("out")))) {
-      return 1;
-    }
-    std::printf("wrote %zu walks to %s\n", corpus.num_paths(),
-                flags.GetString("out").c_str());
-  }
-
-  const std::string perf_out = flags.GetString("perf-out");
-  if (!perf_out.empty()) {
-    // One timed repeat of the run that just happened: the body replays
-    // its counters while the FakeClock replays the measured wall time,
-    // so the report goes through the exact aggregation and schema path
-    // the CI perf gate consumes.
-    perf::WorkCounters counters;
-    counters.simulated_cycles = perf_sim_cycles;
-    counters.walks = corpus.num_paths();
-    counters.steps = corpus.vertices.size() >= corpus.num_paths()
-                         ? corpus.vertices.size() - corpus.num_paths()
-                         : 0;
-    counters.spans = spans_out.empty() ? 0 : spans.Spans().size();
-    const double elapsed = timer.ElapsedSeconds();
-    perf::FakeClock clock({0, static_cast<uint64_t>(elapsed * 1e9)});
-    perf::RepeatConfig repeat_config;
-    repeat_config.warmup = 0;
-    repeat_config.repeats = 1;
-    const perf::WorkloadResult measured = perf::MeasureWorkload(
-        engine, repeat_config, &clock, [&counters]() { return counters; });
-    if (!Wrote("perf report",
-               obs::WriteTextFile(
-                   perf::PerfReport("walk_tool", {measured}).Dump(2) + "\n",
-                   perf_out))) {
-      return 1;
-    }
-    std::printf("wrote perf report to %s\n", perf_out.c_str());
-  }
-  return exit_code;
+  perf::WorkCounters counters;
+  counters.simulated_cycles = perf_sim_cycles;
+  counters.walks = corpus.num_paths();
+  counters.steps = corpus.vertices.size() >= corpus.num_paths()
+                       ? corpus.vertices.size() - corpus.num_paths()
+                       : 0;
+  counters.spans = spans.Spans().size();
+  const std::vector<ExportFile> files = {
+      {"corpus", "corpus.txt",
+       [&](const std::string& path) {
+         return analytics::WriteCorpusText(corpus, path);
+       }},
+      {"metrics", "metrics.json",
+       TextWriter([&] { return metrics.ToJsonString(); })},
+      {"metrics", "metrics.prom",
+       TextWriter([&] { return metrics.ToPrometheusText(); })},
+      {"trace", "trace.json", TextWriter([&] { return trace.ToJsonString(); })},
+      {"spans", "spans.json",
+       TextWriter([&] { return spans_doc.Dump(2) + "\n"; })},
+      {"timeseries", "timeseries.json",
+       TextWriter([&] { return timeseries.ToJsonString(2); })},
+      {"timeseries", "timeseries.om",
+       TextWriter([&] { return timeseries.ToOpenMetricsText(); })},
+      // Last, so its wall time covers every other export.
+      {"perf", "perf.json", TextWriter([&] {
+         return PerfReportText(engine, counters, timer.ElapsedSeconds());
+       })},
+  };
+  return WriteExports(out_dir, exports, files) ? exit_code : 1;
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema and invariant check for walk_tool --spans-out JSON.
+"""Schema and invariant check for walk_tool's spans.json export.
 
 Usage: check_span_json.py spans.json [more.json ...]
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Schema and invariant check for walk_tool --timeseries-out JSON.
+"""Schema and invariant check for walk_tool's timeseries.json export.
 
-Usage: check_timeseries_json.py ts.json [more.json ...]
+Usage: check_timeseries_json.py timeseries.json [more.json ...]
 
 Validates, per file:
 

@@ -58,9 +58,11 @@ void FlagParser::Define(const std::string& name, const std::string& help,
 }
 
 void FlagParser::DefineInt(const std::string& name, const std::string& help,
-                           int64_t default_value) {
+                           int64_t default_value, int64_t min, int64_t max) {
   LIGHTRW_CHECK(!name.empty());
-  flags_[name] = Flag{help, std::to_string(default_value), FlagType::kInt};
+  LIGHTRW_CHECK(min <= default_value && default_value <= max);
+  flags_[name] =
+      Flag{help, std::to_string(default_value), FlagType::kInt, min, max};
 }
 
 void FlagParser::DefineDouble(const std::string& name,
@@ -80,16 +82,18 @@ void FlagParser::DefineBool(const std::string& name, const std::string& help,
 }
 
 Status FlagParser::CheckValue(const std::string& name,
-                              const std::string& value, FlagType type) {
+                              const std::string& value, const Flag& flag) {
   bool ok = true;
-  const char* expected = "";
-  switch (type) {
+  std::string expected;
+  switch (flag.type) {
     case FlagType::kString:
       break;
     case FlagType::kInt: {
-      int64_t unused;
-      ok = ParseIntValue(value, &unused);
-      expected = "a decimal integer";
+      int64_t parsed;
+      ok = ParseIntValue(value, &parsed) && parsed >= flag.min &&
+           parsed <= flag.max;
+      expected = "a decimal integer in [" + std::to_string(flag.min) + ", " +
+                 std::to_string(flag.max) + "]";
       break;
     }
     case FlagType::kDouble: {
@@ -114,8 +118,8 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      return InvalidArgumentError("unexpected argument '" + arg +
+                                  "' (every argument must be a --flag)");
     }
     arg = arg.substr(2);
     std::string name, value;
@@ -146,7 +150,7 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
         value = "true";
       }
     }
-    LIGHTRW_RETURN_IF_ERROR(CheckValue(name, value, it->second.type));
+    LIGHTRW_RETURN_IF_ERROR(CheckValue(name, value, it->second));
     it->second.value = value;
   }
   return Status::Ok();

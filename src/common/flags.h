@@ -1,8 +1,8 @@
 // Minimal command-line flag parsing for the example tools.
 //
 // Supports --name=value and --name value forms plus boolean --name.
-// Unrecognized flags are reported as errors; positional arguments are
-// collected in order.
+// Unrecognized flags and arguments that are not flags are reported as
+// errors.
 
 #ifndef LIGHTRW_COMMON_FLAGS_H_
 #define LIGHTRW_COMMON_FLAGS_H_
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -19,14 +18,15 @@ namespace lightrw {
 // Parsed command line. Typical use:
 //
 //   FlagParser flags;
-//   flags.DefineInt("length", "walk length", 80);
+//   flags.DefineInt("length", "walk length", 80, 1, 1 << 20);
 //   flags.DefineBool("verbose", "chatty output", false);
 //   LIGHTRW_CHECK(flags.Parse(argc, argv).ok());
 //   const uint64_t length = flags.GetInt("length");
 //
 // Typed definitions validate user-supplied values during Parse, so a
-// malformed `--length=abc` surfaces as a Status (tools print it and exit
-// nonzero) instead of aborting later inside an accessor.
+// malformed `--length=abc` or an out-of-range `--length=0` surfaces as a
+// Status (tools print it and exit nonzero) instead of aborting or
+// wrapping later inside an accessor.
 class FlagParser {
  public:
   // Registers a flag with a default value (all flags are optional). The
@@ -34,15 +34,17 @@ class FlagParser {
   void Define(const std::string& name, const std::string& help,
               const std::string& default_value);
   // Typed forms: Parse rejects values the matching accessor could not
-  // return.
+  // return, and integers outside [min, max] (which must hold the
+  // default).
   void DefineInt(const std::string& name, const std::string& help,
-                 int64_t default_value);
+                 int64_t default_value, int64_t min, int64_t max);
   void DefineDouble(const std::string& name, const std::string& help,
                     double default_value);
   void DefineBool(const std::string& name, const std::string& help,
                   bool default_value);
 
-  // Parses argv; returns an error for unknown or malformed flags.
+  // Parses argv; returns an error for unknown, malformed or out-of-range
+  // flags and for any argument that is not a flag.
   Status Parse(int argc, const char* const* argv);
 
   // Accessors; the flag must have been Defined.
@@ -54,8 +56,6 @@ class FlagParser {
   // "true"/"1"/"yes" => true; "false"/"0"/"no" => false.
   bool GetBool(const std::string& name) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-
   // Formatted help text listing all defined flags.
   std::string HelpText() const;
 
@@ -66,14 +66,17 @@ class FlagParser {
     std::string help;
     std::string value;
     FlagType type = FlagType::kString;
+    // Inclusive bounds of a kInt flag.
+    int64_t min = 0;
+    int64_t max = 0;
   };
 
-  // Non-OK when `value` does not parse as `type`.
+  // Non-OK when `value` does not parse as `flag`'s type or lies outside
+  // its bounds.
   static Status CheckValue(const std::string& name, const std::string& value,
-                           FlagType type);
+                           const Flag& flag);
 
   std::map<std::string, Flag> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace lightrw

@@ -103,8 +103,8 @@ class TimeSeriesRecorder {
   uint64_t scrape_interval() const { return config_.scrape_interval; }
 
   // The live registry engines update through cached handles. Separate
-  // from any --metrics-out registry: end-of-run snapshots are unchanged
-  // by scraping.
+  // from the registry a metrics export snapshots: end-of-run snapshots
+  // are unchanged by scraping.
   MetricsRegistry* live() { return &live_; }
 
   // Close every window whose boundary is <= cycle. Engines call this

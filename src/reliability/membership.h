@@ -6,7 +6,7 @@
 // of what the cluster looked like at any simulated cycle: ClusterSim
 // appends to it deterministically from the event loop, threads it into
 // trace instants and ReliabilityStats, and exports it through
-// DistributedRunStats so tools (walk_tool --spans-out, the chaos
+// DistributedRunStats so tools (walk_tool --exports spans, the chaos
 // harness, scripts/check_span_json.py) can machine-check it.
 //
 // State machine:
@@ -67,7 +67,7 @@ struct MembershipTransition {
 Status CheckMembershipLog(const std::vector<MembershipTransition>& log);
 
 // JSON export: an array of {epoch, cycle, board, from, to} objects in
-// log order (the "membership" section of walk_tool --spans-out, checked
+// log order (the "membership" section of walk_tool's spans.json, checked
 // by scripts/check_span_json.py).
 obs::Json MembershipToJson(const std::vector<MembershipTransition>& log);
 

@@ -1,6 +1,7 @@
 #include "service/walk_service.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <optional>
 #include <string>
@@ -62,6 +63,19 @@ Status ValidateServiceConfig(const ServiceConfig& config) {
     return InvalidArgumentError(
         "service.retry_backoff_cycles must be > 0 when retries are "
         "enabled");
+  }
+  // The last retry backs off retry_backoff_cycles << (retry_budget - 1).
+  // While bit_width(retry_backoff_cycles) + retry_budget <= 48 that stays
+  // below 2^47 cycles, so neither the shift nor `at + backoff` can wrap.
+  if (config.retry_budget > 0 &&
+      std::bit_width(config.retry_backoff_cycles) +
+              uint64_t{config.retry_budget} >
+          48) {
+    return OutOfRangeError(
+        "service retry backoff overflow: retry_backoff_cycles " +
+        std::to_string(config.retry_backoff_cycles) + " with retry_budget " +
+        std::to_string(config.retry_budget) +
+        " can back off 2^47 cycles or more");
   }
   if (config.breaker_failure_threshold == 0) {
     return InvalidArgumentError(

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/ppr.h"
@@ -78,6 +80,32 @@ TEST(ServiceValidationTest, AcceptsZeroBackoffWithRetriesDisabled) {
   ServiceConfig config = BaseConfig();
   config.retry_budget = 0;
   config.retry_backoff_cycles = 0;
+  EXPECT_TRUE(ValidateServiceConfig(config).ok());
+}
+
+TEST(ServiceValidationTest, RejectsRetryBudgetWhoseBackoffCanOverflow) {
+  // 512 = 2^9: the 38th retry backs off 2^46 cycles, the 39th 2^47.
+  ServiceConfig config = BaseConfig();
+  config.retry_backoff_cycles = 512;
+  config.retry_budget = 38;
+  EXPECT_TRUE(ValidateServiceConfig(config).ok());
+  for (const uint32_t budget : {39u, 56u, 65u, UINT32_MAX}) {
+    config.retry_budget = budget;
+    const Status status = ValidateServiceConfig(config);
+    ASSERT_FALSE(status.ok()) << budget;
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+    EXPECT_NE(status.message().find("service retry backoff overflow"),
+              std::string::npos);
+  }
+  // A wide base backoff leaves room for fewer retries.
+  config.retry_backoff_cycles = uint64_t{1} << 40;
+  config.retry_budget = 7;
+  EXPECT_TRUE(ValidateServiceConfig(config).ok());
+  config.retry_budget = 8;
+  EXPECT_FALSE(ValidateServiceConfig(config).ok());
+  // Without retries the backoff is never taken, whatever its width.
+  config.retry_backoff_cycles = UINT64_MAX;
+  config.retry_budget = 0;
   EXPECT_TRUE(ValidateServiceConfig(config).ok());
 }
 

@@ -31,6 +31,9 @@ expect() {
 
 # Small deterministic base invocation shared by the success cases.
 BASE="--rmat_scale 8 --app deepwalk --length 8 --queries 64 --seed 42"
+# Scratch --out-dir for every case that writes exports.
+OUT=$(mktemp -d "${TMPDIR:-/tmp}/walk_tool_exit.XXXXXX") || exit 1
+trap 'rm -rf "$OUT"' EXIT
 
 expect "help" 0 "$TOOL" --help
 expect "cpu run succeeds" 0 "$TOOL" --engine cpu $BASE
@@ -38,6 +41,34 @@ expect "service run succeeds" 0 "$TOOL" --engine service $BASE \
   --boards 2 --partition hash --service-rate 0.2
 expect "unknown flag" 1 "$TOOL" --bogus-flag
 expect "malformed flag value" 1 "$TOOL" --length abc
+expect "stray argument" 1 "$TOOL" --engine cpu --rmat_scale 8 \
+  --app deepwalk -length 3 --queries 4
+# Integer flags are range-checked at parse time: a negative value must
+# not wrap to a huge unsigned one.
+expect "negative queue capacity" 1 "$TOOL" --engine service $BASE \
+  --service-queue-cap=-1
+expect "negative ckpt read latency" 1 "$TOOL" --engine distributed $BASE \
+  --ckpt-store --ckpt-read-latency=-1
+expect "negative checkpoint interval" 1 "$TOOL" --engine distributed \
+  $BASE --fault-checkpoint-interval=-1
+expect "too many threads" 1 "$TOOL" --engine cpu $BASE --threads 100000
+# The per-file output flags and the single-value tuning knobs are gone.
+for flag in out metrics-out trace-out perf-out spans-out timeseries-out \
+    timeseries-openmetrics-out chaos-out chaos-spans-out trace-limit \
+    burn-alert-budget burn-alert-threshold burn-alert-fast-window \
+    burn-alert-slow-window anomaly-alpha anomaly-z-open anomaly-z-close \
+    anomaly-warmup; do
+  expect "removed flag --$flag" 1 "$TOOL" --engine cpu $BASE "--$flag=1"
+done
+# --exports names are checked against what the mode can write, and
+# --out-dir must exist, before anything runs.
+expect "unknown export name" 1 "$TOOL" --engine cpu $BASE \
+  --out-dir "$OUT" --exports corpus,bogus
+expect "chaos campaign cannot export a trace" 1 "$TOOL" \
+  --chaos-scenarios 3 --chaos-seed 5 --boards 4 --rmat_scale 8 \
+  --length 8 --queries 64 --out-dir "$OUT" --exports chaos,trace
+expect "missing out-dir" 1 "$TOOL" --engine cpu $BASE \
+  --out-dir /nonexistent-dir --exports corpus
 expect "unknown engine" 1 "$TOOL" --engine bogus $BASE
 expect "unknown app" 1 "$TOOL" --app bogus --rmat_scale 8
 # App parameters outside what the weight functions take are rejected
@@ -48,13 +79,12 @@ expect "ppr zero alpha" 1 "$TOOL" $BASE --app ppr --alpha 0
 expect "ppr alpha of one" 1 "$TOOL" $BASE --app ppr --alpha 1
 # Node2Vec's fixed-point weights must fit 32 bits: 2^23 * 512 (q=0.5)
 # would wrap to 0 and make the likeliest edge unsampleable.
-GRAPH="/tmp/walk_tool_graph_$$.txt"
+GRAPH="$OUT/graph.txt"
 printf '1 0 1\n0 1 1\n0 2 8388608\n2 0 1\n' > "$GRAPH"
 expect "node2vec weight overflow" 1 "$TOOL" --engine lightrw-sim \
   --graph "$GRAPH" --app node2vec --length 2
 expect "deepwalk on the same weights" 0 "$TOOL" --engine lightrw-sim \
   --graph "$GRAPH" --app deepwalk --length 2
-rm -f "$GRAPH"
 expect "bad walk length" 1 "$TOOL" --length 0 --rmat_scale 8
 expect "bad rmat scale" 1 "$TOOL" --rmat_scale 99
 expect "missing graph file" 1 "$TOOL" --graph /nonexistent/edges.txt
@@ -64,10 +94,21 @@ expect "unknown partition strategy" 1 "$TOOL" --engine distributed \
   --partition bogus $BASE
 expect "invalid service config" 1 "$TOOL" --engine service $BASE \
   --service-queue-cap 0
+# Every fault drives each failed attempt back through the retry backoff,
+# which doubles per attempt: a budget that could wrap it is rejected.
+expect "retry budget whose backoff overflows" 1 "$TOOL" --engine service \
+  $BASE --queries 4 --boards 2 --partition hash --service-rate 0.2 \
+  --fault-dram-uncorrectable 1.0 --service-retries 56
+# A file that cannot be written (here: a directory in its place) fails
+# the run after it completes.
+UNWRITABLE="$OUT/unwritable"
+for file in corpus.txt metrics.json spans.json perf.json timeseries.json; do
+  mkdir -p "$UNWRITABLE/$file"
+done
 expect "unwritable corpus path" 1 "$TOOL" --engine cpu $BASE \
-  --out /nonexistent-dir/corpus.txt
+  --out-dir "$UNWRITABLE" --exports corpus
 expect "unwritable metrics path" 1 "$TOOL" --engine cpu $BASE \
-  --metrics-out /nonexistent-dir/metrics.json
+  --out-dir "$UNWRITABLE" --exports metrics
 # Checkpoint-free death schedules are rejected at validation time unless
 # the caller explicitly opts into walker loss...
 expect "checkpoint-free death rejected" 1 "$TOOL" --engine distributed \
@@ -114,103 +155,98 @@ expect "cascade with spare survives" 0 "$TOOL" --engine distributed \
   --fault-fail-boards 1,2 --fault-checkpoint-interval 4096 \
   --spare-boards 1
 expect "bad span mode" 1 "$TOOL" --engine service $BASE \
-  --spans-out /tmp/walk_tool_spans_$$.json --span-mode bogus
-expect "bad burn-alert budget" 1 "$TOOL" --engine service $BASE \
-  --spans-out /tmp/walk_tool_spans_$$.json --burn-alert-budget 0
-expect "bad burn-alert windows" 1 "$TOOL" --engine service $BASE \
-  --spans-out /tmp/walk_tool_spans_$$.json --burn-alert-fast-window 100000 \
-  --burn-alert-slow-window 1000
+  --out-dir "$OUT" --exports spans --span-mode bogus
 expect "unwritable spans path" 1 "$TOOL" --engine service $BASE \
   --boards 2 --partition hash --service-rate 0.2 \
-  --spans-out /nonexistent-dir/spans.json
+  --out-dir "$UNWRITABLE" --exports spans
 expect "unwritable perf path" 1 "$TOOL" --engine cpu $BASE \
-  --perf-out /nonexistent-dir/perf.json
+  --out-dir "$UNWRITABLE" --exports perf
 expect "unwritable timeseries path" 1 "$TOOL" --engine cpu $BASE \
-  --timeseries-out /nonexistent-dir/ts.json
+  --out-dir "$UNWRITABLE" --exports timeseries
 expect "bad scrape interval" 1 "$TOOL" --engine cpu $BASE \
-  --timeseries-out /tmp/walk_tool_ts_$$.json --scrape-interval 0
-expect "bad anomaly thresholds" 1 "$TOOL" --engine cpu $BASE \
-  --timeseries-out /tmp/walk_tool_ts_$$.json --anomaly-z-open 2.0 \
-  --anomaly-z-close 3.0
+  --out-dir "$OUT" --exports timeseries --scrape-interval 0
 
-# Telemetry output: any engine run with --timeseries-out must write a
-# timeseries.v1 document; --timeseries-openmetrics-out writes the
-# matching OpenMetrics exposition, terminated by its EOF marker.
-TS="/tmp/walk_tool_ts_$$.json"
-OM="/tmp/walk_tool_ts_$$.om"
-expect "service run writes timeseries" 0 "$TOOL" --engine service $BASE \
-  --boards 2 --partition hash --service-rate 0.2 --timeseries-out "$TS" \
-  --timeseries-openmetrics-out "$OM" --scrape-interval 1024
-if ! grep -q '"schema": "timeseries.v1"' "$TS"; then
-  echo "FAIL: --timeseries-out did not write a timeseries.v1 doc" >&2
+# Corpus output: one line per walk.
+expect "cpu run writes corpus" 0 "$TOOL" --engine cpu $BASE \
+  --out-dir "$OUT" --exports corpus
+if [ "$(wc -l < "$OUT/corpus.txt")" -ne 64 ]; then
+  echo "FAIL: corpus.txt does not hold one line per query" >&2
   fails=$((fails + 1))
-elif ! grep -q '^# EOF$' "$OM"; then
-  echo "FAIL: OpenMetrics exposition missing # EOF terminator" >&2
+else
+  echo "ok: corpus.txt holds 64 walks"
+fi
+
+# Telemetry output: any engine run exporting timeseries must write a
+# timeseries.v1 document and the matching OpenMetrics exposition,
+# terminated by its EOF marker.
+expect "service run writes timeseries" 0 "$TOOL" --engine service $BASE \
+  --boards 2 --partition hash --service-rate 0.2 --out-dir "$OUT" \
+  --exports timeseries --scrape-interval 1024
+if ! grep -q '"schema": "timeseries.v1"' "$OUT/timeseries.json"; then
+  echo "FAIL: timeseries.json is not a timeseries.v1 doc" >&2
+  fails=$((fails + 1))
+elif ! grep -q '^# EOF$' "$OUT/timeseries.om"; then
+  echo "FAIL: timeseries.om missing # EOF terminator" >&2
   fails=$((fails + 1))
 else
   echo "ok: timeseries JSON + OpenMetrics exposition written"
 fi
-rm -f "$TS" "$OM"
 
-# Perf report: any engine run with --perf-out must write a PERF-schema
+# Perf report: any engine run exporting perf must write a PERF-schema
 # document (the same shape scripts/check_perf_json.py consumes).
-PERF="/tmp/walk_tool_perf_$$.json"
 expect "cpu run writes perf report" 0 "$TOOL" --engine cpu $BASE \
-  --perf-out "$PERF"
-if [ ! -s "$PERF" ]; then
-  echo "FAIL: --perf-out did not write $PERF" >&2
+  --out-dir "$OUT" --exports perf
+if [ ! -s "$OUT/perf.json" ]; then
+  echo "FAIL: --exports perf did not write perf.json" >&2
   fails=$((fails + 1))
-elif ! grep -q '"perf": "walk_tool"' "$PERF" \
-    || ! grep -q '"workloads"' "$PERF" || ! grep -q '"host"' "$PERF"; then
+elif ! grep -q '"perf": "walk_tool"' "$OUT/perf.json" \
+    || ! grep -q '"workloads"' "$OUT/perf.json" \
+    || ! grep -q '"host"' "$OUT/perf.json"; then
   echo "FAIL: perf JSON missing perf/host/workloads sections" >&2
   fails=$((fails + 1))
 else
   echo "ok: perf JSON has perf + host + workloads"
 fi
-rm -f "$PERF"
 
-# Span output: a service run with --spans-out must write a JSON document
+# Span output: a service run exporting spans must write a JSON document
 # covering every offered query.
-SPANS="/tmp/walk_tool_spans_$$.json"
 expect "service run writes spans" 0 "$TOOL" --engine service $BASE \
-  --boards 2 --partition hash --service-rate 0.2 --spans-out "$SPANS" \
-  --span-mode breached
-if [ ! -s "$SPANS" ]; then
-  echo "FAIL: --spans-out did not write $SPANS" >&2
+  --boards 2 --partition hash --service-rate 0.2 --out-dir "$OUT" \
+  --exports spans --span-mode breached
+if [ ! -s "$OUT/spans.json" ]; then
+  echo "FAIL: --exports spans did not write spans.json" >&2
   fails=$((fails + 1))
-elif ! grep -q '"summaries"' "$SPANS" || ! grep -q '"attribution"' "$SPANS"
-then
+elif ! grep -q '"summaries"' "$OUT/spans.json" \
+    || ! grep -q '"attribution"' "$OUT/spans.json"; then
   echo "FAIL: spans JSON missing summaries/attribution sections" >&2
   fails=$((fails + 1))
 else
   echo "ok: spans JSON has summaries + attribution"
 fi
-rm -f "$SPANS"
 
-# Metrics format: a .prom suffix selects Prometheus exposition text.
-PROM="/tmp/walk_tool_metrics_$$.prom"
-expect "prometheus metrics by .prom suffix" 0 "$TOOL" --engine cpu $BASE \
-  --metrics-out "$PROM"
-if ! grep -q '^# TYPE' "$PROM"; then
-  echo "FAIL: --metrics-out *.prom did not write exposition text" >&2
+# Metrics output: the snapshot as JSON and as Prometheus exposition text.
+expect "cpu run writes metrics" 0 "$TOOL" --engine cpu $BASE \
+  --out-dir "$OUT" --exports metrics
+if ! grep -q '"metrics"' "$OUT/metrics.json"; then
+  echo "FAIL: metrics.json is not a metrics snapshot" >&2
+  fails=$((fails + 1))
+elif ! grep -q '^# TYPE' "$OUT/metrics.prom"; then
+  echo "FAIL: metrics.prom is not Prometheus exposition text" >&2
   fails=$((fails + 1))
 else
-  echo "ok: .prom suffix selects prometheus format"
+  echo "ok: metrics JSON + Prometheus exposition written"
 fi
-rm -f "$PROM"
 
 # Chaos campaign: a small seeded campaign must pass and write its report.
-CHAOS="/tmp/walk_tool_chaos_$$.json"
 expect "chaos campaign passes" 0 "$TOOL" --chaos-scenarios 3 \
   --chaos-seed 5 --boards 4 --rmat_scale 8 --length 8 --queries 64 \
-  --chaos-out "$CHAOS"
-if ! grep -q '"passed": true' "$CHAOS"; then
+  --out-dir "$OUT" --exports chaos
+if ! grep -q '"passed": true' "$OUT/chaos.json"; then
   echo "FAIL: chaos report missing passed:true" >&2
   fails=$((fails + 1))
 else
   echo "ok: chaos report records a passing campaign"
 fi
-rm -f "$CHAOS"
 expect "chaos bad board count" 1 "$TOOL" --chaos-scenarios 4 --boards 1 \
   --rmat_scale 8
 
