@@ -144,16 +144,19 @@ std::vector<std::string> SplitList(const std::string& text) {
   return items;
 }
 
-// Parses a comma-separated list of non-negative integers ("" = empty).
-// False (with a one-line stderr reason) on malformed input.
+// Parses a comma-separated list of integers in [0, max] ("" = empty).
+// False (with a one-line stderr reason) on malformed input. Items are
+// at most 19 digits, which std::stoull converts without overflow.
 bool ParseUintList(const std::string& flag, const std::string& text,
-                   std::vector<uint64_t>* out) {
+                   uint64_t max, std::vector<uint64_t>* out) {
   out->clear();
   for (const std::string& item : SplitList(text)) {
-    if (item.empty() || item.find_first_not_of("0123456789") !=
-                            std::string::npos) {
-      std::fprintf(stderr, "--%s: '%s' is not a non-negative integer\n",
-                   flag.c_str(), item.c_str());
+    if (item.empty() || item.size() > 19 ||
+        item.find_first_not_of("0123456789") != std::string::npos ||
+        std::stoull(item) > max) {
+      std::fprintf(stderr, "--%s: '%s' is not an integer in [0, %llu]\n",
+                   flag.c_str(), item.c_str(),
+                   static_cast<unsigned long long>(max));
       return false;
     }
     out->push_back(std::stoull(item));
@@ -239,9 +242,11 @@ bool FaultsFromFlags(const FlagParser& flags,
   // Cascading deaths: paired comma lists of cycles and board ids.
   std::vector<uint64_t> cycles, boards;
   if (!ParseUintList("fault-fail-cycles",
-                     flags.GetString("fault-fail-cycles"), &cycles) ||
+                     flags.GetString("fault-fail-cycles"), INT64_MAX,
+                     &cycles) ||
       !ParseUintList("fault-fail-boards",
-                     flags.GetString("fault-fail-boards"), &boards)) {
+                     flags.GetString("fault-fail-boards"), UINT32_MAX,
+                     &boards)) {
     return false;
   }
   if (cycles.size() != boards.size()) {

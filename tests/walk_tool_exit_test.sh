@@ -124,6 +124,14 @@ expect "fault run losing walk data" 3 "$TOOL" --engine distributed \
 expect "mismatched death schedule lists" 1 "$TOOL" --engine distributed \
   --boards 4 --partition hash $BASE \
   --fault-fail-cycles 2000,4000 --fault-fail-boards 1
+# Death-list entries are range-checked too: no exception escapes and no
+# board id wraps to a valid one.
+expect "death cycle too large" 1 "$TOOL" --engine distributed \
+  --boards 2 --partition hash $BASE \
+  --fault-fail-cycles 99999999999999999999999 --fault-fail-boards 1
+expect "death board id wrapping to a valid board" 1 "$TOOL" \
+  --engine distributed --boards 2 --partition hash $BASE \
+  --fault-fail-cycles 2000 --fault-fail-boards 4294967297
 expect "death schedule killing every owner" 1 "$TOOL" --engine distributed \
   --boards 2 --partition hash $BASE \
   --fault-fail-cycles 2000,4000 --fault-fail-boards 0,1 \
