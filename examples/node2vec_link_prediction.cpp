@@ -31,9 +31,9 @@ int main() {
 
   WallTimer walk_timer;
   baseline::WalkOutput corpus;
-  const auto walk_stats = engine.Run(queries, &corpus);
+  const auto run_stats = engine.Run(queries, &corpus);
   std::printf("walks: %llu steps in %.2fs\n",
-              static_cast<unsigned long long>(walk_stats.steps),
+              static_cast<unsigned long long>(run_stats.steps),
               walk_timer.ElapsedSeconds());
 
   WallTimer train_timer;

@@ -1,7 +1,7 @@
 #include "analytics/corpus_io.h"
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 
 namespace lightrw::analytics {
@@ -16,8 +16,6 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-constexpr char kCorpusMagic[8] = {'L', 'R', 'W', 'W', 'A', 'L', 'K', '1'};
 
 }  // namespace
 
@@ -87,90 +85,6 @@ StatusOr<baseline::WalkOutput> ReadCorpusText(const std::string& path) {
   }
   if (!any) {
     return InvalidArgumentError(path + ": no walks");
-  }
-  return corpus;
-}
-
-Status WriteCorpusBinary(const baseline::WalkOutput& corpus,
-                         const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return IoError("cannot open " + path + " for writing");
-  }
-  bool ok = std::fwrite(kCorpusMagic, sizeof(kCorpusMagic), 1, f.get()) == 1;
-  const uint64_t num_offsets = corpus.offsets.size();
-  const uint64_t num_vertices = corpus.vertices.size();
-  ok = ok && std::fwrite(&num_offsets, sizeof(num_offsets), 1, f.get()) == 1;
-  ok = ok &&
-       std::fwrite(&num_vertices, sizeof(num_vertices), 1, f.get()) == 1;
-  ok = ok && (num_offsets == 0 ||
-              std::fwrite(corpus.offsets.data(), sizeof(uint32_t),
-                          num_offsets, f.get()) == num_offsets);
-  ok = ok && (num_vertices == 0 ||
-              std::fwrite(corpus.vertices.data(), sizeof(graph::VertexId),
-                          num_vertices, f.get()) == num_vertices);
-  if (!ok) {
-    return IoError("write failed for " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<baseline::WalkOutput> ReadCorpusBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return IoError("cannot open " + path);
-  }
-  char magic[sizeof(kCorpusMagic)];
-  if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
-      std::memcmp(magic, kCorpusMagic, sizeof(magic)) != 0) {
-    return InvalidArgumentError(path + ": not a LightRW walk corpus");
-  }
-  uint64_t num_offsets = 0, num_vertices = 0;
-  if (std::fread(&num_offsets, sizeof(num_offsets), 1, f.get()) != 1 ||
-      std::fread(&num_vertices, sizeof(num_vertices), 1, f.get()) != 1) {
-    return IoError(path + ": truncated corpus header");
-  }
-  // A crafted header can declare absurd counts; cap them against the
-  // bytes actually left in the file before allocating.
-  const long pos = std::ftell(f.get());
-  if (pos < 0 || std::fseek(f.get(), 0, SEEK_END) != 0) {
-    return IoError(path + ": seek failed");
-  }
-  const long file_end = std::ftell(f.get());
-  if (file_end < 0 || std::fseek(f.get(), pos, SEEK_SET) != 0) {
-    return IoError(path + ": seek failed");
-  }
-  const uint64_t remaining = static_cast<uint64_t>(file_end - pos);
-  if (num_offsets > remaining / sizeof(uint32_t) ||
-      num_vertices > remaining / sizeof(graph::VertexId) ||
-      num_offsets * sizeof(uint32_t) + num_vertices * sizeof(graph::VertexId) >
-          remaining) {
-    return InvalidArgumentError(path +
-                                ": corpus header declares more data than "
-                                "the file holds");
-  }
-  baseline::WalkOutput corpus;
-  corpus.offsets.resize(num_offsets);
-  corpus.vertices.resize(num_vertices);
-  if (num_offsets > 0 &&
-      std::fread(corpus.offsets.data(), sizeof(uint32_t), num_offsets,
-                 f.get()) != num_offsets) {
-    return IoError(path + ": truncated corpus offsets");
-  }
-  if (num_vertices > 0 &&
-      std::fread(corpus.vertices.data(), sizeof(graph::VertexId),
-                 num_vertices, f.get()) != num_vertices) {
-    return IoError(path + ": truncated corpus vertices");
-  }
-  // Validate structure: offsets monotone, first 0, last == vertex count.
-  if (corpus.offsets.empty() || corpus.offsets.front() != 0 ||
-      corpus.offsets.back() != corpus.vertices.size()) {
-    return InvalidArgumentError(path + ": inconsistent corpus offsets");
-  }
-  for (size_t i = 1; i < corpus.offsets.size(); ++i) {
-    if (corpus.offsets[i] < corpus.offsets[i - 1]) {
-      return InvalidArgumentError(path + ": non-monotone corpus offsets");
-    }
   }
   return corpus;
 }

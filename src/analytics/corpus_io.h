@@ -1,6 +1,7 @@
-// Walk corpus serialization: text (one walk per line) and binary formats.
-// Lets the walk generation and embedding-training stages run as separate
-// processes (as SNAP's node2vec pipeline does).
+// Walk corpus serialization: one whitespace-separated walk per line, the
+// corpus.txt that walk_tool exports. Lets the walk generation and
+// embedding-training stages run as separate processes (as SNAP's node2vec
+// pipeline does).
 
 #ifndef LIGHTRW_ANALYTICS_CORPUS_IO_H_
 #define LIGHTRW_ANALYTICS_CORPUS_IO_H_
@@ -19,11 +20,6 @@ Status WriteCorpusText(const baseline::WalkOutput& corpus,
 // Reads a text corpus written by WriteCorpusText (or any file of
 // whitespace-separated vertex-id lines).
 StatusOr<baseline::WalkOutput> ReadCorpusText(const std::string& path);
-
-// Compact binary round-trip (versioned, checked on load).
-Status WriteCorpusBinary(const baseline::WalkOutput& corpus,
-                         const std::string& path);
-StatusOr<baseline::WalkOutput> ReadCorpusBinary(const std::string& path);
 
 }  // namespace lightrw::analytics
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <memory>
 
 #include "common/check.h"
 #include "rng/rng.h"
@@ -34,6 +31,13 @@ double Embedding::CosineSimilarity(VertexId u, VertexId v) const {
 }
 
 namespace {
+
+// word2vec's defaults: context positions on each side of the center,
+// negatives per positive pair, and the initial learning rate (decayed
+// linearly to 5% of it over the run).
+constexpr uint32_t kEmbeddingWindow = 5;
+constexpr uint32_t kEmbeddingNegativeSamples = 5;
+constexpr float kEmbeddingLearningRate = 0.025f;
 
 float FastSigmoid(float x) {
   if (x > 6.0f) return 1.0f;
@@ -103,11 +107,12 @@ Embedding TrainEmbedding(const WalkOutput& corpus, VertexId num_vertices,
       const auto path = corpus.Path(p);
       for (size_t center = 0; center < path.size(); ++center, ++processed) {
         const float lr =
-            config.learning_rate *
+            kEmbeddingLearningRate *
             std::max(0.05f, 1.0f - static_cast<float>(processed) /
                                        (total_tokens + 1));
-        const size_t lo = center >= config.window ? center - config.window : 0;
-        const size_t hi = std::min(path.size(), center + config.window + 1);
+        const size_t lo =
+            center >= kEmbeddingWindow ? center - kEmbeddingWindow : 0;
+        const size_t hi = std::min(path.size(), center + kEmbeddingWindow + 1);
         const VertexId target = path[center];
         for (size_t ctx = lo; ctx < hi; ++ctx) {
           if (ctx == center) {
@@ -116,8 +121,8 @@ Embedding TrainEmbedding(const WalkOutput& corpus, VertexId num_vertices,
           const VertexId input = path[ctx];
           auto v_in = in.MutableVector(input);
           std::fill(grad.begin(), grad.end(), 0.0f);
-          // One positive pair plus `negative_samples` negatives.
-          for (uint32_t s = 0; s <= config.negative_samples; ++s) {
+          // One positive pair plus kEmbeddingNegativeSamples negatives.
+          for (uint32_t s = 0; s <= kEmbeddingNegativeSamples; ++s) {
             VertexId sample;
             float label;
             if (s == 0) {
@@ -149,58 +154,6 @@ Embedding TrainEmbedding(const WalkOutput& corpus, VertexId num_vertices,
     }
   }
   return in;
-}
-
-namespace {
-
-constexpr char kEmbeddingMagic[8] = {'L', 'R', 'W', 'E', 'M', 'B', 'D',
-                                     '1'};
-
-}  // namespace
-
-Status WriteEmbedding(const Embedding& embedding, const std::string& path) {
-  std::FILE* raw = std::fopen(path.c_str(), "wb");
-  if (raw == nullptr) {
-    return IoError("cannot open " + path + " for writing");
-  }
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(raw, &std::fclose);
-  const uint32_t n = embedding.num_vertices();
-  const uint32_t dims = embedding.dimensions();
-  bool ok =
-      std::fwrite(kEmbeddingMagic, sizeof(kEmbeddingMagic), 1, f.get()) == 1;
-  ok = ok && std::fwrite(&n, sizeof(n), 1, f.get()) == 1;
-  ok = ok && std::fwrite(&dims, sizeof(dims), 1, f.get()) == 1;
-  for (VertexId v = 0; ok && v < n; ++v) {
-    const auto vec = embedding.Vector(v);
-    ok = std::fwrite(vec.data(), sizeof(float), dims, f.get()) == dims;
-  }
-  return ok ? Status::Ok() : IoError("write failed for " + path);
-}
-
-StatusOr<Embedding> ReadEmbedding(const std::string& path) {
-  std::FILE* raw = std::fopen(path.c_str(), "rb");
-  if (raw == nullptr) {
-    return IoError("cannot open " + path);
-  }
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(raw, &std::fclose);
-  char magic[sizeof(kEmbeddingMagic)];
-  if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
-      std::memcmp(magic, kEmbeddingMagic, sizeof(magic)) != 0) {
-    return InvalidArgumentError(path + ": not a LightRW embedding file");
-  }
-  uint32_t n = 0, dims = 0;
-  if (std::fread(&n, sizeof(n), 1, f.get()) != 1 ||
-      std::fread(&dims, sizeof(dims), 1, f.get()) != 1 || dims == 0) {
-    return InvalidArgumentError(path + ": bad embedding header");
-  }
-  Embedding embedding(n, dims);
-  for (VertexId v = 0; v < n; ++v) {
-    auto vec = embedding.MutableVector(v);
-    if (std::fread(vec.data(), sizeof(float), dims, f.get()) != dims) {
-      return IoError(path + ": truncated embedding data");
-    }
-  }
-  return embedding;
 }
 
 }  // namespace lightrw::analytics

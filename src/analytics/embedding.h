@@ -7,12 +7,10 @@
 #define LIGHTRW_ANALYTICS_EMBEDDING_H_
 
 #include <cstdint>
-#include <string>
 #include <span>
 #include <vector>
 
 #include "baseline/engine.h"
-#include "common/status.h"
 #include "graph/types.h"
 
 namespace lightrw::analytics {
@@ -20,12 +18,11 @@ namespace lightrw::analytics {
 using baseline::WalkOutput;
 using graph::VertexId;
 
+// The context window (5), negatives per positive pair (5) and initial
+// learning rate (0.025) are word2vec's defaults, fixed in embedding.cc.
 struct EmbeddingConfig {
   uint32_t dimensions = 32;
-  uint32_t window = 5;
-  uint32_t negative_samples = 5;
   uint32_t epochs = 2;
-  float learning_rate = 0.025f;
   uint64_t seed = 7;
 };
 
@@ -59,10 +56,6 @@ class Embedding {
 // vertex ids appearing in the corpus.
 Embedding TrainEmbedding(const WalkOutput& corpus, VertexId num_vertices,
                          const EmbeddingConfig& config);
-
-// Binary embedding round trip (versioned, checked on load).
-Status WriteEmbedding(const Embedding& embedding, const std::string& path);
-StatusOr<Embedding> ReadEmbedding(const std::string& path);
 
 }  // namespace lightrw::analytics
 

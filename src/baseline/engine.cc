@@ -32,6 +32,11 @@ constexpr double kPrevLookupCycles = 12.0;  // Node2Vec edge-existence probe
 constexpr double kPerStepOverheadCycles = 30.0;  // loop/bookkeeping/sampling
 constexpr double kPerEdgeOverheadCycles = 2.0;
 
+// Queries interleaved per worker (ThunderRW's step-centric ring).
+constexpr size_t kRingSize = 16;
+// Lanes for the kParallelWrs sampler.
+constexpr size_t kPwrsLanes = 8;
+
 // One worker processes a contiguous chunk of queries with a step-centric
 // interleaving ring.
 class Worker {
@@ -44,10 +49,9 @@ class Worker {
         config_(config),
         worker_index_(worker_index),
         gen_(worker_seed),
-        wrs_rng_(std::max<size_t>(config.pwrs_lanes, 1),
-                 worker_seed ^ 0xd1ceULL),
+        wrs_rng_(kPwrsLanes, worker_seed ^ 0xd1ceULL),
         reservoir_(&wrs_rng_, 0),
-        pwrs_(std::max<size_t>(config.pwrs_lanes, 1), &wrs_rng_) {
+        pwrs_(kPwrsLanes, &wrs_rng_) {
     if (config_.collect_profile) {
       llc_ = std::make_unique<LlcModel>(config_.llc_bytes);
     }
@@ -179,8 +183,7 @@ void Worker::Run(std::span<const WalkQuery> queries, WalkOutput* output,
   const uint64_t steps_before = stats->steps;
   const uint64_t edges_before = stats->edges_examined;
   WallTimer worker_timer;
-  const size_t ring_size = std::max<size_t>(1, config_.ring_size);
-  std::vector<Slot> ring(ring_size);
+  std::vector<Slot> ring(kRingSize);
   size_t next_query = 0;
   size_t active = 0;
 

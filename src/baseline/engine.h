@@ -41,10 +41,6 @@ struct BaselineConfig {
   sampling::SamplerKind sampler = sampling::SamplerKind::kInverseTransform;
   // Worker threads; 0 means std::thread::hardware_concurrency().
   size_t num_threads = 1;
-  // Queries interleaved per worker (ThunderRW's step-centric ring).
-  size_t ring_size = 16;
-  // Lanes for the kParallelWrs sampler.
-  size_t pwrs_lanes = 8;
   uint64_t seed = 42;
   // Enables the LLC model and intermediate-traffic counters (Table 1).
   // Adds overhead; leave off for timing runs.

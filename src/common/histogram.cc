@@ -73,29 +73,9 @@ double SampleStats::Quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-double SampleStats::StdDev() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  const double mean = Mean();
-  double acc = 0.0;
-  for (double s : samples_) {
-    const double d = s - mean;
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(samples_.size()));
-}
-
 const std::vector<double>& SampleStats::sorted_samples() const {
   EnsureSorted();
   return samples_;
-}
-
-void CountHistogram::Add(uint64_t value) {
-  const size_t idx =
-      value < num_buckets() ? static_cast<size_t>(value) : buckets_.size() - 1;
-  ++buckets_[idx];
-  ++total_;
 }
 
 }  // namespace lightrw

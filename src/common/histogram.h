@@ -17,7 +17,7 @@ namespace lightrw {
 // Edge cases are defined, not UB: every statistic of an empty accumulator
 // is 0.0 (callers that must distinguish "no data" check count() first),
 // and a single-sample accumulator reports Min == Max == Mean ==
-// Quantile(q) == the sample, with StdDev 0.0.
+// Quantile(q) == the sample.
 class SampleStats {
  public:
   void Add(double value);
@@ -43,8 +43,6 @@ class SampleStats {
   // an integral rank returns that stored sample bit-for-bit.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
-  // Population standard deviation.
-  double StdDev() const;
 
   // The stored samples, sorted ascending (sorts lazily on first call).
   const std::vector<double>& sorted_samples() const;
@@ -61,26 +59,6 @@ class SampleStats {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   double sum_ = 0.0;
-};
-
-// Fixed-bucket counting histogram for integer-valued observations
-// (e.g. degrees, burst lengths). Bucket i counts values == i; values at or
-// above the bucket count land in the overflow bucket.
-class CountHistogram {
- public:
-  explicit CountHistogram(size_t num_buckets)
-      : buckets_(num_buckets + 1, 0) {}
-
-  void Add(uint64_t value);
-
-  uint64_t total() const { return total_; }
-  uint64_t bucket(size_t i) const { return buckets_[i]; }
-  uint64_t overflow() const { return buckets_.back(); }
-  size_t num_buckets() const { return buckets_.size() - 1; }
-
- private:
-  std::vector<uint64_t> buckets_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace lightrw

@@ -124,12 +124,14 @@ void DistributedRunStats::Accumulate(const DistributedRunStats& part) {
 }
 
 Status CheckFailoverSatisfiable(const DistributedConfig& config,
-                                BoardId num_boards) {
+                                const graph::CsrGraph& graph,
+                                const Partition& partition) {
   const std::vector<reliability::BoardDeath> deaths =
       reliability::EffectiveBoardDeaths(config.board.faults);
   if (deaths.empty()) {
     return Status::Ok();
   }
+  const BoardId num_boards = partition.num_boards();
   const uint32_t total = num_boards + config.num_spare_boards;
   uint32_t owner_deaths = 0;
   for (const reliability::BoardDeath& d : deaths) {
@@ -142,6 +144,23 @@ Status CheckFailoverSatisfiable(const DistributedConfig& config,
     }
     if (d.board < num_boards) {
       ++owner_deaths;
+    }
+  }
+  if (config.num_spare_boards > 0) {
+    // A spare copies its share in ceil(bytes / rebuild_bytes_per_cycle)
+    // cycles. Below 2^47, the bound the service retry backoff uses, that
+    // count converts to Cycle exactly and `at + copy` cannot wrap.
+    uint64_t largest = graph.ModeledByteSize();
+    if (!config.replicate_graph) {
+      const std::vector<uint64_t> shares = partition.ShareByteSizes(graph);
+      largest = *std::max_element(shares.begin(), shares.end());
+    }
+    if (static_cast<double>(largest) / config.rebuild_bytes_per_cycle >=
+        0x1p47) {
+      return OutOfRangeError(
+          "rebuild_bytes_per_cycle too small: copying the largest share (" +
+          std::to_string(largest) +
+          " bytes) to a spare takes 2^47 cycles or more");
     }
   }
   if (num_boards < 2) {
@@ -476,12 +495,11 @@ void ClusterSim::FlushParked(Cycle now) {
   if (parked_.empty()) {
     return;
   }
-  const reliability::FaultConfig& faults = config_.board.faults;
   for (const auto& [slot, parked_at] : parked_) {
     Walker& w = walkers_[slot];
     w.board = config_.replicate_graph ? SurvivorOf(w.ticket)
                                       : LiveOwnerOf(w.state.curr);
-    const Cycle resume = now + faults.recovery_cycles_per_walker;
+    const Cycle resume = now + reliability::kRecoveryCyclesPerWalker;
     recovery_rel_.recovery_cycles += resume - parked_at;
     attribs_[slot].recovery_cycles += resume - parked_at;
     ++recovery_rel_.walkers_recovered;
@@ -793,7 +811,7 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
   w.board = config_.replicate_graph ? SurvivorOf(w.ticket)
                                     : LiveOwnerOf(w.state.curr);
   const Cycle resume = at + faults.detection_latency_cycles +
-                       faults.recovery_cycles_per_walker + read_latency;
+                       reliability::kRecoveryCyclesPerWalker + read_latency;
   recovery_rel_.recovery_cycles += resume - at;
   attribs_[slot].recovery_cycles += resume - at;
   ++recovery_rel_.walkers_recovered;
@@ -848,8 +866,8 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     if (graph_->Degree(w.state.curr) == 0) {
-      a.stage.pipeline_cycles += config_.board.pipeline_depth_cycles;
-      Retire(slot, t_info + config_.board.pipeline_depth_cycles);
+      a.stage.pipeline_cycles += core::kPipelineDepthCycles;
+      Retire(slot, t_info + core::kPipelineDepthCycles);
       return;
     }
     w.phase = Phase::kFetch;

@@ -175,10 +175,12 @@ struct WalkerEnd {
   bool Failed() const { return board_lost || data_fault; }
 };
 
-// Non-OK when the configured fault schedule cannot be satisfied on a
-// cluster of `num_boards` boards (a death targets a board outside the
+// Non-OK when the configured fault schedule cannot be satisfied on
+// `partition`'s boards (a death targets a board outside the
 // partition-owner + spare id range, or the schedule kills every
-// partition owner, leaving no survivor to recover onto). Without the
+// partition owner, leaving no survivor to recover onto), and
+// OUT_OF_RANGE when a spare's rebuild of `graph`'s largest share would
+// take 2^47 cycles or more. Without the
 // durable checkpoint store, spares do not relax the survivor bound: a
 // death can land before any rebuild finishes, and a rebuild needs a
 // live owner to copy from. With the store enabled
@@ -187,7 +189,8 @@ struct WalkerEnd {
 // at least one board (owner or spare) outlives the whole schedule —
 // walkers caught with no survivor park until that rebuild completes.
 Status CheckFailoverSatisfiable(const DistributedConfig& config,
-                                BoardId num_boards);
+                                const graph::CsrGraph& graph,
+                                const Partition& partition);
 
 class ClusterSim {
  public:

@@ -1,5 +1,6 @@
 #include "distributed/config_validation.h"
 
+#include <cmath>
 #include <string>
 
 #include "common/sim_thread_pool.h"
@@ -30,6 +31,9 @@ Status ValidateDistributedConfig(const DistributedConfig& config) {
   }
   if (config.num_spare_boards > 256) {
     return InvalidArgumentError("num_spare_boards must be <= 256");
+  }
+  if (!std::isfinite(config.rebuild_bytes_per_cycle)) {
+    return InvalidArgumentError("rebuild_bytes_per_cycle must be finite");
   }
   if (config.num_spare_boards > 0 && config.rebuild_bytes_per_cycle <= 0.0) {
     return InvalidArgumentError(

@@ -27,7 +27,8 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
     baseline::WalkOutput* output) {
   LIGHTRW_RETURN_IF_ERROR(ValidateDistributedConfig(config_));
   const BoardId num_boards = partition_->num_boards();
-  LIGHTRW_RETURN_IF_ERROR(CheckFailoverSatisfiable(config_, num_boards));
+  LIGHTRW_RETURN_IF_ERROR(
+      CheckFailoverSatisfiable(config_, *graph_, *partition_));
 
   std::vector<std::vector<graph::VertexId>> finished;
   if (output != nullptr) {

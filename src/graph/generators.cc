@@ -54,8 +54,8 @@ CsrGraph GenerateRmat(const RmatOptions& options) {
     }
     builder.AddEdge(e.src, e.dst);
   }
-  builder.RandomizeAttributes(options.num_labels, options.num_relations,
-                              options.max_weight, options.seed ^ 0xa5a5a5a5ULL);
+  builder.RandomizeAttributes(kNumVertexLabels, options.num_relations,
+                              kMaxEdgeWeight, options.seed ^ 0xa5a5a5a5ULL);
   return std::move(builder).Build();
 }
 
@@ -73,8 +73,8 @@ CsrGraph GenerateErdosRenyi(VertexId num_vertices, uint64_t num_edges,
     }
     builder.AddEdge(src, dst);
   }
-  builder.RandomizeAttributes(/*num_labels=*/4, /*num_relations=*/4,
-                              /*max_weight=*/16, seed ^ 0x5a5a5a5aULL);
+  builder.RandomizeAttributes(kNumVertexLabels, /*num_relations=*/4,
+                              kMaxEdgeWeight, seed ^ 0x5a5a5a5aULL);
   return std::move(builder).Build();
 }
 
@@ -132,8 +132,8 @@ CsrGraph MakeDatasetStandIn(Dataset dataset, uint32_t scale_shift,
     }
     builder.AddEdge(src, dst);
   }
-  builder.RandomizeAttributes(/*num_labels=*/4, /*num_relations=*/4,
-                              /*max_weight=*/16, seed ^ 0x3c3c3c3cULL);
+  builder.RandomizeAttributes(kNumVertexLabels, /*num_relations=*/4,
+                              kMaxEdgeWeight, seed ^ 0x3c3c3c3cULL);
   return std::move(builder).Build();
 }
 

@@ -17,6 +17,12 @@
 
 namespace lightrw::graph {
 
+// Every generator gives each vertex a uniform random label in
+// [0, kNumVertexLabels) and each edge a uniform random weight in
+// [1, kMaxEdgeWeight] (GraphBuilder::RandomizeAttributes).
+inline constexpr uint8_t kNumVertexLabels = 4;
+inline constexpr Weight kMaxEdgeWeight = 16;
+
 // Options for the recursive-matrix (R-MAT) generator of Chakrabarti et al.
 struct RmatOptions {
   // Number of vertices is 2^scale.
@@ -31,10 +37,8 @@ struct RmatOptions {
   double d = 0.05;
   bool undirected = false;
   uint64_t seed = 1;
-  // Attribute randomization (applied via GraphBuilder::RandomizeAttributes).
-  uint8_t num_labels = 4;
+  // Relation ids are drawn uniformly from [0, num_relations).
   uint8_t num_relations = 4;
-  Weight max_weight = 16;
 };
 
 // Generates an R-MAT graph. Duplicate edges are removed, so the final edge
@@ -42,8 +46,8 @@ struct RmatOptions {
 CsrGraph GenerateRmat(const RmatOptions& options);
 
 // Generates a uniform random (Erdős–Rényi G(n, m)) graph: m edges with
-// independently uniform endpoints. Used as the non-skewed contrast case in
-// cache experiments.
+// independently uniform endpoints. The generator tests use it as the
+// non-skewed contrast to R-MAT's degree distribution.
 CsrGraph GenerateErdosRenyi(VertexId num_vertices, uint64_t num_edges,
                             bool undirected, uint64_t seed);
 

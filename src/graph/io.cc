@@ -1,9 +1,8 @@
 #include "graph/io.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -22,52 +21,27 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-constexpr char kBinaryMagic[8] = {'L', 'R', 'W', 'G', 'R', 'P', 'H', '1'};
-
-template <typename T>
-bool WriteVector(std::FILE* f, const std::vector<T>& v) {
-  const uint64_t n = v.size();
-  if (std::fwrite(&n, sizeof(n), 1, f) != 1) return false;
-  if (n == 0) return true;
-  return std::fwrite(v.data(), sizeof(T), n, f) == n;
-}
-
-template <typename T>
-bool ReadVector(std::FILE* f, std::vector<T>* v) {
-  uint64_t n = 0;
-  if (std::fread(&n, sizeof(n), 1, f) != 1) return false;
-  v->clear();
-  if (n == 0) return true;
-  // A crafted length prefix can declare an absurd element count; cap it
-  // against the bytes actually left in the file before allocating.
-  const long pos = std::ftell(f);
-  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return false;
-  const long end = std::ftell(f);
-  if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) return false;
-  if (n > static_cast<uint64_t>(end - pos) / sizeof(T)) return false;
-  v->resize(n);
-  return std::fread(v->data(), sizeof(T), n, f) == n;
-}
-
 }  // namespace
 
 StatusOr<CsrGraph> ReadEdgeList(const std::string& path, bool undirected) {
-  FilePtr f(std::fopen(path.c_str(), "r"));
-  if (f == nullptr) {
+  std::ifstream in(path);
+  if (!in) {
     return IoError("cannot open " + path);
   }
   std::vector<EdgeInput> edges;
   VertexId max_vertex = 0;
-  char line[512];
-  int line_number = 0;
-  while (std::fgets(line, sizeof(line), f.get()) != nullptr) {
+  // Whole lines, however long: a comment is skipped in full and every
+  // error names the file's own line number.
+  std::string line;
+  uint64_t line_number = 0;
+  while (std::getline(in, line)) {
     ++line_number;
-    if (line[0] == '#' || line[0] == '%' || line[0] == '\n') {
+    if (line.empty() || line[0] == '#' || line[0] == '%') {
       continue;
     }
     unsigned long long src = 0, dst = 0, weight = 1, relation = 0;
-    const int fields = std::sscanf(line, "%llu %llu %llu %llu", &src, &dst,
-                                   &weight, &relation);
+    const int fields = std::sscanf(line.c_str(), "%llu %llu %llu %llu", &src,
+                                   &dst, &weight, &relation);
     if (fields < 2) {
       return InvalidArgumentError(path + ":" + std::to_string(line_number) +
                                   ": expected 'src dst [weight [relation]]'");
@@ -121,159 +95,6 @@ Status WriteEdgeList(const CsrGraph& graph, const std::string& path) {
     }
   }
   return Status::Ok();
-}
-
-Status WriteBinary(const CsrGraph& graph, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return IoError("cannot open " + path + " for writing");
-  }
-  bool ok = std::fwrite(kBinaryMagic, sizeof(kBinaryMagic), 1, f.get()) == 1;
-  std::vector<EdgeIndex> row(graph.row_index().begin(),
-                             graph.row_index().end());
-  std::vector<VertexId> dst(graph.col_dst().begin(), graph.col_dst().end());
-  std::vector<Weight> weight(graph.col_weight().begin(),
-                             graph.col_weight().end());
-  std::vector<Relation> relation(graph.col_relation().begin(),
-                                 graph.col_relation().end());
-  std::vector<Label> labels(graph.labels().begin(), graph.labels().end());
-  ok = ok && WriteVector(f.get(), row) && WriteVector(f.get(), dst) &&
-       WriteVector(f.get(), weight) && WriteVector(f.get(), relation) &&
-       WriteVector(f.get(), labels);
-  if (!ok) {
-    return IoError("write failed for " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<CsrGraph> ReadBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return IoError("cannot open " + path);
-  }
-  char magic[sizeof(kBinaryMagic)];
-  if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
-      std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    return InvalidArgumentError(path + ": not a LightRW binary graph");
-  }
-  std::vector<EdgeIndex> row;
-  std::vector<VertexId> dst;
-  std::vector<Weight> weight;
-  std::vector<Relation> relation;
-  std::vector<Label> labels;
-  if (!ReadVector(f.get(), &row) || !ReadVector(f.get(), &dst) ||
-      !ReadVector(f.get(), &weight) || !ReadVector(f.get(), &relation) ||
-      !ReadVector(f.get(), &labels)) {
-    return IoError(path + ": truncated binary graph");
-  }
-  if (row.empty() || row.front() != 0 || row.back() != dst.size() ||
-      weight.size() != dst.size() || relation.size() != dst.size() ||
-      labels.size() != row.size() - 1) {
-    return InvalidArgumentError(path + ": inconsistent binary graph");
-  }
-  const VertexId n = static_cast<VertexId>(row.size() - 1);
-  GraphBuilder builder(n, /*undirected=*/false);
-  builder.Reserve(dst.size());
-  for (VertexId v = 0; v < n; ++v) {
-    builder.SetVertexLabel(v, labels[v]);
-    for (EdgeIndex i = row[v]; i < row[v + 1]; ++i) {
-      if (dst[i] >= n) {
-        return OutOfRangeError(path + ": edge destination out of range");
-      }
-      builder.AddEdge(v, dst[i], weight[i], relation[i]);
-    }
-  }
-  return std::move(builder).Build();
-}
-
-}  // namespace lightrw::graph
-
-namespace lightrw::graph {
-
-StatusOr<CsrGraph> ReadMatrixMarket(const std::string& path) {
-  std::FILE* raw = std::fopen(path.c_str(), "r");
-  if (raw == nullptr) {
-    return IoError("cannot open " + path);
-  }
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(raw, &std::fclose);
-
-  char line[512];
-  if (std::fgets(line, sizeof(line), f.get()) == nullptr) {
-    return InvalidArgumentError(path + ": empty file");
-  }
-  // Header: %%MatrixMarket matrix coordinate <field> <symmetry>
-  char object[64] = {0}, format[64] = {0}, field[64] = {0},
-       symmetry[64] = {0};
-  if (std::sscanf(line, "%%%%MatrixMarket %63s %63s %63s %63s", object,
-                  format, field, symmetry) != 4) {
-    return InvalidArgumentError(path + ": not a MatrixMarket header");
-  }
-  if (std::string(object) != "matrix" ||
-      std::string(format) != "coordinate") {
-    return UnimplementedError(path + ": only coordinate matrices supported");
-  }
-  const std::string field_s(field);
-  if (field_s != "pattern" && field_s != "integer" && field_s != "real") {
-    return UnimplementedError(path + ": unsupported field " + field_s);
-  }
-  const std::string symmetry_s(symmetry);
-  if (symmetry_s != "general" && symmetry_s != "symmetric") {
-    return UnimplementedError(path + ": unsupported symmetry " + symmetry_s);
-  }
-  const bool has_value = field_s != "pattern";
-  const bool symmetric = symmetry_s == "symmetric";
-
-  // Skip comments, read the size line.
-  unsigned long long rows = 0, cols = 0, entries = 0;
-  while (std::fgets(line, sizeof(line), f.get()) != nullptr) {
-    if (line[0] == '%') {
-      continue;
-    }
-    if (std::sscanf(line, "%llu %llu %llu", &rows, &cols, &entries) != 3) {
-      return InvalidArgumentError(path + ": malformed size line");
-    }
-    break;
-  }
-  if (rows == 0 || cols == 0) {
-    return InvalidArgumentError(path + ": empty matrix");
-  }
-  const unsigned long long n = std::max(rows, cols);
-  if (n >= kInvalidVertex) {
-    return OutOfRangeError(path + ": too many vertices");
-  }
-
-  GraphBuilder builder(static_cast<VertexId>(n), /*undirected=*/false);
-  builder.Reserve(symmetric ? 2 * entries : entries);
-  for (unsigned long long i = 0; i < entries; ++i) {
-    if (std::fgets(line, sizeof(line), f.get()) == nullptr) {
-      return IoError(path + ": truncated entry list");
-    }
-    unsigned long long r = 0, c = 0;
-    double value = 1.0;
-    const int fields =
-        std::sscanf(line, "%llu %llu %lf", &r, &c, &value);
-    if (fields < 2 || (has_value && fields < 3)) {
-      return InvalidArgumentError(path + ": malformed entry " +
-                                  std::to_string(i + 1));
-    }
-    if (r == 0 || c == 0 || r > n || c > n) {
-      return OutOfRangeError(path + ": entry index out of range");
-    }
-    // Weights: clamp positive reals/integers into [1, 2^32); pattern = 1.
-    Weight weight = 1;
-    if (has_value) {
-      const double magnitude = value < 0 ? -value : value;
-      weight = static_cast<Weight>(
-          std::min(4294967295.0, std::max(1.0, magnitude)));
-    }
-    const VertexId src = static_cast<VertexId>(r - 1);
-    const VertexId dst = static_cast<VertexId>(c - 1);
-    builder.AddEdge(src, dst, weight);
-    if (symmetric && src != dst) {
-      builder.AddEdge(dst, src, weight);
-    }
-  }
-  return std::move(builder).Build();
 }
 
 }  // namespace lightrw::graph

@@ -1,5 +1,4 @@
-// Graph serialization: whitespace-separated edge-list text files and a
-// compact binary CSR format for fast reload.
+// Graph serialization: whitespace-separated edge-list text files.
 
 #ifndef LIGHTRW_GRAPH_IO_H_
 #define LIGHTRW_GRAPH_IO_H_
@@ -13,22 +12,13 @@ namespace lightrw::graph {
 
 // Reads an edge list. Each non-comment line is
 //   src dst [weight [relation]]
-// Lines starting with '#' or '%' are skipped. Vertex ids are dense
-// non-negative integers; the vertex count is max id + 1.
+// Empty lines and lines starting with '#' or '%' are skipped, whatever
+// their length. Vertex ids are dense non-negative integers; the vertex
+// count is max id + 1.
 StatusOr<CsrGraph> ReadEdgeList(const std::string& path, bool undirected);
 
 // Writes "src dst weight relation" lines for every directed edge.
 Status WriteEdgeList(const CsrGraph& graph, const std::string& path);
-
-// Binary CSR round-trip. The format is versioned and checked on load.
-Status WriteBinary(const CsrGraph& graph, const std::string& path);
-StatusOr<CsrGraph> ReadBinary(const std::string& path);
-
-// Reads a MatrixMarket coordinate file (the SuiteSparse / snap.stanford
-// distribution format). Supports the `general` and `symmetric` pattern /
-// integer / real qualifiers; `symmetric` entries are mirrored. Vertex ids
-// are converted from MatrixMarket's 1-based convention.
-StatusOr<CsrGraph> ReadMatrixMarket(const std::string& path);
 
 }  // namespace lightrw::graph
 

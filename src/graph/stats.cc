@@ -16,19 +16,6 @@ std::vector<VertexId> VerticesByDegreeDescending(const CsrGraph& graph) {
   return order;
 }
 
-double EdgeShareOfTopVertices(const CsrGraph& graph, size_t top_k) {
-  if (graph.num_edges() == 0) {
-    return 0.0;
-  }
-  const auto order = VerticesByDegreeDescending(graph);
-  const size_t k = std::min(top_k, order.size());
-  uint64_t covered = 0;
-  for (size_t i = 0; i < k; ++i) {
-    covered += graph.Degree(order[i]);
-  }
-  return static_cast<double>(covered) / static_cast<double>(graph.num_edges());
-}
-
 DegreeStats ComputeDegreeStats(const CsrGraph& graph) {
   DegreeStats stats;
   const VertexId n = graph.num_vertices();

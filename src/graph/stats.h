@@ -28,9 +28,6 @@ DegreeStats ComputeDegreeStats(const CsrGraph& graph);
 // Vertices sorted by descending degree (ties by ascending id).
 std::vector<VertexId> VerticesByDegreeDescending(const CsrGraph& graph);
 
-// Share of edges whose source is among the `top_k` highest-degree vertices.
-double EdgeShareOfTopVertices(const CsrGraph& graph, size_t top_k);
-
 }  // namespace lightrw::graph
 
 #endif  // LIGHTRW_GRAPH_STATS_H_

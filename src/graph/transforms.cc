@@ -2,26 +2,10 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "graph/builder.h"
 #include "graph/stats.h"
 
 namespace lightrw::graph {
-
-CsrGraph ReverseGraph(const CsrGraph& graph) {
-  GraphBuilder builder(graph.num_vertices(), /*undirected=*/false);
-  builder.Reserve(graph.num_edges());
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    builder.SetVertexLabel(v, graph.VertexLabel(v));
-    const auto neighbors = graph.Neighbors(v);
-    const auto weights = graph.NeighborWeights(v);
-    const auto relations = graph.NeighborRelations(v);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      builder.AddEdge(neighbors[i], v, weights[i], relations[i]);
-    }
-  }
-  return std::move(builder).Build();
-}
 
 RelabeledGraph SortByDegree(const CsrGraph& graph) {
   RelabeledGraph result;
@@ -41,40 +25,6 @@ RelabeledGraph SortByDegree(const CsrGraph& graph) {
     for (size_t i = 0; i < neighbors.size(); ++i) {
       builder.AddEdge(result.new_id[v], result.new_id[neighbors[i]],
                       weights[i], relations[i]);
-    }
-  }
-  result.graph = std::move(builder).Build();
-  return result;
-}
-
-RelabeledGraph InducedSubgraphByLabels(const CsrGraph& graph,
-                                       std::span<const Label> labels) {
-  bool keep_label[256] = {};
-  for (const Label l : labels) {
-    keep_label[l] = true;
-  }
-
-  RelabeledGraph result;
-  result.new_id.assign(graph.num_vertices(), kInvalidVertex);
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (keep_label[graph.VertexLabel(v)]) {
-      result.new_id[v] = static_cast<VertexId>(result.old_id.size());
-      result.old_id.push_back(v);
-    }
-  }
-
-  GraphBuilder builder(static_cast<VertexId>(result.old_id.size()),
-                       /*undirected=*/false);
-  for (const VertexId v : result.old_id) {
-    builder.SetVertexLabel(result.new_id[v], graph.VertexLabel(v));
-    const auto neighbors = graph.Neighbors(v);
-    const auto weights = graph.NeighborWeights(v);
-    const auto relations = graph.NeighborRelations(v);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      if (result.new_id[neighbors[i]] != kInvalidVertex) {
-        builder.AddEdge(result.new_id[v], result.new_id[neighbors[i]],
-                        weights[i], relations[i]);
-      }
     }
   }
   result.graph = std::move(builder).Build();

@@ -67,8 +67,8 @@ class NetworkLink {
   // Reliable send: transmits the message and consults the attached fault
   // stream. A dropped frame is detected by ack timeout, a corrupted one
   // by receiver NACK; both trigger a retransmission after a backoff that
-  // doubles `retransmit_backoff_shift` bits per attempt, bounded by
-  // `max_retransmissions`. With no fault stream attached this is exactly
+  // grows reliability::kRetransmitBackoffShift bits per attempt, bounded
+  // by `max_retransmissions`. With no fault stream attached this is exactly
   // Send. When the budget is exhausted, delivered == false and `arrival`
   // is the cycle the sender gave up (the caller recovers the walker from
   // its checkpoint).
@@ -97,7 +97,7 @@ class NetworkLink {
         }
       }
       const uint32_t backoff_bits = std::min<uint32_t>(
-          attempt * fc.retransmit_backoff_shift, 20u);
+          attempt * reliability::kRetransmitBackoffShift, 20u);
       const Cycle timeout =
           static_cast<Cycle>(fc.retransmit_timeout_cycles) << backoff_bits;
       if (attempt >= fc.max_retransmissions) {

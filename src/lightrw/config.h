@@ -17,6 +17,10 @@ class TraceRecorder;
 
 namespace lightrw::core {
 
+// Latency (cycles) for a step's data to traverse the module pipeline
+// (query controller -> loader -> burst engine -> updater -> sampler).
+inline constexpr uint32_t kPipelineDepthCycles = 24;
+
 // Which row_index cache the Neighbor Info Loader uses (paper §5.1).
 enum class CacheKind {
   kNone,         // every lookup goes to DRAM (the DAC-disabled ablation)
@@ -90,10 +94,6 @@ struct AcceleratorConfig {
   // every thread count). 0 = SimThreadPool::DefaultThreads(), i.e. the
   // LIGHTRW_SIM_THREADS environment or the tools' --threads flag.
   uint32_t num_threads = 0;
-
-  // Latency (cycles) for a step's data to traverse the module pipeline
-  // (query controller -> loader -> burst engine -> updater -> sampler).
-  uint32_t pipeline_depth_cycles = 24;
 
   hwsim::DramConfig dram = DefaultAcceleratorDram();
 

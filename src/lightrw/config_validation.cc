@@ -10,8 +10,7 @@
 namespace lightrw::core {
 
 Status ValidateConfig(const AcceleratorConfig& config,
-                      bool needs_prev_neighbors,
-                      const DeviceResources& device) {
+                      bool needs_prev_neighbors) {
   if (config.sampler_parallelism == 0 ||
       !IsPowerOfTwo(config.sampler_parallelism)) {
     return InvalidArgumentError(
@@ -58,9 +57,8 @@ Status ValidateConfig(const AcceleratorConfig& config,
   LIGHTRW_RETURN_IF_ERROR(reliability::ValidateFaultConfig(config.faults));
 
   // Resource fit on the modeled device.
-  ResourceModel model(device);
   const ResourceUsage usage =
-      model.TotalUsage(config, needs_prev_neighbors);
+      ResourceModel().TotalUsage(config, needs_prev_neighbors);
   const auto check = [](uint64_t used, uint64_t avail, const char* what) {
     return used <= avail
                ? Status::Ok()
@@ -68,10 +66,10 @@ Status ValidateConfig(const AcceleratorConfig& config,
                                what + " " + std::to_string(used) + " > " +
                                std::to_string(avail));
   };
-  LIGHTRW_RETURN_IF_ERROR(check(usage.luts, device.luts, "LUTs"));
-  LIGHTRW_RETURN_IF_ERROR(check(usage.regs, device.regs, "REGs"));
-  LIGHTRW_RETURN_IF_ERROR(check(usage.brams, device.brams, "BRAMs"));
-  LIGHTRW_RETURN_IF_ERROR(check(usage.dsps, device.dsps, "DSPs"));
+  LIGHTRW_RETURN_IF_ERROR(check(usage.luts, kU250.luts, "LUTs"));
+  LIGHTRW_RETURN_IF_ERROR(check(usage.regs, kU250.regs, "REGs"));
+  LIGHTRW_RETURN_IF_ERROR(check(usage.brams, kU250.brams, "BRAMs"));
+  LIGHTRW_RETURN_IF_ERROR(check(usage.dsps, kU250.dsps, "DSPs"));
   return Status::Ok();
 }
 

@@ -14,10 +14,9 @@ namespace lightrw::core {
 
 // Checks structural invariants (power-of-two cache, nonzero lanes and
 // burst lengths) and that the modeled resource usage of the configuration
-// fits `device`. `needs_prev_neighbors` selects the Node2Vec-style build.
+// fits the U250. `needs_prev_neighbors` selects the Node2Vec-style build.
 Status ValidateConfig(const AcceleratorConfig& config,
-                      bool needs_prev_neighbors,
-                      const DeviceResources& device = DeviceResources{});
+                      bool needs_prev_neighbors);
 
 }  // namespace lightrw::core
 

@@ -234,7 +234,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
         continue;
       }
       if (graph_->Degree(slot.state.curr) == 0) {  // dead end
-        retire(slot_index, t_info + config_.pipeline_depth_cycles);
+        retire(slot_index, t_info + kPipelineDepthCycles);
         continue;
       }
       slot.phase = Phase::kFetch;

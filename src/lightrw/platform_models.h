@@ -72,23 +72,23 @@ struct ResourceUsage {
   ResourceUsage operator*(uint64_t n) const;
 };
 
-// Device totals of the Alveo U250 (paper §6.1.1).
+// Device totals of an FPGA.
 struct DeviceResources {
-  uint64_t luts = 1341000;
-  uint64_t regs = 2682000;
-  uint64_t brams = 2000;
-  uint64_t dsps = 11508;
+  uint64_t luts = 0;
+  uint64_t regs = 0;
+  uint64_t brams = 0;
+  uint64_t dsps = 0;
 };
+
+// The modeled target, the Alveo U250 (paper §6.1.1).
+inline constexpr DeviceResources kU250{1341000, 2682000, 2000, 11508};
 
 // Per-module LUT/REG/BRAM/DSP estimates, scaled by the accelerator
 // configuration (sampler lanes, cache depth, buffer sizes). Calibrated so
 // the default MetaPath and Node2Vec configurations land near the paper's
-// utilization; documented as modeled values.
+// utilization on the U250; documented as modeled values.
 class ResourceModel {
  public:
-  explicit ResourceModel(const DeviceResources& device = DeviceResources{})
-      : device_(device) {}
-
   // Static platform shell (DMA, memory controllers, clocking).
   ResourceUsage Shell() const;
 
@@ -101,23 +101,19 @@ class ResourceModel {
   ResourceUsage TotalUsage(const AcceleratorConfig& config,
                            bool needs_prev_neighbors) const;
 
+  // Shares of the U250's totals.
   double LutPercent(const ResourceUsage& u) const {
-    return 100.0 * static_cast<double>(u.luts) / device_.luts;
+    return 100.0 * static_cast<double>(u.luts) / kU250.luts;
   }
   double RegPercent(const ResourceUsage& u) const {
-    return 100.0 * static_cast<double>(u.regs) / device_.regs;
+    return 100.0 * static_cast<double>(u.regs) / kU250.regs;
   }
   double BramPercent(const ResourceUsage& u) const {
-    return 100.0 * static_cast<double>(u.brams) / device_.brams;
+    return 100.0 * static_cast<double>(u.brams) / kU250.brams;
   }
   double DspPercent(const ResourceUsage& u) const {
-    return 100.0 * static_cast<double>(u.dsps) / device_.dsps;
+    return 100.0 * static_cast<double>(u.dsps) / kU250.dsps;
   }
-
-  const DeviceResources& device() const { return device_; }
-
- private:
-  DeviceResources device_;
 };
 
 }  // namespace lightrw::core

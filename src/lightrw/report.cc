@@ -173,19 +173,6 @@ std::string FormatRunReport(const RunReportInputs& inputs) {
     }
   }
 
-  // Service-level objectives: only for service runs — a batch run's
-  // report is byte-identical to one without the service layer.
-  if (inputs.slo != nullptr && inputs.slo->Any()) {
-    out += FormatSloSection(*inputs.slo);
-  }
-
-  // Latency attribution: only for runs that recorded spans — see
-  // RunReportInputs::latency_attribution.
-  if (inputs.latency_attribution != nullptr &&
-      !inputs.latency_attribution->empty()) {
-    out += *inputs.latency_attribution;
-  }
-
   // Telemetry timeline: only for runs that scraped time series — see
   // RunReportInputs::telemetry_timeline.
   if (inputs.telemetry_timeline != nullptr &&

@@ -51,14 +51,6 @@ struct RunReportInputs {
   // Workload shape (for the PCIe model).
   uint64_t num_queries = 0;
   uint32_t query_length = 0;
-  // Service-level objectives: appended as a gated section when non-null
-  // and non-empty (batch runs keep a byte-identical report).
-  const SloSummary* slo = nullptr;
-  // Latency attribution: pre-rendered by
-  // obs::FormatLatencyAttributionSection and appended when non-null and
-  // non-empty, keeping the report independent of the span subsystem
-  // (runs without span recording keep a byte-identical report).
-  const std::string* latency_attribution = nullptr;
   // Telemetry timeline: pre-rendered by
   // obs::TimeSeriesRecorder::FormatTimelineSection and appended when
   // non-null and non-empty (runs without scraping keep a byte-identical

@@ -118,7 +118,7 @@ BoardStepModel::FetchTiming BoardStepModel::Fetch(
     Cycle t, const apps::WalkState& state, FetchPolicy policy,
     StageCycleStats* stage) {
   const uint32_t degree = graph_->Degree(state.curr);
-  const Cycle depth = config_.pipeline_depth_cycles;
+  const Cycle depth = kPipelineDepthCycles;
   stage->pipeline_cycles += depth;
 
   if (policy == FetchPolicy::kUniformRecord) {

@@ -130,8 +130,8 @@ Json BurnAlertsToJson(const std::vector<BurnAlert>& alerts);
 
 // Renders the operator-facing "latency attribution" report section:
 // breach counts, dominant-component tally, per-component p99, and the
-// burn-rate alert log. Empty string when nothing was analyzed and no
-// alert fired (so gated reports stay byte-identical without spans).
+// burn-rate alert log, which walk_tool prints after a run exporting
+// spans. Empty string when nothing was analyzed and no alert fired.
 std::string FormatLatencyAttributionSection(
     const AttributionReport& report, const std::vector<BurnAlert>& alerts);
 

@@ -46,8 +46,7 @@ std::string FormatAnnotation(const TsAnnotation& note) {
 }  // namespace
 
 std::vector<Incident> DetectSeriesIncidents(const std::string& series,
-                                            const std::vector<double>& values,
-                                            const TimeSeriesConfig& config) {
+                                            const std::vector<double>& values) {
   std::vector<Incident> incidents;
   double level = 0.0;
   std::deque<double> residuals;
@@ -58,13 +57,13 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
     const double x = values[w];
     const double residual = std::abs(x - level);
     double z = 0.0;
-    if (w >= config.anomaly_warmup && !residuals.empty()) {
+    if (w >= kAnomalyWarmup && !residuals.empty()) {
       z = (x - level) / RobustScale(MedianOf(residuals), level);
     }
     // Judge window w against the state built from windows < w, then
     // fold it in.
     if (!open) {
-      if (std::abs(z) >= config.anomaly_z_open) {
+      if (std::abs(z) >= kAnomalyZOpen) {
         open = true;
         current = Incident{};
         current.series = series;
@@ -75,7 +74,7 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
       }
     } else {
       current.severity = std::max(current.severity, std::abs(z));
-      if (std::abs(z) < config.anomaly_z_close) {
+      if (std::abs(z) < kAnomalyZClose) {
         ++calm;
         if (calm >= kIncidentCloseAfter) {
           current.close_window = w;
@@ -87,7 +86,7 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
         calm = 0;
       }
     }
-    level += config.anomaly_alpha * (x - level);
+    level += kAnomalyAlpha * (x - level);
     residuals.push_back(residual);
     while (residuals.size() > kMadWindow) {
       residuals.pop_front();
@@ -181,24 +180,31 @@ void TimeSeriesRecorder::CloseWindow(uint64_t end_cycle) {
 }
 
 void TimeSeriesRecorder::TrimToRing() {
-  while (window_end_.size() > config_.max_windows) {
-    window_end_.erase(window_end_.begin());
-    for (auto& [key, series] : series_) {
-      switch (series.kind) {
-        case 0:
-          series.counter_delta.erase(series.counter_delta.begin());
-          break;
-        case 1:
-          series.gauge_last.erase(series.gauge_last.begin());
-          break;
-        default:
-          series.hist_window.erase(series.hist_window.begin());
-          series.exemplars.erase(series.exemplars.begin());
-          break;
-      }
-    }
-    ++first_window_;
+  if (window_end_.size() > config_.max_windows) {
+    DropOldestWindows(window_end_.size() - config_.max_windows);
   }
+}
+
+void TimeSeriesRecorder::DropOldestWindows(size_t n) {
+  const auto drop = [n](auto* windows) {
+    windows->erase(windows->begin(), windows->begin() + n);
+  };
+  drop(&window_end_);
+  for (auto& [key, series] : series_) {
+    switch (series.kind) {
+      case 0:
+        drop(&series.counter_delta);
+        break;
+      case 1:
+        drop(&series.gauge_last);
+        break;
+      default:
+        drop(&series.hist_window);
+        drop(&series.exemplars);
+        break;
+    }
+  }
+  first_window_ += n;
 }
 
 void TimeSeriesRecorder::AdvanceTo(uint64_t cycle) {
@@ -228,17 +234,25 @@ void TimeSeriesRecorder::Finish(uint64_t cycle) {
 void TimeSeriesRecorder::MergeFrom(const TimeSeriesRecorder* shard) {
   LIGHTRW_CHECK(shard != nullptr);
   LIGHTRW_CHECK(shard->config_.scrape_interval == config_.scrape_interval);
-  // Ring eviction with per-shard recorders would need offset alignment;
-  // size max_windows generously instead (checked, not silently wrong).
-  LIGHTRW_CHECK(shard->first_window_ == first_window_);
-  const size_t target = std::max(window_end_.size(), shard->window_end_.size());
+  // Windows align by global index. A ring that evicted holds nothing for
+  // the windows it dropped, so the merged ring starts at the latest
+  // first window: every window it keeps has every recorder's data. Both
+  // rings hold at most max_windows, and so does [first, end).
+  const uint64_t first = std::max(first_window_, shard->first_window_);
+  const uint64_t end =
+      std::max(first_window_ + window_end_.size(),
+               shard->first_window_ + shard->window_end_.size());
+  DropOldestWindows(std::min<uint64_t>(first - first_window_,
+                                       window_end_.size()));
+  first_window_ = first;
+  const size_t target = end - first;
+  // The shard's window w lands in slot w - skip.
+  const size_t skip = first - shard->first_window_;
   // Grow the window index first, taking the later end per slot.
-  for (size_t w = 0; w < shard->window_end_.size(); ++w) {
-    if (w < window_end_.size()) {
-      window_end_[w] = std::max(window_end_[w], shard->window_end_[w]);
-    } else {
-      window_end_.push_back(shard->window_end_[w]);
-    }
+  window_end_.resize(target, 0);
+  for (size_t w = skip; w < shard->window_end_.size(); ++w) {
+    window_end_[w - skip] =
+        std::max(window_end_[w - skip], shard->window_end_[w]);
   }
   // Pad every local series to the merged window count; shards that
   // closed fewer windows contribute zero deltas / empty histograms.
@@ -269,22 +283,22 @@ void TimeSeriesRecorder::MergeFrom(const TimeSeriesRecorder* shard) {
     LIGHTRW_CHECK(series.kind == other.kind);
     switch (other.kind) {
       case 0:
-        for (size_t w = 0; w < other.counter_delta.size(); ++w) {
-          series.counter_delta[w] += other.counter_delta[w];
+        for (size_t w = skip; w < other.counter_delta.size(); ++w) {
+          series.counter_delta[w - skip] += other.counter_delta[w];
         }
         break;
       case 1:
         // Shards cover disjoint replicas; the merged gauge is the sum
         // (e.g. per-shard inflight adds up to cluster inflight).
-        for (size_t w = 0; w < other.gauge_last.size(); ++w) {
-          series.gauge_last[w] += other.gauge_last[w];
+        for (size_t w = skip; w < other.gauge_last.size(); ++w) {
+          series.gauge_last[w - skip] += other.gauge_last[w];
         }
         break;
       default:
-        for (size_t w = 0; w < other.hist_window.size(); ++w) {
-          series.hist_window[w].Merge(other.hist_window[w]);
+        for (size_t w = skip; w < other.hist_window.size(); ++w) {
+          series.hist_window[w - skip].Merge(other.hist_window[w]);
           const WindowExemplar& cand = other.exemplars[w];
-          WindowExemplar& worst = series.exemplars[w];
+          WindowExemplar& worst = series.exemplars[w - skip];
           if (!cand.valid) {
             continue;
           }
@@ -356,7 +370,7 @@ std::vector<Incident> TimeSeriesRecorder::DetectIncidents() const {
       values[w] = DetectorValue(series, w);
     }
     std::vector<Incident> found =
-        DetectSeriesIncidents(RenderSeriesId(series), values, config_);
+        DetectSeriesIncidents(RenderSeriesId(series), values);
     for (Incident& incident : found) {
       incident.open_window += first_window_;
       incident.close_window += first_window_;

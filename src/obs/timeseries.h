@@ -57,13 +57,13 @@ struct TimeSeriesConfig {
   // Ring-buffer capacity: when more windows close, the oldest are
   // dropped and first_window advances.
   uint64_t max_windows = 4096;
-
-  // Anomaly detection (see AnomalyDetector below).
-  double anomaly_alpha = 0.3;      // EWMA smoothing factor in (0, 1]
-  double anomaly_z_open = 6.0;     // |z| at or above this opens an incident
-  double anomaly_z_close = 3.0;    // |z| below this counts as a calm window
-  uint32_t anomaly_warmup = 4;     // windows before detection is armed
 };
+
+// Anomaly detection (see DetectSeriesIncidents below).
+inline constexpr double kAnomalyAlpha = 0.3;    // EWMA smoothing factor
+inline constexpr double kAnomalyZOpen = 6.0;    // |z| >= this opens
+inline constexpr double kAnomalyZClose = 3.0;   // |z| < this is calm
+inline constexpr uint32_t kAnomalyWarmup = 4;   // windows before arming
 
 // One fault/membership/slo_burn event reported by an engine (or the
 // tool) for cross-annotation against incidents.
@@ -89,11 +89,10 @@ struct Incident {
 // dividing by zero while still letting a burst register as a large,
 // finite z. Values at window w are judged against the state built from
 // windows < w (the MAD over the last 16 residuals), then folded in;
-// detection is armed after `warmup` windows and an incident closes
+// detection is armed after kAnomalyWarmup windows and an incident closes
 // after 2 consecutive calm windows.
 std::vector<Incident> DetectSeriesIncidents(const std::string& series,
-                                            const std::vector<double>& values,
-                                            const TimeSeriesConfig& config);
+                                            const std::vector<double>& values);
 
 class TimeSeriesRecorder {
  public:
@@ -118,8 +117,10 @@ class TimeSeriesRecorder {
                 const std::string& detail);
 
   // Fold a shard recorder into this one (fixed shard order at the call
-  // site). Window counts may differ between shards; missing windows
-  // contribute zero deltas / empty histograms.
+  // site). Windows align by global index; the merged ring starts at the
+  // later of the two first windows, so a ring that evicted never leaves
+  // a partial window. Window counts may differ between shards; missing
+  // windows contribute zero deltas / empty histograms.
   void MergeFrom(const TimeSeriesRecorder* shard);
 
   uint64_t num_windows() const { return window_end_.size(); }
@@ -168,6 +169,8 @@ class TimeSeriesRecorder {
   static double DetectorValue(const Series& series, size_t w);
   void CloseWindow(uint64_t end_cycle);
   void TrimToRing();
+  // Drops the n oldest retained windows (n <= num_windows()).
+  void DropOldestWindows(size_t n);
   std::vector<TsAnnotation> SortedAnnotations() const;
 
   TimeSeriesConfig config_;

@@ -183,10 +183,6 @@ std::string TraceRecorder::ToJsonString() const {
   return out;
 }
 
-Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
-  return WriteTextFile(ToJsonString(), path);
-}
-
 Status WriteTextFile(const std::string& text, const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {

@@ -101,9 +101,6 @@ class TraceRecorder {
   Json ToJson() const;
   std::string ToJsonString() const;
 
-  // Writes ToJsonString() to `path`.
-  Status WriteChromeTrace(const std::string& path) const;
-
  private:
   void Record(TraceEvent event);
 
@@ -117,8 +114,8 @@ class TraceRecorder {
   std::atomic<uint64_t> dropped_events_{0};
 };
 
-// Writes `text` to `path` in one shot. Shared by the metrics and trace
-// exporters (and any tool that wants to persist an exposition string).
+// Writes `text` to `path` in one shot; walk_tool writes every export
+// file through it.
 Status WriteTextFile(const std::string& text, const std::string& path);
 
 }  // namespace lightrw::obs

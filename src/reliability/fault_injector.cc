@@ -1,6 +1,7 @@
 #include "reliability/fault_injector.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "obs/metrics.h"
@@ -31,10 +32,6 @@ Status ValidateFaultConfig(const FaultConfig& config) {
     return InvalidArgumentError(
         "retransmit_timeout_cycles must be >= 1 when link faults are "
         "enabled");
-  }
-  if (config.retransmit_backoff_shift > 16) {
-    return InvalidArgumentError(
-        "retransmit_backoff_shift above 16 overflows the modeled timeout");
   }
   if (config.max_dram_retries > 64) {
     return InvalidArgumentError("max_dram_retries must be <= 64");
@@ -74,11 +71,26 @@ Status ValidateCkptStoreConfig(const CkptStoreConfig& config) {
   if (config.num_replicas == 0 || config.num_replicas > 8) {
     return InvalidArgumentError("ckpt_store.num_replicas must be in [1, 8]");
   }
+  if (!std::isfinite(config.scrub_bytes_per_cycle)) {
+    return InvalidArgumentError(
+        "ckpt_store.scrub_bytes_per_cycle must be finite");
+  }
   if (config.scrub_interval_cycles > 0 &&
       config.scrub_bytes_per_cycle <= 0.0) {
     return InvalidArgumentError(
         "ckpt_store.scrub_bytes_per_cycle must be > 0 when scrubbing is "
         "enabled (scrub_interval_cycles > 0)");
+  }
+  // Each scrub tick converts bytes_per_cycle * interval to a 64-bit byte
+  // budget; keep it below 2^63 so the conversion is defined.
+  if (config.scrub_bytes_per_cycle *
+          static_cast<double>(config.scrub_interval_cycles) >=
+      0x1p63) {
+    return OutOfRangeError(
+        "ckpt_store scrub budget overflow: scrub_bytes_per_cycle times "
+        "scrub_interval_cycles (" +
+        std::to_string(config.scrub_interval_cycles) +
+        ") must stay below 2^63 bytes");
   }
   return Status::Ok();
 }

@@ -102,6 +102,13 @@ struct CkptStoreConfig {
 // probabilities, retention/replication bounds, scrub budget coherent).
 Status ValidateCkptStoreConfig(const CkptStoreConfig& config);
 
+// Bits the retransmission ack timeout grows per attempt: the timeout
+// doubles, capped at 2^20 times retransmit_timeout_cycles.
+inline constexpr uint32_t kRetransmitBackoffShift = 1;
+// Modeled per-walker cost of reading checkpointed state and
+// re-dispatching it to a surviving board.
+inline constexpr uint32_t kRecoveryCyclesPerWalker = 512;
+
 // Fault schedule and recovery-protocol parameters. The default
 // configuration is fully disabled: engines behave bit-identically to a
 // build without the reliability subsystem.
@@ -124,12 +131,11 @@ struct FaultConfig {
   double link_drop_rate = 0.0;
   double link_corrupt_rate = 0.0;
   // Retransmission protocol: a lost/corrupted message is resent after an
-  // ack timeout that doubles `retransmit_backoff_shift` bits per attempt,
-  // at most `max_retransmissions` times before the send is declared
-  // failed and the walker recovers from its checkpoint.
+  // ack timeout that grows kRetransmitBackoffShift bits per attempt, at
+  // most `max_retransmissions` times before the send is declared failed
+  // and the walker recovers from its checkpoint.
   uint32_t max_retransmissions = 8;
   uint32_t retransmit_timeout_cycles = 2048;
-  uint32_t retransmit_backoff_shift = 1;
 
   // Whole-board failure schedule: each entry permanently kills one
   // board at the given cycle. Walkers resident on (or migrating to) a
@@ -154,9 +160,6 @@ struct FaultConfig {
 
   // Cycles between a board failure and its detection (heartbeat loss).
   uint32_t detection_latency_cycles = 4096;
-  // Modeled per-walker cost of reading checkpointed state and
-  // re-dispatching it to a surviving board.
-  uint32_t recovery_cycles_per_walker = 512;
 
   // Durable checkpoint store (inert unless both `enabled` flags are
   // set). Checkpoints are then also written through the CRC32C-framed

@@ -23,8 +23,8 @@ Status ValidateArrivalConfig(const ArrivalConfig& config) {
     return InvalidArgumentError(
         "arrivals.burst_off_cycles without burst_on_cycles never bursts");
   }
-  if (config.best_effort_fraction < 0.0 ||
-      config.best_effort_fraction > 1.0) {
+  if (!(config.best_effort_fraction >= 0.0 &&
+        config.best_effort_fraction <= 1.0)) {
     return InvalidArgumentError(
         "arrivals.best_effort_fraction must be within [0, 1]");
   }

@@ -161,7 +161,8 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   LIGHTRW_RETURN_IF_ERROR(ValidateServiceConfig(config_));
   const BoardId num_boards = partition_->num_boards();
   LIGHTRW_RETURN_IF_ERROR(
-      distributed::CheckFailoverSatisfiable(config_.cluster, num_boards));
+      distributed::CheckFailoverSatisfiable(config_.cluster, *graph_,
+                                            *partition_));
   const uint32_t num_shards = config_.admission_shards;
   if (num_shards > num_boards || num_boards % num_shards != 0) {
     return InvalidArgumentError(

@@ -107,42 +107,6 @@ TEST(EmbeddingTest, DeterministicPerSeed) {
   }
 }
 
-TEST(EmbeddingIoTest, RoundTrip) {
-  Embedding original(5, 4);
-  rng::Xoshiro256StarStar gen(2);
-  for (VertexId v = 0; v < 5; ++v) {
-    for (auto& x : original.MutableVector(v)) {
-      x = static_cast<float>(gen.NextUnit());
-    }
-  }
-  const std::string path = testing::TempDir() + "/lightrw_embed.bin";
-  ASSERT_TRUE(WriteEmbedding(original, path).ok());
-  auto loaded = ReadEmbedding(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->num_vertices(), 5u);
-  ASSERT_EQ(loaded->dimensions(), 4u);
-  for (VertexId v = 0; v < 5; ++v) {
-    for (uint32_t d = 0; d < 4; ++d) {
-      EXPECT_EQ(loaded->Vector(v)[d], original.Vector(v)[d]);
-    }
-  }
-}
-
-TEST(EmbeddingIoTest, RejectsGarbage) {
-  const std::string path = testing::TempDir() + "/lightrw_embed_bad.bin";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("definitely not an embedding", f);
-  std::fclose(f);
-  EXPECT_FALSE(ReadEmbedding(path).ok());
-}
-
-TEST(EmbeddingIoTest, MissingFileIsIoError) {
-  auto result = ReadEmbedding(testing::TempDir() + "/lightrw_embed_nope");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-}
-
 TEST(LinkPredictionTest, AucAboveChanceOnStructuredGraph) {
   const CsrGraph g = MakeTwoCliques();
   const WalkOutput corpus = MakeCorpus(g);

@@ -32,15 +32,6 @@ TEST(CorpusIoTest, TextRoundTrip) {
   ExpectCorporaEqual(corpus, *loaded);
 }
 
-TEST(CorpusIoTest, BinaryRoundTrip) {
-  const WalkOutput corpus = MakeCorpus();
-  const std::string path = TempPath("roundtrip.bin");
-  ASSERT_TRUE(WriteCorpusBinary(corpus, path).ok());
-  auto loaded = ReadCorpusBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectCorporaEqual(corpus, *loaded);
-}
-
 TEST(CorpusIoTest, SingleVertexWalks) {
   WalkOutput corpus;
   corpus.vertices = {42};
@@ -56,8 +47,6 @@ TEST(CorpusIoTest, SingleVertexWalks) {
 TEST(CorpusIoTest, MissingFileIsIoError) {
   EXPECT_EQ(ReadCorpusText(TempPath("nope.txt")).status().code(),
             StatusCode::kIoError);
-  EXPECT_EQ(ReadCorpusBinary(TempPath("nope.bin")).status().code(),
-            StatusCode::kIoError);
 }
 
 TEST(CorpusIoTest, TextRejectsGarbage) {
@@ -69,27 +58,6 @@ TEST(CorpusIoTest, TextRejectsGarbage) {
   auto loaded = ReadCorpusText(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CorpusIoTest, BinaryRejectsWrongMagic) {
-  const std::string path = TempPath("bad.bin");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("this is not a corpus file at all", f);
-  std::fclose(f);
-  auto loaded = ReadCorpusBinary(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CorpusIoTest, BinaryRejectsTruncation) {
-  const std::string path = TempPath("trunc.bin");
-  ASSERT_TRUE(WriteCorpusBinary(MakeCorpus(), path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "r+");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(ftruncate(fileno(f), 20), 0);
-  std::fclose(f);
-  EXPECT_FALSE(ReadCorpusBinary(path).ok());
 }
 
 TEST(CorpusIoTest, EmptyTextFileRejected) {

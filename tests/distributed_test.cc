@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "apps/ppr.h"
 #include "apps/walk_app.h"
 #include "distributed/config_validation.h"
@@ -154,6 +157,48 @@ TEST(DistributedConfigValidationTest, RejectsBadNestedLinkConfig) {
   const Status status = ValidateDistributedConfig(config);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("bytes_per_cycle"), std::string::npos);
+}
+
+TEST(DistributedConfigValidationTest, RejectsNonFiniteRebuildBandwidth) {
+  for (const double rate : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    DistributedConfig config;
+    config.num_spare_boards = 1;
+    config.rebuild_bytes_per_cycle = rate;
+    const Status status = ValidateDistributedConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << rate;
+    EXPECT_NE(status.message().find("rebuild_bytes_per_cycle"),
+              std::string::npos);
+  }
+}
+
+// A spare that would need 2^47 cycles or more to copy its share is
+// rejected before the run, in both graph modes; 1e-3 B/cycle still runs.
+TEST(DistributedEngineTest, RejectsRebuildOfTwoToTheFortySevenCycles) {
+  graph::RmatOptions rmat;
+  rmat.scale = 8;
+  const CsrGraph g = graph::GenerateRmat(rmat);
+  StaticWalkApp app;
+  const Partition p = MakePartition(g, 2, PartitionStrategy::kHash);
+  const auto queries = apps::MakeVertexQueries(g, 8, 3, 64);
+  for (const bool replicate : {false, true}) {
+    DistributedConfig config = TestConfig();
+    config.replicate_graph = replicate;
+    config.num_spare_boards = 1;
+    config.board.faults.enabled = true;
+    config.board.faults.board_deaths = {{100, /*board=*/0}};
+    config.rebuild_bytes_per_cycle = 1e-30;
+    const auto rejected = DistributedEngine(&g, &app, &p, config).Run(queries);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(rejected.status().message().find("rebuild_bytes_per_cycle"),
+              std::string::npos);
+    config.rebuild_bytes_per_cycle = 1e-3;
+    const auto slow = DistributedEngine(&g, &app, &p, config).Run(queries);
+    ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+    EXPECT_EQ(slow->reliability.rebuilds_completed, 1u);
+    EXPECT_GT(slow->reliability.rebuild_cycles, 1000000u);
+  }
 }
 
 TEST(DistributedEngineTest, RunsAllQueriesWithValidWalks) {

@@ -61,12 +61,5 @@ TEST(VertexOrderTest, SortedByDegreeDescending) {
   }
 }
 
-TEST(VertexOrderTest, EdgeShareOfTopVertices) {
-  const CsrGraph g = MakeStar(10);
-  EXPECT_NEAR(EdgeShareOfTopVertices(g, 1), 0.5, 1e-9);
-  EXPECT_NEAR(EdgeShareOfTopVertices(g, 11), 1.0, 1e-9);
-  EXPECT_NEAR(EdgeShareOfTopVertices(g, 1000), 1.0, 1e-9);  // clamped
-}
-
 }  // namespace
 }  // namespace lightrw::graph

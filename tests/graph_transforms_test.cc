@@ -20,36 +20,6 @@ CsrGraph MakeChain() {
   return std::move(builder).Build();
 }
 
-TEST(ReverseGraphTest, FlipsEdgesKeepsAttributes) {
-  const CsrGraph g = MakeChain();
-  const CsrGraph r = ReverseGraph(g);
-  EXPECT_EQ(r.num_edges(), g.num_edges());
-  EXPECT_TRUE(r.HasEdge(1, 0));
-  EXPECT_TRUE(r.HasEdge(3, 2));
-  EXPECT_FALSE(r.HasEdge(0, 1));
-  EXPECT_EQ(r.NeighborWeights(1)[0], 10u);
-  EXPECT_EQ(r.NeighborRelations(3)[0], 3);
-  EXPECT_EQ(r.VertexLabel(2), 2);
-}
-
-TEST(ReverseGraphTest, DoubleReverseIsIdentity) {
-  RmatOptions options;
-  options.scale = 8;
-  options.seed = 6;
-  const CsrGraph g = GenerateRmat(options);
-  const CsrGraph rr = ReverseGraph(ReverseGraph(g));
-  ASSERT_EQ(rr.num_edges(), g.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(rr.Degree(v), g.Degree(v));
-    const auto a = g.Neighbors(v);
-    const auto b = rr.Neighbors(v);
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]);
-      ASSERT_EQ(g.NeighborWeights(v)[i], rr.NeighborWeights(v)[i]);
-    }
-  }
-}
-
 TEST(SortByDegreeTest, DescendingDegreeIds) {
   RmatOptions options;
   options.scale = 10;
@@ -84,33 +54,6 @@ TEST(SortByDegreeTest, EdgesTranslated) {
     EXPECT_EQ(sorted.graph.VertexLabel(sorted.new_id[v]),
               g.VertexLabel(v));
   }
-}
-
-TEST(InducedSubgraphTest, KeepsOnlyMatchingLabels) {
-  const CsrGraph g = MakeChain();
-  const Label keep[] = {1};
-  const RelabeledGraph sub = InducedSubgraphByLabels(g, keep);
-  // Vertices 0 and 1 have label 1; the only surviving edge is 0 -> 1.
-  EXPECT_EQ(sub.graph.num_vertices(), 2u);
-  EXPECT_EQ(sub.graph.num_edges(), 1u);
-  EXPECT_TRUE(sub.graph.HasEdge(sub.new_id[0], sub.new_id[1]));
-  EXPECT_EQ(sub.old_id.size(), 2u);
-}
-
-TEST(InducedSubgraphTest, AllLabelsKeepsEverything) {
-  const CsrGraph g = MakeChain();
-  const Label keep[] = {1, 2};
-  const RelabeledGraph sub = InducedSubgraphByLabels(g, keep);
-  EXPECT_EQ(sub.graph.num_vertices(), g.num_vertices());
-  EXPECT_EQ(sub.graph.num_edges(), g.num_edges());
-}
-
-TEST(InducedSubgraphTest, NoMatchingLabelsYieldsEmpty) {
-  const CsrGraph g = MakeChain();
-  const Label keep[] = {7};
-  const RelabeledGraph sub = InducedSubgraphByLabels(g, keep);
-  EXPECT_EQ(sub.graph.num_vertices(), 0u);
-  EXPECT_EQ(sub.graph.num_edges(), 0u);
 }
 
 }  // namespace

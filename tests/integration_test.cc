@@ -99,10 +99,11 @@ TEST_F(IntegrationTest, SimulatedAcceleratorOutpacesCpuBaseline) {
 }
 
 TEST_F(IntegrationTest, GraphRoundTripPreservesWalkSemantics) {
-  const std::string path = testing::TempDir() + "/integration_graph.bin";
-  ASSERT_TRUE(graph::WriteBinary(graph_, path).ok());
-  auto reloaded = graph::ReadBinary(path);
+  const std::string path = testing::TempDir() + "/integration_graph.txt";
+  ASSERT_TRUE(graph::WriteEdgeList(graph_, path).ok());
+  auto reloaded = graph::ReadEdgeList(path, /*undirected=*/false);
   ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded->num_edges(), graph_.num_edges());
 
   apps::StaticWalkApp app;
   core::AcceleratorConfig config;

@@ -1,6 +1,9 @@
-// Robustness of all file readers against corrupted inputs: random bytes,
-// truncations at every prefix length, and hostile headers must produce
-// error Statuses, never crashes or invalid graphs.
+// Robustness of the edge-list reader, the file reader walk_tool --graph
+// calls, against corrupted inputs: random bytes, truncations at every
+// prefix length, and hostile lines must produce an error Status or a
+// graph whose every edge endpoint is one of its vertices — never a crash.
+// The text corpus reader, the oracle for corpus.txt, gets the same
+// random-bytes sweep.
 
 #include <cstdio>
 #include <string>
@@ -9,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "analytics/corpus_io.h"
-#include "analytics/embedding.h"
 #include "graph/builder.h"
 #include "graph/io.h"
 #include "rng/rng.h"
@@ -30,6 +32,10 @@ void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::fclose(f);
 }
 
+void WriteText(const std::string& path, const std::string& text) {
+  WriteBytes(path, std::vector<uint8_t>(text.begin(), text.end()));
+}
+
 std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   rng::Xoshiro256StarStar gen(seed);
   std::vector<uint8_t> bytes(n);
@@ -37,81 +43,6 @@ std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
     b = static_cast<uint8_t>(gen.NextBounded(256));
   }
   return bytes;
-}
-
-class IoFuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(IoFuzzTest, BinaryGraphReaderSurvivesRandomBytes) {
-  const std::string path = TempPath("graph_rand.bin");
-  WriteBytes(path, RandomBytes(512, GetParam()));
-  const auto result = graph::ReadBinary(path);
-  EXPECT_FALSE(result.ok());
-}
-
-TEST_P(IoFuzzTest, CorpusReaderSurvivesRandomBytes) {
-  const std::string path = TempPath("corpus_rand.bin");
-  WriteBytes(path, RandomBytes(512, GetParam() ^ 0xff));
-  EXPECT_FALSE(analytics::ReadCorpusBinary(path).ok());
-}
-
-TEST_P(IoFuzzTest, EmbeddingReaderSurvivesRandomBytes) {
-  const std::string path = TempPath("embed_rand.bin");
-  WriteBytes(path, RandomBytes(512, GetParam() ^ 0xabc));
-  EXPECT_FALSE(analytics::ReadEmbedding(path).ok());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IoFuzzTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(IoTruncationTest, BinaryGraphEveryPrefixRejected) {
-  // Write a small valid graph, then try loading every strict prefix.
-  graph::GraphBuilder builder(4, false);
-  builder.AddEdge(0, 1, 2, 1);
-  builder.AddEdge(1, 2, 3, 0);
-  builder.AddEdge(2, 3, 1, 2);
-  const graph::CsrGraph g = std::move(builder).Build();
-  const std::string full_path = TempPath("graph_full.bin");
-  ASSERT_TRUE(graph::WriteBinary(g, full_path).ok());
-
-  std::FILE* f = std::fopen(full_path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> bytes(1 << 12);
-  const size_t total = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  bytes.resize(total);
-
-  const std::string trunc_path = TempPath("graph_trunc.bin");
-  for (size_t cut = 0; cut < total; cut += 3) {
-    WriteBytes(trunc_path,
-               std::vector<uint8_t>(bytes.begin(), bytes.begin() + cut));
-    EXPECT_FALSE(graph::ReadBinary(trunc_path).ok()) << "cut=" << cut;
-  }
-  // The full file still loads.
-  EXPECT_TRUE(graph::ReadBinary(full_path).ok());
-}
-
-TEST(IoTruncationTest, CorpusEveryPrefixRejected) {
-  baseline::WalkOutput corpus;
-  corpus.vertices = {1, 2, 3, 4, 5};
-  corpus.offsets = {0, 2, 5};
-  const std::string full_path = TempPath("corpus_full.bin");
-  ASSERT_TRUE(analytics::WriteCorpusBinary(corpus, full_path).ok());
-
-  std::FILE* f = std::fopen(full_path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> bytes(1 << 10);
-  const size_t total = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  bytes.resize(total);
-
-  const std::string trunc_path = TempPath("corpus_trunc.bin");
-  for (size_t cut = 0; cut < total; ++cut) {
-    WriteBytes(trunc_path,
-               std::vector<uint8_t>(bytes.begin(), bytes.begin() + cut));
-    EXPECT_FALSE(analytics::ReadCorpusBinary(trunc_path).ok())
-        << "cut=" << cut;
-  }
-  EXPECT_TRUE(analytics::ReadCorpusBinary(full_path).ok());
 }
 
 std::vector<uint8_t> ReadAllBytes(const std::string& path) {
@@ -124,165 +55,135 @@ std::vector<uint8_t> ReadAllBytes(const std::string& path) {
   return bytes;
 }
 
-// Cut a valid binary graph in the middle of an edge record (not at a
-// field boundary like the every-prefix sweep's coarser strides hit).
-TEST(IoTruncationTest, BinaryGraphTruncatedMidRecordRejected) {
-  graph::GraphBuilder builder(4, false);
+// Loads `path` and checks the reader's contract: an error, or a graph
+// whose every edge endpoint is below num_vertices(). Returns whether the
+// file loaded.
+bool LoadsValidGraphOrFails(const std::string& path) {
+  const auto result = graph::ReadEdgeList(path, /*undirected=*/false);
+  if (!result.ok()) {
+    return false;
+  }
+  const graph::CsrGraph& g = *result;
+  EXPECT_GT(g.num_edges(), 0u);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const graph::VertexId dst : g.Neighbors(v)) {
+      EXPECT_LT(dst, g.num_vertices()) << "edge " << v << "->" << dst;
+    }
+  }
+  return true;
+}
+
+class IoFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IoFuzzTest, EdgeListReaderSurvivesRandomBytes) {
+  const std::string path = TempPath("edges_rand.txt");
+  WriteBytes(path, RandomBytes(512, GetParam()));
+  LoadsValidGraphOrFails(path);
+}
+
+// Random walk lines of ids below 10^9, with up to two bytes overwritten by
+// arbitrary ones, so that the accepted path is fuzzed as well as the
+// error path.
+TEST_P(IoFuzzTest, CorpusReaderSurvivesRandomBytes) {
+  rng::Xoshiro256StarStar gen(GetParam() ^ 0xff);
+  std::vector<uint8_t> bytes;
+  while (bytes.size() < 512) {
+    for (uint64_t d = 0, n = 1 + gen.NextBounded(9); d < n; ++d) {
+      bytes.push_back(static_cast<uint8_t>('0' + gen.NextBounded(10)));
+    }
+    bytes.push_back(gen.NextBounded(4) == 0 ? '\n' : ' ');
+  }
+  for (uint64_t i = 0, n = gen.NextBounded(3); i < n; ++i) {
+    bytes[gen.NextBounded(bytes.size())] =
+        static_cast<uint8_t>(gen.NextBounded(256));
+  }
+  const std::string path = TempPath("corpus_rand.txt");
+  WriteBytes(path, bytes);
+  const auto result = analytics::ReadCorpusText(path);
+  if (!result.ok()) {
+    return;
+  }
+  const baseline::WalkOutput& corpus = *result;
+  ASSERT_GT(corpus.num_paths(), 0u);
+  EXPECT_EQ(corpus.offsets.front(), 0u);
+  EXPECT_EQ(corpus.offsets.back(), corpus.vertices.size());
+  for (size_t i = 0; i + 1 < corpus.offsets.size(); ++i) {
+    EXPECT_LT(corpus.offsets[i], corpus.offsets[i + 1]) << "empty walk " << i;
+  }
+  for (const graph::VertexId v : corpus.vertices) {
+    EXPECT_LT(v, graph::kInvalidVertex);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IoFuzzTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// Every strict prefix of a valid edge list, cut mid-number, mid-line and
+// mid-comment alike, loads as a smaller valid graph or fails cleanly.
+TEST(IoTruncationTest, EdgeListEveryPrefixLoadsOrFails) {
+  graph::GraphBuilder builder(1001, false);
   builder.AddEdge(0, 1, 2, 1);
-  builder.AddEdge(1, 2, 3, 0);
-  builder.AddEdge(2, 3, 1, 2);
+  builder.AddEdge(1, 1000, 4294967295u, 255);
+  builder.AddEdge(1000, 3, 1, 2);
   const graph::CsrGraph g = std::move(builder).Build();
-  const std::string full_path = TempPath("graph_midrec.bin");
-  ASSERT_TRUE(graph::WriteBinary(g, full_path).ok());
-  const std::vector<uint8_t> bytes = ReadAllBytes(full_path);
-  ASSERT_GT(bytes.size(), 10u);
+  const std::string edges_path = TempPath("edges_full.txt");
+  ASSERT_TRUE(graph::WriteEdgeList(g, edges_path).ok());
+  const std::vector<uint8_t> edges = ReadAllBytes(edges_path);
+  std::vector<uint8_t> bytes = {'#', ' ', 'h', 'e', 'a', 'd', '\n'};
+  bytes.insert(bytes.end(), edges.begin(), edges.end());
 
-  const std::string trunc_path = TempPath("graph_midrec_trunc.bin");
-  for (const size_t back : {2u, 3u, 5u, 7u}) {
-    WriteBytes(trunc_path, std::vector<uint8_t>(
-                               bytes.begin(), bytes.end() - back));
-    EXPECT_FALSE(graph::ReadBinary(trunc_path).ok()) << "back=" << back;
+  const std::string trunc_path = TempPath("edges_trunc.txt");
+  size_t loaded = 0;
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    WriteBytes(trunc_path,
+               std::vector<uint8_t>(bytes.begin(), bytes.begin() + cut));
+    loaded += LoadsValidGraphOrFails(trunc_path) ? 1 : 0;
   }
-}
-
-TEST(IoTruncationTest, CorpusTruncatedMidRecordRejected) {
-  baseline::WalkOutput corpus;
-  corpus.vertices = {1, 2, 3, 4, 5};
-  corpus.offsets = {0, 2, 5};
-  const std::string full_path = TempPath("corpus_midrec.bin");
-  ASSERT_TRUE(analytics::WriteCorpusBinary(corpus, full_path).ok());
-  const std::vector<uint8_t> bytes = ReadAllBytes(full_path);
-  ASSERT_GT(bytes.size(), 10u);
-
-  const std::string trunc_path = TempPath("corpus_midrec_trunc.bin");
-  for (const size_t back : {1u, 2u, 3u}) {
-    WriteBytes(trunc_path, std::vector<uint8_t>(
-                               bytes.begin(), bytes.end() - back));
-    EXPECT_FALSE(analytics::ReadCorpusBinary(trunc_path).ok())
-        << "back=" << back;
-  }
-}
-
-// Single-bit corruption in the header region. Magic flips must be
-// rejected; flips in the length prefixes must never crash and anything
-// the reader does accept must have passed its structural validation.
-TEST(IoBitFlipTest, BinaryGraphHeaderBitFlips) {
-  graph::GraphBuilder builder(4, false);
-  builder.AddEdge(0, 1, 2, 1);
-  builder.AddEdge(1, 2, 3, 0);
-  builder.AddEdge(2, 3, 1, 2);
-  const graph::CsrGraph g = std::move(builder).Build();
-  const std::string full_path = TempPath("graph_flip.bin");
-  ASSERT_TRUE(graph::WriteBinary(g, full_path).ok());
-  const std::vector<uint8_t> bytes = ReadAllBytes(full_path);
-  ASSERT_GT(bytes.size(), 24u);
-
-  const std::string flip_path = TempPath("graph_flip_mut.bin");
-  for (size_t byte = 0; byte < 24; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> mutated = bytes;
-      mutated[byte] ^= static_cast<uint8_t>(1u << bit);
-      WriteBytes(flip_path, mutated);
-      const auto result = graph::ReadBinary(flip_path);
-      if (byte < 8) {
-        // Magic corruption must always be caught.
-        EXPECT_FALSE(result.ok()) << "byte=" << byte << " bit=" << bit;
-      } else if (result.ok()) {
-        // A length-prefix flip the reader accepted must still have
-        // produced a structurally valid graph.
-        EXPECT_LE(result->num_edges(),
-                  static_cast<graph::EdgeIndex>(bytes.size()));
-      }
-    }
-  }
-}
-
-TEST(IoBitFlipTest, CorpusHeaderBitFlipsRejected) {
-  baseline::WalkOutput corpus;
-  corpus.vertices = {1, 2, 3, 4, 5};
-  corpus.offsets = {0, 2, 5};
-  const std::string full_path = TempPath("corpus_flip.bin");
-  ASSERT_TRUE(analytics::WriteCorpusBinary(corpus, full_path).ok());
-  const std::vector<uint8_t> bytes = ReadAllBytes(full_path);
-  // Header: 8-byte magic + two 8-byte counts, all validated against the
-  // exact file size, so every single-bit flip in it must be rejected.
-  ASSERT_GT(bytes.size(), 24u);
-
-  const std::string flip_path = TempPath("corpus_flip_mut.bin");
-  for (size_t byte = 0; byte < 24; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> mutated = bytes;
-      mutated[byte] ^= static_cast<uint8_t>(1u << bit);
-      WriteBytes(flip_path, mutated);
-      EXPECT_FALSE(analytics::ReadCorpusBinary(flip_path).ok())
-          << "byte=" << byte << " bit=" << bit;
-    }
-  }
-}
-
-// Valid magic followed by a length prefix declaring ~2^60 elements. The
-// reader must reject the header against the actual file size instead of
-// attempting an exabyte allocation.
-TEST(IoHostileTest, BinaryGraphHugeLengthPrefixRejected) {
-  const std::string path = TempPath("graph_huge_len.bin");
-  std::vector<uint8_t> bytes = {'L', 'R', 'W', 'G', 'R', 'P', 'H', '1'};
-  const uint64_t absurd = uint64_t{1} << 60;
-  for (size_t i = 0; i < sizeof(absurd); ++i) {
-    bytes.push_back(static_cast<uint8_t>(absurd >> (8 * i)));
-  }
-  // A little trailing data so the claim is clearly larger than the file.
-  bytes.resize(bytes.size() + 64, 0);
-  WriteBytes(path, bytes);
-  EXPECT_FALSE(graph::ReadBinary(path).ok());
-}
-
-TEST(IoHostileTest, CorpusHugeCountsRejected) {
-  const std::string path = TempPath("corpus_huge_len.bin");
-  std::vector<uint8_t> bytes = {'L', 'R', 'W', 'W', 'A', 'L', 'K', '1'};
-  const uint64_t counts[2] = {uint64_t{1} << 60, uint64_t{1} << 60};
-  for (const uint64_t c : counts) {
-    for (size_t i = 0; i < sizeof(c); ++i) {
-      bytes.push_back(static_cast<uint8_t>(c >> (8 * i)));
-    }
-  }
-  bytes.resize(bytes.size() + 64, 0);
-  WriteBytes(path, bytes);
-  EXPECT_FALSE(analytics::ReadCorpusBinary(path).ok());
-}
-
-// Counts that individually fit the remaining bytes but whose sum does
-// not must also be rejected (and must not overflow the size check).
-TEST(IoHostileTest, CorpusOverlappingCountsRejected) {
-  const std::string path = TempPath("corpus_sum_len.bin");
-  std::vector<uint8_t> bytes = {'L', 'R', 'W', 'W', 'A', 'L', 'K', '1'};
-  // 64 trailing bytes; claim 16 offsets (64B) + 16 vertices (64B).
-  const uint64_t counts[2] = {16, 16};
-  for (const uint64_t c : counts) {
-    for (size_t i = 0; i < sizeof(c); ++i) {
-      bytes.push_back(static_cast<uint8_t>(c >> (8 * i)));
-    }
-  }
-  bytes.resize(bytes.size() + 64, 0);
-  WriteBytes(path, bytes);
-  EXPECT_FALSE(analytics::ReadCorpusBinary(path).ok());
+  EXPECT_GT(loaded, 0u);
+  // The full file loads the original graph.
+  WriteBytes(trunc_path, bytes);
+  const auto full = graph::ReadEdgeList(trunc_path, false);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->num_vertices(), g.num_vertices());
+  EXPECT_EQ(full->num_edges(), g.num_edges());
 }
 
 TEST(IoHostileTest, EdgeListWithHugeNumbers) {
   const std::string path = TempPath("huge.txt");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("99999999999999999999 1\n", f);
-  std::fclose(f);
+  WriteText(path, "99999999999999999999 1\n");
   EXPECT_FALSE(graph::ReadEdgeList(path, false).ok());
 }
 
-TEST(IoHostileTest, MatrixMarketHeaderOnly) {
-  const std::string path = TempPath("header_only.mtx");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("%%MatrixMarket matrix coordinate pattern general\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(graph::ReadMatrixMarket(path).ok());
+// kInvalidVertex is not a vertex id, and "%llu" wraps "-1" to 2^64 - 1.
+TEST(IoHostileTest, EdgeListReservedAndNegativeIdsRejected) {
+  const std::string path = TempPath("reserved.txt");
+  for (const char* line : {"4294967295 0\n", "0 4294967295\n", "-1 0\n"}) {
+    WriteText(path, line);
+    const auto result = graph::ReadEdgeList(path, false);
+    ASSERT_FALSE(result.ok()) << line;
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange) << line;
+  }
+}
+
+// A data line longer than any fixed buffer is still one line.
+TEST(IoHostileTest, EdgeListLongDataLineIsOneEdge) {
+  const std::string path = TempPath("long_line.txt");
+  WriteText(path, "0" + std::string(100000, ' ') + "7 3\n");
+  const auto result = graph::ReadEdgeList(path, false);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_vertices(), 8u);
+  EXPECT_EQ(result->num_edges(), 1u);
+  EXPECT_EQ(result->NeighborWeights(0)[0], 3u);
+}
+
+// An embedded NUL ends what the line parser sees of that line.
+TEST(IoHostileTest, EdgeListEmbeddedNulEndsTheLine) {
+  const std::string path = TempPath("nul.txt");
+  WriteText(path, std::string("0 1\0 9 9\n1 2\n", 13));
+  const auto result = graph::ReadEdgeList(path, false);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_vertices(), 3u);
+  EXPECT_EQ(result->NeighborWeights(0)[0], 1u);
 }
 
 }  // namespace

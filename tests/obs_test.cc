@@ -332,7 +332,8 @@ TEST(TraceTest, WriteTextFileRoundTrip) {
 TEST(TraceTest, WriteToUnwritablePathFails) {
   TraceRecorder trace;
   EXPECT_FALSE(
-      trace.WriteChromeTrace("/nonexistent-dir/trace.json").ok());
+      WriteTextFile(trace.ToJsonString(), "/nonexistent-dir/trace.json")
+          .ok());
 }
 
 }  // namespace

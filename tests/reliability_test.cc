@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "apps/walk_app.h"
+#include "distributed/cluster_sim.h"
 #include "distributed/config_validation.h"
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
@@ -695,6 +701,57 @@ TEST(SelfHealingTest, RebuildBandwidthScalesRebuildCost) {
   const uint64_t fast = run_at(256.0);
   const uint64_t slow = run_at(64.0);
   EXPECT_GT(slow, fast);
+}
+
+// The largest share's copy must take fewer than 2^47 cycles: the bound
+// sits exactly at bytes / 2^47 B/cycle, whatever the graph mode.
+TEST(SelfHealingTest, RebuildBoundIsTwoToTheFortySevenCycles) {
+  const CsrGraph g = TestGraph();
+  const auto p =
+      distributed::MakePartition(g, 4, distributed::PartitionStrategy::kHash);
+  for (const bool replicate : {false, true}) {
+    auto config = SelfHealConfig(replicate, /*spares=*/1);
+    config.board.faults.board_deaths = {{30000, 2}};
+    uint64_t largest = g.ModeledByteSize();
+    if (!replicate) {
+      const std::vector<uint64_t> shares = p.ShareByteSizes(g);
+      largest = *std::max_element(shares.begin(), shares.end());
+    }
+    const double at_bound = static_cast<double>(largest) / 0x1p47;
+    config.rebuild_bytes_per_cycle = at_bound;
+    const Status rejected =
+        distributed::CheckFailoverSatisfiable(config, g, p);
+    EXPECT_EQ(rejected.code(), StatusCode::kOutOfRange) << replicate;
+    config.rebuild_bytes_per_cycle = at_bound * 1.01;
+    EXPECT_TRUE(distributed::CheckFailoverSatisfiable(config, g, p).ok())
+        << replicate;
+    // No death, no rebuild: the rate is never used.
+    config.board.faults.board_deaths.clear();
+    config.rebuild_bytes_per_cycle = at_bound;
+    EXPECT_TRUE(distributed::CheckFailoverSatisfiable(config, g, p).ok());
+  }
+}
+
+// Scrub budgets are bytes_per_cycle * interval converted to 64 bits:
+// non-finite rates are rejected by name, and budgets of 2^63 or more as
+// out of range.
+TEST(FaultConfigTest, RejectsNonFiniteAndOverflowingScrubBudgets) {
+  FaultConfig faults = EnabledConfig();
+  faults.ckpt_store.enabled = true;
+  faults.ckpt_store.scrub_interval_cycles = 1 << 14;
+  for (const double rate : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    faults.ckpt_store.scrub_bytes_per_cycle = rate;
+    const Status status = reliability::ValidateFaultConfig(faults);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << rate;
+    EXPECT_NE(status.message().find("scrub_bytes_per_cycle"),
+              std::string::npos);
+  }
+  faults.ckpt_store.scrub_bytes_per_cycle = 0x1p63 / (1 << 14);
+  EXPECT_EQ(reliability::ValidateFaultConfig(faults).code(),
+            StatusCode::kOutOfRange);
+  faults.ckpt_store.scrub_bytes_per_cycle = 0x1p62 / (1 << 14);
+  EXPECT_TRUE(reliability::ValidateFaultConfig(faults).ok());
 }
 
 // Death schedules that would kill every partition owner are rejected up

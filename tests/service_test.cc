@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -196,6 +197,14 @@ TEST(ArrivalValidationTest, RejectsOutOfRangeBestEffortFraction) {
   EXPECT_FALSE(ValidateArrivalConfig(config).ok());
   config.best_effort_fraction = 1.1;
   EXPECT_FALSE(ValidateArrivalConfig(config).ok());
+}
+
+TEST(ArrivalValidationTest, RejectsNanBestEffortFraction) {
+  ArrivalConfig config;
+  config.best_effort_fraction = std::numeric_limits<double>::quiet_NaN();
+  const Status status = ValidateArrivalConfig(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("best_effort_fraction"), std::string::npos);
 }
 
 // --- arrival generation ---------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -210,13 +211,13 @@ TEST(TimeSeriesRecorderTest, OpenMetricsExportCarriesExemplars) {
 // --- incident detection ----------------------------------------------------
 
 TEST(DetectSeriesIncidentsTest, SpikeOpensAndClosesWithHysteresis) {
-  TimeSeriesConfig config;  // alpha .3, open 6, close 3, warmup 4, after 2
+  // alpha .3, open 6, close 3, warmup 4, close after 2 calm windows.
   // Flat at zero, a unit spike at window 5, flat again: the EWMA level
   // decays 0.3 -> 0.21 -> 0.147 -> ..., so |z| = level/0.05 crosses
   // below z_close at window 8 and the second calm window closes at 9.
   const std::vector<double> values = {0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0};
   const std::vector<Incident> incidents =
-      DetectSeriesIncidents("s", values, config);
+      DetectSeriesIncidents("s", values);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].open_window, 5u);
   EXPECT_EQ(incidents[0].close_window, 9u);
@@ -225,7 +226,6 @@ TEST(DetectSeriesIncidentsTest, SpikeOpensAndClosesWithHysteresis) {
 }
 
 TEST(DetectSeriesIncidentsTest, AnomalousWindowResetsCalmStreak) {
-  TimeSeriesConfig config;
   // A second disturbance at window 8 (z above z_close) interrupts the
   // calm streak: the incident stays open past window 9 (where the first
   // spike alone would have closed) until two consecutive calm windows
@@ -233,7 +233,7 @@ TEST(DetectSeriesIncidentsTest, AnomalousWindowResetsCalmStreak) {
   const std::vector<double> values = {0, 0, 0, 0, 0, 1, 0, 0,
                                       0.5, 0, 0, 0, 0};
   const std::vector<Incident> incidents =
-      DetectSeriesIncidents("s", values, config);
+      DetectSeriesIncidents("s", values);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].open_window, 5u);
   EXPECT_EQ(incidents[0].close_window, 11u);
@@ -241,16 +241,14 @@ TEST(DetectSeriesIncidentsTest, AnomalousWindowResetsCalmStreak) {
 }
 
 TEST(DetectSeriesIncidentsTest, WarmupGatesEarlySpikes) {
-  TimeSeriesConfig config;
   const std::vector<double> values = {0, 0, 50, 0, 0, 0, 0, 0};
-  EXPECT_TRUE(DetectSeriesIncidents("s", values, config).empty());
+  EXPECT_TRUE(DetectSeriesIncidents("s", values).empty());
 }
 
 TEST(DetectSeriesIncidentsTest, UnclosedIncidentReportsLastWindow) {
-  TimeSeriesConfig config;
   const std::vector<double> values = {0, 0, 0, 0, 0, 1};
   const std::vector<Incident> incidents =
-      DetectSeriesIncidents("s", values, config);
+      DetectSeriesIncidents("s", values);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].open_window, 5u);
   EXPECT_EQ(incidents[0].close_window, 5u);
@@ -309,6 +307,52 @@ TEST(TimeSeriesRecorderTest, MergeAddsDeltasSumsGaugesAndRepicksExemplars) {
   ASSERT_EQ(only->size(), 2u);
   EXPECT_EQ(only->array()[0].Find("delta")->uint_value(), 4u);
   EXPECT_EQ(only->array()[1].Find("delta")->uint_value(), 0u);
+}
+
+// Shards whose rings evicted different numbers of windows merge by
+// global window index, from the latest first window on.
+TEST(TimeSeriesRecorderTest, MergeAlignsShardsWithDifferentFirstWindows) {
+  TimeSeriesConfig config;
+  config.scrape_interval = 10;
+  config.max_windows = 4;
+  auto run = [&config](uint64_t per_window, uint64_t windows) {
+    auto ts = std::make_unique<TimeSeriesRecorder>(config);
+    for (uint64_t w = 1; w <= windows; ++w) {
+      ts->live()->GetCounter("steps")->Increment(per_window);
+      ts->AdvanceTo(w * config.scrape_interval);
+    }
+    return ts;
+  };
+  // Rings [6, 10) and [3, 7): the merge keeps [6, 10), where both
+  // shards contribute to window 6 only.
+  const auto a = run(1, 10);
+  const auto b = run(100, 7);
+  std::string merged_json;
+  for (const bool a_first : {true, false}) {
+    TimeSeriesRecorder merged(config);
+    merged.MergeFrom(a_first ? a.get() : b.get());
+    merged.MergeFrom(a_first ? b.get() : a.get());
+    EXPECT_EQ(merged.num_windows(), 4u);
+    const auto parsed = Json::Parse(merged.ToJsonString());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->Find("first_window")->uint_value(), 6u);
+    const Json* ends = parsed->Find("window_end");
+    ASSERT_EQ(ends->size(), 4u);
+    EXPECT_EQ(ends->array()[0].uint_value(), 70u);
+    EXPECT_EQ(ends->array()[3].uint_value(), 100u);
+    const Json* steps = FindSeries(*parsed, "steps")->Find("points");
+    ASSERT_EQ(steps->size(), 4u);
+    const uint64_t want[] = {101, 1, 1, 1};
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(steps->array()[i].Find("w")->uint_value(), 6 + i);
+      EXPECT_EQ(steps->array()[i].Find("delta")->uint_value(), want[i]);
+    }
+    if (a_first) {
+      merged_json = merged.ToJsonString();
+    } else {
+      EXPECT_EQ(merged.ToJsonString(), merged_json);
+    }
+  }
 }
 
 // --- end-to-end determinism ------------------------------------------------
@@ -411,6 +455,73 @@ TEST(TimeSeriesDeterminismTest, CycleEngineByteIdenticalAcrossThreads) {
   EXPECT_NE(serial.find("accel.steps"), std::string::npos);
 }
 
+// The sharded runs whose merge used to abort once the 64-window ring
+// evicted: four CycleEngine instances at an 8-cycle scrape, and a
+// four-shard service on four replicated boards. Exports are
+// byte-identical at 1 and 4 threads and keep the newest 64 windows.
+TsRun RunEvictingCycleEngine(uint32_t threads) {
+  graph::RmatOptions rmat;
+  rmat.scale = 10;
+  const CsrGraph g = graph::GenerateRmat(rmat);
+  const apps::StaticWalkApp app;
+  core::AcceleratorConfig config;
+  config.num_threads = threads;
+  TimeSeriesConfig ts_config;
+  ts_config.scrape_interval = 8;
+  ts_config.max_windows = 64;
+  TimeSeriesRecorder ts(ts_config);
+  config.timeseries = &ts;
+  const auto queries = apps::MakeVertexQueries(g, /*length=*/40,
+                                               /*seed=*/5, /*limit=*/512);
+  core::CycleEngine(&g, &app, config).Run(queries);
+  return TsRun{ts.ToJsonString(), ts.ToOpenMetricsText()};
+}
+
+TsRun RunEvictingShardedService(uint32_t threads) {
+  graph::RmatOptions rmat;
+  rmat.scale = 12;
+  const CsrGraph g = graph::GenerateRmat(rmat);
+  const apps::StaticWalkApp app;
+  const Partition partition = MakePartition(g, 4, PartitionStrategy::kHash);
+  ServiceConfig config;
+  config.cluster.board.num_instances = 1;
+  config.cluster.replicate_graph = true;
+  config.cluster.num_threads = threads;
+  config.admission_shards = 4;
+  config.arrivals.num_queries = 2048;
+  config.arrivals.walk_length = 16;
+  config.arrivals.rate_per_kcycle = 4.0;
+  config.arrivals.deadline_cycles = 16384;
+  TimeSeriesConfig ts_config;
+  ts_config.max_windows = 64;
+  TimeSeriesRecorder ts(ts_config);
+  config.cluster.board.timeseries = &ts;
+  EXPECT_TRUE(WalkService(&g, &app, &partition, config).Run().ok());
+  return TsRun{ts.ToJsonString(), ts.ToOpenMetricsText()};
+}
+
+void ExpectEvictedAndByteIdentical(const TsRun& serial, const TsRun& parallel,
+                                   const std::string& series) {
+  EXPECT_EQ(serial.json, parallel.json);
+  EXPECT_EQ(serial.openmetrics, parallel.openmetrics);
+  const auto parsed = Json::Parse(serial.json);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_GT(parsed->Find("first_window")->uint_value(), 0u);
+  EXPECT_EQ(parsed->Find("windows")->uint_value(), 64u);
+  EXPECT_NE(FindSeries(*parsed, series), nullptr);
+}
+
+TEST(TimeSeriesDeterminismTest, EvictingCycleEngineShardsMerge) {
+  ExpectEvictedAndByteIdentical(RunEvictingCycleEngine(1),
+                                RunEvictingCycleEngine(4), "accel.steps");
+}
+
+TEST(TimeSeriesDeterminismTest, EvictingServiceShardsMerge) {
+  ExpectEvictedAndByteIdentical(RunEvictingShardedService(1),
+                                RunEvictingShardedService(4),
+                                "svc.completed");
+}
+
 // --- board-death incident end to end ---------------------------------------
 
 // A scripted board death must surface as a detected incident whose open
@@ -460,7 +571,7 @@ TEST(TimeSeriesIncidentTest, BoardDeathOpensClosesAndExemplarsResolve) {
     // closed the incident before the run ended.
     EXPECT_TRUE(incident.closed);
     EXPECT_GT(incident.close_window, incident.open_window);
-    EXPECT_GE(incident.severity, ts_config.anomaly_z_open);
+    EXPECT_GE(incident.severity, obs::kAnomalyZOpen);
     // The membership events the engine annotated ride along.
     ASSERT_FALSE(incident.annotations.empty());
     EXPECT_NE(incident.annotations[0].find("board_death@20000"),

@@ -7,7 +7,6 @@
 
 #include "apps/ppr.h"
 #include "apps/walk_app.h"
-#include "apps/weighted_metapath.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 
@@ -182,12 +181,6 @@ void ExpectAllAppsMatchPerEdge(const CsrGraph& g) {
   }
   apps.push_back(std::make_unique<MetaPathApp>(MakeRandomRelationPath(g, 2,
                                                                       7)));
-  WeightedMetaPathApp::RelationTable table;
-  for (size_t r = 0; r < table.size(); ++r) {
-    table[r] = static_cast<Weight>(r % 3);
-  }
-  apps.push_back(std::make_unique<WeightedMetaPathApp>(
-      std::vector<WeightedMetaPathApp::RelationTable>{table, table}));
   apps.push_back(std::make_unique<PprApp>(0.15));
   apps.push_back(std::make_unique<StaticWalkApp>());
   for (const auto& app : apps) {

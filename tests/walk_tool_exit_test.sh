@@ -162,6 +162,21 @@ expect "cascade with spare survives" 0 "$TOOL" --engine distributed \
   --queries 128 --seed 42 --fault-fail-cycles 2000,6000 \
   --fault-fail-boards 1,2 --fault-checkpoint-interval 4096 \
   --spare-boards 1
+# Bandwidths must be finite, and a spare whose rebuild would take 2^47
+# cycles or more is rejected before the run; a slow one still runs.
+REBUILD="--engine distributed $BASE --boards 2 --spare-boards 1 \
+  --fault-fail-cycles 100 --fault-fail-boards 0"
+expect "nan rebuild bandwidth" 1 "$TOOL" $REBUILD \
+  --rebuild-bytes-per-cycle nan
+expect "rebuild of 2^47 cycles" 1 "$TOOL" $REBUILD \
+  --rebuild-bytes-per-cycle 1e-30
+expect "slow rebuild runs" 0 "$TOOL" $REBUILD --rebuild-bytes-per-cycle 1e-3
+expect "nan scrub bandwidth" 1 "$TOOL" $REBUILD --ckpt-store \
+  --ckpt-scrub-bytes nan
+expect "scrub budget past 2^63" 1 "$TOOL" $REBUILD --ckpt-store \
+  --ckpt-scrub-bytes 1e300
+expect "nan best-effort fraction" 1 "$TOOL" --engine service $BASE \
+  --boards 2 --partition hash --service-rate 0.2 --service-best-effort nan
 expect "bad span mode" 1 "$TOOL" --engine service $BASE \
   --out-dir "$OUT" --exports spans --span-mode bogus
 expect "unwritable spans path" 1 "$TOOL" --engine service $BASE \
