@@ -655,8 +655,8 @@ int main(int argc, char** argv) {
   // The trace only fills for the cycle-accurate engines (the CPU path has
   // no simulated clock to stamp events with) and spans only for the
   // cluster engines. Spans drive the critical-path analyzer and the SLO
-  // burn-rate monitor after the run; the engines scrape their live
-  // series every --scrape-interval cycles into the time-series recorder.
+  // burn-rate monitor after the run; the engines record their series in
+  // the time-series recorder, in windows of --scrape-interval cycles.
   obs::MetricsRegistry metrics;
   obs::TraceRecorder trace;
   obs::SpanRecorder spans(span_config);

@@ -318,22 +318,20 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
     free_slots_.push(i);
   }
 
-  // Simulated-time telemetry: cache live-registry handles once (fixed
-  // creation order keeps the series set deterministic); every hot-path
-  // update below is gated on these staying null.
+  // Simulated-time telemetry: cache the series handles once; every
+  // hot-path update below is gated on these staying null.
   ts_ = config_.board.timeseries;
   if (ts_ != nullptr) {
-    obs::MetricsRegistry* live = ts_->live();
-    ts_steps_ = live->GetCounter("dist.steps");
-    ts_retired_ = live->GetCounter("dist.walks.retired");
-    ts_failed_ = live->GetCounter("dist.walks.failed");
-    ts_deaths_ = live->GetCounter("dist.membership.deaths");
-    ts_rebuilds_ = live->GetCounter("dist.membership.rebuilds");
-    ts_inflight_ = live->GetGauge("dist.inflight");
-    ts_latency_ = live->GetHistogram("dist.walk_latency_cycles");
+    ts_steps_ = ts_->GetCounter("dist.steps");
+    ts_retired_ = ts_->GetCounter("dist.walks.retired");
+    ts_failed_ = ts_->GetCounter("dist.walks.failed");
+    ts_deaths_ = ts_->GetCounter("dist.membership.deaths");
+    ts_rebuilds_ = ts_->GetCounter("dist.membership.rebuilds");
+    ts_inflight_ = ts_->GetGauge("dist.inflight");
+    ts_latency_ = ts_->GetHistogram("dist.walk_latency_cycles");
     ts_board_steps_.reserve(total);
     for (BoardId b = 0; b < total; ++b) {
-      ts_board_steps_.push_back(live->GetCounter(
+      ts_board_steps_.push_back(ts_->GetCounter(
           "dist.board.steps", {{"board", std::to_string(GlobalBoard(b))}}));
     }
   }
@@ -707,8 +705,8 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
     if (outcome == Outcome::kDone) {
       // Exemplar ids before EndWalkSpan clears the span handle: the
       // window's worst sample must resolve into the span export.
-      ts_latency_->ObserveExemplar(static_cast<double>(at - w.launched),
-                                   w.ticket, attribs_[slot].span);
+      ts_latency_->Observe(static_cast<double>(at - w.launched), w.ticket,
+                           attribs_[slot].span);
       ts_retired_->Increment();
     } else {
       ts_failed_->Increment();

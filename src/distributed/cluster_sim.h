@@ -56,7 +56,7 @@ class CkptStore;
 namespace lightrw::obs {
 class Counter;
 class Gauge;
-class Histogram;
+class WindowedHistogram;
 }  // namespace lightrw::obs
 
 namespace lightrw::distributed {
@@ -397,8 +397,8 @@ class ClusterSim {
 
   // Simulated-time telemetry (all null unless config.board.timeseries is
   // set): the recorder's window clock is driven from Drain(), and these
-  // cached live-registry handles are updated on the hot path. A null
-  // recorder costs one branch per event.
+  // cached series handles are updated on the hot path. A null recorder
+  // costs one branch per event.
   obs::TimeSeriesRecorder* ts_ = nullptr;
   obs::Counter* ts_steps_ = nullptr;
   obs::Counter* ts_retired_ = nullptr;
@@ -406,7 +406,7 @@ class ClusterSim {
   obs::Counter* ts_deaths_ = nullptr;
   obs::Counter* ts_rebuilds_ = nullptr;
   obs::Gauge* ts_inflight_ = nullptr;
-  obs::Histogram* ts_latency_ = nullptr;
+  obs::WindowedHistogram* ts_latency_ = nullptr;
   std::vector<obs::Counter*> ts_board_steps_;  // by local board id
   hwsim::Cycle last_event_cycle_ = 0;
 };

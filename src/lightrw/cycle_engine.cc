@@ -64,17 +64,6 @@ class Instance {
       model_.channel().AttachTrace(trace_, instance_id_, kDramTrack);
       model_.AttachTrace(trace_, instance_id_);
     }
-    if (ts_ != nullptr) {
-      // Live scraped series, handles cached up front so the series set
-      // is fixed by construction order (instance decomposition is config,
-      // never thread count). Exemplar trace id = global query index.
-      obs::MetricsRegistry* live = ts_->live();
-      const obs::Labels instance = {
-          {"instance", std::to_string(instance_id_)}};
-      ts_steps_ = live->GetCounter("accel.steps", instance);
-      ts_retired_ = live->GetCounter("accel.retired", instance);
-      ts_latency_ = live->GetHistogram("accel.walk_latency_cycles");
-    }
   }
 
   // Simulates this instance's query share; accumulates into `stats` (all
@@ -130,11 +119,11 @@ class Instance {
   const uint32_t instance_id_;
   obs::TraceRecorder* trace_;
   // Simulated-time telemetry shard for this instance (may be null). The
-  // event loop drives its window clock; cached instrument handles below.
+  // event loop drives its window clock; series handles below.
   obs::TimeSeriesRecorder* ts_;
   obs::Counter* ts_steps_ = nullptr;
   obs::Counter* ts_retired_ = nullptr;
-  obs::Histogram* ts_latency_ = nullptr;
+  obs::WindowedHistogram* ts_latency_ = nullptr;
   StageCycleStats stage_;
   BoardStepModel model_;
   rng::ThunderingRng rng_;
@@ -152,6 +141,14 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
                     AccelRunStats* stats) {
   if (queries.empty()) {
     return 0;
+  }
+  if (ts_ != nullptr) {
+    // Registered after the empty-share return: an instance with no
+    // queries adds no series. Exemplar trace id = global query index.
+    const obs::Labels instance = {{"instance", std::to_string(instance_id_)}};
+    ts_steps_ = ts_->GetCounter("accel.steps", instance);
+    ts_retired_ = ts_->GetCounter("accel.retired", instance);
+    ts_latency_ = ts_->GetHistogram("accel.walk_latency_cycles");
   }
   const uint64_t queries_before = stats->queries;
   const uint64_t steps_before = stats->steps;
@@ -191,8 +188,8 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     }
     if (ts_retired_ != nullptr) {
       ts_retired_->Increment();
-      ts_latency_->ObserveExemplar(static_cast<double>(at - slot.start),
-                                   global_indices[slot.query_seq], 0);
+      ts_latency_->Observe(static_cast<double>(at - slot.start),
+                           global_indices[slot.query_seq], 0);
     }
     if (tracing()) {
       trace_->Instant("query_retire", "query", instance_id_, kRetireTrack,

@@ -72,8 +72,7 @@ void AppendNumber(std::string* out, double value) {
 
 }  // namespace
 
-std::string MetricsRegistry::MakeKey(const std::string& name,
-                                     const Labels& labels) {
+std::string MetricKey(const std::string& name, const Labels& labels) {
   std::string key = name;
   for (const auto& [k, v] : labels) {
     key += '\0';
@@ -87,7 +86,7 @@ std::string MetricsRegistry::MakeKey(const std::string& name,
 MetricsRegistry::Instrument* MetricsRegistry::GetOrCreate(
     Kind kind, const std::string& name, const Labels& labels) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::string key = MakeKey(name, labels);
+  const std::string key = MetricKey(name, labels);
   auto it = instruments_.find(key);
   if (it == instruments_.end()) {
     Instrument instrument;
@@ -142,32 +141,6 @@ void Gauge::NoteDropped() {
 
 void MetricsRegistry::NoteDroppedNonFinite() {
   GetCounter("lightrw.obs.dropped_nonfinite")->Increment();
-}
-
-void MetricsRegistry::Visit(
-    const std::function<void(const InstrumentRef&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, instrument] : instruments_) {
-    InstrumentRef ref;
-    ref.key = &key;
-    ref.name = &instrument.name;
-    ref.labels = &instrument.labels;
-    switch (instrument.kind) {
-      case Kind::kCounter:
-        ref.kind = 0;
-        ref.counter = instrument.counter.get();
-        break;
-      case Kind::kGauge:
-        ref.kind = 1;
-        ref.gauge = instrument.gauge.get();
-        break;
-      case Kind::kHistogram:
-        ref.kind = 2;
-        ref.histogram = instrument.histogram.get();
-        break;
-    }
-    fn(ref);
-  }
 }
 
 Json MetricsRegistry::ToJson() const {

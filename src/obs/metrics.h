@@ -29,7 +29,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,12 +52,20 @@ std::string PrometheusMetricName(const std::string& name);
 void AppendPrometheusEscaped(std::string* out, const std::string& text);
 std::string PrometheusLabelBlock(const Labels& labels);
 
+// Identity of one series: name + '\0' + serialized labels, unique and
+// sort-stable. MetricsRegistry and TimeSeriesRecorder key their series
+// by it, so both export in one order.
+std::string MetricKey(const std::string& name, const Labels& labels);
+
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  // Returns the count and restarts it from zero: a time-series window's
+  // delta (obs/timeseries.h).
+  uint64_t Take() { return value_.exchange(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -102,48 +109,21 @@ class Gauge {
   MetricsRegistry* owner_ = nullptr;  // set when registry-owned
 };
 
-// Exemplar ids attached to one histogram sample: the trace and span the
-// sample came from (0 when the producer records no spans).
-struct Exemplar {
-  uint64_t trace = 0;
-  uint64_t span = 0;
-};
-
 class Histogram {
  public:
-  void Observe(double value) { ObserveExemplar(value, 0, 0); }
-  // Observe with exemplar ids so the time-series scraper can link the
-  // worst sample of a window back to its span tree.
-  void ObserveExemplar(double value, uint64_t trace, uint64_t span) {
+  void Observe(double value) {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.Add(value);
-    ids_.push_back(Exemplar{trace, span});
   }
   // Copy of the accumulated distribution.
   SampleStats Snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
   }
-  // Windowed read for the time-series scraper: copies samples with
-  // insertion index >= begin (insertion order — the live SampleStats is
-  // never quantile-queried, so its raw order survives) together with
-  // their exemplar ids. Returns the new cursor (total sample count).
-  size_t ReadSince(size_t begin, std::vector<double>* values,
-                   std::vector<Exemplar>* ids) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::vector<double>& samples = stats_.raw_samples();
-    if (begin > samples.size()) {
-      begin = samples.size();
-    }
-    values->assign(samples.begin() + begin, samples.end());
-    ids->assign(ids_.begin() + begin, ids_.end());
-    return samples.size();
-  }
 
  private:
   mutable std::mutex mutex_;
   SampleStats stats_;
-  std::vector<Exemplar> ids_;  // parallel to stats_ insertion order
 };
 
 // Thread-safe registry of named instruments. Get* returns the existing
@@ -170,22 +150,6 @@ class MetricsRegistry {
 
   size_t NumMetrics() const;
 
-  // One instrument as seen by the time-series scraper. Pointers are
-  // valid only for the duration of the Visit callback.
-  struct InstrumentRef {
-    const std::string* key;  // sort-stable identity: name + labels
-    const std::string* name;
-    const Labels* labels;
-    int kind;  // 0 counter, 1 gauge, 2 histogram
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
-    const Histogram* histogram = nullptr;
-  };
-  // Deterministic (sorted-key) sweep over every instrument; the registry
-  // lock is held for the duration, so the callback must not create or
-  // look up instruments on this registry.
-  void Visit(const std::function<void(const InstrumentRef&)>& fn) const;
-
  private:
   friend class Gauge;
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -199,8 +163,6 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  // Key: name + '\0' + serialized labels — unique and sort-stable.
-  static std::string MakeKey(const std::string& name, const Labels& labels);
   Instrument* GetOrCreate(Kind kind, const std::string& name,
                           const Labels& labels);
   // Lazily creates the drop counter, so runs with no dropped writes keep

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <utility>
 
 #include "common/check.h"
 
@@ -100,10 +101,63 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
   return incidents;
 }
 
+void WindowedHistogram::Merge(const WindowedHistogram& other) {
+  samples_.Merge(other.samples_);
+  if (other.has_exemplar_) {
+    Offer(other.worst_, other.trace_, other.span_);
+  }
+}
+
+void WindowedHistogram::Offer(double value, uint64_t trace, uint64_t span) {
+  const bool worse =
+      !has_exemplar_ || value > worst_ ||
+      (value == worst_ &&
+       (trace < trace_ || (trace == trace_ && span < span_)));
+  if (worse) {
+    has_exemplar_ = true;
+    worst_ = value;
+    trace_ = trace;
+    span_ = span;
+  }
+}
+
 TimeSeriesRecorder::TimeSeriesRecorder(const TimeSeriesConfig& config)
     : config_(config) {
   LIGHTRW_CHECK(config_.scrape_interval > 0);
   LIGHTRW_CHECK(config_.max_windows > 0);
+}
+
+TimeSeriesRecorder::Series* TimeSeriesRecorder::GetSeries(
+    int kind, const std::string& name, const Labels& labels) {
+  const auto [it, created] = series_.try_emplace(MetricKey(name, labels));
+  Series& series = it->second;
+  if (created) {
+    series.name = name;
+    series.labels = labels;
+    series.kind = kind;
+    // Zero / empty in every retained window, so each series stays
+    // dense over the window range.
+    series.WithWindows(
+        [n = window_end_.size()](auto& windows) { windows.resize(n); });
+  }
+  // Re-registering a name with a different kind is a programming error.
+  LIGHTRW_CHECK(series.kind == kind);
+  return &series;
+}
+
+Counter* TimeSeriesRecorder::GetCounter(const std::string& name,
+                                        const Labels& labels) {
+  return &GetSeries(0, name, labels)->counter;
+}
+
+Gauge* TimeSeriesRecorder::GetGauge(const std::string& name,
+                                    const Labels& labels) {
+  return &GetSeries(1, name, labels)->gauge;
+}
+
+WindowedHistogram* TimeSeriesRecorder::GetHistogram(const std::string& name,
+                                                    const Labels& labels) {
+  return &GetSeries(2, name, labels)->histogram;
 }
 
 void TimeSeriesRecorder::Annotate(const std::string& kind, uint64_t cycle,
@@ -112,71 +166,21 @@ void TimeSeriesRecorder::Annotate(const std::string& kind, uint64_t cycle,
 }
 
 void TimeSeriesRecorder::CloseWindow(uint64_t end_cycle) {
-  const size_t closed = window_end_.size();
-  live_.Visit([&](const MetricsRegistry::InstrumentRef& ref) {
-    auto it = series_.find(*ref.key);
-    if (it == series_.end()) {
-      Series fresh;
-      fresh.name = *ref.name;
-      fresh.labels = *ref.labels;
-      fresh.kind = ref.kind;
-      // Instruments created mid-run backfill zero/empty windows so every
-      // series stays dense over the retained window range.
-      switch (ref.kind) {
-        case 0:
-          fresh.counter_delta.assign(closed, 0);
-          break;
-        case 1:
-          fresh.gauge_last.assign(closed, 0.0);
-          break;
-        default:
-          fresh.hist_window.assign(closed, SampleStats());
-          fresh.exemplars.assign(closed, WindowExemplar());
-          break;
-      }
-      it = series_.emplace(*ref.key, std::move(fresh)).first;
-    }
-    Series& series = it->second;
-    switch (ref.kind) {
-      case 0: {
-        const uint64_t value = ref.counter->value();
-        series.counter_delta.push_back(value - series.last_counter);
-        series.last_counter = value;
+  for (auto& [key, series] : series_) {
+    switch (series.kind) {
+      case 0:
+        series.counter_delta.push_back(series.counter.Take());
         break;
-      }
       case 1:
-        series.gauge_last.push_back(ref.gauge->value());
+        series.gauge_last.push_back(series.gauge.value());
         break;
-      default: {
-        std::vector<double> values;
-        std::vector<Exemplar> ids;
-        series.hist_cursor =
-            ref.histogram->ReadSince(series.hist_cursor, &values, &ids);
-        SampleStats window;
-        WindowExemplar worst;
-        for (size_t i = 0; i < values.size(); ++i) {
-          window.Add(values[i]);
-          const bool better =
-              !worst.valid || values[i] > worst.value ||
-              (values[i] == worst.value &&
-               (ids[i].trace < worst.trace ||
-                (ids[i].trace == worst.trace && ids[i].span < worst.span)));
-          if (better) {
-            worst.valid = true;
-            worst.value = values[i];
-            worst.trace = ids[i].trace;
-            worst.span = ids[i].span;
-          }
-        }
-        series.hist_window.push_back(std::move(window));
-        series.exemplars.push_back(worst);
+      default:
+        series.hist_window.push_back(std::exchange(series.histogram, {}));
         break;
-      }
     }
-  });
+  }
   window_end_.push_back(end_cycle);
   final_cycle_ = std::max(final_cycle_, end_cycle);
-  TrimToRing();
 }
 
 void TimeSeriesRecorder::TrimToRing() {
@@ -186,23 +190,12 @@ void TimeSeriesRecorder::TrimToRing() {
 }
 
 void TimeSeriesRecorder::DropOldestWindows(size_t n) {
-  const auto drop = [n](auto* windows) {
-    windows->erase(windows->begin(), windows->begin() + n);
+  const auto drop = [n](auto& windows) {
+    windows.erase(windows.begin(), windows.begin() + n);
   };
-  drop(&window_end_);
+  drop(window_end_);
   for (auto& [key, series] : series_) {
-    switch (series.kind) {
-      case 0:
-        drop(&series.counter_delta);
-        break;
-      case 1:
-        drop(&series.gauge_last);
-        break;
-      default:
-        drop(&series.hist_window);
-        drop(&series.exemplars);
-        break;
-    }
+    series.WithWindows(drop);
   }
   first_window_ += n;
 }
@@ -211,10 +204,25 @@ void TimeSeriesRecorder::AdvanceTo(uint64_t cycle) {
   if (finished_) {
     return;
   }
+  // Windows [open, end) have their boundary at or before `cycle`.
   const uint64_t interval = config_.scrape_interval;
-  while ((first_window_ + window_end_.size() + 1) * interval <= cycle) {
-    CloseWindow((first_window_ + window_end_.size() + 1) * interval);
+  const uint64_t open = first_window_ + window_end_.size();
+  const uint64_t end = cycle / interval;
+  if (end <= open) {
+    return;
   }
+  // The first window carries every update since the last boundary. The
+  // rest are idle (nothing changes between events), so the ones the
+  // ring would evict are skipped instead of closed.
+  CloseWindow((open + 1) * interval);
+  if (end - (open + 1) > config_.max_windows) {
+    DropOldestWindows(window_end_.size());
+    first_window_ = end - config_.max_windows;
+  }
+  for (uint64_t w = first_window_ + window_end_.size(); w < end; ++w) {
+    CloseWindow((w + 1) * interval);
+  }
+  TrimToRing();
 }
 
 void TimeSeriesRecorder::Finish(uint64_t cycle) {
@@ -228,6 +236,7 @@ void TimeSeriesRecorder::Finish(uint64_t cycle) {
   const uint64_t start =
       (first_window_ + window_end_.size()) * config_.scrape_interval;
   CloseWindow(std::max(cycle, start));
+  TrimToRing();
   finished_ = true;
 }
 
@@ -256,31 +265,11 @@ void TimeSeriesRecorder::MergeFrom(const TimeSeriesRecorder* shard) {
   }
   // Pad every local series to the merged window count; shards that
   // closed fewer windows contribute zero deltas / empty histograms.
-  auto pad = [target](Series* series) {
-    series->counter_delta.resize(
-        series->kind == 0 ? target : series->counter_delta.size(), 0);
-    series->gauge_last.resize(
-        series->kind == 1 ? target : series->gauge_last.size(), 0.0);
-    if (series->kind == 2) {
-      series->hist_window.resize(target);
-      series->exemplars.resize(target);
-    }
-  };
   for (auto& [key, series] : series_) {
-    pad(&series);
+    series.WithWindows([target](auto& windows) { windows.resize(target); });
   }
   for (const auto& [key, other] : shard->series_) {
-    auto it = series_.find(key);
-    if (it == series_.end()) {
-      Series fresh;
-      fresh.name = other.name;
-      fresh.labels = other.labels;
-      fresh.kind = other.kind;
-      it = series_.emplace(key, std::move(fresh)).first;
-      pad(&it->second);
-    }
-    Series& series = it->second;
-    LIGHTRW_CHECK(series.kind == other.kind);
+    Series& series = *GetSeries(other.kind, other.name, other.labels);
     switch (other.kind) {
       case 0:
         for (size_t w = skip; w < other.counter_delta.size(); ++w) {
@@ -297,19 +286,6 @@ void TimeSeriesRecorder::MergeFrom(const TimeSeriesRecorder* shard) {
       default:
         for (size_t w = skip; w < other.hist_window.size(); ++w) {
           series.hist_window[w - skip].Merge(other.hist_window[w]);
-          const WindowExemplar& cand = other.exemplars[w];
-          WindowExemplar& worst = series.exemplars[w - skip];
-          if (!cand.valid) {
-            continue;
-          }
-          const bool better =
-              !worst.valid || cand.value > worst.value ||
-              (cand.value == worst.value &&
-               (cand.trace < worst.trace ||
-                (cand.trace == worst.trace && cand.span < worst.span)));
-          if (better) {
-            worst = cand;
-          }
         }
         break;
     }
@@ -344,9 +320,9 @@ double TimeSeriesRecorder::DetectorValue(const Series& series, size_t w) {
     case 1:
       return series.gauge_last[w];
     default:
-      return series.hist_window[w].count() == 0
+      return series.hist_window[w].samples_.count() == 0
                  ? 0.0
-                 : series.hist_window[w].Quantile(0.99);
+                 : series.hist_window[w].samples_.Quantile(0.99);
   }
 }
 
@@ -445,19 +421,19 @@ Json TimeSeriesRecorder::ToJson() const {
           point.Set("value", series.gauge_last[w]);
           break;
         default: {
-          const SampleStats& stats = series.hist_window[w];
+          const WindowedHistogram& window = series.hist_window[w];
+          const SampleStats& stats = window.samples_;
           point.Set("count", static_cast<uint64_t>(stats.count()));
           if (stats.count() > 0) {
             point.Set("sum", stats.sum());
             point.Set("p50", stats.Quantile(0.5));
             point.Set("p99", stats.Quantile(0.99));
           }
-          const WindowExemplar& exemplar = series.exemplars[w];
-          if (exemplar.valid) {
+          if (window.has_exemplar_) {
             Json ex = Json::MakeObject();
-            ex.Set("trace", exemplar.trace);
-            ex.Set("span", exemplar.span);
-            ex.Set("value", exemplar.value);
+            ex.Set("trace", window.trace_);
+            ex.Set("span", window.span_);
+            ex.Set("value", window.worst_);
             point.Set("exemplar", std::move(ex));
           }
           break;
@@ -544,15 +520,15 @@ std::string TimeSeriesRecorder::ToOpenMetricsText() const {
         out += "# TYPE " + pname + "_count counter\n";
         uint64_t cumulative = 0;
         for (size_t w = 0; w < window_end_.size(); ++w) {
-          cumulative += series.hist_window[w].count();
+          const WindowedHistogram& window = series.hist_window[w];
+          cumulative += window.samples_.count();
           out += pname + "_count_total" + labels + ' ' +
                  std::to_string(cumulative) + ' ' +
                  std::to_string(window_end_[w]);
-          const WindowExemplar& exemplar = series.exemplars[w];
-          if (exemplar.valid) {
-            out += " # {trace_id=\"" + std::to_string(exemplar.trace) +
-                   "\",span_id=\"" + std::to_string(exemplar.span) + "\"} ";
-            append_value(exemplar.value);
+          if (window.has_exemplar_) {
+            out += " # {trace_id=\"" + std::to_string(window.trace_) +
+                   "\",span_id=\"" + std::to_string(window.span_) + "\"} ";
+            append_value(window.worst_);
             out += ' ' + std::to_string(window_end_[w]);
           }
           out += '\n';
@@ -561,11 +537,12 @@ std::string TimeSeriesRecorder::ToOpenMetricsText() const {
           const std::string suffix = q == 0.5 ? "_p50" : "_p99";
           out += "# TYPE " + pname + suffix + " gauge\n";
           for (size_t w = 0; w < window_end_.size(); ++w) {
-            if (series.hist_window[w].count() == 0) {
+            const SampleStats& stats = series.hist_window[w].samples_;
+            if (stats.count() == 0) {
               continue;
             }
             out += pname + suffix + labels + ' ';
-            append_value(series.hist_window[w].Quantile(q));
+            append_value(stats.Quantile(q));
             out += ' ' + std::to_string(window_end_[w]) + '\n';
           }
         }

@@ -4,9 +4,10 @@
 // Every other observability surface describes a run at its end (metrics
 // snapshots) or per query (spans); this module shows how throughput,
 // queue depth, and fault pressure evolve over *simulated* time. A
-// TimeSeriesRecorder owns a live MetricsRegistry that engines update on
-// their hot paths through cached instrument handles, and scrapes it at
-// every multiple of a configurable cycle interval:
+// TimeSeriesRecorder owns its series: engines update them on their hot
+// paths through cached handles (GetCounter/GetGauge/GetHistogram), and
+// the recorder closes a window at every multiple of a configurable
+// cycle interval:
 //
 //   window k covers simulated cycles [k*W, (k+1)*W)
 //   counter   -> delta (and rate) per window
@@ -16,7 +17,7 @@
 //                span_id, value) of the worst sample in the window, so
 //                a latency spike links directly to its span tree
 //
-// Scraping is driven by the engines' own event loops: before an event
+// Windows are closed by the engines' own event loops: before an event
 // at cycle c is processed, AdvanceTo(c) closes every window boundary
 // <= c (between events nothing changes, so the boundary state is
 // captured exactly); Finish(c) closes the final, possibly partial,
@@ -94,6 +95,33 @@ struct Incident {
 std::vector<Incident> DetectSeriesIncidents(const std::string& series,
                                             const std::vector<double>& values);
 
+// The histogram handle of a TimeSeriesRecorder series: the samples of
+// one window and the exemplar of its worst sample.
+class WindowedHistogram {
+ public:
+  // Adds a sample with the trace and span it came from (0 when the
+  // producer records no spans).
+  void Observe(double value, uint64_t trace, uint64_t span) {
+    samples_.Add(value);
+    Offer(value, trace, span);
+  }
+
+ private:
+  friend class TimeSeriesRecorder;
+  // Folds another window in: samples append, the worst sample re-picks.
+  void Merge(const WindowedHistogram& other);
+  // Keeps (value, trace, span) as the exemplar if it is worse than the
+  // current one: a larger value, ties toward the lower trace id, then
+  // the lower span id.
+  void Offer(double value, uint64_t trace, uint64_t span);
+
+  SampleStats samples_;
+  bool has_exemplar_ = false;
+  double worst_ = 0.0;
+  uint64_t trace_ = 0;
+  uint64_t span_ = 0;
+};
+
 class TimeSeriesRecorder {
  public:
   explicit TimeSeriesRecorder(const TimeSeriesConfig& config = {});
@@ -101,10 +129,15 @@ class TimeSeriesRecorder {
   const TimeSeriesConfig& config() const { return config_; }
   uint64_t scrape_interval() const { return config_.scrape_interval; }
 
-  // The live registry engines update through cached handles. Separate
-  // from the registry a metrics export snapshots: end-of-run snapshots
-  // are unchanged by scraping.
-  MetricsRegistry* live() { return &live_; }
+  // Handles engines update on their hot paths, owned by the recorder and
+  // valid for its lifetime. A repeated (name, labels) returns the
+  // existing series; a series created after windows closed reads zero
+  // (or empty) in them. A recorder has one writer thread: sharded
+  // engines give each shard its own and merge them (MergeFrom).
+  Counter* GetCounter(const std::string& name, const Labels& labels = {});
+  Gauge* GetGauge(const std::string& name, const Labels& labels = {});
+  WindowedHistogram* GetHistogram(const std::string& name,
+                                  const Labels& labels = {});
 
   // Close every window whose boundary is <= cycle. Engines call this
   // from their event loops before processing an event at `cycle`.
@@ -143,30 +176,43 @@ class TimeSeriesRecorder {
   std::string FormatTimelineSection() const;
 
  private:
-  struct WindowExemplar {
-    bool valid = false;
-    double value = 0.0;
-    uint64_t trace = 0;
-    uint64_t span = 0;
-  };
-
   struct Series {
     std::string name;
     Labels labels;
     int kind = 0;  // 0 counter, 1 gauge, 2 histogram
+    // The live handle of the series' kind; the open window's updates.
+    Counter counter;
+    Gauge gauge;
+    WindowedHistogram histogram;
     // Dense per closed window (ring offset first_window_):
-    std::vector<uint64_t> counter_delta;     // kind 0
-    std::vector<double> gauge_last;          // kind 1
-    std::vector<SampleStats> hist_window;    // kind 2
-    std::vector<WindowExemplar> exemplars;   // kind 2
-    // Scrape cursors into the live instruments.
-    uint64_t last_counter = 0;
-    size_t hist_cursor = 0;
+    std::vector<uint64_t> counter_delta;          // kind 0
+    std::vector<double> gauge_last;               // kind 1
+    std::vector<WindowedHistogram> hist_window;   // kind 2
+
+    // Calls fn on the closed-window vector of the series' kind.
+    template <typename Fn>
+    void WithWindows(Fn&& fn) {
+      switch (kind) {
+        case 0:
+          fn(counter_delta);
+          break;
+        case 1:
+          fn(gauge_last);
+          break;
+        default:
+          fn(hist_window);
+          break;
+      }
+    }
   };
 
+  // The series for (name, labels), created with zero / empty windows
+  // for every retained window if new.
+  Series* GetSeries(int kind, const std::string& name, const Labels& labels);
   static std::string RenderSeriesId(const Series& series);
   // Per-window scalar fed to the anomaly detector.
   static double DetectorValue(const Series& series, size_t w);
+  // Appends one window ending at end_cycle; the caller trims the ring.
   void CloseWindow(uint64_t end_cycle);
   void TrimToRing();
   // Drops the n oldest retained windows (n <= num_windows()).
@@ -174,8 +220,7 @@ class TimeSeriesRecorder {
   std::vector<TsAnnotation> SortedAnnotations() const;
 
   TimeSeriesConfig config_;
-  MetricsRegistry live_;
-  // Keyed like MetricsRegistry instruments (name + labels) so shard
+  // Keyed by MetricKey (name + labels), as MetricsRegistry is, so shard
   // merges and exports iterate in one deterministic order.
   std::map<std::string, Series> series_;
   // End cycle of each retained window; window w (global index

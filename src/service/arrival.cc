@@ -1,6 +1,7 @@
 #include "service/arrival.h"
 
 #include <cmath>
+#include <string>
 
 #include "rng/rng.h"
 
@@ -61,6 +62,14 @@ StatusOr<std::vector<ServiceQuery>> GenerateArrivals(
     }
     // Exponential inter-arrival gap with mean 1024 / rate cycles.
     t += -std::log1p(-gen.NextUnit()) * 1024.0 / rate;
+    // Below 2^47 cycles, the bound retry backoff and spare rebuild use,
+    // the clock converts to an integer cycle (here and in the burst
+    // phase above) without overflow.
+    if (!(t < 0x1p47)) {
+      return OutOfRangeError(
+          "arrivals.rate_per_kcycle too small: arrival " + std::to_string(i) +
+          " lands at 2^47 cycles or later");
+    }
     ServiceQuery q;
     q.arrival = static_cast<hwsim::Cycle>(t);
     q.query.start =

@@ -196,18 +196,28 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   std::vector<Rec> recs(arrivals.size());
 
   // Shard-private totals, merged in shard order after the barrier so the
-  // merged result is independent of how shards interleave in time.
+  // merged result is independent of how shards interleave in time. The
+  // shared metrics registry is written only from these, after the merge.
   struct ShardStats {
     uint64_t retries = 0;
-    uint64_t breaker_trips = 0;
     uint64_t deadline_violations = 0;
+    uint64_t degraded[2] = {};  // degraded dispatches: shorten, uniform
+    // Per local board: breaker trips, and the queue depth after each
+    // enqueue (recorded only when metrics are published).
+    std::vector<uint64_t> breaker_trips;
+    std::vector<SampleStats> queue_depth;
     SampleStats queue_delay_cycles;
     SampleStats latency_cycles;
     distributed::DistributedRunStats cluster;
   };
   std::vector<ShardStats> shard_stats(num_shards);
-
-  obs::MetricsRegistry* metrics = config_.cluster.board.metrics;
+  obs::MetricsRegistry* const metrics = config_.cluster.board.metrics;
+  for (ShardStats& ss : shard_stats) {
+    ss.breaker_trips.resize(boards_per_shard);
+    if (metrics != nullptr) {
+      ss.queue_depth.resize(boards_per_shard);
+    }
+  }
   // Shard s traces exactly the queries qi mod num_shards == s, so the
   // shards' span traces are disjoint.
   core::SinkShards sinks(config_.cluster.board, num_shards);
@@ -228,8 +238,8 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
     const BoardId first =
         static_cast<BoardId>(shard * boards_per_shard);
     // Global identity of the shard's local board b, for operator-facing
-    // labels (metrics, trace): a sharded run reports like an unsharded
-    // one.
+    // labels (trace, spans, annotations): a sharded run reports like an
+    // unsharded one.
     auto global = [&](BoardId b) {
       return static_cast<BoardId>(first + b);
     };
@@ -241,32 +251,27 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
     obs::SpanRecorder* spans = cluster_config.board.spans;
     obs::TimeSeriesRecorder* ts = cluster_config.board.timeseries;
 
-    // Service-level live series, scraped alongside the cluster-level ones
-    // ClusterSim registers. Handles are cached eagerly here — creation
-    // order is fixed by this block, never by traffic — so the scraped
-    // series set is identical across shard/thread splits.
+    // Service-level series, recorded alongside the cluster-level ones
+    // ClusterSim registers. All are registered here, never by traffic,
+    // so the series set is identical across shard/thread splits.
     obs::Counter* ts_completed = nullptr;
     obs::Counter* ts_retries = nullptr;
     obs::Counter* ts_violations = nullptr;
     obs::Counter* ts_shed[3] = {};
     obs::Counter* ts_degraded[2] = {};
     obs::Gauge* ts_queued = nullptr;
-    obs::Histogram* ts_latency = nullptr;
+    obs::WindowedHistogram* ts_latency = nullptr;
     if (ts != nullptr) {
-      obs::MetricsRegistry* live = ts->live();
-      ts_completed = live->GetCounter("svc.completed");
-      ts_retries = live->GetCounter("svc.retries");
-      ts_violations = live->GetCounter("svc.deadline_violations");
-      ts_shed[0] = live->GetCounter("svc.shed", {{"reason", "queue_full"}});
-      ts_shed[1] =
-          live->GetCounter("svc.shed", {{"reason", "breaker_open"}});
-      ts_shed[2] = live->GetCounter("svc.shed", {{"reason", "deadline"}});
-      ts_degraded[0] =
-          live->GetCounter("svc.degraded", {{"tier", "shorten"}});
-      ts_degraded[1] =
-          live->GetCounter("svc.degraded", {{"tier", "uniform"}});
-      ts_queued = live->GetGauge("svc.queued");
-      ts_latency = live->GetHistogram("svc.latency_cycles");
+      ts_completed = ts->GetCounter("svc.completed");
+      ts_retries = ts->GetCounter("svc.retries");
+      ts_violations = ts->GetCounter("svc.deadline_violations");
+      ts_shed[0] = ts->GetCounter("svc.shed", {{"reason", "queue_full"}});
+      ts_shed[1] = ts->GetCounter("svc.shed", {{"reason", "breaker_open"}});
+      ts_shed[2] = ts->GetCounter("svc.shed", {{"reason", "deadline"}});
+      ts_degraded[0] = ts->GetCounter("svc.degraded", {{"tier", "shorten"}});
+      ts_degraded[1] = ts->GetCounter("svc.degraded", {{"tier", "uniform"}});
+      ts_queued = ts->GetGauge("svc.queued");
+      ts_latency = ts->GetHistogram("svc.latency_cycles");
     }
 
     const distributed::Partition* partition =
@@ -288,19 +293,6 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
     for (SBoard& sb : sboards) {
       sb.queue.reserve(config_.queue_capacity);
     }
-
-    // Metric handles, resolved on first use and then reused: the hot
-    // loop never re-hashes a label set (or rebuilds the per-admission
-    // board-label string) twice. Lazy, not eager, so the registry's
-    // series creation order — and therefore its exposition — matches an
-    // uncached run exactly.
-    obs::Counter* retries_counter = nullptr;
-    // Shed reasons: queue_full, breaker_open, deadline.
-    obs::Counter* shed_counters[3] = {};
-    obs::Counter* degraded_counters[2] = {};  // shorten, uniform
-    std::vector<obs::Histogram*> queue_depth_hists(boards_per_shard, nullptr);
-    std::vector<obs::Counter*> breaker_trip_counters(boards_per_shard,
-                                                     nullptr);
 
     if (trace != nullptr) {
       for (BoardId b = 0; b < boards_per_shard; ++b) {
@@ -340,13 +332,6 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
                                                              : 2;
       const char* reason =
           ri == 0 ? "queue_full" : ri == 1 ? "breaker_open" : "deadline";
-      if (metrics != nullptr) {
-        if (shed_counters[ri] == nullptr) {
-          shed_counters[ri] =
-              metrics->GetCounter("service.shed", {{"reason", reason}});
-        }
-        shed_counters[ri]->Increment();
-      }
       if (ts != nullptr) {
         ts_shed[ri]->Increment();
       }
@@ -366,12 +351,6 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
       }
       if (r.attempts <= config_.retry_budget) {
         ++ss.retries;
-        if (metrics != nullptr) {
-          if (retries_counter == nullptr) {
-            retries_counter = metrics->GetCounter("service.retries");
-          }
-          retries_counter->Increment();
-        }
         if (ts_retries != nullptr) {
           ts_retries->Increment();
         }
@@ -467,17 +446,10 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
             r.uniform = true;
           }
           if (r.shortened || r.uniform) {
-            if (metrics != nullptr) {
-              const int ti = r.uniform ? 1 : 0;
-              if (degraded_counters[ti] == nullptr) {
-                degraded_counters[ti] = metrics->GetCounter(
-                    "service.degraded",
-                    {{"tier", r.uniform ? "uniform" : "shorten"}});
-              }
-              degraded_counters[ti]->Increment();
-            }
+            const int ti = r.uniform ? 1 : 0;
+            ++ss.degraded[ti];
             if (ts != nullptr) {
-              ts_degraded[r.uniform ? 1 : 0]->Increment();
+              ts_degraded[ti]->Increment();
             }
             trace_instant("degrade", b, at);
             if (spans != nullptr) {
@@ -487,9 +459,6 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
             }
           }
         }
-        // Shared-registry histograms are fed from the merged per-shard
-        // samples after the barrier (fixed order); only the shard-local
-        // accumulator is touched on the hot path.
         const Cycle delay = at - r.admitted_at;
         ss.queue_delay_cycles.Add(static_cast<double>(delay));
         if (sb.breaker == BreakerState::kHalfOpen) {
@@ -571,13 +540,8 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
         r.queue_span =
             spans->Begin(qi, r.root_span, "queue", "service", global(b), at);
       }
-      if (metrics != nullptr) {
-        if (queue_depth_hists[b] == nullptr) {
-          queue_depth_hists[b] =
-              metrics->GetHistogram("service.queue_depth",
-                                    {{"board", std::to_string(global(b))}});
-        }
-        queue_depth_hists[b]->Observe(static_cast<double>(sb.queue.size()));
+      if (!ss.queue_depth.empty()) {
+        ss.queue_depth[b].Add(static_cast<double>(sb.queue.size()));
       }
       dispatch(b, at);
     };
@@ -601,15 +565,7 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
         if (trip) {
           sb.breaker = BreakerState::kOpen;
           sb.open_until = end.at + config_.breaker_cooldown_cycles;
-          ++ss.breaker_trips;
-          if (metrics != nullptr) {
-            if (breaker_trip_counters[b] == nullptr) {
-              breaker_trip_counters[b] = metrics->GetCounter(
-                  "service.breaker_trips",
-                  {{"board", std::to_string(global(b))}});
-            }
-            breaker_trip_counters[b]->Increment();
-          }
+          ++ss.breaker_trips[b];
           trace_instant("breaker_trip", b, end.at);
           if (ts != nullptr) {
             ts->Annotate("breaker_trip", end.at,
@@ -646,8 +602,7 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
           ts_completed->Increment();
           // The worst sample of a window exemplars back to the query's
           // root span (trace id = qi), which is still open here.
-          ts_latency->ObserveExemplar(static_cast<double>(latency), qi,
-                                      r.root_span);
+          ts_latency->Observe(static_cast<double>(latency), qi, r.root_span);
           if (late) {
             ts_violations->Increment();
           }
@@ -697,7 +652,9 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   for (uint32_t s = 0; s < num_shards; ++s) {
     ShardStats& ss = shard_stats[s];
     stats.retries += ss.retries;
-    stats.breaker_trips += ss.breaker_trips;
+    for (const uint64_t trips : ss.breaker_trips) {
+      stats.breaker_trips += trips;
+    }
     stats.deadline_violations += ss.deadline_violations;
     stats.queue_delay_cycles.Merge(ss.queue_delay_cycles);
     stats.latency_cycles.Merge(ss.latency_cycles);
@@ -705,24 +662,6 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   }
   stats.cluster.seconds = static_cast<double>(stats.cluster.cycles) /
                           config_.cluster.board.dram.clock_hz;
-  // Deferred shared-registry histograms: replay the merged samples so
-  // the exposition (including its order-sensitive float sum) matches a
-  // single-shard, single-thread run byte for byte.
-  if (metrics != nullptr) {
-    if (stats.queue_delay_cycles.count() > 0) {
-      obs::Histogram* h =
-          metrics->GetHistogram("service.queue_delay_cycles");
-      for (const double v : stats.queue_delay_cycles.raw_samples()) {
-        h->Observe(v);
-      }
-    }
-    if (stats.latency_cycles.count() > 0) {
-      obs::Histogram* h = metrics->GetHistogram("service.latency_cycles");
-      for (const double v : stats.latency_cycles.raw_samples()) {
-        h->Observe(v);
-      }
-    }
-  }
 
   // Settle the books: every query has exactly one terminal outcome.
   outcomes_.clear();
@@ -761,6 +700,46 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   }
   LIGHTRW_CHECK_EQ(stats.completed + stats.Shed() + stats.failed,
                    stats.offered);
+
+  // Publish the service metrics from the merged totals. Histograms
+  // replay their samples in shard order, so the exposition (including
+  // its order-sensitive float sums) matches a single-shard,
+  // single-thread run byte for byte. A metric with nothing to count is
+  // not created.
+  if (metrics != nullptr) {
+    auto count = [&](const char* name, const obs::Labels& labels,
+                     uint64_t n) {
+      if (n > 0) {
+        metrics->GetCounter(name, labels)->Increment(n);
+      }
+    };
+    auto replay = [&](const char* name, const obs::Labels& labels,
+                      const SampleStats& samples) {
+      if (samples.count() > 0) {
+        obs::Histogram* h = metrics->GetHistogram(name, labels);
+        for (const double v : samples.raw_samples()) {
+          h->Observe(v);
+        }
+      }
+    };
+    replay("service.queue_delay_cycles", {}, stats.queue_delay_cycles);
+    replay("service.latency_cycles", {}, stats.latency_cycles);
+    count("service.retries", {}, stats.retries);
+    count("service.shed", {{"reason", "queue_full"}}, stats.shed_queue_full);
+    count("service.shed", {{"reason", "breaker_open"}}, stats.shed_breaker);
+    count("service.shed", {{"reason", "deadline"}}, stats.shed_deadline);
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      const ShardStats& ss = shard_stats[s];
+      count("service.degraded", {{"tier", "shorten"}}, ss.degraded[0]);
+      count("service.degraded", {{"tier", "uniform"}}, ss.degraded[1]);
+      for (BoardId b = 0; b < boards_per_shard; ++b) {
+        const obs::Labels board = {
+            {"board", std::to_string(s * boards_per_shard + b)}};
+        replay("service.queue_depth", board, ss.queue_depth[b]);
+        count("service.breaker_trips", board, ss.breaker_trips[b]);
+      }
+    }
+  }
   stats.cluster.queries = stats.completed;
   stats.cycles = stats.cluster.cycles;
   stats.seconds = stats.cluster.seconds;

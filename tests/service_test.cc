@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/ppr.h"
@@ -208,6 +209,24 @@ TEST(ArrivalValidationTest, RejectsNanBestEffortFraction) {
 }
 
 // --- arrival generation ---------------------------------------------------
+
+// A rate so low that the arrival clock passes 2^47 cycles is rejected,
+// naming the field, instead of casting an out-of-range clock to Cycle.
+TEST(ArrivalValidationTest, RejectsRateWhoseClockPassesTwoToTheFortySeven) {
+  const CsrGraph g = TestGraph();
+  ArrivalConfig config;
+  config.num_queries = 4;
+  for (const double rate : {1e-30, 1e-12}) {
+    config.rate_per_kcycle = rate;
+    const auto arrivals = GenerateArrivals(config, g);
+    ASSERT_FALSE(arrivals.ok()) << rate;
+    EXPECT_EQ(arrivals.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(arrivals.status().message().find("arrivals.rate_per_kcycle"),
+              std::string::npos);
+  }
+  config.rate_per_kcycle = 1e-6;  // ~10^9-cycle gaps still fit
+  EXPECT_TRUE(GenerateArrivals(config, g).ok());
+}
 
 TEST(ArrivalTest, DeterministicAndSortedWithDeadlines) {
   const CsrGraph g = TestGraph();
@@ -482,6 +501,33 @@ TEST(WalkServiceTest, SloSummaryMatchesStats) {
   EXPECT_NE(section.find("shed rate"), std::string::npos);
 }
 
+// The service's overload counters in the metrics registry equal the
+// run's stats: each shed reason, the retries, and the per-board breaker
+// trips summed over the `boards` boards.
+void ExpectOverloadCountersMatch(obs::MetricsRegistry* metrics,
+                                 const ServiceRunStats& stats,
+                                 uint32_t boards) {
+  const std::pair<const char*, uint64_t> sheds[] = {
+      {"queue_full", stats.shed_queue_full},
+      {"breaker_open", stats.shed_breaker},
+      {"deadline", stats.shed_deadline}};
+  for (const auto& [reason, shed] : sheds) {
+    EXPECT_EQ(
+        metrics->GetCounter("service.shed", {{"reason", reason}})->value(),
+        shed)
+        << reason;
+  }
+  EXPECT_EQ(metrics->GetCounter("service.retries")->value(), stats.retries);
+  uint64_t trips = 0;
+  for (uint32_t b = 0; b < boards; ++b) {
+    trips += metrics
+                 ->GetCounter("service.breaker_trips",
+                              {{"board", std::to_string(b)}})
+                 ->value();
+  }
+  EXPECT_EQ(trips, stats.breaker_trips);
+}
+
 // Overload instrumentation: the shared metrics registry picks up the
 // queue histograms and overload counters, and the trace records instant
 // events for every shed and degrade decision.
@@ -510,23 +556,36 @@ TEST(WalkServiceTest, OverloadPublishesMetricsAndTraceInstants) {
                 ->Snapshot()
                 .count(),
             stats.completed);
-  uint64_t shed_counted = 0;
-  for (const char* reason : {"queue_full", "breaker_open", "deadline"}) {
-    shed_counted +=
-        metrics.GetCounter("service.shed", {{"reason", reason}})->value();
-  }
-  EXPECT_EQ(shed_counted, stats.Shed());
+  ExpectOverloadCountersMatch(&metrics, stats, /*boards=*/2);
   uint64_t degrade_counted = 0;
   for (const char* tier : {"shorten", "uniform"}) {
     degrade_counted +=
         metrics.GetCounter("service.degraded", {{"tier", tier}})->value();
   }
   EXPECT_GT(degrade_counted, 0u);
-  EXPECT_EQ(metrics.GetCounter("service.retries")->value(), stats.retries);
 
   const std::string trace_json = trace.ToJsonString();
   EXPECT_NE(trace_json.find("\"shed\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"degrade\""), std::string::npos);
+}
+
+// The fault-injected sibling: a board death trips breakers, and the
+// per-board trip counters still add up to the run's total.
+TEST(WalkServiceTest, BoardDeathPublishesBreakerTripsPerBoard) {
+  const CsrGraph g = TestGraph();
+  StaticWalkApp app;
+  const Partition p = MakePartition(g, 4, PartitionStrategy::kHash);
+  ServiceConfig config = OverloadConfig();
+  config.retry_budget = 3;
+  config.cluster.board.faults.enabled = true;
+  config.cluster.board.faults.board_deaths = {{1 << 14, /*board=*/1}};
+  obs::MetricsRegistry metrics;
+  config.cluster.board.metrics = &metrics;
+  WalkService service(&g, &app, &p, config);
+  const auto stats = service.Run().value();
+  ASSERT_GE(stats.breaker_trips, 1u);
+  ASSERT_GT(stats.Shed(), 0u);
+  ExpectOverloadCountersMatch(&metrics, stats, /*boards=*/4);
 }
 
 }  // namespace

@@ -60,13 +60,23 @@ const Json* FindSeries(const Json& doc, const std::string& name) {
   return nullptr;
 }
 
+// Both exports of one recorder.
+struct TsRun {
+  std::string json;
+  std::string openmetrics;
+};
+
+TsRun TsRunOf(const TimeSeriesRecorder& ts) {
+  return TsRun{ts.ToJsonString(), ts.ToOpenMetricsText()};
+}
+
 // --- window boundaries and per-kind scrape math ----------------------------
 
 TEST(TimeSeriesRecorderTest, WindowBoundariesAndCounterDeltas) {
   TimeSeriesConfig config;
   config.scrape_interval = 100;
   TimeSeriesRecorder rec(config);
-  obs::Counter* steps = rec.live()->GetCounter("steps");
+  obs::Counter* steps = rec.GetCounter("steps");
 
   rec.AdvanceTo(0);
   steps->Increment();
@@ -111,7 +121,7 @@ TEST(TimeSeriesRecorderTest, FinishCapturesUpdatesAfterLastBoundary) {
   TimeSeriesConfig config;
   config.scrape_interval = 100;
   TimeSeriesRecorder rec(config);
-  obs::Counter* steps = rec.live()->GetCounter("steps");
+  obs::Counter* steps = rec.GetCounter("steps");
   rec.AdvanceTo(200);  // closes windows 0 and 1, both empty
   steps->Increment();  // lands at/after cycle 200
   rec.Finish(200);
@@ -125,16 +135,114 @@ TEST(TimeSeriesRecorderTest, FinishCapturesUpdatesAfterLastBoundary) {
   EXPECT_EQ(rec.num_windows(), 3u);
 }
 
+// A series created after windows closed reads zero (or empty) in them,
+// so every series stays dense over the retained window range.
+TEST(TimeSeriesRecorderTest, SeriesCreatedLateReadZeroInEarlierWindows) {
+  TimeSeriesConfig config;
+  config.scrape_interval = 100;
+  TimeSeriesRecorder rec(config);
+  rec.AdvanceTo(200);  // closes windows 0 and 1
+  rec.GetCounter("steps")->Increment(5);
+  rec.GetGauge("depth")->Set(4.0);
+  rec.GetHistogram("lat")->Observe(3.0, /*trace=*/1, /*span=*/2);
+  rec.Finish(250);
+  ASSERT_EQ(rec.num_windows(), 3u);
+
+  const auto parsed = Json::Parse(rec.ToJsonString());
+  ASSERT_TRUE(parsed.ok());
+  const Json& doc = parsed.value();
+  const Json* steps = FindSeries(doc, "steps")->Find("points");
+  const Json* depth = FindSeries(doc, "depth")->Find("points");
+  const Json* lat = FindSeries(doc, "lat")->Find("points");
+  ASSERT_EQ(steps->size(), 3u);
+  ASSERT_EQ(depth->size(), 3u);
+  ASSERT_EQ(lat->size(), 3u);
+  for (size_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(steps->array()[w].Find("delta")->uint_value(), 0u);
+    EXPECT_DOUBLE_EQ(depth->array()[w].Find("value")->double_value(), 0.0);
+    EXPECT_EQ(lat->array()[w].Find("count")->uint_value(), 0u);
+    EXPECT_EQ(lat->array()[w].Find("exemplar"), nullptr);
+  }
+  EXPECT_EQ(steps->array()[2].Find("delta")->uint_value(), 5u);
+  EXPECT_DOUBLE_EQ(depth->array()[2].Find("value")->double_value(), 4.0);
+  EXPECT_EQ(lat->array()[2].Find("count")->uint_value(), 1u);
+}
+
+// One AdvanceTo across many idle windows records exactly what advancing
+// boundary by boundary records, with and without ring eviction: right
+// after the jump and after the run finishes.
+TEST(TimeSeriesRecorderTest, LongJumpMatchesBoundaryByBoundary) {
+  TimeSeriesConfig config;
+  config.scrape_interval = 10;
+  config.max_windows = 4;
+  auto record = [&config](uint64_t target, bool jump) {
+    std::vector<TsRun> exports;
+    TimeSeriesRecorder rec(config);
+    obs::Counter* steps = rec.GetCounter("steps");
+    obs::Gauge* depth = rec.GetGauge("depth");
+    obs::WindowedHistogram* lat = rec.GetHistogram("lat");
+    steps->Increment(3);
+    depth->Set(2.0);
+    lat->Observe(7.0, /*trace=*/1, /*span=*/2);
+    rec.AdvanceTo(15);  // closes window 0
+    steps->Increment();
+    depth->Set(5.0);
+    lat->Observe(4.0, /*trace=*/3, /*span=*/4);
+    if (jump) {
+      rec.AdvanceTo(target);
+    } else {
+      for (uint64_t c = 20; c <= target; c += config.scrape_interval) {
+        rec.AdvanceTo(c);
+      }
+    }
+    exports.push_back(TsRunOf(rec));
+    steps->Increment(2);
+    lat->Observe(1.0, /*trace=*/5, /*span=*/6);
+    rec.Finish(target + 3);
+    exports.push_back(TsRunOf(rec));
+    return exports;
+  };
+  // 1000 windows past window 1 (evicting all but the newest), then 3
+  // (evicting only older windows).
+  for (const uint64_t target : {uint64_t{10015}, uint64_t{45}}) {
+    const std::vector<TsRun> stepped = record(target, /*jump=*/false);
+    const std::vector<TsRun> jumped = record(target, /*jump=*/true);
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(jumped[i].json, stepped[i].json) << target << " " << i;
+      EXPECT_EQ(jumped[i].openmetrics, stepped[i].openmetrics)
+          << target << " " << i;
+    }
+    // After the jump the ring holds windows [target/10 - 4, target/10).
+    const auto parsed = Json::Parse(jumped[0].json);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->Find("windows")->uint_value(), 4u);
+    EXPECT_EQ(parsed->Find("first_window")->uint_value(), target / 10 - 4);
+  }
+}
+
+// A jump of 10^15 cycles closes only the windows the default ring keeps.
+TEST(TimeSeriesRecorderTest, JumpOfTenToTheFifteenCyclesReturns) {
+  TimeSeriesRecorder rec;
+  rec.GetCounter("steps")->Increment();
+  rec.AdvanceTo(1'000'000'000'000'000);
+  EXPECT_EQ(rec.num_windows(), 4096u);
+  const auto parsed = Json::Parse(rec.ToJsonString());
+  ASSERT_TRUE(parsed.ok());
+  // 10^15 / 4096 = 244140625000 windows closed; the ring keeps the last.
+  EXPECT_EQ(parsed->Find("first_window")->uint_value(),
+            uint64_t{244140625000} - 4096);
+}
+
 TEST(TimeSeriesRecorderTest, GaugeLastValueAndHistogramWindowStats) {
   TimeSeriesConfig config;
   config.scrape_interval = 100;
   TimeSeriesRecorder rec(config);
-  obs::Gauge* depth = rec.live()->GetGauge("depth");
-  obs::Histogram* lat = rec.live()->GetHistogram("lat");
+  obs::Gauge* depth = rec.GetGauge("depth");
+  obs::WindowedHistogram* lat = rec.GetHistogram("lat");
 
   depth->Set(3.0);
-  lat->ObserveExemplar(5.0, /*trace=*/1, /*span=*/11);
-  lat->ObserveExemplar(9.0, /*trace=*/2, /*span=*/22);
+  lat->Observe(5.0, /*trace=*/1, /*span=*/11);
+  lat->Observe(9.0, /*trace=*/2, /*span=*/22);
   rec.AdvanceTo(100);
   depth->Set(7.0);
   rec.Finish(150);  // window 1 has no histogram samples
@@ -172,11 +280,11 @@ TEST(TimeSeriesRecorderTest, ExemplarTiesBreakTowardLowerTraceThenSpan) {
   TimeSeriesConfig config;
   config.scrape_interval = 100;
   TimeSeriesRecorder rec(config);
-  obs::Histogram* lat = rec.live()->GetHistogram("lat");
-  lat->ObserveExemplar(7.0, /*trace=*/9, /*span=*/1);
-  lat->ObserveExemplar(7.0, /*trace=*/3, /*span=*/8);
-  lat->ObserveExemplar(7.0, /*trace=*/3, /*span=*/4);
-  lat->ObserveExemplar(5.0, /*trace=*/1, /*span=*/1);  // smaller: ignored
+  obs::WindowedHistogram* lat = rec.GetHistogram("lat");
+  lat->Observe(7.0, /*trace=*/9, /*span=*/1);
+  lat->Observe(7.0, /*trace=*/3, /*span=*/8);
+  lat->Observe(7.0, /*trace=*/3, /*span=*/4);
+  lat->Observe(5.0, /*trace=*/1, /*span=*/1);  // smaller: ignored
   rec.Finish(50);
   const auto parsed = Json::Parse(rec.ToJsonString());
   ASSERT_TRUE(parsed.ok());
@@ -193,9 +301,8 @@ TEST(TimeSeriesRecorderTest, OpenMetricsExportCarriesExemplars) {
   TimeSeriesConfig config;
   config.scrape_interval = 100;
   TimeSeriesRecorder rec(config);
-  rec.live()->GetCounter("svc.shed", {{"reason", "queue_full"}})
-      ->Increment(3);
-  rec.live()->GetHistogram("lat")->ObserveExemplar(9.0, 2, 22);
+  rec.GetCounter("svc.shed", {{"reason", "queue_full"}})->Increment(3);
+  rec.GetHistogram("lat")->Observe(9.0, 2, 22);
   rec.Finish(100);
   const std::string text = rec.ToOpenMetricsText();
   EXPECT_NE(text.find("# TYPE svc_shed counter"), std::string::npos);
@@ -263,19 +370,17 @@ TEST(TimeSeriesRecorderTest, MergeAddsDeltasSumsGaugesAndRepicksExemplars) {
   TimeSeriesRecorder a(config);
   TimeSeriesRecorder b(config);
 
-  a.live()->GetCounter("steps")->Increment(2);
-  a.live()->GetGauge("inflight")->Set(2.0);
-  a.live()->GetHistogram("lat")->ObserveExemplar(7.0, /*trace=*/5,
-                                                 /*span=*/5);
+  a.GetCounter("steps")->Increment(2);
+  a.GetGauge("inflight")->Set(2.0);
+  a.GetHistogram("lat")->Observe(7.0, /*trace=*/5, /*span=*/5);
   a.AdvanceTo(100);
-  a.live()->GetCounter("steps")->Increment();
+  a.GetCounter("steps")->Increment();
   a.Finish(150);  // two windows
 
-  b.live()->GetCounter("steps")->Increment(3);
-  b.live()->GetGauge("inflight")->Set(1.0);
-  b.live()->GetHistogram("lat")->ObserveExemplar(7.0, /*trace=*/2,
-                                                 /*span=*/9);
-  b.live()->GetCounter("b.only")->Increment(4);
+  b.GetCounter("steps")->Increment(3);
+  b.GetGauge("inflight")->Set(1.0);
+  b.GetHistogram("lat")->Observe(7.0, /*trace=*/2, /*span=*/9);
+  b.GetCounter("b.only")->Increment(4);
   b.Finish(80);  // one (shorter) window
 
   a.MergeFrom(&b);
@@ -318,7 +423,7 @@ TEST(TimeSeriesRecorderTest, MergeAlignsShardsWithDifferentFirstWindows) {
   auto run = [&config](uint64_t per_window, uint64_t windows) {
     auto ts = std::make_unique<TimeSeriesRecorder>(config);
     for (uint64_t w = 1; w <= windows; ++w) {
-      ts->live()->GetCounter("steps")->Increment(per_window);
+      ts->GetCounter("steps")->Increment(per_window);
       ts->AdvanceTo(w * config.scrape_interval);
     }
     return ts;
@@ -357,11 +462,6 @@ TEST(TimeSeriesRecorderTest, MergeAlignsShardsWithDifferentFirstWindows) {
 
 // --- end-to-end determinism ------------------------------------------------
 
-struct TsRun {
-  std::string json;
-  std::string openmetrics;
-};
-
 TsRun RunServiceWithTimeSeries(const CsrGraph& g, const apps::WalkApp& app,
                                const Partition& partition, uint32_t shards,
                                uint32_t threads,
@@ -390,7 +490,7 @@ TsRun RunServiceWithTimeSeries(const CsrGraph& g, const apps::WalkApp& app,
 
   WalkService walk_service(&g, &app, &partition, config);
   EXPECT_TRUE(walk_service.Run().ok());
-  return TsRun{ts.ToJsonString(), ts.ToOpenMetricsText()};
+  return TsRunOf(ts);
 }
 
 TEST(TimeSeriesDeterminismTest, ShardedServiceByteIdenticalAcrossThreads) {
@@ -455,6 +555,33 @@ TEST(TimeSeriesDeterminismTest, CycleEngineByteIdenticalAcrossThreads) {
   EXPECT_NE(serial.find("accel.steps"), std::string::npos);
 }
 
+// An instance with no queries adds no series: four instances, three
+// queries, so instance 3 stays out of the export.
+TEST(TimeSeriesDeterminismTest, IdleCycleEngineInstanceAddsNoSeries) {
+  const CsrGraph g = TestGraph();
+  const apps::StaticWalkApp app;
+  for (const uint32_t threads : {1u, 4u}) {
+    core::AcceleratorConfig config;
+    config.num_instances = 4;
+    config.num_threads = threads;
+    TimeSeriesRecorder ts;
+    config.timeseries = &ts;
+    const auto queries = apps::MakeVertexQueries(g, /*length=*/16,
+                                                 /*seed=*/5, /*limit=*/3);
+    core::CycleEngine(&g, &app, config).Run(queries);
+    const auto parsed = Json::Parse(ts.ToJsonString());
+    ASSERT_TRUE(parsed.ok());
+    std::set<std::string> instances;
+    for (const Json& series : parsed->Find("series")->array()) {
+      const Json* labels = series.Find("labels");
+      if (labels != nullptr && labels->Find("instance") != nullptr) {
+        instances.insert(labels->Find("instance")->string_value());
+      }
+    }
+    EXPECT_EQ(instances, (std::set<std::string>{"0", "1", "2"})) << threads;
+  }
+}
+
 // The sharded runs whose merge used to abort once the 64-window ring
 // evicted: four CycleEngine instances at an 8-cycle scrape, and a
 // four-shard service on four replicated boards. Exports are
@@ -474,7 +601,7 @@ TsRun RunEvictingCycleEngine(uint32_t threads) {
   const auto queries = apps::MakeVertexQueries(g, /*length=*/40,
                                                /*seed=*/5, /*limit=*/512);
   core::CycleEngine(&g, &app, config).Run(queries);
-  return TsRun{ts.ToJsonString(), ts.ToOpenMetricsText()};
+  return TsRunOf(ts);
 }
 
 TsRun RunEvictingShardedService(uint32_t threads) {
@@ -497,7 +624,7 @@ TsRun RunEvictingShardedService(uint32_t threads) {
   TimeSeriesRecorder ts(ts_config);
   config.cluster.board.timeseries = &ts;
   EXPECT_TRUE(WalkService(&g, &app, &partition, config).Run().ok());
-  return TsRun{ts.ToJsonString(), ts.ToOpenMetricsText()};
+  return TsRunOf(ts);
 }
 
 void ExpectEvictedAndByteIdentical(const TsRun& serial, const TsRun& parallel,

@@ -177,6 +177,24 @@ expect "scrub budget past 2^63" 1 "$TOOL" $REBUILD --ckpt-store \
   --ckpt-scrub-bytes 1e300
 expect "nan best-effort fraction" 1 "$TOOL" --engine service $BASE \
   --boards 2 --partition hash --service-rate 0.2 --service-best-effort nan
+# An arrival rate whose clock reaches 2^47 cycles is rejected, naming
+# the field, instead of casting the clock out of range.
+expect "arrival clock past 2^47" 1 "$TOOL" --engine service $BASE \
+  --boards 2 --partition hash --service-rate 1e-30
+if ! "$TOOL" --engine service $BASE --boards 2 --partition hash \
+    --service-rate 1e-30 2>&1 >/dev/null |
+    grep -q arrivals.rate_per_kcycle; then
+  echo "FAIL: arrival clock reason does not name arrivals.rate_per_kcycle" >&2
+  fails=$((fails + 1))
+else
+  echo "ok: arrival clock reason names arrivals.rate_per_kcycle"
+fi
+# A board death long after the work ends: the time series skips the
+# idle windows its ring would evict instead of closing each one.
+expect "board death at 10^15 cycles with timeseries" 0 "$TOOL" \
+  --engine distributed --rmat_scale 6 --queries 8 --length 4 --boards 2 \
+  --partition hash --fault-fail-cycles 1000000000000000 \
+  --fault-fail-boards 1 --out-dir "$OUT" --exports timeseries
 expect "bad span mode" 1 "$TOOL" --engine service $BASE \
   --out-dir "$OUT" --exports spans --span-mode bogus
 expect "unwritable spans path" 1 "$TOOL" --engine service $BASE \
