@@ -4,22 +4,35 @@
 // stand-ins are scaled down so the whole suite runs on one CPU core in
 // minutes; set LIGHTRW_SCALE_SHIFT=0 to run at the paper's full sizes.
 //
+// A bench records each result row once, in a Table. Report prints the
+// paper-style tables to stdout and writes the same rows to
+// BENCH_<name>.json, so the text and the machine-readable record cannot
+// disagree.
+//
 // Environment knobs:
-//   LIGHTRW_SCALE_SHIFT  divide dataset |V| and |E| by 2^shift (default 7)
-//   LIGHTRW_MAX_QUERIES  cap on queries per run (default 8192; 0 = |V|)
-//   LIGHTRW_SIM_THREADS  host worker threads for sharded simulations
-//                        (default 1); simulated metrics are unchanged by
-//                        this value — only wall time moves
+//   LIGHTRW_SCALE_SHIFT     divide dataset |V| and |E| by 2^shift
+//                           (default 7, at most 31)
+//   LIGHTRW_MAX_QUERIES     cap on queries per run (default 8192; 0 = one
+//                           query per non-isolated vertex; at most 2^32-1)
+//   LIGHTRW_SIM_THREADS     host worker threads for sharded simulations
+//                           (default 1); simulated metrics are unchanged by
+//                           this value — only wall time moves
+//   LIGHTRW_BENCH_JSON_DIR  directory BENCH_<name>.json is written to
+//                           (default: the working directory)
+// The first two take decimal digits only; any other value makes the bench
+// exit 1 with a message naming the variable. A failed run or an unwritable
+// BENCH file also exits 1.
 
 #ifndef LIGHTRW_BENCH_BENCH_UTIL_H_
 #define LIGHTRW_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
-#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "apps/walk_app.h"
+#include "common/status.h"
 #include "graph/generators.h"
 #include "lightrw/config.h"
 #include "obs/json.h"
@@ -33,6 +46,14 @@ inline constexpr double kNode2VecP = 2.0;
 inline constexpr double kNode2VecQ = 0.5;
 inline constexpr uint64_t kBenchSeed = 20230618;
 
+// Reads one numeric bench variable `name` whose raw value is `value`
+// (null or empty: `fallback`). Anything but decimal digits, or a number
+// above `max`, is an InvalidArgument error naming the variable.
+StatusOr<uint64_t> ParseEnvUint(const char* name, const char* value,
+                                uint64_t fallback, uint64_t max);
+
+// Resolved LIGHTRW_SCALE_SHIFT and LIGHTRW_MAX_QUERIES. Both variables are
+// validated on the first call to either; an invalid one exits 1.
 uint32_t ScaleShift();
 size_t MaxQueries();
 // Resolved LIGHTRW_SIM_THREADS (what engines with num_threads = 0 use).
@@ -48,7 +69,8 @@ std::vector<apps::WalkQuery> StandardQueries(const graph::CsrGraph& graph,
                                              size_t cap = 0);
 
 // Exactly `count` queries of the given length, repeating vertices as
-// needed (for the Fig. 16 query-count sweep).
+// needed (for the Fig. 16 query-count sweep). A count of 0 gives one
+// query per non-isolated vertex, like StandardQueries with no cap.
 std::vector<apps::WalkQuery> RepeatedQueries(const graph::CsrGraph& graph,
                                              uint32_t length, size_t count);
 
@@ -62,32 +84,56 @@ std::unique_ptr<apps::WalkApp> MakeNode2Vec();
 core::AcceleratorConfig DefaultAccelConfig();
 
 // ---------------------------------------------------------------------------
-// Plain-text table output. Each bench prints the paper-style table/series
-// to stdout after the google-benchmark report.
+// Results. Each cell is one obs::Json value: it goes to the BENCH json
+// with its exact kind and is rendered into the text table by its
+// column's CellFormat.
 
-// Prints "== <title> ==" with the reproduction context line.
-void PrintReportHeader(const std::string& title);
+using CellFormat = std::function<std::string(const obs::Json&)>;
 
-// printf-style row helper with aligned columns.
-void PrintRow(const std::vector<std::string>& cells,
-              const std::vector<int>& widths);
+// "%.<precision>f" of the number, then `suffix`.
+CellFormat Num(int precision, std::string suffix = "");
+// A ratio printed as a percentage: "%.<precision>f%" of 100 x value.
+CellFormat Percent(int precision);
 
-std::string FormatDouble(double value, int precision = 2);
+struct Column {
+  std::string key;     // BENCH json key; empty = text table only
+  std::string header;  // text table header; empty = BENCH json only
+  int width = 0;       // text cells are left-aligned and padded to this
+  // Null: strings as they are, integers in decimal, bools as on/off and
+  // doubles as Num(2).
+  CellFormat format = nullptr;
+};
 
-// ---------------------------------------------------------------------------
-// Machine-readable output. Benches that also want to be scraped by
-// scripts wrap their summary rows in a Json record and hand it to
-// WriteBenchJson, which stamps the shared reproduction context (scale
-// shift, query cap, seed) and writes BENCH_<name>.json to the directory
-// named by LIGHTRW_BENCH_JSON_DIR (default: the working directory).
+class Table {
+ public:
+  Table(std::string title, std::vector<Column> columns);
 
-// Returns {"scale_shift": ..., "max_queries": ..., "seed": ...}.
-obs::Json BenchContext();
+  // Records one row; `cells` lines up with the columns.
+  void Add(std::vector<obs::Json> cells);
+  // A line printed under the rows (text output only).
+  void AddNote(std::string line);
 
-// Writes {"bench": name, "context": BenchContext(), "rows": rows} to
-// BENCH_<name>.json and prints the path. Errors are reported to stderr
-// but do not abort (the plain-text table already went to stdout).
-void WriteBenchJson(const std::string& name, obs::Json rows);
+  // "\n== title ==", the reproduction context line, the column headers,
+  // one line per row and the notes.
+  std::string Text() const;
+  // One object per row holding the keyed cells in column order.
+  std::vector<obs::Json> JsonRows() const;
+
+ private:
+  std::string title_;
+  std::vector<Column> columns_;
+  std::vector<std::vector<obs::Json>> rows_;
+  std::vector<std::string> notes_;
+};
+
+// Prints every table and writes {"bench": name, "context": {scale_shift,
+// max_queries, seed, sim_threads}, "rows": the tables' rows in order} to
+// BENCH_<name>.json under LIGHTRW_BENCH_JSON_DIR. Returns the process exit
+// code: 0, or 1 when the file cannot be written.
+int Report(const std::string& name, const std::vector<Table>& tables);
+
+// Prints a failed run's status to stderr and returns the exit code 1.
+int RunFailed(const Status& status);
 
 }  // namespace lightrw::bench
 

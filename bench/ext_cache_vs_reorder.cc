@@ -8,8 +8,6 @@
 //   - DMC on the degree-sorted relabeled graph (preprocessing approach)
 // and reports the preprocessing time the relabeling costs.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "common/timer.h"
 #include "graph/generators.h"
@@ -18,19 +16,6 @@
 
 namespace lightrw::bench {
 namespace {
-
-struct Row {
-  uint32_t scale = 0;
-  double dac_miss = 0.0;
-  double dmc_miss = 0.0;
-  double sorted_dmc_miss = 0.0;
-  double preprocess_s = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 double MissRatio(const graph::CsrGraph& g, core::CacheKind kind) {
   const auto app = MakeMetaPath(g);
@@ -43,67 +28,44 @@ double MissRatio(const graph::CsrGraph& g, core::CacheKind kind) {
   return engine.Run(queries).cache.MissRatio();
 }
 
-void ReorderBench(benchmark::State& state) {
-  const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  graph::RmatOptions options;
-  options.scale = scale;
-  options.edge_factor = 8;
-  options.a = 0.65;
-  options.b = 0.18;
-  options.c = 0.12;
-  options.d = 0.05;
-  options.undirected = true;
-  options.num_relations = 2;
-  options.seed = kBenchSeed;
-  const graph::CsrGraph g = GenerateRmat(options);
+int Main() {
+  const CellFormat pow2 = [](const obs::Json& scale) {
+    return "2^" + std::to_string(scale.uint_value());
+  };
+  Table table(
+      "Extension: runtime degree-aware cache vs offline degree-sorted "
+      "relabeling (paper §5.1: prior work needs preprocessing, DAC none)",
+      {{"rmat_scale", "rmat |V|", 12, pow2},
+       {"dac_miss", "DAC miss", 12, Percent(1)},
+       {"dmc_miss", "DMC miss", 12, Percent(1)},
+       {"sorted_dmc_miss", "sorted+DMC miss", 16, Percent(1)},
+       {"preprocess_s", "preprocess s", 14, Num(3)}});
+  for (uint32_t scale = 14; scale <= 18; scale += 2) {
+    graph::RmatOptions options;
+    options.scale = scale;
+    options.edge_factor = 8;
+    options.a = 0.65;
+    options.b = 0.18;
+    options.c = 0.12;
+    options.d = 0.05;
+    options.undirected = true;
+    options.num_relations = 2;
+    options.seed = kBenchSeed;
+    const graph::CsrGraph g = GenerateRmat(options);
 
-  Row row;
-  row.scale = scale;
-  for (auto _ : state) {
-    row.dac_miss = MissRatio(g, core::CacheKind::kDegreeAware);
-    row.dmc_miss = MissRatio(g, core::CacheKind::kDirectMapped);
+    const double dac_miss = MissRatio(g, core::CacheKind::kDegreeAware);
+    const double dmc_miss = MissRatio(g, core::CacheKind::kDirectMapped);
     WallTimer timer;
     const graph::RelabeledGraph sorted = graph::SortByDegree(g);
-    row.preprocess_s = timer.ElapsedSeconds();
-    row.sorted_dmc_miss =
-        MissRatio(sorted.graph, core::CacheKind::kDirectMapped);
+    const double preprocess_s = timer.ElapsedSeconds();
+    table.Add({uint64_t{scale}, dac_miss, dmc_miss,
+               MissRatio(sorted.graph, core::CacheKind::kDirectMapped),
+               preprocess_s});
   }
-  state.counters["dac_pct"] = row.dac_miss * 100.0;
-  state.counters["sorted_dmc_pct"] = row.sorted_dmc_miss * 100.0;
-  Rows().push_back(row);
+  return Report("ext_cache_vs_reorder", {table});
 }
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Extension: runtime degree-aware cache vs offline degree-sorted "
-      "relabeling (paper §5.1: prior work needs preprocessing, DAC none)");
-  const std::vector<int> widths = {12, 12, 12, 16, 14};
-  PrintRow({"rmat |V|", "DAC miss", "DMC miss", "sorted+DMC miss",
-            "preprocess s"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({"2^" + std::to_string(row.scale),
-              FormatDouble(row.dac_miss * 100, 1) + "%",
-              FormatDouble(row.dmc_miss * 100, 1) + "%",
-              FormatDouble(row.sorted_dmc_miss * 100, 1) + "%",
-              FormatDouble(row.preprocess_s, 3)},
-             widths);
-  }
-}
-
-BENCHMARK(ReorderBench)
-    ->ArgName("scale")
-    ->DenseRange(14, 18, 2)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

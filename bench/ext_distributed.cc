@@ -7,8 +7,6 @@
 // bottleneck; greedy (structure-aware) partitioning migrates fewer
 // walkers than oblivious hashing and scales further.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
@@ -16,155 +14,55 @@
 namespace lightrw::bench {
 namespace {
 
-using distributed::DistributedConfig;
-using distributed::DistributedEngine;
-using distributed::MakePartition;
-using distributed::Partition;
 using distributed::PartitionStrategy;
 
-struct Row {
-  std::string strategy;
-  uint32_t boards = 0;
-  double msteps_per_s = 0.0;
-  double migration_ratio = 0.0;
-  double cut_ratio = 0.0;
-  uint64_t steps = 0;
-  uint64_t cycles = 0;
-  uint64_t migrations = 0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void DistributedBench(benchmark::State& state, PartitionStrategy strategy,
-                      const char* strategy_name) {
-  const auto boards = static_cast<distributed::BoardId>(state.range(0));
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  const auto app = MakeMetaPath(g);
-  const auto queries = StandardQueries(g, kMetaPathLength);
-
-  const Partition partition = MakePartition(g, boards, strategy);
-  DistributedConfig config;
-  config.board = DefaultAccelConfig();
-  config.board.num_instances = 1;  // one accelerator channel per board
-
-  Row row;
-  row.strategy = strategy_name;
-  row.boards = boards;
-  row.cut_ratio = partition.CutRatio(g);
-  for (auto _ : state) {
-    DistributedEngine engine(&g, app.get(), &partition, config);
-    const auto stats = engine.Run(queries).value();
-    row.msteps_per_s = stats.StepsPerSecond() / 1e6;
-    row.migration_ratio = stats.MigrationRatio();
-    row.steps = stats.steps;
-    row.cycles = stats.cycles;
-    row.migrations = stats.migrations;
-  }
-  state.counters["Msteps"] = row.msteps_per_s;
-  state.counters["migration_pct"] = row.migration_ratio * 100.0;
-  Rows().push_back(row);
-}
-
-void ReplicatedBench(benchmark::State& state) {
-  const auto boards = static_cast<distributed::BoardId>(state.range(0));
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  const auto app = MakeMetaPath(g);
-  const auto queries = StandardQueries(g, kMetaPathLength);
-  const Partition partition =
-      MakePartition(g, boards, PartitionStrategy::kHash);
-  DistributedConfig config;
-  config.board = DefaultAccelConfig();
-  config.board.num_instances = 1;
-  config.replicate_graph = true;
-  Row row;
-  row.strategy = "replicated";
-  row.boards = boards;
-  row.cut_ratio = 0.0;
-  for (auto _ : state) {
-    DistributedEngine engine(&g, app.get(), &partition, config);
-    const auto stats = engine.Run(queries).value();
-    row.msteps_per_s = stats.StepsPerSecond() / 1e6;
-    row.migration_ratio = stats.MigrationRatio();
-    row.steps = stats.steps;
-    row.cycles = stats.cycles;
-    row.migrations = stats.migrations;
-  }
-  state.counters["Msteps"] = row.msteps_per_s;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  auto* repl = benchmark::RegisterBenchmark("ExtDistributed/replicated",
-                                            ReplicatedBench);
-  repl->ArgName("boards");
-  for (int64_t boards : {1, 2, 4, 8}) {
-    repl->Arg(boards);
-  }
-  repl->Iterations(1)->Unit(benchmark::kMillisecond);
-
-  const struct {
-    PartitionStrategy strategy;
-    const char* name;
-  } kStrategies[] = {
-      {PartitionStrategy::kHash, "hash"},
-      {PartitionStrategy::kGreedy, "greedy"},
-  };
-  for (const auto& s : kStrategies) {
-    auto* bench = benchmark::RegisterBenchmark(
-        (std::string("ExtDistributed/") + s.name).c_str(),
-        [strategy = s.strategy, name = s.name](benchmark::State& st) {
-          DistributedBench(st, strategy, name);
-        });
-    bench->ArgName("boards");
-    for (int64_t boards : {1, 2, 4, 8}) {
-      bench->Arg(boards);
-    }
-    bench->Iterations(1)->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+int Main() {
+  Table table(
       "Extension: distributed LightRW scaling (paper future work; "
-      "expect near-linear scaling, greedy < hash migrations)");
-  const std::vector<int> widths = {10, 8, 14, 14, 12};
-  PrintRow({"strategy", "boards", "Msteps/s", "migrations", "edge cut"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.strategy, std::to_string(row.boards),
-              FormatDouble(row.msteps_per_s),
-              FormatDouble(row.migration_ratio * 100, 1) + "%",
-              FormatDouble(row.cut_ratio * 100, 1) + "%"},
-             widths);
+      "expect near-linear scaling, greedy < hash migrations)",
+      {{"strategy", "strategy", 10},
+       {"boards", "boards", 8},
+       {"msteps_per_s", "Msteps/s", 14},
+       {"migration_ratio", "migrations", 14, Percent(1)},
+       {"cut_ratio", "edge cut", 12, Percent(1)},
+       {"steps", ""},
+       {"cycles", ""},
+       {"migrations", ""}});
+  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
+  const auto app = MakeMetaPath(g);
+  const auto queries = StandardQueries(g, kMetaPathLength);
+  // "replicated" keeps the whole graph on every board (hash placement only
+  // picks each walker's launch board), so no edge is cut.
+  const struct {
+    const char* name;
+    PartitionStrategy strategy;
+    bool replicate;
+  } kConfigs[] = {
+      {"replicated", PartitionStrategy::kHash, true},
+      {"hash", PartitionStrategy::kHash, false},
+      {"greedy", PartitionStrategy::kGreedy, false},
+  };
+  for (const auto& c : kConfigs) {
+    for (const distributed::BoardId boards : {1, 2, 4, 8}) {
+      const distributed::Partition partition =
+          distributed::MakePartition(g, boards, c.strategy);
+      distributed::DistributedConfig config;
+      config.board = DefaultAccelConfig();
+      config.board.num_instances = 1;  // one accelerator channel per board
+      config.replicate_graph = c.replicate;
+      distributed::DistributedEngine engine(&g, app.get(), &partition,
+                                            config);
+      const auto stats = engine.Run(queries).value();
+      table.Add({c.name, uint64_t{boards}, stats.StepsPerSecond() / 1e6,
+                 stats.MigrationRatio(),
+                 c.replicate ? 0.0 : partition.CutRatio(g), stats.steps,
+                 stats.cycles, stats.migrations});
+    }
   }
-
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("strategy", row.strategy);
-    r.Set("boards", static_cast<uint64_t>(row.boards));
-    r.Set("msteps_per_s", row.msteps_per_s);
-    r.Set("migration_ratio", row.migration_ratio);
-    r.Set("cut_ratio", row.cut_ratio);
-    r.Set("steps", row.steps);
-    r.Set("cycles", row.cycles);
-    r.Set("migrations", row.migrations);
-    rows.Append(std::move(r));
-  }
-  WriteBenchJson("ext_distributed", std::move(rows));
+  return Report("ext_distributed", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -14,8 +14,6 @@
 // survives; and the all-owner-loss row completes every walk from
 // durable state alone — walkers_lost stays 0 without a live survivor.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,28 +42,6 @@ struct Point {
   double scrub_bytes = 64.0;
 };
 
-struct Row {
-  Point point;
-  uint32_t deaths = 0;
-  double msteps_per_s = 0.0;
-  double overhead_pct = 0.0;  // cycles vs the fault-free baseline
-  uint64_t ckpt_writes = 0;
-  uint64_t ckpt_reads = 0;
-  uint64_t crc_failures = 0;
-  uint64_t fallbacks = 0;
-  uint64_t scrub_repairs = 0;
-  uint64_t unrecoverable = 0;
-  uint64_t silent_accepts = 0;
-  uint64_t walkers_recovered = 0;
-  uint64_t walkers_lost = 0;
-  uint64_t rebuilds_completed = 0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
 DistributedConfig BaseConfig() {
   DistributedConfig config;
   config.board = DefaultAccelConfig();
@@ -84,151 +60,88 @@ distributed::DistributedRunStats RunOnce(const DistributedConfig& config) {
   return engine.Run(queries).value();
 }
 
-// Fault-free reference: anchors the death cycles and the overhead.
-const distributed::DistributedRunStats& Baseline() {
-  static const auto* baseline =
-      new distributed::DistributedRunStats(RunOnce(BaseConfig()));
-  return *baseline;
-}
-
-void DurabilityBench(benchmark::State& state, const Point& point) {
-  const uint64_t first_death = Baseline().cycles / 4;
-
-  DistributedConfig config = BaseConfig();
-  config.num_spare_boards = 1;
-  config.rebuild_bytes_per_cycle = 64.0;
-  config.board.faults.enabled = true;
-  config.board.faults.seed = kBenchSeed;
-  config.board.faults.checkpoint_interval_cycles = point.ckpt_interval;
-  if (point.all_owner_loss) {
-    // Every owner dies in a tight burst: for a window nothing is alive
-    // and the walkers' only way home is the durable store.
-    for (uint32_t b = 0; b < kBoards; ++b) {
-      config.board.faults.board_deaths.push_back(
-          {first_death + b * 2048, b});
-    }
-  } else {
-    config.board.faults.board_deaths.push_back({first_death, 1});
-  }
-  if (point.store) {
-    auto& store = config.board.faults.ckpt_store;
-    store.enabled = true;
-    store.bit_rot_per_byte = point.bit_rot;
-    store.scrub_bytes_per_cycle = point.scrub_bytes;
-  }
-
-  Row row;
-  row.point = point;
-  row.deaths = static_cast<uint32_t>(
-      config.board.faults.board_deaths.size());
-  for (auto _ : state) {
-    const auto stats = RunOnce(config);
-    row.msteps_per_s = stats.StepsPerSecond() / 1e6;
-    row.overhead_pct =
-        100.0 * (static_cast<double>(stats.cycles) /
-                     static_cast<double>(Baseline().cycles) -
-                 1.0);
-    const auto& rel = stats.reliability;
-    row.ckpt_writes = rel.ckpt_store_writes;
-    row.ckpt_reads = rel.ckpt_store_reads;
-    row.crc_failures = rel.ckpt_crc_failures;
-    row.fallbacks = rel.ckpt_fallbacks;
-    row.scrub_repairs = rel.ckpt_scrub_repairs;
-    row.unrecoverable = rel.ckpt_unrecoverable;
-    row.silent_accepts = rel.ckpt_silent_accepts;
-    row.walkers_recovered = rel.walkers_recovered;
-    row.walkers_lost = rel.walkers_lost;
-    row.rebuilds_completed = rel.rebuilds_completed;
-  }
-  state.counters["Msteps"] = row.msteps_per_s;
-  state.counters["reads"] = static_cast<double>(row.ckpt_reads);
-  state.counters["lost"] = static_cast<double>(row.walkers_lost);
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  const struct {
-    const char* name;
-    Point point;
-  } kPoints[] = {
-      {"store:off", {}},
-      {"store:on/interval:4096", {true, false, 4096, 0.0, 64.0}},
-      {"store:on/interval:1024", {true, false, 1024, 0.0, 64.0}},
-      {"store:on/interval:16384", {true, false, 16384, 0.0, 64.0}},
-      {"store:on/rot:2e-4", {true, false, 4096, 2e-4, 64.0}},
-      {"store:on/rot:1e-3/scrub:8", {true, false, 4096, 1e-3, 8.0}},
-      {"store:on/all-owner-loss", {true, true, 4096, 0.0, 64.0}},
+int Main() {
+  // The store column is 1.0/0.0 in the BENCH json.
+  const CellFormat on_off = [](const obs::Json& on) -> std::string {
+    return on.double_value() != 0.0 ? "on" : "off";
   };
-  for (const auto& p : kPoints) {
-    const std::string name = std::string("ExtDurability/") + p.name;
-    const Point point = p.point;
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [point](benchmark::State& st) { DurabilityBench(st, point); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+  Table table(
       "Extension: durable checkpoint store (cadence x bit rot x scrub "
-      "bandwidth; overhead vs the fault-free baseline)");
-  const std::vector<int> widths = {6, 7, 9, 8, 6, 10, 9, 7, 6, 6, 9, 7, 5};
-  PrintRow({"store", "deaths", "interval", "bit rot", "scrub",
-            "Msteps/s", "overhead", "writes", "reads", "crc", "fallback",
-            "repair", "lost"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.point.store ? "on" : "off", std::to_string(row.deaths),
-              std::to_string(row.point.ckpt_interval),
-              FormatDouble(row.point.bit_rot, 4),
-              FormatDouble(row.point.scrub_bytes, 0),
-              FormatDouble(row.msteps_per_s),
-              FormatDouble(row.overhead_pct, 1) + "%",
-              std::to_string(row.ckpt_writes),
-              std::to_string(row.ckpt_reads),
-              std::to_string(row.crc_failures),
-              std::to_string(row.fallbacks),
-              std::to_string(row.scrub_repairs),
-              std::to_string(row.walkers_lost)},
-             widths);
-  }
+      "bandwidth; overhead vs the fault-free baseline)",
+      {{"store", "store", 6, on_off},
+       {"all_owner_loss", ""},
+       {"", "deaths", 7},
+       {"ckpt_interval", "interval", 9},
+       {"bit_rot_per_byte", "bit rot", 8, Num(4)},
+       {"scrub_bytes_per_cycle", "scrub", 6, Num(0)},
+       {"deaths", ""},
+       {"msteps_per_s", "Msteps/s", 10},
+       {"overhead_pct", "overhead", 9, Num(1, "%")},
+       {"ckpt_writes", "writes", 7},
+       {"ckpt_reads", "reads", 6},
+       {"crc_failures", "crc", 6},
+       {"fallbacks", "fallback", 9},
+       {"scrub_repairs", "repair", 7},
+       {"unrecoverable", ""},
+       {"silent_accepts", ""},
+       {"walkers_recovered", ""},
+       {"walkers_lost", "lost", 5},
+       {"rebuilds_completed", ""}});
+  const Point kPoints[] = {
+      {},                               // store off
+      {true, false, 4096, 0.0, 64.0},   // cadence sweep
+      {true, false, 1024, 0.0, 64.0},
+      {true, false, 16384, 0.0, 64.0},
+      {true, false, 4096, 2e-4, 64.0},  // bit rot
+      {true, false, 4096, 1e-3, 8.0},   // bit rot, starved scrubber
+      {true, true, 4096, 0.0, 64.0},    // every owner dies
+  };
+  // Fault-free reference: anchors the death cycles and the overhead.
+  const uint64_t baseline_cycles = RunOnce(BaseConfig()).cycles;
+  const uint64_t first_death = baseline_cycles / 4;
+  for (const Point& point : kPoints) {
+    DistributedConfig config = BaseConfig();
+    config.num_spare_boards = 1;
+    config.rebuild_bytes_per_cycle = 64.0;
+    config.board.faults.enabled = true;
+    config.board.faults.seed = kBenchSeed;
+    config.board.faults.checkpoint_interval_cycles = point.ckpt_interval;
+    if (point.all_owner_loss) {
+      // Every owner dies in a tight burst: for a window nothing is alive
+      // and the walkers' only way home is the durable store.
+      for (uint32_t b = 0; b < kBoards; ++b) {
+        config.board.faults.board_deaths.push_back(
+            {first_death + b * 2048, b});
+      }
+    } else {
+      config.board.faults.board_deaths.push_back({first_death, 1});
+    }
+    if (point.store) {
+      auto& store = config.board.faults.ckpt_store;
+      store.enabled = true;
+      store.bit_rot_per_byte = point.bit_rot;
+      store.scrub_bytes_per_cycle = point.scrub_bytes;
+    }
 
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("store", row.point.store ? 1.0 : 0.0);
-    r.Set("all_owner_loss", row.point.all_owner_loss ? 1.0 : 0.0);
-    r.Set("ckpt_interval", static_cast<uint64_t>(row.point.ckpt_interval));
-    r.Set("bit_rot_per_byte", row.point.bit_rot);
-    r.Set("scrub_bytes_per_cycle", row.point.scrub_bytes);
-    r.Set("deaths", static_cast<uint64_t>(row.deaths));
-    r.Set("msteps_per_s", row.msteps_per_s);
-    r.Set("overhead_pct", row.overhead_pct);
-    r.Set("ckpt_writes", row.ckpt_writes);
-    r.Set("ckpt_reads", row.ckpt_reads);
-    r.Set("crc_failures", row.crc_failures);
-    r.Set("fallbacks", row.fallbacks);
-    r.Set("scrub_repairs", row.scrub_repairs);
-    r.Set("unrecoverable", row.unrecoverable);
-    r.Set("silent_accepts", row.silent_accepts);
-    r.Set("walkers_recovered", row.walkers_recovered);
-    r.Set("walkers_lost", row.walkers_lost);
-    r.Set("rebuilds_completed", row.rebuilds_completed);
-    rows.Append(std::move(r));
+    const auto stats = RunOnce(config);
+    const auto& rel = stats.reliability;
+    const uint64_t deaths = config.board.faults.board_deaths.size();
+    table.Add({point.store ? 1.0 : 0.0, point.all_owner_loss ? 1.0 : 0.0,
+               deaths, uint64_t{point.ckpt_interval}, point.bit_rot,
+               point.scrub_bytes, deaths, stats.StepsPerSecond() / 1e6,
+               100.0 * (static_cast<double>(stats.cycles) /
+                            static_cast<double>(baseline_cycles) -
+                        1.0),
+               rel.ckpt_store_writes, rel.ckpt_store_reads,
+               rel.ckpt_crc_failures, rel.ckpt_fallbacks,
+               rel.ckpt_scrub_repairs, rel.ckpt_unrecoverable,
+               rel.ckpt_silent_accepts, rel.walkers_recovered,
+               rel.walkers_lost, rel.rebuilds_completed});
   }
-  WriteBenchJson("ext_durability", std::move(rows));
+  return Report("ext_durability", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

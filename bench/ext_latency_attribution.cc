@@ -12,8 +12,6 @@
 // deadline in retries); burn alerts fire only in the overloaded or
 // faulty cells.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
@@ -42,26 +40,6 @@ constexpr uint32_t kInflightPerBoard = 8;
 constexpr uint32_t kWalkLength = 16;
 constexpr uint64_t kNumQueries = 512;
 
-struct Row {
-  double load_multiple = 0.0;
-  double fault_rate = 0.0;
-  uint64_t offered = 0;
-  uint64_t completed = 0;
-  uint64_t shed = 0;
-  uint64_t failed = 0;
-  uint64_t violations = 0;
-  uint64_t breached = 0;
-  uint64_t analyzed = 0;
-  uint64_t burn_alert_firings = 0;
-  std::array<uint64_t, obs::kNumComponents> dominant_counts{};
-  std::array<double, obs::kNumComponents> p99_cycles{};
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
 ServiceConfig ServiceBase() {
   ServiceConfig config;
   config.cluster.board = DefaultAccelConfig();
@@ -78,179 +56,127 @@ ServiceConfig ServiceBase() {
 
 // Closed-loop batch capacity of the same cluster (queries per 1024
 // cycles), the reference the load multiples are expressed against.
-double CapacityPerKcycle() {
-  static double capacity = [] {
-    const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-    const apps::StaticWalkApp app;
-    const Partition partition =
-        MakePartition(g, kBoards, PartitionStrategy::kHash);
-    const ServiceConfig base = ServiceBase();
-    DistributedEngine engine(&g, &app, &partition, base.cluster);
-    const auto queries = StandardQueries(g, kWalkLength, kNumQueries);
-    const auto stats = engine.Run(queries).value();
-    return static_cast<double>(stats.queries) * 1024.0 /
-           static_cast<double>(stats.cycles);
-  }();
-  return capacity;
+double CapacityPerKcycle(const graph::CsrGraph& g, const apps::WalkApp& app,
+                         const Partition& partition) {
+  DistributedEngine engine(&g, &app, &partition, ServiceBase().cluster);
+  const auto stats =
+      engine.Run(StandardQueries(g, kWalkLength, kNumQueries)).value();
+  return static_cast<double>(stats.queries) * 1024.0 /
+         static_cast<double>(stats.cycles);
 }
 
 // Deadline just above the unloaded p99: queueing or retries make walks
 // late, so attribution has breaches to explain in the loaded cells.
-uint64_t CalibratedDeadline() {
-  static uint64_t deadline = [] {
-    const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-    const apps::StaticWalkApp app;
-    const Partition partition =
-        MakePartition(g, kBoards, PartitionStrategy::kHash);
-    ServiceConfig config = ServiceBase();
-    config.arrivals.rate_per_kcycle = 0.25 * CapacityPerKcycle();
-    WalkService walk_service(&g, &app, &partition, config);
-    ServiceRunStats stats = walk_service.Run().value();
-    return static_cast<uint64_t>(1.3 *
-                                 stats.latency_cycles.Quantile(0.99));
-  }();
-  return deadline;
+uint64_t CalibratedDeadline(const graph::CsrGraph& g,
+                            const apps::WalkApp& app,
+                            const Partition& partition, double capacity) {
+  ServiceConfig config = ServiceBase();
+  config.arrivals.rate_per_kcycle = 0.25 * capacity;
+  WalkService walk_service(&g, &app, &partition, config);
+  ServiceRunStats stats = walk_service.Run().value();
+  return static_cast<uint64_t>(1.3 * stats.latency_cycles.Quantile(0.99));
 }
 
-void LatencyAttributionBench(benchmark::State& state, double load_multiple,
-                             double fault_rate) {
+int Main() {
+  std::vector<Column> columns = {
+      {"load_multiple", "load", 6, Num(2)},
+      {"fault_rate", "faults", 8, Num(4)},
+      {"offered", ""},
+      {"completed", "done", 6},
+      {"shed", "shed", 6},
+      {"failed", "fail", 6},
+      {"deadline_violations", "late", 6},
+      {"queries_analyzed", ""},
+      {"breached", "breached", 8},
+      {"", "top dominant", 22},
+      {"burn_alert_firings", "alerts", 8}};
+  for (size_t c = 0; c < obs::kNumComponents; ++c) {
+    columns.push_back(
+        {std::string("dominant_") + obs::ComponentName(c), ""});
+  }
+  for (size_t c = 0; c < obs::kNumComponents; ++c) {
+    columns.push_back(
+        {std::string("p99_") + obs::ComponentName(c) + "_cycles", ""});
+  }
+  Table table(
+      "Extension: latency attribution (offered load x fault rate; "
+      "dominant components of breached queries and per-component p99)",
+      std::move(columns));
+
   const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
   const apps::StaticWalkApp app;
   const Partition partition =
       MakePartition(g, kBoards, PartitionStrategy::kHash);
+  const double capacity = CapacityPerKcycle(g, app, partition);
+  const uint64_t deadline = CalibratedDeadline(g, app, partition, capacity);
 
-  ServiceConfig config = ServiceBase();
-  config.arrivals.rate_per_kcycle = load_multiple * CapacityPerKcycle();
-  config.arrivals.deadline_cycles = CalibratedDeadline();
-  if (fault_rate > 0.0) {
-    config.cluster.board.faults.enabled = true;
-    config.cluster.board.faults.seed = kBenchSeed;
-    config.cluster.board.faults.dram_uncorrectable_rate = fault_rate;
-    // First uncorrectable hit fails the access (and so the walk): the
-    // sweep is about where failed attempts spend their latency, not
-    // about the ECC retry ladder.
-    config.cluster.board.faults.max_dram_retries = 0;
-  }
-
-  Row row;
-  row.load_multiple = load_multiple;
-  row.fault_rate = fault_rate;
-  for (auto _ : state) {
-    SpanRecorder spans;
-    config.cluster.board.spans = &spans;
-    WalkService walk_service(&g, &app, &partition, config);
-    const auto result = walk_service.Run();
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    const ServiceRunStats& stats = *result;
-    row.offered = stats.offered;
-    row.completed = stats.completed;
-    row.shed = stats.Shed();
-    row.failed = stats.failed;
-    row.violations = stats.deadline_violations;
-
-    const AttributionReport report = AnalyzeCriticalPaths(spans);
-    row.breached = report.breached_count;
-    row.analyzed = report.queries_analyzed;
-    row.dominant_counts = report.dominant_counts;
-    for (size_t c = 0; c < obs::kNumComponents; ++c) {
-      if (report.component_cycles[c].count() > 0) {
-        row.p99_cycles[c] = report.component_cycles[c].Quantile(0.99);
+  for (const double load_multiple : {0.5, 1.0, 2.0}) {
+    for (const double fault_rate : {0.0, 2e-3}) {
+      ServiceConfig config = ServiceBase();
+      config.arrivals.rate_per_kcycle = load_multiple * capacity;
+      config.arrivals.deadline_cycles = deadline;
+      if (fault_rate > 0.0) {
+        config.cluster.board.faults.enabled = true;
+        config.cluster.board.faults.seed = kBenchSeed;
+        config.cluster.board.faults.dram_uncorrectable_rate = fault_rate;
+        // First uncorrectable hit fails the access (and so the walk): the
+        // sweep is about where failed attempts spend their latency, not
+        // about the ECC retry ladder.
+        config.cluster.board.faults.max_dram_retries = 0;
       }
-    }
-    BurnRateConfig burn;
-    burn.budget = 0.05;
-    for (const auto& alert : ComputeBurnAlerts(spans.Summaries(), burn)) {
-      row.burn_alert_firings += alert.firing ? 1 : 0;
-    }
-  }
-  state.counters["breached"] = static_cast<double>(row.breached);
-  state.counters["burn_alert_firings"] =
-      static_cast<double>(row.burn_alert_firings);
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  const double kMultiples[] = {0.5, 1.0, 2.0};
-  const double kFaultRates[] = {0.0, 2e-3};
-  for (const double multiple : kMultiples) {
-    for (const double fault_rate : kFaultRates) {
-      const std::string name =
-          "ExtLatencyAttribution/load:" + FormatDouble(multiple, 2) +
-          "/faults:" + FormatDouble(fault_rate, 4);
-      benchmark::RegisterBenchmark(
-          name.c_str(), [multiple, fault_rate](benchmark::State& st) {
-            LatencyAttributionBench(st, multiple, fault_rate);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Extension: latency attribution (offered load x fault rate; "
-      "dominant components of breached queries and per-component p99)");
-  const std::vector<int> widths = {6, 8, 6, 6, 6, 6, 8, 22, 8};
-  PrintRow({"load", "faults", "done", "shed", "fail", "late", "breached",
-            "top dominant", "alerts"},
-           widths);
-  for (const Row& row : Rows()) {
-    size_t top = 0;
-    for (size_t c = 1; c < obs::kNumComponents; ++c) {
-      if (row.dominant_counts[c] > row.dominant_counts[top]) {
-        top = c;
+      SpanRecorder spans;
+      config.cluster.board.spans = &spans;
+      WalkService walk_service(&g, &app, &partition, config);
+      const auto result = walk_service.Run();
+      if (!result.ok()) {
+        return RunFailed(result.status());
       }
-    }
-    const std::string top_label =
-        row.breached == 0 ? "-"
-                          : std::string(obs::ComponentName(top)) + " x" +
-                                std::to_string(row.dominant_counts[top]);
-    PrintRow({FormatDouble(row.load_multiple, 2),
-              FormatDouble(row.fault_rate, 4), std::to_string(row.completed),
-              std::to_string(row.shed), std::to_string(row.failed),
-              std::to_string(row.violations), std::to_string(row.breached),
-              top_label, std::to_string(row.burn_alert_firings)},
-             widths);
-  }
+      const ServiceRunStats& stats = *result;
 
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("load_multiple", row.load_multiple);
-    r.Set("fault_rate", row.fault_rate);
-    r.Set("offered", row.offered);
-    r.Set("completed", row.completed);
-    r.Set("shed", row.shed);
-    r.Set("failed", row.failed);
-    r.Set("deadline_violations", row.violations);
-    r.Set("queries_analyzed", row.analyzed);
-    r.Set("breached", row.breached);
-    r.Set("burn_alert_firings", row.burn_alert_firings);
-    for (size_t c = 0; c < obs::kNumComponents; ++c) {
-      r.Set(std::string("dominant_") + obs::ComponentName(c),
-            row.dominant_counts[c]);
+      const AttributionReport report = AnalyzeCriticalPaths(spans);
+      BurnRateConfig burn;
+      burn.budget = 0.05;
+      uint64_t burn_alert_firings = 0;
+      for (const auto& alert : ComputeBurnAlerts(spans.Summaries(), burn)) {
+        burn_alert_firings += alert.firing ? 1 : 0;
+      }
+      size_t top = 0;
+      for (size_t c = 1; c < obs::kNumComponents; ++c) {
+        if (report.dominant_counts[c] > report.dominant_counts[top]) {
+          top = c;
+        }
+      }
+      const std::string top_label =
+          report.breached_count == 0
+              ? "-"
+              : std::string(obs::ComponentName(top)) + " x" +
+                    std::to_string(report.dominant_counts[top]);
+      std::vector<obs::Json> cells = {load_multiple,
+                                      fault_rate,
+                                      stats.offered,
+                                      stats.completed,
+                                      stats.Shed(),
+                                      stats.failed,
+                                      stats.deadline_violations,
+                                      report.queries_analyzed,
+                                      report.breached_count,
+                                      top_label,
+                                      burn_alert_firings};
+      for (size_t c = 0; c < obs::kNumComponents; ++c) {
+        cells.push_back(report.dominant_counts[c]);
+      }
+      for (size_t c = 0; c < obs::kNumComponents; ++c) {
+        cells.push_back(report.component_cycles[c].count() > 0
+                            ? report.component_cycles[c].Quantile(0.99)
+                            : 0.0);
+      }
+      table.Add(std::move(cells));
     }
-    for (size_t c = 0; c < obs::kNumComponents; ++c) {
-      r.Set(std::string("p99_") + obs::ComponentName(c) + "_cycles",
-            row.p99_cycles[c]);
-    }
-    rows.Append(std::move(r));
   }
-  WriteBenchJson("ext_latency_attribution", std::move(rows));
+  return Report("ext_latency_attribution", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

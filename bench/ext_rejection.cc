@@ -4,8 +4,6 @@
 // full per-step weight pass with O(1) expected work. Compares steps/s
 // against the ThunderRW-style ITS engine and the simulated LightRW.
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/engine.h"
 #include "baseline/rejection.h"
 #include "bench_util.h"
@@ -15,29 +13,22 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string dataset;
-  double its_msteps = 0.0;
-  double rejection_msteps = 0.0;
-  double lightrw_msteps = 0.0;
-  double trials_per_sample = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void RejectionBench(benchmark::State& state, graph::Dataset dataset) {
-  const graph::CsrGraph& g = StandIn(dataset);
+int Main() {
+  Table table(
+      "Extension: Node2Vec via rejection sampling (KnightKing-style) vs "
+      "per-step ITS vs simulated LightRW",
+      {{"dataset", "dataset", 10},
+       {"its_msteps_per_s", "ITS Mst/s", 14},
+       {"rejection_msteps_per_s", "rejection Mst/s", 18},
+       {"lightrw_msteps_per_s", "LightRW Mst/s", 16},
+       {"trials_per_sample", "trials/spl", 14}});
   const auto app = MakeNode2Vec();
-  const auto queries = StandardQueries(g, kNode2VecLength);
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
+    const graph::CsrGraph& g = StandIn(dataset);
+    const auto queries = StandardQueries(g, kNode2VecLength);
 
-  Row row;
-  row.dataset = graph::GetDatasetInfo(dataset).name;
-  for (auto _ : state) {
     baseline::BaselineEngine its(&g, app.get(), baseline::BaselineConfig{});
-    row.its_msteps = its.Run(queries).StepsPerSecond() / 1e6;
+    const double its_msteps = its.Run(queries).StepsPerSecond() / 1e6;
 
     baseline::Node2VecRejectionWalker walker(&g, kNode2VecP, kNode2VecQ,
                                              kBenchSeed);
@@ -56,55 +47,18 @@ void RejectionBench(benchmark::State& state, graph::Dataset dataset) {
         ++steps;
       }
     }
-    row.rejection_msteps =
+    const double rejection_msteps =
         static_cast<double>(steps) / timer.ElapsedSeconds() / 1e6;
-    row.trials_per_sample = walker.TrialsPerSample();
 
     core::CycleEngine accel(&g, app.get(), DefaultAccelConfig());
-    row.lightrw_msteps = accel.Run(queries).StepsPerSecond() / 1e6;
+    table.Add({graph::GetDatasetInfo(dataset).name, its_msteps,
+               rejection_msteps, accel.Run(queries).StepsPerSecond() / 1e6,
+               walker.TrialsPerSample()});
   }
-  state.counters["its_Msteps"] = row.its_msteps;
-  state.counters["rejection_Msteps"] = row.rejection_msteps;
-  state.counters["lightrw_Msteps"] = row.lightrw_msteps;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    benchmark::RegisterBenchmark(
-        (std::string("ExtRejection/") + graph::GetDatasetInfo(d).name)
-            .c_str(),
-        [d](benchmark::State& s) { RejectionBench(s, d); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Extension: Node2Vec via rejection sampling (KnightKing-style) vs "
-      "per-step ITS vs simulated LightRW");
-  const std::vector<int> widths = {10, 14, 18, 16, 14};
-  PrintRow({"dataset", "ITS Mst/s", "rejection Mst/s", "LightRW Mst/s",
-            "trials/spl"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.dataset, FormatDouble(row.its_msteps),
-              FormatDouble(row.rejection_msteps),
-              FormatDouble(row.lightrw_msteps),
-              FormatDouble(row.trials_per_sample)},
-             widths);
-  }
+  return Report("ext_rejection", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -11,11 +11,8 @@
 // (detection + checkpoint replay for the walkers caught on the dead
 // board).
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,31 +32,10 @@ using distributed::Partition;
 using distributed::PartitionStrategy;
 
 constexpr uint32_t kBoards = 4;
-constexpr uint64_t kWindowCycles = 1 << 14;
 // Node2vec with mid-length walks keeps the cluster busy for ~2M cycles,
 // so a mid-run death plus a full rebuild still leaves dozens of
 // steady-state windows on both sides of the outage.
 constexpr uint32_t kWalkLength = 24;
-
-struct Row {
-  uint32_t spares = 0;
-  uint32_t deaths = 0;
-  double rebuild_bw = 0.0;
-  double msteps_per_s = 0.0;
-  double overhead_pct = 0.0;          // cycles vs the fault-free baseline
-  uint64_t recovery_time_cycles = 0;  // first death -> last rebuild done
-  double post_throughput_ratio = 1.0; // steady state after recovery
-  double p99_dip_ratio = 1.0;         // outage-window p99 / baseline p99
-  uint64_t spares_activated = 0;
-  uint64_t rebuilds_completed = 0;
-  uint64_t spare_exhaustions = 0;
-  uint64_t walkers_lost = 0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 DistributedConfig BaseConfig() {
   DistributedConfig config;
@@ -130,97 +106,27 @@ RunMetrics RunOnce(const DistributedConfig& base) {
   return m;
 }
 
-// Fault-free reference, computed once: cycles place the deaths mid-run,
-// steady throughput and p99 anchor the recovery ratios.
-const RunMetrics& Baseline() {
-  static const RunMetrics* baseline = new RunMetrics(RunOnce(BaseConfig()));
-  return *baseline;
-}
-
-void SelfHealingBench(benchmark::State& state, uint32_t spares,
-                      uint32_t deaths, double rebuild_bw) {
-  const uint64_t first_death = Baseline().cycles / 4;
-  const uint64_t second_death = first_death + (1 << 16);
-
-  DistributedConfig config = BaseConfig();
-  config.num_spare_boards = spares;
-  config.rebuild_bytes_per_cycle = rebuild_bw;
-  if (deaths > 0) {
-    config.board.faults.enabled = true;
-    config.board.faults.seed = kBenchSeed;
-    config.board.faults.checkpoint_interval_cycles = 1 << 12;
-    config.board.faults.board_deaths.push_back(
-        {first_death, 1});
-    if (deaths > 1) {
-      config.board.faults.board_deaths.push_back(
-          {second_death, 2});
-    }
-  }
-
-  Row row;
-  row.spares = spares;
-  row.deaths = deaths;
-  row.rebuild_bw = rebuild_bw;
-  for (auto _ : state) {
-    const RunMetrics m = RunOnce(config);
-    row.msteps_per_s = m.msteps_per_s;
-    row.overhead_pct =
-        100.0 * (static_cast<double>(m.cycles) /
-                     static_cast<double>(Baseline().cycles) -
-                 1.0);
-    row.spares_activated = m.stats.reliability.spares_activated;
-    row.rebuilds_completed = m.stats.reliability.rebuilds_completed;
-    row.spare_exhaustions = m.stats.reliability.spare_exhaustions;
-    row.walkers_lost = m.stats.reliability.walkers_lost;
-
-    // Recovery time: first scheduled death to the last completed
-    // ownership transfer (the final rebuilding -> alive transition).
-    uint64_t recovered_at = 0;
-    for (const auto& t : m.stats.membership) {
-      if (t.to == reliability::BoardState::kAlive) {
-        recovered_at = std::max(recovered_at, t.cycle);
-      }
-    }
-    row.recovery_time_cycles =
-        recovered_at > 0 ? recovered_at - first_death : 0;
-
-    // Throughput after the cluster settled: after the last rebuild when
-    // one completed, otherwise after the last death (degraded mode).
-    // Compare the remaining-work completion rate against the baseline
-    // measured from the SAME cycle, so both runs see the same mix of
-    // steady-state and drain-tail phases.
-    const uint64_t last_death = deaths > 1 ? second_death : first_death;
-    const uint64_t settled = std::max(recovered_at, last_death);
-    const double base_rate = RateAfter(Baseline(), settled);
-    row.post_throughput_ratio =
-        base_rate > 0 ? RateAfter(m, settled) / base_rate : 0.0;
-
-    // Latency dip: p99 of queries completing during the outage window
-    // vs the baseline's p99 over the same cycles. Without a rebuild the
-    // outage never ends, so the window runs to the end of the run.
-    if (deaths > 0) {
-      const uint64_t outage_end = recovered_at > 0 ? recovered_at : m.cycles;
-      const uint64_t dip = P99In(m, first_death, outage_end);
-      const uint64_t base_p99 = P99In(Baseline(), first_death, outage_end);
-      row.p99_dip_ratio =
-          base_p99 > 0 && dip > 0
-              ? static_cast<double>(dip) / static_cast<double>(base_p99)
-              : 1.0;
-    }
-  }
-  state.counters["Msteps"] = row.msteps_per_s;
-  state.counters["post_ratio"] = row.post_throughput_ratio;
-  state.counters["recovery"] = static_cast<double>(row.recovery_time_cycles);
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  struct Point {
+int Main() {
+  Table table(
+      "Extension: self-healing recovery (spares x rebuild bandwidth x "
+      "board deaths; ratios vs the fault-free baseline)",
+      {{"spares", "spares", 7},
+       {"deaths", "deaths", 7},
+       {"rebuild_bytes_per_cycle", "bw", 6, Num(0)},
+       {"msteps_per_s", "Msteps/s", 10},
+       {"overhead_pct", "overhead", 10, Num(1, "%")},
+       {"recovery_time_cycles", "recovery", 10},
+       {"post_throughput_ratio", "post ratio", 11},
+       {"p99_dip_ratio", "p99 dip", 9},
+       {"spares_activated", ""},
+       {"rebuilds_completed", "rebuilt", 7},
+       {"spare_exhaustions", ""},
+       {"walkers_lost", "lost", 7}});
+  const struct {
     uint32_t spares;
     uint32_t deaths;
     double bw;
-  };
-  const Point kPoints[] = {
+  } kPoints[] = {
       {0, 0, 64.0},  // fault-free reference row
       {0, 1, 64.0},  // death with no spare: permanent degradation
       {1, 1, 64.0},  // the headline self-healing configuration
@@ -230,70 +136,72 @@ void RegisterAll() {
       {2, 2, 64.0},
       {1, 1, 4.0},   // slow rebuild: longer outage, same endpoint
   };
-  for (const Point& p : kPoints) {
-    const std::string name =
-        "ExtSelfHealing/spares:" + std::to_string(p.spares) +
-        "/deaths:" + std::to_string(p.deaths) +
-        "/bw:" + FormatDouble(p.bw, 0);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [p](benchmark::State& st) {
-          SelfHealingBench(st, p.spares, p.deaths, p.bw);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
+  // Fault-free reference: cycles place the deaths mid-run, steady
+  // throughput and p99 anchor the recovery ratios.
+  const RunMetrics baseline = RunOnce(BaseConfig());
+  const uint64_t first_death = baseline.cycles / 4;
+  const uint64_t second_death = first_death + (1 << 16);
+  for (const auto& p : kPoints) {
+    DistributedConfig config = BaseConfig();
+    config.num_spare_boards = p.spares;
+    config.rebuild_bytes_per_cycle = p.bw;
+    if (p.deaths > 0) {
+      config.board.faults.enabled = true;
+      config.board.faults.seed = kBenchSeed;
+      config.board.faults.checkpoint_interval_cycles = 1 << 12;
+      config.board.faults.board_deaths.push_back({first_death, 1});
+      if (p.deaths > 1) {
+        config.board.faults.board_deaths.push_back({second_death, 2});
+      }
+    }
+    const RunMetrics m = RunOnce(config);
 
-void PrintSummary() {
-  PrintReportHeader(
-      "Extension: self-healing recovery (spares x rebuild bandwidth x "
-      "board deaths; ratios vs the fault-free baseline)");
-  const std::vector<int> widths = {7, 7, 6, 10, 10, 10, 11, 9, 7, 7};
-  PrintRow({"spares", "deaths", "bw", "Msteps/s", "overhead", "recovery",
-            "post ratio", "p99 dip", "rebuilt", "lost"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({std::to_string(row.spares), std::to_string(row.deaths),
-              FormatDouble(row.rebuild_bw, 0),
-              FormatDouble(row.msteps_per_s),
-              FormatDouble(row.overhead_pct, 1) + "%",
-              std::to_string(row.recovery_time_cycles),
-              FormatDouble(row.post_throughput_ratio),
-              FormatDouble(row.p99_dip_ratio),
-              std::to_string(row.rebuilds_completed),
-              std::to_string(row.walkers_lost)},
-             widths);
-  }
+    // Recovery time: first scheduled death to the last completed
+    // ownership transfer (the final rebuilding -> alive transition).
+    uint64_t recovered_at = 0;
+    for (const auto& t : m.stats.membership) {
+      if (t.to == reliability::BoardState::kAlive) {
+        recovered_at = std::max(recovered_at, t.cycle);
+      }
+    }
 
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("spares", static_cast<uint64_t>(row.spares));
-    r.Set("deaths", static_cast<uint64_t>(row.deaths));
-    r.Set("rebuild_bytes_per_cycle", row.rebuild_bw);
-    r.Set("msteps_per_s", row.msteps_per_s);
-    r.Set("overhead_pct", row.overhead_pct);
-    r.Set("recovery_time_cycles", row.recovery_time_cycles);
-    r.Set("post_throughput_ratio", row.post_throughput_ratio);
-    r.Set("p99_dip_ratio", row.p99_dip_ratio);
-    r.Set("spares_activated", row.spares_activated);
-    r.Set("rebuilds_completed", row.rebuilds_completed);
-    r.Set("spare_exhaustions", row.spare_exhaustions);
-    r.Set("walkers_lost", row.walkers_lost);
-    rows.Append(std::move(r));
+    // Throughput after the cluster settled: after the last rebuild when
+    // one completed, otherwise after the last death (degraded mode).
+    // Compare the remaining-work completion rate against the baseline
+    // measured from the SAME cycle, so both runs see the same mix of
+    // steady-state and drain-tail phases.
+    const uint64_t last_death = p.deaths > 1 ? second_death : first_death;
+    const uint64_t settled = std::max(recovered_at, last_death);
+    const double base_rate = RateAfter(baseline, settled);
+
+    // Latency dip: p99 of queries completing during the outage window
+    // vs the baseline's p99 over the same cycles. Without a rebuild the
+    // outage never ends, so the window runs to the end of the run.
+    double p99_dip_ratio = 1.0;
+    if (p.deaths > 0) {
+      const uint64_t outage_end = recovered_at > 0 ? recovered_at : m.cycles;
+      const uint64_t dip = P99In(m, first_death, outage_end);
+      const uint64_t base_p99 = P99In(baseline, first_death, outage_end);
+      p99_dip_ratio =
+          base_p99 > 0 && dip > 0
+              ? static_cast<double>(dip) / static_cast<double>(base_p99)
+              : 1.0;
+    }
+    table.Add({uint64_t{p.spares}, uint64_t{p.deaths}, p.bw, m.msteps_per_s,
+               100.0 * (static_cast<double>(m.cycles) /
+                            static_cast<double>(baseline.cycles) -
+                        1.0),
+               recovered_at > 0 ? recovered_at - first_death : 0,
+               base_rate > 0 ? RateAfter(m, settled) / base_rate : 0.0,
+               p99_dip_ratio, m.stats.reliability.spares_activated,
+               m.stats.reliability.rebuilds_completed,
+               m.stats.reliability.spare_exhaustions,
+               m.stats.reliability.walkers_lost});
   }
-  WriteBenchJson("ext_self_healing", std::move(rows));
+  return Report("ext_self_healing", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

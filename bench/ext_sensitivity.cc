@@ -5,25 +5,11 @@
 //   (c) Node2Vec previous-adjacency buffer capacity,
 //   (d) number of instances / DRAM channels.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "lightrw/cycle_engine.h"
 
 namespace lightrw::bench {
 namespace {
-
-struct Row {
-  std::string sweep;
-  uint64_t value = 0;
-  double msteps = 0.0;
-  double extra = 0.0;  // sweep-specific: miss ratio or refetch count
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 core::AcceleratorConfig BaseConfig() {
   core::AcceleratorConfig config = DefaultAccelConfig();
@@ -31,105 +17,62 @@ core::AcceleratorConfig BaseConfig() {
   return config;
 }
 
-void LaneSweep(benchmark::State& state) {
-  const uint32_t k = static_cast<uint32_t>(state.range(0));
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kOrkut);
-  const auto app = MakeMetaPath(g);
-  const auto queries = StandardQueries(g, kMetaPathLength);
-  core::AcceleratorConfig config = BaseConfig();
-  config.sampler_parallelism = k;
-  Row row{"sampler_lanes", k, 0.0, 0.0};
-  for (auto _ : state) {
-    core::CycleEngine engine(&g, app.get(), config);
-    row.msteps = engine.Run(queries).StepsPerSecond() / 1e6;
-  }
-  state.counters["Msteps"] = row.msteps;
-  Rows().push_back(row);
+core::AccelRunStats Run(const graph::CsrGraph& g, const apps::WalkApp& app,
+                        uint32_t length,
+                        const core::AcceleratorConfig& config) {
+  core::CycleEngine engine(&g, &app, config);
+  return engine.Run(StandardQueries(g, length));
 }
 
-void CacheSweep(benchmark::State& state) {
-  const uint32_t entries = static_cast<uint32_t>(state.range(0));
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  const auto app = MakeMetaPath(g);
-  const auto queries = StandardQueries(g, kMetaPathLength);
-  core::AcceleratorConfig config = BaseConfig();
-  config.cache_entries = entries;
-  Row row{"cache_entries", entries, 0.0, 0.0};
-  for (auto _ : state) {
-    core::CycleEngine engine(&g, app.get(), config);
-    const auto stats = engine.Run(queries);
-    row.msteps = stats.StepsPerSecond() / 1e6;
-    row.extra = stats.cache.MissRatio();
-  }
-  state.counters["Msteps"] = row.msteps;
-  state.counters["miss_ratio"] = row.extra;
-  Rows().push_back(row);
-}
-
-void BufferSweep(benchmark::State& state) {
-  const uint32_t edges = static_cast<uint32_t>(state.range(0));
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kOrkut);
-  const auto app = MakeNode2Vec();
-  const auto queries = StandardQueries(g, /*length=*/20);
-  core::AcceleratorConfig config = BaseConfig();
-  config.prev_neighbor_buffer_edges = edges;
-  Row row{"prev_buffer_edges", edges, 0.0, 0.0};
-  for (auto _ : state) {
-    core::CycleEngine engine(&g, app.get(), config);
-    const auto stats = engine.Run(queries);
-    row.msteps = stats.StepsPerSecond() / 1e6;
-    row.extra = static_cast<double>(stats.prev_refetches);
-  }
-  state.counters["Msteps"] = row.msteps;
-  state.counters["refetches"] = row.extra;
-  Rows().push_back(row);
-}
-
-void InstanceSweep(benchmark::State& state) {
-  const uint32_t instances = static_cast<uint32_t>(state.range(0));
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  const auto app = MakeMetaPath(g);
-  const auto queries = StandardQueries(g, kMetaPathLength);
-  core::AcceleratorConfig config = BaseConfig();
-  config.num_instances = instances;
-  Row row{"instances", instances, 0.0, 0.0};
-  for (auto _ : state) {
-    core::CycleEngine engine(&g, app.get(), config);
-    row.msteps = engine.Run(queries).StepsPerSecond() / 1e6;
-  }
-  state.counters["Msteps"] = row.msteps;
-  Rows().push_back(row);
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+int Main() {
+  // `extra` is sweep-specific: the miss ratio for cache_entries, the
+  // previous-adjacency refetch count for prev_buffer_edges, else 0.
+  Table table(
       "Extension: accelerator design-space sensitivity "
-      "(lanes k, cache depth, Node2Vec buffer, instances)");
-  const std::vector<int> widths = {20, 12, 12, 16};
-  PrintRow({"sweep", "value", "Msteps/s", "extra"}, widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.sweep, std::to_string(row.value),
-              FormatDouble(row.msteps), FormatDouble(row.extra, 3)},
-             widths);
-  }
-}
+      "(lanes k, cache depth, Node2Vec buffer, instances)",
+      {{"sweep", "sweep", 20},
+       {"value", "value", 12},
+       {"msteps_per_s", "Msteps/s", 12},
+       {"extra", "extra", 16, Num(3)}});
+  const graph::CsrGraph& orkut = StandIn(graph::Dataset::kOrkut);
+  const graph::CsrGraph& lj = StandIn(graph::Dataset::kLiveJournal);
+  const auto orkut_metapath = MakeMetaPath(orkut);
+  const auto lj_metapath = MakeMetaPath(lj);
+  const auto node2vec = MakeNode2Vec();
 
-BENCHMARK(LaneSweep)->ArgName("k")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->Arg(32)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(CacheSweep)->ArgName("entries")->Arg(8)->Arg(32)->Arg(128)
-    ->Arg(512)->Arg(2048)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BufferSweep)->ArgName("edges")->Arg(16)->Arg(64)->Arg(256)
-    ->Arg(1024)->Arg(65536)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(InstanceSweep)->ArgName("instances")->Arg(1)->Arg(2)->Arg(4)
-    ->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond);
+  for (const uint32_t k : {1, 2, 4, 8, 16, 32}) {
+    core::AcceleratorConfig config = BaseConfig();
+    config.sampler_parallelism = k;
+    const auto stats = Run(orkut, *orkut_metapath, kMetaPathLength, config);
+    table.Add({"sampler_lanes", uint64_t{k}, stats.StepsPerSecond() / 1e6,
+               0.0});
+  }
+  for (const uint32_t entries : {8, 32, 128, 512, 2048}) {
+    core::AcceleratorConfig config = BaseConfig();
+    config.cache_entries = entries;
+    const auto stats = Run(lj, *lj_metapath, kMetaPathLength, config);
+    table.Add({"cache_entries", uint64_t{entries},
+               stats.StepsPerSecond() / 1e6, stats.cache.MissRatio()});
+  }
+  for (const uint32_t edges : {16, 64, 256, 1024, 65536}) {
+    core::AcceleratorConfig config = BaseConfig();
+    config.prev_neighbor_buffer_edges = edges;
+    const auto stats = Run(orkut, *node2vec, /*length=*/20, config);
+    table.Add({"prev_buffer_edges", uint64_t{edges},
+               stats.StepsPerSecond() / 1e6,
+               static_cast<double>(stats.prev_refetches)});
+  }
+  for (const uint32_t instances : {1, 2, 4, 8}) {
+    core::AcceleratorConfig config = BaseConfig();
+    config.num_instances = instances;
+    const auto stats = Run(lj, *lj_metapath, kMetaPathLength, config);
+    table.Add({"instances", uint64_t{instances},
+               stats.StepsPerSecond() / 1e6, 0.0});
+  }
+  return Report("ext_sensitivity", {table});
+}
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -9,8 +9,6 @@
 // lowers the violation rate at every overloaded point by trading walk
 // length/quality for queue drain speed.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
@@ -32,30 +30,6 @@ constexpr uint32_t kInflightPerBoard = 8;
 constexpr uint32_t kWalkLength = 32;
 constexpr uint64_t kNumQueries = 1024;
 
-struct Row {
-  double load_multiple = 0.0;
-  double rate_per_kcycle = 0.0;
-  uint64_t deadline_cycles = 0;
-  bool degrade = false;
-  uint64_t offered = 0;
-  uint64_t completed = 0;
-  uint64_t shed = 0;
-  uint64_t violations = 0;
-  uint64_t degraded = 0;
-  uint64_t retries = 0;
-  double shed_rate = 0.0;
-  double violation_rate = 0.0;
-  double goodput_per_s = 0.0;
-  double throughput_per_s = 0.0;
-  double queue_delay_p50 = 0.0;
-  double queue_delay_p99 = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
 ServiceConfig ServiceBase() {
   ServiceConfig config;
   config.cluster.board = DefaultAccelConfig();
@@ -72,21 +46,14 @@ ServiceConfig ServiceBase() {
 
 // Closed-loop batch throughput of the same cluster on the same query
 // shape: the capacity the open-loop sweep is expressed against.
-// Queries served per 1024 cycles; computed once.
-double CapacityPerKcycle() {
-  static double capacity = [] {
-    const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-    const apps::StaticWalkApp app;
-    const Partition partition =
-        MakePartition(g, kBoards, PartitionStrategy::kHash);
-    const ServiceConfig base = ServiceBase();
-    DistributedEngine engine(&g, &app, &partition, base.cluster);
-    const auto queries = StandardQueries(g, kWalkLength, kNumQueries);
-    const auto stats = engine.Run(queries).value();
-    return static_cast<double>(stats.queries) * 1024.0 /
-           static_cast<double>(stats.cycles);
-  }();
-  return capacity;
+// Queries served per 1024 cycles.
+double CapacityPerKcycle(const graph::CsrGraph& g, const apps::WalkApp& app,
+                         const Partition& partition) {
+  DistributedEngine engine(&g, &app, &partition, ServiceBase().cluster);
+  const auto stats =
+      engine.Run(StandardQueries(g, kWalkLength, kNumQueries)).value();
+  return static_cast<double>(stats.queries) * 1024.0 /
+         static_cast<double>(stats.cycles);
 }
 
 // Deadlines only mean something relative to the unloaded walk latency,
@@ -98,149 +65,77 @@ struct Deadlines {
   uint64_t loose;
 };
 
-const Deadlines& CalibratedDeadlines() {
-  static Deadlines deadlines = [] {
-    const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-    const apps::StaticWalkApp app;
-    const Partition partition =
-        MakePartition(g, kBoards, PartitionStrategy::kHash);
-    ServiceConfig config = ServiceBase();
-    config.arrivals.rate_per_kcycle = 0.25 * CapacityPerKcycle();
-    config.degrade_enabled = false;
-    WalkService walk_service(&g, &app, &partition, config);
-    ServiceRunStats stats = walk_service.Run().value();
-    const double p99 = stats.latency_cycles.Quantile(0.99);
-    return Deadlines{static_cast<uint64_t>(1.3 * p99),
-                     static_cast<uint64_t>(1.6 * p99)};
-  }();
-  return deadlines;
+Deadlines CalibratedDeadlines(const graph::CsrGraph& g,
+                              const apps::WalkApp& app,
+                              const Partition& partition, double capacity) {
+  ServiceConfig config = ServiceBase();
+  config.arrivals.rate_per_kcycle = 0.25 * capacity;
+  config.degrade_enabled = false;
+  WalkService walk_service(&g, &app, &partition, config);
+  ServiceRunStats stats = walk_service.Run().value();
+  const double p99 = stats.latency_cycles.Quantile(0.99);
+  return Deadlines{static_cast<uint64_t>(1.3 * p99),
+                   static_cast<uint64_t>(1.6 * p99)};
 }
 
-void ServiceOverloadBench(benchmark::State& state, double load_multiple,
-                          uint64_t deadline, bool degrade) {
+int Main() {
+  Table table(
+      "Extension: service overload (offered load x deadline x degradation; "
+      "load as a multiple of calibrated batch capacity)",
+      {{"load_multiple", "load", 6, Num(2)},
+       {"rate_per_kcycle", ""},
+       {"deadline_cycles", "deadline", 10},
+       {"degrade_enabled", "degrade", 9},
+       {"offered", ""},
+       {"completed", "done", 8},
+       {"shed", "shed", 8},
+       {"deadline_violations", "late", 6},
+       {"degraded", "degr", 6},
+       {"retries", "retry", 6},
+       {"shed_rate", "shed rate", 10, Percent(1)},
+       {"violation_rate", "late rate", 10, Percent(1)},
+       {"goodput_per_s", "goodput/s", 10, Num(0)},
+       {"throughput_per_s", ""},
+       {"queue_delay_p50_cycles", ""},
+       {"queue_delay_p99_cycles", ""}});
   const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
   const apps::StaticWalkApp app;
   const Partition partition =
       MakePartition(g, kBoards, PartitionStrategy::kHash);
-
-  ServiceConfig config = ServiceBase();
-  config.arrivals.rate_per_kcycle = load_multiple * CapacityPerKcycle();
-  config.arrivals.deadline_cycles = deadline;
-  config.degrade_enabled = degrade;
-
-  Row row;
-  row.load_multiple = load_multiple;
-  row.rate_per_kcycle = config.arrivals.rate_per_kcycle;
-  row.deadline_cycles = deadline;
-  row.degrade = degrade;
-  for (auto _ : state) {
-    WalkService walk_service(&g, &app, &partition, config);
-    const auto result = walk_service.Run();
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    const ServiceRunStats& stats = *result;
-    row.offered = stats.offered;
-    row.completed = stats.completed;
-    row.shed = stats.Shed();
-    row.violations = stats.deadline_violations;
-    row.degraded = stats.degraded;
-    row.retries = stats.retries;
-    row.shed_rate = stats.ShedRate();
-    row.violation_rate = stats.ViolationRate();
-    row.goodput_per_s = stats.GoodputPerSecond();
-    row.throughput_per_s =
-        stats.seconds > 0.0
-            ? static_cast<double>(stats.completed) / stats.seconds
-            : 0.0;
-    if (stats.queue_delay_cycles.count() > 0) {
-      row.queue_delay_p50 = stats.queue_delay_cycles.Quantile(0.5);
-      row.queue_delay_p99 = stats.queue_delay_cycles.Quantile(0.99);
-    }
-  }
-  state.counters["goodput_per_s"] = row.goodput_per_s;
-  state.counters["shed_rate"] = row.shed_rate;
-  state.counters["violation_rate"] = row.violation_rate;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  const double kMultiples[] = {0.25, 0.5, 1.0, 2.0, 4.0};
-  const Deadlines& deadlines = CalibratedDeadlines();
-  const std::pair<const char*, uint64_t> kDeadlines[] = {
-      {"tight", deadlines.tight}, {"loose", deadlines.loose}};
-  for (const auto& [deadline_name, deadline] : kDeadlines) {
-    for (const double multiple : kMultiples) {
+  const double capacity = CapacityPerKcycle(g, app, partition);
+  const Deadlines deadlines = CalibratedDeadlines(g, app, partition, capacity);
+  for (const uint64_t deadline : {deadlines.tight, deadlines.loose}) {
+    for (const double load_multiple : {0.25, 0.5, 1.0, 2.0, 4.0}) {
       for (const bool degrade : {false, true}) {
-        const std::string name =
-            "ExtServiceOverload/load:" + FormatDouble(multiple, 2) +
-            "/deadline:" + deadline_name +
-            (degrade ? "/degrade:on" : "/degrade:off");
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [multiple, deadline, degrade](benchmark::State& st) {
-              ServiceOverloadBench(st, multiple, deadline, degrade);
-            })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+        ServiceConfig config = ServiceBase();
+        config.arrivals.rate_per_kcycle = load_multiple * capacity;
+        config.arrivals.deadline_cycles = deadline;
+        config.degrade_enabled = degrade;
+        WalkService walk_service(&g, &app, &partition, config);
+        const auto result = walk_service.Run();
+        if (!result.ok()) {
+          return RunFailed(result.status());
+        }
+        const ServiceRunStats& stats = *result;
+        const bool delayed = stats.queue_delay_cycles.count() > 0;
+        table.Add(
+            {load_multiple, config.arrivals.rate_per_kcycle, deadline,
+             degrade, stats.offered, stats.completed, stats.Shed(),
+             stats.deadline_violations, stats.degraded, stats.retries,
+             stats.ShedRate(), stats.ViolationRate(),
+             stats.GoodputPerSecond(),
+             stats.seconds > 0.0
+                 ? static_cast<double>(stats.completed) / stats.seconds
+                 : 0.0,
+             delayed ? stats.queue_delay_cycles.Quantile(0.5) : 0.0,
+             delayed ? stats.queue_delay_cycles.Quantile(0.99) : 0.0});
       }
     }
   }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Extension: service overload (offered load x deadline x degradation; "
-      "load as a multiple of calibrated batch capacity)");
-  const std::vector<int> widths = {6, 10, 9, 8, 8, 6, 6, 6, 10, 10, 10};
-  PrintRow({"load", "deadline", "degrade", "done", "shed", "late", "degr",
-            "retry", "shed rate", "late rate", "goodput/s"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({FormatDouble(row.load_multiple, 2),
-              std::to_string(row.deadline_cycles),
-              row.degrade ? "on" : "off", std::to_string(row.completed),
-              std::to_string(row.shed), std::to_string(row.violations),
-              std::to_string(row.degraded), std::to_string(row.retries),
-              FormatDouble(100.0 * row.shed_rate, 1) + "%",
-              FormatDouble(100.0 * row.violation_rate, 1) + "%",
-              FormatDouble(row.goodput_per_s, 0)},
-             widths);
-  }
-
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("load_multiple", row.load_multiple);
-    r.Set("rate_per_kcycle", row.rate_per_kcycle);
-    r.Set("deadline_cycles", row.deadline_cycles);
-    r.Set("degrade_enabled", row.degrade);
-    r.Set("offered", row.offered);
-    r.Set("completed", row.completed);
-    r.Set("shed", row.shed);
-    r.Set("deadline_violations", row.violations);
-    r.Set("degraded", row.degraded);
-    r.Set("retries", row.retries);
-    r.Set("shed_rate", row.shed_rate);
-    r.Set("violation_rate", row.violation_rate);
-    r.Set("goodput_per_s", row.goodput_per_s);
-    r.Set("throughput_per_s", row.throughput_per_s);
-    r.Set("queue_delay_p50_cycles", row.queue_delay_p50);
-    r.Set("queue_delay_p99_cycles", row.queue_delay_p99);
-    rows.Append(std::move(r));
-  }
-  WriteBenchJson("ext_service_overload", std::move(rows));
+  return Report("ext_service_overload", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

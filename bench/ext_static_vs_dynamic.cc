@@ -5,8 +5,6 @@
 // that gap on the CPU: a precomputed-index walker vs the per-step ITS
 // engine on the same first-order workload, plus the index build cost.
 
-#include <benchmark/benchmark.h>
-
 #include "apps/walk_app.h"
 #include "baseline/engine.h"
 #include "baseline/static_index.h"
@@ -17,19 +15,6 @@
 
 namespace lightrw::bench {
 namespace {
-
-struct Row {
-  std::string dataset;
-  double static_msteps = 0.0;
-  double dynamic_msteps = 0.0;
-  double index_build_s = 0.0;
-  uint64_t index_mb = 0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 // O(1)-per-step walker over the precomputed index.
 double RunStaticWalks(const graph::CsrGraph& g,
@@ -52,65 +37,36 @@ double RunStaticWalks(const graph::CsrGraph& g,
   return static_cast<double>(steps) / timer.ElapsedSeconds();
 }
 
-void StaticVsDynamicBench(benchmark::State& state, graph::Dataset dataset) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  apps::StaticWalkApp app;
-  const auto queries = StandardQueries(g, /*length=*/20);
+int Main() {
+  Table table(
+      "Extension: static (precomputed index) vs dynamic per-step sampling "
+      "on CPU — the gap that motivates accelerating GDRWs",
+      {{"dataset", "dataset", 10},
+       {"static_msteps_per_s", "static Mst/s", 16},
+       {"dynamic_msteps_per_s", "dynamic Mst/s", 16},
+       {"gap", "gap", 10, Num(2, "x")},
+       {"index_build_s", "index build s", 14, Num(3)},
+       {"index_mb", "index MB", 12}});
+  const apps::StaticWalkApp app;
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
+    const graph::CsrGraph& g = StandIn(dataset);
+    const auto queries = StandardQueries(g, /*length=*/20);
 
-  Row row;
-  row.dataset = graph::GetDatasetInfo(dataset).name;
-  for (auto _ : state) {
     WallTimer build_timer;
     baseline::StaticWalkIndex index(g);
-    row.index_build_s = build_timer.ElapsedSeconds();
-    row.index_mb = index.MemoryBytes() >> 20;
-    row.static_msteps = RunStaticWalks(g, index, queries) / 1e6;
+    const double index_build_s = build_timer.ElapsedSeconds();
+    const double static_msteps = RunStaticWalks(g, index, queries) / 1e6;
 
     baseline::BaselineEngine dynamic(&g, &app, baseline::BaselineConfig{});
-    row.dynamic_msteps = dynamic.Run(queries).StepsPerSecond() / 1e6;
+    const double dynamic_msteps = dynamic.Run(queries).StepsPerSecond() / 1e6;
+    table.Add({graph::GetDatasetInfo(dataset).name, static_msteps,
+               dynamic_msteps, static_msteps / dynamic_msteps, index_build_s,
+               uint64_t{index.MemoryBytes() >> 20}});
   }
-  state.counters["static_Msteps"] = row.static_msteps;
-  state.counters["dynamic_Msteps"] = row.dynamic_msteps;
-  state.counters["gap"] = row.static_msteps / row.dynamic_msteps;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    benchmark::RegisterBenchmark(
-        (std::string("ExtStatic/") + graph::GetDatasetInfo(d).name).c_str(),
-        [d](benchmark::State& s) { StaticVsDynamicBench(s, d); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Extension: static (precomputed index) vs dynamic per-step sampling "
-      "on CPU — the gap that motivates accelerating GDRWs");
-  const std::vector<int> widths = {10, 16, 16, 10, 14, 12};
-  PrintRow({"dataset", "static Mst/s", "dynamic Mst/s", "gap",
-            "index build s", "index MB"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.dataset, FormatDouble(row.static_msteps),
-              FormatDouble(row.dynamic_msteps),
-              FormatDouble(row.static_msteps / row.dynamic_msteps) + "x",
-              FormatDouble(row.index_build_s, 3),
-              std::to_string(row.index_mb)},
-             widths);
-  }
+  return Report("ext_static_vs_dynamic", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

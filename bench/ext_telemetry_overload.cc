@@ -12,8 +12,6 @@
 // chaos scenario yields at least one detected incident while the
 // steady-state overload run yields none at coarse intervals.
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 #include <vector>
 
@@ -33,30 +31,11 @@ using distributed::PartitionStrategy;
 using obs::TimeSeriesConfig;
 using obs::TimeSeriesRecorder;
 using service::ServiceConfig;
-using service::ServiceRunStats;
 using service::WalkService;
 
 constexpr uint32_t kBoards = 2;
 constexpr uint32_t kWalkLength = 32;
 constexpr uint64_t kNumQueries = 1024;
-
-struct Row {
-  std::string scenario;
-  uint64_t scrape_interval = 0;  // 0 = telemetry disabled
-  uint64_t cycles = 0;
-  uint64_t completed = 0;
-  uint64_t shed = 0;
-  uint64_t windows = 0;
-  uint64_t series = 0;
-  uint64_t points = 0;
-  uint64_t exemplars = 0;
-  uint64_t incidents = 0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 ServiceConfig OverloadConfig() {
   ServiceConfig config;
@@ -76,68 +55,86 @@ ServiceConfig OverloadConfig() {
   return config;
 }
 
+struct TelemetryYield {
+  uint64_t windows = 0;
+  uint64_t series = 0;
+  uint64_t points = 0;
+  uint64_t exemplars = 0;
+  uint64_t incidents = 0;
+};
+
 // Reads the structural yield of a finished recorder off its export.
-void FillTelemetryColumns(const TimeSeriesRecorder& ts, Row* row) {
-  row->windows = ts.num_windows();
-  row->incidents = ts.DetectIncidents().size();
+TelemetryYield ReadYield(const TimeSeriesRecorder& ts) {
+  TelemetryYield yield;
+  yield.windows = ts.num_windows();
+  yield.incidents = ts.DetectIncidents().size();
   const obs::Json doc = ts.ToJson();
   const obs::Json* series = doc.Find("series");
-  row->series = series->size();
+  yield.series = series->size();
   for (const obs::Json& entry : series->array()) {
     for (const obs::Json& point : entry.Find("points")->array()) {
-      ++row->points;
+      ++yield.points;
       if (point.Find("exemplar") != nullptr) {
-        ++row->exemplars;
+        ++yield.exemplars;
       }
     }
   }
+  return yield;
 }
 
-void TelemetryOverloadBench(benchmark::State& state,
-                            uint64_t scrape_interval) {
+int Main() {
+  const CellFormat interval_or_off = [](const obs::Json& interval) {
+    return interval.uint_value() == 0 ? std::string("off")
+                                      : std::to_string(interval.uint_value());
+  };
+  Table table(
+      "Extension: telemetry scraping under overload (windows, series, "
+      "exemplars, and incidents per scrape interval; scraping must not "
+      "perturb the simulated run)",
+      {{"scenario", "scenario", 12},
+       {"scrape_interval", "interval", 9, interval_or_off},
+       {"cycles", "cycles", 10},
+       {"completed", "done", 6},
+       {"shed", "shed", 6},
+       {"windows", "windows", 8},
+       {"series", "series", 7},
+       {"points", "points", 7},
+       {"exemplars", "exemplars", 10},
+       {"incidents", "incidents", 10}});
+  const auto add = [&table](const char* scenario, uint64_t interval,
+                            uint64_t cycles, uint64_t completed,
+                            uint64_t shed, const TelemetryYield& yield) {
+    table.Add({scenario, interval, cycles, completed, shed, yield.windows,
+               yield.series, yield.points, yield.exemplars,
+               yield.incidents});
+  };
   const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
   const apps::StaticWalkApp app;
+
+  // The same overloaded service run, unscraped (interval 0) and scraped.
   const Partition partition =
       MakePartition(g, kBoards, PartitionStrategy::kHash);
-  ServiceConfig config = OverloadConfig();
-
-  Row row;
-  row.scenario = "overload";
-  row.scrape_interval = scrape_interval;
-  for (auto _ : state) {
+  for (const uint64_t interval : {0, 1024, 4096, 16384}) {
     TimeSeriesConfig ts_config;
-    ts_config.scrape_interval = scrape_interval > 0 ? scrape_interval : 1;
+    ts_config.scrape_interval = interval > 0 ? interval : 1;
     TimeSeriesRecorder ts(ts_config);
-    if (scrape_interval > 0) {
+    ServiceConfig config = OverloadConfig();
+    if (interval > 0) {
       config.cluster.board.timeseries = &ts;
     }
     WalkService walk_service(&g, &app, &partition, config);
     const auto result = walk_service.Run();
     if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
+      return RunFailed(result.status());
     }
-    const ServiceRunStats& stats = *result;
-    row.cycles = stats.cycles;
-    row.completed = stats.completed;
-    row.shed = stats.Shed();
-    if (scrape_interval > 0) {
-      FillTelemetryColumns(ts, &row);
-    }
+    add("overload", interval, result->cycles, result->completed,
+        result->Shed(), interval > 0 ? ReadYield(ts) : TelemetryYield{});
   }
-  state.counters["windows"] = static_cast<double>(row.windows);
-  state.counters["incidents"] = static_cast<double>(row.incidents);
-  Rows().push_back(row);
-}
 
-// Board death absorbed by a hot spare, scraped at a fine interval: the
-// membership-death counter spike must surface as a detected incident.
-void TelemetryChaosBench(benchmark::State& state) {
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  const apps::StaticWalkApp app;
-  const Partition partition =
+  // Board death absorbed by a hot spare, scraped at a fine interval: the
+  // membership-death counter spike must surface as a detected incident.
+  const Partition chaos_partition =
       MakePartition(g, 4, PartitionStrategy::kHash);
-
   distributed::DistributedConfig config;
   config.board = DefaultAccelConfig();
   config.board.num_instances = 1;
@@ -148,98 +145,22 @@ void TelemetryChaosBench(benchmark::State& state) {
   config.board.faults.seed = 3;
   config.board.faults.checkpoint_interval_cycles = 1 << 12;
   config.board.faults.board_deaths = {{1 << 14, /*board=*/1}};
-
-  const auto queries = StandardQueries(g, kWalkLength, kNumQueries);
-  Row row;
-  row.scenario = "board_death";
-  row.scrape_interval = 1024;
-  for (auto _ : state) {
-    TimeSeriesConfig ts_config;
-    ts_config.scrape_interval = row.scrape_interval;
-    TimeSeriesRecorder ts(ts_config);
-    config.board.timeseries = &ts;
-    DistributedEngine engine(&g, &app, &partition, config);
-    const auto result = engine.Run(queries);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    row.cycles = result->cycles;
-    row.completed = result->queries;
-    row.shed = 0;
-    FillTelemetryColumns(ts, &row);
+  TimeSeriesConfig ts_config;
+  ts_config.scrape_interval = 1024;
+  TimeSeriesRecorder ts(ts_config);
+  config.board.timeseries = &ts;
+  DistributedEngine engine(&g, &app, &chaos_partition, config);
+  const auto result =
+      engine.Run(StandardQueries(g, kWalkLength, kNumQueries));
+  if (!result.ok()) {
+    return RunFailed(result.status());
   }
-  state.counters["windows"] = static_cast<double>(row.windows);
-  state.counters["incidents"] = static_cast<double>(row.incidents);
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  const uint64_t kIntervals[] = {0, 1024, 4096, 16384};
-  for (const uint64_t interval : kIntervals) {
-    const std::string name =
-        "ExtTelemetryOverload/interval:" +
-        (interval == 0 ? std::string("off") : std::to_string(interval));
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [interval](benchmark::State& st) {
-                                   TelemetryOverloadBench(st, interval);
-                                 })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-  benchmark::RegisterBenchmark(
-      "ExtTelemetryOverload/chaos:board_death",
-      [](benchmark::State& st) { TelemetryChaosBench(st); })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Extension: telemetry scraping under overload (windows, series, "
-      "exemplars, and incidents per scrape interval; scraping must not "
-      "perturb the simulated run)");
-  const std::vector<int> widths = {12, 9, 10, 6, 6, 8, 7, 7, 10, 10};
-  PrintRow({"scenario", "interval", "cycles", "done", "shed", "windows",
-            "series", "points", "exemplars", "incidents"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.scenario,
-              row.scrape_interval == 0 ? "off"
-                                       : std::to_string(row.scrape_interval),
-              std::to_string(row.cycles), std::to_string(row.completed),
-              std::to_string(row.shed), std::to_string(row.windows),
-              std::to_string(row.series), std::to_string(row.points),
-              std::to_string(row.exemplars), std::to_string(row.incidents)},
-             widths);
-  }
-
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("scenario", row.scenario);
-    r.Set("scrape_interval", row.scrape_interval);
-    r.Set("cycles", row.cycles);
-    r.Set("completed", row.completed);
-    r.Set("shed", row.shed);
-    r.Set("windows", row.windows);
-    r.Set("series", row.series);
-    r.Set("points", row.points);
-    r.Set("exemplars", row.exemplars);
-    r.Set("incidents", row.incidents);
-    rows.Append(std::move(r));
-  }
-  WriteBenchJson("ext_telemetry_overload", std::move(rows));
+  add("board_death", ts_config.scrape_interval, result->cycles,
+      result->queries, 0, ReadYield(ts));
+  return Report("ext_telemetry_overload", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

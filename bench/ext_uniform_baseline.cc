@@ -4,8 +4,6 @@
 // special case — but it cannot express weighted or dynamic walks at all,
 // which is the generality LightRW trades some uniform-walk speed for.
 
-#include <benchmark/benchmark.h>
-
 #include "apps/walk_app.h"
 #include "bench_util.h"
 #include "lightrw/cycle_engine.h"
@@ -13,12 +11,6 @@
 
 namespace lightrw::bench {
 namespace {
-
-struct Row {
-  std::string dataset;
-  core::AccelRunStats uniform;
-  core::AccelRunStats lightrw;
-};
 
 double MSteps(const core::AccelRunStats& stats) {
   return stats.StepsPerSecond() / 1e6;
@@ -36,74 +28,33 @@ obs::Json EngineJson(const core::AccelRunStats& stats) {
   return j;
 }
 
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void UniformBench(benchmark::State& state, graph::Dataset dataset) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  apps::StaticWalkApp app;  // first-order walk; weights all >= 1
-  const auto queries = StandardQueries(g, /*length=*/20);
-  const core::AcceleratorConfig config = DefaultAccelConfig();
-
-  Row row;
-  row.dataset = graph::GetDatasetInfo(dataset).name;
-  for (auto _ : state) {
-    row.uniform = core::UniformCycleEngine(&g, config).Run(queries);
-    row.lightrw = core::CycleEngine(&g, &app, config).Run(queries);
-  }
-  state.counters["uniform_Msteps"] = MSteps(row.uniform);
-  state.counters["lightrw_Msteps"] = MSteps(row.lightrw);
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    benchmark::RegisterBenchmark(
-        (std::string("ExtUniform/") + graph::GetDatasetInfo(d).name).c_str(),
-        [d](benchmark::State& s) { UniformBench(s, d); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+int Main() {
+  Table table(
       "Extension: specialized uniform-walk accelerator (Su et al. style) "
       "vs LightRW on uniform static walks — the generality/speed tradeoff "
-      "of paper §7");
-  const std::vector<int> widths = {10, 16, 16, 14, 14};
-  PrintRow({"dataset", "uniform Mst/s", "LightRW Mst/s", "uni B/step",
-            "lrw B/step"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.dataset, FormatDouble(MSteps(row.uniform)),
-              FormatDouble(MSteps(row.lightrw)),
-              FormatDouble(BytesPerStep(row.uniform), 0),
-              FormatDouble(BytesPerStep(row.lightrw), 0)},
-             widths);
+      "of paper §7",
+      {{"dataset", "dataset", 10},
+       {"", "uniform Mst/s", 16},
+       {"", "LightRW Mst/s", 16},
+       {"", "uni B/step", 14, Num(0)},
+       {"", "lrw B/step", 14, Num(0)},
+       {"uniform", ""},
+       {"lightrw", ""}});
+  apps::StaticWalkApp app;  // first-order walk; weights all >= 1
+  const core::AcceleratorConfig config = DefaultAccelConfig();
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
+    const graph::CsrGraph& g = StandIn(dataset);
+    const auto queries = StandardQueries(g, /*length=*/20);
+    const auto uniform = core::UniformCycleEngine(&g, config).Run(queries);
+    const auto lightrw = core::CycleEngine(&g, &app, config).Run(queries);
+    table.Add({graph::GetDatasetInfo(dataset).name, MSteps(uniform),
+               MSteps(lightrw), BytesPerStep(uniform), BytesPerStep(lightrw),
+               EngineJson(uniform), EngineJson(lightrw)});
   }
-
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("dataset", row.dataset);
-    r.Set("uniform", EngineJson(row.uniform));
-    r.Set("lightrw", EngineJson(row.lightrw));
-    rows.Append(std::move(r));
-  }
-  WriteBenchJson("ext_uniform_baseline", std::move(rows));
+  return Report("ext_uniform_baseline", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

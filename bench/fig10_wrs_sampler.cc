@@ -4,107 +4,45 @@
 //  (b) throughput vs stream length at k=16 — near line rate except for a
 //      small pipeline-fill penalty on tiny streams.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "lightrw/wrs_sampler_sim.h"
 
 namespace lightrw::bench {
 namespace {
 
-struct ParallelismRow {
-  uint32_t k = 0;
-  double measured_gitems = 0.0;
-  double theoretical_gitems = 0.0;
-  double bandwidth_gbs = 0.0;
-};
-
-struct LengthRow {
-  uint64_t items = 0;
-  double measured_gitems = 0.0;
-};
-
-std::vector<ParallelismRow>& KRows() {
-  static auto* rows = new std::vector<ParallelismRow>();
-  return *rows;
-}
-std::vector<LengthRow>& LenRows() {
-  static auto* rows = new std::vector<LengthRow>();
-  return *rows;
-}
-
-void ParallelismBench(benchmark::State& state) {
-  const uint32_t k = static_cast<uint32_t>(state.range(0));
-  core::WrsSamplerSim sim(k, hwsim::DramConfig{}, kBenchSeed);
-  ParallelismRow row;
-  row.k = k;
-  row.theoretical_gitems = sim.TheoreticalItemsPerSecond() / 1e9;
-  for (auto _ : state) {
-    const auto result = sim.RunStream(1 << 20);
-    row.measured_gitems = result.items_per_second / 1e9;
-    row.bandwidth_gbs = result.bytes_per_second / 1e9;
-  }
-  state.counters["Gitems_per_s"] = row.measured_gitems;
-  state.counters["theoretical"] = row.theoretical_gitems;
-  KRows().push_back(row);
-}
-
-void StreamLengthBench(benchmark::State& state) {
-  const uint64_t items = static_cast<uint64_t>(state.range(0));
-  core::WrsSamplerSim sim(16, hwsim::DramConfig{}, kBenchSeed);
-  LengthRow row;
-  row.items = items;
-  for (auto _ : state) {
-    row.measured_gitems = sim.RunStream(items).items_per_second / 1e9;
-  }
-  state.counters["Gitems_per_s"] = row.measured_gitems;
-  LenRows().push_back(row);
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+int Main() {
+  Table by_k(
       "Fig. 10a: WRS sampler throughput vs parallelism k "
-      "(paper: linear until DRAM line rate at k=16)");
-  const std::vector<int> kw = {6, 18, 20, 18};
-  PrintRow({"k", "measured Git/s", "theoretical Git/s", "bandwidth GB/s"},
-           kw);
-  for (const auto& row : KRows()) {
-    PrintRow({std::to_string(row.k), FormatDouble(row.measured_gitems),
-              FormatDouble(row.theoretical_gitems),
-              FormatDouble(row.bandwidth_gbs)},
-             kw);
+      "(paper: linear until DRAM line rate at k=16)",
+      {{"sweep", ""},
+       {"k", "k", 6},
+       {"measured_gitems_per_s", "measured Git/s", 18},
+       {"theoretical_gitems_per_s", "theoretical Git/s", 20},
+       {"bandwidth_gbs", "bandwidth GB/s", 18}});
+  for (const uint64_t k : {1, 2, 4, 8, 16, 32}) {
+    core::WrsSamplerSim sim(static_cast<uint32_t>(k), hwsim::DramConfig{},
+                            kBenchSeed);
+    const double theoretical = sim.TheoreticalItemsPerSecond() / 1e9;
+    const auto result = sim.RunStream(1 << 20);
+    by_k.Add({"parallelism", k, result.items_per_second / 1e9, theoretical,
+              result.bytes_per_second / 1e9});
   }
-  PrintReportHeader(
+
+  Table by_length(
       "Fig. 10b: WRS sampler throughput vs stream length at k=16 "
-      "(paper: line rate, small pipeline-fill penalty on tiny streams)");
-  const std::vector<int> lw = {12, 18};
-  PrintRow({"items", "measured Git/s"}, lw);
-  for (const auto& row : LenRows()) {
-    PrintRow({std::to_string(row.items), FormatDouble(row.measured_gitems)},
-             lw);
+      "(paper: line rate, small pipeline-fill penalty on tiny streams)",
+      {{"sweep", ""},
+       {"items", "items", 12},
+       {"measured_gitems_per_s", "measured Git/s", 18}});
+  for (uint64_t items = 1 << 6; items <= (1 << 16); items <<= 2) {
+    core::WrsSamplerSim sim(16, hwsim::DramConfig{}, kBenchSeed);
+    by_length.Add({"stream_length", items,
+                   sim.RunStream(items).items_per_second / 1e9});
   }
+  return Report("fig10_wrs_sampler", {by_k, by_length});
 }
-
-BENCHMARK(ParallelismBench)
-    ->ArgName("k")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(StreamLengthBench)
-    ->ArgName("items")
-    ->RangeMultiplier(4)
-    ->Range(1 << 6, 1 << 16)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -5,8 +5,6 @@
 // Paper result: below 2^12 vertices both miss ratios are ~0; beyond that
 // DMC degrades toward 100% while DAC stays much lower (e.g. ~49% at 2^18).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "graph/generators.h"
 #include "lightrw/cycle_engine.h"
@@ -15,19 +13,6 @@ namespace lightrw::bench {
 namespace {
 
 constexpr uint32_t kCacheEntries = 1 << 12;
-
-struct Row {
-  uint32_t scale = 0;
-  double dac_miss = 0.0;
-  double dmc_miss = 0.0;
-  double lru_miss = 0.0;
-  double fifo_miss = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 double MissRatio(const graph::CsrGraph& g, core::CacheKind kind) {
   const auto app = MakeMetaPath(g);
@@ -43,83 +28,45 @@ double MissRatio(const graph::CsrGraph& g, core::CacheKind kind) {
   return stats.cache.MissRatio();
 }
 
-void CacheBench(benchmark::State& state) {
-  const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  graph::RmatOptions options;
-  options.scale = scale;
-  options.edge_factor = 8;  // the paper's RMAT average degree
-  // The paper's rmat graphs come from the Kronecker generator of Leskovec
-  // et al., which is skewier than the Graph500 defaults; match that.
-  options.a = 0.65;
-  options.b = 0.18;
-  options.c = 0.12;
-  options.d = 0.05;
-  // Undirected with two relation labels: walks survive the full metapath
-  // far more often, so the access stream is dominated by walk-sampled
-  // (degree-biased) lookups rather than uniform query starts — the regime
-  // the degree-aware policy targets.
-  options.undirected = true;
-  options.num_relations = 2;
-  options.seed = kBenchSeed;
-  const graph::CsrGraph g = GenerateRmat(options);
-
-  Row row;
-  row.scale = scale;
-  for (auto _ : state) {
-    row.dac_miss = MissRatio(g, core::CacheKind::kDegreeAware);
-    row.dmc_miss = MissRatio(g, core::CacheKind::kDirectMapped);
-    row.lru_miss = MissRatio(g, core::CacheKind::kLru);
-    row.fifo_miss = MissRatio(g, core::CacheKind::kFifo);
-  }
-  state.counters["dac_miss_pct"] = row.dac_miss * 100.0;
-  state.counters["dmc_miss_pct"] = row.dmc_miss * 100.0;
-  state.counters["lru_miss_pct"] = row.lru_miss * 100.0;
-  state.counters["fifo_miss_pct"] = row.fifo_miss * 100.0;
-  Rows().push_back(row);
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+int Main() {
+  const CellFormat pow2 = [](const obs::Json& scale) {
+    return "2^" + std::to_string(scale.uint_value());
+  };
+  Table table(
       "Fig. 11: DAC vs DMC miss ratio, cache = 2^12 vertices "
-      "(paper: DAC ~49% at 2^18 while DMC approaches 100%)");
-  const std::vector<int> widths = {16, 14, 14, 14, 14};
-  PrintRow({"rmat |V|", "DAC miss", "DMC miss", "LRU miss", "FIFO miss"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({"2^" + std::to_string(row.scale),
-              FormatDouble(row.dac_miss * 100, 1) + "%",
-              FormatDouble(row.dmc_miss * 100, 1) + "%",
-              FormatDouble(row.lru_miss * 100, 1) + "%",
-              FormatDouble(row.fifo_miss * 100, 1) + "%"},
-             widths);
+      "(paper: DAC ~49% at 2^18 while DMC approaches 100%)",
+      {{"rmat_scale", "rmat |V|", 16, pow2},
+       {"dac_miss", "DAC miss", 14, Percent(1)},
+       {"dmc_miss", "DMC miss", 14, Percent(1)},
+       {"lru_miss", "LRU miss", 14, Percent(1)},
+       {"fifo_miss", "FIFO miss", 14, Percent(1)}});
+  for (uint32_t scale = 6; scale <= 20; scale += 2) {
+    graph::RmatOptions options;
+    options.scale = scale;
+    options.edge_factor = 8;  // the paper's RMAT average degree
+    // The paper's rmat graphs come from the Kronecker generator of Leskovec
+    // et al., which is skewier than the Graph500 defaults; match that.
+    options.a = 0.65;
+    options.b = 0.18;
+    options.c = 0.12;
+    options.d = 0.05;
+    // Undirected with two relation labels: walks survive the full metapath
+    // far more often, so the access stream is dominated by walk-sampled
+    // (degree-biased) lookups rather than uniform query starts — the regime
+    // the degree-aware policy targets.
+    options.undirected = true;
+    options.num_relations = 2;
+    options.seed = kBenchSeed;
+    const graph::CsrGraph g = GenerateRmat(options);
+    table.Add({uint64_t{scale}, MissRatio(g, core::CacheKind::kDegreeAware),
+               MissRatio(g, core::CacheKind::kDirectMapped),
+               MissRatio(g, core::CacheKind::kLru),
+               MissRatio(g, core::CacheKind::kFifo)});
   }
-
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("rmat_scale", static_cast<uint64_t>(row.scale));
-    r.Set("dac_miss", row.dac_miss);
-    r.Set("dmc_miss", row.dmc_miss);
-    r.Set("lru_miss", row.lru_miss);
-    r.Set("fifo_miss", row.fifo_miss);
-    rows.Append(std::move(r));
-  }
-  WriteBenchJson("fig11_degree_cache", std::move(rows));
+  return Report("fig11_degree_cache", {table});
 }
-
-BENCHMARK(CacheBench)
-    ->ArgName("scale")
-    ->DenseRange(6, 20, 2)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

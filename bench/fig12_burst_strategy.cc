@@ -6,8 +6,6 @@
 // graphs, up to 3.26x on real graphs); b1+b2 can be the worst because tiny
 // long bursts do not amortize the burst plan overhead.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "graph/generators.h"
 #include "lightrw/cycle_engine.h"
@@ -16,16 +14,6 @@ namespace lightrw::bench {
 namespace {
 
 constexpr uint32_t kLongBeats[] = {0, 2, 4, 8, 16, 32, 64};
-
-struct Row {
-  std::string graph;
-  double speedup[7] = {};  // indexed like kLongBeats; [0] is baseline 1.0
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 uint64_t RunCycles(const graph::CsrGraph& g, uint32_t long_beats) {
   const auto app = MakeMetaPath(g);
@@ -37,77 +25,44 @@ uint64_t RunCycles(const graph::CsrGraph& g, uint32_t long_beats) {
   return engine.Run(queries).cycles;
 }
 
-void StrategyBench(benchmark::State& state, const std::string& name,
-                   const graph::CsrGraph& g) {
-  Row row;
-  row.graph = name;
-  for (auto _ : state) {
-    const uint64_t base = RunCycles(g, 0);
-    for (size_t i = 0; i < std::size(kLongBeats); ++i) {
-      const uint64_t cycles = i == 0 ? base : RunCycles(g, kLongBeats[i]);
-      row.speedup[i] = static_cast<double>(base) / cycles;
-    }
+// One row: each strategy's speedup over b1+b0 on `g`.
+std::vector<obs::Json> SpeedupRow(const std::string& name,
+                                  const graph::CsrGraph& g) {
+  std::vector<obs::Json> cells = {name};
+  const uint64_t base = RunCycles(g, 0);
+  for (const uint32_t beats : kLongBeats) {
+    const uint64_t cycles = beats == 0 ? base : RunCycles(g, beats);
+    cells.push_back(static_cast<double>(base) / cycles);
   }
-  for (size_t i = 1; i < std::size(kLongBeats); ++i) {
-    state.counters["b1+b" + std::to_string(kLongBeats[i])] = row.speedup[i];
-  }
-  Rows().push_back(row);
+  return cells;
 }
 
-void RegisterAll() {
+int Main() {
+  std::vector<Column> columns = {{"graph", "graph", 12}};
+  for (const uint32_t beats : kLongBeats) {
+    const std::string name = "b1+b" + std::to_string(beats);
+    columns.push_back({name, name, 9});
+  }
+  Table table(
+      "Fig. 12: dynamic burst strategy speedup over b1+b0 on MetaPath "
+      "(paper: b1+b32 best, up to 4.24x synthetic / 3.26x real)",
+      std::move(columns));
   // Synthetic RMAT graphs (paper uses rmat-18..22; scaled down here).
-  for (uint32_t scale : {12u, 14u, 16u, 18u}) {
+  for (const uint32_t scale : {12u, 14u, 16u, 18u}) {
     graph::RmatOptions options;
     options.scale = scale;
     options.edge_factor = 8;
     options.seed = kBenchSeed;
-    auto* g = new graph::CsrGraph(GenerateRmat(options));
-    benchmark::RegisterBenchmark(
-        ("Fig12/rmat" + std::to_string(scale)).c_str(),
-        [g, scale](benchmark::State& s) {
-          StrategyBench(s, "rmat-" + std::to_string(scale), *g);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    table.Add(SpeedupRow("rmat-" + std::to_string(scale),
+                         GenerateRmat(options)));
   }
   for (const graph::Dataset d : graph::kAllDatasets) {
-    const char* name = graph::GetDatasetInfo(d).name;
-    benchmark::RegisterBenchmark(
-        (std::string("Fig12/") + name).c_str(),
-        [d, name](benchmark::State& s) { StrategyBench(s, name, StandIn(d)); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    table.Add(SpeedupRow(graph::GetDatasetInfo(d).name, StandIn(d)));
   }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Fig. 12: dynamic burst strategy speedup over b1+b0 on MetaPath "
-      "(paper: b1+b32 best, up to 4.24x synthetic / 3.26x real)");
-  std::vector<int> widths = {12};
-  std::vector<std::string> header = {"graph"};
-  for (size_t i = 0; i < std::size(kLongBeats); ++i) {
-    header.push_back("b1+b" + std::to_string(kLongBeats[i]));
-    widths.push_back(9);
-  }
-  PrintRow(header, widths);
-  for (const Row& row : Rows()) {
-    std::vector<std::string> cells = {row.graph};
-    for (size_t i = 0; i < std::size(kLongBeats); ++i) {
-      cells.push_back(FormatDouble(row.speedup[i]));
-    }
-    PrintRow(cells, widths);
-  }
+  return Report("fig12_burst_strategy", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

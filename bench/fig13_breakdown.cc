@@ -7,28 +7,11 @@
 // row-index traffic eats the bandwidth); the degree-aware cache helps
 // MetaPath more than Node2Vec (up to 6% on uk2002).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "lightrw/cycle_engine.h"
 
 namespace lightrw::bench {
 namespace {
-
-struct Row {
-  std::string dataset;
-  std::string app;
-  // Fraction of performance lost when the technique is disabled:
-  // 1 - t_all / t_disabled.
-  double wrs_loss = 0.0;
-  double dyb_loss = 0.0;
-  double dac_loss = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 uint64_t RunCycles(const graph::CsrGraph& g, const apps::WalkApp& app,
                    std::span<const apps::WalkQuery> queries,
@@ -37,89 +20,47 @@ uint64_t RunCycles(const graph::CsrGraph& g, const apps::WalkApp& app,
   return engine.Run(queries).cycles;
 }
 
-void BreakdownBench(benchmark::State& state, graph::Dataset dataset,
-                    bool node2vec) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-  const auto queries =
-      StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
-
-  core::AcceleratorConfig all = DefaultAccelConfig();
-  all.num_instances = 1;
-  core::AcceleratorConfig no_wrs = all;
-  no_wrs.enable_wrs_pipeline = false;
-  core::AcceleratorConfig no_dyb = all;
-  no_dyb.burst = core::BurstStrategy{1, 0};
-  core::AcceleratorConfig no_dac = all;
-  no_dac.cache_kind = core::CacheKind::kNone;
-
-  Row row;
-  row.dataset = graph::GetDatasetInfo(dataset).name;
-  row.app = app->name();
-  for (auto _ : state) {
-    const double base = static_cast<double>(RunCycles(g, *app, queries, all));
-    row.wrs_loss = 1.0 - base / RunCycles(g, *app, queries, no_wrs);
-    row.dyb_loss = 1.0 - base / RunCycles(g, *app, queries, no_dyb);
-    row.dac_loss = 1.0 - base / RunCycles(g, *app, queries, no_dac);
-  }
-  state.counters["wrs_pct"] = row.wrs_loss * 100.0;
-  state.counters["dyb_pct"] = row.dyb_loss * 100.0;
-  state.counters["dac_pct"] = row.dac_loss * 100.0;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    const char* name = graph::GetDatasetInfo(d).name;
-    for (const bool node2vec : {false, true}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Fig13/") + (node2vec ? "Node2Vec/" : "MetaPath/") +
-              name).c_str(),
-          [d, node2vec](benchmark::State& s) {
-            BreakdownBench(s, d, node2vec);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+int Main() {
+  // Each cell is the percentage of performance lost when the technique is
+  // disabled: 100 x (1 - t_all / t_disabled).
+  Table table(
       "Fig. 13: performance lost when disabling one technique "
       "(paper: WRS 41-79% and largest; DYB small on Node2Vec; DAC helps "
-      "MetaPath more)");
-  const std::vector<int> widths = {10, 10, 12, 12, 12};
-  PrintRow({"dataset", "app", "WRS off", "DYB off", "DAC off"}, widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.dataset, row.app,
-              FormatDouble(row.wrs_loss * 100, 1) + "%",
-              FormatDouble(row.dyb_loss * 100, 1) + "%",
-              FormatDouble(row.dac_loss * 100, 1) + "%"},
-             widths);
-  }
+      "MetaPath more)",
+      {{"dataset", "dataset", 10},
+       {"app", "app", 10},
+       {"wrs_loss_pct", "WRS off", 12, Num(1, "%")},
+       {"dyb_loss_pct", "DYB off", 12, Num(1, "%")},
+       {"dac_loss_pct", "DAC off", 12, Num(1, "%")}});
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
+    for (const bool node2vec : {false, true}) {
+      const graph::CsrGraph& g = StandIn(dataset);
+      const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
+      const auto queries =
+          StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
 
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("dataset", row.dataset);
-    r.Set("app", row.app);
-    r.Set("wrs_loss_pct", row.wrs_loss * 100.0);
-    r.Set("dyb_loss_pct", row.dyb_loss * 100.0);
-    r.Set("dac_loss_pct", row.dac_loss * 100.0);
-    rows.Append(std::move(r));
+      core::AcceleratorConfig all = DefaultAccelConfig();
+      all.num_instances = 1;
+      core::AcceleratorConfig no_wrs = all;
+      no_wrs.enable_wrs_pipeline = false;
+      core::AcceleratorConfig no_dyb = all;
+      no_dyb.burst = core::BurstStrategy{1, 0};
+      core::AcceleratorConfig no_dac = all;
+      no_dac.cache_kind = core::CacheKind::kNone;
+
+      const double base =
+          static_cast<double>(RunCycles(g, *app, queries, all));
+      const auto loss_pct = [&](const core::AcceleratorConfig& disabled) {
+        return (1.0 - base / RunCycles(g, *app, queries, disabled)) * 100.0;
+      };
+      table.Add({graph::GetDatasetInfo(dataset).name, app->name(),
+                 loss_pct(no_wrs), loss_pct(no_dyb), loss_pct(no_dac)});
+    }
   }
-  WriteBenchJson("fig13_breakdown", std::move(rows));
+  return Report("fig13_breakdown", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

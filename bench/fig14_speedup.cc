@@ -7,7 +7,7 @@
 // Node2Vec; PWRS-on-CPU helps on some graphs (1.84x on OR) and hurts on
 // others; CPU WRS is ~8.2x slower than ITS.
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "baseline/engine.h"
 #include "bench_util.h"
@@ -15,19 +15,6 @@
 
 namespace lightrw::bench {
 namespace {
-
-struct Row {
-  std::string dataset;
-  std::string app;
-  double cpu_steps_s = 0.0;
-  double cpu_pwrs_steps_s = 0.0;
-  double accel_steps_s = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
 
 double RunCpu(const graph::CsrGraph& g, const apps::WalkApp& app,
               std::span<const apps::WalkQuery> queries,
@@ -45,103 +32,56 @@ double RunAccel(const graph::CsrGraph& g, const apps::WalkApp& app,
   return engine.Run(queries).StepsPerSecond();
 }
 
-void SpeedupBench(benchmark::State& state, graph::Dataset dataset,
-                  bool node2vec) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-  const auto queries =
-      StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
-
-  Row row;
-  row.dataset = graph::GetDatasetInfo(dataset).name;
-  row.app = app->name();
-  for (auto _ : state) {
-    row.cpu_steps_s = RunCpu(g, *app, queries,
-                             sampling::SamplerKind::kInverseTransform);
-    row.cpu_pwrs_steps_s =
-        RunCpu(g, *app, queries, sampling::SamplerKind::kParallelWrs);
-    row.accel_steps_s = RunAccel(g, *app, queries);
+int Main() {
+  // The BENCH json keeps raw steps/s; the text table shows Msteps/s.
+  Table table(
+      "Fig. 14: LightRW vs ThunderRW speedup (paper: 6.27-9.55x MetaPath, "
+      "5.17-9.10x Node2Vec)",
+      {{"dataset", "dataset", 10},
+       {"app", "app", 10},
+       {"cpu_steps_per_second", ""},
+       {"cpu_pwrs_steps_per_second", ""},
+       {"lightrw_steps_per_second", ""},
+       {"", "cpu Mstep/s", 14},
+       {"", "cpu+PWRS Mst/s", 16},
+       {"", "LightRW Mst/s", 16},
+       {"speedup", "speedup", 10, Num(2, "x")},
+       {"", "PWRS effect", 12, Num(2, "x")}});
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
+    for (const bool node2vec : {false, true}) {
+      const graph::CsrGraph& g = StandIn(dataset);
+      const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
+      const auto queries =
+          StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
+      const double cpu = RunCpu(g, *app, queries,
+                                sampling::SamplerKind::kInverseTransform);
+      const double cpu_pwrs =
+          RunCpu(g, *app, queries, sampling::SamplerKind::kParallelWrs);
+      const double accel = RunAccel(g, *app, queries);
+      table.Add({graph::GetDatasetInfo(dataset).name, app->name(), cpu,
+                 cpu_pwrs, accel, cpu / 1e6, cpu_pwrs / 1e6, accel / 1e6,
+                 accel / cpu, cpu_pwrs / cpu});
+    }
   }
-  state.counters["cpu_Msteps"] = row.cpu_steps_s / 1e6;
-  state.counters["pwrs_Msteps"] = row.cpu_pwrs_steps_s / 1e6;
-  state.counters["lightrw_Msteps"] = row.accel_steps_s / 1e6;
-  state.counters["speedup"] = row.accel_steps_s / row.cpu_steps_s;
-  Rows().push_back(row);
-}
 
-void WrsOnCpuBench(benchmark::State& state) {
   // §3.2: replacing ITS with sequential WRS in the CPU engine costs the
   // per-edge random number generation (the paper observed 8.2x).
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  const auto app = MakeMetaPath(g);
-  const auto queries = StandardQueries(g, kMetaPathLength);
-  for (auto _ : state) {
-    const double its = RunCpu(g, *app, queries,
-                              sampling::SamplerKind::kInverseTransform);
-    const double wrs =
-        RunCpu(g, *app, queries, sampling::SamplerKind::kReservoir);
-    state.counters["its_over_wrs"] = its / wrs;
-  }
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    const char* name = graph::GetDatasetInfo(d).name;
-    benchmark::RegisterBenchmark(
-        (std::string("Fig14/MetaPath/") + name).c_str(),
-        [d](benchmark::State& s) { SpeedupBench(s, d, false); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        (std::string("Fig14/Node2Vec/") + name).c_str(),
-        [d](benchmark::State& s) { SpeedupBench(s, d, true); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  }
-  benchmark::RegisterBenchmark("Fig14/WrsOnCpu/LJ", WrsOnCpuBench)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(1);
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Fig. 14: LightRW vs ThunderRW speedup (paper: 6.27-9.55x MetaPath, "
-      "5.17-9.10x Node2Vec)");
-  const std::vector<int> widths = {10, 10, 14, 16, 16, 10, 12};
-  PrintRow({"dataset", "app", "cpu Mstep/s", "cpu+PWRS Mst/s",
-            "LightRW Mst/s", "speedup", "PWRS effect"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.dataset, row.app, FormatDouble(row.cpu_steps_s / 1e6),
-              FormatDouble(row.cpu_pwrs_steps_s / 1e6),
-              FormatDouble(row.accel_steps_s / 1e6),
-              FormatDouble(row.accel_steps_s / row.cpu_steps_s) + "x",
-              FormatDouble(row.cpu_pwrs_steps_s / row.cpu_steps_s) + "x"},
-             widths);
-  }
-
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("dataset", row.dataset);
-    r.Set("app", row.app);
-    r.Set("cpu_steps_per_second", row.cpu_steps_s);
-    r.Set("cpu_pwrs_steps_per_second", row.cpu_pwrs_steps_s);
-    r.Set("lightrw_steps_per_second", row.accel_steps_s);
-    r.Set("speedup", row.accel_steps_s / row.cpu_steps_s);
-    rows.Append(std::move(r));
-  }
-  WriteBenchJson("fig14_speedup", std::move(rows));
+  const graph::CsrGraph& lj = StandIn(graph::Dataset::kLiveJournal);
+  const auto metapath = MakeMetaPath(lj);
+  const auto queries = StandardQueries(lj, kMetaPathLength);
+  const double its = RunCpu(lj, *metapath, queries,
+                            sampling::SamplerKind::kInverseTransform);
+  const double wrs =
+      RunCpu(lj, *metapath, queries, sampling::SamplerKind::kReservoir);
+  char note[96];
+  std::snprintf(note, sizeof(note),
+                "CPU ITS over sequential WRS on LJ MetaPath: %.2fx",
+                its / wrs);
+  table.AddNote(note);
+  return Report("fig14_speedup", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -5,8 +5,6 @@
 // Paper result: LightRW's latency is much lower and far more consistent
 // (deterministic hardware pipeline vs. CPU scheduling noise).
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/engine.h"
 #include "bench_util.h"
 #include "lightrw/cycle_engine.h"
@@ -14,104 +12,56 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string dataset;
-  std::string app;
-  std::string system;
-  double min_us, q1_us, median_us, q3_us, max_us;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
+std::vector<obs::Json> QuartileRow(const std::string& dataset,
+                                   const std::string& app,
+                                   const char* system,
+                                   const SampleStats& stats, double to_us) {
+  return {dataset, app, system, stats.Min() * to_us,
+          stats.Quantile(0.25) * to_us, stats.Median() * to_us,
+          stats.Quantile(0.75) * to_us, stats.Max() * to_us};
 }
 
-Row Quartiles(const SampleStats& stats, double to_us) {
-  Row row;
-  row.min_us = stats.Min() * to_us;
-  row.q1_us = stats.Quantile(0.25) * to_us;
-  row.median_us = stats.Median() * to_us;
-  row.q3_us = stats.Quantile(0.75) * to_us;
-  row.max_us = stats.Max() * to_us;
-  return row;
-}
-
-void LatencyBench(benchmark::State& state, graph::Dataset dataset,
-                  bool node2vec) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-  const uint32_t length = node2vec ? kNode2VecLength : kMetaPathLength;
-  const auto queries = StandardQueries(g, length, /*cap=*/8192);
-
-  for (auto _ : state) {
-    baseline::BaselineConfig cpu_config;
-    cpu_config.collect_latency = true;
-    baseline::BaselineEngine cpu(&g, app.get(), cpu_config);
-    const auto cpu_stats = cpu.Run(queries);
-
-    core::AcceleratorConfig accel_config = DefaultAccelConfig();
-    accel_config.collect_latency = true;
-    core::CycleEngine accel(&g, app.get(), accel_config);
-    const auto accel_stats = accel.Run(queries);
-
-    Row cpu_row = Quartiles(cpu_stats.query_latency_seconds, 1e6);
-    cpu_row.dataset = graph::GetDatasetInfo(dataset).name;
-    cpu_row.app = app->name();
-    cpu_row.system = "ThunderRW";
-    Rows().push_back(cpu_row);
-
-    // Accelerator latencies are recorded in kernel cycles at 300 MHz.
-    Row accel_row =
-        Quartiles(accel_stats.query_latency_cycles, 1e6 / 300e6);
-    accel_row.dataset = cpu_row.dataset;
-    accel_row.app = cpu_row.app;
-    accel_row.system = "LightRW";
-    Rows().push_back(accel_row);
-
-    state.counters["cpu_median_us"] = cpu_row.median_us;
-    state.counters["lightrw_median_us"] = accel_row.median_us;
-    state.counters["cpu_iqr_us"] = cpu_row.q3_us - cpu_row.q1_us;
-    state.counters["lightrw_iqr_us"] = accel_row.q3_us - accel_row.q1_us;
-  }
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    const char* name = graph::GetDatasetInfo(d).name;
+int Main() {
+  Table table(
+      "Fig. 15: per-query latency quartiles in microseconds "
+      "(paper: LightRW lower and tighter than ThunderRW)",
+      {{"dataset", "dataset", 10},
+       {"app", "app", 10},
+       {"system", "system", 12},
+       {"min_us", "min", 10, Num(1)},
+       {"q1_us", "q1", 10, Num(1)},
+       {"median_us", "median", 10, Num(1)},
+       {"q3_us", "q3", 10, Num(1)},
+       {"max_us", "max", 12, Num(1)}});
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
     for (const bool node2vec : {false, true}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Fig15/") + (node2vec ? "Node2Vec/" : "MetaPath/") +
-              name).c_str(),
-          [d, node2vec](benchmark::State& s) { LatencyBench(s, d, node2vec); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      const graph::CsrGraph& g = StandIn(dataset);
+      const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
+      const uint32_t length = node2vec ? kNode2VecLength : kMetaPathLength;
+      const auto queries = StandardQueries(g, length, /*cap=*/8192);
+
+      baseline::BaselineConfig cpu_config;
+      cpu_config.collect_latency = true;
+      baseline::BaselineEngine cpu(&g, app.get(), cpu_config);
+      const auto cpu_stats = cpu.Run(queries);
+
+      core::AcceleratorConfig accel_config = DefaultAccelConfig();
+      accel_config.collect_latency = true;
+      core::CycleEngine accel(&g, app.get(), accel_config);
+      const auto accel_stats = accel.Run(queries);
+
+      const std::string name = graph::GetDatasetInfo(dataset).name;
+      table.Add(QuartileRow(name, app->name(), "ThunderRW",
+                            cpu_stats.query_latency_seconds, 1e6));
+      // Accelerator latencies are recorded in kernel cycles at 300 MHz.
+      table.Add(QuartileRow(name, app->name(), "LightRW",
+                            accel_stats.query_latency_cycles, 1e6 / 300e6));
     }
   }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Fig. 15: per-query latency quartiles in microseconds "
-      "(paper: LightRW lower and tighter than ThunderRW)");
-  const std::vector<int> widths = {10, 10, 12, 10, 10, 10, 10, 12};
-  PrintRow({"dataset", "app", "system", "min", "q1", "median", "q3", "max"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.dataset, row.app, row.system, FormatDouble(row.min_us, 1),
-              FormatDouble(row.q1_us, 1), FormatDouble(row.median_us, 1),
-              FormatDouble(row.q3_us, 1), FormatDouble(row.max_us, 1)},
-             widths);
-  }
+  return Report("fig15_latency", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -6,8 +6,6 @@
 // needs many queries to amortize its setup, so the speedup is largest at
 // small query counts (up to 75x at 2^10).
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/engine.h"
 #include "bench_util.h"
 #include "lightrw/cycle_engine.h"
@@ -15,77 +13,33 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string app;
-  size_t queries = 0;
-  double cpu_steps_s = 0.0;
-  double accel_steps_s = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void QueryCountBench(benchmark::State& state, bool node2vec) {
-  const size_t count = static_cast<size_t>(state.range(0));
-  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-  const uint32_t length = node2vec ? kNode2VecLength : kMetaPathLength;
-  const auto queries = RepeatedQueries(g, length, count);
-
-  Row row;
-  row.app = app->name();
-  row.queries = count;
-  for (auto _ : state) {
-    baseline::BaselineEngine cpu(&g, app.get(), baseline::BaselineConfig{});
-    row.cpu_steps_s = cpu.Run(queries).StepsPerSecond();
-    core::CycleEngine accel(&g, app.get(), DefaultAccelConfig());
-    row.accel_steps_s = accel.Run(queries).StepsPerSecond();
-  }
-  state.counters["cpu_Msteps"] = row.cpu_steps_s / 1e6;
-  state.counters["lightrw_Msteps"] = row.accel_steps_s / 1e6;
-  state.counters["speedup"] = row.accel_steps_s / row.cpu_steps_s;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const bool node2vec : {false, true}) {
-    auto* bench = benchmark::RegisterBenchmark(
-        (std::string("Fig16/") + (node2vec ? "Node2Vec" : "MetaPath")).c_str(),
-        [node2vec](benchmark::State& s) { QueryCountBench(s, node2vec); });
-    bench->ArgName("queries");
-    for (size_t q = 1 << 10; q <= (1 << 16); q <<= 2) {
-      bench->Arg(static_cast<int64_t>(q));
-    }
-    bench->Iterations(1)->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
+int Main() {
+  Table table(
       "Fig. 16: throughput vs number of queries on LJ "
-      "(paper: LightRW flat; speedup largest at small query counts)");
-  const std::vector<int> widths = {10, 12, 16, 18, 10};
-  PrintRow({"app", "queries", "cpu Mstep/s", "LightRW Mstep/s", "speedup"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.app, std::to_string(row.queries),
-              FormatDouble(row.cpu_steps_s / 1e6),
-              FormatDouble(row.accel_steps_s / 1e6),
-              FormatDouble(row.accel_steps_s / row.cpu_steps_s) + "x"},
-             widths);
+      "(paper: LightRW flat; speedup largest at small query counts)",
+      {{"app", "app", 10},
+       {"queries", "queries", 12},
+       {"cpu_msteps_per_s", "cpu Mstep/s", 16},
+       {"lightrw_msteps_per_s", "LightRW Mstep/s", 18},
+       {"speedup", "speedup", 10, Num(2, "x")}});
+  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
+  for (const bool node2vec : {false, true}) {
+    const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
+    const uint32_t length = node2vec ? kNode2VecLength : kMetaPathLength;
+    for (size_t count = 1 << 10; count <= (1 << 16); count <<= 2) {
+      const auto queries = RepeatedQueries(g, length, count);
+      baseline::BaselineEngine cpu(&g, app.get(), baseline::BaselineConfig{});
+      const double cpu_steps_s = cpu.Run(queries).StepsPerSecond();
+      core::CycleEngine accel(&g, app.get(), DefaultAccelConfig());
+      const double accel_steps_s = accel.Run(queries).StepsPerSecond();
+      table.Add({app->name(), count, cpu_steps_s / 1e6, accel_steps_s / 1e6,
+                 accel_steps_s / cpu_steps_s});
+    }
   }
+  return Report("fig16_query_count", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -5,8 +5,6 @@
 // across lengths, with LightRW ~10x ahead on MetaPath and ~8.3-9.3x on
 // Node2Vec.
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/engine.h"
 #include "bench_util.h"
 #include "lightrw/cycle_engine.h"
@@ -14,86 +12,43 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string app;
-  uint32_t length = 0;
-  double cpu_steps_s = 0.0;
-  double accel_steps_s = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void QueryLengthBench(benchmark::State& state, bool node2vec) {
-  const uint32_t length = static_cast<uint32_t>(state.range(0));
+int Main() {
+  Table table(
+      "Fig. 17: throughput vs query length on LJ "
+      "(paper: flat for both systems; ~10x MetaPath, ~9x Node2Vec)",
+      {{"app", "app", 10},
+       {"length", "length", 10},
+       {"cpu_msteps_per_s", "cpu Mstep/s", 16},
+       {"lightrw_msteps_per_s", "LightRW Mstep/s", 18},
+       {"speedup", "speedup", 10, Num(2, "x")}});
   const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-  std::unique_ptr<apps::WalkApp> app;
-  if (node2vec) {
-    app = MakeNode2Vec();
-  } else {
-    // The relation path must cover the full requested length or MetaPath
-    // walks would die at the path's end.
-    app = std::make_unique<apps::MetaPathApp>(
-        apps::MakeRandomRelationPath(g, length, kBenchSeed));
-  }
-  const auto queries = StandardQueries(g, length);
-
-  Row row;
-  row.app = node2vec ? "Node2Vec" : "MetaPath";
-  row.length = length;
-  for (auto _ : state) {
-    baseline::BaselineEngine cpu(&g, app.get(), baseline::BaselineConfig{});
-    row.cpu_steps_s = cpu.Run(queries).StepsPerSecond();
-    core::CycleEngine accel(&g, app.get(), DefaultAccelConfig());
-    row.accel_steps_s = accel.Run(queries).StepsPerSecond();
-  }
-  state.counters["cpu_Msteps"] = row.cpu_steps_s / 1e6;
-  state.counters["lightrw_Msteps"] = row.accel_steps_s / 1e6;
-  state.counters["speedup"] = row.accel_steps_s / row.cpu_steps_s;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
   // MetaPath relation paths are generated at the requested length, so the
   // sweep applies to both apps (the paper sweeps 10..80 for both).
   for (const bool node2vec : {false, true}) {
-    auto* bench = benchmark::RegisterBenchmark(
-        (std::string("Fig17/") + (node2vec ? "Node2Vec" : "MetaPath")).c_str(),
-        [node2vec](benchmark::State& s) { QueryLengthBench(s, node2vec); });
-    bench->ArgName("length");
-    for (int64_t len = 10; len <= 80; len += 10) {
-      bench->Arg(len);
+    for (uint32_t length = 10; length <= 80; length += 10) {
+      std::unique_ptr<apps::WalkApp> app;
+      if (node2vec) {
+        app = MakeNode2Vec();
+      } else {
+        // The relation path must cover the full requested length or
+        // MetaPath walks would die at the path's end.
+        app = std::make_unique<apps::MetaPathApp>(
+            apps::MakeRandomRelationPath(g, length, kBenchSeed));
+      }
+      const auto queries = StandardQueries(g, length);
+      baseline::BaselineEngine cpu(&g, app.get(), baseline::BaselineConfig{});
+      const double cpu_steps_s = cpu.Run(queries).StepsPerSecond();
+      core::CycleEngine accel(&g, app.get(), DefaultAccelConfig());
+      const double accel_steps_s = accel.Run(queries).StepsPerSecond();
+      table.Add({node2vec ? "Node2Vec" : "MetaPath", uint64_t{length},
+                 cpu_steps_s / 1e6, accel_steps_s / 1e6,
+                 accel_steps_s / cpu_steps_s});
     }
-    bench->Iterations(1)->Unit(benchmark::kMillisecond);
   }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Fig. 17: throughput vs query length on LJ "
-      "(paper: flat for both systems; ~10x MetaPath, ~9x Node2Vec)");
-  const std::vector<int> widths = {10, 10, 16, 18, 10};
-  PrintRow({"app", "length", "cpu Mstep/s", "LightRW Mstep/s", "speedup"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.app, std::to_string(row.length),
-              FormatDouble(row.cpu_steps_s / 1e6),
-              FormatDouble(row.accel_steps_s / 1e6),
-              FormatDouble(row.accel_steps_s / row.cpu_steps_s) + "x"},
-             widths);
-  }
+  return Report("fig17_query_length", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

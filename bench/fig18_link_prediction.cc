@@ -7,7 +7,8 @@
 // LightRW roughly halves the total, and the extra PCIe copies are
 // negligible.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdio>
 
 #include "analytics/embedding.h"
 #include "analytics/link_prediction.h"
@@ -20,57 +21,40 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string system;
-  double walk_s = 0.0;
-  double pcie_s = 0.0;
-  double train_s = 0.0;
-  double predict_s = 0.0;
-  double auc = 0.0;
-  double total() const { return walk_s + pcie_s + train_s + predict_s; }
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void CaseStudyBench(benchmark::State& state, bool accelerated) {
+int Main() {
+  Table table(
+      "Fig. 18: link prediction time breakdown on LJ "
+      "(paper: walk dominates; LightRW halves the end-to-end time)",
+      {{"system", "system", 16},
+       {"walk_s", "walk s", 10, Num(3)},
+       {"pcie_s", "pcie s", 10, Num(3)},
+       {"train_s", "train s", 10, Num(3)},
+       {"predict_s", "predict s", 12, Num(3)},
+       {"total_s", "total s", 10, Num(3)},
+       {"auc", "AUC", 8, Num(3)}});
   // A smaller LJ stand-in: the embedding training must stay proportionate.
-  const uint32_t shift = std::max(ScaleShift() + 2, 9u);
-  static std::map<uint32_t, graph::CsrGraph>& cache =
-      *new std::map<uint32_t, graph::CsrGraph>();
-  auto it = cache.find(shift);
-  if (it == cache.end()) {
-    it = cache
-             .emplace(shift, graph::MakeDatasetStandIn(
-                                 graph::Dataset::kLiveJournal, shift,
-                                 kBenchSeed))
-             .first;
-  }
-  const graph::CsrGraph& g = it->second;
+  const graph::CsrGraph g = graph::MakeDatasetStandIn(
+      graph::Dataset::kLiveJournal, std::max(ScaleShift() + 2, 9u),
+      kBenchSeed);
   const auto app = MakeNode2Vec();
-  const auto queries =
-      apps::MakeVertexQueries(g, /*length=*/40, kBenchSeed);
+  const auto queries = apps::MakeVertexQueries(g, /*length=*/40, kBenchSeed);
 
-  Row row;
-  row.system = accelerated ? "SNAP w/LightRW" : "SNAP";
-  for (auto _ : state) {
+  double totals[2] = {};
+  for (const bool accelerated : {false, true}) {
     baseline::WalkOutput corpus;
+    double walk_s = 0.0;
+    double pcie_s = 0.0;
     if (accelerated) {
       const core::AcceleratorConfig config = DefaultAccelConfig();
       core::CycleEngine engine(&g, app.get(), config);
-      const auto stats = engine.Run(queries, &corpus);
-      row.walk_s = stats.seconds;
+      walk_s = engine.Run(queries, &corpus).seconds;
       core::PcieModel pcie;
-      row.pcie_s = pcie.TransferSeconds(pcie.RunBytes(
-          g, config.num_instances, queries.size(), 40));
+      pcie_s = pcie.TransferSeconds(
+          pcie.RunBytes(g, config.num_instances, queries.size(), 40));
     } else {
       baseline::BaselineEngine engine(&g, app.get(),
                                       baseline::BaselineConfig{});
-      const auto stats = engine.Run(queries, &corpus);
-      row.walk_s = stats.seconds;
-      row.pcie_s = 0.0;
+      walk_s = engine.Run(queries, &corpus).seconds;
     }
 
     WallTimer train_timer;
@@ -79,62 +63,26 @@ void CaseStudyBench(benchmark::State& state, bool accelerated) {
     embed_config.dimensions = 32;
     const auto embedding =
         analytics::TrainEmbedding(corpus, g.num_vertices(), embed_config);
-    row.train_s = train_timer.ElapsedSeconds();
+    const double train_s = train_timer.ElapsedSeconds();
 
     WallTimer predict_timer;
     const auto result =
         analytics::EvaluateLinkPrediction(g, embedding, 512, kBenchSeed);
-    row.predict_s = predict_timer.ElapsedSeconds();
-    row.auc = result.auc;
-  }
-  state.counters["walk_s"] = row.walk_s;
-  state.counters["train_s"] = row.train_s;
-  state.counters["total_s"] = row.total();
-  state.counters["auc"] = row.auc;
-  Rows().push_back(row);
-}
+    const double predict_s = predict_timer.ElapsedSeconds();
 
-void RegisterAll() {
-  benchmark::RegisterBenchmark(
-      "Fig18/SNAP", [](benchmark::State& s) { CaseStudyBench(s, false); })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark(
-      "Fig18/SNAP_w_LightRW",
-      [](benchmark::State& s) { CaseStudyBench(s, true); })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Fig. 18: link prediction time breakdown on LJ "
-      "(paper: walk dominates; LightRW halves the end-to-end time)");
-  const std::vector<int> widths = {16, 10, 10, 10, 12, 10, 8};
-  PrintRow({"system", "walk s", "pcie s", "train s", "predict s", "total s",
-            "AUC"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.system, FormatDouble(row.walk_s, 3),
-              FormatDouble(row.pcie_s, 3), FormatDouble(row.train_s, 3),
-              FormatDouble(row.predict_s, 3), FormatDouble(row.total(), 3),
-              FormatDouble(row.auc, 3)},
-             widths);
+    const double total_s = walk_s + pcie_s + train_s + predict_s;
+    totals[accelerated] = total_s;
+    table.Add({accelerated ? "SNAP w/LightRW" : "SNAP", walk_s, pcie_s,
+               train_s, predict_s, total_s, result.auc});
   }
-  if (Rows().size() == 2) {
-    std::printf("end-to-end speedup: %.2fx\n",
-                Rows()[0].total() / Rows()[1].total());
-  }
+  char note[64];
+  std::snprintf(note, sizeof(note), "end-to-end speedup: %.2fx",
+                totals[0] / totals[1]);
+  table.AddNote(note);
+  return Report("fig18_link_prediction", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -6,8 +6,6 @@
 // the valid-data ratio is highest at burst length 1 and decays with longer
 // fixed bursts because adjacency lists rarely fill a long burst.
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/engine.h"
 #include "bench_util.h"
 #include "hwsim/dram.h"
@@ -17,57 +15,44 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  uint32_t burst_beats = 0;
-  double bandwidth_gbs = 0.0;
-  double valid_ratio = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
 // Degrees of the vertices actually expanded by a MetaPath run on LJ — the
 // request-size distribution the burst engine sees.
-const std::vector<uint32_t>& VisitedDegrees() {
-  static auto* degrees = new std::vector<uint32_t>([] {
-    const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
-    const auto app = MakeMetaPath(g);
-    core::FunctionalEngine engine(&g, app.get(), DefaultAccelConfig());
-    const auto queries = StandardQueries(g, kMetaPathLength);
-    baseline::WalkOutput output;
-    engine.Run(queries, &output);
-    std::vector<uint32_t> degrees;
-    degrees.reserve(output.vertices.size());
-    for (size_t p = 0; p < output.num_paths(); ++p) {
-      const auto path = output.Path(p);
-      // Every path vertex except the last is expanded (its adjacency is
-      // streamed from DRAM).
-      for (size_t i = 0; i + 1 < path.size(); ++i) {
-        degrees.push_back(g.Degree(path[i]));
-      }
+std::vector<uint32_t> VisitedDegrees() {
+  const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
+  const auto app = MakeMetaPath(g);
+  core::FunctionalEngine engine(&g, app.get(), DefaultAccelConfig());
+  const auto queries = StandardQueries(g, kMetaPathLength);
+  baseline::WalkOutput output;
+  engine.Run(queries, &output);
+  std::vector<uint32_t> degrees;
+  degrees.reserve(output.vertices.size());
+  for (size_t p = 0; p < output.num_paths(); ++p) {
+    const auto path = output.Path(p);
+    // Every path vertex except the last is expanded (its adjacency is
+    // streamed from DRAM).
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      degrees.push_back(g.Degree(path[i]));
     }
-    return degrees;
-  }());
-  return *degrees;
+  }
+  return degrees;
 }
 
-void BurstLengthBench(benchmark::State& state) {
-  const uint32_t beats = static_cast<uint32_t>(state.range(0));
-  hwsim::DramChannel channel{hwsim::DramConfig{}};
-
-  Row row;
-  row.burst_beats = beats;
-  row.bandwidth_gbs = channel.SteadyStateBandwidth(beats) / 1e9;
-
-  for (auto _ : state) {
+int Main() {
+  Table table(
+      "Fig. 6: bandwidth vs burst length and ratio of valid data "
+      "(paper: peak 17.57 GB/s; valid ratio highest at burst length 1)",
+      {{"burst_beats", "burst length", 14},
+       {"bandwidth_gbs", "bandwidth GB/s", 18},
+       {"valid_ratio", "valid ratio", 14}});
+  const std::vector<uint32_t> degrees = VisitedDegrees();
+  const hwsim::DramChannel channel{hwsim::DramConfig{}};
+  for (const uint32_t beats : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
     // Fixed burst length: every adjacency fetch is rounded up to whole
     // bursts of `beats` bus words.
     uint64_t requested = 0;
     uint64_t loaded = 0;
     const core::BurstStrategy fixed{beats, 0};
-    for (const uint32_t degree : VisitedDegrees()) {
+    for (const uint32_t degree : degrees) {
       const uint64_t bytes =
           static_cast<uint64_t>(degree) * graph::kBytesPerEdgeRecord;
       const core::BurstPlan plan =
@@ -75,50 +60,13 @@ void BurstLengthBench(benchmark::State& state) {
       requested += bytes;
       loaded += plan.loaded_bytes;
     }
-    row.valid_ratio =
-        loaded == 0 ? 1.0 : static_cast<double>(requested) / loaded;
+    table.Add({uint64_t{beats}, channel.SteadyStateBandwidth(beats) / 1e9,
+               loaded == 0 ? 1.0 : static_cast<double>(requested) / loaded});
   }
-  state.counters["bandwidth_GBs"] = row.bandwidth_gbs;
-  state.counters["valid_ratio"] = row.valid_ratio;
-  Rows().push_back(row);
+  return Report("fig6_burst_bandwidth", {table});
 }
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Fig. 6: bandwidth vs burst length and ratio of valid data "
-      "(paper: peak 17.57 GB/s; valid ratio highest at burst length 1)");
-  const std::vector<int> widths = {14, 18, 14};
-  PrintRow({"burst length", "bandwidth GB/s", "valid ratio"}, widths);
-  for (const Row& row : Rows()) {
-    PrintRow({std::to_string(row.burst_beats),
-              FormatDouble(row.bandwidth_gbs), FormatDouble(row.valid_ratio)},
-             widths);
-  }
-
-  obs::Json rows = obs::Json::MakeArray();
-  for (const Row& row : Rows()) {
-    obs::Json r = obs::Json::MakeObject();
-    r.Set("burst_beats", static_cast<uint64_t>(row.burst_beats));
-    r.Set("bandwidth_gbs", row.bandwidth_gbs);
-    r.Set("valid_ratio", row.valid_ratio);
-    rows.Append(std::move(r));
-  }
-  WriteBenchJson("fig6_burst_bandwidth", std::move(rows));
-}
-
-BENCHMARK(BurstLengthBench)
-    ->ArgName("beats")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

@@ -8,96 +8,46 @@
 
 #include <algorithm>
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/engine.h"
 #include "bench_util.h"
 
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string app;
-  std::string dataset;
-  double llc_miss = 0.0;
-  double memory_bound = 0.0;
-  double retiring = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void ProfileBench(benchmark::State& state, graph::Dataset dataset,
-                  bool node2vec) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-  const auto queries =
-      StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
-  baseline::BaselineConfig config;
-  config.collect_profile = true;
-  // Scale the modeled LLC with the graph stand-ins so capacity pressure
-  // matches the paper's full-scale setup (35.75 MB against tens of GB of
-  // graph data).
-  config.llc_bytes =
-      std::max<uint64_t>(1ull << 14, (32ull << 20) >> ScaleShift());
-  baseline::BaselineEngine engine(&g, app.get(), config);
-
-  Row row;
-  row.app = app->name();
-  row.dataset = graph::GetDatasetInfo(dataset).full_name;
-  for (auto _ : state) {
-    const auto stats = engine.Run(queries);
-    row.llc_miss = stats.profile.LlcMissRatio();
-    row.memory_bound = stats.profile.memory_bound;
-    row.retiring = stats.profile.retiring_ratio;
-  }
-  state.counters["llc_miss_pct"] = row.llc_miss * 100.0;
-  state.counters["memory_bound_pct"] = row.memory_bound * 100.0;
-  state.counters["retiring_pct"] = row.retiring * 100.0;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d :
+int Main() {
+  Table table(
+      "Table 1: CPU GDRW profiling proxies (paper: LLC miss 58-77%, "
+      "memory bound 31-60%, retiring 8-34%)",
+      {{"app", "app", 10},
+       {"graph", "graph", 14},
+       {"llc_miss", "LLC miss", 12, Percent(1)},
+       {"memory_bound", "memory bound", 16, Percent(1)},
+       {"retiring", "retiring", 12, Percent(1)}});
+  for (const graph::Dataset dataset :
        {graph::Dataset::kLiveJournal, graph::Dataset::kUk2002}) {
-    const char* name = graph::GetDatasetInfo(d).name;
     for (const bool node2vec : {false, true}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Table1/") + (node2vec ? "Node2Vec/" : "MetaPath/") +
-              name).c_str(),
-          [d, node2vec](benchmark::State& s) { ProfileBench(s, d, node2vec); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+      const graph::CsrGraph& g = StandIn(dataset);
+      const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
+      const auto queries =
+          StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
+      baseline::BaselineConfig config;
+      config.collect_profile = true;
+      // Scale the modeled LLC with the graph stand-ins so capacity pressure
+      // matches the paper's full-scale setup (35.75 MB against tens of GB
+      // of graph data).
+      config.llc_bytes =
+          std::max<uint64_t>(1ull << 14, (32ull << 20) >> ScaleShift());
+      baseline::BaselineEngine engine(&g, app.get(), config);
+      const auto profile = engine.Run(queries).profile;
+      table.Add({app->name(), graph::GetDatasetInfo(dataset).full_name,
+                 profile.LlcMissRatio(), profile.memory_bound,
+                 profile.retiring_ratio});
     }
   }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Table 1: CPU GDRW profiling proxies (paper: LLC miss 58-77%, "
-      "memory bound 31-60%, retiring 8-34%)");
-  const std::vector<int> widths = {10, 14, 12, 16, 12};
-  PrintRow({"app", "graph", "LLC miss", "memory bound", "retiring"},
-           widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.app, row.dataset,
-              FormatDouble(row.llc_miss * 100, 1) + "%",
-              FormatDouble(row.memory_bound * 100, 1) + "%",
-              FormatDouble(row.retiring * 100, 1) + "%"},
-             widths);
-  }
+  return Report("table1_cpu_profile", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

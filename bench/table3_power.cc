@@ -11,8 +11,7 @@
 // 15.05x-26.42x (MetaPath) and 16.28x-24.10x (Node2Vec).
 
 #include <algorithm>
-
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "baseline/engine.h"
 #include "bench_util.h"
@@ -22,93 +21,55 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string dataset;
-  std::string app;
-  double fpga_watts = 0.0;
-  double cpu_watts = 0.0;
-  double improvement = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void PowerBench(benchmark::State& state, graph::Dataset dataset,
-                bool node2vec) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-  const auto queries =
-      StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
-  const core::AcceleratorConfig accel_config = DefaultAccelConfig();
-
-  Row row;
-  row.dataset = graph::GetDatasetInfo(dataset).name;
-  row.app = app->name();
-  for (auto _ : state) {
-    baseline::BaselineEngine cpu(&g, app.get(), baseline::BaselineConfig{});
-    const double cpu_seconds = cpu.Run(queries).seconds;
-    core::CycleEngine accel(&g, app.get(), accel_config);
-    const double accel_seconds = accel.Run(queries).seconds;
-
-    // Watts are modeled at the paper's full dataset sizes.
-    const uint64_t paper_edges = graph::GetDatasetInfo(dataset).num_edges;
-    core::PowerModel power;
-    row.fpga_watts = power.FpgaWatts(accel_config.num_instances,
-                                     paper_edges, node2vec);
-    row.cpu_watts = power.CpuWatts(paper_edges, node2vec);
-    row.improvement =
-        (cpu_seconds * row.cpu_watts) / (accel_seconds * row.fpga_watts);
-  }
-  state.counters["fpga_watts"] = row.fpga_watts;
-  state.counters["cpu_watts"] = row.cpu_watts;
-  state.counters["efficiency_x"] = row.improvement;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    const char* name = graph::GetDatasetInfo(d).name;
+int Main() {
+  Table table(
+      "Table 3: power efficiency improvement "
+      "(paper: MetaPath 15.05-26.42x, Node2Vec 16.28-24.10x)",
+      {{"dataset", "dataset", 10},
+       {"app", "app", 10},
+       {"fpga_watts", "LightRW W", 14, Num(1)},
+       {"cpu_watts", "CPU W", 14, Num(1)},
+       {"efficiency_improvement", "efficiency", 16, Num(2, "x")}});
+  // Per app (MetaPath, Node2Vec): the lowest and highest improvement.
+  double lo[2] = {1e30, 1e30}, hi[2] = {0.0, 0.0};
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
     for (const bool node2vec : {false, true}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Table3/") + (node2vec ? "Node2Vec/" : "MetaPath/") +
-              name).c_str(),
-          [d, node2vec](benchmark::State& s) { PowerBench(s, d, node2vec); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      const graph::CsrGraph& g = StandIn(dataset);
+      const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
+      const auto queries =
+          StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
+      const core::AcceleratorConfig accel_config = DefaultAccelConfig();
+
+      baseline::BaselineEngine cpu(&g, app.get(), baseline::BaselineConfig{});
+      const double cpu_seconds = cpu.Run(queries).seconds;
+      core::CycleEngine accel(&g, app.get(), accel_config);
+      const double accel_seconds = accel.Run(queries).seconds;
+
+      // Watts are modeled at the paper's full dataset sizes.
+      const uint64_t paper_edges = graph::GetDatasetInfo(dataset).num_edges;
+      core::PowerModel power;
+      const double fpga_watts = power.FpgaWatts(accel_config.num_instances,
+                                                paper_edges, node2vec);
+      const double cpu_watts = power.CpuWatts(paper_edges, node2vec);
+      const double improvement =
+          (cpu_seconds * cpu_watts) / (accel_seconds * fpga_watts);
+      table.Add({graph::GetDatasetInfo(dataset).name, app->name(),
+                 fpga_watts, cpu_watts, improvement});
+      lo[node2vec] = std::min(lo[node2vec], improvement);
+      hi[node2vec] = std::max(hi[node2vec], improvement);
     }
   }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Table 3: power efficiency improvement "
-      "(paper: MetaPath 15.05-26.42x, Node2Vec 16.28-24.10x)");
-  const std::vector<int> widths = {10, 10, 14, 14, 16};
-  PrintRow({"dataset", "app", "LightRW W", "CPU W", "efficiency"}, widths);
-  double lo[2] = {1e30, 1e30}, hi[2] = {0.0, 0.0};
-  for (const Row& row : Rows()) {
-    PrintRow({row.dataset, row.app, FormatDouble(row.fpga_watts, 1),
-              FormatDouble(row.cpu_watts, 1),
-              FormatDouble(row.improvement) + "x"},
-             widths);
-    const int idx = row.app == "Node2Vec" ? 1 : 0;
-    lo[idx] = std::min(lo[idx], row.improvement);
-    hi[idx] = std::max(hi[idx], row.improvement);
-  }
-  std::printf("MetaPath efficiency range: %.2fx ~ %.2fx\n", lo[0], hi[0]);
-  std::printf("Node2Vec efficiency range: %.2fx ~ %.2fx\n", lo[1], hi[1]);
+  char note[96];
+  std::snprintf(note, sizeof(note),
+                "MetaPath efficiency range: %.2fx ~ %.2fx", lo[0], hi[0]);
+  table.AddNote(note);
+  std::snprintf(note, sizeof(note),
+                "Node2Vec efficiency range: %.2fx ~ %.2fx", lo[1], hi[1]);
+  table.AddNote(note);
+  return Report("table3_power", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

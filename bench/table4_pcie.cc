@@ -9,8 +9,6 @@
 // Paper result: MetaPath 15.3-33.5% (short walks barely amortize the
 // transfer), Node2Vec 0.07-1.10% (80-step walks dwarf it).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "lightrw/cycle_engine.h"
 #include "lightrw/platform_models.h"
@@ -18,88 +16,46 @@
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string dataset;
-  std::string app;
-  double pcie_share = 0.0;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-void PcieBench(benchmark::State& state, graph::Dataset dataset,
-               bool node2vec) {
-  const graph::CsrGraph& g = StandIn(dataset);
-  const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-  const uint32_t length = node2vec ? kNode2VecLength : kMetaPathLength;
-  const auto queries = StandardQueries(g, length);
-  const core::AcceleratorConfig config = DefaultAccelConfig();
-
-  Row row;
-  row.dataset = graph::GetDatasetInfo(dataset).name;
-  row.app = app->name();
-  for (auto _ : state) {
-    core::CycleEngine accel(&g, app.get(), config);
-    const auto stats = accel.Run(queries);
-
-    // Extrapolate kernel time from the capped query set to the paper's
-    // one-query-per-vertex setting.
-    const uint64_t full_queries = g.CountNonIsolatedVertices();
-    const double scale =
-        static_cast<double>(full_queries) / static_cast<double>(queries.size());
-    const double kernel_seconds = stats.seconds * scale;
-
-    core::PcieModel pcie;
-    const double graph_seconds =
-        pcie.TransferSeconds(g.ModeledByteSize() * config.num_instances);
-    const uint64_t query_result_bytes =
-        full_queries * 8 +
-        full_queries * (static_cast<uint64_t>(length) + 1) * 4;
-    const double io_seconds =
-        graph_seconds + pcie.TransferSeconds(query_result_bytes);
-    row.pcie_share = io_seconds / (io_seconds + kernel_seconds);
-  }
-  state.counters["pcie_pct"] = row.pcie_share * 100.0;
-  Rows().push_back(row);
-}
-
-void RegisterAll() {
-  for (const graph::Dataset d : graph::kAllDatasets) {
-    const char* name = graph::GetDatasetInfo(d).name;
+int Main() {
+  Table table(
+      "Table 4: PCIe transfer share of end-to-end time "
+      "(paper: MetaPath 15.3-33.5%, Node2Vec 0.07-1.10%)",
+      {{"app", "app", 10},
+       {"dataset", "dataset", 12},
+       {"pcie_share", "PCIe share", 12, Percent(2)}});
+  for (const graph::Dataset dataset : graph::kAllDatasets) {
     for (const bool node2vec : {false, true}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Table4/") + (node2vec ? "Node2Vec/" : "MetaPath/") +
-              name).c_str(),
-          [d, node2vec](benchmark::State& s) { PcieBench(s, d, node2vec); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      const graph::CsrGraph& g = StandIn(dataset);
+      const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
+      const uint32_t length = node2vec ? kNode2VecLength : kMetaPathLength;
+      const auto queries = StandardQueries(g, length);
+      const core::AcceleratorConfig config = DefaultAccelConfig();
+      core::CycleEngine accel(&g, app.get(), config);
+      const auto stats = accel.Run(queries);
+
+      // Extrapolate kernel time from the capped query set to the paper's
+      // one-query-per-vertex setting.
+      const uint64_t full_queries = g.CountNonIsolatedVertices();
+      const double scale = static_cast<double>(full_queries) /
+                           static_cast<double>(queries.size());
+      const double kernel_seconds = stats.seconds * scale;
+
+      core::PcieModel pcie;
+      const double graph_seconds =
+          pcie.TransferSeconds(g.ModeledByteSize() * config.num_instances);
+      const uint64_t query_result_bytes =
+          full_queries * 8 +
+          full_queries * (static_cast<uint64_t>(length) + 1) * 4;
+      const double io_seconds =
+          graph_seconds + pcie.TransferSeconds(query_result_bytes);
+      table.Add({app->name(), graph::GetDatasetInfo(dataset).name,
+                 io_seconds / (io_seconds + kernel_seconds)});
     }
   }
-}
-
-void PrintSummary() {
-  PrintReportHeader(
-      "Table 4: PCIe transfer share of end-to-end time "
-      "(paper: MetaPath 15.3-33.5%, Node2Vec 0.07-1.10%)");
-  const std::vector<int> widths = {10, 12, 12};
-  PrintRow({"app", "dataset", "PCIe share"}, widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.app, row.dataset,
-              FormatDouble(row.pcie_share * 100, 2) + "%"},
-             widths);
-  }
+  return Report("table4_pcie", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }

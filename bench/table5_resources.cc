@@ -6,91 +6,44 @@
 // 17.24% BRAM / 5.16% DSP; Node2Vec 20.84% / 18.20% / 36.12% / 2.62%;
 // both at 300 MHz.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "lightrw/platform_models.h"
 
 namespace lightrw::bench {
 namespace {
 
-struct Row {
-  std::string app;
-  core::ResourceUsage usage;
-};
-
-std::vector<Row>& Rows() {
-  static auto* rows = new std::vector<Row>();
-  return *rows;
-}
-
-core::AcceleratorConfig MetaPathConfig() {
-  core::AcceleratorConfig config = DefaultAccelConfig();
-  config.sampler_parallelism = 16;
-  return config;
-}
-
-core::AcceleratorConfig Node2VecConfig() {
-  // The Node2Vec build trades sampler lanes (its throughput is bounded by
-  // the extra row-index/membership traffic anyway) for the large on-chip
-  // previous-adjacency buffer.
-  core::AcceleratorConfig config = DefaultAccelConfig();
-  config.sampler_parallelism = 8;
-  config.prev_neighbor_buffer_edges = 65536;
-  return config;
-}
-
-void ResourceBench(benchmark::State& state, bool node2vec) {
-  core::ResourceModel model;
-  const core::AcceleratorConfig config =
-      node2vec ? Node2VecConfig() : MetaPathConfig();
-  Row row;
-  row.app = node2vec ? "Node2Vec" : "MetaPath";
-  for (auto _ : state) {
-    row.usage = model.TotalUsage(config, node2vec);
-  }
-  state.counters["lut_pct"] = model.LutPercent(row.usage);
-  state.counters["reg_pct"] = model.RegPercent(row.usage);
-  state.counters["bram_pct"] = model.BramPercent(row.usage);
-  state.counters["dsp_pct"] = model.DspPercent(row.usage);
-  Rows().push_back(row);
-}
-
-void PrintSummary() {
-  core::ResourceModel model;
-  PrintReportHeader(
+int Main() {
+  Table table(
       "Table 5: modeled U250 resource utilization "
       "(paper: MetaPath 33.52/29.76/17.24/5.16%, "
-      "Node2Vec 20.84/18.20/36.12/2.62%, both 300 MHz)");
-  const std::vector<int> widths = {10, 10, 10, 10, 10, 12};
-  PrintRow({"app", "LUTs", "REGs", "BRAMs", "DSPs", "frequency"}, widths);
-  for (const Row& row : Rows()) {
-    PrintRow({row.app, FormatDouble(model.LutPercent(row.usage)) + "%",
-              FormatDouble(model.RegPercent(row.usage)) + "%",
-              FormatDouble(model.BramPercent(row.usage)) + "%",
-              FormatDouble(model.DspPercent(row.usage)) + "%", "300MHz"},
-             widths);
-  }
-}
-
-void RegisterAll() {
+      "Node2Vec 20.84/18.20/36.12/2.62%, both 300 MHz)",
+      {{"app", "app", 10},
+       {"lut_pct", "LUTs", 10, Num(2, "%")},
+       {"reg_pct", "REGs", 10, Num(2, "%")},
+       {"bram_pct", "BRAMs", 10, Num(2, "%")},
+       {"dsp_pct", "DSPs", 10, Num(2, "%")},
+       {"frequency_mhz", "frequency", 12, Num(0, "MHz")}});
+  const core::ResourceModel model;
   for (const bool node2vec : {false, true}) {
-    benchmark::RegisterBenchmark(
-        (std::string("Table5/") + (node2vec ? "Node2Vec" : "MetaPath")).c_str(),
-        [node2vec](benchmark::State& s) { ResourceBench(s, node2vec); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    core::AcceleratorConfig config = DefaultAccelConfig();
+    if (node2vec) {
+      // The Node2Vec build trades sampler lanes (its throughput is bounded
+      // by the extra row-index/membership traffic anyway) for the large
+      // on-chip previous-adjacency buffer.
+      config.sampler_parallelism = 8;
+      config.prev_neighbor_buffer_edges = 65536;
+    } else {
+      config.sampler_parallelism = 16;
+    }
+    const core::ResourceUsage usage = model.TotalUsage(config, node2vec);
+    table.Add({node2vec ? "Node2Vec" : "MetaPath", model.LutPercent(usage),
+               model.RegPercent(usage), model.BramPercent(usage),
+               model.DspPercent(usage), uint64_t{300}});
   }
+  return Report("table5_resources", {table});
 }
 
 }  // namespace
 }  // namespace lightrw::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  lightrw::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  lightrw::bench::PrintSummary();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return lightrw::bench::Main(); }
