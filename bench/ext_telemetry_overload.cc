@@ -18,6 +18,7 @@
 #include "bench_util.h"
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
+#include "obs/json.h"
 #include "obs/timeseries.h"
 #include "service/walk_service.h"
 
@@ -68,7 +69,7 @@ TelemetryYield ReadYield(const TimeSeriesRecorder& ts) {
   TelemetryYield yield;
   yield.windows = ts.num_windows();
   yield.incidents = ts.DetectIncidents().size();
-  const obs::Json doc = ts.ToJson();
+  const obs::Json doc = obs::Json::Parse(ts.ToJsonString()).value();
   const obs::Json* series = doc.Find("series");
   yield.series = series->size();
   for (const obs::Json& entry : series->array()) {

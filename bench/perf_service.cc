@@ -60,7 +60,7 @@ int Main() {
         counters.simulated_cycles = stats.cycles;
         counters.walks = stats.completed;
         counters.steps = stats.cluster.steps;
-        counters.spans = recorder.Spans().size();
+        counters.spans = recorder.num_spans();
         return counters;
       });
 

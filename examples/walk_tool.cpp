@@ -855,7 +855,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  obs::Json spans_doc;
+  std::string spans_json;
   if (exports.contains("spans")) {
     // Post-run span analysis: per-query critical paths, the breach
     // report, and the multi-window SLO burn-rate monitor over the
@@ -874,10 +874,15 @@ int main(int argc, char** argv) {
       trace.Instant(kind, "slo", /*pid=*/0, /*tid=*/0, alert.cycle);
       timeseries.Annotate(kind, alert.cycle, "");
     }
-    spans_doc = spans.ToJson();
-    spans_doc.Set("attribution", attribution.ToJson());
-    spans_doc.Set("burn_alerts", obs::BurnAlertsToJson(alerts));
-    spans_doc.Set("membership", reliability::MembershipToJson(membership));
+    obs::JsonWriter writer(/*indent=*/2);
+    writer.BeginObject();
+    spans.WriteJsonMembers(&writer);
+    writer.Member("attribution", attribution.ToJson());
+    writer.Member("burn_alerts", obs::BurnAlertsToJson(alerts));
+    writer.Member("membership", reliability::MembershipToJson(membership));
+    writer.End();
+    spans_json = writer.Take();
+    spans_json += '\n';
   }
   perf::WorkCounters counters;
   counters.simulated_cycles = perf_sim_cycles;
@@ -885,7 +890,7 @@ int main(int argc, char** argv) {
   counters.steps = corpus.vertices.size() >= corpus.num_paths()
                        ? corpus.vertices.size() - corpus.num_paths()
                        : 0;
-  counters.spans = spans.Spans().size();
+  counters.spans = spans.num_spans();
   const std::vector<ExportFile> files = {
       {"corpus", "corpus.txt",
        [&](const std::string& path) {
@@ -897,7 +902,7 @@ int main(int argc, char** argv) {
        TextWriter([&] { return metrics.ToPrometheusText(); })},
       {"trace", "trace.json", TextWriter([&] { return trace.ToJsonString(); })},
       {"spans", "spans.json",
-       TextWriter([&] { return spans_doc.Dump(2) + "\n"; })},
+       TextWriter([&] { return spans_json; })},
       {"timeseries", "timeseries.json",
        TextWriter([&] { return timeseries.ToJsonString(2); })},
       {"timeseries", "timeseries.om",

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common/check.h"
 
@@ -140,9 +141,7 @@ void AppendJsonEscaped(std::string* out, std::string_view text) {
   }
 }
 
-namespace {
-
-void AppendDouble(std::string* out, double value) {
+void AppendJsonDouble(std::string* out, double value) {
   if (!std::isfinite(value)) {
     // JSON has no Inf/NaN; emit null like most tolerant encoders.
     *out += "null";
@@ -154,89 +153,151 @@ void AppendDouble(std::string* out, double value) {
   out->append(buf, result.ptr);
 }
 
-void AppendNewlineIndent(std::string* out, int indent, int depth) {
-  if (indent >= 0) {
-    *out += '\n';
-    out->append(static_cast<size_t>(indent) * depth, ' ');
+void JsonWriter::NewLine() {
+  if (indent_ >= 0) {
+    out_ += '\n';
+    out_.append(static_cast<size_t>(indent_) * stack_.size(), ' ');
   }
 }
 
-}  // namespace
-
-void Json::DumpTo(std::string* out, int indent, int depth) const {
-  switch (kind_) {
-    case Kind::kNull:
-      *out += "null";
-      return;
-    case Kind::kBool:
-      *out += bool_ ? "true" : "false";
-      return;
-    case Kind::kInt: {
-      char buf[24];
-      const auto result = std::to_chars(buf, buf + sizeof(buf), int_);
-      out->append(buf, result.ptr);
-      return;
-    }
-    case Kind::kUint: {
-      char buf[24];
-      const auto result = std::to_chars(buf, buf + sizeof(buf), uint_);
-      out->append(buf, result.ptr);
-      return;
-    }
-    case Kind::kDouble:
-      AppendDouble(out, double_);
-      return;
-    case Kind::kString:
-      *out += '"';
-      AppendJsonEscaped(out, string_);
-      *out += '"';
-      return;
-    case Kind::kArray: {
-      if (array_.empty()) {
-        *out += "[]";
-        return;
-      }
-      *out += '[';
-      for (size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) {
-          *out += ',';
-        }
-        AppendNewlineIndent(out, indent, depth + 1);
-        array_[i].DumpTo(out, indent, depth + 1);
-      }
-      AppendNewlineIndent(out, indent, depth);
-      *out += ']';
-      return;
-    }
-    case Kind::kObject: {
-      if (object_.empty()) {
-        *out += "{}";
-        return;
-      }
-      *out += '{';
-      bool first = true;
-      for (const auto& [key, value] : object_) {
-        if (!first) {
-          *out += ',';
-        }
-        first = false;
-        AppendNewlineIndent(out, indent, depth + 1);
-        *out += '"';
-        AppendJsonEscaped(out, key);
-        *out += indent >= 0 ? "\": " : "\":";
-        value.DumpTo(out, indent, depth + 1);
-      }
-      AppendNewlineIndent(out, indent, depth);
-      *out += '}';
-      return;
-    }
+void JsonWriter::BeforeElement() {
+  Frame& top = stack_.back();
+  if (!top.empty) {
+    out_ += ',';
   }
+  top.empty = false;
+  NewLine();
+}
+
+void JsonWriter::BeforeValue() {
+  if (stack_.empty()) {
+    LIGHTRW_CHECK(!started_ && "JsonWriter: second top-level value");
+    started_ = true;
+  } else if (stack_.back().object) {
+    LIGHTRW_CHECK(key_pending_ && "JsonWriter: object member without a key");
+    key_pending_ = false;
+  } else {
+    BeforeElement();
+  }
+}
+
+void JsonWriter::Open(bool object) {
+  BeforeValue();
+  out_ += object ? '{' : '[';
+  stack_.push_back(Frame{object, true});
+}
+
+void JsonWriter::BeginObject() { Open(/*object=*/true); }
+
+void JsonWriter::BeginArray() { Open(/*object=*/false); }
+
+void JsonWriter::End() {
+  LIGHTRW_CHECK(!stack_.empty() && "JsonWriter: End with no open container");
+  LIGHTRW_CHECK(!key_pending_ && "JsonWriter: key without a value");
+  const Frame top = stack_.back();
+  stack_.pop_back();
+  if (!top.empty) {
+    NewLine();
+  }
+  out_ += top.object ? '}' : ']';
+}
+
+void JsonWriter::Key(std::string_view key) {
+  LIGHTRW_CHECK(!stack_.empty() && stack_.back().object &&
+                "JsonWriter: key outside an object");
+  LIGHTRW_CHECK(!key_pending_ && "JsonWriter: key without a value");
+  BeforeElement();
+  out_ += '"';
+  AppendJsonEscaped(&out_, key);
+  out_ += indent_ >= 0 ? "\": " : "\":";
+  key_pending_ = true;
+}
+
+void JsonWriter::Value(std::nullptr_t) {
+  BeforeValue();
+  out_ += "null";
+}
+
+void JsonWriter::Value(bool value) {
+  BeforeValue();
+  out_ += value ? "true" : "false";
+}
+
+void JsonWriter::Value(int64_t value) {
+  BeforeValue();
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out_.append(buf, result.ptr);
+}
+
+void JsonWriter::Value(uint64_t value) {
+  BeforeValue();
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out_.append(buf, result.ptr);
+}
+
+void JsonWriter::Value(double value) {
+  BeforeValue();
+  AppendJsonDouble(&out_, value);
+}
+
+void JsonWriter::Value(std::string_view value) {
+  BeforeValue();
+  out_ += '"';
+  AppendJsonEscaped(&out_, value);
+  out_ += '"';
+}
+
+void JsonWriter::Value(const Json& value) {
+  switch (value.kind()) {
+    case Json::Kind::kNull:
+      Value(nullptr);
+      return;
+    case Json::Kind::kBool:
+      Value(value.bool_value());
+      return;
+    case Json::Kind::kInt:
+      Value(value.int_value());
+      return;
+    case Json::Kind::kUint:
+      Value(value.uint_value());
+      return;
+    case Json::Kind::kDouble:
+      Value(value.double_value());
+      return;
+    case Json::Kind::kString:
+      Value(value.string_value());
+      return;
+    case Json::Kind::kArray:
+      BeginArray();
+      for (const Json& element : value.array()) {
+        Value(element);
+      }
+      End();
+      return;
+    case Json::Kind::kObject:
+      BeginObject();
+      for (const auto& [key, member] : value.object()) {
+        Key(key);
+        Value(member);
+      }
+      End();
+      return;
+  }
+}
+
+std::string JsonWriter::Take() {
+  LIGHTRW_CHECK(started_ && stack_.empty() &&
+                "JsonWriter: Take before the document is complete");
+  started_ = false;
+  return std::exchange(out_, std::string());
 }
 
 std::string Json::Dump(int indent) const {
-  std::string out;
-  DumpTo(&out, indent, 0);
-  return out;
+  JsonWriter writer(indent);
+  writer.Value(*this);
+  return writer.Take();
 }
 
 // ---------------------------------------------------------------------------
@@ -394,6 +455,10 @@ class Parser {
         return out;
       }
       if (c != '\\') {
+        if (static_cast<unsigned char>(c) < 0x20) {
+          --pos_;
+          return Error("unescaped control character in string");
+        }
         out += c;
         continue;
       }
@@ -458,29 +523,46 @@ class Parser {
     return Error("unterminated string");
   }
 
+  // Number syntax per RFC 8259: an optional minus, an integer part with
+  // no leading zero, then optionally a fraction and an exponent, each
+  // with at least one digit.
   StatusOr<Json> ParseNumber() {
     const size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
+    const auto digits = [this] {
+      const size_t from = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+      }
+      return pos_ - from;
+    };
+    const bool negative = Consume('-');
+    const size_t int_start = pos_;
+    const size_t int_digits = digits();
+    if (int_digits == 0) {
+      return Error(negative ? "expected digit after '-'" : "expected value");
+    }
+    if (int_digits > 1 && text_[int_start] == '0') {
+      return Error("leading zero in number");
     }
     bool is_double = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
+    if (Consume('.')) {
+      is_double = true;
+      if (digits() == 0) {
+        return Error("expected digit after '.'");
+      }
+    }
+    if (Consume('e') || Consume('E')) {
+      is_double = true;
+      if (!Consume('+')) {
+        Consume('-');
+      }
+      if (digits() == 0) {
+        return Error("expected digit in exponent");
       }
     }
     const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty()) {
-      return Error("expected value");
-    }
     if (!is_double) {
-      if (token[0] != '-') {
+      if (!negative) {
         uint64_t value = 0;
         const auto result = std::from_chars(
             token.data(), token.data() + token.size(), value);

@@ -1,16 +1,22 @@
-// Minimal JSON document type shared by the observability exporters.
+// JSON encoding for every machine-readable artifact this repository
+// emits: metrics snapshots, Chrome trace_event files, span and
+// time-series exports, perf and chaos reports, BENCH_*.json records.
 //
-// Every machine-readable artifact this repository emits — metrics
-// snapshots, Chrome trace_event files, BENCH_*.json records — goes
-// through this one value type so the encoding rules live in one place:
-// objects preserve insertion order (byte-stable output for a given build
-// sequence), integers are emitted exactly, and doubles use the shortest
-// round-trip representation. A small parser is included so tests can
-// validate emitted documents without external dependencies.
+// There is one encoder, JsonWriter, so the encoding rules live in one
+// place: members keep the order they are written in (byte-stable output
+// for a given build sequence), integers are emitted exactly, doubles use
+// the shortest round-trip representation and non-finite doubles become
+// null. Small documents are built as a Json value and serialized with
+// Json::Dump, which walks the value into a JsonWriter. The recorders'
+// exports, which run to tens of megabytes, stream into a JsonWriter
+// directly, so their cost grows with the document and not with a tree of
+// it. A small parser is included so tests can validate emitted documents
+// without external dependencies.
 
 #ifndef LIGHTRW_OBS_JSON_H_
 #define LIGHTRW_OBS_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -103,8 +109,6 @@ class Json {
   static StatusOr<Json> Parse(std::string_view text);
 
  private:
-  void DumpTo(std::string* out, int indent, int depth) const;
-
   Kind kind_;
   bool bool_ = false;
   int64_t int_ = 0;
@@ -117,6 +121,77 @@ class Json {
 
 // Appends the JSON escaping of `text` (without surrounding quotes).
 void AppendJsonEscaped(std::string* out, std::string_view text);
+
+// Appends `value` in the encoder's number form: the shortest round-trip
+// representation, or null when it is not finite. The Prometheus and
+// OpenMetrics exporters format their samples with it too.
+void AppendJsonDouble(std::string* out, double value);
+
+// Streams one JSON document into a string, byte for byte as Json::Dump
+// serializes the same tree. indent < 0 emits the compact single-line
+// form; indent >= 0 starts every element on its own line, indented that
+// many spaces per level, and writes ": " after keys. An empty container
+// is "{}" or "[]".
+//
+// Misuse is a CHECK failure: a key outside an object, an object member
+// without a key, a key left without a value, a second top-level value,
+// an End with no open container, or Take before the document is
+// complete.
+class JsonWriter {
+ public:
+  explicit JsonWriter(int indent = -1) : indent_(indent) {}
+
+  void BeginObject();
+  void BeginArray();
+  // Closes the innermost open object or array.
+  void End();
+  // Starts an object member; its value follows with Value, BeginObject
+  // or BeginArray.
+  void Key(std::string_view key);
+
+  void Value(std::nullptr_t);
+  void Value(bool value);
+  void Value(int value) { Value(static_cast<int64_t>(value)); }
+  void Value(int64_t value);
+  void Value(uint64_t value);
+  void Value(double value);
+  void Value(std::string_view value);
+  void Value(const char* value) { Value(std::string_view(value)); }
+  void Value(const std::string& value) { Value(std::string_view(value)); }
+  // Embeds a section built as a Json value.
+  void Value(const Json& value);
+
+  template <typename T>
+  void Member(std::string_view key, const T& value) {
+    Key(key);
+    Value(value);
+  }
+
+  // Returns the finished document and leaves the writer empty.
+  std::string Take();
+
+ private:
+  struct Frame {
+    bool object = false;
+    bool empty = true;
+  };
+
+  // Writes what precedes an array element or the top-level value (the
+  // comma, newline and indent), or consumes the pending object key.
+  void BeforeValue();
+  // Writes the comma, newline and indent before the innermost open
+  // container's next element.
+  void BeforeElement();
+  // When indenting: a newline and the indent of the current depth.
+  void NewLine();
+  void Open(bool object);
+
+  int indent_;
+  std::string out_;
+  std::vector<Frame> stack_;
+  bool key_pending_ = false;
+  bool started_ = false;  // the top-level value has begun
+};
 
 }  // namespace lightrw::obs
 

@@ -1,8 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/check.h"
+#include "obs/json.h"
 
 namespace lightrw::obs {
 
@@ -46,31 +48,27 @@ std::string PrometheusLabelBlock(const Labels& labels) {
   return out;
 }
 
-namespace {
-
-std::string PrometheusName(const std::string& name) {
-  return PrometheusMetricName(name);
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view suffix, std::string_view labels,
+                  uint64_t value) {
+  *out += name;
+  *out += suffix;
+  *out += labels;
+  *out += ' ';
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, result.ptr);
 }
 
-std::string PrometheusLabels(const Labels& labels) {
-  return PrometheusLabelBlock(labels);
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view suffix, std::string_view labels,
+                  double value) {
+  *out += name;
+  *out += suffix;
+  *out += labels;
+  *out += ' ';
+  AppendJsonDouble(out, value);
 }
-
-// Labels with one extra pair appended (for histogram quantile series).
-std::string PrometheusLabelsPlus(const Labels& labels,
-                                 const std::string& key,
-                                 const std::string& value) {
-  Labels extended = labels;
-  extended.emplace_back(key, value);
-  return PrometheusLabels(extended);
-}
-
-void AppendNumber(std::string* out, double value) {
-  // Prometheus accepts Go-style floats; reuse the JSON encoder.
-  *out += Json(value).Dump();
-}
-
-}  // namespace
 
 std::string MetricKey(const std::string& name, const Labels& labels) {
   std::string key = name;
@@ -143,52 +141,52 @@ void MetricsRegistry::NoteDroppedNonFinite() {
   GetCounter("lightrw.obs.dropped_nonfinite")->Increment();
 }
 
-Json MetricsRegistry::ToJson() const {
+std::string MetricsRegistry::ToJsonString(int indent) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Json metrics = Json::MakeArray();
+  JsonWriter w(indent);
+  w.BeginObject();
+  w.Key("metrics");
+  w.BeginArray();
   // instruments_ is a std::map keyed by (name, labels): iteration order,
   // and therefore the emitted document, is deterministic.
   for (const auto& [key, instrument] : instruments_) {
-    Json entry = Json::MakeObject();
-    entry.Set("name", instrument.name);
+    w.BeginObject();
+    w.Member("name", instrument.name);
     if (!instrument.labels.empty()) {
-      Json labels = Json::MakeObject();
+      w.Key("labels");
+      w.BeginObject();
       for (const auto& [k, v] : instrument.labels) {
-        labels.Set(k, v);
+        w.Member(k, v);
       }
-      entry.Set("labels", std::move(labels));
+      w.End();
     }
     switch (instrument.kind) {
       case Kind::kCounter:
-        entry.Set("type", "counter");
-        entry.Set("value", instrument.counter->value());
+        w.Member("type", "counter");
+        w.Member("value", instrument.counter->value());
         break;
       case Kind::kGauge:
-        entry.Set("type", "gauge");
-        entry.Set("value", instrument.gauge->value());
+        w.Member("type", "gauge");
+        w.Member("value", instrument.gauge->value());
         break;
       case Kind::kHistogram: {
-        entry.Set("type", "histogram");
+        w.Member("type", "histogram");
         const SampleStats stats = instrument.histogram->Snapshot();
-        entry.Set("count", static_cast<uint64_t>(stats.count()));
-        entry.Set("sum", stats.sum());
-        entry.Set("min", stats.Min());
-        entry.Set("max", stats.Max());
-        entry.Set("p50", stats.Quantile(0.5));
-        entry.Set("p95", stats.Quantile(0.95));
-        entry.Set("p99", stats.Quantile(0.99));
+        w.Member("count", static_cast<uint64_t>(stats.count()));
+        w.Member("sum", stats.sum());
+        w.Member("min", stats.Min());
+        w.Member("max", stats.Max());
+        w.Member("p50", stats.Quantile(0.5));
+        w.Member("p95", stats.Quantile(0.95));
+        w.Member("p99", stats.Quantile(0.99));
         break;
       }
     }
-    metrics.Append(std::move(entry));
+    w.End();
   }
-  Json doc = Json::MakeObject();
-  doc.Set("metrics", std::move(metrics));
-  return doc;
-}
-
-std::string MetricsRegistry::ToJsonString(int indent) const {
-  std::string out = ToJson().Dump(indent);
+  w.End();
+  w.End();
+  std::string out = w.Take();
   out += '\n';
   return out;
 }
@@ -198,7 +196,8 @@ std::string MetricsRegistry::ToPrometheusText() const {
   std::string out;
   std::string previous_name;
   for (const auto& [key, instrument] : instruments_) {
-    const std::string name = PrometheusName(instrument.name);
+    const std::string name = PrometheusMetricName(instrument.name);
+    const std::string labels = PrometheusLabelBlock(instrument.labels);
     if (name != previous_name) {
       // HELP text is the original dotted name — the stable identifier
       // call sites register under (README "Observability" naming
@@ -231,29 +230,32 @@ std::string MetricsRegistry::ToPrometheusText() const {
     }
     switch (instrument.kind) {
       case Kind::kCounter:
-        out += name + PrometheusLabels(instrument.labels) + ' ' +
-               std::to_string(instrument.counter->value()) + '\n';
+        AppendSample(&out, name, "", labels, instrument.counter->value());
+        out += '\n';
         break;
       case Kind::kGauge:
-        out += name + PrometheusLabels(instrument.labels) + ' ';
-        AppendNumber(&out, instrument.gauge->value());
+        AppendSample(&out, name, "", labels, instrument.gauge->value());
         out += '\n';
         break;
       case Kind::kHistogram: {
         const SampleStats stats = instrument.histogram->Snapshot();
         for (const double q : {0.5, 0.95, 0.99}) {
-          out += name +
-                 PrometheusLabelsPlus(instrument.labels, "quantile",
-                                      Json(q).Dump()) +
-                 ' ';
-          AppendNumber(&out, stats.Quantile(q));
+          // The label block, reopened for a quantile pair.
+          std::string quantile_labels = labels.empty() ? "{" : labels;
+          if (!labels.empty()) {
+            quantile_labels.back() = ',';
+          }
+          quantile_labels += "quantile=\"";
+          AppendJsonDouble(&quantile_labels, q);
+          quantile_labels += "\"}";
+          AppendSample(&out, name, "", quantile_labels, stats.Quantile(q));
           out += '\n';
         }
-        out += name + "_sum" + PrometheusLabels(instrument.labels) + ' ';
-        AppendNumber(&out, stats.sum());
+        AppendSample(&out, name, "_sum", labels, stats.sum());
         out += '\n';
-        out += name + "_count" + PrometheusLabels(instrument.labels) + ' ' +
-               std::to_string(stats.count()) + '\n';
+        AppendSample(&out, name, "_count", labels,
+                     static_cast<uint64_t>(stats.count()));
+        out += '\n';
         break;
       }
     }

@@ -19,9 +19,10 @@
 // concurrently from the multithreaded baseline engine. Handles returned
 // by the registry are owned by it and stay valid for its lifetime.
 //
-// Exposition: ToJson() (deterministic — metrics sorted by name+labels,
-// counters emitted as exact integers) and ToPrometheusText() (the
-// text/plain 0.0.4 format understood by Prometheus-compatible scrapers).
+// Exposition: ToJsonString() (deterministic — metrics sorted by
+// name+labels, counters emitted as exact integers) and ToPrometheusText()
+// (the text/plain 0.0.4 format understood by Prometheus-compatible
+// scrapers).
 
 #ifndef LIGHTRW_OBS_METRICS_H_
 #define LIGHTRW_OBS_METRICS_H_
@@ -33,11 +34,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/histogram.h"
-#include "obs/json.h"
 
 namespace lightrw::obs {
 
@@ -51,6 +52,15 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 std::string PrometheusMetricName(const std::string& name);
 void AppendPrometheusEscaped(std::string* out, const std::string& text);
 std::string PrometheusLabelBlock(const Labels& labels);
+// Appends "<name><suffix><labels> <value>", one sample line without its
+// end: the caller adds a timestamp, exemplar or newline. Counts print as
+// exact integers, other values in the JSON number form.
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view suffix, std::string_view labels,
+                  uint64_t value);
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view suffix, std::string_view labels,
+                  double value);
 
 // Identity of one series: name + '\0' + serialized labels, unique and
 // sort-stable. MetricsRegistry and TimeSeriesRecorder key their series
@@ -139,10 +149,10 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
   Histogram* GetHistogram(const std::string& name, const Labels& labels = {});
 
-  // Deterministic snapshot: an array of {name, labels, type, value...}
-  // objects sorted by (name, labels). Histograms expose count/sum/min/
-  // max/p50/p95/p99.
-  Json ToJson() const;
+  // Deterministic snapshot {"metrics": [...]}: an array of {name,
+  // labels, type, value...} objects sorted by (name, labels), streamed
+  // with a trailing newline. Histograms expose count/sum/min/max/p50/
+  // p95/p99.
   std::string ToJsonString(int indent = 2) const;
 
   // Prometheus text exposition; dots in names become underscores.

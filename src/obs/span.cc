@@ -1,6 +1,7 @@
 #include "obs/span.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace lightrw::obs {
@@ -114,9 +115,17 @@ void SpanRecorder::End(uint64_t trace, uint64_t id, uint64_t end_cycle) {
 void SpanRecorder::Attr(uint64_t trace, uint64_t id, const char* key,
                         uint64_t value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (Span* span = FindLocked(trace, id)) {
-    span->attrs.emplace_back(key, value);
+  Span* span = FindLocked(trace, id);
+  if (span == nullptr) {
+    return;
   }
+  for (auto& [k, v] : span->attrs) {
+    if (std::strcmp(k, key) == 0) {
+      v = value;
+      return;
+    }
+  }
+  span->attrs.emplace_back(key, value);
 }
 
 void SpanRecorder::Event(uint64_t trace, uint64_t id, const char* name,
@@ -194,28 +203,32 @@ void SpanRecorder::MergeFrom(SpanRecorder* shard) {
   shard->spans_dropped_ = 0;
 }
 
+std::vector<const Span*> SpanRecorder::SortedSpansLocked() const {
+  std::vector<const Span*> out;
+  for (const TraceBuf& buf : retained_) {
+    for (size_t i = 0; i < buf.live; ++i) {
+      out.push_back(&buf.spans[i]);
+    }
+  }
+  for (const auto& [trace, buf] : open_) {
+    for (size_t i = 0; i < buf.live; ++i) {
+      out.push_back(&buf.spans[i]);
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const Span* a, const Span* b) {
+    return a->trace != b->trace ? a->trace < b->trace : a->seq < b->seq;
+  });
+  return out;
+}
+
 std::vector<Span> SpanRecorder::Spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  const std::vector<const Span*> sorted = SortedSpansLocked();
   std::vector<Span> out;
-  size_t total = 0;
-  for (const TraceBuf& buf : retained_) {
-    total += buf.live;
+  out.reserve(sorted.size());
+  for (const Span* span : sorted) {
+    out.push_back(*span);
   }
-  for (const auto& [trace, buf] : open_) {
-    total += buf.live;
-  }
-  out.reserve(total);
-  for (const TraceBuf& buf : retained_) {
-    out.insert(out.end(), buf.spans.begin(),
-               buf.spans.begin() + static_cast<ptrdiff_t>(buf.live));
-  }
-  for (const auto& [trace, buf] : open_) {
-    out.insert(out.end(), buf.spans.begin(),
-               buf.spans.begin() + static_cast<ptrdiff_t>(buf.live));
-  }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    return a.trace != b.trace ? a.trace < b.trace : a.seq < b.seq;
-  });
   return out;
 }
 
@@ -227,6 +240,18 @@ std::vector<TraceSummary> SpanRecorder::Summaries() const {
               return a.trace < b.trace;
             });
   return out;
+}
+
+size_t SpanRecorder::num_spans() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  size_t total = 0;
+  for (const TraceBuf& buf : retained_) {
+    total += buf.live;
+  }
+  for (const auto& [trace, buf] : open_) {
+    total += buf.live;
+  }
+  return total;
 }
 
 size_t SpanRecorder::num_open_traces() const {
@@ -254,74 +279,92 @@ uint64_t SpanRecorder::spans_dropped() const {
   return spans_dropped_;
 }
 
-Json SpanRecorder::ToJson() const {
-  Json doc = Json::MakeObject();
-  Json config = Json::MakeObject();
-  config.Set("mode", config_.mode == SpanMode::kAll ? "all" : "breached");
-  config.Set("max_traces", static_cast<uint64_t>(config_.max_traces));
-  config.Set("max_spans_per_trace",
-             static_cast<uint64_t>(config_.max_spans_per_trace));
-  doc.Set("config", std::move(config));
+void SpanRecorder::WriteJsonMembers(JsonWriter* writer) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  JsonWriter& w = *writer;
+  w.Key("config");
+  w.BeginObject();
+  w.Member("mode", config_.mode == SpanMode::kAll ? "all" : "breached");
+  w.Member("max_traces", static_cast<uint64_t>(config_.max_traces));
+  w.Member("max_spans_per_trace",
+           static_cast<uint64_t>(config_.max_spans_per_trace));
+  w.End();
 
-  Json counters = Json::MakeObject();
-  counters.Set("traces_closed", traces_closed());
-  counters.Set("traces_retained",
-               static_cast<uint64_t>(num_retained_traces()));
-  counters.Set("traces_open", static_cast<uint64_t>(num_open_traces()));
-  counters.Set("traces_evicted", traces_evicted());
-  counters.Set("spans_dropped", spans_dropped());
-  doc.Set("counters", std::move(counters));
+  w.Key("counters");
+  w.BeginObject();
+  w.Member("traces_closed", traces_closed_);
+  w.Member("traces_retained", static_cast<uint64_t>(retained_.size()));
+  w.Member("traces_open", static_cast<uint64_t>(open_.size()));
+  w.Member("traces_evicted", traces_evicted_);
+  w.Member("spans_dropped", spans_dropped_);
+  w.End();
 
-  Json summaries = Json::MakeArray();
-  for (const TraceSummary& s : Summaries()) {
-    Json j = Json::MakeObject();
-    j.Set("trace", s.trace);
-    j.Set("start", s.start);
-    j.Set("end", s.end);
-    j.Set("breached", s.breached);
-    j.Set("outcome", s.outcome);
-    summaries.Append(std::move(j));
+  std::vector<const TraceSummary*> summaries;
+  summaries.reserve(summaries_.size());
+  for (const TraceSummary& s : summaries_) {
+    summaries.push_back(&s);
   }
-  doc.Set("summaries", std::move(summaries));
-
-  Json spans = Json::MakeArray();
-  for (const Span& span : Spans()) {
-    Json j = Json::MakeObject();
-    j.Set("trace", span.trace);
-    j.Set("span", span.id);
-    j.Set("parent", span.parent);
-    j.Set("seq", span.seq);
-    j.Set("name", span.name);
-    j.Set("category", span.category);
-    j.Set("board", span.board);
-    j.Set("start", span.start);
-    j.Set("end", span.end);
-    j.Set("open", span.open);
-    if (!span.attrs.empty()) {
-      Json attrs = Json::MakeObject();
-      for (const auto& [key, value] : span.attrs) {
-        attrs.Set(key, value);
-      }
-      j.Set("attrs", std::move(attrs));
-    }
-    if (!span.events.empty()) {
-      Json events = Json::MakeArray();
-      for (const SpanEvent& event : span.events) {
-        Json e = Json::MakeObject();
-        e.Set("name", event.name);
-        e.Set("at", event.at);
-        events.Append(std::move(e));
-      }
-      j.Set("events", std::move(events));
-    }
-    spans.Append(std::move(j));
+  std::sort(summaries.begin(), summaries.end(),
+            [](const TraceSummary* a, const TraceSummary* b) {
+              return a->trace < b->trace;
+            });
+  w.Key("summaries");
+  w.BeginArray();
+  for (const TraceSummary* s : summaries) {
+    w.BeginObject();
+    w.Member("trace", s->trace);
+    w.Member("start", s->start);
+    w.Member("end", s->end);
+    w.Member("breached", s->breached);
+    w.Member("outcome", s->outcome);
+    w.End();
   }
-  doc.Set("spans", std::move(spans));
-  return doc;
+  w.End();
+
+  w.Key("spans");
+  w.BeginArray();
+  for (const Span* span : SortedSpansLocked()) {
+    w.BeginObject();
+    w.Member("trace", span->trace);
+    w.Member("span", span->id);
+    w.Member("parent", span->parent);
+    w.Member("seq", span->seq);
+    w.Member("name", span->name);
+    w.Member("category", span->category);
+    w.Member("board", span->board);
+    w.Member("start", span->start);
+    w.Member("end", span->end);
+    w.Member("open", span->open);
+    if (!span->attrs.empty()) {
+      w.Key("attrs");
+      w.BeginObject();
+      for (const auto& [key, value] : span->attrs) {
+        w.Member(key, value);
+      }
+      w.End();
+    }
+    if (!span->events.empty()) {
+      w.Key("events");
+      w.BeginArray();
+      for (const SpanEvent& event : span->events) {
+        w.BeginObject();
+        w.Member("name", event.name);
+        w.Member("at", event.at);
+        w.End();
+      }
+      w.End();
+    }
+    w.End();
+  }
+  w.End();
 }
 
 std::string SpanRecorder::ToJsonString(int indent) const {
-  return ToJson().Dump(indent);
+  JsonWriter writer(indent);
+  writer.BeginObject();
+  WriteJsonMembers(&writer);
+  writer.End();
+  return writer.Take();
 }
 
 }  // namespace lightrw::obs

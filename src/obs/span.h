@@ -121,7 +121,8 @@ class SpanRecorder {
   // Closes span `id` of `trace` at `end_cycle`. Unknown ids are ignored.
   void End(uint64_t trace, uint64_t id, uint64_t end_cycle);
   // Attaches a numeric attribute / point event to an open-or-closed span
-  // of a still-live trace.
+  // of a still-live trace. Setting an attribute key the span already has
+  // overwrites its value in place.
   void Attr(uint64_t trace, uint64_t id, const char* key, uint64_t value);
   void Event(uint64_t trace, uint64_t id, const char* name, uint64_t cycle);
 
@@ -142,15 +143,21 @@ class SpanRecorder {
   // Closed-trace summaries sorted by (trace).
   std::vector<TraceSummary> Summaries() const;
 
+  // Retained + still-open spans: Spans().size() without the copy.
+  size_t num_spans() const;
   size_t num_open_traces() const;
   size_t num_retained_traces() const;
   uint64_t traces_closed() const;
   uint64_t traces_evicted() const;  // flight-recorder ring overflow
   uint64_t spans_dropped() const;   // per-trace span-cap overflow
 
-  // {"config": {...}, "counters": {...}, "summaries": [...],
-  //  "spans": [...]} — deterministic (sorted as above).
-  Json ToJson() const;
+  // The export document {"config": {...}, "counters": {...},
+  // "summaries": [...], "spans": [...]}, deterministic (sorted as above)
+  // and streamed from the recorder's buffers without copying them.
+  // WriteJsonMembers writes the four members into an object the caller
+  // has opened, so a tool can append sections of its own before closing
+  // it; ToJsonString is the bare document (no trailing newline).
+  void WriteJsonMembers(JsonWriter* writer) const;
   std::string ToJsonString(int indent = 2) const;
 
  private:
@@ -169,6 +176,8 @@ class SpanRecorder {
   // a walker's event stream — from a one-entry cache.
   TraceBuf& BufLocked(uint64_t trace);
   Span* FindLocked(uint64_t trace, uint64_t id);
+  // Every retained and open span, sorted by (trace, seq).
+  std::vector<const Span*> SortedSpansLocked() const;
   // Returns a discarded/evicted buffer to the pool (bounded), clearing
   // its spans' attrs/events but keeping every allocation.
   void RecycleLocked(TraceBuf&& buf);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/json.h"
 
 namespace lightrw::obs {
 
@@ -374,120 +375,131 @@ std::vector<Incident> TimeSeriesRecorder::DetectIncidents() const {
   return incidents;
 }
 
-Json TimeSeriesRecorder::ToJson() const {
-  Json doc = Json::MakeObject();
-  doc.Set("schema", "timeseries.v1");
-  doc.Set("scrape_interval", config_.scrape_interval);
-  doc.Set("first_window", first_window_);
-  doc.Set("windows", static_cast<uint64_t>(window_end_.size()));
-  doc.Set("final_cycle", final_cycle_);
-  Json ends = Json::MakeArray();
+std::string TimeSeriesRecorder::ToJsonString(int indent) const {
+  JsonWriter json(indent);
+  json.BeginObject();
+  json.Member("schema", "timeseries.v1");
+  json.Member("scrape_interval", config_.scrape_interval);
+  json.Member("first_window", first_window_);
+  json.Member("windows", static_cast<uint64_t>(window_end_.size()));
+  json.Member("final_cycle", final_cycle_);
+  json.Key("window_end");
+  json.BeginArray();
   for (const uint64_t end : window_end_) {
-    ends.Append(end);
+    json.Value(end);
   }
-  doc.Set("window_end", std::move(ends));
+  json.End();
 
-  Json series_array = Json::MakeArray();
+  json.Key("series");
+  json.BeginArray();
   for (const auto& [key, series] : series_) {
-    Json entry = Json::MakeObject();
-    entry.Set("name", series.name);
+    json.BeginObject();
+    json.Member("name", series.name);
     if (!series.labels.empty()) {
-      Json labels = Json::MakeObject();
+      json.Key("labels");
+      json.BeginObject();
       for (const auto& [k, v] : series.labels) {
-        labels.Set(k, v);
+        json.Member(k, v);
       }
-      entry.Set("labels", std::move(labels));
+      json.End();
     }
-    entry.Set("kind", series.kind == 0   ? "counter"
-                      : series.kind == 1 ? "gauge"
-                                         : "histogram");
-    Json points = Json::MakeArray();
+    json.Member("kind", series.kind == 0   ? "counter"
+                        : series.kind == 1 ? "gauge"
+                                           : "histogram");
+    json.Key("points");
+    json.BeginArray();
     for (size_t w = 0; w < window_end_.size(); ++w) {
-      Json point = Json::MakeObject();
-      point.Set("w", first_window_ + w);
+      json.BeginObject();
+      json.Member("w", first_window_ + w);
       switch (series.kind) {
         case 0: {
-          point.Set("delta", series.counter_delta[w]);
+          json.Member("delta", series.counter_delta[w]);
           const uint64_t start =
               (first_window_ + w) * config_.scrape_interval;
           const double span =
               static_cast<double>(window_end_[w]) - static_cast<double>(start);
-          point.Set("rate_per_kcycle",
-                    span > 0.0 ? series.counter_delta[w] * 1000.0 / span
-                               : 0.0);
+          json.Member("rate_per_kcycle",
+                      span > 0.0 ? series.counter_delta[w] * 1000.0 / span
+                                 : 0.0);
           break;
         }
         case 1:
-          point.Set("value", series.gauge_last[w]);
+          json.Member("value", series.gauge_last[w]);
           break;
         default: {
           const WindowedHistogram& window = series.hist_window[w];
           const SampleStats& stats = window.samples_;
-          point.Set("count", static_cast<uint64_t>(stats.count()));
+          json.Member("count", static_cast<uint64_t>(stats.count()));
           if (stats.count() > 0) {
-            point.Set("sum", stats.sum());
-            point.Set("p50", stats.Quantile(0.5));
-            point.Set("p99", stats.Quantile(0.99));
+            json.Member("sum", stats.sum());
+            json.Member("p50", stats.Quantile(0.5));
+            json.Member("p99", stats.Quantile(0.99));
           }
           if (window.has_exemplar_) {
-            Json ex = Json::MakeObject();
-            ex.Set("trace", window.trace_);
-            ex.Set("span", window.span_);
-            ex.Set("value", window.worst_);
-            point.Set("exemplar", std::move(ex));
+            json.Key("exemplar");
+            json.BeginObject();
+            json.Member("trace", window.trace_);
+            json.Member("span", window.span_);
+            json.Member("value", window.worst_);
+            json.End();
           }
           break;
         }
       }
-      points.Append(std::move(point));
+      json.End();
     }
-    entry.Set("points", std::move(points));
-    series_array.Append(std::move(entry));
+    json.End();
+    json.End();
   }
-  doc.Set("series", std::move(series_array));
+  json.End();
 
-  Json notes = Json::MakeArray();
+  json.Key("annotations");
+  json.BeginArray();
   for (const TsAnnotation& note : SortedAnnotations()) {
-    Json entry = Json::MakeObject();
-    entry.Set("kind", note.kind);
-    entry.Set("cycle", note.cycle);
+    json.BeginObject();
+    json.Member("kind", note.kind);
+    json.Member("cycle", note.cycle);
     if (!note.detail.empty()) {
-      entry.Set("detail", note.detail);
+      json.Member("detail", note.detail);
     }
-    notes.Append(std::move(entry));
+    json.End();
   }
-  doc.Set("annotations", std::move(notes));
+  json.End();
 
-  Json incidents_array = Json::MakeArray();
+  json.Key("incidents");
+  json.BeginArray();
   for (const Incident& incident : DetectIncidents()) {
-    Json entry = Json::MakeObject();
-    entry.Set("series", incident.series);
-    entry.Set("open_window", incident.open_window);
-    entry.Set("close_window", incident.close_window);
-    entry.Set("closed", incident.closed);
-    entry.Set("severity", incident.severity);
+    json.BeginObject();
+    json.Member("series", incident.series);
+    json.Member("open_window", incident.open_window);
+    json.Member("close_window", incident.close_window);
+    json.Member("closed", incident.closed);
+    json.Member("severity", incident.severity);
     if (!incident.annotations.empty()) {
-      Json anns = Json::MakeArray();
+      json.Key("annotations");
+      json.BeginArray();
       for (const std::string& a : incident.annotations) {
-        anns.Append(a);
+        json.Value(a);
       }
-      entry.Set("annotations", std::move(anns));
+      json.End();
     }
-    incidents_array.Append(std::move(entry));
+    json.End();
   }
-  doc.Set("incidents", std::move(incidents_array));
-  return doc;
-}
-
-std::string TimeSeriesRecorder::ToJsonString(int indent) const {
-  std::string out = ToJson().Dump(indent);
+  json.End();
+  json.End();
+  std::string out = json.Take();
   out += '\n';
   return out;
 }
 
 std::string TimeSeriesRecorder::ToOpenMetricsText() const {
   std::string out;
-  auto append_value = [&out](double value) { out += Json(value).Dump(); };
+  // Ends a sample line with its timestamp.
+  const auto end_line = [&out](uint64_t timestamp) {
+    out += ' ';
+    out += std::to_string(timestamp);
+    out += '\n';
+  };
   for (const auto& [key, series] : series_) {
     const std::string pname = PrometheusMetricName(series.name);
     const std::string labels = PrometheusLabelBlock(series.labels);
@@ -497,18 +509,16 @@ std::string TimeSeriesRecorder::ToOpenMetricsText() const {
         uint64_t cumulative = 0;
         for (size_t w = 0; w < window_end_.size(); ++w) {
           cumulative += series.counter_delta[w];
-          out += pname + "_total" + labels + ' ' +
-                 std::to_string(cumulative) + ' ' +
-                 std::to_string(window_end_[w]) + '\n';
+          AppendSample(&out, pname, "_total", labels, cumulative);
+          end_line(window_end_[w]);
         }
         break;
       }
       case 1: {
         out += "# TYPE " + pname + " gauge\n";
         for (size_t w = 0; w < window_end_.size(); ++w) {
-          out += pname + labels + ' ';
-          append_value(series.gauge_last[w]);
-          out += ' ' + std::to_string(window_end_[w]) + '\n';
+          AppendSample(&out, pname, "", labels, series.gauge_last[w]);
+          end_line(window_end_[w]);
         }
         break;
       }
@@ -522,16 +532,14 @@ std::string TimeSeriesRecorder::ToOpenMetricsText() const {
         for (size_t w = 0; w < window_end_.size(); ++w) {
           const WindowedHistogram& window = series.hist_window[w];
           cumulative += window.samples_.count();
-          out += pname + "_count_total" + labels + ' ' +
-                 std::to_string(cumulative) + ' ' +
-                 std::to_string(window_end_[w]);
+          AppendSample(&out, pname, "_count_total", labels, cumulative);
           if (window.has_exemplar_) {
-            out += " # {trace_id=\"" + std::to_string(window.trace_) +
-                   "\",span_id=\"" + std::to_string(window.span_) + "\"} ";
-            append_value(window.worst_);
-            out += ' ' + std::to_string(window_end_[w]);
+            out += ' ' + std::to_string(window_end_[w]) + " # {trace_id=\"" +
+                   std::to_string(window.trace_) + "\",span_id=\"" +
+                   std::to_string(window.span_) + "\"} ";
+            AppendJsonDouble(&out, window.worst_);
           }
-          out += '\n';
+          end_line(window_end_[w]);
         }
         for (const double q : {0.5, 0.99}) {
           const std::string suffix = q == 0.5 ? "_p50" : "_p99";
@@ -541,9 +549,8 @@ std::string TimeSeriesRecorder::ToOpenMetricsText() const {
             if (stats.count() == 0) {
               continue;
             }
-            out += pname + suffix + labels + ' ';
-            append_value(stats.Quantile(q));
-            out += ' ' + std::to_string(window_end_[w]) + '\n';
+            AppendSample(&out, pname, suffix, labels, stats.Quantile(q));
+            end_line(window_end_[w]);
           }
         }
         break;

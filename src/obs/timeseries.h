@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace lightrw::obs {
@@ -163,11 +162,10 @@ class TimeSeriesRecorder {
   // gauge -> last value, histogram -> windowed p99).
   std::vector<Incident> DetectIncidents() const;
 
-  // Exports. ToJson emits schema "timeseries.v1"; ToOpenMetricsText
-  // emits OpenMetrics-style text whose timestamps are simulated window
-  // end cycles and whose exemplars use trace_id/span_id labels, ending
-  // with "# EOF".
-  Json ToJson() const;
+  // Exports. ToJsonString streams schema "timeseries.v1" (with a
+  // trailing newline); ToOpenMetricsText emits OpenMetrics-style text
+  // whose timestamps are simulated window end cycles and whose exemplars
+  // use trace_id/span_id labels, ending with "# EOF".
   std::string ToJsonString(int indent = 2) const;
   std::string ToOpenMetricsText() const;
   // Plain-text "telemetry timeline" section for FormatRunReport: per

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
+
+#include "obs/json.h"
 
 namespace lightrw::obs {
 
@@ -98,32 +101,32 @@ void TraceRecorder::MergeFrom(TraceRecorder* shard) {
   shard->dropped_events_.store(0, std::memory_order_relaxed);
 }
 
-Json TraceRecorder::ToJson() const {
+std::string TraceRecorder::ToJsonString() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Json trace_events = Json::MakeArray();
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("traceEvents");
+  w.BeginArray();
 
   // Metadata first: process and thread labels ("M" phase).
+  const auto label = [&w](const char* kind, uint32_t pid, uint32_t tid,
+                          const std::string& name) {
+    w.BeginObject();
+    w.Member("name", kind);
+    w.Member("ph", "M");
+    w.Member("pid", static_cast<uint64_t>(pid));
+    w.Member("tid", static_cast<uint64_t>(tid));
+    w.Key("args");
+    w.BeginObject();
+    w.Member("name", name);
+    w.End();
+    w.End();
+  };
   for (const auto& [pid, name] : process_names_) {
-    Json args = Json::MakeObject();
-    args.Set("name", name);
-    Json event = Json::MakeObject();
-    event.Set("name", "process_name");
-    event.Set("ph", "M");
-    event.Set("pid", static_cast<uint64_t>(pid));
-    event.Set("tid", static_cast<uint64_t>(0));
-    event.Set("args", std::move(args));
-    trace_events.Append(std::move(event));
+    label("process_name", pid, 0, name);
   }
   for (const auto& [pid, tid, name] : track_names_) {
-    Json args = Json::MakeObject();
-    args.Set("name", name);
-    Json event = Json::MakeObject();
-    event.Set("name", "thread_name");
-    event.Set("ph", "M");
-    event.Set("pid", static_cast<uint64_t>(pid));
-    event.Set("tid", static_cast<uint64_t>(tid));
-    event.Set("args", std::move(args));
-    trace_events.Append(std::move(event));
+    label("thread_name", pid, tid, name);
   }
 
   // Events in timestamp order: stable sort keeps the recording order of
@@ -139,46 +142,43 @@ Json TraceRecorder::ToJson() const {
                    });
 
   for (const TraceEvent* event : ordered) {
-    Json out = Json::MakeObject();
-    out.Set("name", event->name);
+    w.BeginObject();
+    w.Member("name", event->name);
     if (event->category[0] != '\0') {
-      out.Set("cat", event->category);
+      w.Member("cat", event->category);
     }
-    out.Set("ph", std::string(1, event->phase));
-    out.Set("pid", static_cast<uint64_t>(event->pid));
-    out.Set("tid", static_cast<uint64_t>(event->tid));
-    out.Set("ts", event->ts);
+    w.Member("ph", std::string_view(&event->phase, 1));
+    w.Member("pid", static_cast<uint64_t>(event->pid));
+    w.Member("tid", static_cast<uint64_t>(event->tid));
+    w.Member("ts", event->ts);
     switch (event->phase) {
       case 'X':
-        out.Set("dur", event->dur);
+        w.Member("dur", event->dur);
         break;
       case 'i':
-        out.Set("s", "t");  // instant scope: thread
+        w.Member("s", "t");  // instant scope: thread
         break;
-      case 'C': {
-        Json args = Json::MakeObject();
-        args.Set("value", event->value);
-        out.Set("args", std::move(args));
+      case 'C':
+        w.Key("args");
+        w.BeginObject();
+        w.Member("value", event->value);
+        w.End();
         break;
-      }
       default:
         break;
     }
-    trace_events.Append(std::move(out));
+    w.End();
   }
+  w.End();
 
-  Json doc = Json::MakeObject();
-  doc.Set("traceEvents", std::move(trace_events));
-  doc.Set("displayTimeUnit", "ns");
-  Json metadata = Json::MakeObject();
-  metadata.Set("clock", "simulated-cycles");
-  metadata.Set("dropped_events", dropped_events_.load());
-  doc.Set("metadata", std::move(metadata));
-  return doc;
-}
-
-std::string TraceRecorder::ToJsonString() const {
-  std::string out = ToJson().Dump();
+  w.Member("displayTimeUnit", "ns");
+  w.Key("metadata");
+  w.BeginObject();
+  w.Member("clock", "simulated-cycles");
+  w.Member("dropped_events", dropped_events_.load());
+  w.End();
+  w.End();
+  std::string out = w.Take();
   out += '\n';
   return out;
 }

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/json.h"
 
 namespace lightrw::obs {
 
@@ -96,9 +95,8 @@ class TraceRecorder {
   }
 
   // Chrome trace_event "JSON Object Format": {"traceEvents": [...],
-  // "displayTimeUnit": "ns"}. Events are stably sorted by (ts) so every
-  // per-track sequence is monotone.
-  Json ToJson() const;
+  // "displayTimeUnit": "ns"}, compact, with a trailing newline. Events
+  // are stably sorted by (ts) so every per-track sequence is monotone.
   std::string ToJsonString() const;
 
  private:

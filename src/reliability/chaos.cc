@@ -303,9 +303,12 @@ StatusOr<ChaosCampaignResult> RunChaosCampaign(const graph::CsrGraph& graph,
       if (run.ok()) {
         cap.ok = true;
         cap.stats = *run;
-        obs::Json doc = spans.ToJson();
-        doc.Set("membership", MembershipToJson(cap.stats.membership));
-        cap.span_json = doc.Dump(2);
+        obs::JsonWriter writer(/*indent=*/2);
+        writer.BeginObject();
+        spans.WriteJsonMembers(&writer);
+        writer.Member("membership", MembershipToJson(cap.stats.membership));
+        writer.End();
+        cap.span_json = writer.Take();
       } else {
         cap.error = run.status().message();
       }

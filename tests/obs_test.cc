@@ -1,9 +1,11 @@
-// Unit tests for the observability library: the Json document type, the
-// metrics registry and its expositions, and the trace recorder.
+// Unit tests for the observability library: the Json document type and
+// its parser, the streaming JsonWriter, the metrics registry and its
+// expositions, and the trace recorder.
 
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -97,6 +99,157 @@ TEST(JsonTest, NumericKindsRoundTripExactly) {
   EXPECT_EQ(parsed.value().array()[0].uint_value(), 9007199254740993ull);
   EXPECT_EQ(parsed.value().array()[1].int_value(), -4);
   EXPECT_DOUBLE_EQ(parsed.value().array()[2].double_value(), 1.25);
+}
+
+TEST(JsonTest, ParseRejectsNonRfcNumbersAndRawControlBytes) {
+  for (const char* text :
+       {"007", "[01]", "-01", "00", ".5", "[.5]", "-.5", "5.", "1.e3", "1e",
+        "1e+", "-", "+1", "[1,-]"}) {
+    EXPECT_FALSE(Json::Parse(text).ok()) << text;
+  }
+  EXPECT_FALSE(Json::Parse("\"esc \x1b byte\"").ok());
+  EXPECT_FALSE(Json::Parse("\"raw\ttab\"").ok());
+  EXPECT_FALSE(Json::Parse(std::string("\"\0\"", 3)).ok());
+  EXPECT_FALSE(Json::Parse("{\"k\x01\":1}").ok());
+
+  for (const char* text : {"0", "-0", "10", "0.5", "-0.5e-3", "1E5", "1e+21",
+                           "[0,1]", "\"\\u001b\""}) {
+    EXPECT_TRUE(Json::Parse(text).ok()) << text;
+  }
+  EXPECT_EQ(Json::Parse("-0").value().int_value(), 0);
+  EXPECT_DOUBLE_EQ(Json::Parse("1e+21").value().double_value(), 1e21);
+  EXPECT_EQ(Json::Parse("\"\\u001b\"").value().string_value(), "\x1b");
+}
+
+// ---------------------------------------------------------------------------
+// JsonWriter
+
+// The same document streamed member by member and built as a Json tree
+// (pinned byte for byte in export_pins_test): the two must agree at every
+// indent, including a DOM section embedded below the top level.
+TEST(JsonWriterTest, StreamedDocumentMatchesDump) {
+  Json section = Json::MakeObject();
+  section.Set("list", Json::MakeArray().Append(1).Append(Json::MakeObject()));
+  section.Set("empty", Json::MakeArray());
+
+  Json tree = Json::MakeObject();
+  tree.Set("null", Json());
+  tree.Set("bool", true);
+  tree.Set("int", -3);
+  tree.Set("int64", int64_t{-4});
+  tree.Set("uint64", uint64_t{5});
+  tree.Set("double", 0.25);
+  tree.Set("chars", "a\"b");
+  tree.Set("string", std::string("c\n"));
+  tree.Set("view", "d");
+  tree.Set("empty_object", Json::MakeObject());
+  tree.Set("rows", Json::MakeArray().Append(section).Append(Json()));
+
+  for (const int indent : {-1, 0, 2, 3}) {
+    JsonWriter w(indent);
+    w.BeginObject();
+    w.Member("null", nullptr);
+    w.Member("bool", true);
+    w.Member("int", -3);
+    w.Member("int64", int64_t{-4});
+    w.Member("uint64", uint64_t{5});
+    w.Member("double", 0.25);
+    w.Member("chars", "a\"b");
+    w.Member("string", std::string("c\n"));
+    w.Member("view", std::string_view("d"));
+    w.Key("empty_object");
+    w.BeginObject();
+    w.End();
+    w.Key("rows");
+    w.BeginArray();
+    w.Value(section);
+    w.Value(nullptr);
+    w.End();
+    w.End();
+    EXPECT_EQ(w.Take(), tree.Dump(indent)) << "indent " << indent;
+  }
+}
+
+TEST(JsonWriterTest, TakeLeavesTheWriterEmpty) {
+  JsonWriter w;
+  w.Value(1);
+  EXPECT_EQ(w.Take(), "1");
+  w.BeginArray();
+  w.End();
+  EXPECT_EQ(w.Take(), "[]");
+}
+
+TEST(JsonWriterDeathTest, MisuseIsACheckFailure) {
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.Key("k");
+      },
+      "key outside an object");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.BeginArray();
+        w.Key("k");
+      },
+      "key outside an object");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.BeginObject();
+        w.Value(1);
+      },
+      "object member without a key");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.BeginObject();
+        w.Key("a");
+        w.Key("b");
+      },
+      "key without a value");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.BeginObject();
+        w.Key("a");
+        w.End();
+      },
+      "key without a value");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.Value(1);
+        w.Value(2);
+      },
+      "second top-level value");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.End();
+      },
+      "End with no open container");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.BeginArray();
+        w.End();
+        w.End();
+      },
+      "End with no open container");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.BeginObject();
+        w.Take();
+      },
+      "Take before the document is complete");
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.Take();
+      },
+      "Take before the document is complete");
 }
 
 // ---------------------------------------------------------------------------

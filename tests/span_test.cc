@@ -114,6 +114,7 @@ TEST(SpanRecorderTest, BreachedModeIsAFlightRecorder) {
   }
   const std::vector<Span> spans = rec.Spans();
   ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(rec.num_spans(), 2u);
   EXPECT_EQ(spans[0].trace, 3u);
   EXPECT_EQ(spans[1].trace, 7u);
   // Summaries are kept for every closed trace regardless of mode (the
@@ -151,6 +152,32 @@ TEST(SpanRecorderTest, PerTraceSpanCapDropsAndCounts) {
   rec.Event(1, 0, "e", 1);
   rec.End(1, 0, 9);
   EXPECT_EQ(rec.Spans().size(), 2u);
+  EXPECT_EQ(rec.num_spans(), 2u);
+}
+
+TEST(SpanRecorderTest, RepeatedAttrKeyOverwritesInPlace) {
+  SpanRecorder rec;
+  const uint64_t root = rec.Begin(1, 0, "query", "service", -1, 0);
+  const uint64_t walk = rec.Begin(1, root, "walk", "cluster", 0, 10);
+  rec.Attr(1, walk, "sampler", 1);
+  rec.Attr(1, walk, "dram_fetch", 5);
+  const std::string key = "sampler";  // equal text, another pointer
+  rec.Attr(1, walk, key.c_str(), 2);
+  rec.End(1, walk, 20);
+  rec.End(1, root, 100);
+  rec.CloseTrace(1, 0, 100, /*breached=*/true, "deadline_missed");
+
+  const std::vector<Span> spans = rec.Spans();
+  ASSERT_EQ(spans.size(), 2u);
+  ASSERT_EQ(spans[1].attrs.size(), 2u);
+  EXPECT_STREQ(spans[1].attrs[0].first, "sampler");
+  EXPECT_EQ(spans[1].attrs[0].second, 2u);
+  EXPECT_NE(rec.ToJsonString(-1).find(
+                "\"attrs\":{\"sampler\":2,\"dram_fetch\":5}"),
+            std::string::npos);
+  const AttributionReport report = AnalyzeCriticalPaths(rec);
+  ASSERT_EQ(report.breached.size(), 1u);
+  EXPECT_EQ(report.breached[0].cycles[obs::kCompSampler], 2u);
 }
 
 TEST(SpanRecorderTest, MergeOrderIsInvisibleInExport) {
