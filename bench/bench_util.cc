@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/sim_thread_pool.h"
 #include "obs/trace.h"
 
@@ -16,11 +17,11 @@ namespace {
 struct BenchEnv {
   uint32_t scale_shift;
   size_t max_queries;
+  uint32_t sim_threads;
 };
 
-uint64_t EnvOrExit(const char* name, uint64_t fallback, uint64_t max) {
-  const StatusOr<uint64_t> value =
-      ParseEnvUint(name, std::getenv(name), fallback, max);
+template <typename T>
+T ValueOrExit(const StatusOr<T>& value) {
   if (!value.ok()) {
     std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
     std::exit(1);
@@ -28,11 +29,16 @@ uint64_t EnvOrExit(const char* name, uint64_t fallback, uint64_t max) {
   return *value;
 }
 
+uint64_t EnvOrExit(const char* name, uint64_t fallback, uint64_t max) {
+  return ValueOrExit(ParseEnvUint(name, std::getenv(name), fallback, max));
+}
+
 const BenchEnv& Env() {
   static const BenchEnv env{
       static_cast<uint32_t>(EnvOrExit("LIGHTRW_SCALE_SHIFT", 7, 31)),
       static_cast<size_t>(
-          EnvOrExit("LIGHTRW_MAX_QUERIES", 8192, UINT32_MAX))};
+          EnvOrExit("LIGHTRW_MAX_QUERIES", 8192, UINT32_MAX)),
+      ValueOrExit(SimThreadPool::EnvThreads())};
   return env;
 }
 
@@ -75,31 +81,11 @@ obs::Json BenchContext() {
 
 }  // namespace
 
-StatusOr<uint64_t> ParseEnvUint(const char* name, const char* value,
-                                uint64_t fallback, uint64_t max) {
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  uint64_t parsed = 0;
-  for (const char* c = value; *c != '\0'; ++c) {
-    const bool digit_fits =
-        *c >= '0' && *c <= '9' && parsed <= max / 10 &&
-        static_cast<uint64_t>(*c - '0') <= max - parsed * 10;
-    if (!digit_fits) {
-      return InvalidArgumentError(std::string(name) + "=" + value +
-                                  ": want decimal digits in [0, " +
-                                  std::to_string(max) + "]");
-    }
-    parsed = parsed * 10 + static_cast<uint64_t>(*c - '0');
-  }
-  return parsed;
-}
-
 uint32_t ScaleShift() { return Env().scale_shift; }
 
 size_t MaxQueries() { return Env().max_queries; }
 
-uint32_t SimThreads() { return SimThreadPool::DefaultThreads(); }
+uint32_t SimThreads() { return Env().sim_threads; }
 
 const graph::CsrGraph& StandIn(graph::Dataset dataset) {
   static std::map<graph::Dataset, graph::CsrGraph>& cache =

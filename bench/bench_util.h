@@ -15,13 +15,13 @@
 //   LIGHTRW_MAX_QUERIES     cap on queries per run (default 8192; 0 = one
 //                           query per non-isolated vertex; at most 2^32-1)
 //   LIGHTRW_SIM_THREADS     host worker threads for sharded simulations
-//                           (default 1); simulated metrics are unchanged by
-//                           this value — only wall time moves
+//                           (default 1, at most 256); simulated metrics are
+//                           unchanged by this value — only wall time moves
 //   LIGHTRW_BENCH_JSON_DIR  directory BENCH_<name>.json is written to
 //                           (default: the working directory)
-// The first two take decimal digits only; any other value makes the bench
-// exit 1 with a message naming the variable. A failed run or an unwritable
-// BENCH file also exits 1.
+// The first three take decimal digits only; any other value makes the
+// bench exit 1 with a message naming the variable. A failed run or an
+// unwritable BENCH file also exits 1.
 
 #ifndef LIGHTRW_BENCH_BENCH_UTIL_H_
 #define LIGHTRW_BENCH_BENCH_UTIL_H_
@@ -46,17 +46,12 @@ inline constexpr double kNode2VecP = 2.0;
 inline constexpr double kNode2VecQ = 0.5;
 inline constexpr uint64_t kBenchSeed = 20230618;
 
-// Reads one numeric bench variable `name` whose raw value is `value`
-// (null or empty: `fallback`). Anything but decimal digits, or a number
-// above `max`, is an InvalidArgument error naming the variable.
-StatusOr<uint64_t> ParseEnvUint(const char* name, const char* value,
-                                uint64_t fallback, uint64_t max);
-
-// Resolved LIGHTRW_SCALE_SHIFT and LIGHTRW_MAX_QUERIES. Both variables are
-// validated on the first call to either; an invalid one exits 1.
+// Resolved LIGHTRW_SCALE_SHIFT, LIGHTRW_MAX_QUERIES and
+// LIGHTRW_SIM_THREADS (what engines with num_threads = 0 use). All three
+// variables are validated on the first call to any of these; an invalid
+// one exits 1.
 uint32_t ScaleShift();
 size_t MaxQueries();
-// Resolved LIGHTRW_SIM_THREADS (what engines with num_threads = 0 use).
 uint32_t SimThreads();
 
 // Cached scaled stand-in for a paper dataset (built on first use).

@@ -17,7 +17,6 @@
 //                                membership log
 //   timeseries  timeseries.json  windowed series, exemplars and
 //               timeseries.om    incidents, also as OpenMetrics text
-//   perf        perf.json        wall-clock PERF report of the run
 // A chaos campaign writes `chaos` (chaos.json, the campaign report) and
 // `spans` (spans.json, scenario 0's span document) instead.
 //
@@ -61,7 +60,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
-#include "perf/perf_harness.h"
 #include "obs/trace.h"
 #include "reliability/chaos.h"
 #include "reliability/fault_injector.h"
@@ -165,8 +163,7 @@ bool ParseUintList(const std::string& flag, const std::string& text,
 }
 
 // The exports --exports can name in a single run and in a chaos campaign.
-constexpr const char* kRunExports =
-    "corpus,metrics,trace,spans,timeseries,perf";
+constexpr const char* kRunExports = "corpus,metrics,trace,spans,timeseries";
 constexpr const char* kChaosExports = "chaos,spans";
 
 // Parses the --exports list; false (with a one-line stderr reason) for a
@@ -344,22 +341,6 @@ int ReliabilityExitCode(const reliability::ReliabilityStats& rel) {
   return 0;
 }
 
-// One-repeat PERF report of a finished run: the body replays its
-// counters while the FakeClock replays the measured wall time, so the
-// report goes through the exact aggregation and schema path the CI perf
-// gate consumes.
-std::string PerfReportText(const std::string& engine,
-                           const perf::WorkCounters& counters,
-                           double elapsed_seconds) {
-  perf::FakeClock clock({0, static_cast<uint64_t>(elapsed_seconds * 1e9)});
-  perf::RepeatConfig repeat_config;
-  repeat_config.warmup = 0;
-  repeat_config.repeats = 1;
-  const perf::WorkloadResult measured = perf::MeasureWorkload(
-      engine, repeat_config, &clock, [&counters]() { return counters; });
-  return perf::PerfReport("walk_tool", {measured}).Dump(2) + "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -386,8 +367,8 @@ int main(int argc, char** argv) {
                "existing directory the selected exports are written to", ".");
   flags.Define("exports",
                "comma list of files to write under --out-dir: "
-               "corpus,metrics,trace,spans,timeseries,perf (a chaos "
-               "campaign: chaos,spans); see the walk_tool header",
+               "corpus,metrics,trace,spans,timeseries (a chaos campaign: "
+               "chaos,spans); see the walk_tool header",
                "");
   flags.Define("span-mode",
                "span retention: all|breached (breached = flight recorder: "
@@ -567,6 +548,21 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const StatusOr<uint32_t> env_threads = SimThreadPool::EnvThreads();
+  if (!env_threads.ok()) {
+    std::fprintf(stderr, "%s\n", env_threads.status().ToString().c_str());
+    return 1;
+  }
+  // NaN compares false against any threshold, so it would never breach.
+  for (const char* slo : {"slo-max-shed", "slo-max-violation"}) {
+    const double max = flags.GetDouble(slo);
+    if (!(max >= 0.0 && max <= 1.0)) {
+      std::fprintf(stderr, "--%s=%s: want a fraction in [0, 1]\n", slo,
+                   flags.GetString(slo).c_str());
+      return 1;
+    }
+  }
+
   const auto threads = static_cast<uint32_t>(flags.GetInt("threads"));
   if (threads > 0) {
     SimThreadPool::SetDefaultThreads(threads);
@@ -708,7 +704,6 @@ int main(int argc, char** argv) {
   // with per-query spans.
   std::vector<reliability::MembershipTransition> membership;
   int exit_code = 0;
-  uint64_t perf_sim_cycles = 0;  // simulated cycles, where the engine has them
   if (engine == "cpu") {
     baseline::BaselineConfig config;
     config.seed = flags.GetInt("seed");
@@ -735,7 +730,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.cycles), stats.seconds,
         stats.StepsPerSecond() / 1e6);
     PrintReliabilitySummary(stats.reliability);
-    perf_sim_cycles = stats.cycles;
     if (flags.GetBool("report")) {
       core::RunReportInputs report;
       report.graph = &g;
@@ -774,7 +768,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.cycles), stats.seconds,
         stats.StepsPerSecond() / 1e6);
     PrintReliabilitySummary(stats.reliability);
-    perf_sim_cycles = stats.cycles;
     membership = stats.membership;
     exit_code = ReliabilityExitCode(stats.reliability);
   } else if (engine == "service") {
@@ -828,7 +821,6 @@ int main(int argc, char** argv) {
         stats.cluster.StepsPerSecond() / 1e6);
     std::fputs(core::FormatSloSection(stats.Slo()).c_str(), stdout);
     PrintReliabilitySummary(stats.cluster.reliability);
-    perf_sim_cycles = stats.cycles;
     membership = stats.cluster.membership;
     const double max_shed = flags.GetDouble("slo-max-shed");
     const double max_violation = flags.GetDouble("slo-max-violation");
@@ -884,13 +876,6 @@ int main(int argc, char** argv) {
     spans_json = writer.Take();
     spans_json += '\n';
   }
-  perf::WorkCounters counters;
-  counters.simulated_cycles = perf_sim_cycles;
-  counters.walks = corpus.num_paths();
-  counters.steps = corpus.vertices.size() >= corpus.num_paths()
-                       ? corpus.vertices.size() - corpus.num_paths()
-                       : 0;
-  counters.spans = spans.num_spans();
   const std::vector<ExportFile> files = {
       {"corpus", "corpus.txt",
        [&](const std::string& path) {
@@ -907,10 +892,6 @@ int main(int argc, char** argv) {
        TextWriter([&] { return timeseries.ToJsonString(2); })},
       {"timeseries", "timeseries.om",
        TextWriter([&] { return timeseries.ToOpenMetricsText(); })},
-      // Last, so its wall time covers every other export.
-      {"perf", "perf.json", TextWriter([&] {
-         return PerfReportText(engine, counters, timer.ElapsedSeconds());
-       })},
   };
   return WriteExports(out_dir, exports, files) ? exit_code : 1;
 }

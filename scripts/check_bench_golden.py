@@ -9,9 +9,9 @@ The golden file pins the expected shape of one bench's output:
     "bench": "name",            # must equal the record's bench name
     "context": {...},           # every listed key must match exactly
     "num_rows": N,              # exact row count
-    "row_ranges": {             # every row must satisfy these
-      "field": [min, max]
-    },
+    "row_ranges": {             # every row that has the field must
+      "field": [min, max]       # satisfy it, and at least one row must
+    },                          # have it
     "row_checks": [             # targeted expectations
       {"where": {"field": value, ...},     # selects matching rows
        "expect": {"field": [min, max]}}    # must hold for all of them
@@ -68,6 +68,8 @@ def main(argv):
             f"row count: got {len(rows)}, want {golden['num_rows']}")
 
     for field, rng in golden.get("row_ranges", {}).items():
+        if not any(field in row for row in rows):
+            errors.append(f"row_ranges field {field!r}: no row has it")
         for row in rows:
             if field in row and not in_range(row[field], rng):
                 errors.append(

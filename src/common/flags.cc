@@ -190,4 +190,24 @@ std::string FlagParser::HelpText() const {
   return out;
 }
 
+StatusOr<uint64_t> ParseEnvUint(const char* name, const char* value,
+                                uint64_t fallback, uint64_t max) {
+  if (value == nullptr || *value == '\0') {
+    return fallback;
+  }
+  uint64_t parsed = 0;
+  for (const char* c = value; *c != '\0'; ++c) {
+    const bool digit_fits =
+        *c >= '0' && *c <= '9' && parsed <= max / 10 &&
+        static_cast<uint64_t>(*c - '0') <= max - parsed * 10;
+    if (!digit_fits) {
+      return InvalidArgumentError(std::string(name) + "=" + value +
+                                  ": want decimal digits in [0, " +
+                                  std::to_string(max) + "]");
+    }
+    parsed = parsed * 10 + static_cast<uint64_t>(*c - '0');
+  }
+  return parsed;
+}
+
 }  // namespace lightrw

@@ -1,4 +1,5 @@
-// Minimal command-line flag parsing for the example tools.
+// Minimal command-line flag parsing for the example tools, and the strict
+// parser of the numeric environment variables the tools and benches read.
 //
 // Supports --name=value and --name value forms plus boolean --name.
 // Unrecognized flags and arguments that are not flags are reported as
@@ -78,6 +79,12 @@ class FlagParser {
 
   std::map<std::string, Flag> flags_;
 };
+
+// Reads one numeric environment variable `name` whose raw value is `value`
+// (null or empty: `fallback`). Anything but decimal digits, or a number
+// above `max`, is an InvalidArgument error naming the variable.
+StatusOr<uint64_t> ParseEnvUint(const char* name, const char* value,
+                                uint64_t fallback, uint64_t max);
 
 }  // namespace lightrw
 

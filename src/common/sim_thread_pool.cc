@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
+
 namespace lightrw {
 
 namespace {
@@ -14,23 +16,20 @@ uint32_t Clamp(uint32_t n) {
   return std::clamp<uint32_t>(n, 1, SimThreadPool::kMaxThreads);
 }
 
-uint32_t EnvDefault() {
-  const char* value = std::getenv("LIGHTRW_SIM_THREADS");
-  if (value == nullptr || *value == '\0') {
-    return 1;
-  }
-  const unsigned long parsed = std::strtoul(value, nullptr, 10);
-  if (parsed == 0) {
-    return 1;
-  }
-  return Clamp(static_cast<uint32_t>(
-      std::min<unsigned long>(parsed, SimThreadPool::kMaxThreads)));
-}
-
 // 0 = "not overridden": fall back to the environment.
 std::atomic<uint32_t> g_default_threads{0};
 
 }  // namespace
+
+StatusOr<uint32_t> SimThreadPool::EnvThreads() {
+  const char* name = "LIGHTRW_SIM_THREADS";
+  const StatusOr<uint64_t> parsed =
+      ParseEnvUint(name, std::getenv(name), 1, kMaxThreads);
+  if (!parsed.ok()) {
+    return parsed.status();
+  }
+  return Clamp(static_cast<uint32_t>(*parsed));
+}
 
 uint32_t SimThreadPool::DefaultThreads() {
   const uint32_t overridden =
@@ -38,7 +37,10 @@ uint32_t SimThreadPool::DefaultThreads() {
   if (overridden != 0) {
     return overridden;
   }
-  static const uint32_t from_env = EnvDefault();
+  static const uint32_t from_env = [] {
+    const StatusOr<uint32_t> threads = EnvThreads();
+    return threads.ok() ? *threads : 1;
+  }();
   return from_env;
 }
 

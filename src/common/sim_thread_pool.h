@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/status.h"
+
 namespace lightrw {
 
 class SimThreadPool {
@@ -36,8 +38,13 @@ class SimThreadPool {
   // Hard cap on worker threads; requests beyond it are clamped.
   static constexpr uint32_t kMaxThreads = 256;
 
+  // LIGHTRW_SIM_THREADS: unset or empty is 1, otherwise decimal digits in
+  // [0, kMaxThreads], 0 meaning 1. Anything else is an InvalidArgument
+  // error naming the variable, on which the benches and walk_tool exit 1.
+  static StatusOr<uint32_t> EnvThreads();
+
   // The process-wide default: SetDefaultThreads() if called, else
-  // LIGHTRW_SIM_THREADS (read once), else 1.
+  // EnvThreads() (read once; 1 when it is an error).
   static uint32_t DefaultThreads();
 
   // Overrides the default for the rest of the process (0 restores the

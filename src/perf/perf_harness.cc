@@ -3,35 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <thread>
 
 #include "common/check.h"
+#include "common/sim_thread_pool.h"
 
 namespace lightrw::perf {
 namespace {
 
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  return static_cast<uint64_t>(std::strtoull(value, nullptr, 10));
-}
-
 double RatePerSecond(uint64_t count, double seconds) {
   return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
-}
-
-obs::Json AggregateToJson(const Aggregate& a) {
-  obs::Json j = obs::Json::MakeObject();
-  j.Set("median", a.median);
-  j.Set("mad", a.mad);
-  j.Set("min", a.min);
-  j.Set("max", a.max);
-  return j;
 }
 
 }  // namespace
@@ -49,14 +30,6 @@ FakeClock::FakeClock(std::vector<uint64_t> instants)
 uint64_t FakeClock::NowNanos() {
   LIGHTRW_CHECK(next_ < instants_.size());
   return instants_[next_++];
-}
-
-RepeatConfig RepeatConfigFromEnv() {
-  RepeatConfig config;
-  config.warmup = static_cast<uint32_t>(EnvU64("LIGHTRW_PERF_WARMUP", 1));
-  config.repeats = static_cast<uint32_t>(
-      std::max<uint64_t>(1, EnvU64("LIGHTRW_PERF_REPEATS", 5)));
-  return config;
 }
 
 Aggregate Summarize(const std::vector<double>& samples) {
@@ -120,7 +93,8 @@ WorkloadResult MeasureWorkload(const std::string& name,
 
 obs::Json HostContext() {
   obs::Json host = obs::Json::MakeObject();
-  host.Set("sim_threads", EnvU64("LIGHTRW_SIM_THREADS", 1));
+  host.Set("sim_threads",
+           static_cast<uint64_t>(SimThreadPool::DefaultThreads()));
   host.Set("hardware_concurrency",
            static_cast<uint64_t>(std::thread::hardware_concurrency()));
 #if defined(__clang__)
@@ -137,70 +111,6 @@ obs::Json HostContext() {
 #endif
   host.Set("pointer_bits", static_cast<uint64_t>(sizeof(void*) * 8));
   return host;
-}
-
-obs::Json WorkloadToJson(const WorkloadResult& result) {
-  obs::Json w = obs::Json::MakeObject();
-  w.Set("name", result.name);
-  w.Set("warmup", static_cast<uint64_t>(result.warmup));
-  w.Set("repeats", static_cast<uint64_t>(result.wall_seconds.size()));
-  w.Set("wall_seconds", AggregateToJson(result.wall));
-  obs::Json counters = obs::Json::MakeObject();
-  counters.Set("simulated_cycles", result.counters.simulated_cycles);
-  counters.Set("walks", result.counters.walks);
-  counters.Set("steps", result.counters.steps);
-  counters.Set("spans", result.counters.spans);
-  w.Set("counters", counters);
-  obs::Json rates = obs::Json::MakeObject();
-  rates.Set("sim_cycles_per_sec", AggregateToJson(result.sim_cycles_per_sec));
-  rates.Set("walks_per_sec", AggregateToJson(result.walks_per_sec));
-  rates.Set("steps_per_sec", AggregateToJson(result.steps_per_sec));
-  rates.Set("spans_per_sec", AggregateToJson(result.spans_per_sec));
-  w.Set("rates", rates);
-  w.Set("counters_stable", result.counters_stable);
-  return w;
-}
-
-obs::Json PerfReport(const std::string& name,
-                     const std::vector<WorkloadResult>& results) {
-  obs::Json report = obs::Json::MakeObject();
-  report.Set("perf", name);
-  report.Set("schema_version", static_cast<uint64_t>(1));
-  report.Set("host", HostContext());
-  obs::Json workloads = obs::Json::MakeArray();
-  for (const WorkloadResult& result : results) {
-    workloads.Append(WorkloadToJson(result));
-  }
-  report.Set("workloads", workloads);
-  return report;
-}
-
-bool WritePerfReportFile(const std::string& path, const obs::Json& report) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "perf: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  out << report.Dump(2) << "\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "perf: write to %s failed\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool WritePerfJson(const std::string& name,
-                   const std::vector<WorkloadResult>& results) {
-  const char* dir = std::getenv("LIGHTRW_PERF_JSON_DIR");
-  std::string path = (dir != nullptr && *dir != '\0')
-                         ? std::string(dir) + "/PERF_" + name + ".json"
-                         : "PERF_" + name + ".json";
-  if (!WritePerfReportFile(path, PerfReport(name, results))) {
-    return false;
-  }
-  std::printf("perf json: %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace lightrw::perf

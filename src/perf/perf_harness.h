@@ -1,32 +1,25 @@
-// Wall-clock benchmark harness for the simulators.
+// Wall-clock measurement for perfbench, the simulator's host-speed
+// benchmark (perfbench/README.md).
 //
 // The rest of the repository measures *simulated* time (kernel cycles,
-// makespans) and gates it with goldens; nothing measured how fast the
-// simulation itself runs on the host. This harness fills that gap: a
-// workload is a closure that performs one complete deterministic run and
-// reports its simulated-work counters; the harness times `warmup`
-// untimed runs followed by `repeats` timed runs on a monotonic clock and
-// aggregates the per-repeat throughput rates with median/MAD (median
-// absolute deviation) — robust statistics, because host timings are
-// contaminated by one-sided noise (page faults, frequency ramps,
-// neighbouring jobs) that poisons means and variances but not medians.
+// makespans) and gates it with goldens. perfbench measures how fast the
+// simulation itself runs on the host, and scripts/perf_ab_gate.py gates
+// that by running perfbench in a parent tree and a change tree. This
+// harness does perfbench's timing: a workload is a closure that performs
+// one complete deterministic run and reports its simulated-work counters;
+// the harness times `warmup` untimed runs followed by `repeats` timed runs
+// on a monotonic clock and aggregates the per-repeat throughput rates with
+// median/MAD (median absolute deviation) — robust statistics, because host
+// timings are contaminated by one-sided noise (page faults, frequency
+// ramps, neighbouring jobs) that poisons means and variances but not
+// medians.
 //
-// The clock is injected (PerfClock) so the aggregation and JSON paths
-// are unit-testable with a fake clock; production code uses
-// MonotonicClock, which reads std::chrono::steady_clock and is immune
-// to wall-clock adjustments.
-//
-// Results serialize to PERF_<name>.json (WritePerfJson) with enough
-// host context (thread count, hardware concurrency, compiler, build
-// mode) to interpret a number after the fact. Simulated counters must
-// not move across repeats of a deterministic workload; the harness
-// checks that and flags instability in the report
-// (`counters_stable: false`) rather than silently averaging.
-//
-// Environment knobs:
-//   LIGHTRW_PERF_WARMUP    untimed warmup runs per workload (default 1)
-//   LIGHTRW_PERF_REPEATS   timed runs per workload (default 5)
-//   LIGHTRW_PERF_JSON_DIR  output directory for PERF_*.json (default .)
+// The clock is injected (PerfClock) so the aggregation is unit-testable
+// with a fake clock; production code uses MonotonicClock, which reads
+// std::chrono::steady_clock and is immune to wall-clock adjustments.
+// Simulated counters must not move across repeats of a deterministic
+// workload; the harness checks that and flags instability
+// (`counters_stable`) rather than silently averaging.
 
 #ifndef LIGHTRW_PERF_PERF_HARNESS_H_
 #define LIGHTRW_PERF_PERF_HARNESS_H_
@@ -70,10 +63,6 @@ struct RepeatConfig {
   uint32_t warmup = 1;
   uint32_t repeats = 5;
 };
-
-// RepeatConfig with LIGHTRW_PERF_WARMUP / LIGHTRW_PERF_REPEATS applied
-// (repeats is clamped to >= 1).
-RepeatConfig RepeatConfigFromEnv();
 
 // Simulated work one repeat performed, reported by the workload closure.
 // A deterministic workload returns identical counters on every repeat.
@@ -122,31 +111,10 @@ WorkloadResult MeasureWorkload(const std::string& name,
                                const std::function<WorkCounters()>& body);
 
 // {"sim_threads": ..., "hardware_concurrency": ..., "compiler": ...,
-//  "build": "release"|"debug", "pointer_bits": ...}. sim_threads is the
-// resolved LIGHTRW_SIM_THREADS value the engines will use.
+//  "build": "release"|"debug", "pointer_bits": ...}. sim_threads is
+// SimThreadPool::DefaultThreads(), the count engines with num_threads = 0
+// run on.
 obs::Json HostContext();
-
-// One workload as a JSON object (schema documented in DESIGN.md):
-// name, warmup, repeats, wall_seconds {median, mad, min, max},
-// counters {...}, rates {<metric>: {median, mad, min, max}},
-// counters_stable.
-obs::Json WorkloadToJson(const WorkloadResult& result);
-
-// Assembles {"perf": name, "schema_version": 1, "host": HostContext(),
-// "workloads": [...]} — split from WritePerfJson so tests can validate
-// the document without touching the filesystem.
-obs::Json PerfReport(const std::string& name,
-                     const std::vector<WorkloadResult>& results);
-
-// Writes PerfReport(...) to PERF_<name>.json in LIGHTRW_PERF_JSON_DIR
-// (default: the working directory) and prints the path. Returns false
-// (after reporting to stderr) if the file cannot be written.
-bool WritePerfJson(const std::string& name,
-                   const std::vector<WorkloadResult>& results);
-
-// Writes an already-assembled report document to `path` verbatim, as
-// WritePerfJson does. Returns false if the file cannot be written.
-bool WritePerfReportFile(const std::string& path, const obs::Json& report);
 
 }  // namespace lightrw::perf
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Exit-code contract of the bench binaries, driven through one of them:
 #   0  the tables printed and BENCH_<name>.json was written
-#   1  an invalid LIGHTRW_SCALE_SHIFT / LIGHTRW_MAX_QUERIES, a failed run,
-#      or a BENCH file that cannot be written
+#   1  an invalid LIGHTRW_SCALE_SHIFT / LIGHTRW_MAX_QUERIES /
+#      LIGHTRW_SIM_THREADS, a failed run, or a BENCH file that cannot be
+#      written
 # Every exit 1 must name the offending variable or path on stderr.
 #
 # Usage: bench_exit_test.sh <path-to-table5_resources>
@@ -40,6 +41,13 @@ done
 for value in abc 4294967296 -1; do
   expect "LIGHTRW_MAX_QUERIES='$value'" 1 LIGHTRW_MAX_QUERIES \
     LIGHTRW_MAX_QUERIES="$value"
+done
+# The thread count is checked by the same parser, capped at 256 threads;
+# table5_resources runs no sharded simulation, so no value here starts a
+# thread.
+for value in abc -1 4x 257; do
+  expect "LIGHTRW_SIM_THREADS='$value'" 1 LIGHTRW_SIM_THREADS \
+    LIGHTRW_SIM_THREADS="$value"
 done
 expect "unwritable BENCH json dir" 1 "$OUT/missing" \
   LIGHTRW_BENCH_JSON_DIR="$OUT/missing"

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "graph/generators.h"
 
 namespace lightrw::bench {

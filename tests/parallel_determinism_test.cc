@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "apps/ppr.h"
@@ -106,6 +108,33 @@ TEST(SimThreadPoolTest, ResolveThreadsClampsAndDefaults) {
   EXPECT_EQ(SimThreadPool::DefaultThreads(), 5u);
   EXPECT_EQ(SimThreadPool::ResolveThreads(0), 5u);
   SimThreadPool::SetDefaultThreads(prev);
+}
+
+// LIGHTRW_SIM_THREADS takes decimal digits in [0, 256] and nothing else;
+// only the parse runs here, never a pool with the value.
+TEST(SimThreadPoolTest, EnvThreadsIsStrict) {
+  const char* ambient = std::getenv("LIGHTRW_SIM_THREADS");
+  const std::string saved = ambient != nullptr ? ambient : "";
+  const auto env_threads = [](const char* value) {
+    setenv("LIGHTRW_SIM_THREADS", value, 1);
+    return SimThreadPool::EnvThreads();
+  };
+  EXPECT_EQ(env_threads("").value(), 1u);
+  EXPECT_EQ(env_threads("0").value(), 1u);
+  EXPECT_EQ(env_threads("4").value(), 4u);
+  EXPECT_EQ(env_threads("256").value(), 256u);
+  for (const char* bad : {"abc", "-1", "4x", "257", "1000", " 4"}) {
+    const StatusOr<uint32_t> threads = env_threads(bad);
+    ASSERT_FALSE(threads.ok()) << bad;
+    EXPECT_NE(threads.status().ToString().find("LIGHTRW_SIM_THREADS"),
+              std::string::npos)
+        << threads.status().ToString();
+  }
+  if (ambient != nullptr) {
+    setenv("LIGHTRW_SIM_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("LIGHTRW_SIM_THREADS");
+  }
 }
 
 // --- CycleEngine: one shard per accelerator instance ----------------------

@@ -1,14 +1,13 @@
 // Wall-clock perf harness (src/perf/): repeat/median/MAD aggregation,
-// warmup exclusion, counter-stability flagging, and the PERF_*.json
-// schema — all driven through the injected FakeClock so every assertion
-// is exact.
+// warmup exclusion and counter-stability flagging — all driven through
+// the injected FakeClock so every assertion is exact.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "common/sim_thread_pool.h"
 #include "obs/json.h"
 #include "perf/perf_harness.h"
 
@@ -112,87 +111,14 @@ TEST(MeasureWorkloadTest, UnstableCountersFlagged) {
   EXPECT_FALSE(result.counters_stable);
 }
 
-const obs::Json* FindOrNull(const obs::Json& object, std::string_view key) {
-  return object.is_object() ? object.Find(key) : nullptr;
-}
-
-TEST(PerfReportTest, JsonSchemaRoundTrips) {
-  RepeatConfig config;
-  config.warmup = 1;
-  config.repeats = 2;
-  FakeClock clock({0, 1 * kNanosPerSec, 2 * kNanosPerSec,
-                   4 * kNanosPerSec});
-  const WorkloadResult result =
-      MeasureWorkload("schema", config, &clock, []() {
-        WorkCounters c;
-        c.simulated_cycles = 100;
-        c.walks = 4;
-        c.steps = 16;
-        c.spans = 8;
-        return c;
-      });
-  const obs::Json report = PerfReport("unit_report", {result});
-
-  // The document must survive its own serializer: what CI's
-  // check_perf_json.py reads is exactly what Parse returns.
-  auto parsed_or = obs::Json::Parse(report.Dump(2));
-  ASSERT_TRUE(parsed_or.ok()) << parsed_or.status().message();
-  const obs::Json& doc = *parsed_or;
-
-  const obs::Json* perf = FindOrNull(doc, "perf");
-  ASSERT_NE(perf, nullptr);
-  EXPECT_EQ(perf->string_value(), "unit_report");
-  const obs::Json* version = FindOrNull(doc, "schema_version");
-  ASSERT_NE(version, nullptr);
-  EXPECT_EQ(version->uint_value(), 1u);
-
-  const obs::Json* host = FindOrNull(doc, "host");
-  ASSERT_NE(host, nullptr);
-  for (const char* key :
-       {"sim_threads", "hardware_concurrency", "compiler", "build",
-        "pointer_bits"}) {
-    EXPECT_NE(FindOrNull(*host, key), nullptr) << key;
+TEST(HostContextTest, ReportsThePoolsThreadCountAndTheBuild) {
+  const obs::Json host = HostContext();
+  for (const char* key : {"sim_threads", "hardware_concurrency", "compiler",
+                          "build", "pointer_bits"}) {
+    ASSERT_NE(host.Find(key), nullptr) << key;
   }
-
-  const obs::Json* workloads = FindOrNull(doc, "workloads");
-  ASSERT_NE(workloads, nullptr);
-  ASSERT_TRUE(workloads->is_array());
-  ASSERT_EQ(workloads->size(), 1u);
-  const obs::Json& workload = workloads->array()[0];
-  const obs::Json* name = FindOrNull(workload, "name");
-  ASSERT_NE(name, nullptr);
-  EXPECT_EQ(name->string_value(), "schema");
-  const obs::Json* repeats = FindOrNull(workload, "repeats");
-  ASSERT_NE(repeats, nullptr);
-  EXPECT_EQ(repeats->uint_value(), 2u);
-  const obs::Json* stable = FindOrNull(workload, "counters_stable");
-  ASSERT_NE(stable, nullptr);
-  EXPECT_TRUE(stable->bool_value());
-
-  const obs::Json* counters = FindOrNull(workload, "counters");
-  ASSERT_NE(counters, nullptr);
-  const obs::Json* walks = FindOrNull(*counters, "walks");
-  ASSERT_NE(walks, nullptr);
-  EXPECT_EQ(walks->uint_value(), 4u);
-
-  const obs::Json* wall = FindOrNull(workload, "wall_seconds");
-  ASSERT_NE(wall, nullptr);
-  const obs::Json* rates = FindOrNull(workload, "rates");
-  ASSERT_NE(rates, nullptr);
-  for (const char* rate :
-       {"sim_cycles_per_sec", "walks_per_sec", "steps_per_sec",
-        "spans_per_sec"}) {
-    const obs::Json* agg = FindOrNull(*rates, rate);
-    ASSERT_NE(agg, nullptr) << rate;
-    for (const char* stat : {"median", "mad", "min", "max"}) {
-      EXPECT_NE(FindOrNull(*agg, stat), nullptr) << rate << "." << stat;
-    }
-  }
-  // Wall samples 1s and 2s at 4 walks each: medians land mid-way.
-  const obs::Json* walks_rate = FindOrNull(*rates, "walks_per_sec");
-  const obs::Json* median = FindOrNull(*walks_rate, "median");
-  ASSERT_NE(median, nullptr);
-  EXPECT_DOUBLE_EQ(median->double_value(), 3.0);
+  EXPECT_EQ(host.Find("sim_threads")->uint_value(),
+            SimThreadPool::DefaultThreads());
 }
 
 TEST(FakeClockTest, ReplaysScriptInOrder) {

@@ -29,6 +29,22 @@ expect() {
   fi
 }
 
+# expect_named <description> <text> <command...>: exit 1 with a stderr
+# reason that contains <text> (the flag or variable at fault).
+expect_named() {
+  desc="$1"
+  needle="$2"
+  shift 2
+  err=$("$@" 2>&1 >/dev/null)
+  got=$?
+  if [ "$got" -ne 1 ] || ! printf '%s' "$err" | grep -qF -- "$needle"; then
+    echo "FAIL: $desc: want exit 1 naming $needle, got $got ($err)" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok: $desc (exit 1, names $needle)"
+  fi
+}
+
 # Small deterministic base invocation shared by the success cases.
 BASE="--rmat_scale 8 --app deepwalk --length 8 --queries 64 --seed 42"
 # Scratch --out-dir for every case that writes exports.
@@ -52,6 +68,8 @@ expect "negative ckpt read latency" 1 "$TOOL" --engine distributed $BASE \
 expect "negative checkpoint interval" 1 "$TOOL" --engine distributed \
   $BASE --fault-checkpoint-interval=-1
 expect "too many threads" 1 "$TOOL" --engine cpu $BASE --threads 100000
+expect_named "LIGHTRW_SIM_THREADS=4x" LIGHTRW_SIM_THREADS \
+  env LIGHTRW_SIM_THREADS=4x "$TOOL" --engine cpu $BASE
 # The per-file output flags and the single-value tuning knobs are gone.
 for flag in out metrics-out trace-out perf-out spans-out timeseries-out \
     timeseries-openmetrics-out chaos-out chaos-spans-out trace-limit \
@@ -64,6 +82,8 @@ done
 # --out-dir must exist, before anything runs.
 expect "unknown export name" 1 "$TOOL" --engine cpu $BASE \
   --out-dir "$OUT" --exports corpus,bogus
+expect "removed perf export" 1 "$TOOL" --engine cpu $BASE \
+  --out-dir "$OUT" --exports perf
 expect "chaos campaign cannot export a trace" 1 "$TOOL" \
   --chaos-scenarios 3 --chaos-seed 5 --boards 4 --rmat_scale 8 \
   --length 8 --queries 64 --out-dir "$OUT" --exports chaos,trace
@@ -102,7 +122,7 @@ expect "retry budget whose backoff overflows" 1 "$TOOL" --engine service \
 # A file that cannot be written (here: a directory in its place) fails
 # the run after it completes.
 UNWRITABLE="$OUT/unwritable"
-for file in corpus.txt metrics.json spans.json perf.json timeseries.json; do
+for file in corpus.txt metrics.json spans.json timeseries.json; do
   mkdir -p "$UNWRITABLE/$file"
 done
 expect "unwritable corpus path" 1 "$TOOL" --engine cpu $BASE \
@@ -200,8 +220,6 @@ expect "bad span mode" 1 "$TOOL" --engine service $BASE \
 expect "unwritable spans path" 1 "$TOOL" --engine service $BASE \
   --boards 2 --partition hash --service-rate 0.2 \
   --out-dir "$UNWRITABLE" --exports spans
-expect "unwritable perf path" 1 "$TOOL" --engine cpu $BASE \
-  --out-dir "$UNWRITABLE" --exports perf
 expect "unwritable timeseries path" 1 "$TOOL" --engine cpu $BASE \
   --out-dir "$UNWRITABLE" --exports timeseries
 expect "bad scrape interval" 1 "$TOOL" --engine cpu $BASE \
@@ -231,22 +249,6 @@ elif ! grep -q '^# EOF$' "$OUT/timeseries.om"; then
   fails=$((fails + 1))
 else
   echo "ok: timeseries JSON + OpenMetrics exposition written"
-fi
-
-# Perf report: any engine run exporting perf must write a PERF-schema
-# document (the same shape scripts/check_perf_json.py consumes).
-expect "cpu run writes perf report" 0 "$TOOL" --engine cpu $BASE \
-  --out-dir "$OUT" --exports perf
-if [ ! -s "$OUT/perf.json" ]; then
-  echo "FAIL: --exports perf did not write perf.json" >&2
-  fails=$((fails + 1))
-elif ! grep -q '"perf": "walk_tool"' "$OUT/perf.json" \
-    || ! grep -q '"workloads"' "$OUT/perf.json" \
-    || ! grep -q '"host"' "$OUT/perf.json"; then
-  echo "FAIL: perf JSON missing perf/host/workloads sections" >&2
-  fails=$((fails + 1))
-else
-  echo "ok: perf JSON has perf + host + workloads"
 fi
 
 # Span output: a service run exporting spans must write a JSON document
@@ -291,10 +293,18 @@ fi
 expect "chaos bad board count" 1 "$TOOL" --chaos-scenarios 4 --boards 1 \
   --rmat_scale 8
 
-expect "service slo breach" 2 "$TOOL" --engine service --rmat_scale 10 \
-  --app deepwalk --length 24 --queries 256 --seed 42 --boards 2 \
-  --partition hash --service-rate 50.0 --service-deadline 15000 \
-  --service-queue-cap 4 --service-retries 0 --slo-max-shed 0.1
+SLO_RUN="--engine service --rmat_scale 10 --app deepwalk --length 24 \
+  --queries 256 --seed 42 --boards 2 --partition hash --service-rate 50.0 \
+  --service-deadline 15000 --service-queue-cap 4 --service-retries 0"
+expect "service slo breach" 2 "$TOOL" $SLO_RUN --slo-max-shed 0.1
+# An SLO threshold is a fraction: NaN would never compare as breached and
+# a negative one would always breach, so both are rejected before the run.
+for value in nan -1 1.5; do
+  expect_named "--slo-max-shed=$value" slo-max-shed "$TOOL" $SLO_RUN \
+    "--slo-max-shed=$value"
+done
+expect_named "--slo-max-violation=nan" slo-max-violation "$TOOL" $SLO_RUN \
+  --slo-max-violation=nan
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails case(s) failed" >&2
