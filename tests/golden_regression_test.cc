@@ -238,6 +238,43 @@ TEST(GoldenTest, DistributedEngineNode2VecPartitionedPins) {
   EXPECT_EQ(PathHash(output), 0xc44dc24cc5912eb8ULL);
 }
 
+// Partitioned DeepWalk takes the static-weight path (the WRS lanes read
+// the CSR weights directly); MetaPath feeds zero-weight lanes through
+// each walker's private generator, and a walker whose lanes are all zero
+// ends its walk early.
+distributed::DistributedRunStats RunPartitioned(const apps::WalkApp& app,
+                                                baseline::WalkOutput* out) {
+  const distributed::Partition partition = distributed::MakePartition(
+      PinGraph(), 4, distributed::PartitionStrategy::kHash);
+  distributed::DistributedConfig config;
+  config.board = PinConfig();
+  return distributed::DistributedEngine(&PinGraph(), &app, &partition,
+                                        config)
+      .Run(PinQueries(), out)
+      .value();
+}
+
+TEST(GoldenTest, DistributedEngineDeepWalkPartitionedPins) {
+  const apps::StaticWalkApp app;
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats = RunPartitioned(app, &output);
+  EXPECT_EQ(stats.cycles, 32507u);
+  EXPECT_EQ(stats.steps, 3200u);
+  EXPECT_EQ(stats.migrations, 2106u);
+  EXPECT_EQ(PathHash(output), 0x4ed9b7bd998de02bULL);
+}
+
+TEST(GoldenTest, DistributedEngineMetaPathPartitionedPins) {
+  const apps::MetaPathApp app(
+      apps::MakeRandomRelationPath(PinGraph(), 8, /*seed=*/9));
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats = RunPartitioned(app, &output);
+  EXPECT_EQ(stats.cycles, 25701u);
+  EXPECT_EQ(stats.steps, 2458u);
+  EXPECT_EQ(stats.migrations, 1599u);
+  EXPECT_EQ(PathHash(output), 0xce8afedac8f2b6d6ULL);
+}
+
 TEST(GoldenTest, FunctionalEngineNode2VecPins) {
   const apps::Node2VecApp app(2.0, 0.5);
   baseline::WalkOutput output;
