@@ -83,10 +83,6 @@ class Worker {
   // populated weights_ buffer. Returns kNoSample if nothing sampleable.
   size_t SampleIndex();
 
-  void PrefetchRow(VertexId v) const {
-    __builtin_prefetch(&graph_->row_index()[v]);
-  }
-
   const CsrGraph* graph_;
   const WalkApp* app_;
   const BaselineConfig& config_;
@@ -248,7 +244,7 @@ void Worker::Run(std::span<const WalkQuery> queries, WalkOutput* output,
       // ring slot will need before working on this one.
       const Slot& next_slot = ring[(i + 1) % ring.size()];
       if (next_slot.active) {
-        PrefetchRow(next_slot.state.curr);
+        graph_->PrefetchRow(next_slot.state.curr);
       }
       if (!Step(&slot, stats)) {
         retire(&slot);

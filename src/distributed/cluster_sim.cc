@@ -568,7 +568,7 @@ void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
   // Private streams keyed on (seed, ticket): the walk's outcome is a pure
   // function of the ticket, independent of timing and placement. Reseed
   // re-keys the slot's pooled generator in place (same state a fresh
-  // ThunderingRng would hold, without its three allocations).
+  // ThunderingRng would hold, without its allocation).
   rng::SplitMix64 mix(config_.board.seed +
                       0x9e3779b97f4a7c15ULL * (ticket + 1));
   w.rng.Reseed(config_.board.sampler_parallelism, mix.Next());
@@ -869,6 +869,10 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     w.phase = Phase::kFetch;
+    if (!w.opts.uniform_step) {
+      // The adjacency lines arrive while other walkers' events run.
+      core::StepSampler::Prefetch(*graph_, *app_, w.state.curr);
+    }
     events_.emplace(t_info, 0, slot);
     return;
   }
@@ -906,6 +910,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     Retire(slot, step_end);
     return;
   }
+  graph_->PrefetchRow(next);  // the next step's row lookup reads it
   w.state.prev = w.state.curr;
   w.state.curr = next;
   ++w.state.step;

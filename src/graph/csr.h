@@ -66,6 +66,14 @@ class CsrGraph {
     return labels_[v];
   }
 
+  // Asks the CPU to start loading v's row entry, which Degree(v) and
+  // OutOffset(v) read, ahead of the step that needs it. A hint only:
+  // results do not depend on it.
+  void PrefetchRow(VertexId v) const {
+    LIGHTRW_DCHECK(v < num_vertices());
+    __builtin_prefetch(row_index_.data() + v);
+  }
+
   // True iff the directed edge (u, v) exists. O(log Degree(u)).
   bool HasEdge(VertexId u, VertexId v) const;
 

@@ -235,6 +235,10 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
         continue;
       }
       slot.phase = Phase::kFetch;
+      if (!IsUniform(policy_)) {
+        // The adjacency lines arrive while other walkers' events run.
+        StepSampler::Prefetch(*graph_, *app_, slot.state.curr);
+      }
       heap.emplace(t_info, slot_index);
       continue;
     }
@@ -254,6 +258,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
       retire(slot_index, done);
       continue;
     }
+    graph_->PrefetchRow(next);  // the next step's row lookup reads it
     slot.state.prev = slot.state.curr;
     slot.state.curr = next;
     ++slot.state.step;

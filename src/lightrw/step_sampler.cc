@@ -11,11 +11,35 @@ namespace {
 // amortise Node2Vec's one search into N(prev), small enough to stay in L1.
 constexpr size_t kChunkEdges = 256;
 
+// Cache lines of each adjacency array Prefetch requests: enough to cover
+// the short lists most steps read in full, few enough not to evict what
+// other walkers' events are about to read.
+constexpr size_t kPrefetchLines = 2;
+constexpr size_t kLineBytes = 64;
+
+template <typename T>
+void PrefetchHead(std::span<const T> items) {
+  const char* const head = reinterpret_cast<const char*>(items.data());
+  const size_t bytes = items.size_bytes();
+  for (size_t at = 0; at < kPrefetchLines * kLineBytes && at < bytes;
+       at += kLineBytes) {
+    __builtin_prefetch(head + at);
+  }
+}
+
 }  // namespace
 
 StepSampler::StepSampler(size_t parallelism, rng::ThunderingRng* rng)
     : pwrs_(parallelism, rng),
       chunk_(std::max<size_t>(1, kChunkEdges / parallelism) * parallelism) {}
+
+void StepSampler::Prefetch(const CsrGraph& graph, const WalkApp& app,
+                           VertexId curr) {
+  PrefetchHead(graph.NeighborWeights(curr));
+  if (!app.has_static_weights()) {
+    PrefetchHead(graph.Neighbors(curr));
+  }
+}
 
 VertexId StepSampler::SampleNext(const CsrGraph& graph, const WalkApp& app,
                                  const WalkState& state) {
@@ -23,32 +47,24 @@ VertexId StepSampler::SampleNext(const CsrGraph& graph, const WalkApp& app,
   if (degree == 0) {
     return graph::kInvalidVertex;
   }
-  const auto neighbors = graph.Neighbors(state.curr);
-  // Identity weight function: the WRS lanes consume the CSR weight array
-  // directly — same weights, same draws, same selection as evaluating
-  // them, minus the virtual call and the copy.
-  const bool static_weights = app.has_static_weights();
-  const uint32_t k = static_cast<uint32_t>(pwrs_.parallelism());
-  const uint32_t chunk = static_cast<uint32_t>(chunk_.size());
-
   pwrs_.Reset();
-  for (uint32_t first = 0; first < degree; first += chunk) {
-    const uint32_t n = std::min(chunk, degree - first);
-    std::span<const Weight> weights;
-    if (static_weights) {
-      weights = graph.NeighborWeights(state.curr).subspan(first, n);
-    } else {
-      app.DynamicWeights(graph, state, first, {chunk_.data(), n});
-      weights = {chunk_.data(), n};
-    }
-    for (uint32_t offset = 0; offset < n; offset += k) {
-      pwrs_.OfferBatch(weights.subspan(offset, std::min(k, n - offset)),
-                       first + offset);
+  if (app.has_static_weights()) {
+    // Identity weight function: the WRS lanes consume the CSR weight
+    // array directly — same weights, same draws, same selection as
+    // evaluating them, minus the virtual call and the copy.
+    pwrs_.OfferBatches(graph.NeighborWeights(state.curr), 0);
+  } else {
+    const uint32_t chunk = static_cast<uint32_t>(chunk_.size());
+    for (uint32_t first = 0; first < degree; first += chunk) {
+      const std::span<Weight> weights(chunk_.data(),
+                                      std::min(chunk, degree - first));
+      app.DynamicWeights(graph, state, first, weights);
+      pwrs_.OfferBatches(weights, first);
     }
   }
   const size_t picked = pwrs_.selected();
   return picked == sampling::kNoSample ? graph::kInvalidVertex
-                                       : neighbors[picked];
+                                       : graph.Neighbors(state.curr)[picked];
 }
 
 }  // namespace lightrw::core

@@ -24,11 +24,12 @@ using graph::Weight;
 
 // Reusable per-engine sampling unit. Not thread-safe.
 //
+// Static weights go to the WRS lanes in one call, straight from the CSR.
 // Dynamic weights are evaluated one chunk of whole k-lane batches at a
-// time (WalkApp::DynamicWeights), then offered to the WRS lanes batch by
-// batch at the same stream offsets as one batch at a time would: the
-// draws and the selection do not depend on the chunk size. The chunk is
-// a constant, not the degree, so a sampler's buffer stays small however
+// time (WalkApp::DynamicWeights), and each chunk is offered in one call
+// at the same stream offsets as one batch at a time would: the draws and
+// the selection do not depend on the chunk size. The chunk is a
+// constant, not the degree, so a sampler's buffer stays small however
 // large the graph's hubs are (ClusterSim holds one per walker slot).
 class StepSampler {
  public:
@@ -41,6 +42,14 @@ class StepSampler {
   // (zero degree or all dynamic weights zero).
   VertexId SampleNext(const CsrGraph& graph, const WalkApp& app,
                       const WalkState& state);
+
+  // Asks the CPU to start loading the first lines SampleNext reads for a
+  // walk at `curr`: N(curr)'s weights, plus N(curr) itself when `app`
+  // evaluates dynamic weights. An event loop calls this when it queues a
+  // walker's fetch, so the lines arrive while other walkers' events run.
+  // A hint only: results do not depend on it.
+  static void Prefetch(const CsrGraph& graph, const WalkApp& app,
+                       VertexId curr);
 
   size_t parallelism() const { return pwrs_.parallelism(); }
 

@@ -15,6 +15,9 @@ namespace {
 
 // Bytes per weight-stream item (32-bit weights).
 constexpr uint32_t kBytesPerItem = 4;
+// Weight-stream items generated per sampler call, rounded down to whole
+// batches.
+constexpr uint64_t kChunkItems = 4096;
 
 }  // namespace
 
@@ -42,15 +45,16 @@ WrsSamplerSimResult WrsSamplerSim::RunStream(uint64_t items) {
   rng::ThunderingRng rng(k_, seed_);
   rng::Xoshiro256StarStar weight_gen(seed_ ^ 0xbeefULL);
   sampling::ParallelWrsSampler sampler(k_, &rng);
-  std::vector<graph::Weight> batch(k_);
+  // The stream is generated and offered in chunks of whole batches.
+  const uint64_t chunk = k_ * std::max<uint64_t>(1, kChunkItems / k_);
+  std::vector<graph::Weight> weights(std::min(items, chunk));
   sampler.Reset();
-  for (uint64_t offset = 0; offset < items; offset += k_) {
-    const uint32_t n =
-        static_cast<uint32_t>(std::min<uint64_t>(k_, items - offset));
-    for (uint32_t j = 0; j < n; ++j) {
-      batch[j] = static_cast<graph::Weight>(1 + weight_gen.NextBounded(256));
+  for (uint64_t offset = 0; offset < items; offset += chunk) {
+    const size_t n = static_cast<size_t>(std::min(chunk, items - offset));
+    for (size_t i = 0; i < n; ++i) {
+      weights[i] = static_cast<graph::Weight>(1 + weight_gen.NextBounded(256));
     }
-    sampler.OfferBatch({batch.data(), n}, offset);
+    sampler.OfferBatches({weights.data(), n}, offset);
   }
   result.selected = sampler.selected();
 

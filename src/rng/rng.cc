@@ -51,18 +51,17 @@ ThunderingRng::ThunderingRng(size_t num_streams, uint64_t seed) {
 void ThunderingRng::Reseed(size_t num_streams, uint64_t seed) {
   LIGHTRW_CHECK(num_streams >= 1);
   SplitMix64 mix(seed);
-  seed_state_ = mix.Next();
-  states_.assign(num_streams, seed_state_);
-  offsets_.resize(num_streams);
-  multipliers_.resize(num_streams);
-  for (size_t i = 0; i < num_streams; ++i) {
-    offsets_[i] = mix.Next();
-    multipliers_[i] = mix.Next() | 1ULL;  // odd => bijective mod 2^64
+  const uint64_t shared = mix.Next();
+  streams_.resize(num_streams);
+  for (Stream& stream : streams_) {
+    stream.state = shared;
+    stream.offset = mix.Next();
+    stream.multiplier = mix.Next() | 1ULL;  // odd => bijective mod 2^64
   }
 }
 
 void ThunderingRng::NextBatch(std::span<uint32_t> out) {
-  LIGHTRW_CHECK_EQ(out.size(), states_.size());
+  LIGHTRW_CHECK_EQ(out.size(), streams_.size());
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = Next(i);
   }

@@ -69,6 +69,31 @@ class Xoshiro256StarStar {
 // LCG step plus one scramble per output.
 class ThunderingRng {
  public:
+  // One output stream: its position in the shared sequence and its
+  // decorrelator constants.
+  struct Stream {
+    uint64_t state;       // position in the shared sequence
+    uint64_t offset;      // xor offset
+    uint64_t multiplier;  // odd multiplier
+
+    // Advances the stream one step and returns its next 32-bit output.
+    // The one definition of a draw: Next() and the PWRS lane kernel
+    // (sampling/parallel_wrs.cc) both draw through it.
+    uint32_t Draw() {
+      // Knuth's MMIX multiplier; full-period mod 2^64 LCG.
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      // Per-stream scrambler: xor offset, xorshift mix, odd multiply.
+      // Each step is a bijection on 64-bit words, so each stream remains
+      // uniform; the stream-specific constants break cross-stream
+      // correlation of the shared sequence.
+      uint64_t z = state ^ offset;
+      z ^= z >> 29;
+      z *= multiplier;
+      z ^= z >> 32;
+      return static_cast<uint32_t>(z);
+    }
+  };
+
   // Creates `num_streams` decorrelated streams. All randomness is
   // reproducible from `seed`.
   ThunderingRng(size_t num_streams, uint64_t seed);
@@ -80,15 +105,14 @@ class ThunderingRng {
   // constructing (and allocating) a new one.
   void Reseed(size_t num_streams, uint64_t seed);
 
-  size_t num_streams() const { return offsets_.size(); }
+  size_t num_streams() const { return streams_.size(); }
 
   // Draws the next 32-bit output of stream `stream`. Streams advance
   // independently (each keeps its own position in the shared sequence, as
   // the hardware instances consume one shared state per cycle).
   uint32_t Next(size_t stream) {
-    LIGHTRW_DCHECK(stream < states_.size());
-    states_[stream] = LcgAdvance(states_[stream]);
-    return Decorrelate(states_[stream], stream);
+    LIGHTRW_DCHECK(stream < streams_.size());
+    return streams_[stream].Draw();
   }
 
   // Uniform double in [0, 1) from stream `stream`.
@@ -100,41 +124,16 @@ class ThunderingRng {
   // out.size() must equal num_streams().
   void NextBatch(std::span<uint32_t> out);
 
-  // Draws one output from each of streams [base, base + out.size()), in
-  // stream order — byte-identical to calling Next(base + i) in a loop,
-  // but with the loop inside so the k-lane samplers advance all their
-  // lanes in one call.
-  void NextStreams(size_t base, std::span<uint32_t> out) {
-    LIGHTRW_DCHECK(base + out.size() <= states_.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      const uint64_t s = LcgAdvance(states_[base + i]);
-      states_[base + i] = s;
-      out[i] = Decorrelate(s, base + i);
-    }
+  // Streams [base, base + n), for kernels that draw many lanes in one
+  // loop. Drawing through Stream::Draw leaves the generator exactly as
+  // the same draws through Next() would.
+  std::span<Stream> streams(size_t base, size_t n) {
+    LIGHTRW_DCHECK(base + n <= streams_.size());
+    return {streams_.data() + base, n};
   }
 
  private:
-  static uint64_t LcgAdvance(uint64_t s) {
-    // Knuth's MMIX multiplier; full-period mod 2^64 LCG.
-    return s * 6364136223846793005ULL + 1442695040888963407ULL;
-  }
-
-  uint32_t Decorrelate(uint64_t shared, size_t stream) const {
-    // Per-stream scrambler: xor offset, xorshift mix, odd multiply. Each
-    // step is a bijection on 64-bit words, so each stream remains
-    // uniform; the stream-specific constants break cross-stream
-    // correlation of the shared sequence.
-    uint64_t z = shared ^ offsets_[stream];
-    z ^= z >> 29;
-    z *= multipliers_[stream];
-    z ^= z >> 32;
-    return static_cast<uint32_t>(z);
-  }
-
-  uint64_t seed_state_;
-  std::vector<uint64_t> states_;       // per-stream position in shared seq
-  std::vector<uint64_t> offsets_;      // per-stream xor offset
-  std::vector<uint64_t> multipliers_;  // per-stream odd multiplier
+  std::vector<Stream> streams_;
 };
 
 }  // namespace lightrw::rng

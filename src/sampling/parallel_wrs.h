@@ -26,8 +26,13 @@ namespace lightrw::sampling {
 // Lane j draws from rng stream (stream_base + j).
 class ParallelWrsSampler {
  public:
-  // `rng` must provide at least stream_base + k streams and outlive this
-  // object.
+  // Most lanes a sampler may have: the accelerator config's maximum
+  // sampler_parallelism. The lane kernel holds its lanes in a local array
+  // of this size.
+  static constexpr size_t kMaxLanes = 64;
+
+  // k must be in [1, kMaxLanes]. `rng` must provide at least
+  // stream_base + k streams and outlive this object.
   ParallelWrsSampler(size_t k, rng::ThunderingRng* rng,
                      size_t stream_base = 0);
 
@@ -39,14 +44,17 @@ class ParallelWrsSampler {
     batches_consumed_ = 0;
   }
 
-  // Offers the next batch of the stream. weights.size() must be in [1, k];
-  // the final batch of a stream may be short, matching the hardware which
-  // masks off inactive lanes. `base_index` is the stream index of
-  // weights[0].
-  void OfferBatch(std::span<const Weight> weights, size_t base_index);
+  // Offers the next run of the stream as whole k-lane batches:
+  // weights[0, k) is one batch, weights[k, 2k) the next, and so on. Only
+  // the run's last batch may be short, and then it must be the stream's
+  // last, matching the hardware, which masks off inactive lanes. Every
+  // batch draws from the same stream offsets it would if offered alone,
+  // so how a stream is cut into runs does not change the draws.
+  // `base_index` is the stream index of weights[0].
+  void OfferBatches(std::span<const Weight> weights, size_t base_index);
 
-  // Convenience: streams an entire weight sequence through OfferBatch.
-  // Returns selected().
+  // Streams an entire weight sequence through OfferBatches. Returns
+  // selected().
   size_t SampleAll(std::span<const Weight> weights);
 
   size_t selected() const { return selected_; }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -180,7 +181,7 @@ TEST(ParallelWrsTest, BaseIndexOffsetsSelection) {
   ParallelWrsSampler sampler(2, &rng);
   sampler.Reset();
   const std::vector<Weight> batch = {0, 8};
-  sampler.OfferBatch({batch.data(), 2}, /*base_index=*/10);
+  sampler.OfferBatches({batch.data(), 2}, /*base_index=*/10);
   EXPECT_EQ(sampler.selected(), 11u);
 }
 
@@ -190,10 +191,10 @@ TEST(ParallelWrsTest, LaterBatchWithoutCandidateKeepsEarlierSelection) {
   sampler.Reset();
   const std::vector<Weight> first = {5, 5};
   const std::vector<Weight> zeros = {0, 0};
-  sampler.OfferBatch({first.data(), 2}, 0);
+  sampler.OfferBatches({first.data(), 2}, 0);
   const size_t selected = sampler.selected();
   ASSERT_NE(selected, kNoSample);
-  sampler.OfferBatch({zeros.data(), 2}, 2);
+  sampler.OfferBatches({zeros.data(), 2}, 2);
   EXPECT_EQ(sampler.selected(), selected);
 }
 
@@ -224,6 +225,150 @@ TEST(ParallelWrsTest, AgreesWithSequentialReservoir) {
     EXPECT_NEAR(freq_seq[i], expected, 5 * std::sqrt(expected)) << i;
     EXPECT_NEAR(freq_par[i], expected, 5 * std::sqrt(expected)) << i;
   }
+}
+
+// Algorithm 4.1 written out one batch and one lane at a time: lane j of
+// a batch draws through ThunderingRng::Next (a zero-weight lane draws
+// nothing), tests Eq. (8) with WrsSelect against the inclusive running
+// sum, and the highest selected lane of the batch replaces the reservoir.
+struct ReferencePwrs {
+  size_t k;
+  rng::ThunderingRng* rng;
+  size_t stream_base;
+  uint64_t weight_sum = 0;
+  size_t selected = kNoSample;
+  uint64_t batches = 0;
+
+  void Run(const std::vector<Weight>& weights) {
+    weight_sum = 0;
+    selected = kNoSample;
+    batches = 0;
+    for (size_t first = 0; first < weights.size(); first += k) {
+      size_t lane = kNoSample;
+      for (size_t j = 0; j < k && first + j < weights.size(); ++j) {
+        const Weight w = weights[first + j];
+        weight_sum += w;
+        if (w != 0 && WrsSelect(w, weight_sum, rng->Next(stream_base + j))) {
+          lane = j;
+        }
+      }
+      if (lane != kNoSample) {
+        selected = first + lane;
+      }
+      ++batches;
+    }
+  }
+};
+
+enum class WeightShape {
+  kSmallWithZeros,  // isolated zero lanes among small weights
+  kZeroBatches,     // whole batches of zeros
+  kAllZero,         // nothing sampleable
+  kFullRange,       // weights up to 2^32 - 1: S crosses 2^32 at once
+  kCrossMidStream,  // S sits just below 2^32, then crosses mid-batch
+};
+
+std::vector<Weight> MakeWeights(WeightShape shape, size_t n, size_t k,
+                                rng::Xoshiro256StarStar* gen) {
+  std::vector<Weight> weights(n);
+  for (size_t i = 0; i < n; ++i) {
+    Weight w = 0;
+    switch (shape) {
+      case WeightShape::kSmallWithZeros:
+        w = gen->NextBounded(8) == 0 ? 0 : 1 + gen->NextBounded(15);
+        break;
+      case WeightShape::kZeroBatches:
+        w = 1 + gen->NextBounded(100);
+        break;
+      case WeightShape::kAllZero:
+        break;
+      case WeightShape::kFullRange:
+        w = gen->NextBounded(4) == 0 ? 0 : gen->Next32();
+        break;
+      case WeightShape::kCrossMidStream:
+        w = i == 0 ? UINT32_MAX - 1000 : 1 + gen->NextBounded(200);
+        break;
+    }
+    weights[i] = w;
+  }
+  if (shape == WeightShape::kZeroBatches) {
+    for (size_t first = 0; first < n; first += k) {
+      if (gen->NextBounded(3) == 0) {
+        std::fill(weights.begin() + first,
+                  weights.begin() + std::min(n, first + k), 0);
+      }
+    }
+  }
+  return weights;
+}
+
+// The lane kernel against the reference, on every shape, stream length
+// and lane count, offered whole and in random runs of whole batches.
+// Selection, weight sum, batch count and every stream's position must
+// match exactly.
+TEST(ParallelWrsTest, KernelEqualsAlgorithm41) {
+  rng::Xoshiro256StarStar gen(0x41);
+  uint64_t cases = 0;
+  for (const size_t k : {1, 2, 3, 4, 8, 16, 32, 64}) {
+    std::vector<size_t> lengths;
+    for (size_t n = 1; n <= 3 * k + 1; ++n) {
+      lengths.push_back(n);
+    }
+    for (const size_t n : {1000, 2053, 4099}) {
+      lengths.push_back(n);
+    }
+    for (const size_t stream_base : {size_t{0}, size_t{3}}) {
+      const size_t num_streams = stream_base == 0 ? k : k + 5;
+      for (const WeightShape shape :
+           {WeightShape::kSmallWithZeros, WeightShape::kZeroBatches,
+            WeightShape::kAllZero, WeightShape::kFullRange,
+            WeightShape::kCrossMidStream}) {
+        for (const size_t n : lengths) {
+          for (const bool split : {false, true}) {
+            const std::vector<Weight> weights =
+                MakeWeights(shape, n, k, &gen);
+            const uint64_t seed = gen.Next();
+            rng::ThunderingRng ref_rng(num_streams, seed);
+            rng::ThunderingRng rng(num_streams, seed);
+            ReferencePwrs ref{k, &ref_rng, stream_base};
+            ParallelWrsSampler sampler(k, &rng, stream_base);
+            // Two streams back to back: the second starts where the
+            // first left every lane.
+            for (int round = 0; round < 2; ++round) {
+              ref.Run(weights);
+              sampler.Reset();
+              for (size_t first = 0; first < n;) {
+                const size_t len =
+                    split ? std::min(n - first, (1 + gen.NextBounded(4)) * k)
+                          : n;
+                sampler.OfferBatches({weights.data() + first, len}, first);
+                first += len;
+              }
+              const auto where = ::testing::Message()
+                                 << "k=" << k << " base=" << stream_base
+                                 << " shape=" << static_cast<int>(shape)
+                                 << " n=" << n << " split=" << split
+                                 << " round=" << round;
+              ASSERT_EQ(sampler.selected(), ref.selected) << where;
+              ASSERT_EQ(sampler.weight_sum(), ref.weight_sum) << where;
+              ASSERT_EQ(sampler.batches_consumed(), ref.batches) << where;
+              if (shape == WeightShape::kAllZero) {
+                ASSERT_EQ(sampler.selected(), kNoSample) << where;
+              }
+            }
+            for (size_t s = 0; s < num_streams; ++s) {
+              for (int draw = 0; draw < 3; ++draw) {
+                ASSERT_EQ(rng.Next(s), ref_rng.Next(s))
+                    << "stream " << s << " draw " << draw;
+              }
+            }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 5000u);
 }
 
 // --- Inverse transform ------------------------------------------------------
