@@ -391,6 +391,38 @@ StatusOr<ChaosCampaignResult> RunChaosCampaign(const graph::CsrGraph& graph,
                 std::to_string(first.stats.reliability.board_failures) +
                 " board_failures counted");
       }
+      // Path identity: a walk's path is a pure function of its ticket,
+      // so faults may cut it short but never change it. The reference
+      // run attaches no sinks, so it leaves the exports untouched.
+      distributed::DistributedConfig ref_config = scenario;
+      ref_config.board.faults = FaultConfig{};
+      ref_config.num_threads = config.thread_counts.front();
+      baseline::WalkOutput reference;
+      const auto ref_run =
+          distributed::DistributedEngine(&graph, &app, &partition, ref_config)
+              .Run(queries, &reference);
+      if (!ref_run.ok()) {
+        violate("path identity: fault-free reference run: " +
+                ref_run.status().message());
+      } else if (reference.num_paths() == first.output.num_paths()) {
+        uint64_t shorter = 0;
+        for (size_t q = 0; q < reference.num_paths(); ++q) {
+          const auto path = first.output.Path(q);
+          const auto want = reference.Path(q);
+          if (path.size() > want.size() ||
+              !std::equal(path.begin(), path.end(), want.begin())) {
+            violate("path identity: ticket " + std::to_string(q) +
+                    " is not a prefix of its fault-free path");
+            break;
+          }
+          shorter += path.size() < want.size() ? 1 : 0;
+        }
+        if (shorter != rel.walks_failed) {
+          violate("path identity: " + std::to_string(shorter) +
+                  " path(s) shorter than their fault-free reference, " +
+                  std::to_string(rel.walks_failed) + " walk(s) failed");
+        }
+      }
     }
     // Determinism: every thread count must reproduce the first run
     // byte-for-byte (walk corpus, stats fingerprint, span JSON).

@@ -20,6 +20,9 @@
 //   membership     the epoch log is monotone and every transition legal
 //                  (reliability::CheckMembershipLog)
 //   accounting     board_failures equals the scheduled distinct deaths
+//   path identity  every path is a prefix of the scenario's path in a
+//                  fault-free run of the same queries, and exactly
+//                  walks_failed paths are strictly shorter than theirs
 //   determinism    every configured thread count produces byte-identical
 //                  walk corpora, stats fingerprints, and span JSON
 //

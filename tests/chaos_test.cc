@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 
+#include "apps/ppr.h"
 #include "apps/walk_app.h"
 #include "graph/generators.h"
 #include "obs/json.h"
@@ -126,6 +127,25 @@ TEST(ChaosCampaignTest, HealthyStackPassesAllInvariants) {
   const auto report = obs::Json::Parse(campaign->ToJson().Dump());
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report->Find("scenarios"), nullptr);
+}
+
+// The path-identity invariant compares every path with a fault-free run
+// of the same queries; these apps add weights that depend on the
+// previous vertex (Node2Vec) and walks that end on stop coins (PPR).
+TEST(ChaosCampaignTest, PathIdentityHoldsForNode2VecAndPpr) {
+  const CsrGraph g = TestGraph();
+  const apps::Node2VecApp node2vec(2.0, 0.5);
+  const apps::PprApp ppr(0.15);
+  for (const apps::WalkApp* app :
+       std::initializer_list<const apps::WalkApp*>{&node2vec, &ppr}) {
+    const auto campaign = RunChaosCampaign(g, *app, SmallCampaign());
+    ASSERT_TRUE(campaign.ok());
+    for (const auto& scenario : campaign->scenarios) {
+      EXPECT_TRUE(scenario.passed)
+          << app->name() << " " << scenario.name << ": "
+          << (scenario.violations.empty() ? "?" : scenario.violations[0]);
+    }
+  }
 }
 
 // The storage archetypes must actually stress the durable store: writes

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/ppr.h"
 #include "apps/walk_app.h"
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
@@ -273,6 +274,52 @@ TEST(GoldenTest, DistributedEngineMetaPathPartitionedPins) {
   EXPECT_EQ(stats.steps, 2458u);
   EXPECT_EQ(stats.migrations, 1599u);
   EXPECT_EQ(PathHash(output), 0xce8afedac8f2b6d6ULL);
+}
+
+// PPR ends walks on stop coins drawn after each step, so walks of one
+// query set end at different lengths.
+TEST(GoldenTest, DistributedEnginePprPartitionedPins) {
+  const apps::PprApp app(/*alpha=*/0.15);
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats = RunPartitioned(app, &output);
+  EXPECT_EQ(stats.cycles, 20534u);
+  EXPECT_EQ(stats.steps, 1943u);
+  EXPECT_EQ(stats.migrations, 1164u);
+  EXPECT_EQ(PathHash(output), 0x49cb51238a5fe7acULL);
+}
+
+// The shape of perfbench's cluster_recovery: lossy links, periodic
+// checkpoints written to the durable store, and one board death taken
+// over by a hot spare. Recovered walkers replay from their checkpoints.
+TEST(GoldenTest, DistributedEngineRecoveryPins) {
+  const apps::StaticWalkApp app;
+  const distributed::Partition partition = distributed::MakePartition(
+      PinGraph(), 4, distributed::PartitionStrategy::kHash);
+  distributed::DistributedConfig config;
+  config.board = PinConfig();
+  reliability::FaultConfig& faults = config.board.faults;
+  faults.enabled = true;
+  faults.seed = 7;
+  faults.link_drop_rate = 5e-3;
+  faults.checkpoint_interval_cycles = 1 << 12;
+  faults.ckpt_store.enabled = true;
+  faults.board_deaths = {{12000, /*board=*/1}};
+  config.num_spare_boards = 1;
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats =
+      distributed::DistributedEngine(&PinGraph(), &app, &partition, config)
+          .Run(PinQueries(), &output)
+          .value();
+  const reliability::ReliabilityStats& rel = stats.reliability;
+  EXPECT_EQ(stats.cycles, 36917u);
+  EXPECT_EQ(stats.steps, 3248u);
+  EXPECT_EQ(stats.migrations, 2092u);
+  EXPECT_EQ(rel.walkers_recovered, 69u);
+  EXPECT_EQ(rel.replayed_steps, 48u);
+  EXPECT_EQ(rel.ckpt_store_reads, 69u);
+  // Replayed steps redraw the same vertices: the corpus is the
+  // fault-free DeepWalk pin's.
+  EXPECT_EQ(PathHash(output), 0x4ed9b7bd998de02bULL);
 }
 
 TEST(GoldenTest, FunctionalEngineNode2VecPins) {

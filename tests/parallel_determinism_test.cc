@@ -365,18 +365,29 @@ TEST(ParallelDistributedTest, SpareRebuildCascadeDeterministicAcrossThreads) {
   }
 }
 
+// One coupled event loop over every board. MetaPath meets walks whose
+// weights are all zero, Node2Vec weights that depend on the previous
+// vertex, and PPR walks that end on stop coins.
 TEST(ParallelDistributedTest, PartitionedModeUnaffectedByThreads) {
   const CsrGraph g = TestGraph();
-  const StaticWalkApp app;
+  const StaticWalkApp deepwalk;
+  const apps::MetaPathApp metapath(
+      apps::MakeRandomRelationPath(g, 16, /*seed=*/9));
+  const apps::Node2VecApp node2vec(2.0, 0.5);
+  const PprApp ppr(/*stop_probability=*/0.2);
   const Partition partition = MakePartition(g, 4, PartitionStrategy::kHash);
-  const DistRun serial =
-      RunDistributed(g, app, partition, 1, /*replicate=*/false, {});
-  EXPECT_GT(serial.stats.migrations, 0u);
-  for (const uint32_t threads : kThreadSweep) {
-    const DistRun parallel =
-        RunDistributed(g, app, partition, threads, /*replicate=*/false, {});
-    ExpectSameCorpus(serial.corpus, parallel.corpus);
-    ExpectSameDistStats(serial.stats, parallel.stats);
+  for (const apps::WalkApp* app : std::initializer_list<const apps::WalkApp*>{
+           &deepwalk, &metapath, &node2vec, &ppr}) {
+    SCOPED_TRACE(app->name());
+    const DistRun serial =
+        RunDistributed(g, *app, partition, 1, /*replicate=*/false, {});
+    EXPECT_GT(serial.stats.migrations, 0u);
+    for (const uint32_t threads : kThreadSweep) {
+      const DistRun parallel = RunDistributed(g, *app, partition, threads,
+                                              /*replicate=*/false, {});
+      ExpectSameCorpus(serial.corpus, parallel.corpus);
+      ExpectSameDistStats(serial.stats, parallel.stats);
+    }
   }
 }
 
