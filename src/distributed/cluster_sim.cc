@@ -48,21 +48,10 @@ struct ClusterSim::Board {
   reliability::ReliabilityStats rel;
 };
 
-// Periodic walker-state snapshot: everything failover needs to resume the
-// walk from the checkpointed step — including the private RNG streams, so
-// replayed steps reproduce the original path exactly.
-struct WalkerCheckpoint {
-  WalkState state;
-  uint32_t path_len = 1;
-  uint64_t epoch = 0;  // checkpoint interval index of the snapshot
-  rng::ThunderingRng rng{1, 0};
-  rng::Xoshiro256StarStar aux{0};
-};
-
 // Hot per-slot walker state: everything the per-event path touches on a
-// fault-free run. The checkpoint snapshots and the span attribution
-// accumulators live in the parallel WalkerCold / WalkerAttrib arrays
-// (see cluster_sim.h) so this struct stays small and the event loop's
+// fault-free run. The checkpoints and the span attribution accumulators
+// live in the parallel WalkerCheckpoint / WalkerAttrib arrays (see
+// cluster_sim.h) so this struct stays small and the event loop's
 // working set dense.
 struct ClusterSim::Walker {
   WalkState state;
@@ -72,16 +61,18 @@ struct ClusterSim::Walker {
   BoardId board = 0;         // board currently executing the walker
   BoardId launch_board = 0;  // board charged for the slot
   Phase phase = Phase::kInfo;
+  // The path's last step drew the stop coin that ended the walk.
+  bool stopped = false;
   WalkerOptions opts;
+  // The one source of every step's next vertex: the whole path of a
+  // known-path walker, the steps sampled so far of a sampling one. The
+  // walker has walked path[0, state.step].
   std::vector<VertexId> path;
-  // Private sampling streams: the WRS lanes draw from `rng`, geometric
-  // stop coins and degraded uniform picks from `aux`. Seeded per Launch
-  // from (config seed, ticket) so the walk is interleaving-independent.
-  rng::ThunderingRng rng{1, 0};
-  rng::Xoshiro256StarStar aux{0};
-  // Constructed lazily (it holds a pointer to `rng`, whose address is
-  // only stable once the walker vector stops relocating).
-  std::unique_ptr<core::StepSampler> sampler;
+  // Sampling walkers only: extends `path` by one step per Fetch event.
+  // Null for known-path launches. Allocated on the slot's first sampling
+  // launch and re-keyed by each later one.
+  std::unique_ptr<core::TicketWalk> walk;
+  bool sampling = false;
 };
 
 // Per-attempt "walk" span and its cycle-stage attribution. The
@@ -95,16 +86,13 @@ struct ClusterSim::WalkerAttrib {
   uint64_t recovery_cycles = 0;  // fault detection / failover delay
 };
 
-// Checkpoint/recovery state: only touched when checkpointing or the
-// durable store is active, and dominated by the snapshot RNG copies.
-struct ClusterSim::WalkerCold {
-  WalkerCheckpoint ckpt;
-  // Durable-store bookkeeping: (generation, snapshot) pairs for every
-  // generation the store may still serve, pruned to its retention
-  // window. The encoded record is the corruption target; the snapshot
-  // supplies the RNG streams a validated read restores (the generators
-  // expose no serializable state — see ckpt_store.h).
-  std::vector<std::pair<uint64_t, WalkerCheckpoint>> store_snaps;
+// The step a walker's last checkpoint recorded. Only touched when
+// checkpointing or the durable store is active. The walker's path is
+// known, so the state at that step is all failover needs: replayed steps
+// read the same vertices again.
+struct ClusterSim::WalkerCheckpoint {
+  WalkState state;
+  uint64_t epoch = 0;  // checkpoint interval index of the snapshot
 };
 
 void DistributedRunStats::Accumulate(const DistributedRunStats& part) {
@@ -212,8 +200,6 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
   LIGHTRW_CHECK(app != nullptr);
   LIGHTRW_CHECK(partition != nullptr);
   LIGHTRW_CHECK_EQ(partition->owners().size(), graph->num_vertices());
-  needs_prev_neighbors_ = app->needs_prev_neighbors();
-  stop_probability_ = app->stop_probability();
 
   const BoardId num_boards = partition->num_boards();
   const reliability::FaultConfig& faults = config_.board.faults;
@@ -249,7 +235,7 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
   boards_.reserve(total);
   for (BoardId b = 0; b < total; ++b) {
     boards_.emplace_back(graph_, config_.board, config_.link,
-                         needs_prev_neighbors_);
+                         app->needs_prev_neighbors());
   }
   for (BoardId b = 0; b < total; ++b) {
     Board& board = boards_[b];
@@ -312,7 +298,7 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
 
   walkers_ = std::vector<Walker>(max_walkers);
   attribs_.assign(max_walkers, WalkerAttrib{});
-  cold_ = std::vector<WalkerCold>(max_walkers);
+  ckpts_.assign(max_walkers, WalkerCheckpoint{});
   inflight_.assign(total, 0);
   for (size_t i = 0; i < walkers_.size(); ++i) {
     free_slots_.push(i);
@@ -536,6 +522,36 @@ uint32_t ClusterSim::free_slots() const {
 void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
                         BoardId board, Cycle at,
                         const WalkerOptions& options) {
+  const size_t slot = LaunchSlot(ticket, query, board, at, options);
+  Walker& w = walkers_[slot];
+  if (w.walk == nullptr) {
+    w.walk = std::make_unique<core::TicketWalk>(
+        graph_, app_, config_.board.sampler_parallelism);
+  }
+  w.walk->Start(config_.board.seed, ticket, query.start,
+                options.uniform_step);
+  w.sampling = true;
+  w.stopped = false;
+  w.path.clear();
+  w.path.push_back(query.start);
+}
+
+void ClusterSim::Launch(const core::TicketPath& path, BoardId board,
+                        Cycle at) {
+  LIGHTRW_CHECK(path.size >= 1 && path.size <= path.query.length + 1);
+  const size_t slot = LaunchSlot(path.ticket, path.query, board, at, {});
+  Walker& w = walkers_[slot];
+  w.sampling = false;
+  w.stopped = path.stopped;
+  w.path.assign(path.vertices, path.vertices + path.size);
+  if (path.size > 1 && !config_.replicate_graph) {
+    partition_->PrefetchOwner(path.vertices[1]);
+  }
+}
+
+size_t ClusterSim::LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
+                              BoardId board, Cycle at,
+                              const WalkerOptions& options) {
   LIGHTRW_CHECK(!free_slots_.empty());
   LIGHTRW_CHECK(board < total_boards());
   const size_t slot = free_slots_.top();
@@ -563,32 +579,12 @@ void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
   w.launched = at;
   w.phase = Phase::kInfo;
   w.opts = options;
-  w.path.clear();
-  w.path.push_back(query.start);
-  // Private streams keyed on (seed, ticket): the walk's outcome is a pure
-  // function of the ticket, independent of timing and placement. Reseed
-  // re-keys the slot's pooled generator in place (same state a fresh
-  // ThunderingRng would hold, without its allocation).
-  rng::SplitMix64 mix(config_.board.seed +
-                      0x9e3779b97f4a7c15ULL * (ticket + 1));
-  w.rng.Reseed(config_.board.sampler_parallelism, mix.Next());
-  w.aux = rng::Xoshiro256StarStar(mix.Next());
-  if (w.sampler == nullptr) {
-    w.sampler = std::make_unique<core::StepSampler>(
-        config_.board.sampler_parallelism, &w.rng);
-  }
   if (checkpointing_ || store_ != nullptr) {
     // Dispatch checkpoint: a walker can always be recovered to its
-    // start. Skipped entirely when nothing can trigger a recovery —
-    // the snapshot (two RNG stream copies per launch) is the single
-    // largest per-launch cost.
-    WalkerCold& c = cold_[slot];
-    c.ckpt.state = w.state;
-    c.ckpt.path_len = 1;
-    c.ckpt.epoch = checkpointing_ ? at / ckpt_interval_ : 0;
-    c.ckpt.rng = w.rng;
-    c.ckpt.aux = w.aux;
-    c.store_snaps.clear();
+    // start. Skipped when nothing can trigger a recovery.
+    WalkerCheckpoint& ckpt = ckpts_[slot];
+    ckpt.state = w.state;
+    ckpt.epoch = checkpointing_ ? at / ckpt_interval_ : 0;
   }
   attribs_[slot] = WalkerAttrib{};
   if (obs::SpanRecorder* spans = config_.board.spans) {
@@ -610,6 +606,7 @@ void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
     ts_inflight_->Add(1.0);
   }
   events_.emplace(at, 0, slot);
+  return slot;
 }
 
 void ClusterSim::ScheduleWake(uint64_t tag, Cycle at) {
@@ -621,14 +618,11 @@ void ClusterSim::TakeCheckpoint(size_t slot, Board& board, Cycle at) {
     return;
   }
   const Walker& w = walkers_[slot];
-  WalkerCheckpoint& ckpt = cold_[slot].ckpt;
+  WalkerCheckpoint& ckpt = ckpts_[slot];
   const uint64_t epoch = at / ckpt_interval_;
   if (epoch > ckpt.epoch) {
     ckpt.state = w.state;
-    ckpt.path_len = static_cast<uint32_t>(w.path.size());
     ckpt.epoch = epoch;
-    ckpt.rng = w.rng;
-    ckpt.aux = w.aux;
     ++board.rel.checkpoints;
     if (store_ != nullptr) {
       WriteStoreCheckpoint(slot, at);
@@ -637,26 +631,18 @@ void ClusterSim::TakeCheckpoint(size_t slot, Board& board, Cycle at) {
 }
 
 // Encodes the walker's current checkpoint and writes it into the
-// durable store, retaining the (generation, snapshot) pair the encoded
-// bytes stand for: the bytes are the integrity/corruption target, the
-// snapshot carries the RNG streams. The ring is pruned to the store's
-// retention window so it stays bounded.
+// durable store. A record that validates on a later read restores the
+// walker by itself.
 void ClusterSim::WriteStoreCheckpoint(size_t slot, Cycle at) {
-  const Walker& w = walkers_[slot];
-  WalkerCold& c = cold_[slot];
+  const WalkState& state = ckpts_[slot].state;
   reliability::CkptRecord record;
-  record.ticket = w.ticket;
+  record.ticket = walkers_[slot].ticket;
   record.cycle = at;
-  record.step = c.ckpt.state.step;
-  record.curr = c.ckpt.state.curr;
-  record.prev = c.ckpt.state.prev;
-  record.path_len = c.ckpt.path_len;
-  const reliability::CkptStore::WriteResult wr = store_->Write(record);
-  c.store_snaps.emplace_back(wr.generation, c.ckpt);
-  while (!c.store_snaps.empty() &&
-         c.store_snaps.front().first < wr.oldest_generation) {
-    c.store_snaps.erase(c.store_snaps.begin());
-  }
+  record.step = state.step;
+  record.curr = state.curr;
+  record.prev = state.prev;
+  record.path_len = state.step + 1;
+  store_->Write(record);
   SpanEvent(slot, "ckpt_write", at);
 }
 
@@ -716,7 +702,6 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
   EndWalkSpan(slot, at);
   if (store_ != nullptr) {
     store_->Drop(w.ticket);
-    cold_[slot].store_snaps.clear();
   }
   WalkerEnd end;
   end.ticket = w.ticket;
@@ -728,6 +713,8 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
   makespan_ = std::max(makespan_, at);
   --inflight_[w.launch_board];
   free_slots_.push(slot);
+  // The walked prefix: a known path ends here only if nothing cut it.
+  w.path.resize(w.state.step + 1);
   std::vector<VertexId> path = std::move(w.path);
   w.path.clear();
   if (on_retire_) {
@@ -735,13 +722,15 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
   }
 }
 
-// Rolls a walker back to its checkpoint and re-dispatches it on a
-// surviving board (its state on the old board — resident or in a lost
-// migration message — is gone). Without a checkpoint the walk is lost:
-// it retires truncated and is counted. Batch mode only; the service
-// layer gets the failure surfaced instead and owns the retry.
+// Rewinds a walker along its known path to its checkpoint's step and
+// re-dispatches it on a surviving board (its state on the old board —
+// resident or in a lost migration message — is gone). Without a
+// checkpoint the walk is lost: it retires truncated and is counted.
+// Batch mode only; the service layer gets the failure surfaced instead
+// and owns the retry.
 void ClusterSim::Recover(size_t slot, Cycle at) {
   Walker& w = walkers_[slot];
+  LIGHTRW_CHECK(!surface_failures_ && !w.sampling);
   const reliability::FaultConfig& faults = config_.board.faults;
   if (!checkpointing_ && store_ == nullptr) {
     ++recovery_rel_.walkers_lost;
@@ -773,29 +762,20 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
     if (rr.fell_back) {
       SpanEvent(slot, "ckpt_fallback", at);
     }
-    // Restore from the generation-aligned snapshot (the validated
-    // record cross-checks it; the snapshot supplies the RNG streams).
-    const WalkerCheckpoint* snap = nullptr;
-    for (const auto& [generation, s] : cold_[slot].store_snaps) {
-      if (generation == rr.record.generation) {
-        snap = &s;
-        break;
-      }
-    }
-    LIGHTRW_CHECK(snap != nullptr);
-    LIGHTRW_CHECK_EQ(snap->state.step, rr.record.step);
-    recovery_rel_.replayed_steps += w.state.step - snap->state.step;
-    w.state = snap->state;
-    w.path.resize(snap->path_len);
-    w.rng = snap->rng;
-    w.aux = snap->aux;
+    // The validated record alone restores the walker: its step, vertex
+    // and previous vertex on the known path.
+    const reliability::CkptRecord& record = rr.record;
+    LIGHTRW_CHECK(record.step <= w.state.step &&
+                  record.path_len == record.step + 1 &&
+                  record.curr == w.path[record.step]);
+    recovery_rel_.replayed_steps += w.state.step - record.step;
+    w.state.step = record.step;
+    w.state.curr = record.curr;
+    w.state.prev = record.prev;
   } else {
-    const WalkerCheckpoint& ckpt = cold_[slot].ckpt;
-    recovery_rel_.replayed_steps += w.state.step - ckpt.state.step;
-    w.state = ckpt.state;
-    w.path.resize(ckpt.path_len);
-    w.rng = ckpt.rng;
-    w.aux = ckpt.aux;
+    const WalkState& ckpt = ckpts_[slot].state;
+    recovery_rel_.replayed_steps += w.state.step - ckpt.step;
+    w.state = ckpt;
   }
   w.phase = Phase::kInfo;
   if (survivors_.empty()) {
@@ -869,7 +849,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     w.phase = Phase::kFetch;
-    if (!w.opts.uniform_step) {
+    if (w.sampling && !w.opts.uniform_step) {
       // The adjacency lines arrive while other walkers' events run.
       core::StepSampler::Prefetch(*graph_, *app_, w.state.curr);
     }
@@ -886,13 +866,18 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     SpanEvent(slot, "dram_retry", fetch.last_data);
   }
 
-  VertexId next;
-  if (w.opts.uniform_step) {
-    const uint32_t degree = graph_->Degree(w.state.curr);
-    next = graph_->Neighbors(w.state.curr)[w.aux.NextBounded(degree)];
-  } else {
-    next = w.sampler->SampleNext(*graph_, *app_, w.state);
+  if (w.sampling) {
+    LIGHTRW_DCHECK(w.path.size() == w.state.step + 1);
+    const VertexId sampled = w.walk->Step();
+    if (sampled != graph::kInvalidVertex) {
+      w.path.push_back(sampled);
+      w.stopped = w.walk->stopped();
+    }
   }
+  // A path that ends here ended on all-zero weights.
+  const VertexId next = w.state.step + 1 < w.path.size()
+                            ? w.path[w.state.step + 1]
+                            : graph::kInvalidVertex;
   w.phase = Phase::kInfo;
   if (board.model.channel().TakeAccessFailure()) {
     // Uncorrectable ECC error in the adjacency stream: the sampled step
@@ -914,6 +899,11 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   w.state.prev = w.state.curr;
   w.state.curr = next;
   ++w.state.step;
+  const bool last = w.state.step + 1 == w.path.size();
+  if (!last && !config_.replicate_graph) {
+    // The step after this one routes on the next vertex's owner.
+    partition_->PrefetchOwner(w.path[w.state.step + 1]);
+  }
   ++total_steps_;
   ++board.steps_served;
   if (ts_steps_ != nullptr) {
@@ -921,12 +911,9 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     ts_board_steps_[w.board]->Increment();
   }
   board.last_activity = std::max(board.last_activity, step_end);
-  w.path.push_back(next);
   TakeCheckpoint(slot, board, step_end);
 
-  const bool stopped =
-      stop_probability_ > 0.0 && w.aux.NextUnit() < stop_probability_;
-  if (stopped || w.state.step >= w.remaining) {
+  if ((last && w.stopped) || w.state.step >= w.remaining) {
     Retire(slot, step_end);
     return;
   }

@@ -18,13 +18,18 @@
 // simulated clock. Drain() is resumable: callbacks may launch further
 // work, and more may be injected between drains.
 //
-// Determinism: walk sampling and geometric stopping draw from per-walker
-// RNG streams seeded by (config seed, ticket), so a walker's path is a
-// pure function of its ticket — independent of dispatch order, board
-// placement, and the timing interleaving. That is what lets the service
-// layer retry a bounced query on another board (or replay it after a
-// board death) and obtain the same walk, and what makes a low-load
-// service run produce bit-identical walks to a batch run.
+// Determinism: a walk's path is a pure function of (config seed, ticket,
+// options). core::TicketWalk draws it from streams keyed on the ticket,
+// and nothing the timing model does feeds back into it: dispatch order,
+// board placement and the timing interleaving can only end a walk early
+// (a fault truncates it, a service cap shortens it). So the batch driver
+// computes its walkers' paths before they launch (core::PathRing) and
+// ClusterSim only times them; recovery rewinds a walker to its
+// checkpoint's step on the same path. A service walker samples its path
+// one step per Fetch event instead, because the service decides
+// shortening and uniform steps at dispatch. The service retries a
+// bounced query on another board and obtains the same walk, and a
+// low-load service run produces bit-identical walks to a batch run.
 
 #ifndef LIGHTRW_DISTRIBUTED_CLUSTER_SIM_H_
 #define LIGHTRW_DISTRIBUTED_CLUSTER_SIM_H_
@@ -44,10 +49,9 @@
 #include "hwsim/link.h"
 #include "lightrw/config.h"
 #include "lightrw/step_model.h"
-#include "lightrw/step_sampler.h"
+#include "lightrw/ticket_walk.h"
 #include "reliability/fault_injector.h"
 #include "reliability/membership.h"
-#include "rng/rng.h"
 
 namespace lightrw::reliability {
 class CkptStore;
@@ -91,11 +95,14 @@ struct DistributedConfig {
   // top of the failure-detection latency.
   double rebuild_bytes_per_cycle = 32.0;
 
-  // Host worker threads for drivers that decompose the cluster into
-  // independent board shards (DistributedEngine in replicated mode when
-  // no fault can fire, WalkService admission shards). The decomposition is
-  // fixed by the configuration, never by the thread count, so results
-  // are bit-identical for every value. 0 = SimThreadPool default.
+  // Host worker threads. Drivers that decompose the cluster into
+  // independent board shards run the shards on them (DistributedEngine
+  // in replicated mode when no fault can fire, WalkService admission
+  // shards); DistributedEngine's coupled event loop splits each window
+  // of its path pass across them by ticket range. Shards are fixed by
+  // the configuration and a path by its ticket, never by the thread
+  // count, so results are bit-identical for every value.
+  // 0 = SimThreadPool default.
   uint32_t num_threads = 0;
 
   // Global id of this sim's board 0. Sharded drivers simulate a slice of
@@ -262,10 +269,17 @@ class ClusterSim {
   uint32_t free_slots() const;
 
   // Injects a walker executing `query` starting on `board` at cycle
-  // `at`. Requires a free slot. The ticket seeds the walker's private
-  // RNG streams and is echoed in WalkerEnd.
+  // `at`, sampling each step when its Fetch event runs (the service's
+  // walkers, whose options are decided at dispatch). Requires a free
+  // slot. The ticket keys the walk's core::TicketWalk and is echoed in
+  // WalkerEnd.
   void Launch(uint64_t ticket, const apps::WalkQuery& query, BoardId board,
               hwsim::Cycle at, const WalkerOptions& options = {});
+  // Injects a walker that times a known path: `path` as a PathRing
+  // computed it for (seed, path.ticket, path.query). The walker copies
+  // the vertices. Batch mode only; a board death or a lost migration
+  // rewinds the walker along this path.
+  void Launch(const core::TicketPath& path, BoardId board, hwsim::Cycle at);
   // Schedules an on_wake(tag, at) callback at cycle `at`.
   void ScheduleWake(uint64_t tag, hwsim::Cycle at);
 
@@ -286,13 +300,13 @@ class ClusterSim {
   struct Board;
   // Walker state is struct-of-arrays, split by access pattern so the
   // per-event working set stays dense: Walker holds what every Step()
-  // touches (walk state, RNG streams, path), WalkerAttrib the span id
-  // and cycle-stage accumulators (written per step, read at retire),
-  // and WalkerCold the checkpoint/recovery snapshots — untouched on the
-  // fault-free fast path, and by far the largest of the three.
+  // touches (walk state, path), WalkerAttrib the span id and
+  // cycle-stage accumulators (written per step, read at retire), and
+  // WalkerCheckpoint the step recovery rewinds to — untouched on the
+  // fault-free fast path.
   struct Walker;
   struct WalkerAttrib;
-  struct WalkerCold;
+  struct WalkerCheckpoint;
 
   // Heap events: (cycle, kind, id) — kind 0 walker slot, kind 1 wake
   // tag, kind 2 membership (board death / rebuild completion), kind 3
@@ -311,6 +325,10 @@ class ClusterSim {
   // in batch mode), or a failure surfaced to the retire callback.
   enum class Outcome : uint8_t { kDone, kBoardLost, kDataFault };
 
+  // The part of both Launch overloads that does not touch the path.
+  size_t LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
+                    BoardId board, hwsim::Cycle at,
+                    const WalkerOptions& options);
   void Step(size_t slot, hwsim::Cycle now);
   void EndWalkSpan(size_t slot, hwsim::Cycle at);
   void Retire(size_t slot, hwsim::Cycle at, Outcome outcome = Outcome::kDone);
@@ -331,9 +349,9 @@ class ClusterSim {
   void TryActivateSpare(BoardId share, hwsim::Cycle at);
   void CompleteRebuild(BoardId spare, hwsim::Cycle now);
   // Durable checkpoint store machinery: encode + write the walker's
-  // current checkpoint (and retain the generation-aligned snapshot),
-  // run one scrub tick, and release walkers parked through a
-  // total-owner-loss window once a rebuild restores a serving board.
+  // current checkpoint, run one scrub tick, and release walkers parked
+  // through a total-owner-loss window once a rebuild restores a serving
+  // board.
   void WriteStoreCheckpoint(size_t slot, hwsim::Cycle at);
   void ProcessScrub(hwsim::Cycle now);
   void FlushParked(hwsim::Cycle now);
@@ -343,15 +361,11 @@ class ClusterSim {
   const Partition* partition_;
   DistributedConfig config_;
   bool surface_failures_ = false;
-  // Constant per run; cached here so the per-step path skips the
-  // virtual dispatch through app_.
-  bool needs_prev_neighbors_ = false;
-  double stop_probability_ = 0.0;
 
   std::vector<Board> boards_;
   std::vector<Walker> walkers_;
   std::vector<WalkerAttrib> attribs_;  // parallel to walkers_
-  std::vector<WalkerCold> cold_;       // parallel to walkers_
+  std::vector<WalkerCheckpoint> ckpts_;  // parallel to walkers_
   std::vector<uint32_t> inflight_;  // per Launch board
   // Free walker slots, allocated lowest-index first for determinism.
   std::priority_queue<size_t, std::vector<size_t>, std::greater<>>

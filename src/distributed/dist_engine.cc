@@ -1,6 +1,8 @@
 #include "distributed/dist_engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -8,8 +10,102 @@
 #include "common/sim_thread_pool.h"
 #include "distributed/config_validation.h"
 #include "lightrw/sink_shards.h"
+#include "lightrw/ticket_walk.h"
 
 namespace lightrw::distributed {
+
+namespace {
+
+// Path vertices computed ahead of the launch cursor: 1 MB of paths. A
+// run that does not keep its corpus never holds more (plus one copy per
+// walker in flight).
+constexpr size_t kWindowVertices = size_t{1} << 18;
+
+// The paths of a batch run's walks, computed one window of tickets ahead
+// of the launch cursor. The run's j-th walk is ticket first + j * stride
+// and executes queries[ticket]. A window is split by ticket range across
+// `threads` workers, each stepping its own PathRing.
+class PathWindow {
+ public:
+  PathWindow(const graph::CsrGraph* graph, const apps::WalkApp* app,
+             const DistributedConfig& config,
+             std::span<const apps::WalkQuery> queries, size_t first,
+             size_t stride, uint32_t threads)
+      : queries_(queries),
+        first_(first),
+        stride_(stride),
+        seed_(config.board.seed),
+        graph_(graph),
+        app_(app),
+        parallelism_(config.board.sampler_parallelism),
+        threads_(threads),
+        size_(queries.size() > first
+                  ? (queries.size() - first + stride - 1) / stride
+                  : 0) {}
+
+  // Walks in the run.
+  size_t size() const { return size_; }
+
+  // The path of walk j. j must not decrease from one call to the next:
+  // computing a window overwrites the previous one.
+  const core::TicketPath& Path(size_t j) {
+    if (j < begin_ || j >= begin_ + paths_.size()) {
+      Fill(j);
+    }
+    return paths_[j - begin_];
+  }
+
+ private:
+  // Computes the window of walks j, j + 1, ... whose paths fit in
+  // kWindowVertices (at least walk j).
+  void Fill(size_t j) {
+    begin_ = j;
+    paths_.clear();
+    size_t vertices = 0;
+    for (size_t k = j; k < size_; ++k) {
+      const size_t ticket = first_ + k * stride_;
+      const size_t room = size_t{queries_[ticket].length} + 1;
+      if (!paths_.empty() && vertices + room > kWindowVertices) {
+        break;
+      }
+      paths_.push_back({ticket, queries_[ticket]});
+      vertices += room;
+    }
+    vertices_.resize(vertices);
+    vertices = 0;
+    for (core::TicketPath& path : paths_) {
+      path.vertices = vertices_.data() + vertices;
+      vertices += size_t{path.query.length} + 1;
+    }
+    const size_t n = paths_.size();
+    const size_t parts = std::min<size_t>(threads_, n);
+    while (rings_.size() < parts) {
+      rings_.push_back(
+          std::make_unique<core::PathRing>(graph_, app_, parallelism_));
+    }
+    SimThreadPool::ParallelFor(threads_, parts, [&](size_t t) {
+      const size_t lo = n * t / parts;
+      const size_t hi = n * (t + 1) / parts;
+      rings_[t]->Walk(seed_, std::span(paths_).subspan(lo, hi - lo));
+    });
+  }
+
+  std::span<const apps::WalkQuery> queries_;
+  size_t first_;
+  size_t stride_;
+  uint64_t seed_;
+  const graph::CsrGraph* graph_;
+  const apps::WalkApp* app_;
+  size_t parallelism_;
+  uint32_t threads_;
+  size_t size_;
+  std::vector<std::unique_ptr<core::PathRing>> rings_;  // one per range
+  size_t begin_ = 0;  // walk index of paths_[0]
+  std::vector<core::TicketPath> paths_;
+  std::vector<graph::VertexId> vertices_;
+};
+
+}  // namespace
 
 DistributedEngine::DistributedEngine(const graph::CsrGraph* graph,
                                      const apps::WalkApp* app,
@@ -45,41 +141,34 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
   const bool sharded = config_.replicate_graph &&
                        !config_.board.faults.AnyFaultsPossible() &&
                        num_boards > 1;
+  const uint32_t threads = SimThreadPool::ResolveThreads(config_.num_threads);
   if (sharded) {
     // All vertices on local board 0 of every shard (replication makes
     // ownership irrelevant; the partition only sizes the sim).
     const Partition single(
         std::vector<BoardId>(graph_->num_vertices(), 0), 1);
-    std::vector<std::vector<apps::WalkQuery>> shard_queries(num_boards);
-    std::vector<std::vector<size_t>> shard_tickets(num_boards);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      shard_queries[i % num_boards].push_back(queries[i]);
-      shard_tickets[i % num_boards].push_back(i);
-    }
-
     std::vector<DistributedRunStats> shard_stats(num_boards);
     // Tickets (= span trace ids) are disjoint across shards.
     core::SinkShards sinks(config_.board, num_boards);
-    const uint32_t threads =
-        SimThreadPool::ResolveThreads(config_.num_threads);
     SimThreadPool::ParallelFor(threads, num_boards, [&](size_t b) {
       DistributedConfig shard_config = config_;
       shard_config.first_board = static_cast<BoardId>(b);
       shard_config.board = sinks.Shard(b);
-      const std::vector<apps::WalkQuery>& share = shard_queries[b];
-      const std::vector<size_t>& tickets = shard_tickets[b];
+      // Shard b runs tickets b, b + num_boards, ... through its own
+      // path pass; the shards already occupy the workers.
+      PathWindow paths(graph_, app_, config_, queries, b, num_boards,
+                       /*threads=*/1);
       const size_t num_walkers = std::min<size_t>(
-          config_.inflight_walkers_per_board, share.size());
+          config_.inflight_walkers_per_board, paths.size());
       ClusterSim sim(graph_, app_, &single, shard_config,
                      static_cast<uint32_t>(std::max<size_t>(num_walkers,
                                                             1)));
       size_t next_query = 0;
       auto load = [&](hwsim::Cycle at) {
-        if (next_query >= share.size()) {
+        if (next_query >= paths.size()) {
           return;
         }
-        const size_t qi = next_query++;
-        sim.Launch(tickets[qi], share[qi], /*board=*/0, at);
+        sim.Launch(paths.Path(next_query++), /*board=*/0, at);
       };
       sim.set_on_retire([&](const WalkerEnd& end,
                             std::vector<graph::VertexId>&& path) {
@@ -107,6 +196,7 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
     const size_t num_walkers = std::min(max_inflight, queries.size());
     ClusterSim sim(graph_, app_, partition_, config_,
                    static_cast<uint32_t>(num_walkers));
+    PathWindow paths(graph_, app_, config_, queries, 0, 1, threads);
 
     size_t next_query = 0;
     auto load = [&](hwsim::Cycle at) {
@@ -131,7 +221,7 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
       } else {
         board = sim.LiveOwnerOf(q.start);
       }
-      sim.Launch(qi, q, board, at);
+      sim.Launch(paths.Path(qi), board, at);
     };
 
     sim.set_on_retire([&](const WalkerEnd& end,

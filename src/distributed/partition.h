@@ -33,6 +33,10 @@ class Partition {
 
   BoardId num_boards() const { return num_boards_; }
   BoardId OwnerOf(graph::VertexId v) const { return owner_[v]; }
+  // Starts loading OwnerOf(v)'s entry ahead of the lookup. A hint only.
+  void PrefetchOwner(graph::VertexId v) const {
+    __builtin_prefetch(owner_.data() + v);
+  }
   const std::vector<BoardId>& owners() const { return owner_; }
 
   // Edges per board (by source vertex ownership).

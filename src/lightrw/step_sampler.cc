@@ -43,9 +43,16 @@ void StepSampler::Prefetch(const CsrGraph& graph, const WalkApp& app,
 
 VertexId StepSampler::SampleNext(const CsrGraph& graph, const WalkApp& app,
                                  const WalkState& state) {
+  const size_t picked = SampleIndex(graph, app, state);
+  return picked == sampling::kNoSample ? graph::kInvalidVertex
+                                       : graph.Neighbors(state.curr)[picked];
+}
+
+size_t StepSampler::SampleIndex(const CsrGraph& graph, const WalkApp& app,
+                                const WalkState& state) {
   const uint32_t degree = graph.Degree(state.curr);
   if (degree == 0) {
-    return graph::kInvalidVertex;
+    return sampling::kNoSample;
   }
   pwrs_.Reset();
   if (app.has_static_weights()) {
@@ -62,9 +69,7 @@ VertexId StepSampler::SampleNext(const CsrGraph& graph, const WalkApp& app,
       pwrs_.OfferBatches(weights, first);
     }
   }
-  const size_t picked = pwrs_.selected();
-  return picked == sampling::kNoSample ? graph::kInvalidVertex
-                                       : graph.Neighbors(state.curr)[picked];
+  return pwrs_.selected();
 }
 
 }  // namespace lightrw::core

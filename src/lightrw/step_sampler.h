@@ -43,6 +43,13 @@ class StepSampler {
   VertexId SampleNext(const CsrGraph& graph, const WalkApp& app,
                       const WalkState& state);
 
+  // The draws of SampleNext without its last read: the index in
+  // N(state.curr) of the sampled neighbor, or sampling::kNoSample where
+  // SampleNext returns kInvalidVertex. A caller that interleaves walks
+  // prefetches that neighbor's line before it reads it.
+  size_t SampleIndex(const CsrGraph& graph, const WalkApp& app,
+                     const WalkState& state);
+
   // Asks the CPU to start loading the first lines SampleNext reads for a
   // walk at `curr`: N(curr)'s weights, plus N(curr) itself when `app`
   // evaluates dynamic weights. An event loop calls this when it queues a

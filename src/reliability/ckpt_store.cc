@@ -182,9 +182,6 @@ CkptStore::WriteResult CkptStore::Write(CkptRecord record) {
     }
     chain.generations.erase(chain.generations.begin());
   }
-  result.oldest_generation =
-      chain.generations.empty() ? record.generation
-                                : chain.generations.front().generation;
   return result;
 }
 

@@ -46,11 +46,10 @@ namespace lightrw::reliability {
 // across hosts, no hardware dependence.
 uint32_t Crc32c(const uint8_t* data, size_t len);
 
-// One checkpoint record: the walker-visible part of a snapshot. The RNG
-// stream state rides alongside in the caller's generation-aligned
-// snapshot ring (the generators expose no serializable state), so the
-// encoded bytes are the integrity/corruption target and the snapshot is
-// the semantic payload — a modeling split documented in DESIGN.md.
+// One checkpoint record: a walker's position at a checkpointed step. A
+// walker's path is known before it is timed, so a record that validates
+// restores the walker by itself: recovery rewinds it to `step` on that
+// path (see DESIGN.md "Durable checkpoints").
 struct CkptRecord {
   uint64_t ticket = 0;
   uint64_t generation = 0;
@@ -89,9 +88,8 @@ class CkptStore {
   CkptStore(const FaultConfig& faults, uint64_t component_id);
 
   struct WriteResult {
-    uint64_t generation = 0;         // generation number assigned
-    uint64_t oldest_generation = 0;  // chain head after retention trim
-    uint64_t latency_cycles = 0;     // modeled (asynchronous) write cost
+    uint64_t generation = 0;      // generation number assigned
+    uint64_t latency_cycles = 0;  // modeled (asynchronous) write cost
   };
   // Stages, seals, and publishes the next generation of the record's
   // ticket chain across all replicas, injecting storage faults. The

@@ -120,10 +120,6 @@ class ThunderingRng {
     return static_cast<double>(Next(stream)) * 0x1.0p-32;
   }
 
-  // Draws one output from every stream, as the hardware does per cycle.
-  // out.size() must equal num_streams().
-  void NextBatch(std::span<uint32_t> out);
-
   // Streams [base, base + n), for kernels that draw many lanes in one
   // loop. Drawing through Stream::Draw leaves the generator exactly as
   // the same draws through Next() would.

@@ -180,9 +180,11 @@ TEST(CkptStoreTest, RetentionIsBounded) {
     wr = store.Write(record);
   }
   EXPECT_EQ(wr.generation, 4u);
-  EXPECT_EQ(wr.oldest_generation, 3u);
   // 2 generations x 2 replicas x 53 encoded bytes.
   EXPECT_EQ(store.stored_bytes(), 2u * 2u * 53u);
+  // The chain keeps generations 3 and 4 only.
+  EXPECT_FALSE(store.CorruptReplicaForTest(record.ticket, 2, 0, 0));
+  EXPECT_TRUE(store.CorruptReplicaForTest(record.ticket, 3, 0, 0));
 }
 
 TEST(CkptStoreTest, TornWritesBalanceTheLedger) {
