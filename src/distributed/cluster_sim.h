@@ -98,10 +98,11 @@ struct DistributedConfig {
   // Host worker threads. Drivers that decompose the cluster into
   // independent board shards run the shards on them (DistributedEngine
   // in replicated mode when no fault can fire, WalkService admission
-  // shards); DistributedEngine's coupled event loop splits each window
-  // of its path pass across them by ticket range. Shards are fixed by
-  // the configuration and a path by its ticket, never by the thread
-  // count, so results are bit-identical for every value.
+  // shards); workers of DistributedEngine's coupled event loop share
+  // each window of its path pass, claiming tickets one at a time.
+  // Shards are fixed by the configuration and a path by its ticket,
+  // never by the thread count, so results are bit-identical for every
+  // value.
   // 0 = SimThreadPool default.
   uint32_t num_threads = 0;
 

@@ -1,6 +1,7 @@
 #include "distributed/dist_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <span>
 #include <utility>
@@ -23,8 +24,8 @@ constexpr size_t kWindowVertices = size_t{1} << 18;
 
 // The paths of a batch run's walks, computed one window of tickets ahead
 // of the launch cursor. The run's j-th walk is ticket first + j * stride
-// and executes queries[ticket]. A window is split by ticket range across
-// `threads` workers, each stepping its own PathRing.
+// and executes queries[ticket]. Up to `threads` workers, each stepping
+// its own PathRing, claim a window's tickets one at a time.
 class PathWindow {
  public:
   PathWindow(const graph::CsrGraph* graph, const apps::WalkApp* app,
@@ -35,13 +36,14 @@ class PathWindow {
         first_(first),
         stride_(stride),
         seed_(config.board.seed),
-        graph_(graph),
-        app_(app),
-        parallelism_(config.board.sampler_parallelism),
-        threads_(threads),
         size_(queries.size() > first
                   ? (queries.size() - first + stride - 1) / stride
-                  : 0) {}
+                  : 0) {
+    for (size_t t = 0; t < std::min<size_t>(threads, size_); ++t) {
+      rings_.push_back(std::make_unique<core::PathRing>(
+          graph, app, config.board.sampler_parallelism));
+    }
+  }
 
   // Walks in the run.
   size_t size() const { return size_; }
@@ -49,7 +51,8 @@ class PathWindow {
   // The path of walk j. j must not decrease from one call to the next:
   // computing a window overwrites the previous one.
   const core::TicketPath& Path(size_t j) {
-    if (j < begin_ || j >= begin_ + paths_.size()) {
+    LIGHTRW_DCHECK(j >= begin_);
+    if (j >= begin_ + paths_.size()) {
       Fill(j);
     }
     return paths_[j - begin_];
@@ -77,16 +80,14 @@ class PathWindow {
       path.vertices = vertices_.data() + vertices;
       vertices += size_t{path.query.length} + 1;
     }
-    const size_t n = paths_.size();
-    const size_t parts = std::min<size_t>(threads_, n);
-    while (rings_.size() < parts) {
-      rings_.push_back(
-          std::make_unique<core::PathRing>(graph_, app_, parallelism_));
-    }
-    SimThreadPool::ParallelFor(threads_, parts, [&](size_t t) {
-      const size_t lo = n * t / parts;
-      const size_t hi = n * (t + 1) / parts;
-      rings_[t]->Walk(seed_, std::span(paths_).subspan(lo, hi - lo));
+    // Tickets are claimed one at a time rather than split into equal
+    // ranges: on a shared host one starved worker would otherwise hold
+    // its whole range and set the window's time.
+    const uint32_t workers =
+        static_cast<uint32_t>(std::min(rings_.size(), paths_.size()));
+    std::atomic<size_t> cursor{0};
+    SimThreadPool::ParallelFor(workers, workers, [&](size_t t) {
+      rings_[t]->Walk(seed_, paths_, cursor);
     });
   }
 
@@ -94,12 +95,8 @@ class PathWindow {
   size_t first_;
   size_t stride_;
   uint64_t seed_;
-  const graph::CsrGraph* graph_;
-  const apps::WalkApp* app_;
-  size_t parallelism_;
-  uint32_t threads_;
   size_t size_;
-  std::vector<std::unique_ptr<core::PathRing>> rings_;  // one per range
+  std::vector<std::unique_ptr<core::PathRing>> rings_;  // one per worker
   size_t begin_ = 0;  // walk index of paths_[0]
   std::vector<core::TicketPath> paths_;
   std::vector<graph::VertexId> vertices_;

@@ -67,7 +67,8 @@ PathRing::PathRing(const CsrGraph* graph, const WalkApp* app,
   }
 }
 
-void PathRing::Walk(uint64_t seed, std::span<TicketPath> paths) {
+void PathRing::Walk(uint64_t seed, std::span<TicketPath> paths,
+                    std::atomic<size_t>& cursor) {
   enum class Stage : uint8_t { kRow, kPick, kRead };
   struct Slot {
     TicketPath* path = nullptr;  // null once the paths run out
@@ -75,25 +76,26 @@ void PathRing::Walk(uint64_t seed, std::span<TicketPath> paths) {
     Stage stage = Stage::kRow;
   };
   Slot slots[kRingSize];
-  size_t next_path = 0;
   // Puts the next path that takes a step into slot s; a path of length
   // 0 is only its start vertex. False when none is left.
   auto load = [&](size_t s) {
     slots[s].path = nullptr;
-    while (next_path < paths.size()) {
-      TicketPath& p = paths[next_path++];
+    for (;;) {
+      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= paths.size()) {
+        return false;
+      }
+      TicketPath& p = paths[i];
       p.vertices[0] = p.query.start;
       p.size = 1;
       p.stopped = false;
-      if (p.query.length == 0) {
-        continue;
+      if (p.query.length > 0) {
+        walks_[s]->Start(seed, p.ticket, p.query.start, /*uniform=*/false);
+        graph_->PrefetchRow(p.query.start);
+        slots[s] = {&p, 0, Stage::kRow};
+        return true;
       }
-      walks_[s]->Start(seed, p.ticket, p.query.start, /*uniform=*/false);
-      graph_->PrefetchRow(p.query.start);
-      slots[s] = {&p, 0, Stage::kRow};
-      return true;
     }
-    return false;
   };
 
   size_t active = 0;

@@ -11,6 +11,7 @@
 #ifndef LIGHTRW_LIGHTRW_TICKET_WALK_H_
 #define LIGHTRW_LIGHTRW_TICKET_WALK_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -75,8 +76,6 @@ struct TicketPath {
   graph::VertexId* vertices = nullptr;
   uint32_t size = 0;     // vertices walked
   bool stopped = false;  // the last step's stop coin ended the walk
-
-  std::span<const graph::VertexId> path() const { return {vertices, size}; }
 };
 
 // Computes weighted (PWRS) paths for tickets. A fixed ring of walks
@@ -90,8 +89,12 @@ class PathRing {
  public:
   PathRing(const CsrGraph* graph, const WalkApp* app, size_t parallelism);
 
-  // Fills `size`, `stopped` and the vertices of every path in `paths`.
-  void Walk(uint64_t seed, std::span<TicketPath> paths);
+  // Fills `size`, `stopped` and the vertices of paths[i] for each i it
+  // claims from `cursor`, until the claims run past the end. Rings on
+  // several threads share one span and cursor: a path depends only on
+  // its ticket, and a ring whose thread runs slowly claims fewer paths.
+  void Walk(uint64_t seed, std::span<TicketPath> paths,
+            std::atomic<size_t>& cursor);
 
  private:
   const CsrGraph* graph_;
