@@ -538,14 +538,15 @@ void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
 
 void ClusterSim::Launch(const core::TicketPath& path, BoardId board,
                         Cycle at) {
-  LIGHTRW_CHECK(path.size >= 1 && path.size <= path.query.length + 1);
+  LIGHTRW_CHECK(!path.vertices.empty() &&
+                path.vertices.size() <= uint64_t{path.query.length} + 1);
   const size_t slot = LaunchSlot(path.ticket, path.query, board, at, {});
   Walker& w = walkers_[slot];
   w.sampling = false;
   w.stopped = path.stopped;
-  w.path.assign(path.vertices, path.vertices + path.size);
-  if (path.size > 1 && !config_.replicate_graph) {
-    partition_->PrefetchOwner(path.vertices[1]);
+  w.path = path.vertices;
+  if (w.path.size() > 1 && !config_.replicate_graph) {
+    partition_->PrefetchOwner(w.path[1]);
   }
 }
 

@@ -17,9 +17,9 @@ namespace lightrw::distributed {
 
 namespace {
 
-// Path vertices computed ahead of the launch cursor: 1 MB of paths. A
-// run that does not keep its corpus never holds more (plus one copy per
-// walker in flight).
+// Path vertices computed ahead of the launch cursor, counting each
+// ticket's whole length: 1 MB of paths. A run that does not keep its
+// corpus never holds more (plus one copy per walker in flight).
 constexpr size_t kWindowVertices = size_t{1} << 18;
 
 // The paths of a batch run's walks, computed one window of tickets ahead
@@ -60,7 +60,10 @@ class PathWindow {
 
  private:
   // Computes the window of walks j, j + 1, ... whose paths fit in
-  // kWindowVertices (at least walk j).
+  // kWindowVertices at their full lengths (at least walk j). A path
+  // reserves at most one window: a query whose length cap is far above
+  // what its walk reaches (a PPR walk ends on a stop coin) grows its
+  // vector only as far as it walks.
   void Fill(size_t j) {
     begin_ = j;
     paths_.clear();
@@ -71,14 +74,11 @@ class PathWindow {
       if (!paths_.empty() && vertices + room > kWindowVertices) {
         break;
       }
-      paths_.push_back({ticket, queries_[ticket]});
+      core::TicketPath& path = paths_.emplace_back();
+      path.ticket = ticket;
+      path.query = queries_[ticket];
+      path.vertices.reserve(std::min(room, kWindowVertices));
       vertices += room;
-    }
-    vertices_.resize(vertices);
-    vertices = 0;
-    for (core::TicketPath& path : paths_) {
-      path.vertices = vertices_.data() + vertices;
-      vertices += size_t{path.query.length} + 1;
     }
     // Tickets are claimed one at a time rather than split into equal
     // ranges: on a shared host one starved worker would otherwise hold
@@ -99,7 +99,6 @@ class PathWindow {
   std::vector<std::unique_ptr<core::PathRing>> rings_;  // one per worker
   size_t begin_ = 0;  // walk index of paths_[0]
   std::vector<core::TicketPath> paths_;
-  std::vector<graph::VertexId> vertices_;
 };
 
 }  // namespace

@@ -86,8 +86,7 @@ void PathRing::Walk(uint64_t seed, std::span<TicketPath> paths,
         return false;
       }
       TicketPath& p = paths[i];
-      p.vertices[0] = p.query.start;
-      p.size = 1;
+      p.vertices.assign(1, p.query.start);
       p.stopped = false;
       if (p.query.length > 0) {
         walks_[s]->Start(seed, p.ticket, p.query.start, /*uniform=*/false);
@@ -132,7 +131,7 @@ void PathRing::Walk(uint64_t seed, std::span<TicketPath> paths,
         case Stage::kRead: {
           TicketPath& p = *slot.path;
           const VertexId next = graph_->Neighbors(curr)[slot.edge];
-          p.vertices[p.size++] = next;
+          p.vertices.push_back(next);
           walk.Advance(next);
           graph_->PrefetchRow(next);
           p.stopped = walk.stopped();

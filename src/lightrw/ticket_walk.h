@@ -72,9 +72,7 @@ class TicketWalk {
 struct TicketPath {
   uint64_t ticket = 0;
   apps::WalkQuery query;
-  // Room for query.length + 1 vertices, the start vertex first.
-  graph::VertexId* vertices = nullptr;
-  uint32_t size = 0;     // vertices walked
+  std::vector<graph::VertexId> vertices;  // the start vertex first
   bool stopped = false;  // the last step's stop coin ended the walk
 };
 
@@ -89,8 +87,8 @@ class PathRing {
  public:
   PathRing(const CsrGraph* graph, const WalkApp* app, size_t parallelism);
 
-  // Fills `size`, `stopped` and the vertices of paths[i] for each i it
-  // claims from `cursor`, until the claims run past the end. Rings on
+  // Fills the vertices and `stopped` of paths[i] for each i it claims
+  // from `cursor`, until the claims run past the end. Rings on
   // several threads share one span and cursor: a path depends only on
   // its ticket, and a ring whose thread runs slowly claims fewer paths.
   void Walk(uint64_t seed, std::span<TicketPath> paths,
