@@ -102,8 +102,7 @@ struct DistributedConfig {
   // each window of its path pass, claiming tickets one at a time.
   // Shards are fixed by the configuration and a path by its ticket,
   // never by the thread count, so results are bit-identical for every
-  // value.
-  // 0 = SimThreadPool default.
+  // value. 0 = SimThreadPool default.
   uint32_t num_threads = 0;
 
   // Global id of this sim's board 0. Sharded drivers simulate a slice of

@@ -81,8 +81,7 @@ class PathWindow {
       vertices += room;
     }
     // Tickets are claimed one at a time rather than split into equal
-    // ranges: on a shared host one starved worker would otherwise hold
-    // its whole range and set the window's time.
+    // ranges, so a worker that draws long or slow walks walks fewer.
     const uint32_t workers =
         static_cast<uint32_t>(std::min(rings_.size(), paths_.size()));
     std::atomic<size_t> cursor{0};
