@@ -69,10 +69,9 @@ struct ClusterSim::Walker {
   // walker has walked path[0, state.step].
   std::vector<VertexId> path;
   // Sampling walkers only: extends `path` by one step per Fetch event.
-  // Null for known-path launches. Allocated on the slot's first sampling
-  // launch and re-keyed by each later one.
+  // Null for known-path launches; a slot's sampling launches re-key the
+  // one they allocate.
   std::unique_ptr<core::TicketWalk> walk;
-  bool sampling = false;
 };
 
 // Per-attempt "walk" span and its cycle-stage attribution. The
@@ -530,7 +529,6 @@ void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
   }
   w.walk->Start(config_.board.seed, ticket, query.start,
                 options.uniform_step);
-  w.sampling = true;
   w.stopped = false;
   w.path.clear();
   w.path.push_back(query.start);
@@ -542,7 +540,7 @@ void ClusterSim::Launch(const core::TicketPath& path, BoardId board,
                 path.vertices.size() <= uint64_t{path.query.length} + 1);
   const size_t slot = LaunchSlot(path.ticket, path.query, board, at, {});
   Walker& w = walkers_[slot];
-  w.sampling = false;
+  w.walk.reset();
   w.stopped = path.stopped;
   w.path = path.vertices;
   if (w.path.size() > 1 && !config_.replicate_graph) {
@@ -731,7 +729,7 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
 // and owns the retry.
 void ClusterSim::Recover(size_t slot, Cycle at) {
   Walker& w = walkers_[slot];
-  LIGHTRW_CHECK(!surface_failures_ && !w.sampling);
+  LIGHTRW_CHECK(!surface_failures_ && w.walk == nullptr);
   const reliability::FaultConfig& faults = config_.board.faults;
   if (!checkpointing_ && store_ == nullptr) {
     ++recovery_rel_.walkers_lost;
@@ -850,7 +848,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     w.phase = Phase::kFetch;
-    if (w.sampling && !w.opts.uniform_step) {
+    if (w.walk != nullptr && !w.opts.uniform_step) {
       // The adjacency lines arrive while other walkers' events run.
       core::StepSampler::Prefetch(*graph_, *app_, w.state.curr);
     }
@@ -867,7 +865,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     SpanEvent(slot, "dram_retry", fetch.last_data);
   }
 
-  if (w.sampling) {
+  if (w.walk != nullptr) {
     LIGHTRW_DCHECK(w.path.size() == w.state.step + 1);
     const VertexId sampled = w.walk->Step();
     if (sampled != graph::kInvalidVertex) {
