@@ -220,8 +220,8 @@ TEST(GoldenTest, CycleEngineNode2VecRefetchPins) {
 }
 
 // The two other engines that sample Node2Vec steps through StepSampler:
-// a partitioned cluster (per-walker samplers, migrations between boards)
-// and the untimed functional engine.
+// a partitioned cluster (per-ticket walks in the path pass, migrations
+// between boards) and the untimed functional engine.
 TEST(GoldenTest, DistributedEngineNode2VecPartitionedPins) {
   const apps::Node2VecApp app(2.0, 0.5);
   const distributed::Partition partition = distributed::MakePartition(
@@ -241,8 +241,8 @@ TEST(GoldenTest, DistributedEngineNode2VecPartitionedPins) {
 
 // Partitioned DeepWalk takes the static-weight path (the WRS lanes read
 // the CSR weights directly); MetaPath feeds zero-weight lanes through
-// each walker's private generator, and a walker whose lanes are all zero
-// ends its walk early.
+// each ticket's private generator, and a walk whose lanes are all zero
+// ends early.
 distributed::DistributedRunStats RunPartitioned(const apps::WalkApp& app,
                                                 baseline::WalkOutput* out) {
   const distributed::Partition partition = distributed::MakePartition(
