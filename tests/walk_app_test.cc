@@ -142,9 +142,10 @@ std::vector<Weight> PerEdgeWeights(const WalkApp& app, const CsrGraph& g,
   return out;
 }
 
-// For every curr, every prev (none, then each vertex) and runs of 1, 16
-// (a common k), 256 (a sampler chunk) and the whole degree, the runs of
-// DynamicWeights must equal the per-edge weights; empty runs are no-ops.
+// For every curr, every prev (none, then each vertex) and runs of 1, 3, 7,
+// 16 (a common k), 256 (a sampler chunk), 257 and the whole degree, the
+// runs of DynamicWeights must equal the per-edge weights; empty runs are
+// no-ops. Runs of 3, 7 and 257 start off a 4-edge boundary.
 void ExpectRunsMatchPerEdge(const WalkApp& app, const CsrGraph& g) {
   SCOPED_TRACE(app.name());
   const VertexId n = g.num_vertices();
@@ -157,7 +158,8 @@ void ExpectRunsMatchPerEdge(const WalkApp& app, const CsrGraph& g) {
       state.prev = p == n ? graph::kInvalidVertex : p;
       state.step = (curr + p) % 3;  // within and past a 2-step path
       const std::vector<Weight> want = PerEdgeWeights(app, g, state);
-      for (const uint32_t run : {1u, 16u, 256u, std::max(degree, 1u)}) {
+      for (const uint32_t run :
+           {1u, 3u, 7u, 16u, 256u, 257u, std::max(degree, 1u)}) {
         got.assign(degree, 0);
         for (uint32_t first = 0; first < degree; first += run) {
           const uint32_t len = std::min(run, degree - first);
@@ -229,6 +231,34 @@ TEST(DynamicWeightsTest, DirectedRmatWithSelfLoops) {
   options.scale = 8;
   options.seed = 12;
   ExpectAllAppsMatchPerEdge(RmatWithSelfLoops(options));
+}
+
+// Four hubs on 400 vertices, each pointing at every vertex of one residue
+// pattern and at the next hub: rows of 267 to 400 edges whose ids
+// interleave densely, so a Node2Vec run between two hubs crosses whole
+// 4 x 8 blocks, meets equal block maxima and passes the return edge
+// inside a block, in runs longer than a 256-edge chunk. Every other row
+// holds two edges, which keeps the every-(curr, prev) sweep short.
+TEST(DynamicWeightsTest, InterleavedHubsWithRowsPastAChunk) {
+  constexpr VertexId kVertices = 400;
+  constexpr VertexId kHubs[] = {5, 200, 311, 398};
+  GraphBuilder builder(kVertices, /*undirected=*/false);
+  for (VertexId v = 0; v < kVertices; ++v) {
+    const bool adjacent[] = {true, v % 4 != 0, v % 3 != 0, v % 5 != 0};
+    for (size_t h = 0; h < std::size(kHubs); ++h) {
+      if (adjacent[h] || v == kHubs[(h + 1) % std::size(kHubs)]) {
+        builder.AddEdge(kHubs[h], v, 1 + (v + h) % 5,
+                        static_cast<Relation>(v % 3));
+      }
+    }
+    builder.AddEdge(v, (v * 37 + 11) % kVertices, 1 + v % 4);
+    builder.AddEdge(v, kHubs[v % std::size(kHubs)], 2);
+  }
+  const CsrGraph g = std::move(builder).Build();
+  for (const VertexId hub : kHubs) {
+    ASSERT_GT(g.Degree(hub), 256u + 8) << hub;
+  }
+  ExpectAllAppsMatchPerEdge(g);
 }
 
 TEST(StaticWalkAppTest, PassesWeightThrough) {
