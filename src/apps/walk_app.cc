@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/check.h"
 #include "rng/rng.h"
@@ -33,6 +35,53 @@ const VertexId* Gallop(const VertexId* first, const VertexId* last,
     hi = 2 * hi + 1;
   }
   return std::lower_bound(first + lo, first + std::min(hi, n), v);
+}
+
+// Four 32-bit lanes: a GCC/clang vector type, SSE2 on x86-64 and scalar
+// code on targets without vectors. Ids are only tested for equality, so
+// the lanes' sign does not matter, and a comparison yields all-ones or 0.
+using Lanes = int32_t __attribute__((vector_size(16)));
+
+Lanes Splat(VertexId v) {
+  const auto x = static_cast<int32_t>(v);
+  return Lanes{x, x, x, x};
+}
+
+// Sets each out[i] to nonzero iff a[i] is in b, to 0 otherwise. Both
+// lists are strictly increasing (a CSR row has no repeats).
+//
+// Each iteration tests 4 elements of a against 8 of b, then retires the
+// block whose last element is smaller, or both blocks when their last
+// elements are equal: nothing past the other block's last element can
+// match it. A block is loaded only while 4 of a or 8 of b remain (the
+// subspans check it under _GLIBCXX_ASSERTIONS); a scalar merge finishes.
+void MergeFlags(std::span<const VertexId> a, std::span<const VertexId> b,
+                std::span<Weight> out) {
+  std::fill(out.begin(), out.end(), 0);
+  size_t i = 0;
+  size_t j = 0;
+  while (i + 4 <= a.size() && j + 8 <= b.size()) {
+    Lanes run;
+    Lanes hits;
+    std::memcpy(&run, a.subspan(i, 4).data(), sizeof(run));
+    std::memcpy(&hits, out.subspan(i, 4).data(), sizeof(hits));
+    for (size_t k = 0; k < 8; ++k) {
+      hits |= run == Splat(b[j + k]);
+    }
+    std::memcpy(out.subspan(i, 4).data(), &hits, sizeof(hits));
+    // Bit 63 of the 64-bit difference of two ids is their comparison, so
+    // the retired block does not pass through the branch predictor.
+    const uint64_t a_last = a[i + 3];
+    const uint64_t b_last = b[j + 7];
+    i += 4 * (1 - ((b_last - a_last) >> 63));  // a_last <= b_last
+    j += 8 * (1 - ((a_last - b_last) >> 63));  // b_last <= a_last
+  }
+  for (; i < a.size(); ++i) {
+    while (j < b.size() && b[j] < a[i]) {
+      ++j;
+    }
+    out[i] |= static_cast<Weight>(j < b.size() && b[j] == a[i]);
+  }
 }
 
 }  // namespace
@@ -125,30 +174,33 @@ void Node2VecApp::DynamicWeights(const CsrGraph& graph,
     }
     return;
   }
-  // N(curr) and N(prev) are both sorted, so the first element of N(prev)
-  // that is >= dst only moves forward along the run: `cursor` holds it.
+  // First, out[i] = nonzero iff dsts[i] is in N(prev). Both lists are
+  // sorted, so the search starts at the first element of N(prev) that is
+  // >= the run's first neighbor and only moves forward.
   const auto prev_neighbors = graph.Neighbors(state.prev);
   const VertexId* end = prev_neighbors.data() + prev_neighbors.size();
   const VertexId* cursor =
       std::lower_bound(prev_neighbors.data(), end, dsts.front());
   // A merge steps over every element of N(prev) up to the run's last
   // neighbor; past about 8 per edge, galloping skips them faster.
-  const bool gallop = static_cast<size_t>(end - cursor) > 8 * out.size();
+  if (static_cast<size_t>(end - cursor) > 8 * out.size()) {
+    for (size_t i = 0; i < out.size(); ++i) {
+      cursor = Gallop(cursor, end, dsts[i]);
+      out[i] = cursor != end && *cursor == dsts[i];
+    }
+  } else {
+    MergeFlags(dsts, {cursor, end}, out);
+  }
+  // Locals, not members: a store to out could alias a member, and the
+  // reloads would keep the compiler from selecting without a branch.
+  const VertexId prev = state.prev;
+  const Weight return_scale = return_scale_;
+  const Weight distant_scale = distant_scale_;
   for (size_t i = 0; i < out.size(); ++i) {
-    const VertexId dst = dsts[i];
-    if (dst == state.prev) {
-      out[i] = weights[i] * return_scale_;  // Eq. (2a) takes precedence
-      continue;
-    }
-    if (gallop) {
-      cursor = Gallop(cursor, end, dst);
-    } else {
-      while (cursor != end && *cursor < dst) {
-        ++cursor;
-      }
-    }
-    const bool adjacent = cursor != end && *cursor == dst;
-    out[i] = weights[i] * (adjacent ? kWeightScale : distant_scale_);
+    const Weight scale = dsts[i] == prev ? return_scale    // Eq. (2a)
+                         : out[i] != 0   ? kWeightScale    // Eq. (2b)
+                                         : distant_scale;  // Eq. (2c)
+    out[i] = weights[i] * scale;
   }
 }
 

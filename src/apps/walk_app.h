@@ -127,8 +127,9 @@ class Node2VecApp : public WalkApp {
                        Relation relation) const override;
 
   // One binary search into N(prev) at the run's first neighbor, then a
-  // cursor that only moves forward: a linear merge while the rest of
-  // N(prev) is short against the run, galloping search otherwise.
+  // search that only moves forward: blocks of 4 neighbors merged against
+  // blocks of 8 of N(prev) while the rest of N(prev) is short against the
+  // run, galloping search otherwise.
   void DynamicWeights(const CsrGraph& graph, const WalkState& state,
                       uint32_t first, std::span<Weight> out) const override;
 
