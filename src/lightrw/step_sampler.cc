@@ -41,13 +41,6 @@ void StepSampler::Prefetch(const CsrGraph& graph, const WalkApp& app,
   }
 }
 
-VertexId StepSampler::SampleNext(const CsrGraph& graph, const WalkApp& app,
-                                 const WalkState& state) {
-  const size_t picked = SampleIndex(graph, app, state);
-  return picked == sampling::kNoSample ? graph::kInvalidVertex
-                                       : graph.Neighbors(state.curr)[picked];
-}
-
 size_t StepSampler::SampleIndex(const CsrGraph& graph, const WalkApp& app,
                                 const WalkState& state) {
   const uint32_t degree = graph.Degree(state.curr);

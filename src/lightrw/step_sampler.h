@@ -13,6 +13,7 @@
 #include "graph/csr.h"
 #include "rng/rng.h"
 #include "sampling/parallel_wrs.h"
+#include "sampling/sampler.h"
 
 namespace lightrw::core {
 
@@ -37,18 +38,24 @@ class StepSampler {
   // `parallelism` streams and outlive this object.
   StepSampler(size_t parallelism, rng::ThunderingRng* rng);
 
-  // Samples the next vertex of the walk in `state`. Returns
-  // graph::kInvalidVertex if the current vertex has no sampleable neighbor
-  // (zero degree or all dynamic weights zero).
-  VertexId SampleNext(const CsrGraph& graph, const WalkApp& app,
-                      const WalkState& state);
-
-  // The draws of SampleNext without its last read: the index in
-  // N(state.curr) of the sampled neighbor, or sampling::kNoSample where
-  // SampleNext returns kInvalidVertex. A caller that interleaves walks
-  // prefetches that neighbor's line before it reads it.
+  // The index in N(state.curr) of the next vertex of the walk in
+  // `state`, or sampling::kNoSample if the current vertex has no
+  // sampleable neighbor (zero degree or all dynamic weights zero). A
+  // caller that interleaves walks prefetches that neighbor's line before
+  // it reads it.
   size_t SampleIndex(const CsrGraph& graph, const WalkApp& app,
                      const WalkState& state);
+
+  // SampleIndex plus the read of the sampled neighbor: the next vertex,
+  // or graph::kInvalidVertex where SampleIndex gives kNoSample. Inline,
+  // so a caller makes one call per step.
+  VertexId SampleNext(const CsrGraph& graph, const WalkApp& app,
+                      const WalkState& state) {
+    const size_t picked = SampleIndex(graph, app, state);
+    return picked == sampling::kNoSample
+               ? graph::kInvalidVertex
+               : graph.Neighbors(state.curr)[picked];
+  }
 
   // Asks the CPU to start loading the first lines SampleNext reads for a
   // walk at `curr`: N(curr)'s weights, plus N(curr) itself when `app`
