@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "baseline/engine.h"
 #include "bench_util.h"
@@ -18,23 +21,34 @@
 namespace lightrw::bench {
 namespace {
 
-// A CPU cell times host code, so one slow run would set it: each is the
-// median of this many runs. The LightRW cell is simulated and
-// deterministic, so it runs once.
+// A CPU cell times host code, so one slow run would set it. Each cell
+// runs this many times, in rounds that visit every cell once, so a slow
+// minute of the host reaches one run of many cells rather than every run
+// of one; a cell reports the median and the range. The LightRW cell is
+// simulated and deterministic, so it runs once.
 constexpr size_t kCpuRuns = 5;
 
-double RunCpu(const graph::CsrGraph& g, const apps::WalkApp& app,
-              std::span<const apps::WalkQuery> queries,
-              sampling::SamplerKind sampler) {
-  baseline::BaselineConfig config;
-  config.sampler = sampler;
-  std::array<double, kCpuRuns> rates;
-  for (double& rate : rates) {
-    baseline::BaselineEngine engine(&g, &app, config);
-    rate = engine.Run(queries).StepsPerSecond();
+struct CpuCell {
+  const graph::CsrGraph* graph;
+  const apps::WalkApp* app;
+  std::span<const apps::WalkQuery> queries;
+  sampling::SamplerKind sampler;
+  std::array<double, kCpuRuns> rates = {};  // steps/s; sorted once all ran
+  double median() const { return rates[kCpuRuns / 2]; }
+};
+
+void RunCpuRounds(std::vector<CpuCell>* cells) {
+  for (size_t round = 0; round < kCpuRuns; ++round) {
+    for (CpuCell& cell : *cells) {
+      baseline::BaselineConfig config;
+      config.sampler = cell.sampler;
+      baseline::BaselineEngine engine(cell.graph, cell.app, config);
+      cell.rates[round] = engine.Run(cell.queries).StepsPerSecond();
+    }
   }
-  std::nth_element(rates.begin(), rates.begin() + kCpuRuns / 2, rates.end());
-  return rates[kCpuRuns / 2];
+  for (CpuCell& cell : *cells) {
+    std::sort(cell.rates.begin(), cell.rates.end());
+  }
 }
 
 double RunAccel(const graph::CsrGraph& g, const apps::WalkApp& app,
@@ -42,6 +56,14 @@ double RunAccel(const graph::CsrGraph& g, const apps::WalkApp& app,
   core::CycleEngine engine(&g, &app, DefaultAccelConfig());
   return engine.Run(queries).StepsPerSecond();
 }
+
+// One row of the figure. Row r's CPU cells are cells[2r] (ITS) and
+// cells[2r + 1] (PWRS).
+struct Row {
+  graph::Dataset dataset;
+  std::unique_ptr<apps::WalkApp> app;
+  std::vector<apps::WalkQuery> queries;
+};
 
 int Main() {
   // The BENCH json keeps raw steps/s; the text table shows Msteps/s.
@@ -51,43 +73,62 @@ int Main() {
       {{"dataset", "dataset", 10},
        {"app", "app", 10},
        {"cpu_steps_per_second", ""},
+       {"cpu_steps_per_second_min", ""},
+       {"cpu_steps_per_second_max", ""},
        {"cpu_pwrs_steps_per_second", ""},
+       {"cpu_pwrs_steps_per_second_min", ""},
+       {"cpu_pwrs_steps_per_second_max", ""},
        {"lightrw_steps_per_second", ""},
        {"", "cpu Mstep/s", 14},
        {"", "cpu+PWRS Mst/s", 16},
        {"", "LightRW Mst/s", 16},
        {"speedup", "speedup", 10, Num(2, "x")},
        {"", "PWRS effect", 12, Num(2, "x")}});
+  std::vector<Row> rows;
+  size_t lj_metapath = 0;
   for (const graph::Dataset dataset : graph::kAllDatasets) {
     for (const bool node2vec : {false, true}) {
       const graph::CsrGraph& g = StandIn(dataset);
-      const auto app = node2vec ? MakeNode2Vec() : MakeMetaPath(g);
-      const auto queries =
-          StandardQueries(g, node2vec ? kNode2VecLength : kMetaPathLength);
-      const double cpu = RunCpu(g, *app, queries,
-                                sampling::SamplerKind::kInverseTransform);
-      const double cpu_pwrs =
-          RunCpu(g, *app, queries, sampling::SamplerKind::kParallelWrs);
-      const double accel = RunAccel(g, *app, queries);
-      table.Add({graph::GetDatasetInfo(dataset).name, app->name(), cpu,
-                 cpu_pwrs, accel, cpu / 1e6, cpu_pwrs / 1e6, accel / 1e6,
-                 accel / cpu, cpu_pwrs / cpu});
+      if (dataset == graph::Dataset::kLiveJournal && !node2vec) {
+        lj_metapath = rows.size();
+      }
+      rows.push_back({dataset, node2vec ? MakeNode2Vec() : MakeMetaPath(g),
+                      StandardQueries(g, node2vec ? kNode2VecLength
+                                                  : kMetaPathLength)});
     }
   }
-
+  std::vector<CpuCell> cells;
+  for (const Row& row : rows) {
+    for (const auto sampler : {sampling::SamplerKind::kInverseTransform,
+                               sampling::SamplerKind::kParallelWrs}) {
+      cells.push_back(
+          {&StandIn(row.dataset), row.app.get(), row.queries, sampler});
+    }
+  }
   // §3.2: replacing ITS with sequential WRS in the CPU engine costs the
-  // per-edge random number generation (the paper observed 8.2x).
-  const graph::CsrGraph& lj = StandIn(graph::Dataset::kLiveJournal);
-  const auto metapath = MakeMetaPath(lj);
-  const auto queries = StandardQueries(lj, kMetaPathLength);
-  const double its = RunCpu(lj, *metapath, queries,
-                            sampling::SamplerKind::kInverseTransform);
-  const double wrs =
-      RunCpu(lj, *metapath, queries, sampling::SamplerKind::kReservoir);
+  // per-edge random number generation (the paper observed 8.2x). One
+  // more cell runs LJ MetaPath with sequential WRS.
+  const size_t lj_its = 2 * lj_metapath;
+  cells.push_back(cells[lj_its]);
+  cells.back().sampler = sampling::SamplerKind::kReservoir;
+  RunCpuRounds(&cells);
+
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    const CpuCell& its = cells[2 * r];
+    const CpuCell& pwrs = cells[2 * r + 1];
+    const double accel =
+        RunAccel(StandIn(row.dataset), *row.app, row.queries);
+    table.Add({graph::GetDatasetInfo(row.dataset).name, row.app->name(),
+               its.median(), its.rates.front(), its.rates.back(),
+               pwrs.median(), pwrs.rates.front(), pwrs.rates.back(), accel,
+               its.median() / 1e6, pwrs.median() / 1e6, accel / 1e6,
+               accel / its.median(), pwrs.median() / its.median()});
+  }
   char note[96];
   std::snprintf(note, sizeof(note),
                 "CPU ITS over sequential WRS on LJ MetaPath: %.2fx",
-                its / wrs);
+                cells[lj_its].median() / cells.back().median());
   table.AddNote(note);
   return Report("fig14_speedup", {table});
 }
