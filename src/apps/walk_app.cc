@@ -61,8 +61,8 @@ void MergeFlags(std::span<const VertexId> a, std::span<const VertexId> b,
   size_t i = 0;
   size_t j = 0;
   while (i + 4 <= a.size() && j + 8 <= b.size()) {
-    Lanes run;
-    Lanes hits;
+    Lanes run = {};
+    Lanes hits = {};
     std::memcpy(&run, a.subspan(i, 4).data(), sizeof(run));
     std::memcpy(&hits, out.subspan(i, 4).data(), sizeof(hits));
     for (size_t k = 0; k < 8; ++k) {
