@@ -174,7 +174,7 @@ void Node2VecApp::DynamicWeights(const CsrGraph& graph,
     }
     return;
   }
-  // First, out[i] = nonzero iff dsts[i] is in N(prev). Both lists are
+  // First out[i] = nonzero iff dsts[i] is in N(prev). Both lists are
   // sorted, so the search starts at the first element of N(prev) that is
   // >= the run's first neighbor and only moves forward.
   const auto prev_neighbors = graph.Neighbors(state.prev);
@@ -191,16 +191,16 @@ void Node2VecApp::DynamicWeights(const CsrGraph& graph,
   } else {
     MergeFlags(dsts, {cursor, end}, out);
   }
-  // Locals, not members: a store to out could alias a member, and the
-  // reloads would keep the compiler from selecting without a branch.
+  // Then Eq. (2b) or (2c) by the flag, unless the return edge's Eq. (2a)
+  // takes precedence. Locals, not members: a store to out could alias a
+  // member, and the reloads would keep the compiler from selecting
+  // without a branch.
   const VertexId prev = state.prev;
   const Weight return_scale = return_scale_;
   const Weight distant_scale = distant_scale_;
   for (size_t i = 0; i < out.size(); ++i) {
-    const Weight scale = dsts[i] == prev ? return_scale    // Eq. (2a)
-                         : out[i] != 0   ? kWeightScale    // Eq. (2b)
-                                         : distant_scale;  // Eq. (2c)
-    out[i] = weights[i] * scale;
+    const Weight scale = out[i] != 0 ? kWeightScale : distant_scale;
+    out[i] = weights[i] * (dsts[i] == prev ? return_scale : scale);
   }
 }
 
