@@ -92,9 +92,9 @@ int Main() {
       if (dataset == graph::Dataset::kLiveJournal && !node2vec) {
         lj_metapath = rows.size();
       }
+      const uint32_t length = node2vec ? kNode2VecLength : kMetaPathLength;
       rows.push_back({dataset, node2vec ? MakeNode2Vec() : MakeMetaPath(g),
-                      StandardQueries(g, node2vec ? kNode2VecLength
-                                                  : kMetaPathLength)});
+                      StandardQueries(g, length)});
     }
   }
   std::vector<CpuCell> cells;
@@ -117,13 +117,13 @@ int Main() {
     const Row& row = rows[r];
     const CpuCell& its = cells[2 * r];
     const CpuCell& pwrs = cells[2 * r + 1];
-    const double accel =
-        RunAccel(StandIn(row.dataset), *row.app, row.queries);
-    table.Add({graph::GetDatasetInfo(row.dataset).name, row.app->name(),
-               its.median(), its.rates.front(), its.rates.back(),
-               pwrs.median(), pwrs.rates.front(), pwrs.rates.back(), accel,
-               its.median() / 1e6, pwrs.median() / 1e6, accel / 1e6,
-               accel / its.median(), pwrs.median() / its.median()});
+    const double cpu = its.median();
+    const double cpu_pwrs = pwrs.median();
+    const double accel = RunAccel(StandIn(row.dataset), *row.app, row.queries);
+    table.Add({graph::GetDatasetInfo(row.dataset).name, row.app->name(), cpu,
+               its.rates.front(), its.rates.back(), cpu_pwrs,
+               pwrs.rates.front(), pwrs.rates.back(), accel, cpu / 1e6,
+               cpu_pwrs / 1e6, accel / 1e6, accel / cpu, cpu_pwrs / cpu});
   }
   char note[96];
   std::snprintf(note, sizeof(note),
