@@ -233,18 +233,18 @@ TEST(DynamicWeightsTest, DirectedRmatWithSelfLoops) {
   ExpectAllAppsMatchPerEdge(RmatWithSelfLoops(options));
 }
 
-// Four hubs on 400 vertices, each pointing at every vertex of one residue
-// pattern and at the next hub: rows of 267 to 400 edges whose ids
+// Four hubs on 300 vertices, each pointing at every vertex of one residue
+// pattern and at the next hub: rows of 258 to 300 edges whose ids
 // interleave densely, so a Node2Vec run between two hubs crosses whole
 // 4 x 8 blocks, meets equal block maxima and passes the return edge
 // inside a block, in runs longer than a 256-edge chunk. Every other row
 // holds two edges, which keeps the every-(curr, prev) sweep short.
 TEST(DynamicWeightsTest, InterleavedHubsWithRowsPastAChunk) {
-  constexpr VertexId kVertices = 400;
-  constexpr VertexId kHubs[] = {5, 200, 311, 398};
+  constexpr VertexId kVertices = 300;
+  constexpr VertexId kHubs[] = {5, 150, 233, 298};
   GraphBuilder builder(kVertices, /*undirected=*/false);
   for (VertexId v = 0; v < kVertices; ++v) {
-    const bool adjacent[] = {true, v % 4 != 0, v % 3 != 0, v % 5 != 0};
+    const bool adjacent[] = {true, v % 7 != 0, v % 9 != 0, v % 11 != 0};
     for (size_t h = 0; h < std::size(kHubs); ++h) {
       if (adjacent[h] || v == kHubs[(h + 1) % std::size(kHubs)]) {
         builder.AddEdge(kHubs[h], v, 1 + (v + h) % 5,
@@ -256,7 +256,7 @@ TEST(DynamicWeightsTest, InterleavedHubsWithRowsPastAChunk) {
   }
   const CsrGraph g = std::move(builder).Build();
   for (const VertexId hub : kHubs) {
-    ASSERT_GT(g.Degree(hub), 256u + 8) << hub;
+    ASSERT_GT(g.Degree(hub), 256u) << hub;
   }
   ExpectAllAppsMatchPerEdge(g);
 }
