@@ -52,9 +52,8 @@ class StepSampler {
   VertexId SampleNext(const CsrGraph& graph, const WalkApp& app,
                       const WalkState& state) {
     const size_t picked = SampleIndex(graph, app, state);
-    return picked == sampling::kNoSample
-               ? graph::kInvalidVertex
-               : graph.Neighbors(state.curr)[picked];
+    return picked == sampling::kNoSample ? graph::kInvalidVertex
+                                         : graph.Neighbors(state.curr)[picked];
   }
 
   // Asks the CPU to start loading the first lines SampleNext reads for a

@@ -158,8 +158,8 @@ void ExpectRunsMatchPerEdge(const WalkApp& app, const CsrGraph& g) {
       state.prev = p == n ? graph::kInvalidVertex : p;
       state.step = (curr + p) % 3;  // within and past a 2-step path
       const std::vector<Weight> want = PerEdgeWeights(app, g, state);
-      for (const uint32_t run :
-           {1u, 3u, 7u, 16u, 256u, 257u, std::max(degree, 1u)}) {
+      const uint32_t whole = std::max(degree, 1u);
+      for (const uint32_t run : {1u, 3u, 7u, 16u, 256u, 257u, whole}) {
         got.assign(degree, 0);
         for (uint32_t first = 0; first < degree; first += run) {
           const uint32_t len = std::min(run, degree - first);
