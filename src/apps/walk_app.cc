@@ -38,9 +38,10 @@ const VertexId* Gallop(const VertexId* first, const VertexId* last,
 }
 
 // Four 32-bit lanes: a GCC/clang vector type, SSE2 on x86-64 and scalar
-// code on targets without vectors. Ids are only tested for equality, so
-// the lanes' sign does not matter, and a comparison yields all-ones or 0.
-using Lanes = int32_t __attribute__((vector_size(16)));
+// code on targets without vectors (declared in the typedef form both
+// compilers document). Ids are only tested for equality, so the lanes'
+// sign does not matter, and a comparison yields all-ones or 0.
+typedef int32_t Lanes __attribute__((vector_size(16)));
 
 Lanes Splat(VertexId v) {
   const auto x = static_cast<int32_t>(v);
