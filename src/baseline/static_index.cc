@@ -1,70 +1,25 @@
 #include "baseline/static_index.h"
 
-#include <algorithm>
-#include <vector>
+#include <span>
 
 #include "common/check.h"
+#include "sampling/alias.h"
 #include "sampling/sampler.h"
 
 namespace lightrw::baseline {
 
-StaticWalkIndex::StaticWalkIndex(const graph::CsrGraph& graph) {
+StaticWalkIndex::StaticWalkIndex(const graph::CsrGraph& graph)
+    : prob_(graph.num_edges()), alias_(graph.num_edges()) {
   const graph::VertexId n = graph.num_vertices();
   offsets_.reserve(n + 1);
   offsets_.push_back(0);
-  prob_.reserve(graph.num_edges());
-  alias_.reserve(graph.num_edges());
-
   for (graph::VertexId v = 0; v < n; ++v) {
     const auto weights = graph.NeighborWeights(v);
-    // Vose construction over this adjacency, flattened into the shared
-    // arrays (mirrors sampling::AliasTable without exposing its
-    // internals).
-    const size_t degree = weights.size();
-    uint64_t total = 0;
-    for (const auto w : weights) {
-      total += w;
-    }
-    if (total == 0) {
-      for (size_t i = 0; i < degree; ++i) {
-        prob_.push_back(0);
-        alias_.push_back(static_cast<uint32_t>(i));
-      }
-      offsets_.push_back(prob_.size());
-      continue;
-    }
-    std::vector<double> scaled(degree);
-    for (size_t i = 0; i < degree; ++i) {
-      scaled[i] = static_cast<double>(weights[i]) * degree /
-                  static_cast<double>(total);
-    }
-    std::vector<uint32_t> small, large;
-    for (size_t i = 0; i < degree; ++i) {
-      (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
-    }
-    const size_t base = prob_.size();
-    prob_.resize(base + degree, 0);
-    alias_.resize(base + degree, 0);
-    while (!small.empty() && !large.empty()) {
-      const uint32_t s = small.back();
-      small.pop_back();
-      const uint32_t l = large.back();
-      large.pop_back();
-      prob_[base + s] = static_cast<uint32_t>(
-          std::min(4294967295.0, scaled[s] * 4294967296.0));
-      alias_[base + s] = l;
-      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-      (scaled[l] < 1.0 ? small : large).push_back(l);
-    }
-    for (const uint32_t i : large) {
-      prob_[base + i] = UINT32_MAX;
-      alias_[base + i] = i;
-    }
-    for (const uint32_t i : small) {
-      prob_[base + i] = UINT32_MAX;
-      alias_[base + i] = i;
-    }
-    offsets_.push_back(prob_.size());
+    const uint64_t base = offsets_.back();
+    sampling::BuildAliasTable(
+        weights, std::span(prob_).subspan(base, weights.size()),
+        std::span(alias_).subspan(base, weights.size()));
+    offsets_.push_back(base + weights.size());
   }
 }
 

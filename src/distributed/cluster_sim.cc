@@ -48,11 +48,6 @@ struct ClusterSim::Board {
   reliability::ReliabilityStats rel;
 };
 
-// Hot per-slot walker state: everything the per-event path touches on a
-// fault-free run. The checkpoints and the span attribution accumulators
-// live in the parallel WalkerCheckpoint / WalkerAttrib arrays (see
-// cluster_sim.h) so this struct stays small and the event loop's
-// working set dense.
 struct ClusterSim::Walker {
   WalkState state;
   uint32_t remaining = 0;
@@ -72,26 +67,26 @@ struct ClusterSim::Walker {
   // Null for known-path launches; a slot's sampling launches re-key the
   // one they allocate.
   std::unique_ptr<core::TicketWalk> walk;
-};
 
-// Per-attempt "walk" span and its cycle-stage attribution. The
-// accumulators partition the attempt's elapsed cycles by pipeline stage
-// (attached as span attrs at retire); see obs/critical_path.h for the
-// component definitions.
-struct ClusterSim::WalkerAttrib {
-  uint64_t span = 0;
-  core::StageCycleStats stage;   // the accelerator datapath's share
-  uint64_t network_cycles = 0;   // migration transfer + retransmissions
-  uint64_t recovery_cycles = 0;  // fault detection / failover delay
-};
+  // The attempt's "walk" span and its cycle-stage attribution. The
+  // accumulators partition the attempt's elapsed cycles by pipeline
+  // stage (attached as span attrs at retire); see obs/critical_path.h
+  // for the component definitions.
+  struct Attribution {
+    uint64_t span = 0;
+    core::StageCycleStats stage;   // the accelerator datapath's share
+    uint64_t network_cycles = 0;   // migration transfer + retransmissions
+    uint64_t recovery_cycles = 0;  // fault detection / failover delay
+  } attrib;
 
-// The step a walker's last checkpoint recorded. Only touched when
-// checkpointing or the durable store is active. The walker's path is
-// known, so the state at that step is all failover needs: replayed steps
-// read the same vertices again.
-struct ClusterSim::WalkerCheckpoint {
-  WalkState state;
-  uint64_t epoch = 0;  // checkpoint interval index of the snapshot
+  // The step the walker's last checkpoint recorded. Only written when
+  // checkpointing or the durable store is active. The walker's path is
+  // known, so the state at that step is all failover needs: replayed
+  // steps read the same vertices again.
+  struct Checkpoint {
+    WalkState state;
+    uint64_t epoch = 0;  // checkpoint interval index of the snapshot
+  } ckpt;
 };
 
 void DistributedRunStats::Accumulate(const DistributedRunStats& part) {
@@ -204,9 +199,9 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
   const reliability::FaultConfig& faults = config_.board.faults;
   deaths_ = reliability::EffectiveBoardDeaths(faults);
   // Checkpoints are taken whenever a fault source could force a recovery
-  // (the service layer retries whole queries instead, so surfaced-failure
-  // mode never replays from checkpoints — but taking them is harmless and
-  // keeps the checkpoint accounting comparable across modes).
+  // (the service layer retries whole queries instead, so its sampling
+  // walkers never replay from checkpoints — but taking them is harmless
+  // and keeps the checkpoint accounting comparable across drivers).
   const bool recovery_possible =
       !deaths_.empty() ||
       (faults.enabled &&
@@ -279,25 +274,11 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
       share_bytes_ = partition_->ShareByteSizes(*graph_);
     }
   }
-  // Pre-reserve the event heap and free-slot heap storage: both churn
-  // on every step, and priority_queue only exposes capacity through its
-  // container constructor. Each in-flight walker holds at most one
-  // pending event; membership and scrub events add a handful more.
-  {
-    std::vector<Event> storage;
-    storage.reserve(static_cast<size_t>(max_walkers) + deaths_.size() + 16);
-    events_ = decltype(events_)(std::greater<>(), std::move(storage));
-    std::vector<size_t> slots;
-    slots.reserve(max_walkers);
-    free_slots_ = decltype(free_slots_)(std::greater<>(), std::move(slots));
-  }
   for (size_t i = 0; i < deaths_.size(); ++i) {
     events_.emplace(deaths_[i].cycle, 2, i);
   }
 
   walkers_ = std::vector<Walker>(max_walkers);
-  attribs_.assign(max_walkers, WalkerAttrib{});
-  ckpts_.assign(max_walkers, WalkerCheckpoint{});
   inflight_.assign(total, 0);
   for (size_t i = 0; i < walkers_.size(); ++i) {
     free_slots_.push(i);
@@ -484,7 +465,7 @@ void ClusterSim::FlushParked(Cycle now) {
                                       : LiveOwnerOf(w.state.curr);
     const Cycle resume = now + reliability::kRecoveryCyclesPerWalker;
     recovery_rel_.recovery_cycles += resume - parked_at;
-    attribs_[slot].recovery_cycles += resume - parked_at;
+    w.attrib.recovery_cycles += resume - parked_at;
     ++recovery_rel_.walkers_recovered;
     WalkerFault(slot, "walker_recovered", resume);
     events_.emplace(resume, 0, slot);
@@ -581,14 +562,13 @@ size_t ClusterSim::LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
   if (checkpointing_ || store_ != nullptr) {
     // Dispatch checkpoint: a walker can always be recovered to its
     // start. Skipped when nothing can trigger a recovery.
-    WalkerCheckpoint& ckpt = ckpts_[slot];
-    ckpt.state = w.state;
-    ckpt.epoch = checkpointing_ ? at / ckpt_interval_ : 0;
+    w.ckpt.state = w.state;
+    w.ckpt.epoch = checkpointing_ ? at / ckpt_interval_ : 0;
   }
-  attribs_[slot] = WalkerAttrib{};
+  w.attrib = {};
   if (obs::SpanRecorder* spans = config_.board.spans) {
-    attribs_[slot].span = spans->Begin(ticket, options.parent_span, "walk",
-                                       "exec", GlobalBoard(exec_board), at);
+    w.attrib.span = spans->Begin(ticket, options.parent_span, "walk", "exec",
+                                 GlobalBoard(exec_board), at);
   }
   if (store_ != nullptr) {
     // Generation 0: the dispatch checkpoint is durable too, so even a
@@ -616,12 +596,11 @@ void ClusterSim::TakeCheckpoint(size_t slot, Board& board, Cycle at) {
   if (!checkpointing_) {
     return;
   }
-  const Walker& w = walkers_[slot];
-  WalkerCheckpoint& ckpt = ckpts_[slot];
+  Walker& w = walkers_[slot];
   const uint64_t epoch = at / ckpt_interval_;
-  if (epoch > ckpt.epoch) {
-    ckpt.state = w.state;
-    ckpt.epoch = epoch;
+  if (epoch > w.ckpt.epoch) {
+    w.ckpt.state = w.state;
+    w.ckpt.epoch = epoch;
     ++board.rel.checkpoints;
     if (store_ != nullptr) {
       WriteStoreCheckpoint(slot, at);
@@ -633,9 +612,10 @@ void ClusterSim::TakeCheckpoint(size_t slot, Board& board, Cycle at) {
 // durable store. A record that validates on a later read restores the
 // walker by itself.
 void ClusterSim::WriteStoreCheckpoint(size_t slot, Cycle at) {
-  const WalkState& state = ckpts_[slot].state;
+  const Walker& w = walkers_[slot];
+  const WalkState& state = w.ckpt.state;
   reliability::CkptRecord record;
-  record.ticket = walkers_[slot].ticket;
+  record.ticket = w.ticket;
   record.cycle = at;
   record.step = state.step;
   record.curr = state.curr;
@@ -647,7 +627,8 @@ void ClusterSim::WriteStoreCheckpoint(size_t slot, Cycle at) {
 
 void ClusterSim::SpanEvent(size_t slot, const char* name, Cycle at) {
   if (obs::SpanRecorder* spans = config_.board.spans) {
-    spans->Event(walkers_[slot].ticket, attribs_[slot].span, name, at);
+    const Walker& w = walkers_[slot];
+    spans->Event(w.ticket, w.attrib.span, name, at);
   }
 }
 
@@ -668,11 +649,11 @@ void ClusterSim::WalkerFault(size_t slot, const char* name, Cycle at) {
 // them, and a fixed order keeps the export byte-stable).
 void ClusterSim::EndWalkSpan(size_t slot, Cycle at) {
   obs::SpanRecorder* spans = config_.board.spans;
-  WalkerAttrib& a = attribs_[slot];
+  Walker& w = walkers_[slot];
+  Walker::Attribution& a = w.attrib;
   if (spans == nullptr || a.span == 0) {
     return;
   }
-  const Walker& w = walkers_[slot];
   spans->Attr(w.ticket, a.span, "dram_info", a.stage.info_cycles);
   spans->Attr(w.ticket, a.span, "dram_fetch", a.stage.fetch_cycles);
   spans->Attr(w.ticket, a.span, "sampler", a.stage.sampler_cycles);
@@ -691,7 +672,7 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
       // Exemplar ids before EndWalkSpan clears the span handle: the
       // window's worst sample must resolve into the span export.
       ts_latency_->Observe(static_cast<double>(at - w.launched), w.ticket,
-                           attribs_[slot].span);
+                           w.attrib.span);
       ts_retired_->Increment();
     } else {
       ts_failed_->Increment();
@@ -729,7 +710,7 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
 // and owns the retry.
 void ClusterSim::Recover(size_t slot, Cycle at) {
   Walker& w = walkers_[slot];
-  LIGHTRW_CHECK(!surface_failures_ && w.walk == nullptr);
+  LIGHTRW_CHECK(w.walk == nullptr);
   const reliability::FaultConfig& faults = config_.board.faults;
   if (!checkpointing_ && store_ == nullptr) {
     ++recovery_rel_.walkers_lost;
@@ -772,9 +753,8 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
     w.state.curr = record.curr;
     w.state.prev = record.prev;
   } else {
-    const WalkState& ckpt = ckpts_[slot].state;
-    recovery_rel_.replayed_steps += w.state.step - ckpt.step;
-    w.state = ckpt;
+    recovery_rel_.replayed_steps += w.state.step - w.ckpt.state.step;
+    w.state = w.ckpt.state;
   }
   w.phase = Phase::kInfo;
   if (survivors_.empty()) {
@@ -790,7 +770,7 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
   const Cycle resume = at + faults.detection_latency_cycles +
                        reliability::kRecoveryCyclesPerWalker + read_latency;
   recovery_rel_.recovery_cycles += resume - at;
-  attribs_[slot].recovery_cycles += resume - at;
+  w.attrib.recovery_cycles += resume - at;
   ++recovery_rel_.walkers_recovered;
   WalkerFault(slot, "walker_recovered", resume);
   events_.emplace(resume, 0, slot);
@@ -798,14 +778,16 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
 
 void ClusterSim::Step(size_t slot, Cycle now) {
   Walker& w = walkers_[slot];
-  WalkerAttrib& a = attribs_[slot];
+  Walker::Attribution& a = w.attrib;
   const reliability::FaultConfig& faults = config_.board.faults;
 
   // Board failure: any event landing on a dead board after its death
   // cycle finds the walker's resident state gone.
   if (state_[w.board] == reliability::BoardState::kDead) {
     SpanEvent(slot, "board_failure", now);
-    if (surface_failures_) {
+    // A sampling (service) walker surfaces its failures; a known-path
+    // (batch) walker recovers from its checkpoint.
+    if (w.walk != nullptr) {
       a.recovery_cycles += faults.detection_latency_cycles;
       Retire(slot, now + faults.detection_latency_cycles,
              Outcome::kBoardLost);
@@ -834,7 +816,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       // Uncorrectable ECC error on the row lookup: the walk cannot
       // continue from corrupt state.
       SpanEvent(slot, "dram_uncorrectable", t_info);
-      if (surface_failures_) {
+      if (w.walk != nullptr) {
         Retire(slot, t_info, Outcome::kDataFault);
       } else {
         ++board.rel.walks_failed;
@@ -882,7 +864,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     // Uncorrectable ECC error in the adjacency stream: the sampled step
     // is based on corrupt data, so the walk fails here.
     SpanEvent(slot, "dram_uncorrectable", step_end);
-    if (surface_failures_) {
+    if (w.walk != nullptr) {
       Retire(slot, step_end, Outcome::kDataFault);
     } else {
       ++board.rel.walks_failed;
@@ -933,7 +915,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     }
     if (!delivery.delivered) {
       SpanEvent(slot, "link_loss", delivery.arrival);
-      if (surface_failures_) {
+      if (w.walk != nullptr) {
         Retire(slot, delivery.arrival, Outcome::kBoardLost);
       } else {
         Recover(slot, delivery.arrival);

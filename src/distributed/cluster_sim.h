@@ -175,8 +175,8 @@ struct WalkerEnd {
   hwsim::Cycle at = 0;      // retire cycle
   uint32_t steps = 0;       // steps actually taken
   BoardId board = 0;        // board charged for the walker (Launch board)
-  // Surfaced failures (surface_failures mode only; the batch driver
-  // recovers internally from checkpoints instead).
+  // Surfaced failures (sampling walkers only; a known-path walker is
+  // recovered internally from its checkpoint instead).
   bool board_lost = false;  // board died / migration undeliverable
   bool data_fault = false;  // uncorrectable ECC truncated the walk
   bool Failed() const { return board_lost || data_fault; }
@@ -218,11 +218,6 @@ class ClusterSim {
 
   void set_on_retire(RetireFn fn) { on_retire_ = std::move(fn); }
   void set_on_wake(WakeFn fn) { on_wake_ = std::move(fn); }
-  // Service mode: a walker caught by a board death, an undeliverable
-  // migration, or an uncorrectable data fault retires immediately with
-  // the failure surfaced in WalkerEnd (the caller owns the retry/shed
-  // decision) instead of being recovered internally from its checkpoint.
-  void set_surface_failures(bool v) { surface_failures_ = v; }
 
   BoardId num_boards() const;
   // Physical boards instantiated: the partition owners plus hot spares
@@ -272,7 +267,9 @@ class ClusterSim {
   // `at`, sampling each step when its Fetch event runs (the service's
   // walkers, whose options are decided at dispatch). Requires a free
   // slot. The ticket keys the walk's core::TicketWalk and is echoed in
-  // WalkerEnd.
+  // WalkerEnd. A board death, an undeliverable migration or an
+  // uncorrectable data fault retires the walker at once with the failure
+  // surfaced in WalkerEnd: the caller owns the retry/shed decision.
   void Launch(uint64_t ticket, const apps::WalkQuery& query, BoardId board,
               hwsim::Cycle at, const WalkerOptions& options = {});
   // Injects a walker that times a known path: `path` as a PathRing
@@ -298,15 +295,9 @@ class ClusterSim {
 
  private:
   struct Board;
-  // Walker state is struct-of-arrays, split by access pattern so the
-  // per-event working set stays dense: Walker holds what every Step()
-  // touches (walk state, path), WalkerAttrib the span id and
-  // cycle-stage accumulators (written per step, read at retire), and
-  // WalkerCheckpoint the step recovery rewinds to — untouched on the
-  // fault-free fast path.
+  // One record per walker slot: the walk's state and path, the
+  // attempt's span and cycle-stage attribution, and its checkpoint.
   struct Walker;
-  struct WalkerAttrib;
-  struct WalkerCheckpoint;
 
   // Heap events: (cycle, kind, id) — kind 0 walker slot, kind 1 wake
   // tag, kind 2 membership (board death / rebuild completion), kind 3
@@ -360,12 +351,9 @@ class ClusterSim {
   const apps::WalkApp* app_;
   const Partition* partition_;
   DistributedConfig config_;
-  bool surface_failures_ = false;
 
   std::vector<Board> boards_;
   std::vector<Walker> walkers_;
-  std::vector<WalkerAttrib> attribs_;  // parallel to walkers_
-  std::vector<WalkerCheckpoint> ckpts_;  // parallel to walkers_
   std::vector<uint32_t> inflight_;  // per Launch board
   // Free walker slots, allocated lowest-index first for determinism.
   std::priority_queue<size_t, std::vector<size_t>, std::greater<>>

@@ -49,10 +49,6 @@ WrsPipelineResult WrsPipelineSim::Run(std::vector<graph::Weight> weights) {
   result.items = weights.size();
   result.selected = sampling::kNoSample;
 
-  // Retired batches return their weight/prefix vectors here; the
-  // accumulator reuses them, so the steady-state loop allocates nothing.
-  std::vector<Batch> batch_pool;
-
   size_t fed = 0;               // items delivered by the memory feed
   size_t consumed = 0;          // items taken by the accumulator
   size_t retired_batches = 0;
@@ -82,8 +78,8 @@ WrsPipelineResult WrsPipelineSim::Run(std::vector<graph::Weight> weights) {
     // PRNG streams; the max-index tree keeps the latest candidate.
     if (accum_fifo.CanPop() && select_fifo.CanPush() &&
         accum_fifo.Front().available <= cycle) {
-      auto timed = accum_fifo.Pop();
-      Batch& batch = timed.payload;
+      const auto timed = accum_fifo.Pop();
+      const Batch& batch = timed.payload;
       size_t selected_lane = sampling::kNoSample;
       for (size_t j = 0; j < batch.weights.size(); ++j) {
         if (batch.weights[j] == 0) {
@@ -101,9 +97,6 @@ WrsPipelineResult WrsPipelineSim::Run(std::vector<graph::Weight> weights) {
       out.payload = {has_candidate ? batch.base_index + selected_lane : 0,
                      has_candidate};
       select_fifo.Push(out);
-      batch.weights.clear();
-      batch.inclusive_sum.clear();
-      batch_pool.push_back(std::move(batch));
     }
 
     // Weight Accumulator: consume up to k items per cycle once a full
@@ -113,13 +106,6 @@ WrsPipelineResult WrsPipelineSim::Run(std::vector<graph::Weight> weights) {
     const size_t want = std::min<size_t>(k, remaining);
     if (want > 0 && available >= want && accum_fifo.CanPush()) {
       Batch batch;
-      if (!batch_pool.empty()) {
-        batch = std::move(batch_pool.back());
-        batch_pool.pop_back();
-      } else {
-        batch.weights.reserve(k);
-        batch.inclusive_sum.reserve(k);
-      }
       batch.base_index = consumed;
       uint64_t running = weight_sum;
       for (size_t j = 0; j < want; ++j) {

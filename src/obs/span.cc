@@ -23,19 +23,14 @@ uint64_t SpanRecorder::Begin(uint64_t trace, uint64_t parent,
                              const char* name, const char* category,
                              int64_t board, uint64_t start_cycle) {
   std::lock_guard<std::mutex> lock(mutex_);
-  TraceBuf& buf = BufLocked(trace);
-  if (buf.live >= config_.max_spans_per_trace) {
+  std::vector<Span>& spans = open_[trace];
+  if (spans.size() >= config_.max_spans_per_trace) {
     ++spans_dropped_;
     return 0;
   }
-  // Reuse a recycled Span node past `live` when one exists; its attr and
-  // event vectors keep their capacity.
-  if (buf.live == buf.spans.size()) {
-    buf.spans.emplace_back();
-  }
-  Span& span = buf.spans[buf.live++];
+  Span& span = spans.emplace_back();
   span.trace = trace;
-  span.seq = buf.next_seq++;
+  span.seq = spans.size() - 1;
   span.id = DeriveSpanId(trace, span.seq);
   span.parent = parent;
   span.name = name;
@@ -43,62 +38,24 @@ uint64_t SpanRecorder::Begin(uint64_t trace, uint64_t parent,
   span.board = board;
   span.start = start_cycle;
   span.end = start_cycle;
-  span.open = true;
-  span.attrs.clear();
-  span.events.clear();
   return span.id;
-}
-
-SpanRecorder::TraceBuf& SpanRecorder::BufLocked(uint64_t trace) {
-  if (cached_buf_ != nullptr && cached_trace_ == trace) {
-    return *cached_buf_;
-  }
-  auto [it, inserted] = open_.try_emplace(trace);
-  if (inserted && !pool_.empty()) {
-    it->second = std::move(pool_.back());
-    pool_.pop_back();
-  }
-  cached_trace_ = trace;
-  cached_buf_ = &it->second;
-  return it->second;
-}
-
-void SpanRecorder::RecycleLocked(TraceBuf&& buf) {
-  // Bounded: past this the working set is covered and extra buffers
-  // would only pin memory.
-  constexpr size_t kPoolCap = 1024;
-  if (pool_.size() >= kPoolCap) {
-    return;
-  }
-  for (size_t i = 0; i < buf.live; ++i) {
-    buf.spans[i].attrs.clear();
-    buf.spans[i].events.clear();
-  }
-  buf.live = 0;
-  buf.next_seq = 0;
-  pool_.push_back(std::move(buf));
 }
 
 Span* SpanRecorder::FindLocked(uint64_t trace, uint64_t id) {
   if (id == 0) {
     return nullptr;
   }
-  TraceBuf* buf = cached_buf_;
-  if (buf == nullptr || cached_trace_ != trace) {
-    auto it = open_.find(trace);
-    if (it == open_.end()) {
-      return nullptr;
-    }
-    buf = &it->second;
-    cached_trace_ = trace;
-    cached_buf_ = buf;
+  auto it = open_.find(trace);
+  if (it == open_.end()) {
+    return nullptr;
   }
   // Newest-first: events and attrs overwhelmingly target the span opened
   // most recently (ids are unique per trace, so order cannot change the
   // match).
-  for (size_t i = buf->live; i-- > 0;) {
-    if (buf->spans[i].id == id) {
-      return &buf->spans[i];
+  std::vector<Span>& spans = it->second;
+  for (size_t i = spans.size(); i-- > 0;) {
+    if (spans[i].id == id) {
+      return &spans[i];
     }
   }
   return nullptr;
@@ -153,22 +110,12 @@ void SpanRecorder::CloseTrace(uint64_t trace, uint64_t start_cycle,
   if (it == open_.end()) {
     return;
   }
-  if (cached_buf_ == &it->second) {
-    cached_buf_ = nullptr;
-  }
-  const bool keep = config_.mode == SpanMode::kAll || breached;
-  if (keep) {
-    // Trim recycled spare nodes so the retained ring holds only live
-    // spans.
-    it->second.spans.resize(it->second.live);
+  if (config_.mode == SpanMode::kAll || breached) {
     retained_.push_back(std::move(it->second));
     if (retained_.size() > config_.max_traces) {
-      RecycleLocked(std::move(retained_.front()));
       retained_.pop_front();
       ++traces_evicted_;
     }
-  } else {
-    RecycleLocked(std::move(it->second));
   }
   open_.erase(it);
 }
@@ -178,15 +125,13 @@ void SpanRecorder::MergeFrom(SpanRecorder* shard) {
     return;
   }
   std::scoped_lock lock(mutex_, shard->mutex_);
-  for (auto& [trace, buf] : shard->open_) {
-    open_[trace] = std::move(buf);
+  for (auto& [trace, spans] : shard->open_) {
+    open_[trace] = std::move(spans);
   }
   shard->open_.clear();
-  shard->cached_buf_ = nullptr;
-  for (TraceBuf& buf : shard->retained_) {
-    retained_.push_back(std::move(buf));
+  for (std::vector<Span>& spans : shard->retained_) {
+    retained_.push_back(std::move(spans));
     if (retained_.size() > config_.max_traces) {
-      RecycleLocked(std::move(retained_.front()));
       retained_.pop_front();
       ++traces_evicted_;
     }
@@ -205,14 +150,14 @@ void SpanRecorder::MergeFrom(SpanRecorder* shard) {
 
 std::vector<const Span*> SpanRecorder::SortedSpansLocked() const {
   std::vector<const Span*> out;
-  for (const TraceBuf& buf : retained_) {
-    for (size_t i = 0; i < buf.live; ++i) {
-      out.push_back(&buf.spans[i]);
+  for (const std::vector<Span>& spans : retained_) {
+    for (const Span& span : spans) {
+      out.push_back(&span);
     }
   }
-  for (const auto& [trace, buf] : open_) {
-    for (size_t i = 0; i < buf.live; ++i) {
-      out.push_back(&buf.spans[i]);
+  for (const auto& [trace, spans] : open_) {
+    for (const Span& span : spans) {
+      out.push_back(&span);
     }
   }
   std::sort(out.begin(), out.end(), [](const Span* a, const Span* b) {
@@ -245,18 +190,13 @@ std::vector<TraceSummary> SpanRecorder::Summaries() const {
 size_t SpanRecorder::num_spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t total = 0;
-  for (const TraceBuf& buf : retained_) {
-    total += buf.live;
+  for (const std::vector<Span>& spans : retained_) {
+    total += spans.size();
   }
-  for (const auto& [trace, buf] : open_) {
-    total += buf.live;
+  for (const auto& [trace, spans] : open_) {
+    total += spans.size();
   }
   return total;
-}
-
-size_t SpanRecorder::num_open_traces() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return open_.size();
 }
 
 size_t SpanRecorder::num_retained_traces() const {

@@ -80,7 +80,7 @@ struct Span {
   uint64_t trace = 0;   // owning trace (walker ticket / query index)
   uint64_t id = 0;      // deterministic, nonzero
   uint64_t parent = 0;  // parent span id; 0 = trace root
-  uint64_t seq = 0;     // per-trace ordinal (export sort key)
+  uint64_t seq = 0;     // index among its trace's spans (export sort key)
   const char* name = "";
   const char* category = "";
   int64_t board = -1;  // global board id, -1 = not board-bound
@@ -145,7 +145,6 @@ class SpanRecorder {
 
   // Retained + still-open spans: Spans().size() without the copy.
   size_t num_spans() const;
-  size_t num_open_traces() const;
   size_t num_retained_traces() const;
   uint64_t traces_closed() const;
   uint64_t traces_evicted() const;  // flight-recorder ring overflow
@@ -161,40 +160,18 @@ class SpanRecorder {
   std::string ToJsonString(int indent = 2) const;
 
  private:
-  // Per-trace span buffer. `spans[0..live)` are the trace's spans; the
-  // tail past `live` is recycled capacity from the pool — reused Span
-  // nodes keep their attr/event vector allocations, so a steady-state
-  // flight-recorder run stops allocating entirely.
-  struct TraceBuf {
-    std::vector<Span> spans;
-    size_t live = 0;
-    uint64_t next_seq = 0;
-  };
-
-  // Buffer for `trace`, creating it (from the pool when possible) if
-  // absent. Serves repeat hits on the same trace — the common shape of
-  // a walker's event stream — from a one-entry cache.
-  TraceBuf& BufLocked(uint64_t trace);
   Span* FindLocked(uint64_t trace, uint64_t id);
   // Every retained and open span, sorted by (trace, seq).
   std::vector<const Span*> SortedSpansLocked() const;
-  // Returns a discarded/evicted buffer to the pool (bounded), clearing
-  // its spans' attrs/events but keeping every allocation.
-  void RecycleLocked(TraceBuf&& buf);
 
   SpanConfig config_;
   mutable std::mutex mutex_;
-  std::unordered_map<uint64_t, TraceBuf> open_;  // keyed by trace id
-  // One-entry lookup cache into open_ (node pointers are stable across
-  // rehash); invalidated when the cached trace closes.
-  uint64_t cached_trace_ = 0;
-  TraceBuf* cached_buf_ = nullptr;
-  // Free list of TraceBufs from discarded (flight-recorder) and evicted
-  // traces.
-  std::vector<TraceBuf> pool_;
+  // One vector per trace, keyed by trace id; a span's seq is its index
+  // in its trace's vector.
+  std::unordered_map<uint64_t, std::vector<Span>> open_;
   // Closed traces whose spans were retained, in close order (the
   // flight-recorder ring; evicts from the front).
-  std::deque<TraceBuf> retained_;
+  std::deque<std::vector<Span>> retained_;
   std::vector<TraceSummary> summaries_;
   uint64_t traces_closed_ = 0;
   uint64_t traces_evicted_ = 0;

@@ -49,18 +49,6 @@ void TraceRecorder::Instant(const char* name, const char* category,
   Record(event);
 }
 
-void TraceRecorder::Value(const char* name, uint32_t pid, uint64_t cycle,
-                          double value) {
-  TraceEvent event;
-  event.phase = 'C';
-  event.name = name;
-  event.category = "counter";
-  event.pid = pid;
-  event.ts = cycle;
-  event.value = value;
-  Record(event);
-}
-
 void TraceRecorder::NameProcess(uint32_t pid, const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   process_names_.emplace_back(pid, name);
@@ -151,21 +139,10 @@ std::string TraceRecorder::ToJsonString() const {
     w.Member("pid", static_cast<uint64_t>(event->pid));
     w.Member("tid", static_cast<uint64_t>(event->tid));
     w.Member("ts", event->ts);
-    switch (event->phase) {
-      case 'X':
-        w.Member("dur", event->dur);
-        break;
-      case 'i':
-        w.Member("s", "t");  // instant scope: thread
-        break;
-      case 'C':
-        w.Key("args");
-        w.BeginObject();
-        w.Member("value", event->value);
-        w.End();
-        break;
-      default:
-        break;
+    if (event->phase == 'X') {
+      w.Member("dur", event->dur);
+    } else {
+      w.Member("s", "t");  // instant scope: thread
     }
     w.End();
   }

@@ -14,7 +14,6 @@
 //   Complete  a busy interval on a track ("X" phase): DRAM request
 //             service window, burst stream, WRS consume window
 //   Instant   a point event ("i"): cache hit/miss, query retire
-//   Value     a counter series ("C"): e.g. in-flight queries
 //
 // Recording is bounded: at most `max_events` events are kept (default
 // 1M); later events are dropped and counted so big runs stay bounded in
@@ -43,14 +42,13 @@ struct TraceConfig {
 
 // One recorded trace event (pre-serialization form).
 struct TraceEvent {
-  char phase = 'X';       // 'X' complete, 'i' instant, 'C' counter
-  const char* name = "";  // static string: event/series name
+  char phase = 'X';       // 'X' complete, 'i' instant
+  const char* name = "";  // static string
   const char* category = "";
   uint32_t pid = 0;
   uint32_t tid = 0;
   uint64_t ts = 0;   // start, in simulated cycles
   uint64_t dur = 0;  // complete events only
-  double value = 0.0;  // counter events only
 };
 
 class TraceRecorder {
@@ -73,7 +71,6 @@ class TraceRecorder {
                 uint32_t tid, uint64_t start_cycle, uint64_t end_cycle);
   void Instant(const char* name, const char* category, uint32_t pid,
                uint32_t tid, uint64_t cycle);
-  void Value(const char* name, uint32_t pid, uint64_t cycle, double value);
 
   // Human-readable labels for the pid / (pid, tid) tracks.
   void NameProcess(uint32_t pid, const std::string& name);

@@ -14,11 +14,20 @@
 
 namespace lightrw::sampling {
 
+// Vose's stack-based construction over `weights`, written into `prob`
+// and `alias` (each weights.size() long): prob[i] is the 32-bit
+// fixed-point probability of staying in bucket i (vs. deferring to
+// alias[i]). All-zero weights leave every bucket a self-alias with
+// probability 0. Returns the total weight. AliasTable and the static
+// walk index's flattened per-vertex tables both build through it.
+uint64_t BuildAliasTable(std::span<const Weight> weights,
+                         std::span<uint32_t> prob, std::span<uint32_t> alias);
+
 // Reusable alias table over integer weights.
 class AliasTable {
  public:
-  // Initialization stage: builds probability/alias arrays with Vose's
-  // stack-based construction.
+  // Initialization stage: builds probability/alias arrays with
+  // BuildAliasTable.
   void Build(std::span<const Weight> weights);
 
   // Generation stage: draws an index from two uniform random values
@@ -34,8 +43,6 @@ class AliasTable {
   }
 
  private:
-  // prob_[i] is the 32-bit fixed-point probability of staying in bucket i
-  // (vs. deferring to alias_[i]).
   std::vector<uint32_t> prob_;
   std::vector<uint32_t> alias_;
   uint64_t total_weight_ = 0;

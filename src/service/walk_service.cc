@@ -279,7 +279,6 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
     const uint32_t max_walkers =
         boards_per_shard * config_.cluster.inflight_walkers_per_board;
     ClusterSim sim(graph_, app_, partition, cluster_config, max_walkers);
-    sim.set_surface_failures(true);
 
     // Per-board admission queue + circuit breaker.
     struct SBoard {

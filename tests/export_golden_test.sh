@@ -1,9 +1,12 @@
 #!/bin/sh
-# Byte contract of walk_tool's export files. Runs two of the CI
+# Byte contract of walk_tool's export files. Runs three of the CI
 # determinism gate's scenarios at 1 and 4 host threads and compares the
 # sha256 of every file they export with the digests recorded below:
 #   sharded  service engine, 4 admission shards, replicated boards;
 #            spans, timeseries, trace and metrics exports
+#   flight   the sharded run with the span flight recorder
+#            (--span-mode breached): it discards the spans of every
+#            trace that meets its deadline; spans only
 #   store    distributed engine, two board deaths, a spare, and the
 #            durable checkpoint store with bit rot; spans and timeseries
 # A digest moves only when an export's bytes move. A change that means
@@ -61,6 +64,14 @@ for threads in 1 4; do
     96a11c3b1ff3458f6fb1570758952d791bb8019458e69d508343b27e6edd6cb1
   check "$dir" trace.json \
     b488bc701829661cc5a778b1a068d48db46d3a20e11d1839c9fd02fa6b27f187
+
+  run flight "$threads" --engine service --rmat_scale 8 --app deepwalk \
+    --length 16 --queries 384 --seed 42 --boards 4 --partition hash \
+    --replicate --service-shards 4 --service-rate 32 \
+    --service-deadline 4096 --service-queue-cap 4 --scrape-interval 1024 \
+    --span-mode breached --exports spans
+  check "$OUT/flight-t$threads" spans.json \
+    2aebac8848b57b0d87a7da9f5e9dbbb45ad17d0fe9f1a1a6373abd85756eb07e
 
   run store "$threads" --engine distributed --rmat_scale 8 --app deepwalk \
     --length 16 --queries 256 --seed 42 --boards 2 --partition hash \

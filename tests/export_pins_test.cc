@@ -709,17 +709,16 @@ svc_load 0.1
 )pin"));
 }
 
-// Five-event cap: the sixth event is dropped; the rest export stably
+// Four-event cap: the fifth event is dropped; the rest export stably
 // sorted by timestamp after the track labels.
 TEST(ExportPinTest, TraceRecorder) {
   TraceConfig config;
-  config.max_events = 5;
+  config.max_events = 4;
   TraceRecorder trace(config);
   trace.NameProcess(1, "board \"1\"");
   trace.NameTrack(1, 2, "dram\tchannel");
   trace.Complete("fetch", "dram", 1, 2, 50, 80);
   trace.Instant("hit", "cache", 1, 0, 20);
-  trace.Value("inflight", 1, 20, 0.25);
   trace.Complete("bare", "", 0, 0, 20, 10);
   trace.Instant("late", "cache", 1, 0, 90);
   trace.Instant("dropped", "cache", 1, 0, 5);
@@ -730,8 +729,7 @@ TEST(ExportPinTest, TraceRecorder) {
             "\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\""
             "name\":\"dram\\tchannel\"}},{\"name\":\"hit\",\"cat\":\"cache\","
             "\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":20,\"s\":\"t\"},{\"name"
-            "\":\"inflight\",\"cat\":\"counter\",\"ph\":\"C\",\"pid\":1,\"tid"
-            "\":0,\"ts\":20,\"args\":{\"value\":0.25}},{\"name\":\"bare\",\"p"
+            "\":\"bare\",\"p"
             "h\":\"X\",\"pid\":0,\"tid\":0,\"ts\":20,\"dur\":0},{\"name\":\"f"
             "etch\",\"cat\":\"dram\",\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":"
             "50,\"dur\":30},{\"name\":\"late\",\"cat\":\"cache\",\"ph\":\"i\""

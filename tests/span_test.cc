@@ -206,6 +206,93 @@ TEST(SpanRecorderTest, MergeOrderIsInvisibleInExport) {
   EXPECT_EQ(merged_ab.traces_closed(), 3u);
 }
 
+TEST(SpanRecorderTest, DiscardedTraceLeavesNothingBehind) {
+  // A flight recorder discards a trace that closes unbreached. The next
+  // trace's spans must not inherit its attrs, events or ordinals.
+  SpanConfig config;
+  config.mode = SpanMode::kBreached;
+  SpanRecorder rec(config);
+  const uint64_t root = rec.Begin(1, 0, "query", "service", -1, 0);
+  const uint64_t queue = rec.Begin(1, root, "queue", "service", 0, 1);
+  const uint64_t walk = rec.Begin(1, root, "walk", "exec", 0, 2);
+  for (const uint64_t id : {root, queue, walk}) {
+    rec.Attr(1, id, "old_attr", id);
+    rec.Event(1, id, "old_event", 3);
+    rec.End(1, id, 4);
+  }
+  rec.CloseTrace(1, 0, 4, /*breached=*/false, "completed");
+
+  const uint64_t only = rec.Begin(2, 0, "query", "service", -1, 10);
+  rec.Attr(2, only, "new_attr", 7);
+  rec.Event(2, only, "new_event", 11);
+  rec.End(2, only, 12);
+  rec.CloseTrace(2, 10, 12, /*breached=*/true, "deadline_missed");
+
+  const std::vector<Span> spans = rec.Spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].trace, 2u);
+  EXPECT_EQ(spans[0].seq, 0u);
+  EXPECT_EQ(spans[0].id, DeriveSpanId(2, 0));
+  ASSERT_EQ(spans[0].attrs.size(), 1u);
+  EXPECT_STREQ(spans[0].attrs[0].first, "new_attr");
+  EXPECT_EQ(spans[0].attrs[0].second, 7u);
+  ASSERT_EQ(spans[0].events.size(), 1u);
+  EXPECT_STREQ(spans[0].events[0].name, "new_event");
+  EXPECT_EQ(spans[0].events[0].at, 11u);
+  const std::string json = rec.ToJsonString(-1);
+  EXPECT_EQ(json.find("old_"), std::string::npos);
+  EXPECT_NE(json.find("\"attrs\":{\"new_attr\":7},\"events\":[{\"name\":"
+                      "\"new_event\",\"at\":11}]"),
+            std::string::npos);
+}
+
+TEST(SpanRecorderTest, InterleavedTracesKeepTheirOwnAttrsAndEvents) {
+  SpanRecorder rec;
+  const uint64_t a = rec.Begin(10, 0, "query", "service", -1, 0);
+  const uint64_t b = rec.Begin(11, 0, "query", "service", -1, 0);
+  const uint64_t a2 = rec.Begin(10, a, "walk", "exec", 1, 1);
+  rec.Attr(10, a, "x", 1);
+  rec.Attr(11, b, "x", 2);
+  rec.Event(10, a2, "e", 3);
+  rec.Event(11, b, "f", 4);
+  rec.Attr(10, a2, "y", 5);
+  rec.End(11, b, 6);
+  rec.End(10, a, 7);
+  rec.Attr(11, b, "x", 8);
+  rec.Event(10, a, "g", 9);
+  // A span id used on the other trace names no span there.
+  rec.Attr(11, a, "stray", 1);
+  rec.Event(10, b, "stray", 1);
+  rec.End(11, a2, 99);
+
+  const std::vector<Span> spans = rec.Spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].id, a);
+  ASSERT_EQ(spans[0].attrs.size(), 1u);
+  EXPECT_STREQ(spans[0].attrs[0].first, "x");
+  EXPECT_EQ(spans[0].attrs[0].second, 1u);
+  ASSERT_EQ(spans[0].events.size(), 1u);
+  EXPECT_STREQ(spans[0].events[0].name, "g");
+  EXPECT_EQ(spans[0].end, 7u);
+  EXPECT_FALSE(spans[0].open);
+
+  EXPECT_EQ(spans[1].id, a2);
+  ASSERT_EQ(spans[1].attrs.size(), 1u);
+  EXPECT_STREQ(spans[1].attrs[0].first, "y");
+  EXPECT_EQ(spans[1].attrs[0].second, 5u);
+  ASSERT_EQ(spans[1].events.size(), 1u);
+  EXPECT_STREQ(spans[1].events[0].name, "e");
+  EXPECT_TRUE(spans[1].open);
+
+  EXPECT_EQ(spans[2].id, b);
+  ASSERT_EQ(spans[2].attrs.size(), 1u);
+  EXPECT_STREQ(spans[2].attrs[0].first, "x");
+  EXPECT_EQ(spans[2].attrs[0].second, 8u);
+  ASSERT_EQ(spans[2].events.size(), 1u);
+  EXPECT_STREQ(spans[2].events[0].name, "f");
+  EXPECT_EQ(spans[2].end, 6u);
+}
+
 // --- critical-path analyzer ------------------------------------------------
 
 TEST(CriticalPathTest, AttributesComponentsAndNamesDominant) {
