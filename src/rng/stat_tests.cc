@@ -23,14 +23,18 @@ ChiSquareResult ChiSquareTest(std::span<const uint64_t> observed,
   ChiSquareResult result;
   result.statistic = stat;
   result.degrees_of_freedom = static_cast<double>(observed.size() - 1);
+  result.p_value = ChiSquareUpperTail(stat, result.degrees_of_freedom);
+  return result;
+}
+
+double ChiSquareUpperTail(double statistic, double df) {
+  LIGHTRW_CHECK_GT(df, 0.0);
   // Wilson-Hilferty: (X/df)^(1/3) is approximately normal with
   // mean 1 - 2/(9 df) and variance 2/(9 df).
-  const double df = result.degrees_of_freedom;
-  const double t = std::cbrt(stat / df);
+  const double t = std::cbrt(statistic / df);
   const double mu = 1.0 - 2.0 / (9.0 * df);
   const double sigma = std::sqrt(2.0 / (9.0 * df));
-  result.p_value = StdNormalUpperTail((t - mu) / sigma);
-  return result;
+  return StdNormalUpperTail((t - mu) / sigma);
 }
 
 ChiSquareResult ChiSquareUniform32(std::span<const uint32_t> samples,

@@ -26,6 +26,12 @@ struct ChiSquareResult {
 ChiSquareResult ChiSquareTest(std::span<const uint64_t> observed,
                               std::span<const double> expected);
 
+// Upper-tail p-value of a chi-square statistic with `df` > 0 degrees of
+// freedom, by the Wilson-Hilferty approximation ChiSquareTest uses. For
+// statistics summed over independent tables, whose degrees of freedom
+// ChiSquareTest's one-table count would overstate.
+double ChiSquareUpperTail(double statistic, double df);
+
 // Tests uniformity of 32-bit samples over `num_bins` equal bins.
 ChiSquareResult ChiSquareUniform32(std::span<const uint32_t> samples,
                                    size_t num_bins);
