@@ -52,11 +52,12 @@ void ThunderingRng::Reseed(size_t num_streams, uint64_t seed) {
   LIGHTRW_CHECK(num_streams >= 1);
   SplitMix64 mix(seed);
   const uint64_t shared = mix.Next();
-  streams_.resize(num_streams);
-  for (Stream& stream : streams_) {
-    stream.state = shared;
-    stream.offset = mix.Next();
-    stream.multiplier = mix.Next() | 1ULL;  // odd => bijective mod 2^64
+  state_.assign(num_streams, shared);
+  offset_.resize(num_streams);
+  multiplier_.resize(num_streams);
+  for (size_t i = 0; i < num_streams; ++i) {
+    offset_[i] = mix.Next();
+    multiplier_[i] = mix.Next() | 1ULL;  // odd => bijective mod 2^64
   }
 }
 

@@ -14,8 +14,8 @@
 #ifndef LIGHTRW_RNG_RNG_H_
 #define LIGHTRW_RNG_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -66,33 +66,41 @@ class Xoshiro256StarStar {
 // scramble, and a stream-specific odd multiplier). Hardware cost of an
 // extra stream is one decorrelator — which is why the paper can afford 64
 // streams in 1.2% of the chip — and the software model mirrors that: one
-// LCG step plus one scramble per output.
+// LCG step plus one scramble per output. The streams are stored as three
+// parallel arrays (state, offset, multiplier), so a kernel that runs
+// eight lanes per 512-bit register loads eight streams' fields at once.
 class ThunderingRng {
  public:
-  // One output stream: its position in the shared sequence and its
-  // decorrelator constants.
-  struct Stream {
-    uint64_t state;       // position in the shared sequence
-    uint64_t offset;      // xor offset
-    uint64_t multiplier;  // odd multiplier
+  // Knuth's MMIX multiplier and increment; full-period mod 2^64 LCG.
+  static constexpr uint64_t kLcgMultiplier = 6364136223846793005ULL;
+  static constexpr uint64_t kLcgIncrement = 1442695040888963407ULL;
 
-    // Advances the stream one step and returns its next 32-bit output.
-    // The one definition of a draw: Next() and the PWRS lane kernel
-    // (sampling/parallel_wrs.cc) both draw through it.
-    uint32_t Draw() {
-      // Knuth's MMIX multiplier; full-period mod 2^64 LCG.
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      // Per-stream scrambler: xor offset, xorshift mix, odd multiply.
-      // Each step is a bijection on 64-bit words, so each stream remains
-      // uniform; the stream-specific constants break cross-stream
-      // correlation of the shared sequence.
-      uint64_t z = state ^ offset;
-      z ^= z >> 29;
-      z *= multiplier;
-      z ^= z >> 32;
-      return static_cast<uint32_t>(z);
-    }
+  // Streams [base, base + n) of a generator: stream base + j is
+  // (state[j], offset[j], multiplier[j]). Valid until the next Reseed.
+  struct Streams {
+    uint64_t* state;             // position in the shared sequence
+    const uint64_t* offset;      // xor offset
+    const uint64_t* multiplier;  // odd multiplier
   };
+
+  // Advances the stream whose position is `*state` one step and returns
+  // its next 32-bit output. The one scalar definition of a draw: Next()
+  // and the scalar PWRS lane kernel (sampling/pwrs_kernels.cc) call it,
+  // and the AVX-512 kernel there computes the same steps eight lanes at
+  // a time.
+  static uint32_t Draw(uint64_t* state, uint64_t offset,
+                       uint64_t multiplier) {
+    *state = *state * kLcgMultiplier + kLcgIncrement;
+    // Per-stream scrambler: xor offset, xorshift mix, odd multiply.
+    // Each step is a bijection on 64-bit words, so each stream remains
+    // uniform; the stream-specific constants break cross-stream
+    // correlation of the shared sequence.
+    uint64_t z = *state ^ offset;
+    z ^= z >> 29;
+    z *= multiplier;
+    z ^= z >> 32;
+    return static_cast<uint32_t>(z);
+  }
 
   // Creates `num_streams` decorrelated streams. All randomness is
   // reproducible from `seed`.
@@ -105,14 +113,14 @@ class ThunderingRng {
   // constructing (and allocating) a new one.
   void Reseed(size_t num_streams, uint64_t seed);
 
-  size_t num_streams() const { return streams_.size(); }
+  size_t num_streams() const { return state_.size(); }
 
   // Draws the next 32-bit output of stream `stream`. Streams advance
   // independently (each keeps its own position in the shared sequence, as
   // the hardware instances consume one shared state per cycle).
   uint32_t Next(size_t stream) {
-    LIGHTRW_DCHECK(stream < streams_.size());
-    return streams_[stream].Draw();
+    LIGHTRW_DCHECK(stream < state_.size());
+    return Draw(&state_[stream], offset_[stream], multiplier_[stream]);
   }
 
   // Uniform double in [0, 1) from stream `stream`.
@@ -121,15 +129,19 @@ class ThunderingRng {
   }
 
   // Streams [base, base + n), for kernels that draw many lanes in one
-  // loop. Drawing through Stream::Draw leaves the generator exactly as
-  // the same draws through Next() would.
-  std::span<Stream> streams(size_t base, size_t n) {
-    LIGHTRW_DCHECK(base + n <= streams_.size());
-    return {streams_.data() + base, n};
+  // loop. Drawing them as Draw does leaves the generator exactly as the
+  // same draws through Next() would.
+  Streams streams(size_t base, [[maybe_unused]] size_t n) {
+    LIGHTRW_DCHECK(base + n <= state_.size());
+    return {state_.data() + base, offset_.data() + base,
+            multiplier_.data() + base};
   }
 
  private:
-  std::vector<Stream> streams_;
+  // Entry i of each belongs to stream i.
+  std::vector<uint64_t> state_;
+  std::vector<uint64_t> offset_;
+  std::vector<uint64_t> multiplier_;
 };
 
 }  // namespace lightrw::rng

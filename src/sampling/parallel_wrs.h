@@ -8,6 +8,11 @@
 //
 // The result is distributed identically to the sequential sampler: item i
 // is finally selected with probability w_i / sum(w).
+//
+// Two kernels run the lanes (sampling/pwrs_kernels.h): one lane at a time
+// on every CPU, or eight lanes per 512-bit register where the CPU has
+// AVX-512 F, DQ, VL and BW. The CPU alone picks one, once per process;
+// both draw the same numbers and select the same items.
 
 #ifndef LIGHTRW_SAMPLING_PARALLEL_WRS_H_
 #define LIGHTRW_SAMPLING_PARALLEL_WRS_H_
@@ -15,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "rng/rng.h"
 #include "sampling/sampler.h"
@@ -27,8 +31,7 @@ namespace lightrw::sampling {
 class ParallelWrsSampler {
  public:
   // Most lanes a sampler may have: the accelerator config's maximum
-  // sampler_parallelism. The lane kernel holds its lanes in a local array
-  // of this size.
+  // sampler_parallelism.
   static constexpr size_t kMaxLanes = 64;
 
   // k must be in [1, kMaxLanes]. `rng` must provide at least

@@ -10,6 +10,7 @@
 #include "rng/rng.h"
 #include "sampling/inverse_transform.h"
 #include "sampling/parallel_wrs.h"
+#include "sampling/pwrs_kernels.h"
 #include "sampling/reservoir.h"
 #include "sampling/sampler.h"
 
@@ -41,13 +42,31 @@ TEST(OverflowTest, ReservoirAccumulatesMaxWeights) {
   EXPECT_LT(sampler.selected(), 1000u);
 }
 
-TEST(OverflowTest, ParallelWrsAccumulatesMaxWeights) {
+// 100 weights of 2^32 - 1 through 8 lanes: the running sum passes 2^32
+// at the first batch's second lane.
+pwrs::Run OfferMaxWeights(pwrs::Kernel kernel) {
   rng::ThunderingRng rng(8, 1);
-  ParallelWrsSampler sampler(8, &rng);
   const std::vector<graph::Weight> weights(100, UINT32_MAX);
-  const size_t picked = sampler.SampleAll({weights.data(), weights.size()});
-  EXPECT_LT(picked, 100u);
-  EXPECT_EQ(sampler.weight_sum(), 100ull * UINT32_MAX);
+  pwrs::Run run;
+  kernel(weights, 0, 8, rng.streams(0, 8), &run);
+  return run;
+}
+
+TEST(OverflowTest, ParallelWrsAccumulatesMaxWeights) {
+  const pwrs::Run run = OfferMaxWeights(pwrs::OfferBatchesScalar);
+  EXPECT_LT(run.selected, 100u);
+  EXPECT_EQ(run.weight_sum, 100ull * UINT32_MAX);
+  EXPECT_EQ(run.batches, 13u);
+}
+
+TEST(OverflowTest, ParallelWrsAvx512AccumulatesMaxWeights) {
+  if (const char* missing = pwrs::MissingAvx512Feature()) {
+    GTEST_SKIP() << "the CPU lacks " << missing;
+  }
+  const pwrs::Run run = OfferMaxWeights(pwrs::OfferBatchesAvx512);
+  EXPECT_EQ(run.selected, OfferMaxWeights(pwrs::OfferBatchesScalar).selected);
+  EXPECT_EQ(run.weight_sum, 100ull * UINT32_MAX);
+  EXPECT_EQ(run.batches, 13u);
 }
 
 TEST(OverflowTest, InverseTransformMaxWeights) {

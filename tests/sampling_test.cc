@@ -11,6 +11,7 @@
 #include "sampling/alias.h"
 #include "sampling/inverse_transform.h"
 #include "sampling/parallel_wrs.h"
+#include "sampling/pwrs_kernels.h"
 #include "sampling/reservoir.h"
 #include "sampling/sampler.h"
 
@@ -302,13 +303,14 @@ std::vector<Weight> MakeWeights(WeightShape shape, size_t n, size_t k,
   return weights;
 }
 
-// The lane kernel against the reference, on every shape, stream length
-// and lane count, offered whole and in random runs of whole batches.
-// Selection, weight sum, batch count and every stream's position must
-// match exactly. k = 5, 12, 24 and 40 end their batches inside a register
-// of 8 lanes. The generator holds exactly stream_base + k streams, so a
-// lane read or written past k leaves its arrays (ASan reports it).
-TEST(ParallelWrsTest, KernelEqualsAlgorithm41) {
+// A lane kernel against the reference, on every shape, stream length
+// and lane count, offered whole and in random runs of whole batches, as
+// ParallelWrsSampler::OfferBatches offers them. Selection, weight sum,
+// batch count and every stream's position must match exactly. k = 5,
+// 12, 24 and 40 end their batches inside a register of 8 lanes. The
+// generator holds exactly stream_base + k streams, so a lane read or
+// written past k leaves its arrays.
+void ExpectKernelEqualsAlgorithm41(pwrs::Kernel kernel) {
   rng::Xoshiro256StarStar gen(0x41);
   uint64_t cases = 0;
   for (const size_t k : {1, 2, 3, 4, 5, 8, 12, 16, 24, 32, 40, 64}) {
@@ -333,17 +335,17 @@ TEST(ParallelWrsTest, KernelEqualsAlgorithm41) {
             rng::ThunderingRng ref_rng(num_streams, seed);
             rng::ThunderingRng rng(num_streams, seed);
             ReferencePwrs ref{k, &ref_rng, stream_base};
-            ParallelWrsSampler sampler(k, &rng, stream_base);
             // Two streams back to back: the second starts where the
             // first left every lane.
             for (int round = 0; round < 2; ++round) {
               ref.Run(weights);
-              sampler.Reset();
+              pwrs::Run run;
               for (size_t first = 0; first < n;) {
                 const size_t len =
                     split ? std::min(n - first, (1 + gen.NextBounded(4)) * k)
                           : n;
-                sampler.OfferBatches({weights.data() + first, len}, first);
+                kernel({weights.data() + first, len}, first, k,
+                       rng.streams(stream_base, k), &run);
                 first += len;
               }
               const auto where = ::testing::Message()
@@ -351,11 +353,11 @@ TEST(ParallelWrsTest, KernelEqualsAlgorithm41) {
                                  << " shape=" << static_cast<int>(shape)
                                  << " n=" << n << " split=" << split
                                  << " round=" << round;
-              ASSERT_EQ(sampler.selected(), ref.selected) << where;
-              ASSERT_EQ(sampler.weight_sum(), ref.weight_sum) << where;
-              ASSERT_EQ(sampler.batches_consumed(), ref.batches) << where;
+              ASSERT_EQ(run.selected, ref.selected) << where;
+              ASSERT_EQ(run.weight_sum, ref.weight_sum) << where;
+              ASSERT_EQ(run.batches, ref.batches) << where;
               if (shape == WeightShape::kAllZero) {
-                ASSERT_EQ(sampler.selected(), kNoSample) << where;
+                ASSERT_EQ(run.selected, kNoSample) << where;
               }
             }
             for (size_t s = 0; s < num_streams; ++s) {
@@ -371,6 +373,18 @@ TEST(ParallelWrsTest, KernelEqualsAlgorithm41) {
     }
   }
   EXPECT_GT(cases, 5000u);
+}
+
+// The scalar kernel, the only one on CPUs without AVX-512.
+TEST(ParallelWrsTest, KernelEqualsAlgorithm41) {
+  ExpectKernelEqualsAlgorithm41(pwrs::OfferBatchesScalar);
+}
+
+TEST(ParallelWrsTest, Avx512KernelEqualsAlgorithm41) {
+  if (const char* missing = pwrs::MissingAvx512Feature()) {
+    GTEST_SKIP() << "the CPU lacks " << missing;
+  }
+  ExpectKernelEqualsAlgorithm41(pwrs::OfferBatchesAvx512);
 }
 
 // --- Inverse transform ------------------------------------------------------
