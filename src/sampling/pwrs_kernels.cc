@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+#include "sampling/parallel_wrs.h"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -20,8 +23,11 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
   // that reduction: the latest candidate replaces the reservoir.
   // Zero-weight lanes are masked off and draw no random number; the
   // per-stream draw sequence is part of the determinism contract. The
-  // running sum and the selection live in locals, which the stores to
-  // the lanes' states cannot alias.
+  // states of the lanes the run uses live in a local array for the call,
+  // which no load of a weight, offset or multiplier can alias.
+  const size_t used = std::min(k, n);
+  uint64_t state[ParallelWrsSampler::kMaxLanes];
+  std::copy(lanes.state, lanes.state + used, state);
   uint64_t sum = run->weight_sum;  // inclusive running sum S_j
   size_t selected = run->selected;
   uint64_t batches = run->batches;
@@ -33,8 +39,8 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
       if (w == 0) {
         continue;
       }
-      const uint32_t r = ThunderingRng::Draw(&lanes.state[j], lanes.offset[j],
-                                             lanes.multiplier[j]);
+      const uint32_t r =
+          ThunderingRng::Draw(&state[j], lanes.offset[j], lanes.multiplier[j]);
       // While S_j < 2^32, both sides of Eq. (8) fit in 64 bits: w << 32
       // and r * S_j + w <= (2^32 - 1) * 2^32. Past that, WrsSelect's
       // 128-bit form.
@@ -47,6 +53,7 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
     }
     ++batches;
   }
+  std::copy(state, state + used, lanes.state);
   run->weight_sum = sum;
   run->selected = selected;
   run->batches = batches;
@@ -62,23 +69,46 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
 // are all maskz forms.
 typedef uint64_t U64x8 __attribute__((vector_size(64)));
 
+// The lanes of [g, g + 8) that are below `end`, as a register mask.
+__mmask8 LanesBelow(size_t end, size_t g) {
+  return end <= g ? 0
+                  : static_cast<__mmask8>(
+                        (1u << std::min<size_t>(8, end - g)) - 1);
+}
+
+// The vector kernel for k lanes in kRegs = ceil(k / 8) registers. The
+// lanes' states stay in registers for the whole call, loaded from the
+// generator's state array at the start and stored back at the end, so
+// no batch waits on the previous batch's store; offsets and multipliers
+// load straight from theirs. Masked loads and stores leave every lane
+// past the run's widest batch, and so past k, untouched.
+template <size_t kRegs>
 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw"))) void
-OfferBatchesAvx512(std::span<const Weight> weights, size_t base_index,
-                   size_t k, ThunderingRng::Streams lanes, Run* run) {
+OfferBatchesInRegisters(std::span<const Weight> weights, size_t base_index,
+                        size_t k, ThunderingRng::Streams lanes, Run* run) {
   const size_t n = weights.size();
+  const size_t used = std::min(k, n);
   const __m512i zero = _mm512_setzero_si512();
   const __m512i last_lane = _mm512_set1_epi64(7);
   const __m512i max32 = _mm512_set1_epi64(UINT32_MAX);
+  __m512i state[kRegs];
+#pragma GCC unroll 8
+  for (size_t r = 0; r < kRegs; ++r) {
+    state[r] = _mm512_maskz_loadu_epi64(LanesBelow(used, 8 * r),
+                                        lanes.state + 8 * r);
+  }
   // The inclusive running sum, in every lane.
   __m512i sum = _mm512_set1_epi64(static_cast<long long>(run->weight_sum));
   size_t selected = run->selected;
   for (size_t first = 0; first < n; first += k) {
     const size_t lanes_in_batch = std::min(k, n - first);
-    // Lanes g to g + 7 of the batch; masked loads and stores leave the
-    // lanes past the batch's end untouched.
-    for (size_t g = 0; g < lanes_in_batch; g += 8) {
-      const auto active = static_cast<__mmask8>(
-          (1u << std::min<size_t>(8, lanes_in_batch - g)) - 1);
+#pragma GCC unroll 8
+    for (size_t r = 0; r < kRegs; ++r) {
+      const size_t g = 8 * r;
+      if (g >= lanes_in_batch) {
+        break;  // the run's short last batch
+      }
+      const __mmask8 active = LanesBelow(lanes_in_batch, g);
       const __m512i w = _mm512_maskz_cvtepu32_epi64(
           active,
           _mm256_maskz_loadu_epi32(active, weights.data() + first + g));
@@ -92,19 +122,14 @@ OfferBatchesAvx512(std::span<const Weight> weights, size_t base_index,
       s = _mm512_add_epi64(s, sum);
       sum = _mm512_maskz_permutexvar_epi64(0xFF, last_lane, s);
 
-      // Zero-weight lanes draw nothing: the LCG advances, and its state
-      // is stored, only under this mask.
+      // Zero-weight lanes draw nothing: the LCG advances only under this
+      // mask, and the other lanes keep their state.
       const __mmask8 draw = _mm512_mask_test_epi64_mask(active, w, w);
-      if (draw == 0) {
-        continue;
-      }
-      const U64x8 state =
-          (U64x8)_mm512_maskz_loadu_epi64(draw, lanes.state + g) *
-              ThunderingRng::kLcgMultiplier +
-          ThunderingRng::kLcgIncrement;
-      _mm512_mask_storeu_epi64(lanes.state + g, draw, (__m512i)state);
+      const U64x8 next = (U64x8)state[r] * ThunderingRng::kLcgMultiplier +
+                         ThunderingRng::kLcgIncrement;
+      state[r] = _mm512_mask_blend_epi64(draw, state[r], (__m512i)next);
       // ThunderingRng::Draw's decorrelator; r is the low 32 bits of z.
-      U64x8 z = state ^ (U64x8)_mm512_maskz_loadu_epi64(draw, lanes.offset + g);
+      U64x8 z = next ^ (U64x8)_mm512_maskz_loadu_epi64(draw, lanes.offset + g);
       z ^= z >> 29;
       z *= (U64x8)_mm512_maskz_loadu_epi64(draw, lanes.multiplier + g);
       z ^= z >> 32;
@@ -129,15 +154,31 @@ OfferBatchesAvx512(std::span<const Weight> weights, size_t base_index,
           }
         }
       }
-      if (hits != 0) {
-        // The highest hit lane; a later register or batch replaces it.
-        selected = base_index + first + g + (31 - __builtin_clz(hits));
-      }
+      // The highest hit lane replaces the selection, without a branch on
+      // the random hits; a later register or batch replaces it in turn.
+      const size_t highest = 31 - __builtin_clz(hits | 1u);
+      selected = hits != 0 ? base_index + first + g + highest : selected;
     }
+  }
+#pragma GCC unroll 8
+  for (size_t r = 0; r < kRegs; ++r) {
+    _mm512_mask_storeu_epi64(lanes.state + 8 * r, LanesBelow(used, 8 * r),
+                             state[r]);
   }
   run->weight_sum = ((U64x8)sum)[0];
   run->selected = selected;
   run->batches += (n + k - 1) / k;
+}
+
+void OfferBatchesAvx512(std::span<const Weight> weights, size_t base_index,
+                        size_t k, ThunderingRng::Streams lanes, Run* run) {
+  LIGHTRW_DCHECK(k >= 1 && k <= ParallelWrsSampler::kMaxLanes);
+  static constexpr Kernel kByRegisters[] = {
+      OfferBatchesInRegisters<1>, OfferBatchesInRegisters<2>,
+      OfferBatchesInRegisters<3>, OfferBatchesInRegisters<4>,
+      OfferBatchesInRegisters<5>, OfferBatchesInRegisters<6>,
+      OfferBatchesInRegisters<7>, OfferBatchesInRegisters<8>};
+  kByRegisters[(k + 7) / 8 - 1](weights, base_index, k, lanes, run);
 }
 
 const char* MissingAvx512Feature() {
