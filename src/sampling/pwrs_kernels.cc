@@ -61,6 +61,8 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
 
 #if defined(__x86_64__)
 
+namespace {
+
 // Eight 64-bit lanes as a GCC/clang vector type (declared in the typedef
 // form both compilers document). The kernel does its shifts, xors and
 // 64-bit multiplies with this type's operators: the intrinsics for them
@@ -93,9 +95,9 @@ OfferBatchesInRegisters(std::span<const Weight> weights, size_t base_index,
   const __m512i max32 = _mm512_set1_epi64(UINT32_MAX);
   __m512i state[kRegs];
 #pragma GCC unroll 8
-  for (size_t r = 0; r < kRegs; ++r) {
-    state[r] = _mm512_maskz_loadu_epi64(LanesBelow(used, 8 * r),
-                                        lanes.state + 8 * r);
+  for (size_t reg = 0; reg < kRegs; ++reg) {
+    state[reg] = _mm512_maskz_loadu_epi64(LanesBelow(used, 8 * reg),
+                                          lanes.state + 8 * reg);
   }
   // The inclusive running sum, in every lane.
   __m512i sum = _mm512_set1_epi64(static_cast<long long>(run->weight_sum));
@@ -103,8 +105,8 @@ OfferBatchesInRegisters(std::span<const Weight> weights, size_t base_index,
   for (size_t first = 0; first < n; first += k) {
     const size_t lanes_in_batch = std::min(k, n - first);
 #pragma GCC unroll 8
-    for (size_t r = 0; r < kRegs; ++r) {
-      const size_t g = 8 * r;
+    for (size_t reg = 0; reg < kRegs; ++reg) {
+      const size_t g = 8 * reg;
       if (g >= lanes_in_batch) {
         break;  // the run's short last batch
       }
@@ -125,9 +127,9 @@ OfferBatchesInRegisters(std::span<const Weight> weights, size_t base_index,
       // Zero-weight lanes draw nothing: the LCG advances only under this
       // mask, and the other lanes keep their state.
       const __mmask8 draw = _mm512_mask_test_epi64_mask(active, w, w);
-      const U64x8 next = (U64x8)state[r] * ThunderingRng::kLcgMultiplier +
+      const U64x8 next = (U64x8)state[reg] * ThunderingRng::kLcgMultiplier +
                          ThunderingRng::kLcgIncrement;
-      state[r] = _mm512_mask_blend_epi64(draw, state[r], (__m512i)next);
+      state[reg] = _mm512_mask_blend_epi64(draw, state[reg], (__m512i)next);
       // ThunderingRng::Draw's decorrelator; r is the low 32 bits of z.
       U64x8 z = next ^ (U64x8)_mm512_maskz_loadu_epi64(draw, lanes.offset + g);
       z ^= z >> 29;
@@ -154,21 +156,23 @@ OfferBatchesInRegisters(std::span<const Weight> weights, size_t base_index,
           }
         }
       }
-      // The highest hit lane replaces the selection, without a branch on
-      // the random hits; a later register or batch replaces it in turn.
+      // The highest hit lane replaces the selection (hits | 1 keeps clz
+      // defined); a later register or batch replaces it in turn.
       const size_t highest = 31 - __builtin_clz(hits | 1u);
       selected = hits != 0 ? base_index + first + g + highest : selected;
     }
   }
 #pragma GCC unroll 8
-  for (size_t r = 0; r < kRegs; ++r) {
-    _mm512_mask_storeu_epi64(lanes.state + 8 * r, LanesBelow(used, 8 * r),
-                             state[r]);
+  for (size_t reg = 0; reg < kRegs; ++reg) {
+    _mm512_mask_storeu_epi64(lanes.state + 8 * reg, LanesBelow(used, 8 * reg),
+                             state[reg]);
   }
   run->weight_sum = ((U64x8)sum)[0];
   run->selected = selected;
   run->batches += (n + k - 1) / k;
 }
+
+}  // namespace
 
 void OfferBatchesAvx512(std::span<const Weight> weights, size_t base_index,
                         size_t k, ThunderingRng::Streams lanes, Run* run) {
