@@ -31,8 +31,8 @@ namespace lightrw::sampling {
 class ParallelWrsSampler {
  public:
   // Most lanes a sampler may have: the accelerator config's maximum
-  // sampler_parallelism. The scalar kernel holds its lanes' states in a
-  // local array of this size, the AVX-512 kernel in up to 8 registers.
+  // sampler_parallelism. The scalar kernel holds its lanes in a local
+  // array of this size, the AVX-512 kernel in up to 8 registers.
   static constexpr size_t kMaxLanes = 64;
 
   // k must be in [1, kMaxLanes]. `rng` must provide at least

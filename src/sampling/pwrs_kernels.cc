@@ -23,11 +23,18 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
   // that reduction: the latest candidate replaces the reservoir.
   // Zero-weight lanes are masked off and draw no random number; the
   // per-stream draw sequence is part of the determinism contract. The
-  // states of the lanes the run uses live in a local array for the call,
-  // which no load of a weight, offset or multiplier can alias.
+  // lanes the run uses are gathered into one local array for the call,
+  // so the loop walks one array whose stores no weight load can alias.
+  struct Lane {
+    uint64_t state;
+    uint64_t offset;
+    uint64_t multiplier;
+  };
   const size_t used = std::min(k, n);
-  uint64_t state[ParallelWrsSampler::kMaxLanes];
-  std::copy(lanes.state, lanes.state + used, state);
+  Lane lane[ParallelWrsSampler::kMaxLanes];
+  for (size_t j = 0; j < used; ++j) {
+    lane[j] = {lanes.state[j], lanes.offset[j], lanes.multiplier[j]};
+  }
   uint64_t sum = run->weight_sum;  // inclusive running sum S_j
   size_t selected = run->selected;
   uint64_t batches = run->batches;
@@ -39,8 +46,8 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
       if (w == 0) {
         continue;
       }
-      const uint32_t r =
-          ThunderingRng::Draw(&state[j], lanes.offset[j], lanes.multiplier[j]);
+      const uint32_t r = ThunderingRng::Draw(&lane[j].state, lane[j].offset,
+                                             lane[j].multiplier);
       // While S_j < 2^32, both sides of Eq. (8) fit in 64 bits: w << 32
       // and r * S_j + w <= (2^32 - 1) * 2^32. Past that, WrsSelect's
       // 128-bit form.
@@ -53,7 +60,9 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
     }
     ++batches;
   }
-  std::copy(state, state + used, lanes.state);
+  for (size_t j = 0; j < used; ++j) {
+    lanes.state[j] = lane[j].state;
+  }
   run->weight_sum = sum;
   run->selected = selected;
   run->batches = batches;
