@@ -23,11 +23,12 @@ struct Run {
 };
 
 // Offers `weights`, a run of whole k-lane batches whose first weight has
-// stream index `base_index`, to the k lanes `lanes` (lane j is stream
-// lanes.*[j]), and updates `run`. The contract of OfferBatches: lane j of
-// every batch draws from lane j's stream, a zero-weight lane draws
-// nothing, and the highest hit lane of the latest batch with a hit wins.
-// A kernel touches only the lanes of the run's widest batch.
+// stream index `base_index`, to the k lanes `lanes` (lane j's stream is
+// entry j of its three arrays), and updates `run`. The contract of
+// OfferBatches: lane j of every batch draws from lane j's stream, a
+// zero-weight lane draws nothing, and the highest hit lane of the latest
+// batch with a hit wins. A kernel touches only the lanes of the run's
+// widest batch.
 using Kernel = void (*)(std::span<const Weight> weights, size_t base_index,
                         size_t k, rng::ThunderingRng::Streams lanes,
                         Run* run);

@@ -219,10 +219,10 @@ class WalkLawTest : public ::testing::Test {
   const std::vector<AppCase> apps_ = {{"MetaPath", &metapath_, MetaPathLaw},
                                       {"Node2Vec", &node2vec_, Node2VecLaw}};
 
-  // One walk from every vertex per round.
-  std::vector<WalkQuery> Queries(int rounds) const {
+  // Twelve walks from every vertex.
+  std::vector<WalkQuery> Queries() const {
     std::vector<WalkQuery> queries;
-    for (int r = 0; r < rounds; ++r) {
+    for (int round = 0; round < 12; ++round) {
       for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
         queries.push_back({v, kWalkLength});
       }
@@ -245,7 +245,7 @@ TEST_F(WalkLawTest, CycleEngineFollowsEq1AndEq2) {
   config.seed = 71;
   for (const AppCase& c : apps_) {
     WalkOutput out;
-    core::CycleEngine(&graph_, c.app, config).Run(Queries(12), &out);
+    core::CycleEngine(&graph_, c.app, config).Run(Queries(), &out);
     Expect(c, out);
   }
 }
@@ -261,7 +261,7 @@ TEST_F(WalkLawTest, PartitionedDistributedEngineFollowsEq1AndEq2) {
     WalkOutput out;
     ASSERT_TRUE(distributed::DistributedEngine(&graph_, c.app, &partition,
                                                config)
-                    .Run(Queries(12), &out)
+                    .Run(Queries(), &out)
                     .ok());
     Expect(c, out);
   }
