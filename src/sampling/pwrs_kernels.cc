@@ -94,8 +94,8 @@ __mmask8 LanesBelow(size_t end, size_t g) {
 // end, so no batch reloads what the previous batch's masked store
 // wrote (a kernel that did read 2.3-2.4 ns/edge against 1.8-2.0 in a
 // hot-cache replay of 144-edge calls with k = 16); offsets and
-// multipliers load straight from theirs. Masked loads and stores leave every lane
-// past the run's widest batch, and so past k, untouched.
+// multipliers load straight from theirs. Masked loads and stores leave
+// every lane past the run's widest batch, and so past k, untouched.
 template <size_t kRegs>
 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw"))) void
 OfferBatchesInRegisters(std::span<const Weight> weights, size_t base_index,
