@@ -76,9 +76,9 @@ namespace {
 // Eight 64-bit lanes as a GCC/clang vector type (declared in the typedef
 // form both compilers document). The kernel does its shifts, xors and
 // 64-bit multiplies with this type's operators: the intrinsics for them
-// make GCC 12 warn inside avx512fintrin.h under -Wall (GCC bug 105593),
-// as do the unmasked forms of the intrinsics below, which is why those
-// are all maskz forms.
+// make GCC 12 warn inside avx512fintrin.h under -Wall (GCC bug 105593).
+// So do the unmasked widening, align, permute and 32-bit multiply
+// intrinsics, which is why the kernel calls their maskz forms.
 typedef uint64_t U64x8 __attribute__((vector_size(64)));
 
 // The lanes of [g, g + 8) that are below `end`, as a register mask.
