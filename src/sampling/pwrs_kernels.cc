@@ -26,6 +26,8 @@ void OfferBatchesScalar(std::span<const Weight> weights, size_t base_index,
   // per-stream draw sequence is part of the determinism contract. The
   // lanes the run uses are gathered into one local array for the call,
   // so the loop walks one array whose stores no weight load can alias.
+  // No batch is wider than min(k, n), so only that many entries are
+  // filled; clearing all 64 would cost more than a short run's draws.
   struct Lane {
     uint64_t state;
     uint64_t offset;
