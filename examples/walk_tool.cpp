@@ -70,14 +70,14 @@ namespace {
 
 using namespace lightrw;
 
-// Builds the --app named `name` on `g`; nullptr (with a one-line stderr
-// reason) for an unknown name or parameters the app cannot take.
+// Builds the --app named `name` on `g` from the app flags' values;
+// nullptr (with a one-line stderr reason) for an unknown name or
+// parameters the app cannot take.
 std::unique_ptr<apps::WalkApp> MakeApp(const std::string& name,
-                                       const graph::CsrGraph& g,
-                                       const FlagParser& flags) {
+                                       const graph::CsrGraph& g, double p,
+                                       double q, double alpha,
+                                       uint32_t length, uint64_t seed) {
   if (name == "node2vec") {
-    const double p = flags.GetDouble("p");
-    const double q = flags.GetDouble("q");
     const Status valid = apps::Node2VecApp::Validate(p, q, g);
     if (!valid.ok()) {
       std::fprintf(stderr, "%s\n", valid.ToString().c_str());
@@ -86,12 +86,10 @@ std::unique_ptr<apps::WalkApp> MakeApp(const std::string& name,
     return std::make_unique<apps::Node2VecApp>(p, q);
   }
   if (name == "metapath") {
-    return std::make_unique<apps::MetaPathApp>(apps::MakeRandomRelationPath(
-        g, static_cast<uint32_t>(flags.GetInt("length")),
-        flags.GetInt("seed")));
+    return std::make_unique<apps::MetaPathApp>(
+        apps::MakeRandomRelationPath(g, length, seed));
   }
   if (name == "ppr") {
-    const double alpha = flags.GetDouble("alpha");
     if (!(alpha > 0.0 && alpha < 1.0)) {
       std::fprintf(stderr, "--alpha must be in (0, 1), got %g\n", alpha);
       return nullptr;
@@ -221,28 +219,18 @@ bool WriteExports(const std::string& dir,
   return true;
 }
 
-// Fault schedule from the --fault-* and --ckpt-* flags. A nonzero fault
-// rate, a death schedule or --ckpt-store enables the subsystem;
+// Completes the fault schedule the --fault-* and --ckpt-* flags set:
+// adds the board deaths of the paired --fault-fail-* lists. A nonzero
+// fault rate, a death schedule or --ckpt-store enables the subsystem;
 // otherwise it stays fully disabled and the run is bit-identical to one
 // without it. False on malformed death lists.
-bool FaultsFromFlags(const FlagParser& flags,
-                     reliability::FaultConfig* faults) {
-  faults->seed = static_cast<uint64_t>(flags.GetInt("fault-seed"));
-  faults->dram_correctable_rate = flags.GetDouble("fault-dram-correctable");
-  faults->dram_uncorrectable_rate =
-      flags.GetDouble("fault-dram-uncorrectable");
-  faults->link_drop_rate = flags.GetDouble("fault-link-drop");
-  faults->link_corrupt_rate = flags.GetDouble("fault-link-corrupt");
-  faults->checkpoint_interval_cycles =
-      static_cast<uint64_t>(flags.GetInt("fault-checkpoint-interval"));
-  faults->allow_walker_loss = flags.GetBool("fault-allow-walker-loss");
+bool AddBoardDeaths(const std::string& fail_cycles,
+                    const std::string& fail_boards,
+                    reliability::FaultConfig* faults) {
   // Cascading deaths: paired comma lists of cycles and board ids.
   std::vector<uint64_t> cycles, boards;
-  if (!ParseUintList("fault-fail-cycles",
-                     flags.GetString("fault-fail-cycles"), INT64_MAX,
-                     &cycles) ||
-      !ParseUintList("fault-fail-boards",
-                     flags.GetString("fault-fail-boards"), UINT32_MAX,
+  if (!ParseUintList("fault-fail-cycles", fail_cycles, INT64_MAX, &cycles) ||
+      !ParseUintList("fault-fail-boards", fail_boards, UINT32_MAX,
                      &boards)) {
     return false;
   }
@@ -257,28 +245,11 @@ bool FaultsFromFlags(const FlagParser& flags,
     faults->board_deaths.push_back(
         {cycles[i], static_cast<uint32_t>(boards[i])});
   }
-  // Durable checkpoint store (--ckpt-*): integrity-checked checkpoint
-  // persistence with injected storage faults.
-  reliability::CkptStoreConfig& store = faults->ckpt_store;
-  store.enabled = flags.GetBool("ckpt-store");
-  store.generations_kept =
-      static_cast<uint32_t>(flags.GetInt("ckpt-generations"));
-  store.num_replicas = static_cast<uint32_t>(flags.GetInt("ckpt-replicas"));
-  store.write_latency_cycles =
-      static_cast<uint32_t>(flags.GetInt("ckpt-write-latency"));
-  store.read_latency_cycles =
-      static_cast<uint32_t>(flags.GetInt("ckpt-read-latency"));
-  store.torn_write_rate = flags.GetDouble("ckpt-torn-rate");
-  store.bit_rot_per_byte = flags.GetDouble("ckpt-bit-rot");
-  store.stale_publish_rate = flags.GetDouble("ckpt-stale-rate");
-  store.scrub_interval_cycles =
-      static_cast<uint64_t>(flags.GetInt("ckpt-scrub-interval"));
-  store.scrub_bytes_per_cycle = flags.GetDouble("ckpt-scrub-bytes");
   faults->enabled =
       faults->dram_correctable_rate != 0.0 ||
       faults->dram_uncorrectable_rate != 0.0 ||
       faults->link_drop_rate != 0.0 || faults->link_corrupt_rate != 0.0 ||
-      !faults->board_deaths.empty() || store.enabled;
+      !faults->board_deaths.empty() || faults->ckpt_store.enabled;
   return true;
 }
 
@@ -344,175 +315,189 @@ int ReliabilityExitCode(const reliability::ReliabilityStats& rel) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr int64_t kMaxU32 = UINT32_MAX;
+  // What the flags set. A flag's default is the value its field holds
+  // when it is bound: the field's own default, or one of walk_tool's set
+  // here first. Flags that feed several structs bind to a local, which
+  // is copied into each.
+  std::string graph_path, app_name = "node2vec", engine = "lightrw";
+  std::string out_dir = ".", export_list, span_mode = "all";
+  std::string partition_name = "greedy", fail_cycles, fail_boards;
+  bool undirected = false, report = false, help = false;
+  uint32_t length = 40, num_queries = 0, threads = 0;
+  uint64_t seed = 42;
+  distributed::BoardId boards = 4;
+  double p = 2.0, q = 0.5, alpha = 0.15;
+  double max_shed = 1.0, max_violation = 1.0;
+  graph::RmatOptions rmat;
+  rmat.scale = 14;
+  obs::TimeSeriesConfig ts_config;
+  core::AcceleratorConfig accel_config;
+  reliability::FaultConfig& faults = accel_config.faults;
+  reliability::CkptStoreConfig& store = faults.ckpt_store;
+  distributed::DistributedConfig cluster;
+  service::ServiceConfig service_config;
+  service::ArrivalConfig& arrivals = service_config.arrivals;
+  reliability::ChaosConfig chaos;
+  chaos.num_scenarios = 0;
+
   FlagParser flags;
-  flags.Define("graph", "edge list file to load (empty: generate rmat)", "");
-  flags.DefineBool("undirected", "treat the edge list as undirected", false);
-  flags.DefineInt("rmat_scale", "generated graph scale (2^scale vertices)", 14,
-                  1, 28);
-  flags.Define("app", "walk app: deepwalk|node2vec|metapath|ppr",
-               "node2vec");
-  flags.Define("engine",
-               "walk engine: cpu|lightrw|lightrw-sim|distributed|service",
-               "lightrw");
-  flags.DefineInt("length", "walk length (steps)", 40, 1, kMaxU32);
-  flags.DefineInt("queries", "number of queries (0 = one per vertex)", 0, 0,
-                  kMaxU32);
-  flags.DefineDouble("p", "node2vec return parameter", 2.0);
-  flags.DefineDouble("q", "node2vec in-out parameter", 0.5);
-  flags.DefineDouble("alpha", "ppr stop probability", 0.15);
-  flags.DefineInt("seed", "random seed", 42, 0, INT64_MAX);
-  flags.DefineBool("report", "print the full accelerator run report", false);
-  flags.Define("out-dir",
-               "existing directory the selected exports are written to", ".");
-  flags.Define("exports",
-               "comma list of files to write under --out-dir: "
-               "corpus,metrics,trace,spans,timeseries (a chaos campaign: "
-               "chaos,spans); see the walk_tool header",
-               "");
-  flags.Define("span-mode",
-               "span retention: all|breached (breached = flight recorder: "
-               "keep spans only for deadline-missed/shed/failed queries)",
-               "all");
-  flags.DefineInt("scrape-interval",
-                  "simulated-cycle width of one telemetry scrape window", 4096,
-                  1, INT64_MAX);
-  flags.DefineInt("boards", "simulated boards (engine=distributed|service)", 4,
-                  1, 1024);
-  flags.DefineInt("threads",
-                  "host worker threads for sharded simulation (0 = "
-                  "LIGHTRW_SIM_THREADS env, else 1); results are "
-                  "bit-identical for every value",
-                  0, 0, SimThreadPool::kMaxThreads);
-  flags.DefineInt("service-shards",
-                  "independent admission shards (engine=service; must "
-                  "divide --boards evenly; > 1 requires --replicate)",
-                  1, 1, 1024);
-  flags.Define("partition",
-               "graph partitioning strategy: hash|range|greedy "
-               "(engine=distributed|service)",
-               "greedy");
-  flags.DefineBool("replicate",
-                   "replicate the full graph on every board "
-                   "(engine=distributed|service)",
-                   false);
-  flags.DefineDouble("service-rate",
-                     "offered arrival rate in queries per 1024 simulated "
-                     "cycles (engine=service)",
-                     1.0);
-  flags.DefineInt("service-deadline",
-                  "per-query deadline in simulated cycles after arrival "
-                  "(0 = none; engine=service)",
-                  0, 0, INT64_MAX);
-  flags.DefineInt("service-queue-cap",
-                  "bounded admission queue capacity per board "
-                  "(engine=service)",
-                  64, 0, 1 << 16);
-  flags.DefineInt("service-retries",
-                  "re-admissions allowed per bounced or failed query "
-                  "(engine=service)",
-                  2, 0, kMaxU32);
-  flags.DefineBool("service-degrade",
-                   "degrade best-effort queries under congestion "
-                   "(engine=service)",
-                   true);
-  flags.DefineDouble("service-best-effort",
-                     "fraction of queries eligible for degradation "
-                     "(engine=service)",
-                     1.0);
-  flags.DefineDouble("service-burst",
-                     "arrival rate multiplier during bursts "
-                     "(engine=service)",
-                     1.0);
-  flags.DefineInt("service-burst-on",
-                  "burst phase length in cycles (0 = steady arrivals; "
-                  "engine=service)",
-                  0, 0, INT64_MAX);
-  flags.DefineInt("service-burst-off",
-                  "inter-burst gap length in cycles (engine=service)", 0, 0,
-                  INT64_MAX);
-  flags.DefineDouble("slo-max-shed",
-                     "exit 2 if the shed rate exceeds this fraction "
-                     "(engine=service)",
-                     1.0);
-  flags.DefineDouble("slo-max-violation",
-                     "exit 2 if the deadline violation rate exceeds this "
-                     "fraction (engine=service)",
-                     1.0);
-  flags.DefineInt("fault-seed", "fault schedule seed", 1, 0, INT64_MAX);
-  flags.DefineDouble("fault-dram-correctable",
-                     "correctable ECC error probability per DRAM access",
-                     0.0);
-  flags.DefineDouble("fault-dram-uncorrectable",
-                     "uncorrectable ECC error probability per DRAM access",
-                     0.0);
-  flags.DefineDouble("fault-link-drop",
-                     "message drop probability per link send", 0.0);
-  flags.DefineDouble("fault-link-corrupt",
-                     "message corruption probability per link send", 0.0);
-  flags.DefineInt("fault-checkpoint-interval",
-                  "walker checkpoint cadence in cycles (0 = no "
-                  "checkpoints: recovering walkers lose their walk)",
-                  65536, 0, INT64_MAX);
-  flags.Define("fault-fail-cycles",
-               "comma-separated board-death cycles (paired with "
-               "--fault-fail-boards) for cascading failures",
-               "");
-  flags.Define("fault-fail-boards",
-               "comma-separated boards to kill (paired with "
-               "--fault-fail-cycles; ids past --boards name hot spares)",
-               "");
-  flags.DefineBool("fault-allow-walker-loss",
-                   "opt in to walk loss from a scheduled board death "
-                   "with --fault-checkpoint-interval 0",
-                   false);
-  flags.DefineBool("ckpt-store",
-                   "persist walker checkpoints in the durable store "
-                   "(CRC-sealed generations, scrubbing; lifts the "
-                   "all-owner-death restriction when spares exist)",
-                   false);
-  flags.DefineInt("ckpt-generations",
-                  "checkpoint generations retained per walker", 3, 0, kMaxU32);
-  flags.DefineInt("ckpt-replicas", "replicas per checkpoint record", 2, 0,
-                  kMaxU32);
-  flags.DefineInt("ckpt-write-latency", "modeled store write latency in cycles",
-                  256, 0, kMaxU32);
-  flags.DefineInt("ckpt-read-latency",
-                  "modeled store read latency in cycles per record "
-                  "examined",
-                  512, 0, kMaxU32);
-  flags.DefineDouble("ckpt-torn-rate",
-                     "torn-write probability per staged replica write",
-                     0.0);
-  flags.DefineDouble("ckpt-bit-rot",
-                     "bit-rot probability per stored byte per replica "
-                     "write",
-                     0.0);
-  flags.DefineDouble("ckpt-stale-rate",
-                     "stale-publish probability per checkpoint write",
-                     0.0);
-  flags.DefineInt("ckpt-scrub-interval",
-                  "background scrub cadence in cycles (0 = no scrubbing)",
-                  16384, 0, INT64_MAX);
-  flags.DefineDouble("ckpt-scrub-bytes",
-                     "scrub bandwidth budget in bytes per cycle", 64.0);
-  flags.DefineInt("spare-boards",
-                  "hot spare boards that rebuild a dead board's "
-                  "partition share and take over its identity "
-                  "(engine=distributed|service)",
-                  0, 0, 256);
-  flags.DefineDouble("rebuild-bytes-per-cycle",
-                     "partition-rebuild bandwidth in bytes per simulated "
-                     "cycle",
-                     32.0);
-  flags.DefineInt("chaos-scenarios",
-                  "run the seeded chaos campaign with this many "
-                  "scenarios instead of a single workload (0 = off)",
-                  0, 0, 4096);
-  flags.DefineInt("chaos-seed", "chaos campaign seed", 1, 0, INT64_MAX);
-  flags.DefineInt("chaos-spares",
-                  "max hot spares a chaos scenario may configure", 2, 0, 256);
-  flags.DefineBool("help", "print usage", false);
+  flags.Bind("graph", "edge list file to load (empty: generate rmat)",
+             &graph_path);
+  flags.Bind("undirected", "treat the edge list as undirected", &undirected);
+  flags.Bind("rmat_scale", "generated graph scale (2^scale vertices)",
+             &rmat.scale, 1, 28);
+  flags.Bind("app", "walk app: deepwalk|node2vec|metapath|ppr", &app_name);
+  flags.Bind("engine",
+             "walk engine: cpu|lightrw|lightrw-sim|distributed|service",
+             &engine);
+  flags.Bind("length", "walk length (steps)", &length, 1);
+  flags.Bind("queries", "number of queries (0 = one per vertex)", &num_queries);
+  flags.Bind("p", "node2vec return parameter", &p);
+  flags.Bind("q", "node2vec in-out parameter", &q);
+  flags.Bind("alpha", "ppr stop probability", &alpha);
+  flags.Bind("seed", "random seed", &seed);
+  flags.Bind("report", "print the full accelerator run report", &report);
+  flags.Bind("out-dir",
+             "existing directory the selected exports are written to",
+             &out_dir);
+  flags.Bind("exports",
+             "comma list of files to write under --out-dir: "
+             "corpus,metrics,trace,spans,timeseries (a chaos campaign: "
+             "chaos,spans); see the walk_tool header",
+             &export_list);
+  flags.Bind("span-mode",
+             "span retention: all|breached (breached = flight recorder: keep "
+             "spans only for deadline-missed/shed/failed queries)",
+             &span_mode);
+  flags.Bind("scrape-interval",
+             "simulated-cycle width of one telemetry scrape window",
+             &ts_config.scrape_interval, 1);
+  flags.Bind("boards", "simulated boards (engine=distributed|service)", &boards,
+             1, 1024);
+  flags.Bind("threads",
+             "host worker threads for sharded simulation (0 = "
+             "LIGHTRW_SIM_THREADS env, else 1); results are bit-identical for "
+             "every value",
+             &threads, 0, SimThreadPool::kMaxThreads);
+  flags.Bind("partition",
+             "graph partitioning strategy: hash|range|greedy "
+             "(engine=distributed|service)",
+             &partition_name);
+  flags.Bind("replicate",
+             "replicate the full graph on every board "
+             "(engine=distributed|service)",
+             &cluster.replicate_graph);
+  flags.Bind("spare-boards",
+             "hot spare boards that rebuild a dead board's partition share "
+             "and take over its identity (engine=distributed|service)",
+             &cluster.num_spare_boards, 0, 256);
+  flags.Bind("rebuild-bytes-per-cycle",
+             "partition-rebuild bandwidth in bytes per simulated cycle",
+             &cluster.rebuild_bytes_per_cycle);
+  flags.Bind("service-shards",
+             "independent admission shards (engine=service; must divide "
+             "--boards evenly; > 1 requires --replicate)",
+             &service_config.admission_shards, 1, 1024);
+  flags.Bind("service-rate",
+             "offered arrival rate in queries per 1024 simulated cycles "
+             "(engine=service)",
+             &arrivals.rate_per_kcycle);
+  flags.Bind("service-deadline",
+             "per-query deadline in simulated cycles after arrival (0 = none; "
+             "engine=service)",
+             &arrivals.deadline_cycles);
+  flags.Bind("service-queue-cap",
+             "bounded admission queue capacity per board (engine=service)",
+             &service_config.queue_capacity, 0, 1 << 16);
+  flags.Bind("service-retries",
+             "re-admissions allowed per bounced or failed query "
+             "(engine=service)",
+             &service_config.retry_budget);
+  flags.Bind("service-degrade",
+             "degrade best-effort queries under congestion (engine=service)",
+             &service_config.degrade_enabled);
+  flags.Bind("service-best-effort",
+             "fraction of queries eligible for degradation (engine=service)",
+             &arrivals.best_effort_fraction);
+  flags.Bind("service-burst",
+             "arrival rate multiplier during bursts (engine=service)",
+             &arrivals.burst_factor);
+  flags.Bind("service-burst-on",
+             "burst phase length in cycles (0 = steady arrivals; "
+             "engine=service)",
+             &arrivals.burst_on_cycles);
+  flags.Bind("service-burst-off",
+             "inter-burst gap length in cycles (engine=service)",
+             &arrivals.burst_off_cycles);
+  flags.Bind("slo-max-shed",
+             "exit 2 if the shed rate exceeds this fraction (engine=service)",
+             &max_shed);
+  flags.Bind("slo-max-violation",
+             "exit 2 if the deadline violation rate exceeds this fraction "
+             "(engine=service)",
+             &max_violation);
+  flags.Bind("fault-seed", "fault schedule seed", &faults.seed);
+  flags.Bind("fault-dram-correctable",
+             "correctable ECC error probability per DRAM access",
+             &faults.dram_correctable_rate);
+  flags.Bind("fault-dram-uncorrectable",
+             "uncorrectable ECC error probability per DRAM access",
+             &faults.dram_uncorrectable_rate);
+  flags.Bind("fault-link-drop", "message drop probability per link send",
+             &faults.link_drop_rate);
+  flags.Bind("fault-link-corrupt",
+             "message corruption probability per link send",
+             &faults.link_corrupt_rate);
+  flags.Bind("fault-checkpoint-interval",
+             "walker checkpoint cadence in cycles (0 = no checkpoints: "
+             "recovering walkers lose their walk)",
+             &faults.checkpoint_interval_cycles);
+  flags.Bind("fault-fail-cycles",
+             "comma-separated board-death cycles (paired with "
+             "--fault-fail-boards) for cascading failures",
+             &fail_cycles);
+  flags.Bind("fault-fail-boards",
+             "comma-separated boards to kill (paired with "
+             "--fault-fail-cycles; ids past --boards name hot spares)",
+             &fail_boards);
+  flags.Bind("fault-allow-walker-loss",
+             "opt in to walk loss from a scheduled board death with "
+             "--fault-checkpoint-interval 0",
+             &faults.allow_walker_loss);
+  flags.Bind("ckpt-store",
+             "persist walker checkpoints in the durable store (CRC-sealed "
+             "generations, scrubbing; lifts the all-owner-death restriction "
+             "when spares exist)",
+             &store.enabled);
+  flags.Bind("ckpt-generations", "checkpoint generations retained per walker",
+             &store.generations_kept);
+  flags.Bind("ckpt-replicas", "replicas per checkpoint record",
+             &store.num_replicas);
+  flags.Bind("ckpt-read-latency",
+             "modeled store read latency in cycles per record examined",
+             &store.read_latency_cycles);
+  flags.Bind("ckpt-torn-rate",
+             "torn-write probability per staged replica write",
+             &store.torn_write_rate);
+  flags.Bind("ckpt-bit-rot",
+             "bit-rot probability per stored byte per replica write",
+             &store.bit_rot_per_byte);
+  flags.Bind("ckpt-stale-rate",
+             "stale-publish probability per checkpoint write",
+             &store.stale_publish_rate);
+  flags.Bind("ckpt-scrub-interval",
+             "background scrub cadence in cycles (0 = no scrubbing)",
+             &store.scrub_interval_cycles);
+  flags.Bind("ckpt-scrub-bytes", "scrub bandwidth budget in bytes per cycle",
+             &store.scrub_bytes_per_cycle);
+  flags.Bind("chaos-scenarios",
+             "run the seeded chaos campaign with this many scenarios instead "
+             "of a single workload (0 = off)",
+             &chaos.num_scenarios, 0, 4096);
+  flags.Bind("chaos-seed", "chaos campaign seed", &chaos.seed);
+  flags.Bind("chaos-spares", "max hot spares a chaos scenario may configure",
+             &chaos.max_spare_boards, 0, 256);
+  flags.Bind("help", "print usage", &help);
 
   const Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
@@ -520,26 +505,24 @@ int main(int argc, char** argv) {
                  flags.HelpText().c_str());
     return 1;
   }
-  if (flags.GetBool("help")) {
+  if (help) {
     std::printf("lightrw walk tool\n%s", flags.HelpText().c_str());
     return 0;
   }
 
   // Everything a run writes is chosen and checked before it starts.
-  const bool chaos_mode = flags.GetInt("chaos-scenarios") > 0;
+  const bool chaos_mode = chaos.num_scenarios > 0;
   std::set<std::string> exports;
-  if (!ParseExports(flags.GetString("exports"),
-                    chaos_mode ? kChaosExports : kRunExports, &exports)) {
+  if (!ParseExports(export_list, chaos_mode ? kChaosExports : kRunExports,
+                    &exports)) {
     return 1;
   }
-  const std::string out_dir = flags.GetString("out-dir");
   if (!std::filesystem::is_directory(out_dir)) {
     std::fprintf(stderr, "--out-dir '%s' is not an existing directory\n",
                  out_dir.c_str());
     return 1;
   }
   obs::SpanConfig span_config;
-  const std::string span_mode = flags.GetString("span-mode");
   if (span_mode == "breached") {
     span_config.mode = obs::SpanMode::kBreached;
   } else if (span_mode != "all") {
@@ -554,25 +537,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   // NaN compares false against any threshold, so it would never breach.
-  for (const char* slo : {"slo-max-shed", "slo-max-violation"}) {
-    const double max = flags.GetDouble(slo);
+  for (const auto& [slo, max] : {std::pair{"slo-max-shed", max_shed},
+                                 std::pair{"slo-max-violation",
+                                           max_violation}}) {
     if (!(max >= 0.0 && max <= 1.0)) {
-      std::fprintf(stderr, "--%s=%s: want a fraction in [0, 1]\n", slo,
-                   flags.GetString(slo).c_str());
+      std::fprintf(stderr, "--%s=%g: want a fraction in [0, 1]\n", slo, max);
       return 1;
     }
   }
 
-  const auto threads = static_cast<uint32_t>(flags.GetInt("threads"));
   if (threads > 0) {
     SimThreadPool::SetDefaultThreads(threads);
   }
 
   // Load or generate the graph.
   graph::CsrGraph g;
-  if (!flags.GetString("graph").empty()) {
-    auto loaded = graph::ReadEdgeList(flags.GetString("graph"),
-                                      flags.GetBool("undirected"));
+  if (!graph_path.empty()) {
+    auto loaded = graph::ReadEdgeList(graph_path, undirected);
     if (!loaded.ok()) {
       std::fprintf(stderr, "failed to load graph: %s\n",
                    loaded.status().ToString().c_str());
@@ -580,33 +561,23 @@ int main(int argc, char** argv) {
     }
     g = std::move(loaded).value();
   } else {
-    graph::RmatOptions options;
-    options.scale = static_cast<uint32_t>(flags.GetInt("rmat_scale"));
-    options.seed = flags.GetInt("seed");
-    g = graph::GenerateRmat(options);
+    rmat.seed = seed;
+    g = graph::GenerateRmat(rmat);
   }
   std::printf("graph: %s\n", g.Summary().c_str());
 
-  const auto app = MakeApp(flags.GetString("app"), g, flags);
+  const auto app = MakeApp(app_name, g, p, q, alpha, length, seed);
   if (app == nullptr) {
     return 1;
   }
 
-  const auto length = static_cast<uint32_t>(flags.GetInt("length"));
-  const auto num_queries = static_cast<uint32_t>(flags.GetInt("queries"));
-  const auto boards = static_cast<distributed::BoardId>(flags.GetInt("boards"));
-
   // Chaos campaign: N seeded failure scenarios with machine-checked
   // invariants, replacing the single-workload run entirely.
   if (chaos_mode) {
-    reliability::ChaosConfig chaos;
-    chaos.seed = static_cast<uint64_t>(flags.GetInt("chaos-seed"));
-    chaos.num_scenarios =
-        static_cast<uint32_t>(flags.GetInt("chaos-scenarios"));
     chaos.num_boards = boards;
-    chaos.max_spare_boards =
-        static_cast<uint32_t>(flags.GetInt("chaos-spares"));
-    chaos.num_queries = num_queries > 0 ? num_queries : 256;
+    if (num_queries > 0) {
+      chaos.num_queries = num_queries;
+    }
     chaos.walk_length = length;
     const auto campaign = reliability::RunChaosCampaign(g, *app, chaos);
     if (!campaign.ok()) {
@@ -636,13 +607,11 @@ int main(int argc, char** argv) {
     return campaign->Passed() ? 0 : 1;
   }
 
-  const std::string engine = flags.GetString("engine");
   // The service engine generates its own open-loop arrival stream; every
   // other engine runs the standard closed query set.
   std::vector<apps::WalkQuery> queries;
   if (engine != "service") {
-    queries = apps::MakeVertexQueries(g, length, flags.GetInt("seed"),
-                                      num_queries);
+    queries = apps::MakeVertexQueries(g, length, seed, num_queries);
     std::printf("app %s, %zu queries of length %u, engine %s\n",
                 app->name().c_str(), queries.size(), length, engine.c_str());
   }
@@ -656,21 +625,15 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   obs::TraceRecorder trace;
   obs::SpanRecorder spans(span_config);
-  obs::TimeSeriesConfig ts_config;
-  ts_config.scrape_interval =
-      static_cast<uint64_t>(flags.GetInt("scrape-interval"));
   obs::TimeSeriesRecorder timeseries(ts_config);
   const bool want_timeseries = exports.contains("timeseries");
-  reliability::FaultConfig faults;
-  if (!FaultsFromFlags(flags, &faults)) {
+  if (!AddBoardDeaths(fail_cycles, fail_boards, &faults)) {
     return 1;
   }
   // The accelerator configuration every simulated engine starts from,
   // with the requested sinks attached. Engines ignore the sinks they
   // cannot fill.
-  core::AcceleratorConfig accel_config;
-  accel_config.seed = flags.GetInt("seed");
-  accel_config.faults = faults;
+  accel_config.seed = seed;
   accel_config.num_threads = threads;
   accel_config.metrics = exports.contains("metrics") ? &metrics : nullptr;
   accel_config.trace = exports.contains("trace") ? &trace : nullptr;
@@ -681,18 +644,13 @@ int main(int argc, char** argv) {
   // The cluster both board-level engines (distributed, service) run on:
   // one single-instance board per --boards, the graph split by
   // --partition unless --replicate copies it to every board.
-  distributed::DistributedConfig cluster;
   cluster.board = accel_config;
   cluster.board.num_instances = 1;
-  cluster.replicate_graph = flags.GetBool("replicate");
-  cluster.num_spare_boards =
-      static_cast<uint32_t>(flags.GetInt("spare-boards"));
-  cluster.rebuild_bytes_per_cycle = flags.GetDouble("rebuild-bytes-per-cycle");
   cluster.num_threads = threads;
   std::optional<distributed::Partition> partition;
   if (engine == "distributed" || engine == "service") {
     distributed::PartitionStrategy strategy;
-    if (!ParseStrategy(flags.GetString("partition"), &strategy)) {
+    if (!ParseStrategy(partition_name, &strategy)) {
       return 1;
     }
     partition.emplace(distributed::MakePartition(g, boards, strategy));
@@ -706,7 +664,7 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   if (engine == "cpu") {
     baseline::BaselineConfig config;
-    config.seed = flags.GetInt("seed");
+    config.seed = seed;
     config.metrics = accel_config.metrics;
     baseline::BaselineEngine cpu(&g, app.get(), config);
     const auto stats = cpu.Run(queries, &corpus);
@@ -730,21 +688,21 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.cycles), stats.seconds,
         stats.StepsPerSecond() / 1e6);
     PrintReliabilitySummary(stats.reliability);
-    if (flags.GetBool("report")) {
-      core::RunReportInputs report;
-      report.graph = &g;
-      report.config = &accel_config;
-      report.stats = &stats;
-      report.app_name = app->name();
-      report.needs_prev_neighbors = app->needs_prev_neighbors();
-      report.num_queries = queries.size();
-      report.query_length = length;
+    if (report) {
+      core::RunReportInputs inputs;
+      inputs.graph = &g;
+      inputs.config = &accel_config;
+      inputs.stats = &stats;
+      inputs.app_name = app->name();
+      inputs.needs_prev_neighbors = app->needs_prev_neighbors();
+      inputs.num_queries = queries.size();
+      inputs.query_length = length;
       std::string timeline;
       if (want_timeseries) {
         timeline = timeseries.FormatTimelineSection();
-        report.telemetry_timeline = &timeline;
+        inputs.telemetry_timeline = &timeline;
       }
-      std::fputs(core::FormatRunReport(report).c_str(), stdout);
+      std::fputs(core::FormatRunReport(inputs).c_str(), stdout);
     }
     exit_code = ReliabilityExitCode(stats.reliability);
   } else if (engine == "distributed") {
@@ -760,8 +718,7 @@ int main(int argc, char** argv) {
         "distributed (%u board(s), %s): %llu steps, %llu migrations "
         "(%.1f%%), %llu cycles = %.4fs simulated (%.2f Msteps/s)\n",
         static_cast<unsigned>(boards),
-        cluster.replicate_graph ? "replicated"
-                                : flags.GetString("partition").c_str(),
+        cluster.replicate_graph ? "replicated" : partition_name.c_str(),
         static_cast<unsigned long long>(stats.steps),
         static_cast<unsigned long long>(stats.migrations),
         stats.MigrationRatio() * 100.0,
@@ -771,29 +728,13 @@ int main(int argc, char** argv) {
     membership = stats.membership;
     exit_code = ReliabilityExitCode(stats.reliability);
   } else if (engine == "service") {
-    service::ServiceConfig config;
-    config.cluster = cluster;
-    config.admission_shards =
-        static_cast<uint32_t>(flags.GetInt("service-shards"));
-    config.arrivals.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    config.arrivals.num_queries = num_queries > 0 ? num_queries : 1024;
-    config.arrivals.walk_length = length;
-    config.arrivals.rate_per_kcycle = flags.GetDouble("service-rate");
-    config.arrivals.deadline_cycles =
-        static_cast<uint64_t>(flags.GetInt("service-deadline"));
-    config.arrivals.best_effort_fraction =
-        flags.GetDouble("service-best-effort");
-    config.arrivals.burst_factor = flags.GetDouble("service-burst");
-    config.arrivals.burst_on_cycles =
-        static_cast<uint64_t>(flags.GetInt("service-burst-on"));
-    config.arrivals.burst_off_cycles =
-        static_cast<uint64_t>(flags.GetInt("service-burst-off"));
-    config.queue_capacity =
-        static_cast<uint32_t>(flags.GetInt("service-queue-cap"));
-    config.retry_budget =
-        static_cast<uint32_t>(flags.GetInt("service-retries"));
-    config.degrade_enabled = flags.GetBool("service-degrade");
-    const Status valid = service::ValidateServiceConfig(config);
+    service_config.cluster = cluster;
+    arrivals.seed = seed;
+    if (num_queries > 0) {
+      arrivals.num_queries = num_queries;
+    }
+    arrivals.walk_length = length;
+    const Status valid = service::ValidateServiceConfig(service_config);
     if (!valid.ok()) {
       std::fprintf(stderr, "invalid service configuration: %s\n",
                    valid.ToString().c_str());
@@ -802,10 +743,10 @@ int main(int argc, char** argv) {
     std::printf("app %s, %llu offered queries of length %u at %.3f/kcycle, "
                 "engine service (%u board(s))\n",
                 app->name().c_str(),
-                static_cast<unsigned long long>(config.arrivals.num_queries),
-                length, config.arrivals.rate_per_kcycle,
+                static_cast<unsigned long long>(arrivals.num_queries), length,
+                arrivals.rate_per_kcycle,
                 static_cast<unsigned>(boards));
-    service::WalkService service(&g, app.get(), &*partition, config);
+    service::WalkService service(&g, app.get(), &*partition, service_config);
     const auto result = service.Run(&corpus);
     if (!result.ok()) {
       std::fprintf(stderr, "service run failed: %s\n",
@@ -822,8 +763,6 @@ int main(int argc, char** argv) {
     std::fputs(core::FormatSloSection(stats.Slo()).c_str(), stdout);
     PrintReliabilitySummary(stats.cluster.reliability);
     membership = stats.cluster.membership;
-    const double max_shed = flags.GetDouble("slo-max-shed");
-    const double max_violation = flags.GetDouble("slo-max-violation");
     if (stats.ShedRate() > max_shed ||
         stats.ViolationRate() > max_violation) {
       std::fprintf(stderr,

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/check.h"
 
@@ -51,140 +52,99 @@ bool ParseBoolValue(const std::string& value, bool* out) {
 
 }  // namespace
 
-void FlagParser::Define(const std::string& name, const std::string& help,
-                        const std::string& default_value) {
-  LIGHTRW_CHECK(!name.empty());
-  flags_[name] = Flag{help, default_value, FlagType::kString};
+void FlagParser::Bind(const std::string& name, const std::string& help,
+                      std::string* field) {
+  Add(name, help, *field).set = [field](const std::string& value) {
+    *field = value;
+    return true;
+  };
 }
 
-void FlagParser::DefineInt(const std::string& name, const std::string& help,
-                           int64_t default_value, int64_t min, int64_t max) {
-  LIGHTRW_CHECK(!name.empty());
-  LIGHTRW_CHECK(min <= default_value && default_value <= max);
-  flags_[name] =
-      Flag{help, std::to_string(default_value), FlagType::kInt, min, max};
+void FlagParser::Bind(const std::string& name, const std::string& help,
+                      bool* field) {
+  Flag& flag = Add(name, help, *field ? "true" : "false");
+  flag.expected = "true/false/1/0/yes/no";
+  flag.is_bool = true;
+  flag.set = [field](const std::string& value) {
+    return ParseBoolValue(value, field);
+  };
 }
 
-void FlagParser::DefineDouble(const std::string& name,
-                              const std::string& help,
-                              double default_value) {
-  LIGHTRW_CHECK(!name.empty());
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", default_value);
-  flags_[name] = Flag{help, buf, FlagType::kDouble};
+void FlagParser::Bind(const std::string& name, const std::string& help,
+                      double* field) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%g", *field);
+  Flag& flag = Add(name, help, text);
+  flag.expected = "a number";
+  flag.set = [field](const std::string& value) {
+    return ParseDoubleValue(value, field);
+  };
 }
 
-void FlagParser::DefineBool(const std::string& name, const std::string& help,
-                            bool default_value) {
-  LIGHTRW_CHECK(!name.empty());
-  flags_[name] =
-      Flag{help, default_value ? "true" : "false", FlagType::kBool};
-}
-
-Status FlagParser::CheckValue(const std::string& name,
-                              const std::string& value, const Flag& flag) {
-  bool ok = true;
-  std::string expected;
-  switch (flag.type) {
-    case FlagType::kString:
-      break;
-    case FlagType::kInt: {
-      int64_t parsed;
-      ok = ParseIntValue(value, &parsed) && parsed >= flag.min &&
-           parsed <= flag.max;
-      expected = "a decimal integer in [" + std::to_string(flag.min) + ", " +
-                 std::to_string(flag.max) + "]";
-      break;
+void FlagParser::BindInt(const std::string& name, const std::string& help,
+                         int64_t default_value, int64_t min, int64_t max,
+                         std::function<void(int64_t)> store) {
+  Flag& flag = Add(name, help, std::to_string(default_value));
+  flag.expected = "a decimal integer in [" + std::to_string(min) + ", " +
+                  std::to_string(max) + "]";
+  flag.set = [min, max, store = std::move(store)](const std::string& value) {
+    int64_t parsed;
+    if (!ParseIntValue(value, &parsed) || parsed < min || parsed > max) {
+      return false;
     }
-    case FlagType::kDouble: {
-      double unused;
-      ok = ParseDoubleValue(value, &unused);
-      expected = "a number";
-      break;
-    }
-    case FlagType::kBool: {
-      bool unused;
-      ok = ParseBoolValue(value, &unused);
-      expected = "true/false/1/0/yes/no";
-      break;
-    }
-  }
-  return ok ? Status::Ok()
-            : InvalidArgumentError("invalid value '" + value + "' for --" +
-                                   name + ": expected " + expected);
+    store(parsed);
+    return true;
+  };
+}
+
+FlagParser::Flag& FlagParser::Add(const std::string& name,
+                                  const std::string& help,
+                                  std::string default_value) {
+  LIGHTRW_CHECK(!name.empty());
+  const auto [it, first_binding] = flags_.try_emplace(name);
+  LIGHTRW_CHECK(first_binding);
+  it->second.help = help;
+  it->second.default_value = std::move(default_value);
+  return it->second;
 }
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
+    const std::string arg = argv[i];
+    if (!arg.starts_with("--")) {
       return InvalidArgumentError("unexpected argument '" + arg +
                                   "' (every argument must be a --flag)");
     }
-    arg = arg.substr(2);
-    std::string name, value;
-    bool has_value = false;
     const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      has_value = true;
-    } else {
-      name = arg;
-    }
+    const std::string name = arg.substr(2, eq - 2);
     const auto it = flags_.find(name);
     if (it == flags_.end()) {
       return InvalidArgumentError("unknown flag --" + name);
     }
-    if (!has_value) {
-      // --name value form, or a bare boolean. String-typed flags whose
-      // current value spells a boolean keep the legacy bare-flag
-      // behavior.
-      const bool boolean_like =
-          it->second.type == FlagType::kBool ||
-          (it->second.type == FlagType::kString &&
-           (it->second.value == "true" || it->second.value == "false"));
-      if (i + 1 < argc && argv[i + 1][0] != '-' && !boolean_like) {
-        value = argv[++i];
-      } else {
-        value = "true";
-      }
+    const Flag& flag = it->second;
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (flag.is_bool) {
+      value = "true";
+    } else if (i + 1 < argc &&
+               !std::string_view(argv[i + 1]).starts_with("--")) {
+      value = argv[++i];
+    } else {
+      return InvalidArgumentError("--" + name + " needs a value");
     }
-    LIGHTRW_RETURN_IF_ERROR(CheckValue(name, value, it->second));
-    it->second.value = value;
+    if (!flag.set(value)) {
+      return InvalidArgumentError("invalid value '" + value + "' for --" +
+                                  name + ": expected " + flag.expected);
+    }
   }
   return Status::Ok();
-}
-
-const std::string& FlagParser::GetString(const std::string& name) const {
-  const auto it = flags_.find(name);
-  LIGHTRW_CHECK(it != flags_.end());
-  return it->second.value;
-}
-
-int64_t FlagParser::GetInt(const std::string& name) const {
-  int64_t parsed = 0;
-  LIGHTRW_CHECK(ParseIntValue(GetString(name), &parsed));
-  return parsed;
-}
-
-double FlagParser::GetDouble(const std::string& name) const {
-  double parsed = 0.0;
-  LIGHTRW_CHECK(ParseDoubleValue(GetString(name), &parsed));
-  return parsed;
-}
-
-bool FlagParser::GetBool(const std::string& name) const {
-  bool parsed = false;
-  LIGHTRW_CHECK(ParseBoolValue(GetString(name), &parsed) &&
-                "boolean flag must be true/false/1/0/yes/no");
-  return parsed;
 }
 
 std::string FlagParser::HelpText() const {
   std::string out;
   for (const auto& [name, flag] : flags_) {
-    out += "  --" + name + " (default: " + flag.value + ")\n      " +
+    out += "  --" + name + " (default: " + flag.default_value + ")\n      " +
            flag.help + "\n";
   }
   return out;

@@ -2,80 +2,95 @@
 // parser of the numeric environment variables the tools and benches read.
 //
 // Supports --name=value and --name value forms plus boolean --name.
-// Unrecognized flags and arguments that are not flags are reported as
-// errors.
+// Unrecognized flags, values a flag cannot take and arguments that are
+// not flags are reported as errors.
 
 #ifndef LIGHTRW_COMMON_FLAGS_H_
 #define LIGHTRW_COMMON_FLAGS_H_
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 
+#include "common/check.h"
 #include "common/status.h"
 
 namespace lightrw {
 
-// Parsed command line. Typical use:
+// Command line bound to the variables it sets. Typical use:
 //
+//   WalkConfig config;  // config.length defaults to 80
+//   bool verbose = false;
 //   FlagParser flags;
-//   flags.DefineInt("length", "walk length", 80, 1, 1 << 20);
-//   flags.DefineBool("verbose", "chatty output", false);
+//   flags.Bind("length", "walk length", &config.length, 1, 1 << 20);
+//   flags.Bind("verbose", "chatty output", &verbose);
 //   LIGHTRW_CHECK(flags.Parse(argc, argv).ok());
-//   const uint64_t length = flags.GetInt("length");
 //
-// Typed definitions validate user-supplied values during Parse, so a
-// malformed `--length=abc` or an out-of-range `--length=0` surfaces as a
-// Status (tools print it and exit nonzero) instead of aborting or
-// wrapping later inside an accessor.
+// Parse converts each value once and writes it through the pointer, so
+// a malformed `--length=abc` or an out-of-range `--length=0` surfaces
+// as a Status (tools print it and exit nonzero) and leaves the field
+// alone.
 class FlagParser {
  public:
-  // Registers a flag with a default value (all flags are optional). The
-  // untyped form accepts any value.
-  void Define(const std::string& name, const std::string& help,
-              const std::string& default_value);
-  // Typed forms: Parse rejects values the matching accessor could not
-  // return, and integers outside [min, max] (which must hold the
-  // default).
-  void DefineInt(const std::string& name, const std::string& help,
-                 int64_t default_value, int64_t min, int64_t max);
-  void DefineDouble(const std::string& name, const std::string& help,
-                    double default_value);
-  void DefineBool(const std::string& name, const std::string& help,
-                  bool default_value);
+  // Binds --name to `*field`, which must outlive Parse. The value the
+  // field holds now is the flag's default, as HelpText shows it.
+  void Bind(const std::string& name, const std::string& help,
+            std::string* field);
+  // "true"/"1"/"yes" or "false"/"0"/"no"; a bare --name means true.
+  void Bind(const std::string& name, const std::string& help, bool* field);
+  void Bind(const std::string& name, const std::string& help, double* field);
+  // Decimal integers in [min, max]: the field type's range, capped at
+  // int64_t's, unless narrowed. The default must lie inside.
+  template <std::integral T>
+  void Bind(const std::string& name, const std::string& help, T* field,
+            int64_t min = std::numeric_limits<T>::min(),
+            int64_t max = MaxOf<T>()) {
+    const T default_value = *field;
+    LIGHTRW_CHECK(std::in_range<T>(min) && std::in_range<T>(max));
+    LIGHTRW_CHECK(std::cmp_less_equal(min, default_value) &&
+                  std::cmp_less_equal(default_value, max));
+    BindInt(name, help, static_cast<int64_t>(default_value), min, max,
+            [field](int64_t value) { *field = static_cast<T>(value); });
+  }
 
-  // Parses argv; returns an error for unknown, malformed or out-of-range
-  // flags and for any argument that is not a flag.
+  // Parses argv, writing each value through its binding; returns an
+  // error for unknown, malformed or out-of-range flags, for a flag other
+  // than a boolean without a value, and for any argument that is not a
+  // flag. A value given as the next argument must not start with "--".
   Status Parse(int argc, const char* const* argv);
 
-  // Accessors; the flag must have been Defined.
-  const std::string& GetString(const std::string& name) const;
-  // Accepts decimal integers; aborts on non-numeric values (use
-  // DefineInt to reject them at Parse time instead).
-  int64_t GetInt(const std::string& name) const;
-  double GetDouble(const std::string& name) const;
-  // "true"/"1"/"yes" => true; "false"/"0"/"no" => false.
-  bool GetBool(const std::string& name) const;
-
-  // Formatted help text listing all defined flags.
+  // Every bound flag, sorted by name, with its help and default.
   std::string HelpText() const;
 
  private:
-  enum class FlagType { kString, kInt, kDouble, kBool };
+  // The largest T, capped at int64_t's.
+  template <std::integral T>
+  static constexpr int64_t MaxOf() {
+    constexpr uint64_t kMax = std::numeric_limits<T>::max();
+    return static_cast<int64_t>(std::min<uint64_t>(kMax, INT64_MAX));
+  }
 
   struct Flag {
     std::string help;
-    std::string value;
-    FlagType type = FlagType::kString;
-    // Inclusive bounds of a kInt flag.
-    int64_t min = 0;
-    int64_t max = 0;
+    std::string default_value;  // the field's value when bound
+    std::string expected;       // what a value must be, for errors
+    bool is_bool = false;
+    // Writes `value` to the field; false, leaving it alone, when the
+    // value does not parse or lies outside the flag's range.
+    std::function<bool(const std::string& value)> set;
   };
 
-  // Non-OK when `value` does not parse as `flag`'s type or lies outside
-  // its bounds.
-  static Status CheckValue(const std::string& name, const std::string& value,
-                           const Flag& flag);
+  void BindInt(const std::string& name, const std::string& help,
+               int64_t default_value, int64_t min, int64_t max,
+               std::function<void(int64_t)> store);
+  // Adds --name, which must be new; the caller fills in the rest.
+  Flag& Add(const std::string& name, const std::string& help,
+            std::string default_value);
 
   std::map<std::string, Flag> flags_;
 };

@@ -63,6 +63,20 @@ expect "stray argument" 1 "$TOOL" --engine cpu --rmat_scale 8 \
 # not wrap to a huge unsigned one.
 expect "negative queue capacity" 1 "$TOOL" --engine service $BASE \
   --service-queue-cap=-1
+# The space form takes a value that starts with one dash, so the reason
+# names it.
+expect_named "negative queue capacity, space form" \
+  "invalid value '-1' for --service-queue-cap" "$TOOL" --engine service \
+  $BASE --service-queue-cap -1
+# Only a boolean flag may go without a value; the next argument is not
+# its value when it is a flag.
+expect_named "--graph without a value" "--graph needs a value" \
+  "$TOOL" --graph
+expect_named "--app followed by a flag" "--app needs a value" \
+  "$TOOL" $BASE --app --report
+# The help that follows a parse error shows defaults, not parsed values.
+expect_named "help after a parse error" "--rmat_scale (default: 14)" \
+  "$TOOL" --engine service --rmat_scale 9 --bogus-flag
 expect "negative ckpt read latency" 1 "$TOOL" --engine distributed $BASE \
   --ckpt-store --ckpt-read-latency=-1
 expect "negative checkpoint interval" 1 "$TOOL" --engine distributed \
