@@ -5,14 +5,16 @@
 // total-owner-loss configuration (every owner killed back-to-back, one
 // spare) that only the store makes survivable.
 //
-// Expected shape: the store costs a few percent over in-memory
-// checkpointing (write latency rides the checkpoint cadence, so shorter
-// intervals cost more); bit rot shows up as CRC failures absorbed by
-// replica fallback and scrub repairs, never as silent corruption; a
-// starved scrubber shifts detections from scrub-time to read-time
-// (more fallbacks) without losing walks while a validating generation
-// survives; and the all-owner-loss row completes every walk from
-// durable state alone — walkers_lost stays 0 without a live survivor.
+// Expected shape: the store costs about what in-memory checkpointing
+// does (a store write is asynchronous and costs no simulated cycles; a
+// recovery read adds read_latency_cycles per record it examines, and
+// the cadence sets how many steps a recovered walker replays); bit rot
+// shows up as CRC failures absorbed by replica fallback and scrub
+// repairs, never as silent corruption; a starved scrubber shifts
+// detections from scrub-time to read-time (more fallbacks) without
+// losing walks while a validating generation survives; and the
+// all-owner-loss row completes every walk from durable state alone —
+// walkers_lost stays 0 without a live survivor.
 
 #include <cstdint>
 #include <string>

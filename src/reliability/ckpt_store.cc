@@ -133,7 +133,6 @@ CkptStore::WriteResult CkptStore::Write(CkptRecord record) {
 
   WriteResult result;
   result.generation = record.generation;
-  result.latency_cycles = config_.write_latency_cycles;
   ++stats_.ckpt_store_writes;
   stats_.ckpt_bytes_written +=
       static_cast<uint64_t>(bytes.size()) * config_.num_replicas;

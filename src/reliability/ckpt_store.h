@@ -88,8 +88,7 @@ class CkptStore {
   CkptStore(const FaultConfig& faults, uint64_t component_id);
 
   struct WriteResult {
-    uint64_t generation = 0;      // generation number assigned
-    uint64_t latency_cycles = 0;  // modeled (asynchronous) write cost
+    uint64_t generation = 0;  // generation number assigned
   };
   // Stages, seals, and publishes the next generation of the record's
   // ticket chain across all replicas, injecting storage faults. The

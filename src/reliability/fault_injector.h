@@ -77,10 +77,9 @@ struct CkptStoreConfig {
   // Replicas per generation; the scrubber repairs a corrupt replica
   // from a validating peer.
   uint32_t num_replicas = 2;
-  // Modeled store latency: writes are asynchronous (counted, not on the
-  // walker's critical path); reads happen during recovery and add to
-  // the resume delay, once per record examined.
-  uint32_t write_latency_cycles = 256;
+  // Modeled store read latency: reads happen during recovery and add to
+  // the resume delay, once per record examined. Writes are asynchronous
+  // and cost the walker nothing.
   uint32_t read_latency_cycles = 512;
   // Probability that a replica write is torn: the staged bytes stop at
   // a seeded offset but the publish marker lands anyway.

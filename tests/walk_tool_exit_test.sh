@@ -84,12 +84,13 @@ expect "negative checkpoint interval" 1 "$TOOL" --engine distributed \
 expect "too many threads" 1 "$TOOL" --engine cpu $BASE --threads 100000
 expect_named "LIGHTRW_SIM_THREADS=4x" LIGHTRW_SIM_THREADS \
   env LIGHTRW_SIM_THREADS=4x "$TOOL" --engine cpu $BASE
-# The per-file output flags and the single-value tuning knobs are gone.
+# The per-file output flags, the single-value tuning knobs and the
+# checkpoint write latency, which nothing read, are gone.
 for flag in out metrics-out trace-out perf-out spans-out timeseries-out \
     timeseries-openmetrics-out chaos-out chaos-spans-out trace-limit \
     burn-alert-budget burn-alert-threshold burn-alert-fast-window \
     burn-alert-slow-window anomaly-alpha anomaly-z-open anomaly-z-close \
-    anomaly-warmup; do
+    anomaly-warmup ckpt-write-latency; do
   expect "removed flag --$flag" 1 "$TOOL" --engine cpu $BASE "--$flag=1"
 done
 # --exports names are checked against what the mode can write, and
