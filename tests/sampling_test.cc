@@ -1,3 +1,6 @@
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -6,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "rng/rng.h"
 #include "rng/stat_tests.h"
 #include "sampling/alias.h"
@@ -303,14 +307,52 @@ std::vector<Weight> MakeWeights(WeightShape shape, size_t n, size_t k,
   return weights;
 }
 
+// Room for `capacity` Ts that ends flush against a PROT_NONE page, so an
+// access one element past the end faults. That includes the masked
+// vector loads and stores, which ASan does not check.
+template <typename T>
+class GuardedArray {
+ public:
+  explicit GuardedArray(size_t capacity) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t room = (capacity * sizeof(T) + page - 1) / page * page;
+    bytes_ = room + page;
+    void* map = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    LIGHTRW_CHECK(map != MAP_FAILED);
+    base_ = static_cast<char*>(map);
+    LIGHTRW_CHECK(mprotect(base_ + room, page, PROT_NONE) == 0);
+    end_ = reinterpret_cast<T*>(base_ + room);
+  }
+  ~GuardedArray() { munmap(base_, bytes_); }
+  GuardedArray(const GuardedArray&) = delete;
+  GuardedArray& operator=(const GuardedArray&) = delete;
+
+  // Copies [first, first + n) to the last n slots and returns the copy.
+  T* Put(const T* first, size_t n) {
+    return std::copy_backward(first, first + n, end_);
+  }
+
+ private:
+  char* base_ = nullptr;
+  size_t bytes_ = 0;
+  T* end_ = nullptr;
+};
+
 // A lane kernel against the reference, on every shape, stream length
 // and lane count, offered whole and in random runs of whole batches, as
 // ParallelWrsSampler::OfferBatches offers them. Selection, weight sum,
 // batch count and every stream's position must match exactly. k = 5,
-// 12, 24 and 40 end their batches inside a register of 8 lanes. The
-// generator holds exactly stream_base + k streams, so a lane read or
-// written past k leaves its arrays.
+// 12, 24 and 40 end their batches inside a register of 8 lanes. Each
+// call gets its weights, and the three stream arrays of the lanes its
+// widest batch uses, in guarded copies, so a lane or weight read or
+// written past them faults; the call's states are copied back after.
 void ExpectKernelEqualsAlgorithm41(pwrs::Kernel kernel) {
+  constexpr size_t kMaxLength = 4099;
+  GuardedArray<Weight> guarded_weights(kMaxLength);
+  GuardedArray<uint64_t> guarded_state(ParallelWrsSampler::kMaxLanes);
+  GuardedArray<uint64_t> guarded_offset(ParallelWrsSampler::kMaxLanes);
+  GuardedArray<uint64_t> guarded_multiplier(ParallelWrsSampler::kMaxLanes);
   rng::Xoshiro256StarStar gen(0x41);
   uint64_t cases = 0;
   for (const size_t k : {1, 2, 3, 4, 5, 8, 12, 16, 24, 32, 40, 64}) {
@@ -318,7 +360,7 @@ void ExpectKernelEqualsAlgorithm41(pwrs::Kernel kernel) {
     for (size_t n = 1; n <= 3 * k + 1; ++n) {
       lengths.push_back(n);
     }
-    for (const size_t n : {1000, 2053, 4099}) {
+    for (const size_t n : {size_t{1000}, size_t{2053}, kMaxLength}) {
       lengths.push_back(n);
     }
     for (const size_t stream_base : {size_t{0}, size_t{3}}) {
@@ -344,8 +386,16 @@ void ExpectKernelEqualsAlgorithm41(pwrs::Kernel kernel) {
                 const size_t len =
                     split ? std::min(n - first, (1 + gen.NextBounded(4)) * k)
                           : n;
-                kernel({weights.data() + first, len}, first, k,
-                       rng.streams(stream_base, k), &run);
+                const size_t used = std::min(k, len);
+                const rng::ThunderingRng::Streams streams =
+                    rng.streams(stream_base, k);
+                uint64_t* state = guarded_state.Put(streams.state, used);
+                kernel({guarded_weights.Put(weights.data() + first, len), len},
+                       first, k,
+                       {state, guarded_offset.Put(streams.offset, used),
+                        guarded_multiplier.Put(streams.multiplier, used)},
+                       &run);
+                std::copy(state, state + used, streams.state);
                 first += len;
               }
               const auto where = ::testing::Message()
