@@ -70,9 +70,8 @@ namespace {
 
 using namespace lightrw;
 
-// Builds the --app named `name` on `g` from the app flags' values;
-// nullptr (with a one-line stderr reason) for an unknown name or
-// parameters the app cannot take.
+// Builds the --app named `name` on `g`; nullptr (with a one-line stderr
+// reason) for an unknown name or parameters the app cannot take.
 std::unique_ptr<apps::WalkApp> MakeApp(const std::string& name,
                                        const graph::CsrGraph& g, double p,
                                        double q, double alpha,
@@ -219,19 +218,15 @@ bool WriteExports(const std::string& dir,
   return true;
 }
 
-// Completes the fault schedule the --fault-* and --ckpt-* flags set:
-// adds the board deaths of the paired --fault-fail-* lists. A nonzero
-// fault rate, a death schedule or --ckpt-store enables the subsystem;
-// otherwise it stays fully disabled and the run is bit-identical to one
-// without it. False on malformed death lists.
+// Adds the board deaths of the --fault-fail-cycles and
+// --fault-fail-boards lists, paired comma lists of cycles and board ids
+// (cascading deaths). False on malformed lists.
 bool AddBoardDeaths(const std::string& fail_cycles,
                     const std::string& fail_boards,
                     reliability::FaultConfig* faults) {
-  // Cascading deaths: paired comma lists of cycles and board ids.
   std::vector<uint64_t> cycles, boards;
   if (!ParseUintList("fault-fail-cycles", fail_cycles, INT64_MAX, &cycles) ||
-      !ParseUintList("fault-fail-boards", fail_boards, UINT32_MAX,
-                     &boards)) {
+      !ParseUintList("fault-fail-boards", fail_boards, UINT32_MAX, &boards)) {
     return false;
   }
   if (cycles.size() != boards.size()) {
@@ -245,11 +240,6 @@ bool AddBoardDeaths(const std::string& fail_cycles,
     faults->board_deaths.push_back(
         {cycles[i], static_cast<uint32_t>(boards[i])});
   }
-  faults->enabled =
-      faults->dram_correctable_rate != 0.0 ||
-      faults->dram_uncorrectable_rate != 0.0 ||
-      faults->link_drop_rate != 0.0 || faults->link_corrupt_rate != 0.0 ||
-      !faults->board_deaths.empty() || faults->ckpt_store.enabled;
   return true;
 }
 
@@ -537,9 +527,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   // NaN compares false against any threshold, so it would never breach.
-  for (const auto& [slo, max] : {std::pair{"slo-max-shed", max_shed},
-                                 std::pair{"slo-max-violation",
-                                           max_violation}}) {
+  for (auto [slo, max] : {std::pair{"slo-max-shed", max_shed},
+                          std::pair{"slo-max-violation", max_violation}}) {
     if (!(max >= 0.0 && max <= 1.0)) {
       std::fprintf(stderr, "--%s=%g: want a fraction in [0, 1]\n", slo, max);
       return 1;
@@ -630,6 +619,14 @@ int main(int argc, char** argv) {
   if (!AddBoardDeaths(fail_cycles, fail_boards, &faults)) {
     return 1;
   }
+  // A nonzero fault rate, a death schedule or --ckpt-store enables the
+  // fault subsystem; otherwise it stays fully disabled and the run is
+  // bit-identical to one without it.
+  faults.enabled =
+      faults.dram_correctable_rate != 0.0 ||
+      faults.dram_uncorrectable_rate != 0.0 ||
+      faults.link_drop_rate != 0.0 || faults.link_corrupt_rate != 0.0 ||
+      !faults.board_deaths.empty() || store.enabled;
   // The accelerator configuration every simulated engine starts from,
   // with the requested sinks attached. Engines ignore the sinks they
   // cannot fill.

@@ -387,15 +387,15 @@ void ExpectKernelEqualsAlgorithm41(pwrs::Kernel kernel) {
                     split ? std::min(n - first, (1 + gen.NextBounded(4)) * k)
                           : n;
                 const size_t used = std::min(k, len);
-                const rng::ThunderingRng::Streams streams =
+                const rng::ThunderingRng::Streams lanes =
                     rng.streams(stream_base, k);
-                uint64_t* state = guarded_state.Put(streams.state, used);
+                const rng::ThunderingRng::Streams guarded = {
+                    guarded_state.Put(lanes.state, used),
+                    guarded_offset.Put(lanes.offset, used),
+                    guarded_multiplier.Put(lanes.multiplier, used)};
                 kernel({guarded_weights.Put(weights.data() + first, len), len},
-                       first, k,
-                       {state, guarded_offset.Put(streams.offset, used),
-                        guarded_multiplier.Put(streams.multiplier, used)},
-                       &run);
-                std::copy(state, state + used, streams.state);
+                       first, k, guarded, &run);
+                std::copy(guarded.state, guarded.state + used, lanes.state);
                 first += len;
               }
               const auto where = ::testing::Message()
