@@ -50,9 +50,6 @@ struct BaselineConfig {
   uint64_t llc_bytes = 32ull << 20;
   // Records per-query latency samples (Fig. 15). Adds a timer per query.
   bool collect_latency = false;
-  // Per-query walk initialization overhead is excluded; this flag adds a
-  // fixed modeled setup cost per run (thread/memory allocation), visible
-  // at small query counts (Fig. 16 discussion).
 
   // Optional metrics registry (src/obs/); not owned, may be null. Each
   // worker publishes step counts and wall-time under worker= labels —
