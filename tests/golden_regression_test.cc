@@ -322,6 +322,63 @@ TEST(GoldenTest, DistributedEngineRecoveryPins) {
   EXPECT_EQ(PathHash(output), 0x4ed9b7bd998de02bULL);
 }
 
+// DRAM ECC on every board: each request draws its fault in issue order,
+// correctable errors re-issue the burst, and an uncorrectable one past
+// the single retry fails the walk, which retires truncated.
+TEST(GoldenTest, DistributedEngineDramEccPins) {
+  const apps::StaticWalkApp app;
+  const distributed::Partition partition = distributed::MakePartition(
+      PinGraph(), 4, distributed::PartitionStrategy::kHash);
+  distributed::DistributedConfig config;
+  config.board = PinConfig();
+  reliability::FaultConfig& faults = config.board.faults;
+  faults.enabled = true;
+  faults.seed = 11;
+  faults.dram_correctable_rate = 0.02;
+  faults.dram_uncorrectable_rate = 0.02;
+  faults.max_dram_retries = 1;
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats =
+      distributed::DistributedEngine(&PinGraph(), &app, &partition, config)
+          .Run(PinQueries(), &output)
+          .value();
+  const reliability::ReliabilityStats& rel = stats.reliability;
+  EXPECT_EQ(stats.cycles, 81561u);
+  EXPECT_EQ(stats.steps, 3178u);
+  EXPECT_EQ(stats.dram.requests, 28244u);
+  EXPECT_EQ(stats.dram.beats, 62561u);
+  EXPECT_EQ(stats.dram.busy_cycles, 93019u);
+  EXPECT_EQ(rel.dram_correctable, 578u);
+  EXPECT_EQ(rel.dram_uncorrectable, 527u);
+  EXPECT_EQ(rel.dram_retries, 1097u);
+  EXPECT_EQ(rel.dram_failed_accesses, 8u);
+  EXPECT_EQ(rel.walks_failed, 8u);
+  EXPECT_EQ(PathHash(output), 0xbbf9319e9235a939ULL);
+}
+
+// The staged flow on ClusterSim boards: each step's weight buffer,
+// sampling table and binary-search probes round-trip through DRAM.
+TEST(GoldenTest, DistributedEngineStagedPartitionedPins) {
+  const apps::StaticWalkApp app;
+  const distributed::Partition partition = distributed::MakePartition(
+      PinGraph(), 4, distributed::PartitionStrategy::kHash);
+  distributed::DistributedConfig config;
+  config.board = PinConfig();
+  config.board.enable_wrs_pipeline = false;
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats =
+      distributed::DistributedEngine(&PinGraph(), &app, &partition, config)
+          .Run(PinQueries(), &output)
+          .value();
+  EXPECT_EQ(stats.cycles, 92740u);
+  EXPECT_EQ(stats.steps, 3200u);
+  EXPECT_EQ(stats.migrations, 2106u);
+  EXPECT_EQ(stats.dram.requests, 58026u);
+  EXPECT_EQ(stats.dram.beats, 200214u);
+  EXPECT_EQ(stats.dram.busy_cycles, 267354u);
+  EXPECT_EQ(PathHash(output), 0x4ed9b7bd998de02bULL);
+}
+
 TEST(GoldenTest, FunctionalEngineNode2VecPins) {
   const apps::Node2VecApp app(2.0, 0.5);
   baseline::WalkOutput output;
