@@ -189,7 +189,11 @@ Status CheckFailoverSatisfiable(const DistributedConfig& config,
 ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
                        const Partition* partition,
                        const DistributedConfig& config, uint32_t max_walkers)
-    : graph_(graph), app_(app), partition_(partition), config_(config) {
+    : graph_(graph),
+      app_(app),
+      partition_(partition),
+      config_(config),
+      walker_events_(max_walkers) {
   LIGHTRW_CHECK(graph != nullptr);
   LIGHTRW_CHECK(app != nullptr);
   LIGHTRW_CHECK(partition != nullptr);
@@ -468,7 +472,8 @@ void ClusterSim::FlushParked(Cycle now) {
     w.attrib.recovery_cycles += resume - parked_at;
     ++recovery_rel_.walkers_recovered;
     WalkerFault(slot, "walker_recovered", resume);
-    events_.emplace(resume, 0, slot);
+    LIGHTRW_DCHECK(!walker_events_.pending(slot));
+    walker_events_.Set(slot, resume);
   }
   parked_.clear();
 }
@@ -584,7 +589,8 @@ size_t ClusterSim::LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
   if (ts_inflight_ != nullptr) {
     ts_inflight_->Add(1.0);
   }
-  events_.emplace(at, 0, slot);
+  LIGHTRW_DCHECK(!walker_events_.pending(slot));
+  walker_events_.Set(slot, at);
   return slot;
 }
 
@@ -692,6 +698,8 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
   end.data_fault = outcome == Outcome::kDataFault;
   makespan_ = std::max(makespan_, at);
   --inflight_[w.launch_board];
+  // Before the callback, which may relaunch into this slot.
+  walker_events_.Cancel(slot);
   free_slots_.push(slot);
   // The walked prefix: a known path ends here only if nothing cut it.
   w.path.resize(w.state.step + 1);
@@ -762,6 +770,7 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
     // walker parks until a spare's rebuild-from-store completes
     // (CheckFailoverSatisfiable guarantees one will).
     parked_.emplace_back(slot, at);
+    walker_events_.Cancel(slot);
     WalkerFault(slot, "walker_parked", at);
     return;
   }
@@ -773,7 +782,7 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
   w.attrib.recovery_cycles += resume - at;
   ++recovery_rel_.walkers_recovered;
   WalkerFault(slot, "walker_recovered", resume);
-  events_.emplace(resume, 0, slot);
+  walker_events_.Set(slot, resume);
 }
 
 void ClusterSim::Step(size_t slot, Cycle now) {
@@ -834,7 +843,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       // The adjacency lines arrive while other walkers' events run.
       core::StepSampler::Prefetch(*graph_, *app_, w.state.curr);
     }
-    events_.emplace(t_info, 0, slot);
+    walker_events_.Set(slot, t_info);
     return;
   }
 
@@ -923,16 +932,26 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     w.board = next_board;
-    events_.emplace(delivery.arrival, 0, slot);
+    walker_events_.Set(slot, delivery.arrival);
   } else {
-    events_.emplace(step_end, 0, slot);
+    walker_events_.Set(slot, step_end);
   }
 }
 
 void ClusterSim::Drain() {
-  while (!events_.empty()) {
-    const auto [now, kind, id] = events_.top();
-    events_.pop();
+  while (!walker_events_.empty() || !events_.empty()) {
+    // Walker events (kind 0) sort first among events of one cycle.
+    const bool walker =
+        !walker_events_.empty() &&
+        (events_.empty() ||
+         walker_events_.top_cycle() <= std::get<0>(events_.top()));
+    const auto [now, kind, id] =
+        walker ? Event{walker_events_.top_cycle(), 0,
+                       walker_events_.top_slot()}
+               : events_.top();
+    if (!walker) {
+      events_.pop();
+    }
     if (ts_ != nullptr) {
       // Close every window boundary at or before this event: between
       // events nothing changes, so the boundary state is captured

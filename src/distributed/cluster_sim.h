@@ -47,6 +47,7 @@
 #include "distributed/partition.h"
 #include "graph/csr.h"
 #include "hwsim/link.h"
+#include "hwsim/slot_events.h"
 #include "lightrw/config.h"
 #include "lightrw/step_model.h"
 #include "lightrw/ticket_walk.h"
@@ -299,12 +300,16 @@ class ClusterSim {
   // attempt's span and cycle-stage attribution, and its checkpoint.
   struct Walker;
 
-  // Heap events: (cycle, kind, id) — kind 0 walker slot, kind 1 wake
-  // tag, kind 2 membership (board death / rebuild completion), kind 3
-  // checkpoint-store scrub tick. The tuple order is the deterministic
+  // Events run in (cycle, kind, id) order — kind 0 walker slot, kind 1
+  // wake tag, kind 2 membership (board death / rebuild completion), kind
+  // 3 checkpoint-store scrub tick. The order is the deterministic
   // tie-break: membership events process after same-cycle walker and
   // wake events, so a board serves every walker event already scheduled
-  // for its death cycle.
+  // for its death cycle. A walker slot has at most one pending event, so
+  // walker events live in a per-slot tree (walker_events_, ordered by
+  // (cycle, slot)); kinds 1-3 live in a heap of Event tuples (events_).
+  // Drain() runs the tree's next event when its cycle is at most the
+  // heap's, since kind 0 sorts first.
   using Event = std::tuple<hwsim::Cycle, int, uint64_t>;
   // Kind-2 event ids below the base are indices into deaths_; ids at or
   // above it encode `kRebuildEventBase + board` rebuild completions.
@@ -358,6 +363,10 @@ class ClusterSim {
   // Free walker slots, allocated lowest-index first for determinism.
   std::priority_queue<size_t, std::vector<size_t>, std::greater<>>
       free_slots_;
+  // Each walker slot's pending event. The slot Drain() runs keeps its
+  // entry until the handler reschedules the walker (Set) or retires or
+  // parks it (Cancel).
+  hwsim::SlotEvents walker_events_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
 
   RetireFn on_retire_;

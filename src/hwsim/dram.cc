@@ -29,7 +29,7 @@ Cycle DramChannel::RequestOccupancy(uint32_t burst_beats) const {
 
 Cycle DramChannel::Access(Cycle ready, uint32_t burst_beats) {
   Cycle done = AccessOnce(ready, burst_beats);
-  if (faults_ == nullptr || !faults_->enabled()) {
+  if (faults_ == nullptr || !faults_->DrawsDramFaults()) {
     return done;
   }
   // ECC outcome of the delivered burst. A correctable error is fixed by
@@ -79,17 +79,65 @@ Cycle DramChannel::Access(Cycle ready, uint32_t burst_beats) {
   }
 }
 
+Cycle DramChannel::AccessMany(Cycle ready, uint32_t burst_beats,
+                              uint32_t count) {
+  if (count == 0) {
+    return ready;
+  }
+  if ((faults_ != nullptr && faults_->DrawsDramFaults()) ||
+      (trace_ != nullptr && trace_->accepting())) {
+    // Each request draws its ECC outcome or records its service window.
+    Cycle done = ready;
+    for (uint32_t i = 0; i < count; ++i) {
+      done = std::max(done, Access(ready, burst_beats));
+    }
+    return done;
+  }
+  LIGHTRW_CHECK(burst_beats >= 1);
+  const Cycle transfer_cycles = TransferCycles(burst_beats);
+  for (uint32_t i = 0; i < count; ++i) {
+    bus_busy_ = std::max(Issue(ready), bus_busy_) + transfer_cycles;
+  }
+  stats_.requests += count;
+  stats_.beats += static_cast<uint64_t>(count) * burst_beats;
+  stats_.bytes +=
+      static_cast<uint64_t>(count) * burst_beats * config_.bus_bytes;
+  stats_.busy_cycles += count * transfer_cycles;
+  return bus_busy_ + config_.access_latency_cycles;
+}
+
+Cycle DramChannel::Issue(Cycle ready) {
+  // Command issue occupies the least-loaded bank for one issue gap.
+  const size_t n = bank_busy_.size();
+  const Cycle issue_done =
+      std::max(ready, bank_busy_[bank_head_]) + config_.issue_gap_cycles;
+  // The popped head's cell becomes the tail; horizons above the new one
+  // shift into it, so the ring stays sorted.
+  size_t cell = bank_head_;
+  bank_head_ = bank_head_ + 1 == n ? 0 : bank_head_ + 1;
+  while (cell != bank_head_) {
+    const size_t prev = cell == 0 ? n - 1 : cell - 1;
+    if (bank_busy_[prev] <= issue_done) {
+      break;
+    }
+    bank_busy_[cell] = bank_busy_[prev];
+    cell = prev;
+  }
+  bank_busy_[cell] = issue_done;
+  return issue_done;
+}
+
+Cycle DramChannel::TransferCycles(uint32_t burst_beats) const {
+  return static_cast<Cycle>(std::llround(
+      std::ceil(static_cast<double>(burst_beats) / config_.efficiency)));
+}
+
 Cycle DramChannel::AccessOnce(Cycle ready, uint32_t burst_beats) {
   LIGHTRW_CHECK(burst_beats >= 1);
-  // Command issue occupies the least-loaded bank for one issue gap; the
-  // data transfer then occupies the shared bus for the burst's beats.
-  auto bank = std::min_element(bank_busy_.begin(), bank_busy_.end());
-  const Cycle issue_start = std::max(ready, *bank);
-  const Cycle issue_done = issue_start + config_.issue_gap_cycles;
-  *bank = issue_done;
-
-  const Cycle transfer_cycles = static_cast<Cycle>(std::llround(
-      std::ceil(static_cast<double>(burst_beats) / config_.efficiency)));
+  // The data transfer occupies the shared bus for the burst's beats once
+  // the command has issued.
+  const Cycle issue_done = Issue(ready);
+  const Cycle transfer_cycles = TransferCycles(burst_beats);
   const Cycle transfer_start = std::max(issue_done, bus_busy_);
   bus_busy_ = transfer_start + transfer_cycles;
 

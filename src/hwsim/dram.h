@@ -77,7 +77,12 @@ struct DramStats {
 // and a burst length in beats, it returns when the last beat of data
 // arrives. A request occupies the least-loaded bank for the issue gap and
 // then the data bus for its beats; with one bank this degenerates to a
-// strictly serial channel. Deterministic and O(num_banks) per request.
+// strictly serial channel. Only the multiset of bank horizons affects
+// timing, so the banks are kept as a sorted ring whose head is the
+// least-loaded one: a request pops the head and re-inserts its new
+// horizon in order, which is one store while ready times do not go
+// backwards. Deterministic and O(1) per request in that case, at worst
+// O(num_banks).
 class DramChannel {
  public:
   explicit DramChannel(const DramConfig& config);
@@ -95,6 +100,14 @@ class DramChannel {
   // through TakeAccessFailure), still returning the modeled completion
   // cycle of the final attempt.
   Cycle Access(Cycle ready, uint32_t burst_beats);
+
+  // Issues `count` requests of `burst_beats` beats, all ready at `ready`,
+  // and returns the latest completion (`ready` when count is 0). Timing,
+  // stats, trace events and fault draws equal those of `count` Access()
+  // calls in a row. The transfer time and the stats are computed once
+  // per call; a channel whose fault stream draws DRAM ECC faults, or
+  // whose trace is accepting, goes request by request through Access().
+  Cycle AccessMany(Cycle ready, uint32_t burst_beats, uint32_t count);
 
   // Attributes `bytes` of the most recent traffic as useful (consumed by
   // the compute pipeline rather than fetched-and-dropped).
@@ -147,9 +160,16 @@ class DramChannel {
  private:
   // One physical request issue: timing, stats, and trace, no faults.
   Cycle AccessOnce(Cycle ready, uint32_t burst_beats);
+  // Books one issue gap on the least-loaded bank from `ready` and
+  // returns when the issue is done.
+  Cycle Issue(Cycle ready);
+  // Data-bus cycles of one burst: its beats derated by the efficiency.
+  Cycle TransferCycles(uint32_t burst_beats) const;
 
   DramConfig config_;
+  // Bank horizons in ascending order from bank_head_, wrapping around.
   std::vector<Cycle> bank_busy_;
+  size_t bank_head_ = 0;
   Cycle bus_busy_ = 0;
   DramStats stats_;
   obs::TraceRecorder* trace_ = nullptr;

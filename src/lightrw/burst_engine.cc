@@ -51,15 +51,12 @@ hwsim::Cycle DynamicBurstEngine::Fetch(hwsim::Cycle ready, uint64_t bytes) {
   // The long and short pipelines issue independently through the memory
   // crossbar; the channel model serializes their occupancy. The step
   // completes when the slowest burst has delivered (Intra Burst Merge).
-  hwsim::Cycle done = ready;
-  for (uint32_t i = 0; i < plan.long_bursts; ++i) {
-    done = std::max(done, channel_->Access(ready, strategy_.long_beats));
-  }
-  for (uint32_t i = 0; i < plan.short_bursts; ++i) {
-    done = std::max(done, channel_->Access(ready, strategy_.short_beats));
-  }
+  const hwsim::Cycle long_done =
+      channel_->AccessMany(ready, strategy_.long_beats, plan.long_bursts);
+  const hwsim::Cycle short_done =
+      channel_->AccessMany(ready, strategy_.short_beats, plan.short_bursts);
   channel_->ReportUseful(bytes);
-  return done;
+  return std::max(long_done, short_done);
 }
 
 }  // namespace lightrw::core

@@ -1,12 +1,12 @@
 #include "lightrw/cycle_engine.h"
 
 #include <algorithm>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
+#include "hwsim/slot_events.h"
 #include "lightrw/sink_shards.h"
 #include "lightrw/step_sampler.h"
 #include "obs/metrics.h"
@@ -159,9 +159,10 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
   size_t next_query = 0;
   Cycle makespan = 0;
 
-  // Min-heap of (ready cycle, slot index): FCFS channel arbitration.
-  using HeapItem = std::pair<Cycle, size_t>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+  // Each slot's next event, in (ready cycle, slot) order: FCFS channel
+  // arbitration. An event stays pending until its handler reschedules or
+  // retires the slot.
+  hwsim::SlotEvents events(num_slots);
 
   auto load = [&](size_t slot_index, Cycle at) {
     if (next_query >= queries.size()) {
@@ -178,7 +179,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     slot.path.clear();
     slot.path.push_back(q.start);
     slot.active = true;
-    heap.emplace(at, slot_index);
+    events.Set(slot_index, at);
   };
 
   auto retire = [&](size_t slot_index, Cycle at) {
@@ -200,6 +201,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     }
     ++stats->queries;
     slot.active = false;
+    events.Cancel(slot_index);
     makespan = std::max(makespan, at);
     load(slot_index, at);
   };
@@ -208,9 +210,9 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     load(i, 0);
   }
 
-  while (!heap.empty()) {
-    const auto [now, slot_index] = heap.top();
-    heap.pop();
+  while (!events.empty()) {
+    const Cycle now = events.top_cycle();
+    const size_t slot_index = events.top_slot();
     if (ts_ != nullptr) {
       ts_->AdvanceTo(now);
     }
@@ -239,7 +241,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
         // The adjacency lines arrive while other walkers' events run.
         StepSampler::Prefetch(*graph_, *app_, slot.state.curr);
       }
-      heap.emplace(t_info, slot_index);
+      events.Set(slot_index, t_info);
       continue;
     }
 
@@ -273,7 +275,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     if (stopped || slot.state.step >= slot.remaining) {
       retire(slot_index, done);
     } else {
-      heap.emplace(done, slot_index);
+      events.Set(slot_index, done);
     }
   }
 

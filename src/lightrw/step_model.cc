@@ -93,13 +93,11 @@ Cycle BoardStepModel::StagedEnd(Cycle t_fetch, Cycle last_data,
       static_cast<uint32_t>(CeilDiv(table_bytes, bus));
   const uint32_t probes = CeilLog2(static_cast<uint64_t>(degree) + 1);
 
-  Cycle booked = t_fetch;
-  booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
-  booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
-  booked = std::max(booked, channel_.Access(t_fetch, table_beats));
-  for (uint32_t i = 0; i < probes; ++i) {
-    booked = std::max(booked, channel_.Access(t_fetch, 1));
-  }
+  // Weight buffer write and read, table write, then the probes.
+  const Cycle booked =
+      std::max({channel_.AccessMany(t_fetch, weight_beats, 2),
+                channel_.Access(t_fetch, table_beats),
+                channel_.AccessMany(t_fetch, 1, probes)});
 
   const auto transfer_latency = [&](uint32_t beats) {
     return channel_.RequestOccupancy(beats) +

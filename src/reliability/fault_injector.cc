@@ -249,12 +249,7 @@ FaultStream::FaultStream(const FaultConfig& config, uint64_t component_id)
                .Next()) {}
 
 DramFault FaultStream::NextDramFault() {
-  if (!enabled_) {
-    return DramFault::kNone;
-  }
-  const double total =
-      config_.dram_correctable_rate + config_.dram_uncorrectable_rate;
-  if (total <= 0.0) {
+  if (!DrawsDramFaults()) {
     return DramFault::kNone;
   }
   ++draws_;
@@ -262,7 +257,7 @@ DramFault FaultStream::NextDramFault() {
   if (u < config_.dram_uncorrectable_rate) {
     return DramFault::kUncorrectable;
   }
-  if (u < total) {
+  if (u < config_.dram_correctable_rate + config_.dram_uncorrectable_rate) {
     return DramFault::kCorrectable;
   }
   return DramFault::kNone;

@@ -275,6 +275,13 @@ class FaultStream {
 
   // Draws the fault outcome of the next DRAM request.
   DramFault NextDramFault();
+  // True when NextDramFault consumes draws: the stream is enabled and a
+  // DRAM ECC rate is above 0. Otherwise every draw returns kNone.
+  bool DrawsDramFaults() const {
+    return enabled_ &&
+           config_.dram_correctable_rate + config_.dram_uncorrectable_rate >
+               0.0;
+  }
   // Draws the fault outcome of the next link message.
   LinkFault NextLinkFault();
 

@@ -1,9 +1,17 @@
 #include <algorithm>
+#include <cmath>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hwsim/dram.h"
 #include "hwsim/fifo.h"
+#include "hwsim/slot_events.h"
+#include "obs/trace.h"
+#include "reliability/fault_injector.h"
+#include "rng/rng.h"
 
 namespace lightrw::hwsim {
 namespace {
@@ -151,6 +159,244 @@ TEST(DramChannelTest, EfficiencyDeratesOccupancy) {
   DramChannel channel(config);
   // 32 beats at 50% efficiency occupy 64 cycles.
   EXPECT_EQ(channel.RequestOccupancy(32), 64u);
+}
+
+// The channel's timing as a per-request loop over a least-loaded bank
+// search: the reference the banked ring and the group call must equal.
+class ReferenceChannel {
+ public:
+  explicit ReferenceChannel(const DramConfig& config)
+      : config_(config), banks_(config.num_banks, 0) {}
+
+  Cycle Access(Cycle ready, uint32_t burst_beats) {
+    auto bank = std::min_element(banks_.begin(), banks_.end());
+    const Cycle issue_done = std::max(ready, *bank) + config_.issue_gap_cycles;
+    *bank = issue_done;
+    const Cycle transfer_cycles = static_cast<Cycle>(std::llround(
+        std::ceil(static_cast<double>(burst_beats) / config_.efficiency)));
+    bus_busy_ = std::max(issue_done, bus_busy_) + transfer_cycles;
+    ++stats_.requests;
+    stats_.beats += burst_beats;
+    stats_.bytes += static_cast<uint64_t>(burst_beats) * config_.bus_bytes;
+    stats_.busy_cycles += transfer_cycles;
+    return bus_busy_ + config_.access_latency_cycles;
+  }
+
+  Cycle AccessMany(Cycle ready, uint32_t burst_beats, uint32_t count) {
+    Cycle done = ready;
+    for (uint32_t i = 0; i < count; ++i) {
+      done = std::max(done, Access(ready, burst_beats));
+    }
+    return done;
+  }
+
+  Cycle busy_until() const { return bus_busy_; }
+  const DramStats& stats() const { return stats_; }
+
+ private:
+  DramConfig config_;
+  std::vector<Cycle> banks_;
+  Cycle bus_busy_ = 0;
+  DramStats stats_;
+};
+
+void ExpectSameStats(const DramStats& got, const DramStats& want) {
+  EXPECT_EQ(got.requests, want.requests);
+  EXPECT_EQ(got.beats, want.beats);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.busy_cycles, want.busy_cycles);
+  EXPECT_EQ(got.useful_bytes, want.useful_bytes);
+}
+
+TEST(DramChannelTest, AccessManyMatchesPerRequestReference) {
+  for (const uint32_t banks : {1u, 2u, 3u, 8u}) {
+    for (const double efficiency : {0.915, 1.0, 0.37}) {
+      SCOPED_TRACE(testing::Message()
+                   << banks << " bank(s), efficiency " << efficiency);
+      DramConfig config = TestConfig();
+      config.num_banks = banks;
+      config.efficiency = efficiency;
+      DramChannel channel(config);
+      ReferenceChannel reference(config);
+      rng::Xoshiro256StarStar gen(banks * 1000 +
+                                  static_cast<uint64_t>(efficiency * 100));
+      Cycle ready = 0;
+      for (int call = 0; call < 400; ++call) {
+        // Ready times mostly advance, sometimes go backwards.
+        const uint64_t move = gen.NextBounded(400);
+        ready = gen.NextBounded(5) == 0 ? ready - std::min(ready, move)
+                                        : ready + move / 4;
+        const uint32_t beats = 1 + static_cast<uint32_t>(gen.NextBounded(64));
+        const uint32_t count = static_cast<uint32_t>(gen.NextBounded(71));
+        // Single Access calls run through the same bank ring.
+        const bool single = gen.NextBounded(4) == 0;
+        const Cycle got = single ? channel.Access(ready, beats)
+                                 : channel.AccessMany(ready, beats, count);
+        const Cycle want = single ? reference.Access(ready, beats)
+                                  : reference.AccessMany(ready, beats, count);
+        ASSERT_EQ(got, want) << "call " << call;
+        ASSERT_EQ(channel.busy_until(), reference.busy_until());
+        ExpectSameStats(channel.stats(), reference.stats());
+      }
+    }
+  }
+}
+
+TEST(DramChannelTest, AccessManyDrawsEccFaultsPerRequestInOrder) {
+  reliability::FaultConfig faults;
+  faults.enabled = true;
+  faults.seed = 5;
+  faults.dram_correctable_rate = 0.1;
+  faults.dram_uncorrectable_rate = 0.1;
+  faults.max_dram_retries = 1;
+  DramConfig config = TestConfig();
+  config.num_banks = 8;
+  config.efficiency = 0.915;
+  DramChannel grouped(config);
+  DramChannel looped(config);
+  reliability::FaultStream grouped_faults(faults, /*component_id=*/3);
+  reliability::FaultStream looped_faults(faults, /*component_id=*/3);
+  reliability::ReliabilityStats grouped_rel;
+  reliability::ReliabilityStats looped_rel;
+  grouped.AttachFaults(&grouped_faults, &grouped_rel);
+  looped.AttachFaults(&looped_faults, &looped_rel);
+  rng::Xoshiro256StarStar gen(17);
+  Cycle ready = 0;
+  uint64_t failures = 0;
+  for (int call = 0; call < 300; ++call) {
+    ready += gen.NextBounded(200);
+    const uint32_t beats = 1 + static_cast<uint32_t>(gen.NextBounded(32));
+    const uint32_t count = static_cast<uint32_t>(gen.NextBounded(9));
+    const Cycle got = grouped.AccessMany(ready, beats, count);
+    Cycle want = ready;
+    for (uint32_t i = 0; i < count; ++i) {
+      want = std::max(want, looped.Access(ready, beats));
+    }
+    ASSERT_EQ(got, want) << "call " << call;
+    const bool failed = looped.TakeAccessFailure();
+    ASSERT_EQ(grouped.TakeAccessFailure(), failed) << "call " << call;
+    failures += failed;
+  }
+  EXPECT_GT(failures, 0u);
+  EXPECT_EQ(grouped.busy_until(), looped.busy_until());
+  ExpectSameStats(grouped.stats(), looped.stats());
+  EXPECT_EQ(grouped_faults.draws(), looped_faults.draws());
+  EXPECT_EQ(grouped_rel.dram_correctable, looped_rel.dram_correctable);
+  EXPECT_EQ(grouped_rel.dram_uncorrectable, looped_rel.dram_uncorrectable);
+  EXPECT_EQ(grouped_rel.dram_retries, looped_rel.dram_retries);
+  EXPECT_EQ(grouped_rel.dram_failed_accesses,
+            looped_rel.dram_failed_accesses);
+  EXPECT_GT(grouped_rel.dram_correctable, 0u);
+}
+
+TEST(DramChannelTest, AccessManyRecordsEveryRequestWhileTracing) {
+  DramConfig config = TestConfig();
+  config.num_banks = 2;
+  DramChannel grouped(config);
+  DramChannel looped(config);
+  obs::TraceRecorder grouped_trace;
+  obs::TraceRecorder looped_trace;
+  grouped.AttachTrace(&grouped_trace, 1, 4);
+  looped.AttachTrace(&looped_trace, 1, 4);
+  EXPECT_EQ(grouped.AccessMany(10, 3, 5), [&] {
+    Cycle done = 10;
+    for (int i = 0; i < 5; ++i) {
+      done = std::max(done, looped.Access(10, 3));
+    }
+    return done;
+  }());
+  EXPECT_EQ(grouped_trace.num_events(), 5u);
+  EXPECT_EQ(grouped_trace.ToJsonString(), looped_trace.ToJsonString());
+}
+
+TEST(DramChannelTest, ZeroRateFaultStreamTakesNoDraws) {
+  reliability::FaultConfig faults;
+  faults.enabled = true;
+  faults.link_drop_rate = 0.5;
+  reliability::FaultStream stream(faults, 0);
+  reliability::ReliabilityStats rel;
+  DramChannel channel(TestConfig());
+  channel.AttachFaults(&stream, &rel);
+  EXPECT_FALSE(stream.DrawsDramFaults());
+  channel.AccessMany(0, 4, 6);
+  EXPECT_EQ(stream.draws(), 0u);
+  EXPECT_EQ(channel.stats().requests, 6u);
+}
+
+// The event order a min-heap of (cycle, slot) pairs gives, with a
+// cancel that rebuilds the heap without the slot's entry.
+class ReferenceSlotEvents {
+ public:
+  bool empty() const { return heap_.empty(); }
+  std::pair<Cycle, size_t> top() const { return heap_.top(); }
+  void Set(size_t slot, Cycle at) {
+    Cancel(slot);
+    heap_.emplace(at, slot);
+  }
+  void Cancel(size_t slot) {
+    std::vector<std::pair<Cycle, size_t>> kept;
+    for (; !heap_.empty(); heap_.pop()) {
+      if (heap_.top().second != slot) {
+        kept.push_back(heap_.top());
+      }
+    }
+    for (const auto& entry : kept) {
+      heap_.push(entry);
+    }
+  }
+
+ private:
+  std::priority_queue<std::pair<Cycle, size_t>,
+                      std::vector<std::pair<Cycle, size_t>>, std::greater<>>
+      heap_;
+};
+
+TEST(SlotEventsTest, PopsInHeapOrderUnderRandomScheduleCancelAndPop) {
+  for (const size_t slots : {size_t{1}, size_t{2}, size_t{3}, size_t{64},
+                             size_t{257}}) {
+    SCOPED_TRACE(testing::Message() << slots << " slot(s)");
+    SlotEvents events(slots);
+    ReferenceSlotEvents reference;
+    std::vector<bool> pending(slots, false);
+    rng::Xoshiro256StarStar gen(slots);
+    Cycle now = 0;
+    for (int op = 0; op < 20000; ++op) {
+      ASSERT_EQ(events.empty(), reference.empty()) << "op " << op;
+      const uint64_t pick = gen.NextBounded(10);
+      if (pick < 5 && !reference.empty()) {
+        // Run the next event: its handler reschedules the slot (often at
+        // the same cycle) or ends it.
+        const auto [cycle, slot] = reference.top();
+        ASSERT_EQ(events.top_cycle(), cycle) << "op " << op;
+        ASSERT_EQ(events.top_slot(), slot) << "op " << op;
+        now = cycle;
+        if (gen.NextBounded(3) == 0) {
+          events.Cancel(slot);
+          reference.Cancel(slot);
+          pending[slot] = false;
+        } else {
+          const Cycle at = now + gen.NextBounded(3);
+          events.Set(slot, at);
+          reference.Set(slot, at);
+          pending[slot] = true;
+        }
+      } else if (pick < 8) {
+        // Cycles from a small range, so ties are common.
+        const size_t slot = gen.NextBounded(slots);
+        const Cycle at = now + gen.NextBounded(4);
+        events.Set(slot, at);
+        reference.Set(slot, at);
+        pending[slot] = true;
+      } else {
+        const size_t slot = gen.NextBounded(slots);
+        events.Cancel(slot);
+        reference.Cancel(slot);
+        pending[slot] = false;
+      }
+      const size_t probe = gen.NextBounded(slots);
+      ASSERT_EQ(events.pending(probe), pending[probe]) << "op " << op;
+    }
+  }
 }
 
 }  // namespace
