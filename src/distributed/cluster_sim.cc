@@ -710,10 +710,24 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
   }
 }
 
+// Retires at `retire_at` a walker whose state at `at` cannot be
+// restored. Its walk failed and is counted unless the walker had walked
+// its whole known path: then only its retirement at the dead end was
+// pending, and its path is complete.
+void ClusterSim::RetireLost(size_t slot, Cycle at, Cycle retire_at) {
+  const Walker& w = walkers_[slot];
+  if (w.state.step + 1 < w.path.size()) {
+    ++recovery_rel_.walkers_lost;
+    ++recovery_rel_.walks_failed;
+    WalkerFault(slot, "walker_lost", at);
+  }
+  Retire(slot, retire_at);
+}
+
 // Rewinds a walker along its known path to its checkpoint's step and
 // re-dispatches it on a surviving board (its state on the old board —
 // resident or in a lost migration message — is gone). Without a
-// checkpoint the walk is lost: it retires truncated and is counted.
+// checkpoint the walker is lost: it retires truncated (RetireLost).
 // Batch mode only; the service layer gets the failure surfaced instead
 // and owns the retry.
 void ClusterSim::Recover(size_t slot, Cycle at) {
@@ -721,10 +735,7 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
   LIGHTRW_CHECK(w.walk == nullptr);
   const reliability::FaultConfig& faults = config_.board.faults;
   if (!checkpointing_ && store_ == nullptr) {
-    ++recovery_rel_.walkers_lost;
-    ++recovery_rel_.walks_failed;
-    WalkerFault(slot, "walker_lost", at);
-    Retire(slot, at);
+    RetireLost(slot, at, at);
     return;
   }
   Cycle read_latency = 0;
@@ -739,12 +750,9 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
       WalkerFault(slot, "ckpt_crc_fail", at);
     }
     if (!rr.found) {
-      // Every generation failed validation: the walk is unrecoverable
-      // and retires truncated (the store counted ckpt_unrecoverable).
-      ++recovery_rel_.walkers_lost;
-      ++recovery_rel_.walks_failed;
-      WalkerFault(slot, "walker_lost", at);
-      Retire(slot, at + read_latency);
+      // Every generation failed validation: the walker is unrecoverable
+      // (the store counted ckpt_unrecoverable).
+      RetireLost(slot, at, at + read_latency);
       return;
     }
     if (rr.fell_back) {

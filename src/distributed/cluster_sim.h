@@ -329,6 +329,7 @@ class ClusterSim {
   void EndWalkSpan(size_t slot, hwsim::Cycle at);
   void Retire(size_t slot, hwsim::Cycle at, Outcome outcome = Outcome::kDone);
   void Recover(size_t slot, hwsim::Cycle at);
+  void RetireLost(size_t slot, hwsim::Cycle at, hwsim::Cycle retire_at);
   // The only writers of walk-span events and board trace instants: each
   // owns its sink's null (and trace cap) guard. WalkerFault records the
   // event on both, the instant on the walker's current board.

@@ -181,6 +181,34 @@ TEST(ChaosCampaignTest, StorageArchetypesExerciseTheStore) {
   EXPECT_TRUE(saw_owner_loss);
 }
 
+// The nightly campaign (walk_tool --chaos-scenarios 64 --chaos-seed 1
+// --boards 4 --rmat_scale 11 --length 12 --queries 192). Its bit-rot
+// storm without spares loses walkers that had already walked their whole
+// path and waited only to retire at a dead end: their walks are
+// complete, so neither the loss counters nor path identity may count
+// them as failed.
+TEST(ChaosCampaignTest, NightlyCampaignPassesEveryScenario) {
+  graph::RmatOptions rmat;
+  rmat.scale = 11;
+  rmat.seed = 42;
+  const CsrGraph g = graph::GenerateRmat(rmat);
+  const apps::Node2VecApp app(2.0, 0.5);
+  ChaosConfig config;
+  config.seed = 1;
+  config.num_scenarios = 64;
+  config.num_boards = 4;
+  config.num_queries = 192;
+  config.walk_length = 12;
+  const auto campaign = RunChaosCampaign(g, app, config);
+  ASSERT_TRUE(campaign.ok());
+  for (const auto& scenario : campaign->scenarios) {
+    EXPECT_TRUE(scenario.passed)
+        << scenario.name << ": "
+        << (scenario.violations.empty() ? "?" : scenario.violations[0]);
+  }
+  EXPECT_EQ(campaign->failures, 0u);
+}
+
 TEST(ChaosCampaignTest, CampaignReportIsDeterministic) {
   const CsrGraph g = TestGraph();
   StaticWalkApp app;

@@ -196,7 +196,7 @@ fault-checkpoint-interval
 no-checkpoints
   ad6a833054e069d4696e3e928bef6dc3e4956e02526a48fdb65f75322578f4d3
 fault-allow-walker-loss
-  a6ef42f2e711e590dbf1506e27960abc34f6699726d7ba4fe7bce8da916cde68
+  be357cc5bbd9d2f71594d29c9842e1f796bc6acaf5ff6e505a52afb9be73b75f
 spare-boards
   8c172695c1b161a6d391518e3c44501811a8874148773c6d5164b963cf195f68
 rebuild-bytes-per-cycle
