@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Tests of two CI gate scripts on canned inputs.
+"""Tests of the CI gate scripts and the profile report on canned inputs.
 
 Usage: gate_scripts_test.py REPO_ROOT
 
 scripts/perf_ab_gate.py's decision runs on canned perfbench result lines,
 so no perfbench run is needed; scripts/check_bench_golden.py runs on a
-canned BENCH record and golden.
+canned BENCH record and golden; scripts/sigprof_report.py runs on a
+recorded sample file and an nm symbol listing.
 """
 
 import copy
@@ -150,6 +151,61 @@ class CheckBenchGoldenTest(unittest.TestCase):
         done = self.check(record)
         self.assertEqual(done.returncode, 1, done.stdout)
         self.assertIn("'steps'", done.stderr)
+
+
+class SigprofReportTest(unittest.TestCase):
+    # `nm -C -S --defined-only` lines; main has no size, so it extends to
+    # the next text symbol, and the data symbol is not text.
+    SYMBOLS = """\
+0000000000001000 0000000000000100 T lightrw::hwsim::DramChannel::AccessMany(unsigned long, unsigned int, unsigned int)
+0000000000001100 0000000000000080 T lightrw::distributed::ClusterSim::Step(unsigned long, unsigned long)
+0000000000001180 0000000000000040 t lightrw::core::PathRing::Walk()
+00000000000011c0 T main
+0000000000002000 0000000000000010 D lightrw::graph::kTable
+0000000000003000 0000000000000020 T lightrw::perfbench::Run()
+"""
+    BASE = 0x555500000000
+    OFFSETS = [0x1000, 0x1010, 0x10ff, 0x1080, 0x1100, 0x117f, 0x1180,
+               0x2004, 0x3010]
+
+    def report(self, samples, runs):
+        with tempfile.TemporaryDirectory() as tmp:
+            symbols = os.path.join(tmp, "symbols.txt")
+            with open(symbols, "w") as f:
+                f.write(self.SYMBOLS)
+            path = os.path.join(tmp, "samples.txt")
+            with open(path, "w") as f:
+                f.write(samples)
+            return subprocess.run(
+                [sys.executable, os.path.join(SCRIPTS, "sigprof_report.py"),
+                 symbols, path, runs],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def test_samples_land_in_functions_and_layers(self):
+        pcs = [self.BASE + offset for offset in self.OFFSETS]
+        pcs.append(0x7f0000001234)  # a shared library
+        done = self.report("base %#x\n" % self.BASE +
+                           "".join("%#x\n" % pc for pc in pcs), "2")
+        self.assertEqual(done.returncode, 0, done.stderr)
+        lines = done.stdout.splitlines()
+        self.assertEqual(lines[0], "10 samples of 1 ms CPU, 2 run(s): "
+                         "ms below are per run")
+        for want in (
+                "  40.0%    2.0  lightrw::hwsim::DramChannel::AccessMany(",
+                "  20.0%    1.0  lightrw::distributed::ClusterSim::Step(",
+                "  10.0%    0.5  lightrw::core::PathRing::Walk()",
+                "  10.0%    0.5  main",
+                "  10.0%    0.5  (outside the binary)",
+                "  40.0%    2.0  hwsim", "  20.0%    1.0  distributed",
+                "  10.0%    0.5  lightrw", "  10.0%    0.5  other",
+                "  10.0%    0.5  outside", "  10.0%    0.5  perfbench"):
+            self.assertTrue(any(l.startswith(want) for l in lines),
+                            want + " not in:\n" + done.stdout)
+
+    def test_file_without_base_line_fails(self):
+        done = self.report("0x1000\n", "1")
+        self.assertNotEqual(done.returncode, 0)
+        self.assertIn("base", done.stderr)
 
 
 if __name__ == "__main__":
