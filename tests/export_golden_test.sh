@@ -1,5 +1,5 @@
 #!/bin/sh
-# Byte contract of walk_tool's export files. Runs three of the CI
+# Byte contract of walk_tool's export files. Runs four of the CI
 # determinism gate's scenarios at 1 and 4 host threads and compares the
 # sha256 of every file they export with the digests recorded below:
 #   sharded  service engine, 4 admission shards, replicated boards;
@@ -7,6 +7,8 @@
 #   flight   the sharded run with the span flight recorder
 #            (--span-mode breached): it discards the spans of every
 #            trace that meets its deadline; spans only
+#   faults   service engine on partitioned boards with uncorrectable
+#            DRAM errors; spans and timeseries
 #   store    distributed engine, two board deaths, a spare, and the
 #            durable checkpoint store with bit rot; spans and timeseries
 # A digest moves only when an export's bytes move. A change that means
@@ -72,6 +74,19 @@ for threads in 1 4; do
     --span-mode breached --exports spans
   check "$OUT/flight-t$threads" spans.json \
     2aebac8848b57b0d87a7da9f5e9dbbb45ad17d0fe9f1a1a6373abd85756eb07e
+
+  run faults "$threads" --engine service --rmat_scale 8 --app deepwalk \
+    --length 16 --queries 384 --seed 42 --boards 4 --partition hash \
+    --service-rate 32 --service-deadline 4096 \
+    --fault-dram-uncorrectable 0.002 --scrape-interval 1024 \
+    --exports spans,timeseries
+  dir="$OUT/faults-t$threads"
+  check "$dir" spans.json \
+    f650e8219982e60a80ab18cf47b08db01471800c453c4783778e5cd7efc13488
+  check "$dir" timeseries.json \
+    37087689ab95a9bc8971c7b417d86925b57045b49b3dec7c8ce8a25929803fc9
+  check "$dir" timeseries.om \
+    dc55ee486f54de3795c8af2bcc2bcea6a9138df3ddfece9781e1c8c04bfcafcd
 
   run store "$threads" --engine distributed --rmat_scale 8 --app deepwalk \
     --length 16 --queries 256 --seed 42 --boards 2 --partition hash \

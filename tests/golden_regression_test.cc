@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "apps/ppr.h"
 #include "apps/walk_app.h"
 #include "distributed/dist_engine.h"
@@ -18,6 +22,7 @@
 #include "lightrw/uniform_engine.h"
 #include "rng/rng.h"
 #include "sampling/parallel_wrs.h"
+#include "service/walk_service.h"
 
 namespace lightrw {
 namespace {
@@ -412,6 +417,152 @@ TEST(GoldenTest, UniformCycleEnginePins) {
   ExpectPins(stats, output,
              {6814, 3200, 3200, 5907, 378048, 11814, 493, 2707, 0, 0,
               0, 595161, 703751, 0, 76800, 0, 0x8069cf099f633d62ULL});
+}
+
+// Two WalkService runs on a partitioned cluster, where queries wait in
+// queues, are degraded, fail and retry. Every field below is a pure
+// function of the graph and config.
+struct ServicePins {
+  uint64_t cycles;
+  uint64_t steps;
+  uint64_t completed;
+  uint64_t failed;
+  uint64_t shed_queue_full;
+  uint64_t shed_breaker;
+  uint64_t shed_deadline;
+  uint64_t retries;
+  uint64_t degraded_shortened;
+  uint64_t degraded_uniform;
+  uint64_t breaker_trips;
+  // Reliability counters.
+  uint64_t dram_uncorrectable;
+  uint64_t dram_failed_accesses;
+  uint64_t link_dropped;
+  uint64_t retransmissions;
+  uint64_t link_failed_sends;
+  uint64_t board_failures;
+  uint64_t checkpoints;
+  uint64_t outcome_hash;  // FNV-1a over outcomes()
+  uint64_t path_hash;
+};
+
+// Node2Vec at overload: arrivals outrun four walker slots per board, so
+// congested queues shorten queries and degrade them to uniform steps,
+// and full queues and passed deadlines shed others.
+service::ServiceConfig ServiceOverloadConfig() {
+  service::ServiceConfig config;
+  config.cluster.board = PinConfig();
+  config.cluster.inflight_walkers_per_board = 4;
+  config.queue_capacity = 8;
+  config.arrivals.seed = 3;
+  config.arrivals.num_queries = 1024;
+  config.arrivals.walk_length = 16;
+  config.arrivals.rate_per_kcycle = 4.0;
+  config.arrivals.deadline_cycles = 1 << 13;
+  return config;
+}
+
+// MetaPath with a board death, 5% link drops past one retransmission
+// and uncorrectable DRAM errors past one retry: walks fail, breakers
+// trip, queries retry.
+service::ServiceConfig ServiceFaultConfig() {
+  service::ServiceConfig config;
+  config.cluster.board = PinConfig();
+  config.arrivals.seed = 5;
+  config.arrivals.num_queries = 512;
+  config.arrivals.walk_length = 8;
+  config.arrivals.rate_per_kcycle = 1.0;
+  reliability::FaultConfig& faults = config.cluster.board.faults;
+  faults.enabled = true;
+  faults.seed = 13;
+  faults.link_drop_rate = 0.05;
+  faults.max_retransmissions = 1;
+  faults.dram_uncorrectable_rate = 0.02;
+  faults.max_dram_retries = 1;
+  faults.board_deaths = {{1 << 15, /*board=*/2}};
+  return config;
+}
+
+const apps::Node2VecApp& PinNode2Vec() {
+  static const apps::Node2VecApp* app = new apps::Node2VecApp(2.0, 0.5);
+  return *app;
+}
+
+const apps::MetaPathApp& PinMetaPath() {
+  static const apps::MetaPathApp* app = new apps::MetaPathApp(
+      apps::MakeRandomRelationPath(PinGraph(), 8, /*seed=*/9));
+  return *app;
+}
+
+const distributed::Partition& PinPartition() {
+  static const distributed::Partition* p =
+      new distributed::Partition(distributed::MakePartition(
+          PinGraph(), 4, distributed::PartitionStrategy::kHash));
+  return *p;
+}
+
+struct ServiceRun {
+  service::ServiceRunStats stats;
+  std::vector<service::QueryOutcome> outcomes;
+  baseline::WalkOutput output;
+};
+
+ServiceRun RunService(const apps::WalkApp& app,
+                      const service::ServiceConfig& config) {
+  ServiceRun run;
+  service::WalkService service(&PinGraph(), &app, &PinPartition(), config);
+  run.stats = service.Run(&run.output).value();
+  run.outcomes = service.outcomes();
+  return run;
+}
+
+void ExpectServicePins(const ServiceRun& run, const ServicePins& want) {
+  const service::ServiceRunStats& s = run.stats;
+  const reliability::ReliabilityStats& rel = s.cluster.reliability;
+  uint64_t outcome_hash = 0xcbf29ce484222325ULL;
+  for (const service::QueryOutcome o : run.outcomes) {
+    outcome_hash =
+        (outcome_hash ^ static_cast<uint64_t>(o)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(s.cycles, want.cycles);
+  EXPECT_EQ(s.cluster.steps, want.steps);
+  EXPECT_EQ(s.completed, want.completed);
+  EXPECT_EQ(s.failed, want.failed);
+  EXPECT_EQ(s.shed_queue_full, want.shed_queue_full);
+  EXPECT_EQ(s.shed_breaker, want.shed_breaker);
+  EXPECT_EQ(s.shed_deadline, want.shed_deadline);
+  EXPECT_EQ(s.retries, want.retries);
+  EXPECT_EQ(s.degraded_shortened, want.degraded_shortened);
+  EXPECT_EQ(s.degraded_uniform, want.degraded_uniform);
+  EXPECT_EQ(s.breaker_trips, want.breaker_trips);
+  EXPECT_EQ(rel.dram_uncorrectable, want.dram_uncorrectable);
+  EXPECT_EQ(rel.dram_failed_accesses, want.dram_failed_accesses);
+  EXPECT_EQ(rel.link_dropped, want.link_dropped);
+  EXPECT_EQ(rel.retransmissions, want.retransmissions);
+  EXPECT_EQ(rel.link_failed_sends, want.link_failed_sends);
+  EXPECT_EQ(rel.board_failures, want.board_failures);
+  EXPECT_EQ(rel.checkpoints, want.checkpoints);
+  EXPECT_EQ(outcome_hash, want.outcome_hash);
+  EXPECT_EQ(PathHash(run.output), want.path_hash);
+}
+
+TEST(GoldenTest, WalkServiceNode2VecOverloadPins) {
+  const ServiceRun run = RunService(PinNode2Vec(), ServiceOverloadConfig());
+  ASSERT_GT(run.stats.degraded_uniform, 0u);
+  ASSERT_GT(run.stats.degraded_shortened, run.stats.degraded_uniform);
+  ExpectServicePins(run, {277737, 5664, 624, 0, 134, 0, 266, 530, 540, 376,
+                          0, 0, 0, 0, 0, 0, 0, 0, 0x837045fa17c956c7ULL,
+                          0xf6a9555fa3308b81ULL});
+}
+
+TEST(GoldenTest, WalkServiceMetaPathFaultPins) {
+  const ServiceRun run = RunService(PinMetaPath(), ServiceFaultConfig());
+  ASSERT_GT(run.stats.failed, 0u);
+  ASSERT_GT(run.stats.retries, 0u);
+  ASSERT_GT(run.stats.breaker_trips, 0u);
+  ExpectServicePins(run, {506454, 3084, 510, 2, 0, 0, 0, 37, 0, 0, 18, 567,
+                          12, 85, 80, 5, 1, 31, 0xf43e5d38b651d955ULL,
+                          0x4591e04989424d7aULL});
 }
 
 }  // namespace
