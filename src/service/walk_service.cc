@@ -665,12 +665,17 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
   // Settle the books: every query has exactly one terminal outcome.
   outcomes_.clear();
   outcomes_.reserve(recs.size());
-  for (const Rec& r : recs) {
+  degradations_.assign(recs.size(), Degradation::kNone);
+  for (size_t qi = 0; qi < recs.size(); ++qi) {
+    const Rec& r = recs[qi];
     LIGHTRW_CHECK(r.outcome != QueryOutcome::kPending);
     outcomes_.push_back(r.outcome);
     switch (r.outcome) {
       case QueryOutcome::kCompleted:
         ++stats.completed;
+        degradations_[qi] = r.uniform     ? Degradation::kShortenedUniform
+                            : r.shortened ? Degradation::kShortened
+                                          : Degradation::kNone;
         if (r.shortened || r.uniform) {
           ++stats.degraded;
         }

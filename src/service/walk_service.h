@@ -92,6 +92,14 @@ enum class QueryOutcome : uint8_t {
   kFailed,            // walk attempts kept failing (faults) past budget
 };
 
+// How the service degraded the walk it delivered for a query. A
+// uniform walk is always shortened too.
+enum class Degradation : uint8_t {
+  kNone = 0,          // the requested walk, or nothing delivered
+  kShortened,         // cut to a fraction of the requested length
+  kShortenedUniform,  // shortened, and each step picked uniformly
+};
+
 struct ServiceRunStats {
   uint64_t offered = 0;    // arrivals generated
   uint64_t completed = 0;  // walks delivered
@@ -158,6 +166,11 @@ class WalkService {
 
   // Per-query dispositions of the last Run, indexed by arrival order.
   const std::vector<QueryOutcome>& outcomes() const { return outcomes_; }
+  // The degradation of each query's delivered walk in the last Run,
+  // indexed by arrival order; kNone for a query that was not completed.
+  const std::vector<Degradation>& degradations() const {
+    return degradations_;
+  }
 
  private:
   const graph::CsrGraph* graph_;
@@ -165,6 +178,7 @@ class WalkService {
   const distributed::Partition* partition_;
   ServiceConfig config_;
   std::vector<QueryOutcome> outcomes_;
+  std::vector<Degradation> degradations_;
 };
 
 }  // namespace lightrw::service

@@ -504,6 +504,7 @@ const distributed::Partition& PinPartition() {
 struct ServiceRun {
   service::ServiceRunStats stats;
   std::vector<service::QueryOutcome> outcomes;
+  std::vector<service::Degradation> degradations;
   baseline::WalkOutput output;
 };
 
@@ -513,6 +514,7 @@ ServiceRun RunService(const apps::WalkApp& app,
   service::WalkService service(&PinGraph(), &app, &PinPartition(), config);
   run.stats = service.Run(&run.output).value();
   run.outcomes = service.outcomes();
+  run.degradations = service.degradations();
   return run;
 }
 
@@ -563,6 +565,65 @@ TEST(GoldenTest, WalkServiceMetaPathFaultPins) {
   ExpectServicePins(run, {506454, 3084, 510, 2, 0, 0, 0, 37, 0, 0, 18, 567,
                           12, 85, 80, 5, 1, 31, 0xf43e5d38b651d955ULL,
                           0x4591e04989424d7aULL});
+}
+
+// A service walk is its ticket's batch walk, whatever the load and the
+// faults: every completed query that was not degraded to uniform steps
+// delivers the fault-free DistributedEngine path of its arrival index,
+// cut to its first cap + 1 vertices when the service shortened it (the
+// cap is half the requested length, at least 1). Returns the number of
+// shortened walks checked.
+uint64_t ExpectBatchWalks(const apps::WalkApp& app,
+                          const service::ServiceConfig& config,
+                          const ServiceRun& run) {
+  const std::vector<service::ServiceQuery> arrivals =
+      service::GenerateArrivals(config.arrivals, PinGraph()).value();
+  std::vector<apps::WalkQuery> queries;
+  for (const service::ServiceQuery& sq : arrivals) {
+    queries.push_back(sq.query);
+  }
+  distributed::DistributedConfig batch_config = config.cluster;
+  batch_config.board.faults = {};
+  baseline::WalkOutput batch;
+  distributed::DistributedEngine(&PinGraph(), &app, &PinPartition(),
+                                 batch_config)
+      .Run(queries, &batch)
+      .value();
+  uint64_t checked = 0;
+  uint64_t shortened = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const service::Degradation d = run.degradations[i];
+    if (run.outcomes[i] != service::QueryOutcome::kCompleted ||
+        d == service::Degradation::kShortenedUniform) {
+      continue;
+    }
+    const std::span<const graph::VertexId> want = batch.Path(i);
+    size_t size = want.size();
+    if (d == service::Degradation::kShortened) {
+      size = std::min<size_t>(size, std::max(1u, queries[i].length / 2) + 1);
+      ++shortened;
+    }
+    const std::span<const graph::VertexId> got = run.output.Path(i);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                           want.begin() + static_cast<ptrdiff_t>(size)))
+        << "query " << i;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+  return shortened;
+}
+
+TEST(ServiceBatchIdentityTest, OverloadedNode2VecDeliversBatchWalks) {
+  const service::ServiceConfig config = ServiceOverloadConfig();
+  const ServiceRun run = RunService(PinNode2Vec(), config);
+  EXPECT_GT(ExpectBatchWalks(PinNode2Vec(), config, run), 0u);
+}
+
+TEST(ServiceBatchIdentityTest, FaultyMetaPathDeliversBatchWalks) {
+  const service::ServiceConfig config = ServiceFaultConfig();
+  const ServiceRun run = RunService(PinMetaPath(), config);
+  ASSERT_GT(run.stats.retries, 0u);
+  ExpectBatchWalks(PinMetaPath(), config, run);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Law oracle for weighted walk paths: the transitions of fault-free
 // CycleEngine, partitioned DistributedEngine and WalkService runs must
 // follow the exact step law of Eq. 1 (MetaPath) and Eq. 2 (Node2Vec),
-// computed here from the equations, not from the apps' code.
+// computed here from the equations, not from the apps' code. The walks
+// an overloaded service degrades to uniform steps follow the uniform law
+// over N(curr) instead.
 
 #include <gtest/gtest.h>
 
@@ -112,6 +114,13 @@ std::vector<double> Node2VecLaw(const CsrGraph& g, uint32_t /*step*/,
     }
   }
   return law;
+}
+
+// A degraded uniform step: every edge of N(curr) alike, whatever the
+// app.
+std::vector<double> UniformLaw(const CsrGraph& g, uint32_t /*step*/,
+                               VertexId /*prev*/, VertexId curr) {
+  return std::vector<double>(g.Degree(curr), 1.0);
 }
 
 // Steps whose laws over N(curr) are identical, as one multinomial table.
@@ -230,8 +239,8 @@ class WalkLawTest : public ::testing::Test {
     return queries;
   }
 
-  void Expect(const AppCase& c, const WalkOutput& out) {
-    const LawFit fit = CheckLaw(graph_, out, c.law);
+  void Expect(const AppCase& c, const WalkOutput& out, Law law) {
+    const LawFit fit = CheckLaw(graph_, out, law);
     EXPECT_GT(fit.steps, 8000u) << c.name;
     EXPECT_GT(fit.degrees_of_freedom, 100.0) << c.name;
     EXPECT_GT(fit.p_value, 1e-4)
@@ -246,7 +255,7 @@ TEST_F(WalkLawTest, CycleEngineFollowsEq1AndEq2) {
   for (const AppCase& c : apps_) {
     WalkOutput out;
     core::CycleEngine(&graph_, c.app, config).Run(Queries(), &out);
-    Expect(c, out);
+    Expect(c, out, c.law);
   }
 }
 
@@ -263,7 +272,7 @@ TEST_F(WalkLawTest, PartitionedDistributedEngineFollowsEq1AndEq2) {
                                                config)
                     .Run(Queries(), &out)
                     .ok());
-    Expect(c, out);
+    Expect(c, out, c.law);
   }
 }
 
@@ -285,7 +294,45 @@ TEST_F(WalkLawTest, WalkServiceFollowsEq1AndEq2) {
     ASSERT_TRUE(stats.ok()) << c.name;
     ASSERT_EQ(stats->degraded, 0u) << c.name;
     ASSERT_EQ(stats->completed, stats->offered) << c.name;
-    Expect(c, out);
+    Expect(c, out, c.law);
+  }
+}
+
+// Overload: four walker slots per board and queues of 8 at 4 arrivals
+// per kcycle shorten many queries and degrade many to uniform steps.
+// The uniform walks follow the uniform law; every other completed walk,
+// shortened or not, follows Eq. 1 or Eq. 2.
+TEST_F(WalkLawTest, OverloadedWalkServiceFollowsEachWalksLaw) {
+  const distributed::Partition partition = distributed::MakePartition(
+      graph_, 4, distributed::PartitionStrategy::kHash);
+  service::ServiceConfig config;
+  config.cluster.board.seed = 75;
+  config.cluster.inflight_walkers_per_board = 4;
+  config.queue_capacity = 8;
+  config.arrivals.seed = 76;
+  config.arrivals.num_queries = 7680;
+  config.arrivals.walk_length = kWalkLength;
+  config.arrivals.rate_per_kcycle = 4.0;
+  for (const AppCase& c : apps_) {
+    WalkOutput out;
+    service::WalkService service(&graph_, c.app, &partition, config);
+    ASSERT_TRUE(service.Run(&out).ok()) << c.name;
+    WalkOutput weighted;
+    WalkOutput uniform;
+    for (size_t i = 0; i < out.num_paths(); ++i) {
+      if (service.outcomes()[i] != service::QueryOutcome::kCompleted) {
+        continue;
+      }
+      WalkOutput& walks = service.degradations()[i] ==
+                                  service::Degradation::kShortenedUniform
+                              ? uniform
+                              : weighted;
+      const auto path = out.Path(i);
+      walks.vertices.insert(walks.vertices.end(), path.begin(), path.end());
+      walks.offsets.push_back(static_cast<uint32_t>(walks.vertices.size()));
+    }
+    Expect(c, weighted, c.law);
+    Expect(c, uniform, UniformLaw);
   }
 }
 
