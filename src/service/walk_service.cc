@@ -40,6 +40,21 @@ uint64_t MakeTag(uint64_t kind, uint64_t payload) {
   return (kind << kTagKindShift) | payload;
 }
 
+// Circuit breaker (layer 3): consecutive failures on one board that
+// trip it, and how long it stays open before half-opening.
+constexpr uint32_t kBreakerFailureThreshold = 4;
+constexpr Cycle kBreakerCooldownCycles = Cycle{1} << 14;
+
+// Graceful degradation (layer 4): queue fill at dispatch, as a fraction
+// of queue_capacity, from which a best-effort query is shortened to
+// kDegradeShortenFactor of its requested length (at least one step),
+// and from which it also steps uniformly. Uniform is the stronger tier,
+// so a uniform walk is always shortened too.
+constexpr double kDegradeShortenOccupancy = 0.5;
+constexpr double kDegradeUniformOccupancy = 0.75;
+constexpr double kDegradeShortenFactor = 0.5;
+static_assert(kDegradeUniformOccupancy >= kDegradeShortenOccupancy);
+
 // Trace track for service events, below each board's dram (0) and
 // network (1) tracks named by ClusterSim.
 constexpr uint32_t kServiceTrack = 2;
@@ -76,34 +91,6 @@ Status ValidateServiceConfig(const ServiceConfig& config) {
         std::to_string(config.retry_backoff_cycles) + " with retry_budget " +
         std::to_string(config.retry_budget) +
         " can back off 2^47 cycles or more");
-  }
-  if (config.breaker_failure_threshold == 0) {
-    return InvalidArgumentError(
-        "service.breaker_failure_threshold must be > 0");
-  }
-  if (config.breaker_cooldown_cycles == 0) {
-    return InvalidArgumentError(
-        "service.breaker_cooldown_cycles must be > 0");
-  }
-  if (!(config.degrade_shorten_occupancy > 0.0) ||
-      config.degrade_shorten_occupancy > 1.0) {
-    return InvalidArgumentError(
-        "service.degrade_shorten_occupancy must be within (0, 1]");
-  }
-  if (!(config.degrade_uniform_occupancy > 0.0) ||
-      config.degrade_uniform_occupancy > 1.0) {
-    return InvalidArgumentError(
-        "service.degrade_uniform_occupancy must be within (0, 1]");
-  }
-  if (config.degrade_uniform_occupancy < config.degrade_shorten_occupancy) {
-    return InvalidArgumentError(
-        "service.degrade_uniform_occupancy must be >= "
-        "degrade_shorten_occupancy (uniform is the stronger tier)");
-  }
-  if (!(config.degrade_shorten_factor > 0.0) ||
-      config.degrade_shorten_factor > 1.0) {
-    return InvalidArgumentError(
-        "service.degrade_shorten_factor must be within (0, 1]");
   }
   if (config.admission_shards == 0) {
     return InvalidArgumentError("service.admission_shards must be >= 1");
@@ -433,14 +420,14 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
         r.shortened = false;
         r.uniform = false;
         if (config_.degrade_enabled && sq.best_effort) {
-          if (fill >= config_.degrade_shorten_occupancy) {
+          if (fill >= kDegradeShortenOccupancy) {
             opts.max_steps = std::max(
                 1u, static_cast<uint32_t>(
                         static_cast<double>(sq.query.length) *
-                        config_.degrade_shorten_factor));
+                        kDegradeShortenFactor));
             r.shortened = true;
           }
-          if (fill >= config_.degrade_uniform_occupancy) {
+          if (fill >= kDegradeUniformOccupancy) {
             opts.uniform_step = true;
             r.uniform = true;
           }
@@ -560,10 +547,10 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
         const bool trip =
             sb.breaker == BreakerState::kHalfOpen ||
             (sb.breaker == BreakerState::kClosed &&
-             sb.consecutive_failures >= config_.breaker_failure_threshold);
+             sb.consecutive_failures >= kBreakerFailureThreshold);
         if (trip) {
           sb.breaker = BreakerState::kOpen;
-          sb.open_until = end.at + config_.breaker_cooldown_cycles;
+          sb.open_until = end.at + kBreakerCooldownCycles;
           ++ss.breaker_trips[b];
           trace_instant("breaker_trip", b, end.at);
           if (ts != nullptr) {

@@ -12,10 +12,10 @@
 //                    exponential backoff, up to `retry_budget` times —
 //                    board failovers (reliability::FaultConfig) surface
 //                    here as retryable failures, so the two compose
-//   3. breaker       a per-board circuit breaker trips after
-//                    `breaker_failure_threshold` consecutive failures,
-//                    rejects admissions while open, and half-opens after
-//                    a cooldown to probe with a single query
+//   3. breaker       a per-board circuit breaker trips after four
+//                    consecutive failures, rejects admissions while
+//                    open, and half-opens after a cooldown to probe with
+//                    a single query
 //   4. degradation   best-effort queries dispatched from a congested
 //                    queue are shortened and/or degraded from weighted
 //                    (PWRS) to uniform stepping, trading result quality
@@ -53,18 +53,10 @@ struct ServiceConfig {
   // retry_backoff_cycles << (n - 1).
   uint32_t retry_budget = 2;
   uint64_t retry_backoff_cycles = 512;
-  // Circuit breaker (layer 3): consecutive failures on one board that
-  // trip it, and how long it stays open before half-opening.
-  uint32_t breaker_failure_threshold = 4;
-  uint64_t breaker_cooldown_cycles = 1 << 14;
-  // Graceful degradation (layer 4): queue-fill thresholds (fraction of
-  // queue_capacity at dispatch) above which a best-effort query is
-  // shortened to degrade_shorten_factor of its requested length, and
-  // additionally stepped uniformly instead of by PWRS.
+  // Graceful degradation (layer 4): a best-effort query dispatched from
+  // a congested queue is shortened, and from a more congested one also
+  // stepped uniformly instead of by PWRS (thresholds in walk_service.cc).
   bool degrade_enabled = true;
-  double degrade_shorten_occupancy = 0.5;
-  double degrade_uniform_occupancy = 0.75;
-  double degrade_shorten_factor = 0.5;
   // Independent admission shards, each owning an equal board group plus
   // the arrival subset {i : i mod shards == shard} and its own queues,
   // breakers, and retry timers. Shards share nothing while running and

@@ -111,49 +111,6 @@ TEST(ServiceValidationTest, RejectsRetryBudgetWhoseBackoffCanOverflow) {
   EXPECT_TRUE(ValidateServiceConfig(config).ok());
 }
 
-TEST(ServiceValidationTest, RejectsZeroBreakerThreshold) {
-  ServiceConfig config = BaseConfig();
-  config.breaker_failure_threshold = 0;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-}
-
-TEST(ServiceValidationTest, RejectsZeroBreakerCooldown) {
-  ServiceConfig config = BaseConfig();
-  config.breaker_cooldown_cycles = 0;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-}
-
-TEST(ServiceValidationTest, RejectsOutOfRangeShortenOccupancy) {
-  ServiceConfig config = BaseConfig();
-  config.degrade_shorten_occupancy = 0.0;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-  config.degrade_shorten_occupancy = 1.5;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-}
-
-TEST(ServiceValidationTest, RejectsOutOfRangeUniformOccupancy) {
-  ServiceConfig config = BaseConfig();
-  config.degrade_uniform_occupancy = 0.0;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-  config.degrade_uniform_occupancy = 1.5;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-}
-
-TEST(ServiceValidationTest, RejectsUniformTierBelowShortenTier) {
-  ServiceConfig config = BaseConfig();
-  config.degrade_shorten_occupancy = 0.8;
-  config.degrade_uniform_occupancy = 0.5;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-}
-
-TEST(ServiceValidationTest, RejectsOutOfRangeShortenFactor) {
-  ServiceConfig config = BaseConfig();
-  config.degrade_shorten_factor = 0.0;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-  config.degrade_shorten_factor = 2.0;
-  EXPECT_FALSE(ValidateServiceConfig(config).ok());
-}
-
 TEST(ServiceValidationTest, RejectsInvalidNestedClusterConfig) {
   ServiceConfig config = BaseConfig();
   config.cluster.walker_message_bytes = 0;
