@@ -56,17 +56,14 @@ struct ClusterSim::Walker {
   BoardId board = 0;         // board currently executing the walker
   BoardId launch_board = 0;  // board charged for the slot
   Phase phase = Phase::kInfo;
+  // The path's steps pick uniformly (a degraded service attempt).
+  bool uniform = false;
   // The path's last step drew the stop coin that ended the walk.
   bool stopped = false;
   WalkerOptions opts;
-  // The one source of every step's next vertex: the whole path of a
-  // known-path walker, the steps sampled so far of a sampling one. The
-  // walker has walked path[0, state.step].
+  // The one source of every step's next vertex. The walker has walked
+  // path[0, state.step].
   std::vector<VertexId> path;
-  // Sampling walkers only: extends `path` by one step per Fetch event.
-  // Null for known-path launches; a slot's sampling launches re-key the
-  // one they allocate.
-  std::unique_ptr<core::TicketWalk> walk;
 
   // The attempt's "walk" span and its cycle-stage attribution. The
   // accumulators partition the attempt's elapsed cycles by pipeline
@@ -203,9 +200,9 @@ ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
   const reliability::FaultConfig& faults = config_.board.faults;
   deaths_ = reliability::EffectiveBoardDeaths(faults);
   // Checkpoints are taken whenever a fault source could force a recovery
-  // (the service layer retries whole queries instead, so its sampling
-  // walkers never replay from checkpoints — but taking them is harmless
-  // and keeps the checkpoint accounting comparable across drivers).
+  // (the service layer retries whole queries instead, so its walkers
+  // never replay from checkpoints — but taking them is harmless and
+  // keeps the checkpoint accounting comparable across drivers).
   const bool recovery_possible =
       !deaths_.empty() ||
       (faults.enabled &&
@@ -504,39 +501,10 @@ uint32_t ClusterSim::free_slots() const {
   return static_cast<uint32_t>(free_slots_.size());
 }
 
-void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
-                        BoardId board, Cycle at,
-                        const WalkerOptions& options) {
-  const size_t slot = LaunchSlot(ticket, query, board, at, options);
-  Walker& w = walkers_[slot];
-  if (w.walk == nullptr) {
-    w.walk = std::make_unique<core::TicketWalk>(
-        graph_, app_, config_.board.sampler_parallelism);
-  }
-  w.walk->Start(config_.board.seed, ticket, query.start,
-                options.uniform_step);
-  w.stopped = false;
-  w.path.clear();
-  w.path.push_back(query.start);
-}
-
 void ClusterSim::Launch(const core::TicketPath& path, BoardId board,
-                        Cycle at) {
+                        Cycle at, const WalkerOptions& options) {
   LIGHTRW_CHECK(!path.vertices.empty() &&
                 path.vertices.size() <= uint64_t{path.query.length} + 1);
-  const size_t slot = LaunchSlot(path.ticket, path.query, board, at, {});
-  Walker& w = walkers_[slot];
-  w.walk.reset();
-  w.stopped = path.stopped;
-  w.path = path.vertices;
-  if (w.path.size() > 1 && !config_.replicate_graph) {
-    partition_->PrefetchOwner(w.path[1]);
-  }
-}
-
-size_t ClusterSim::LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
-                              BoardId board, Cycle at,
-                              const WalkerOptions& options) {
   LIGHTRW_CHECK(!free_slots_.empty());
   LIGHTRW_CHECK(board < total_boards());
   const size_t slot = free_slots_.top();
@@ -554,16 +522,20 @@ size_t ClusterSim::LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
     }
   }
   w.state = WalkState{};
-  w.state.curr = query.start;
-  w.remaining = options.max_steps > 0
-                    ? std::min(query.length, options.max_steps)
-                    : query.length;
-  w.ticket = ticket;
+  w.state.curr = path.query.start;
+  w.remaining = path.query.length;
+  w.ticket = path.ticket;
   w.board = exec_board;
   w.launch_board = board;
   w.launched = at;
   w.phase = Phase::kInfo;
+  w.uniform = path.uniform;
+  w.stopped = path.stopped;
   w.opts = options;
+  w.path = path.vertices;
+  if (w.path.size() > 1 && !config_.replicate_graph) {
+    partition_->PrefetchOwner(w.path[1]);
+  }
   if (checkpointing_ || store_ != nullptr) {
     // Dispatch checkpoint: a walker can always be recovered to its
     // start. Skipped when nothing can trigger a recovery.
@@ -572,8 +544,8 @@ size_t ClusterSim::LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
   }
   w.attrib = {};
   if (obs::SpanRecorder* spans = config_.board.spans) {
-    w.attrib.span = spans->Begin(ticket, options.parent_span, "walk", "exec",
-                                 GlobalBoard(exec_board), at);
+    w.attrib.span = spans->Begin(w.ticket, options.parent_span, "walk",
+                                 "exec", GlobalBoard(exec_board), at);
   }
   if (store_ != nullptr) {
     // Generation 0: the dispatch checkpoint is durable too, so even a
@@ -591,7 +563,6 @@ size_t ClusterSim::LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
   }
   LIGHTRW_DCHECK(!walker_events_.pending(slot));
   walker_events_.Set(slot, at);
-  return slot;
 }
 
 void ClusterSim::ScheduleWake(uint64_t tag, Cycle at) {
@@ -701,7 +672,7 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
   // Before the callback, which may relaunch into this slot.
   walker_events_.Cancel(slot);
   free_slots_.push(slot);
-  // The walked prefix: a known path ends here only if nothing cut it.
+  // The walked prefix: the path ends here only if nothing cut it.
   w.path.resize(w.state.step + 1);
   std::vector<VertexId> path = std::move(w.path);
   w.path.clear();
@@ -712,7 +683,7 @@ void ClusterSim::Retire(size_t slot, Cycle at, Outcome outcome) {
 
 // Retires at `retire_at` a walker whose state at `at` cannot be
 // restored. Its walk failed and is counted unless the walker had walked
-// its whole known path: then only its retirement at the dead end was
+// its whole path: then only its retirement at the dead end was
 // pending, and its path is complete.
 void ClusterSim::RetireLost(size_t slot, Cycle at, Cycle retire_at) {
   const Walker& w = walkers_[slot];
@@ -724,15 +695,15 @@ void ClusterSim::RetireLost(size_t slot, Cycle at, Cycle retire_at) {
   Retire(slot, retire_at);
 }
 
-// Rewinds a walker along its known path to its checkpoint's step and
+// Rewinds a walker along its path to its checkpoint's step and
 // re-dispatches it on a surviving board (its state on the old board —
 // resident or in a lost migration message — is gone). Without a
 // checkpoint the walker is lost: it retires truncated (RetireLost).
-// Batch mode only; the service layer gets the failure surfaced instead
-// and owns the retry.
+// Never for a walker that surfaces its failures: the service owns the
+// retry.
 void ClusterSim::Recover(size_t slot, Cycle at) {
   Walker& w = walkers_[slot];
-  LIGHTRW_CHECK(w.walk == nullptr);
+  LIGHTRW_CHECK(!w.opts.surface_failures);
   const reliability::FaultConfig& faults = config_.board.faults;
   if (!checkpointing_ && store_ == nullptr) {
     RetireLost(slot, at, at);
@@ -802,9 +773,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   // cycle finds the walker's resident state gone.
   if (state_[w.board] == reliability::BoardState::kDead) {
     SpanEvent(slot, "board_failure", now);
-    // A sampling (service) walker surfaces its failures; a known-path
-    // (batch) walker recovers from its checkpoint.
-    if (w.walk != nullptr) {
+    if (w.opts.surface_failures) {
       a.recovery_cycles += faults.detection_latency_cycles;
       Retire(slot, now + faults.detection_latency_cycles,
              Outcome::kBoardLost);
@@ -815,7 +784,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   }
   Board& board = boards_[w.board];
   // A degraded uniform step keeps its cost whatever the WRS setting.
-  const core::FetchPolicy policy = w.opts.uniform_step
+  const core::FetchPolicy policy = w.uniform
                                        ? core::FetchPolicy::kUniformPick
                                        : core::WeightedPolicy(config_.board);
 
@@ -833,7 +802,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       // Uncorrectable ECC error on the row lookup: the walk cannot
       // continue from corrupt state.
       SpanEvent(slot, "dram_uncorrectable", t_info);
-      if (w.walk != nullptr) {
+      if (w.opts.surface_failures) {
         Retire(slot, t_info, Outcome::kDataFault);
       } else {
         ++board.rel.walks_failed;
@@ -847,10 +816,6 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       return;
     }
     w.phase = Phase::kFetch;
-    if (w.walk != nullptr && !w.opts.uniform_step) {
-      // The adjacency lines arrive while other walkers' events run.
-      core::StepSampler::Prefetch(*graph_, *app_, w.state.curr);
-    }
     walker_events_.Set(slot, t_info);
     return;
   }
@@ -864,14 +829,6 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     SpanEvent(slot, "dram_retry", fetch.last_data);
   }
 
-  if (w.walk != nullptr) {
-    LIGHTRW_DCHECK(w.path.size() == w.state.step + 1);
-    const VertexId sampled = w.walk->Step();
-    if (sampled != graph::kInvalidVertex) {
-      w.path.push_back(sampled);
-      w.stopped = w.walk->stopped();
-    }
-  }
   // A path that ends here ended on all-zero weights.
   const VertexId next = w.state.step + 1 < w.path.size()
                             ? w.path[w.state.step + 1]
@@ -881,7 +838,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     // Uncorrectable ECC error in the adjacency stream: the sampled step
     // is based on corrupt data, so the walk fails here.
     SpanEvent(slot, "dram_uncorrectable", step_end);
-    if (w.walk != nullptr) {
+    if (w.opts.surface_failures) {
       Retire(slot, step_end, Outcome::kDataFault);
     } else {
       ++board.rel.walks_failed;
@@ -920,8 +877,8 @@ void ClusterSim::Step(size_t slot, Cycle now) {
       config_.replicate_graph ? w.board : LiveOwnerOf(next);
   if (next_board != w.board) {
     // Ship the walker state to the owner of the next vertex; a lost
-    // message (retransmission budget exhausted) recovers the walker
-    // from its checkpoint (batch) or surfaces the loss (service).
+    // message (retransmission budget exhausted) surfaces the loss or
+    // recovers the walker from its checkpoint.
     const hwsim::LinkDelivery delivery =
         board.link.SendReliable(step_end, config_.walker_message_bytes);
     ++total_migrations_;
@@ -932,7 +889,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     }
     if (!delivery.delivered) {
       SpanEvent(slot, "link_loss", delivery.arrival);
-      if (w.walk != nullptr) {
+      if (w.opts.surface_failures) {
         Retire(slot, delivery.arrival, Outcome::kBoardLost);
       } else {
         Recover(slot, delivery.arrival);

@@ -19,17 +19,17 @@
 // work, and more may be injected between drains.
 //
 // Determinism: a walk's path is a pure function of (config seed, ticket,
-// options). core::TicketWalk draws it from streams keyed on the ticket,
-// and nothing the timing model does feeds back into it: dispatch order,
-// board placement and the timing interleaving can only end a walk early
-// (a fault truncates it, a service cap shortens it). So the batch driver
-// computes its walkers' paths before they launch (core::PathRing) and
-// ClusterSim only times them; recovery rewinds a walker to its
-// checkpoint's step on the same path. A service walker samples its path
-// one step per Fetch event instead, because the service decides
-// shortening and uniform steps at dispatch. The service retries a
-// bounced query on another board and obtains the same walk, and a
-// low-load service run produces bit-identical walks to a batch run.
+// query, uniform). core::PathRing draws it from streams keyed on the
+// ticket, and nothing the timing model does feeds back into it:
+// dispatch order, board placement and the timing interleaving can only
+// end a walk early (a fault truncates it). So every driver computes a
+// walker's path before it launches and ClusterSim only times it: the
+// batch driver a window of paths ahead, the service each attempt's path
+// at dispatch, once it has decided the attempt's cap and uniform steps.
+// Recovery rewinds a walker to its checkpoint's step on the same path.
+// The service retries a bounced query on another board and obtains the
+// same walk, and a low-load service run produces bit-identical walks to
+// a batch run.
 
 #ifndef LIGHTRW_DISTRIBUTED_CLUSTER_SIM_H_
 #define LIGHTRW_DISTRIBUTED_CLUSTER_SIM_H_
@@ -154,16 +154,14 @@ struct DistributedRunStats {
   void Accumulate(const DistributedRunStats& part);
 };
 
-// Per-attempt execution options — the service layer's degradation knobs.
-// The defaults execute the query exactly as requested.
+// Per-attempt options the service sets; the batch driver keeps the
+// defaults. The path itself carries the attempt's cap and uniform steps.
 struct WalkerOptions {
-  // Caps the walk at this many steps (0 = the query's requested length).
-  uint32_t max_steps = 0;
-  // Degrades weighted (PWRS) stepping to a uniform neighbor choice: the
-  // sampler consumes one cycle instead of ceil(degree / k), and Node2Vec
-  // walks skip the previous-vertex adjacency fetch. Best-effort quality
-  // under overload at a fraction of the per-step cost.
-  bool uniform_step = false;
+  // Retire the walker with the failure in WalkerEnd when its board dies,
+  // its migration is lost or uncorrectable ECC corrupts its data: the
+  // caller owns the retry. False: the walker recovers from its
+  // checkpoint, or retires truncated.
+  bool surface_failures = false;
   // Parent span id for the attempt's "walk" span (0 = trace root). Set
   // by the service layer so per-attempt execution spans nest under the
   // query's root span; ignored unless config.board.spans is set.
@@ -176,8 +174,7 @@ struct WalkerEnd {
   hwsim::Cycle at = 0;      // retire cycle
   uint32_t steps = 0;       // steps actually taken
   BoardId board = 0;        // board charged for the walker (Launch board)
-  // Surfaced failures (sampling walkers only; a known-path walker is
-  // recovered internally from its checkpoint instead).
+  // Failures, surfaced only under WalkerOptions::surface_failures.
   bool board_lost = false;  // board died / migration undeliverable
   bool data_fault = false;  // uncorrectable ECC truncated the walk
   bool Failed() const { return board_lost || data_fault; }
@@ -264,20 +261,14 @@ class ClusterSim {
   uint32_t InflightOn(BoardId b) const;
   uint32_t free_slots() const;
 
-  // Injects a walker executing `query` starting on `board` at cycle
-  // `at`, sampling each step when its Fetch event runs (the service's
-  // walkers, whose options are decided at dispatch). Requires a free
-  // slot. The ticket keys the walk's core::TicketWalk and is echoed in
-  // WalkerEnd. A board death, an undeliverable migration or an
-  // uncorrectable data fault retires the walker at once with the failure
-  // surfaced in WalkerEnd: the caller owns the retry/shed decision.
-  void Launch(uint64_t ticket, const apps::WalkQuery& query, BoardId board,
-              hwsim::Cycle at, const WalkerOptions& options = {});
-  // Injects a walker that times a known path: `path` as a PathRing
-  // computed it for (seed, path.ticket, path.query). The walker copies
-  // the vertices. Batch mode only; a board death or a lost migration
-  // rewinds the walker along this path.
-  void Launch(const core::TicketPath& path, BoardId board, hwsim::Cycle at);
+  // Injects a walker on `board` at cycle `at` that times `path` as a
+  // PathRing computed it (path.query.length is the attempt's cap,
+  // path.uniform its step kind). Requires a free slot. The walker copies
+  // the vertices; path.ticket is echoed in WalkerEnd. Unless `options`
+  // surface failures, a board death or a lost migration rewinds the
+  // walker along its path, and uncorrectable ECC retires it truncated.
+  void Launch(const core::TicketPath& path, BoardId board, hwsim::Cycle at,
+              const WalkerOptions& options = {});
   // Schedules an on_wake(tag, at) callback at cycle `at`.
   void ScheduleWake(uint64_t tag, hwsim::Cycle at);
 
@@ -317,14 +308,10 @@ class ClusterSim {
   // Sentinel for "share has no serving board" / "board serves no share".
   static constexpr BoardId kNoBoard = static_cast<BoardId>(~0u);
 
-  // How a walker attempt ends: done (walk complete, truncated or lost
-  // in batch mode), or a failure surfaced to the retire callback.
+  // How a walker attempt ends: done (walk complete, truncated or lost),
+  // or a failure surfaced to the retire callback.
   enum class Outcome : uint8_t { kDone, kBoardLost, kDataFault };
 
-  // The part of both Launch overloads that does not touch the path.
-  size_t LaunchSlot(uint64_t ticket, const apps::WalkQuery& query,
-                    BoardId board, hwsim::Cycle at,
-                    const WalkerOptions& options);
   void Step(size_t slot, hwsim::Cycle now);
   void EndWalkSpan(size_t slot, hwsim::Cycle at);
   void Retire(size_t slot, hwsim::Cycle at, Outcome outcome = Outcome::kDone);

@@ -67,8 +67,8 @@ enum class FetchPolicy {
   // weight buffer and sampling table round-trip through DRAM and the
   // stages run back to back (the WRS-disabled ablation of Fig. 13).
   kStaged,
-  // Degraded uniform pick on LightRW hardware (distributed
-  // WalkerOptions::uniform_step): the full adjacency still streams, the
+  // Degraded uniform pick on LightRW hardware (a ClusterSim walker whose
+  // path is TicketPath::uniform): the full adjacency still streams, the
   // sampler spends one cycle, and there is no prev lookup or refetch.
   kUniformPick,
   // Su et al. uniform accelerator (UniformCycleEngine): one row lookup

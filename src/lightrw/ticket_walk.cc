@@ -48,16 +48,6 @@ void TicketWalk::Advance(VertexId next) {
   stopped_ = stop_probability_ > 0.0 && aux_.NextUnit() < stop_probability_;
 }
 
-VertexId TicketWalk::Step() {
-  const size_t edge = PickEdge();
-  if (edge == sampling::kNoSample) {
-    return graph::kInvalidVertex;
-  }
-  const VertexId next = graph_->Neighbors(state_.curr)[edge];
-  Advance(next);
-  return next;
-}
-
 PathRing::PathRing(const CsrGraph* graph, const WalkApp* app,
                    size_t parallelism)
     : graph_(graph), app_(app) {
@@ -89,7 +79,7 @@ void PathRing::Walk(uint64_t seed, std::span<TicketPath> paths,
       p.vertices.assign(1, p.query.start);
       p.stopped = false;
       if (p.query.length > 0) {
-        walks_[s]->Start(seed, p.ticket, p.query.start, /*uniform=*/false);
+        walks_[s]->Start(seed, p.ticket, p.query.start, p.uniform);
         graph_->PrefetchRow(p.query.start);
         slots[s] = {&p, 0, Stage::kRow};
         return true;

@@ -1,12 +1,12 @@
 // The walk of one ticket, and the pass that computes many of them.
 //
-// A ClusterSim walk's path is a pure function of (seed, ticket, options):
-// its PWRS lanes and its stop/uniform stream are keyed on the ticket, and
-// the timing model never feeds back into them. TicketWalk is that
-// function, one step at a time. It is the only code that draws a
-// ClusterSim walk's random numbers: a service walker steps it once per
-// Fetch event, and PathRing steps a ring of them to compute batch paths
-// before the event loop times them.
+// A ClusterSim walk's path is a pure function of (seed, ticket, query,
+// uniform): its PWRS lanes and its stop/uniform stream are keyed on the
+// ticket, and the timing model never feeds back into them. TicketWalk is
+// that function, one step at a time, and PathRing steps a ring of them.
+// PathRing is the only code that produces a ClusterSim walk: the batch
+// driver computes its paths a window ahead of launch, the service each
+// attempt's path at dispatch, and the event loop only times them.
 
 #ifndef LIGHTRW_LIGHTRW_TICKET_WALK_H_
 #define LIGHTRW_LIGHTRW_TICKET_WALK_H_
@@ -52,10 +52,6 @@ class TicketWalk {
   // Moves to `next`, the neighbor PickEdge chose, and draws the stop coin.
   void Advance(VertexId next);
 
-  // A whole step: the next vertex, or kInvalidVertex where PickEdge
-  // returns kNoSample.
-  VertexId Step();
-
  private:
   const CsrGraph* graph_;
   const WalkApp* app_;
@@ -68,20 +64,23 @@ class TicketWalk {
   bool stopped_ = false;
 };
 
-// A ticket's path as a path pass leaves it.
+// A ticket's path as a path pass leaves it. The pass reads ticket,
+// query and uniform and writes vertices and stopped.
 struct TicketPath {
   uint64_t ticket = 0;
   apps::WalkQuery query;
+  // Every step picks a neighbor uniformly instead of by PWRS.
+  bool uniform = false;
   std::vector<graph::VertexId> vertices;  // the start vertex first
   bool stopped = false;  // the last step's stop coin ended the walk
 };
 
-// Computes weighted (PWRS) paths for tickets. A fixed ring of walks
-// moves through three stages per step, each starting the load the next
-// stage of that walk reads, so one walk's misses overlap the others'
-// work: (a) read the row entry and prefetch the heads of N(curr)'s
-// weights (and N(curr) for dynamic apps); (b) run PWRS and prefetch the
-// chosen neighbor; (c) read it, append it, prefetch its row entry.
+// Computes the paths of tickets. A fixed ring of walks moves through
+// three stages per step, each starting the load the next stage of that
+// walk reads, so one walk's misses overlap the others' work: (a) read
+// the row entry and prefetch the heads of N(curr)'s weights (and N(curr)
+// for dynamic apps); (b) pick the edge (PWRS, or uniformly) and prefetch
+// the chosen neighbor; (c) read it, append it, prefetch its row entry.
 // Paths do not depend on the ring order. Not thread-safe; one per worker.
 class PathRing {
  public:

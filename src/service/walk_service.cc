@@ -1,6 +1,7 @@
 #include "service/walk_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <limits>
 #include <optional>
@@ -11,6 +12,7 @@
 #include "common/sim_thread_pool.h"
 #include "distributed/config_validation.h"
 #include "lightrw/sink_shards.h"
+#include "lightrw/ticket_walk.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
@@ -266,6 +268,11 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
     const uint32_t max_walkers =
         boards_per_shard * config_.cluster.inflight_walkers_per_board;
     ClusterSim sim(graph_, app_, partition, cluster_config, max_walkers);
+    // Computes each attempt's path at dispatch, once its cap and step
+    // kind are decided. A ring is not thread-safe: one per shard.
+    core::PathRing ring(graph_, app_,
+                        config_.cluster.board.sampler_parallelism);
+    core::TicketPath path;
 
     // Per-board admission queue + circuit breaker.
     struct SBoard {
@@ -415,20 +422,19 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
           shed(qi, b, at, QueryOutcome::kShedDeadline);
           continue;
         }
-        WalkerOptions opts;
-        opts.parent_span = r.root_span;
+        path.ticket = qi;
+        path.query = sq.query;
         r.shortened = false;
         r.uniform = false;
         if (config_.degrade_enabled && sq.best_effort) {
           if (fill >= kDegradeShortenOccupancy) {
-            opts.max_steps = std::max(
+            path.query.length = std::max(
                 1u, static_cast<uint32_t>(
                         static_cast<double>(sq.query.length) *
                         kDegradeShortenFactor));
             r.shortened = true;
           }
           if (fill >= kDegradeUniformOccupancy) {
-            opts.uniform_step = true;
             r.uniform = true;
           }
           if (r.shortened || r.uniform) {
@@ -450,7 +456,13 @@ StatusOr<ServiceRunStats> WalkService::Run(baseline::WalkOutput* output) {
         if (sb.breaker == BreakerState::kHalfOpen) {
           sb.probe_inflight = true;
         }
-        sim.Launch(qi, sq.query, b, at, opts);
+        path.uniform = r.uniform;
+        std::atomic<size_t> cursor{0};
+        ring.Walk(config_.cluster.board.seed, {&path, 1}, cursor);
+        WalkerOptions opts;
+        opts.surface_failures = true;
+        opts.parent_span = r.root_span;
+        sim.Launch(path, b, at, opts);
       }
     };
 
