@@ -1,5 +1,7 @@
 #include "lightrw/ticket_walk.h"
 
+#include <algorithm>
+
 #include "sampling/sampler.h"
 
 namespace lightrw::core {
@@ -87,12 +89,14 @@ void PathRing::Walk(uint64_t seed, std::span<TicketPath> paths,
     }
   };
 
+  // No wider than the paths: the service's single path walks alone.
+  const size_t width = std::min(kRingSize, paths.size());
   size_t active = 0;
-  for (size_t s = 0; s < kRingSize; ++s) {
+  for (size_t s = 0; s < width; ++s) {
     active += load(s) ? 1 : 0;
   }
   while (active > 0) {
-    for (size_t s = 0; s < kRingSize; ++s) {
+    for (size_t s = 0; s < width; ++s) {
       Slot& slot = slots[s];
       if (slot.path == nullptr) {
         continue;
