@@ -327,6 +327,36 @@ TEST(GoldenTest, DistributedEngineRecoveryPins) {
   EXPECT_EQ(PathHash(output), 0x4ed9b7bd998de02bULL);
 }
 
+// Replicated boards with a fault schedule take the coupled driver: walk
+// i launches on board i % 4, and once board 1 dies the launches aimed at
+// it go to a survivor. Checkpointed walkers on board 1 recover there.
+TEST(GoldenTest, DistributedEngineReplicatedBoardDeathPins) {
+  const apps::StaticWalkApp app;
+  const distributed::Partition partition = distributed::MakePartition(
+      PinGraph(), 4, distributed::PartitionStrategy::kHash);
+  distributed::DistributedConfig config;
+  config.board = PinConfig();
+  config.replicate_graph = true;
+  reliability::FaultConfig& faults = config.board.faults;
+  faults.enabled = true;
+  faults.seed = 7;
+  faults.checkpoint_interval_cycles = 1 << 12;
+  faults.board_deaths = {{12000, /*board=*/1}};
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats stats =
+      distributed::DistributedEngine(&PinGraph(), &app, &partition, config)
+          .Run(PinQueries(), &output)
+          .value();
+  const reliability::ReliabilityStats& rel = stats.reliability;
+  EXPECT_EQ(stats.cycles, 34788u);
+  EXPECT_EQ(stats.steps, 3231u);
+  EXPECT_EQ(rel.walkers_recovered, 63u);
+  EXPECT_EQ(rel.board_failures, 1u);
+  EXPECT_EQ(stats.membership.size(), 1u);
+  // Recovery replays along the known path: the fault-free DeepWalk corpus.
+  EXPECT_EQ(PathHash(output), 0x4ed9b7bd998de02bULL);
+}
+
 // DRAM ECC on every board: each request draws its fault in issue order,
 // correctable errors re-issue the burst, and an uncorrectable one past
 // the single retry fails the walk, which retires truncated.
