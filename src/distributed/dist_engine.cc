@@ -1,8 +1,6 @@
 #include "distributed/dist_engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -17,88 +15,37 @@ namespace lightrw::distributed {
 
 namespace {
 
-// Path vertices computed ahead of the launch cursor, counting each
-// ticket's whole length: 1 MB of paths. A run that does not keep its
-// corpus never holds more (plus one copy per walker in flight).
-constexpr size_t kWindowVertices = size_t{1} << 18;
-
-// The paths of a batch run's walks, computed one window of tickets ahead
-// of the launch cursor. The run's j-th walk is ticket first + j * stride
-// and executes queries[ticket]. Up to `threads` workers, each stepping
-// its own PathRing, claim a window's tickets one at a time.
-class PathWindow {
- public:
-  PathWindow(const graph::CsrGraph* graph, const apps::WalkApp* app,
-             const DistributedConfig& config,
-             std::span<const apps::WalkQuery> queries, size_t first,
-             size_t stride, uint32_t threads)
-      : queries_(queries),
-        first_(first),
-        stride_(stride),
-        seed_(config.board.seed),
-        size_(queries.size() > first
-                  ? (queries.size() - first + stride - 1) / stride
-                  : 0) {
-    for (size_t t = 0; t < std::min<size_t>(threads, size_); ++t) {
-      rings_.push_back(std::make_unique<core::PathRing>(
-          graph, app, config.board.sampler_parallelism));
+// Runs walks 0, 1, ... of `paths` closed-loop on `sim`: `num_walkers` in
+// flight from cycle 0, each launched on the board `board_of(path)` picks,
+// and each retire refilling its slot with the next walk. A retired path
+// goes to (*finished)[ticket] when `finished` is non-null.
+template <typename BoardOf>
+void RunClosedLoop(ClusterSim& sim, core::PathWindow& paths,
+                   size_t num_walkers, const BoardOf& board_of,
+                   std::vector<std::vector<graph::VertexId>>* finished,
+                   DistributedRunStats* stats) {
+  size_t next = 0;
+  auto load = [&](hwsim::Cycle at) {
+    if (next >= paths.size()) {
+      return;
     }
-  }
-
-  // Walks in the run.
-  size_t size() const { return size_; }
-
-  // The path of walk j. j must not decrease from one call to the next:
-  // computing a window overwrites the previous one.
-  const core::TicketPath& Path(size_t j) {
-    LIGHTRW_DCHECK(j >= begin_);
-    if (j >= begin_ + paths_.size()) {
-      Fill(j);
+    const core::TicketPath& path = paths.Path(next++);
+    sim.Launch(path, board_of(path), at);
+  };
+  sim.set_on_retire([&](const WalkerEnd& end,
+                        std::vector<graph::VertexId>&& path) {
+    if (finished != nullptr) {
+      (*finished)[end.ticket] = std::move(path);
     }
-    return paths_[j - begin_];
+    ++stats->queries;
+    load(end.at);
+  });
+  for (size_t i = 0; i < num_walkers; ++i) {
+    load(0);
   }
-
- private:
-  // Computes the window of walks j, j + 1, ... whose paths fit in
-  // kWindowVertices at their full lengths (at least walk j). A path
-  // reserves at most one window: a query whose length cap is far above
-  // what its walk reaches (a PPR walk ends on a stop coin) grows its
-  // vector only as far as it walks.
-  void Fill(size_t j) {
-    begin_ = j;
-    paths_.clear();
-    size_t vertices = 0;
-    for (size_t k = j; k < size_; ++k) {
-      const size_t ticket = first_ + k * stride_;
-      const size_t room = size_t{queries_[ticket].length} + 1;
-      if (!paths_.empty() && vertices + room > kWindowVertices) {
-        break;
-      }
-      core::TicketPath& path = paths_.emplace_back();
-      path.ticket = ticket;
-      path.query = queries_[ticket];
-      path.vertices.reserve(std::min(room, kWindowVertices));
-      vertices += room;
-    }
-    // Tickets are claimed one at a time rather than split into equal
-    // ranges, so a worker that draws long or slow walks walks fewer.
-    const uint32_t workers =
-        static_cast<uint32_t>(std::min(rings_.size(), paths_.size()));
-    std::atomic<size_t> cursor{0};
-    SimThreadPool::ParallelFor(workers, workers, [&](size_t t) {
-      rings_[t]->Walk(seed_, paths_, cursor);
-    });
-  }
-
-  std::span<const apps::WalkQuery> queries_;
-  size_t first_;
-  size_t stride_;
-  uint64_t seed_;
-  size_t size_;
-  std::vector<std::unique_ptr<core::PathRing>> rings_;  // one per worker
-  size_t begin_ = 0;  // walk index of paths_[0]
-  std::vector<core::TicketPath> paths_;
-};
+  sim.Drain();
+  sim.Finalize(stats);
+}
 
 }  // namespace
 
@@ -125,6 +72,7 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
   if (output != nullptr) {
     finished.resize(queries.size());
   }
+  auto* keep = output != nullptr ? &finished : nullptr;
 
   DistributedRunStats stats;
   // Replicated boards never exchange walkers, so each board is an
@@ -137,6 +85,8 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
                        !config_.board.faults.AnyFaultsPossible() &&
                        num_boards > 1;
   const uint32_t threads = SimThreadPool::ResolveThreads(config_.num_threads);
+  const size_t parallelism = config_.board.sampler_parallelism;
+  const uint64_t seed = config_.board.seed;
   if (sharded) {
     // All vertices on local board 0 of every shard (replication makes
     // ownership irrelevant; the partition only sizes the sim).
@@ -151,33 +101,17 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
       shard_config.board = sinks.Shard(b);
       // Shard b runs tickets b, b + num_boards, ... through its own
       // path pass; the shards already occupy the workers.
-      PathWindow paths(graph_, app_, config_, queries, b, num_boards,
-                       /*threads=*/1);
+      core::PathWindow paths(graph_, app_, parallelism, seed, queries, b,
+                             num_boards, /*threads=*/1);
       const size_t num_walkers = std::min<size_t>(
           config_.inflight_walkers_per_board, paths.size());
       ClusterSim sim(graph_, app_, &single, shard_config,
                      static_cast<uint32_t>(std::max<size_t>(num_walkers,
                                                             1)));
-      size_t next_query = 0;
-      auto load = [&](hwsim::Cycle at) {
-        if (next_query >= paths.size()) {
-          return;
-        }
-        sim.Launch(paths.Path(next_query++), /*board=*/0, at);
-      };
-      sim.set_on_retire([&](const WalkerEnd& end,
-                            std::vector<graph::VertexId>&& path) {
-        if (output != nullptr) {
-          finished[end.ticket] = std::move(path);
-        }
-        ++shard_stats[b].queries;
-        load(end.at);
-      });
-      for (size_t i = 0; i < num_walkers; ++i) {
-        load(0);
-      }
-      sim.Drain();
-      sim.Finalize(&shard_stats[b]);
+      RunClosedLoop(
+          sim, paths, num_walkers,
+          [](const core::TicketPath&) { return BoardId{0}; }, keep,
+          &shard_stats[b]);
     });
     sinks.Merge();
     for (BoardId b = 0; b < num_boards; ++b) {
@@ -191,49 +125,25 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
     const size_t num_walkers = std::min(max_inflight, queries.size());
     ClusterSim sim(graph_, app_, partition_, config_,
                    static_cast<uint32_t>(num_walkers));
-    PathWindow paths(graph_, app_, config_, queries, 0, 1, threads);
-
-    size_t next_query = 0;
-    auto load = [&](hwsim::Cycle at) {
-      if (next_query >= queries.size()) {
-        return;
+    core::PathWindow paths(graph_, app_, parallelism, seed, queries, 0, 1,
+                           threads);
+    // Replicated mode keeps a walker on its initial board for its whole
+    // life (any board can serve any vertex); partitioned mode dispatches
+    // to whichever board serves the start vertex's share (the owner, its
+    // rebuilt spare, or a survivor).
+    auto board_of = [&](const core::TicketPath& path) {
+      if (!config_.replicate_graph) {
+        return sim.LiveOwnerOf(path.query.start);
       }
-      const size_t qi = next_query++;
-      const apps::WalkQuery& q = queries[qi];
-      // Replicated mode keeps a walker on its initial board for its
-      // whole life (any board can serve any vertex); partitioned mode
-      // dispatches to whichever board serves the start vertex's share
-      // (the owner, its rebuilt spare, or a survivor).
-      BoardId board;
-      if (config_.replicate_graph) {
-        board = static_cast<BoardId>(qi % num_boards);
-        // During a total-owner-loss window (durable store only) there
-        // is no survivor to reroute to: launch onto the dead board and
-        // let the walker's first event park it until a rebuild lands.
-        if (!sim.IsAlive(board) && sim.has_survivor()) {
-          board = sim.SurvivorOf(qi);
-        }
-      } else {
-        board = sim.LiveOwnerOf(q.start);
-      }
-      sim.Launch(paths.Path(qi), board, at);
+      // During a total-owner-loss window (durable store only) there is
+      // no survivor to reroute to: launch onto the dead board and let
+      // the walker's first event park it until a rebuild lands.
+      const BoardId board = static_cast<BoardId>(path.ticket % num_boards);
+      return !sim.IsAlive(board) && sim.has_survivor()
+                 ? sim.SurvivorOf(path.ticket)
+                 : board;
     };
-
-    sim.set_on_retire([&](const WalkerEnd& end,
-                          std::vector<graph::VertexId>&& path) {
-      if (output != nullptr) {
-        finished[end.ticket] = std::move(path);
-      }
-      ++stats.queries;
-      // Keep the freed slot busy: the batch workload is closed-loop.
-      load(end.at);
-    });
-
-    for (size_t i = 0; i < num_walkers; ++i) {
-      load(0);
-    }
-    sim.Drain();
-    sim.Finalize(&stats);
+    RunClosedLoop(sim, paths, num_walkers, board_of, keep, &stats);
   }
 
   if (output != nullptr) {

@@ -1,8 +1,8 @@
 #include "lightrw/functional_engine.h"
 
 #include "common/check.h"
-#include "lightrw/step_sampler.h"
-#include "rng/rng.h"
+#include "common/sim_thread_pool.h"
+#include "lightrw/ticket_walk.h"
 
 namespace lightrw::core {
 
@@ -18,40 +18,28 @@ FunctionalEngine::FunctionalEngine(const graph::CsrGraph* graph,
 FunctionalRunStats FunctionalEngine::Run(std::span<const WalkQuery> queries,
                                          WalkOutput* output) {
   FunctionalRunStats stats;
-  rng::ThunderingRng rng(config_.sampler_parallelism, config_.seed);
-  StepSampler sampler(config_.sampler_parallelism, &rng);
-  rng::Xoshiro256StarStar stop_gen(config_.seed ^ 0x5709ULL);
-  const double stop_probability = app_->stop_probability();
-
-  for (const WalkQuery& query : queries) {
-    apps::WalkState state;
-    state.curr = query.start;
-    if (output != nullptr) {
-      output->vertices.push_back(query.start);
+  PathWindow paths(graph_, app_, config_.sampler_parallelism, config_.seed,
+                   queries, /*first=*/0, /*stride=*/1,
+                   SimThreadPool::ResolveThreads(config_.num_threads));
+  for (size_t q = 0; q < paths.size(); ++q) {
+    const TicketPath& path = paths.Path(q);
+    const std::vector<graph::VertexId>& vertices = path.vertices;
+    const size_t steps = vertices.size() - 1;
+    // A step was tried from every vertex the walk left, and from its last
+    // one when it ended short of its length without a stop coin.
+    const size_t tried =
+        steps < path.query.length && !path.stopped ? steps + 1 : steps;
+    for (size_t i = 0; i < tried; ++i) {
+      stats.edges_examined += graph_->Degree(vertices[i]);
     }
-    for (uint32_t step = 0; step < query.length; ++step) {
-      state.step = step;
-      stats.edges_examined += graph_->Degree(state.curr);
-      const graph::VertexId next = sampler.SampleNext(*graph_, *app_, state);
-      if (next == graph::kInvalidVertex) {
-        break;
-      }
-      state.prev = state.curr;
-      state.curr = next;
-      ++stats.steps;
-      if (output != nullptr) {
-        output->vertices.push_back(next);
-      }
-      if (stop_probability > 0.0 &&
-          stop_gen.NextUnit() < stop_probability) {
-        break;  // geometric termination (PPR-style apps)
-      }
-    }
+    stats.steps += steps;
+    ++stats.queries;
     if (output != nullptr) {
+      output->vertices.insert(output->vertices.end(), vertices.begin(),
+                              vertices.end());
       output->offsets.push_back(
           static_cast<uint32_t>(output->vertices.size()));
     }
-    ++stats.queries;
   }
   return stats;
 }

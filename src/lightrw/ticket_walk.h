@@ -1,12 +1,15 @@
-// The walk of one ticket, and the pass that computes many of them.
+// The path pass: the walks of tickets, computed ahead of whoever uses
+// them.
 //
-// A ClusterSim walk's path is a pure function of (seed, ticket, query,
-// uniform): its PWRS lanes and its stop/uniform stream are keyed on the
-// ticket, and the timing model never feeds back into them. TicketWalk is
-// that function, one step at a time, and PathRing steps a ring of them.
-// PathRing is the only code that produces a ClusterSim walk: the batch
-// driver computes its paths a window ahead of launch, the service each
-// attempt's path at dispatch, and the event loop only times them.
+// A walk's path is a pure function of (seed, ticket, query, uniform): its
+// PWRS lanes and its stop/uniform stream are keyed on the ticket, and no
+// timing decision feeds back into them. PathRing computes such paths, a
+// ring of walks at a time, and PathWindow runs rings on the host's
+// threads over a run's query set. They are the only code that produces a
+// walk outside CycleEngine: FunctionalEngine is a PathWindow pass, the
+// batch driver of ClusterSim times the paths of a PathWindow, the service
+// computes each attempt's path at dispatch with a PathRing, and the chaos
+// campaign's path-identity reference is a FunctionalEngine run.
 
 #ifndef LIGHTRW_LIGHTRW_TICKET_WALK_H_
 #define LIGHTRW_LIGHTRW_TICKET_WALK_H_
@@ -19,50 +22,10 @@
 #include <vector>
 
 #include "apps/walk_app.h"
+#include "common/check.h"
 #include "graph/csr.h"
-#include "lightrw/step_sampler.h"
-#include "rng/rng.h"
 
 namespace lightrw::core {
-
-// One ticket's walk. Draw order per step: the PWRS lanes (or one
-// uniform pick from the stop/uniform stream), then one stop coin from
-// that stream when the app stops walks early. Not movable: the sampler
-// holds a pointer to the lanes.
-class TicketWalk {
- public:
-  TicketWalk(const CsrGraph* graph, const WalkApp* app, size_t parallelism);
-  TicketWalk(const TicketWalk&) = delete;
-  TicketWalk& operator=(const TicketWalk&) = delete;
-
-  // Starts the walk of `ticket` at `start`, with its streams keyed on
-  // (seed, ticket). `uniform`: every step picks a neighbor uniformly
-  // (the service's degraded steps) instead of by PWRS.
-  void Start(uint64_t seed, uint64_t ticket, VertexId start, bool uniform);
-
-  const WalkState& state() const { return state_; }
-  // True when the last step's stop coin ended the walk.
-  bool stopped() const { return stopped_; }
-
-  // A step in two halves, for callers that read the chosen neighbor
-  // later. PickEdge draws the step's choice: an index into
-  // N(state().curr), or sampling::kNoSample when the vertex has no
-  // neighbor or all its weights are zero (the walk ends there).
-  size_t PickEdge();
-  // Moves to `next`, the neighbor PickEdge chose, and draws the stop coin.
-  void Advance(VertexId next);
-
- private:
-  const CsrGraph* graph_;
-  const WalkApp* app_;
-  double stop_probability_;
-  rng::ThunderingRng lanes_;
-  rng::Xoshiro256StarStar aux_{0};  // stop coins and uniform picks
-  StepSampler sampler_;
-  WalkState state_;
-  bool uniform_ = false;
-  bool stopped_ = false;
-};
 
 // A ticket's path as a path pass leaves it. The pass reads ticket,
 // query and uniform and writes vertices and stopped.
@@ -81,10 +44,15 @@ struct TicketPath {
 // the row entry and prefetch the heads of N(curr)'s weights (and N(curr)
 // for dynamic apps); (b) pick the edge (PWRS, or uniformly) and prefetch
 // the chosen neighbor; (c) read it, append it, prefetch its row entry.
-// Paths do not depend on the ring order. Not thread-safe; one per worker.
+// Per step a walk draws its PWRS lanes (or one uniform pick from its
+// stop/uniform stream), then one stop coin from that stream when the app
+// stops walks early. Paths do not depend on the ring order. Not
+// thread-safe; one per worker.
 class PathRing {
  public:
-  PathRing(const CsrGraph* graph, const WalkApp* app, size_t parallelism);
+  PathRing(const graph::CsrGraph* graph, const apps::WalkApp* app,
+           size_t parallelism);
+  ~PathRing();
 
   // Fills the vertices and `stopped` of paths[i] for each i it claims
   // from `cursor`, until the claims run past the end. Rings on
@@ -94,9 +62,51 @@ class PathRing {
             std::atomic<size_t>& cursor);
 
  private:
-  const CsrGraph* graph_;
-  const WalkApp* app_;
-  std::vector<std::unique_ptr<TicketWalk>> walks_;
+  struct Walks;  // the ring's walk state, defined in ticket_walk.cc
+
+  const graph::CsrGraph* graph_;
+  const apps::WalkApp* app_;
+  std::unique_ptr<Walks> walks_;
+};
+
+// The paths of a run's walks, computed one window of tickets ahead of
+// the caller. The run's j-th walk is ticket first + j * stride and
+// executes queries[ticket]. Up to `threads` workers, each stepping its
+// own PathRing, claim a window's tickets one at a time, so the paths are
+// the same at every thread count.
+class PathWindow {
+ public:
+  PathWindow(const graph::CsrGraph* graph, const apps::WalkApp* app,
+             size_t sampler_parallelism, uint64_t seed,
+             std::span<const apps::WalkQuery> queries, size_t first,
+             size_t stride, uint32_t threads);
+
+  // Walks in the run.
+  size_t size() const { return size_; }
+
+  // The path of walk j. j must not decrease from one call to the next:
+  // computing a window overwrites the previous one.
+  const TicketPath& Path(size_t j) {
+    LIGHTRW_DCHECK(j >= begin_);
+    if (j >= begin_ + paths_.size()) {
+      Fill(j);
+    }
+    return paths_[j - begin_];
+  }
+
+ private:
+  // Computes the window of walks j, j + 1, ... whose paths fit in the
+  // window at their full lengths (at least walk j).
+  void Fill(size_t j);
+
+  std::span<const apps::WalkQuery> queries_;
+  size_t first_;
+  size_t stride_;
+  uint64_t seed_;
+  size_t size_;
+  std::vector<std::unique_ptr<PathRing>> rings_;  // one per worker
+  size_t begin_ = 0;  // walk index of paths_[0]
+  std::vector<TicketPath> paths_;
 };
 
 }  // namespace lightrw::core

@@ -8,6 +8,7 @@
 #include "baseline/engine.h"
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
+#include "lightrw/functional_engine.h"
 #include "obs/span.h"
 #include "reliability/membership.h"
 #include "rng/rng.h"
@@ -393,18 +394,13 @@ StatusOr<ChaosCampaignResult> RunChaosCampaign(const graph::CsrGraph& graph,
       }
       // Path identity: a walk's path is a pure function of its ticket,
       // so faults may cut it short but never change it. The reference
-      // run attaches no sinks, so it leaves the exports untouched.
-      distributed::DistributedConfig ref_config = scenario;
-      ref_config.board.faults = FaultConfig{};
+      // is the untimed path pass over the same queries.
+      core::AcceleratorConfig ref_config = scenario.board;
       ref_config.num_threads = config.thread_counts.front();
       baseline::WalkOutput reference;
-      const auto ref_run =
-          distributed::DistributedEngine(&graph, &app, &partition, ref_config)
-              .Run(queries, &reference);
-      if (!ref_run.ok()) {
-        violate("path identity: fault-free reference run: " +
-                ref_run.status().message());
-      } else if (reference.num_paths() == first.output.num_paths()) {
+      core::FunctionalEngine(&graph, &app, ref_config)
+          .Run(queries, &reference);
+      if (reference.num_paths() == first.output.num_paths()) {
         uint64_t shorter = 0;
         for (size_t q = 0; q < reference.num_paths(); ++q) {
           const auto path = first.output.Path(q);

@@ -72,8 +72,8 @@ TEST(GoldenTest, FunctionalEngineWalkIsStable) {
   baseline::WalkOutput output;
   engine.Run(queries, &output);
 
-  // Re-running with the same seed must reproduce the identical corpus;
-  // the literal below pins the current stream discipline.
+  // Re-running with the same seed must reproduce the identical corpus.
+  // FunctionalEngineNode2VecPins pins the path pass's stream discipline.
   core::FunctionalEngine replay(&g, &app, config);
   baseline::WalkOutput replay_output;
   replay.Run(queries, &replay_output);
@@ -224,9 +224,9 @@ TEST(GoldenTest, CycleEngineNode2VecRefetchPins) {
               2626, 0x233293e1cb60b3a1ULL});
 }
 
-// The two other engines that sample Node2Vec steps through StepSampler:
-// a partitioned cluster (per-ticket walks in the path pass, migrations
-// between boards) and the untimed functional engine.
+// The other engines that sample Node2Vec steps through StepSampler: a
+// partitioned cluster (per-ticket walks in the path pass, migrations
+// between boards) and the untimed functional engine (the same pass).
 TEST(GoldenTest, DistributedEngineNode2VecPartitionedPins) {
   const apps::Node2VecApp app(2.0, 0.5);
   const distributed::Partition partition = distributed::MakePartition(
@@ -414,6 +414,8 @@ TEST(GoldenTest, DistributedEngineStagedPartitionedPins) {
   EXPECT_EQ(PathHash(output), 0x4ed9b7bd998de02bULL);
 }
 
+// The functional engine is the path pass alone: the partitioned
+// cluster's Node2Vec corpus, untimed.
 TEST(GoldenTest, FunctionalEngineNode2VecPins) {
   const apps::Node2VecApp app(2.0, 0.5);
   baseline::WalkOutput output;
@@ -421,8 +423,8 @@ TEST(GoldenTest, FunctionalEngineNode2VecPins) {
       core::FunctionalEngine(&PinGraph(), &app, PinConfig())
           .Run(PinQueries(), &output);
   EXPECT_EQ(stats.steps, 3200u);
-  EXPECT_EQ(stats.edges_examined, 422092u);
-  EXPECT_EQ(PathHash(output), 0x01fdc4838ef70d3cULL);
+  EXPECT_EQ(stats.edges_examined, 414151u);
+  EXPECT_EQ(PathHash(output), 0xc44dc24cc5912eb8ULL);
 }
 
 TEST(GoldenTest, CycleEngineStagedNoCacheShortBurstPins) {
