@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "apps/ppr.h"
@@ -11,6 +12,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "lightrw/cycle_engine.h"
+#include "lightrw/functional_engine.h"
 
 namespace lightrw::distributed {
 namespace {
@@ -329,6 +331,115 @@ TEST(DistributedEngineTest, PartitionedModeNeedsLessMemoryPerBoard) {
   // Replication avoids the network, so it is at least as fast.
   EXPECT_LE(repl_stats.cycles, part_stats.cycles * 11 / 10);
 }
+
+// Every engine that shares a walk delivers one corpus: a path is a
+// function of (seed, ticket, query), so FunctionalEngine's untimed pass
+// writes what DistributedEngine's timed boards write, whatever the
+// partition, the replication or the host thread count.
+enum class ContractApp { kDeepWalk, kNode2Vec, kMetaPath, kPpr };
+
+std::unique_ptr<apps::WalkApp> MakeContractApp(ContractApp kind,
+                                               const CsrGraph& g) {
+  switch (kind) {
+    case ContractApp::kDeepWalk:
+      return std::make_unique<StaticWalkApp>();
+    case ContractApp::kNode2Vec:
+      return std::make_unique<apps::Node2VecApp>(2.0, 0.5);
+    case ContractApp::kMetaPath:
+      return std::make_unique<apps::MetaPathApp>(
+          apps::MakeRandomRelationPath(g, 12, /*seed=*/9));
+    case ContractApp::kPpr:
+      return std::make_unique<apps::PprApp>(0.15);
+  }
+  return nullptr;
+}
+
+class EngineCorpusContractTest
+    : public ::testing::TestWithParam<ContractApp> {};
+
+TEST_P(EngineCorpusContractTest, FunctionalEngineWritesTheClusterCorpus) {
+  const CsrGraph g = TestGraph();
+  const std::unique_ptr<apps::WalkApp> app = MakeContractApp(GetParam(), g);
+  const auto queries = apps::MakeVertexQueries(g, 12, 5, 400);
+  auto functional = [&](uint32_t threads, baseline::WalkOutput* out) {
+    core::AcceleratorConfig board = TestConfig().board;
+    board.num_threads = threads;
+    return core::FunctionalEngine(&g, app.get(), board).Run(queries, out);
+  };
+  baseline::WalkOutput want;
+  const core::FunctionalRunStats stats = functional(1, &want);
+  ASSERT_EQ(want.num_paths(), queries.size());
+  EXPECT_EQ(stats.queries, queries.size());
+
+  baseline::WalkOutput four;
+  const core::FunctionalRunStats stats4 = functional(4, &four);
+  EXPECT_EQ(four.offsets, want.offsets);
+  EXPECT_EQ(four.vertices, want.vertices);
+  EXPECT_EQ(stats4.steps, stats.steps);
+  EXPECT_EQ(stats4.edges_examined, stats.edges_examined);
+
+  // Without stop coins, a walk that ends short of its length tried one
+  // more step from its last vertex (a dead end or all-zero weights).
+  if (app->stop_probability() == 0.0) {
+    uint64_t edges = 0;
+    for (size_t i = 0; i < want.num_paths(); ++i) {
+      const auto path = want.Path(i);
+      const size_t tried =
+          path.size() - 1 < queries[i].length ? path.size() : path.size() - 1;
+      for (size_t s = 0; s < tried; ++s) {
+        edges += g.Degree(path[s]);
+      }
+    }
+    EXPECT_EQ(stats.edges_examined, edges);
+  }
+
+  struct Cluster {
+    const char* name;
+    PartitionStrategy strategy;
+    bool replicate;
+  };
+  for (const Cluster& cluster :
+       {Cluster{"hash", PartitionStrategy::kHash, false},
+        Cluster{"range", PartitionStrategy::kRange, false},
+        Cluster{"greedy", PartitionStrategy::kGreedy, false},
+        Cluster{"replicated", PartitionStrategy::kHash, true}}) {
+    const Partition p = MakePartition(g, 4, cluster.strategy);
+    for (const uint32_t threads : {1u, 4u}) {
+      DistributedConfig config = TestConfig();
+      config.replicate_graph = cluster.replicate;
+      config.num_threads = threads;
+      baseline::WalkOutput got;
+      const auto run =
+          DistributedEngine(&g, app.get(), &p, config).Run(queries, &got);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(got.offsets, want.offsets)
+          << cluster.name << ", " << threads << " thread(s)";
+      EXPECT_EQ(got.vertices, want.vertices)
+          << cluster.name << ", " << threads << " thread(s)";
+      EXPECT_EQ(run->steps, stats.steps)
+          << cluster.name << ", " << threads << " thread(s)";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, EngineCorpusContractTest,
+                         ::testing::Values(ContractApp::kDeepWalk,
+                                           ContractApp::kNode2Vec,
+                                           ContractApp::kMetaPath,
+                                           ContractApp::kPpr),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case ContractApp::kDeepWalk:
+                               return "deepwalk";
+                             case ContractApp::kNode2Vec:
+                               return "node2vec";
+                             case ContractApp::kMetaPath:
+                               return "metapath";
+                             case ContractApp::kPpr:
+                               return "ppr";
+                           }
+                           return "unknown";
+                         });
 
 TEST(NetworkLinkTest, SerializesAndDelays) {
   hwsim::LinkConfig config;

@@ -12,6 +12,7 @@
 #include "distributed/dist_engine.h"
 #include "distributed/partition.h"
 #include "graph/generators.h"
+#include "lightrw/functional_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/arrival.h"
@@ -258,7 +259,7 @@ TEST(WalkServiceTest, LowLoadCompletesEverythingUnshedAndUndegraded) {
 
 // The golden equivalence the per-ticket RNG design buys: at low load the
 // service delivers byte-identical walks to a direct batch run over the
-// same query list.
+// same query list, and to the untimed path pass over it.
 TEST(WalkServiceTest, LowLoadMatchesBatchEngineWalks) {
   const CsrGraph g = TestGraph();
   StaticWalkApp app;
@@ -279,9 +280,14 @@ TEST(WalkServiceTest, LowLoadMatchesBatchEngineWalks) {
   DistributedEngine engine(&g, &app, &p, config.cluster);
   baseline::WalkOutput batch_out;
   engine.Run(queries, &batch_out).value();
+  baseline::WalkOutput functional_out;
+  core::FunctionalEngine(&g, &app, config.cluster.board)
+      .Run(queries, &functional_out);
 
   EXPECT_EQ(service_out.offsets, batch_out.offsets);
   EXPECT_EQ(service_out.vertices, batch_out.vertices);
+  EXPECT_EQ(functional_out.offsets, batch_out.offsets);
+  EXPECT_EQ(functional_out.vertices, batch_out.vertices);
 }
 
 TEST(WalkServiceTest, LowLoadMatchesBatchEngineWalksWithEarlyStopping) {
@@ -303,9 +309,14 @@ TEST(WalkServiceTest, LowLoadMatchesBatchEngineWalksWithEarlyStopping) {
   DistributedEngine engine(&g, &app, &p, config.cluster);
   baseline::WalkOutput batch_out;
   engine.Run(queries, &batch_out).value();
+  baseline::WalkOutput functional_out;
+  core::FunctionalEngine(&g, &app, config.cluster.board)
+      .Run(queries, &functional_out);
 
   EXPECT_EQ(service_out.offsets, batch_out.offsets);
   EXPECT_EQ(service_out.vertices, batch_out.vertices);
+  EXPECT_EQ(functional_out.offsets, batch_out.offsets);
+  EXPECT_EQ(functional_out.vertices, batch_out.vertices);
 }
 
 TEST(WalkServiceTest, SameSeedSameDecisions) {
