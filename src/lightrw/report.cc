@@ -123,56 +123,6 @@ std::string FormatRunReport(const RunReportInputs& inputs) {
             100.0 * stage.Share(stage.pipeline_cycles));
   }
 
-  // Reliability: only printed when something actually happened — a
-  // fault-free run's report is byte-identical to one without the
-  // subsystem.
-  if (stats.reliability.Any()) {
-    const reliability::ReliabilityStats& rel = stats.reliability;
-    Appendf(&out,
-            "reliability: %llu fault(s) injected, %llu walk(s) failed\n",
-            static_cast<unsigned long long>(rel.FaultsInjected()),
-            static_cast<unsigned long long>(rel.walks_failed));
-    if (rel.dram_correctable + rel.dram_uncorrectable > 0) {
-      Appendf(&out,
-              "  dram ecc: %llu correctable, %llu uncorrectable, %llu "
-              "retries, %llu failed access(es)\n",
-              static_cast<unsigned long long>(rel.dram_correctable),
-              static_cast<unsigned long long>(rel.dram_uncorrectable),
-              static_cast<unsigned long long>(rel.dram_retries),
-              static_cast<unsigned long long>(rel.dram_failed_accesses));
-    }
-    if (rel.link_dropped + rel.link_corrupted > 0) {
-      Appendf(&out,
-              "  network: %llu dropped, %llu corrupted, %llu "
-              "retransmission(s), %llu failed send(s)\n",
-              static_cast<unsigned long long>(rel.link_dropped),
-              static_cast<unsigned long long>(rel.link_corrupted),
-              static_cast<unsigned long long>(rel.retransmissions),
-              static_cast<unsigned long long>(rel.link_failed_sends));
-    }
-    if (rel.board_failures + rel.checkpoints > 0) {
-      Appendf(&out,
-              "  failover: %llu board failure(s), %llu checkpoint(s), "
-              "%llu recovered, %llu lost, %llu step(s) replayed\n",
-              static_cast<unsigned long long>(rel.board_failures),
-              static_cast<unsigned long long>(rel.checkpoints),
-              static_cast<unsigned long long>(rel.walkers_recovered),
-              static_cast<unsigned long long>(rel.walkers_lost),
-              static_cast<unsigned long long>(rel.replayed_steps));
-    }
-    if (rel.spares_activated + rel.spare_exhaustions > 0) {
-      Appendf(&out,
-              "  self-healing: %llu spare(s) activated, %llu rebuild(s) "
-              "completed, %llu aborted, %llu exhaustion(s), %llu rebuild "
-              "cycle(s)\n",
-              static_cast<unsigned long long>(rel.spares_activated),
-              static_cast<unsigned long long>(rel.rebuilds_completed),
-              static_cast<unsigned long long>(rel.rebuilds_aborted),
-              static_cast<unsigned long long>(rel.spare_exhaustions),
-              static_cast<unsigned long long>(rel.rebuild_cycles));
-    }
-  }
-
   // Telemetry timeline: only for runs that scraped time series — see
   // RunReportInputs::telemetry_timeline.
   if (inputs.telemetry_timeline != nullptr &&
