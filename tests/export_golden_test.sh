@@ -8,7 +8,8 @@
 #            (--span-mode breached): it discards the spans of every
 #            trace that meets its deadline; spans only
 #   faults   service engine on partitioned boards with uncorrectable
-#            DRAM errors; spans and timeseries
+#            DRAM errors often enough that queries fail and breakers
+#            trip (checked below); spans and timeseries
 #   store    distributed engine, two board deaths, a spare, and the
 #            durable checkpoint store with bit rot; spans and timeseries
 # A digest moves only when an export's bytes move. A change that means
@@ -30,6 +31,14 @@ check() {
     echo "ok: $1/$2"
   else
     echo "FAIL: $1/$2: sha256 ${got:-missing}, want $3" >&2
+    fails=$((fails + 1))
+  fi
+}
+
+# expect <dir> <file> <fixed string the file must hold>
+expect() {
+  if ! grep -qF "$3" "$1/$2" 2>/dev/null; then
+    echo "FAIL: $1/$2 holds no $3" >&2
     fails=$((fails + 1))
   fi
 }
@@ -77,16 +86,19 @@ for threads in 1 4; do
 
   run faults "$threads" --engine service --rmat_scale 8 --app deepwalk \
     --length 16 --queries 384 --seed 42 --boards 4 --partition hash \
-    --service-rate 32 --service-deadline 4096 \
-    --fault-dram-uncorrectable 0.002 --scrape-interval 1024 \
-    --exports spans,timeseries
+    --service-rate 32 --fault-dram-uncorrectable 0.3 \
+    --scrape-interval 1024 --exports spans,timeseries
   dir="$OUT/faults-t$threads"
+  # The scenario exists to reach the service's failure and breaker code:
+  # a re-record that stops failing a query or tripping a breaker fails.
+  expect "$dir" spans.json '"outcome": "failed"'
+  expect "$dir" timeseries.json '"kind": "breaker_trip"'
   check "$dir" spans.json \
-    f650e8219982e60a80ab18cf47b08db01471800c453c4783778e5cd7efc13488
+    39794aabe8f8df4c863dfbede58a1084bf721f47926d12b817e1b981b33e954a
   check "$dir" timeseries.json \
-    37087689ab95a9bc8971c7b417d86925b57045b49b3dec7c8ce8a25929803fc9
+    b9362bb1cf2692dc9cad6b9b1642fcebb4efe92b4393a80898ef1ec302082d52
   check "$dir" timeseries.om \
-    dc55ee486f54de3795c8af2bcc2bcea6a9138df3ddfece9781e1c8c04bfcafcd
+    9cd6f5b156a03bcfdfa6d7cc567b04f7a6bb9ca530f74bfe472b2b148adb1e5d
 
   run store "$threads" --engine distributed --rmat_scale 8 --app deepwalk \
     --length 16 --queries 256 --seed 42 --boards 2 --partition hash \
