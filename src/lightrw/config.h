@@ -90,8 +90,9 @@ struct AcceleratorConfig {
   uint32_t num_instances = 4;
 
   // Host worker threads simulating the instances concurrently (each
-  // instance is an independent shard, so results are bit-identical for
-  // every thread count). 0 = SimThreadPool::DefaultThreads(), i.e. the
+  // instance is an independent shard), or FunctionalEngine's path pass
+  // (a path depends only on its ticket); results are bit-identical for
+  // every thread count. 0 = SimThreadPool::DefaultThreads(), i.e. the
   // LIGHTRW_SIM_THREADS environment or the tools' --threads flag.
   uint32_t num_threads = 0;
 
